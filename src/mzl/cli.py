@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .config import RunConfig, load_config
 from .contour import trace_table
 from .domains import (JDomainSpec, WpDomainSpec, bezout_step_bound,

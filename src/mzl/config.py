@@ -19,7 +19,6 @@ class RunConfig:
     seed: int = 0
     y_top: float = 2.5
     tau: float = 1.0
-    timeout_s: float = 600.0
 
     def apply_file(self, path: str) -> "RunConfig":
         values = {}

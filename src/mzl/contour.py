@@ -14,12 +14,12 @@ performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (InvalidSpecError, MzlError, NonconvergenceError,
-                     ZeroOnContourError)
+from .errors import (DominanceError, InvalidSpecError, MzlError,
+                     NonconvergenceError, ZeroOnContourError)
 from .pfaffian import real_zero_count
 
 _ENDPOINT_TOL = 1e-12
@@ -241,7 +241,6 @@ def dominant_term_bound(f, g, contour: Contour, C: float,
         if float(ratio.min()) <= 0.0:
             i = int(np.argmin(ratio))
             fz, gz = abs(fv[i]), abs(gv[i])
-            from .errors import DominanceError
             raise DominanceError("|f| > C|g| fails", complex(zs[i]),
                                  fz / gz if gz > 0 else np.inf)
         fpv = np.asarray(f.derivative(zs), dtype=complex)

@@ -8,22 +8,28 @@ perturb the composite by a small constant (Rouche-safe: the offset stays
 below the minimum boundary modulus) so the winding integrand never
 vanishes on the contour, then cross-check the winding against localized
 zero multiplicities.
+
+Both pipelines judge "numerically zero on the boundary" by one rule
+(_boundary_scan): |P(z, f(z))| below _BOUNDARY_FLOOR times the Horner
+running-error scale of the sum.  Each runs one retry loop in which every
+kind of failure has exactly one move; see count_zeros_j and
+count_zeros_wp.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .contour import (ArcSegment, Contour, LineSegment, LocalizedZero,
-                      LineSegment as _LS, localize_zeros, winding_number)
-from .elliptic import LatticeParams, lattice, wp_analytic
+                      localize_zeros, winding_number)
+from .elliptic import lattice, wp_analytic
 from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
-from .pfaffian import _local_scale, khovanskii_zero_bound, real_zero_count
+from .pfaffian import khovanskii_zero_bound, real_zero_count
 from .poly import BivariatePolynomial, eval_composed, perturb
 from .special import j_analytic, klein_j
 
@@ -249,6 +255,25 @@ _DOMINANCE_HEADROOM = 1.1
 _BOUNDARY_FLOOR = 1e-9
 
 
+def _boundary_scan(P: BivariatePolynomial, inner, z: np.ndarray):
+    """|P(z, f(z))| at the samples z, and the mask of the samples where
+    it is numerically zero.
+
+    A value is numerically zero when it falls below _BOUNDARY_FLOOR times
+    sum |c_ij| |z|^i |f(z)|^j, the running-error scale of the Horner sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    5.1): the rounding error of the sum, and the error of f(z) carried
+    through it, are small multiples of that scale.  It follows the terms
+    themselves, so the growth of |j| towards the top line and of |wp|
+    into the notches never makes a healthy value look small.
+    """
+    w = inner(z)
+    mods = np.abs(P.evaluate(z, w))
+    scale = BivariatePolynomial(np.abs(P.coeffs)).evaluate(np.abs(z),
+                                                           np.abs(w))
+    return mods, mods < _BOUNDARY_FLOOR * scale.real
+
+
 def _top_line_dominates(P: BivariatePolynomial, Y: float, inset: float,
                         n: int = 512) -> bool:
     """True when the leading term h(z) e^{-2 pi i l z} exceeds 2.2x the
@@ -293,10 +318,19 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
     """Count zeros of P(z, j(z)) in the truncated fundamental domain.
 
     The top line rises in half-steps until the leading term dominates
-    there (so no zeros hide above); the boundary expands outward through
-    a short inset ladder if the composite nearly vanishes on it; the
-    composite is then offset by epsilon e^{i theta} with epsilon half the
-    minimum boundary modulus, which preserves the interior count.
+    there, so no zeros hide above.  The composite is then offset by
+    epsilon e^{i theta} with epsilon half the minimum boundary modulus,
+    which preserves the interior count.  One loop retries over the state
+    (Y, inset), and each kind of failure has one move:
+
+    - boundary trouble widens the region by 1e-3 of inset (capped at
+      0.19): a boundary sample that is numerically zero (_boundary_scan),
+      ZeroOnContourError, CannotPerturbError, NonconvergenceError from
+      the winding or the localization, or a localized count that differs
+      from the winding;
+    - a zero within 0.5 of the top line raises Y by 1.
+
+    The report's retries is the number of failed attempts.
     """
     if spec is None:
         spec = JDomainSpec()
@@ -304,64 +338,49 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
         raise InvalidSpecError("zero polynomial")
     inner = j_analytic()
     Y = _min_y_for_polynomial_roots(P, spec.Y)
-    retries = 0
+    inset = spec.inset
     last_error: Exception | None = None
-    for attempt in range(5):
-        while not _top_line_dominates(P, Y, spec.inset):
+    for retries in range(8):
+        while not _top_line_dominates(P, Y, inset):
             Y += 0.5
             if Y > spec.Y + 8.0:
                 raise DominanceError(
                     "leading term never dominated the top line",
                     complex(0.0, Y), math.nan)
-        result = None
-        for extra in (0.0, 1e-3, 2e-3, 4e-3):
-            inset = spec.inset + extra
-            contour = build_j_contour(JDomainSpec(Y, inset))
-            samples = contour.sample(n_samples)
-            vals = np.abs(eval_composed(P, inner, samples))
-            # the boundary scale varies by many decades (the top line is
-            # exponentially large), so the near-zero trigger is local
-            if bool(np.any(vals < _BOUNDARY_FLOOR * _local_scale(vals))):
-                continue
-            try:
-                pert = perturb(P, inner, samples)
-                # preimages of small targets cluster at the corners, on
-                # the contour itself; dense initial sampling keeps their
-                # phase swings from aliasing between samples
-                w = winding_number(pert.value, contour,
-                                   zero_atol=0.1 * pert.epsilon,
-                                   n_initial=257)
-            except (ZeroOnContourError, CannotPerturbError) as exc:
-                last_error = exc
-                continue
-            result = (inset, contour, pert, w)
-            break
-        if result is None:
-            retries += 1
-            Y += 0.5
-            continue
-        inset, contour, pert, w = result
-        ts = math.acos((0.5 + inset) / (1.0 - inset))
-        y0 = (1.0 - inset) * math.sin(ts)
+        region = JDomainSpec(Y, inset)
+        contour = build_j_contour(region)
+        samples = contour.sample(n_samples)
+        y0 = (1.0 - inset) * math.sin(region.theta_star)
         box = (-(0.5 + inset), 0.5 + inset, y0, Y)
         try:
+            mods, near_zero = _boundary_scan(P, inner, samples)
+            if near_zero.any():
+                i = int(np.argmax(near_zero))
+                raise ZeroOnContourError(
+                    "composite numerically zero on the boundary",
+                    complex(samples[i]), float(mods[i]))
+            pert = perturb(P, inner, samples)
+            atol = 0.1 * pert.epsilon
+            # preimages of small targets cluster at the corners, on
+            # the contour itself; dense initial sampling keeps their
+            # phase swings from aliasing between samples
+            w = winding_number(pert.value, contour, zero_atol=atol,
+                               n_initial=257)
             zeros = localize_zeros(pert.value, box,
                                    target_radius=target_radius,
-                                   zero_atol=0.1 * pert.epsilon)
-        except (ZeroOnContourError, NonconvergenceError) as exc:
+                                   zero_atol=atol)
+            kept = [z for z in zeros if _in_j_region(z.center, Y, inset)]
+            count = sum(z.multiplicity for z in kept)
+            if count != w.winding:
+                # a zero straddled the region test near the boundary
+                raise NonconvergenceError(
+                    f"{count} localized zeros against winding {w.winding}")
+        except (ZeroOnContourError, CannotPerturbError,
+                NonconvergenceError) as exc:
             last_error = exc
-            retries += 1
-            spec = JDomainSpec(spec.Y, min(spec.inset + 1e-3, 0.19))
-            continue
-        kept = [z for z in zeros if _in_j_region(z.center, Y, inset)]
-        count = sum(z.multiplicity for z in kept)
-        if count != w.winding:
-            # a zero straddled the region test near the boundary
-            retries += 1
-            spec = JDomainSpec(spec.Y, min(spec.inset + 1e-3, 0.19))
+            inset = min(inset + 1e-3, 0.19)
             continue
         if any(z.center.imag > Y - 0.5 for z in kept):
-            retries += 1
             Y += 1.0
             continue
         d = max(1, P.degree)
@@ -381,13 +400,12 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
 
 # ------------------------------------------------------------ wp pipeline
 
-def _wp_tiles(spec: WpDomainSpec, shift: float):
-    """Partition of the cell minus squares of side delta' around its
-    boundary poles, with delta' = delta * (1 + shift).  Shared cuts, no
-    overlap.  Integer beta puts the poles at the four corners; otherwise
-    one pole sits inside the bottom edge and one inside the top edge."""
-    b, t = spec.beta, spec.tau
-    d = spec.delta * (1.0 + shift)
+def _wp_tiles(spec: WpDomainSpec):
+    """Partition of the cell minus squares of side delta around its
+    boundary poles.  Shared cuts, no overlap.  Integer beta puts the
+    poles at the four corners; otherwise one pole sits inside the bottom
+    edge and one inside the top edge."""
+    b, t, d = spec.beta, spec.tau, spec.delta
     frac = b - math.floor(b)
     if frac == 0.0:
         a0, a1 = b + d, b + 1.0 - d
@@ -409,95 +427,64 @@ def _wp_tiles(spec: WpDomainSpec, shift: float):
     ]
 
 
-def _tile_windings(f, tiles, zero_atol: float):
-    from .contour import rectangle_contour
-    total = 0
-    for (x0, x1, y0, y1) in tiles:
-        w = winding_number(f, rectangle_contour(x0, x1, y0, y1),
-                           zero_atol=zero_atol)
-        if w.winding < 0:
-            raise NonconvergenceError("negative tile winding: pole inside")
-        total += w.winding
-    return total
-
-
 def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
                    n_samples: int = 512,
                    target_radius: float = 1e-3) -> ZeroCountReport:
     """Count zeros of P(z, wp(z)) in one period cell of <1, i tau>.
 
     The winding over the notched cell boundary is cross-checked against
-    a five-tile partition of the cell minus its corner squares: the tile
-    windings and the localized multiplicities must both reproduce it.
-    A mismatch (zeros hiding next to a pole) halves the notch radius and
-    retries.
+    the multiplicities localized in a five-tile partition of the cell
+    minus squares around its boundary poles.  A boundary sample that is
+    numerically zero (_boundary_scan) means the composite vanishes on
+    the cell edge itself, e.g. at a half-period: no Rouche-safe epsilon
+    exists, so the offset is set explicitly from the boundary median,
+    which pushes the edge zero to a definite side of the contour.
+
+    One loop retries, and every failure has the same move, halving the
+    notch radius: ZeroOnContourError, CannotPerturbError or
+    NonconvergenceError from the perturbation, the winding or the
+    localization, a localized count that differs from the winding, and a
+    zero within 2 delta of a pole (zeros may hide in the notches).  The
+    report's retries is the number of failed attempts.
     """
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
-    L = lattice(spec.tau)
-    inner = wp_analytic(L)
+    inner = wp_analytic(lattice(spec.tau))
     current = spec
-    retries = 0
     last_error: Exception | None = None
-    for attempt in range(5):
+    for retries in range(5):
         if current.delta < 1e-5:
             raise NonconvergenceError("notch radius collapsed without a "
                                       "stable count")
         contour = build_wp_contour(current)
         samples = contour.sample(n_samples)
-        vals = np.abs(eval_composed(P, inner, samples))
-        # near the notches the modulus blows up; judge smallness locally.
-        # a genuine hit means the composite vanishes on the cell edge
-        # itself (e.g. at a half-period): no Rouche-safe epsilon exists,
-        # so switch to an explicit offset sized from the boundary median,
-        # which pushes the edge zero to a definite side of the contour
-        eps_override = None
-        if bool(np.any(vals < _BOUNDARY_FLOOR * _local_scale(vals))):
-            eps_override = 1e-6 * float(np.median(vals))
+        mods, near_zero = _boundary_scan(P, inner, samples)
+        eps = 1e-6 * float(np.median(mods)) if near_zero.any() else None
+        b, t = current.beta, current.tau
+        poles = [complex(b, 0.0), complex(b + 1.0, 0.0), complex(b, t),
+                 complex(b + 1.0, t), complex(math.ceil(b), 0.0),
+                 complex(math.ceil(b), t)]
         try:
-            pert = perturb(P, inner, samples, eps=eps_override)
+            pert = perturb(P, inner, samples, eps=eps)
             atol = 0.1 * pert.epsilon
             w = winding_number(pert.value, contour, zero_atol=atol,
                                n_initial=257)
-        except (ZeroOnContourError, CannotPerturbError) as exc:
-            last_error = exc
-            retries += 1
-            current = current.with_delta(current.delta / 2.0)
-            continue
-        tile_sum = None
-        for k in range(8):
-            tiles = _wp_tiles(current, k * 1e-3)
-            try:
-                tile_sum = _tile_windings(pert.value, tiles, atol)
-                break
-            except (ZeroOnContourError, NonconvergenceError) as exc:
-                last_error = exc
-                continue
-        if tile_sum is None or tile_sum != w.winding:
-            retries += 1
-            current = current.with_delta(current.delta / 2.0)
-            continue
-        zeros: list[LocalizedZero] = []
-        try:
-            for tile in tiles:
+            zeros: list[LocalizedZero] = []
+            for tile in _wp_tiles(current):
                 zeros.extend(localize_zeros(pert.value, tile,
                                             target_radius=target_radius,
                                             zero_atol=atol))
-        except (ZeroOnContourError, NonconvergenceError) as exc:
+            count = sum(z.multiplicity for z in zeros)
+            if count != w.winding:
+                raise NonconvergenceError(
+                    f"{count} localized zeros against winding {w.winding}")
+            if any(abs(z.center - p) < 2.0 * current.delta
+                   for z in zeros for p in poles):
+                raise NonconvergenceError(
+                    "a localized zero lies within 2 delta of a pole")
+        except (ZeroOnContourError, CannotPerturbError,
+                NonconvergenceError) as exc:
             last_error = exc
-            retries += 1
-            current = current.with_delta(current.delta / 2.0)
-            continue
-        count = sum(z.multiplicity for z in zeros)
-        poles = [complex(current.beta, 0.0), complex(current.beta + 1.0, 0.0),
-                 complex(current.beta, current.tau),
-                 complex(current.beta + 1.0, current.tau),
-                 complex(math.ceil(current.beta), 0.0),
-                 complex(math.ceil(current.beta), current.tau)]
-        too_close = any(min(abs(z.center - p) for p in poles)
-                        < 2.0 * current.delta for z in zeros)
-        if count != w.winding or too_close:
-            retries += 1
             current = current.with_delta(current.delta / 2.0)
             continue
         d = max(1, P.degree)

@@ -19,13 +19,12 @@ applied through quotient and product rules.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import AmbiguityError, DomainError, InvalidSpecError, MzlError
+from .errors import AmbiguityError, InvalidSpecError, MzlError
 from .special import SEXTIC_A, SEXTIC_B, hyp2f1
 
 

@@ -83,16 +83,6 @@ class BivariatePolynomial:
             acc = acc * z + inner
         return acc
 
-    def evaluate_naive(self, z, w):
-        """Plain monomial sum; kept as an internal cross-check."""
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        acc = np.zeros(np.broadcast(z, w).shape, dtype=complex)
-        for i in range(self.deg_x + 1):
-            for j in range(self.deg_y + 1):
-                acc = acc + self.coeffs[i, j] * z**i * w**j
-        return acc
-
     def partial_x(self) -> "BivariatePolynomial":
         if self.deg_x == 0:
             return BivariatePolynomial([[0.0]])

@@ -8,7 +8,6 @@ is the ratio of two sextic hypergeometric values.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 

@@ -9,16 +9,16 @@ import pytest
 
 import oracles
 from mzl.contour import ArcSegment, LineSegment
-from mzl.domains import (JDomainSpec, WpDomainSpec, bezout_step_bound,
-                         build_j_contour, build_wp_contour, count_zeros_j,
-                         count_zeros_wp, line_im_zero_count,
-                         proposition_bound, random_polynomial,
-                         theorem1_bound, theorem2_bound,
+from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
+                         bezout_step_bound, build_j_contour,
+                         build_wp_contour, count_zeros_j, count_zeros_wp,
+                         line_im_zero_count, proposition_bound,
+                         random_polynomial, theorem1_bound, theorem2_bound,
                          theorem2_proof_bound, verify_bound_inequalities)
-from mzl.elliptic import wp_eval
+from mzl.elliptic import wp_analytic, wp_eval
 from mzl.errors import AmbiguityError, InvalidSpecError
 from mzl.poly import BivariatePolynomial
-from mzl.special import klein_j
+from mzl.special import j_analytic, klein_j
 
 
 def poly_y_minus(c) -> BivariatePolynomial:
@@ -210,6 +210,17 @@ def test_count_zeros_j_y_invariance():
     assert base.count == high.count == 1
 
 
+def test_count_zeros_j_high_y_degree():
+    # |P| grows like |j|^deg_y away from the triple zero of j at rho, many
+    # decades within a few boundary samples; none of that is a zero
+    rng = np.random.default_rng(31)
+    for deg_x, deg_y in ((0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)):
+        rep = count_zeros_j(random_polynomial(rng, deg_x, deg_y))
+        assert rep.count == rep.winding
+        assert rep.count == sum(z.multiplicity for z in rep.zeros)
+        assert rep.bound_holds
+
+
 # ---------------------------------------------------------------------------
 # period-cell counting
 
@@ -258,6 +269,45 @@ def test_count_zeros_wp_notch_hides_large_values():
     # the notches: the notched cell legitimately contains no zeros
     rep = count_zeros_wp(poly_y_minus(250.0 + 170.0j), WpDomainSpec(1.0))
     assert rep.count == 0
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 8.0])
+def test_count_zeros_wp_shifted_cell_products(tau):
+    # generic values (|Im c| >= 0.3 |c|, |c| <= 4) have two simple
+    # preimages per cell, away from the real-valued edges and the notches
+    roots = [2.1 + 1.3j, -1.4 + 2.2j, 0.6 - 1.9j]
+    for deg in (2, 3):
+        P = BivariatePolynomial([np.poly(roots[:deg])[::-1]])  # prod Y - c
+        rep = count_zeros_wp(P, WpDomainSpec(tau, beta=0.37))
+        assert rep.count == rep.winding == 2 * deg
+
+
+# ---------------------------------------------------------------------------
+# near-zero rule
+
+
+def test_boundary_scan_flags_zeros_on_the_contour(lat1):
+    # j - 1728 vanishes at z = i on the arc, wp - e1 at z = 1/2 on the
+    # bottom edge; both points are boundary samples
+    samples = build_j_contour(JDomainSpec()).sample(512)
+    _, near_zero = _boundary_scan(poly_y_minus(1728.0), j_analytic(),
+                                  samples)
+    assert near_zero.any()
+    e1 = lat1.half_period_values[0]
+    samples = build_wp_contour(WpDomainSpec(1.0)).sample(512)
+    _, near_zero = _boundary_scan(poly_y_minus(e1), wp_analytic(lat1),
+                                  samples)
+    assert near_zero.any()
+
+
+def test_boundary_scan_ignores_growth_near_rho():
+    P = random_polynomial(np.random.default_rng(5), 0, 4)
+    samples = build_j_contour(JDomainSpec()).sample(512)
+    rho = complex(-0.5, math.sqrt(3.0) / 2.0)
+    near = samples[np.abs(samples - rho) < 0.25]
+    mods, near_zero = _boundary_scan(P, j_analytic(), near)
+    assert float(mods.max()) > 1e9 * float(mods.min())
+    assert not near_zero.any()
 
 
 # ---------------------------------------------------------------------------
