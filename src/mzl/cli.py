@@ -22,7 +22,7 @@ from .pfaffian import (build_hypergeometric_chain, build_ratio_chain,
                        chain_residual, khovanskii_zero_bound)
 from .poly import eval_composed, polynomial_from_json
 from .special import (SEXTIC_A, SEXTIC_B, hyp2f1_with_bound, j_analytic,
-                      j_inverse, klein_j)
+                      j_inverse, klein_j_with_bound)
 from .verify import SCHEMA, run_selftest, run_suites, _SUITES
 
 _RESIDUAL_PASS = 1e-7
@@ -72,8 +72,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     if args.function == "j":
         for s in args.inputs:
             z = _parse_complex(s)
-            v = klein_j(z)
-            rows.append((s, v, 1e-9 * abs(v)))
+            rows.append((s, *klein_j_with_bound(z)))
     elif args.function == "jinv":
         for s in args.inputs:
             x = float(s)

@@ -30,7 +30,7 @@ from .elliptic import lattice, wp_analytic
 from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
 from .pfaffian import khovanskii_zero_bound, real_zero_count
-from .poly import BivariatePolynomial, eval_composed, perturb
+from .poly import BivariatePolynomial, eval_composed, perturb_from_values
 from .special import j_analytic, klein_j
 
 
@@ -256,8 +256,8 @@ _BOUNDARY_FLOOR = 1e-9
 
 
 def _boundary_scan(P: BivariatePolynomial, inner, z: np.ndarray):
-    """|P(z, f(z))| at the samples z, and the mask of the samples where
-    it is numerically zero.
+    """P(z, f(z)) at the samples z, and the mask of the samples where it
+    is numerically zero.
 
     A value is numerically zero when it falls below _BOUNDARY_FLOOR times
     sum |c_ij| |z|^i |f(z)|^j, the running-error scale of the Horner sum
@@ -268,10 +268,10 @@ def _boundary_scan(P: BivariatePolynomial, inner, z: np.ndarray):
     into the notches never makes a healthy value look small.
     """
     w = inner(z)
-    mods = np.abs(P.evaluate(z, w))
+    vals = P.evaluate(z, w)
     scale = BivariatePolynomial(np.abs(P.coeffs)).evaluate(np.abs(z),
                                                            np.abs(w))
-    return mods, mods < _BOUNDARY_FLOOR * scale.real
+    return vals, np.abs(vals) < _BOUNDARY_FLOOR * scale.real
 
 
 def _top_line_dominates(P: BivariatePolynomial, Y: float, inset: float,
@@ -353,13 +353,13 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
         y0 = (1.0 - inset) * math.sin(region.theta_star)
         box = (-(0.5 + inset), 0.5 + inset, y0, Y)
         try:
-            mods, near_zero = _boundary_scan(P, inner, samples)
+            vals, near_zero = _boundary_scan(P, inner, samples)
             if near_zero.any():
                 i = int(np.argmax(near_zero))
                 raise ZeroOnContourError(
                     "composite numerically zero on the boundary",
-                    complex(samples[i]), float(mods[i]))
-            pert = perturb(P, inner, samples)
+                    complex(samples[i]), float(abs(vals[i])))
+            pert = perturb_from_values(P, inner, vals)
             atol = 0.1 * pert.epsilon
             # preimages of small targets cluster at the corners, on
             # the contour itself; dense initial sampling keeps their
@@ -458,14 +458,15 @@ def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
                                       "stable count")
         contour = build_wp_contour(current)
         samples = contour.sample(n_samples)
-        mods, near_zero = _boundary_scan(P, inner, samples)
-        eps = 1e-6 * float(np.median(mods)) if near_zero.any() else None
+        vals, near_zero = _boundary_scan(P, inner, samples)
+        eps = (1e-6 * float(np.median(np.abs(vals))) if near_zero.any()
+               else None)
         b, t = current.beta, current.tau
         poles = [complex(b, 0.0), complex(b + 1.0, 0.0), complex(b, t),
                  complex(b + 1.0, t), complex(math.ceil(b), 0.0),
                  complex(math.ceil(b), t)]
         try:
-            pert = perturb(P, inner, samples, eps=eps)
+            pert = perturb_from_values(P, inner, vals, eps=eps)
             atol = 0.1 * pert.epsilon
             w = winding_number(pert.value, contour, zero_atol=atol,
                                n_initial=257)

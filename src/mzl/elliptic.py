@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, PoleProximityError
 from .poly import AnalyticFunction
+from .qseries import power_basis_product
 
 LAURENT_TERMS = 64
 ZETA4 = math.pi**4 / 90.0
@@ -106,12 +107,14 @@ def reduce_to_cell(z, tau: float):
 
 
 def _laurent_pair(w, L: LatticeParams):
+    """p and p' from the Laurent series in u = w^2, as the two columns of
+    one power-basis product: p = 1/u + u sum c_{k+1} u^k and
+    p' = -2/(u w) + w sum 2 (k+1) c_{k+1} u^k."""
     u = w * w
     c = L.laurent
-    p = 1.0 / u + u * np.polynomial.polynomial.polyval(u, c)
-    dcoef = c * (2.0 * np.arange(1, c.size + 1))
-    dp = -2.0 / (u * w) + w * np.polynomial.polynomial.polyval(u, dcoef)
-    return p, dp
+    C = np.column_stack([c, c * (2.0 * np.arange(1, c.size + 1))])
+    s, ds = power_basis_product(u, C)
+    return 1.0 / u + u * s, -2.0 / (u * w) + w * ds
 
 
 def wp_pair(z, L: LatticeParams, pole_tol: float = 1e-8):

@@ -173,7 +173,20 @@ class PerturbedComposite:
 def perturb(P: BivariatePolynomial, f, boundary_samples,
             n_angles: int = 64, refine_depth: int = 6,
             eps: float | None = None) -> PerturbedComposite:
-    """Rouche perturbation sized from the boundary samples.
+    """Rouche perturbation sized from P(z, f(z)) at the boundary samples;
+    see perturb_from_values."""
+    zs = np.asarray(boundary_samples, dtype=complex)
+    if zs.size == 0:
+        raise ValueError("boundary_samples must be nonempty")
+    return perturb_from_values(P, f, eval_composed(P, f, zs), n_angles,
+                               refine_depth, eps)
+
+
+def perturb_from_values(P: BivariatePolynomial, f, vals,
+                        n_angles: int = 64, refine_depth: int = 6,
+                        eps: float | None = None) -> PerturbedComposite:
+    """Rouche perturbation sized from vals = P(z, f(z)) at the boundary
+    samples.
 
     eps defaults to half the minimum of |P(z, f(z))| over the samples,
     which keeps the interior count unchanged; a caller may pass eps
@@ -182,10 +195,9 @@ def perturb(P: BivariatePolynomial, f, boundary_samples,
     scanned over n_angles angles (dyadically refined if needed) so the
     perturbed modulus stays above eps/4 on every sample.
     """
-    zs = np.asarray(boundary_samples, dtype=complex)
-    if zs.size == 0:
-        raise ValueError("boundary_samples must be nonempty")
-    vals = eval_composed(P, f, zs)
+    vals = np.asarray(vals, dtype=complex)
+    if vals.size == 0:
+        raise ValueError("boundary values must be nonempty")
     if not np.all(np.isfinite(vals)):
         raise ValueError("composite not finite at a boundary sample")
     mods = np.abs(vals)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import AsymptoticFallbackWarning, DomainError, PrecisionLossError
 from .poly import AnalyticFunction
-from .qseries import standard_series
+from .qseries import (UNIT_ROUNDOFF, max_abs, power_basis_product,
+                      standard_series)
 
 TWO_PI = 2.0 * math.pi
 SEXTIC_A, SEXTIC_B = 1.0 / 6.0, 5.0 / 6.0
@@ -157,6 +159,39 @@ def eisenstein_R(q) -> complex:
 
 
 _MIN_IM_TAU = 0.5 - 1e-12
+_U = UNIT_ROUNDOFF
+
+
+def _upper_strip(tau, name: str) -> np.ndarray:
+    taus = np.asarray(tau, dtype=complex)
+    if (taus.imag < _MIN_IM_TAU).any():
+        raise DomainError(f"{name} requires Im tau >= 0.5")
+    return taus
+
+
+@lru_cache(maxsize=1)
+def _j_columns() -> np.ndarray:
+    """Q and Delta/q as the two columns of one coefficient matrix."""
+    s = standard_series()
+    return np.column_stack([s["Q"].coefficients,
+                            s["delta_over_q"].coefficients])
+
+
+def _j_sums(taus: np.ndarray):
+    """(q, Q(q), Delta(q)/q, N): both series summed to the order N that
+    each of them needs at max |q|, in one power-basis product."""
+    s = standard_series()
+    q = np.exp(2j * math.pi * taus)
+    x = max_abs(q)
+    N = max(s["Q"].order(x), s["delta_over_q"].order(x))
+    Qv, dq = power_basis_product(q, _j_columns()[:N + 1])
+    return q, Qv.reshape(q.shape), dq.reshape(q.shape), N
+
+
+def _as_output(tau, out):
+    if np.ndim(tau) == 0:
+        return complex(out)
+    return out
 
 
 def klein_j(tau):
@@ -165,33 +200,58 @@ def klein_j(tau):
     Delta is evaluated from its own exact-integer series, so the
     cancellation in Q^3 - R^2 never happens in floating point.
     """
-    taus = np.asarray(tau, dtype=complex)
-    if np.any(taus.imag < _MIN_IM_TAU):
-        raise DomainError("klein_j requires Im tau >= 0.5")
-    tables = standard_series()
-    q = np.exp(2j * math.pi * taus)
-    Qv = tables["Q"].eval(q)
-    delta = q * np.polynomial.polynomial.polyval(
-        q, tables["delta_over_q"].coefficients)
-    if np.any(np.abs(delta) < 1e-280):
+    q, Qv, dq, _ = _j_sums(_upper_strip(tau, "klein_j"))
+    delta = q * dq
+    if (np.abs(delta) < 1e-280).any():
         raise DomainError("Delta(q) vanished to working precision")
-    out = Qv**3 / delta
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        return complex(out)
-    return out
+    return _as_output(tau, Qv**3 / delta)
+
+
+def klein_j_with_bound(tau):
+    """klein_j(tau) and a bound on |klein_j(tau) - j(tau)| at each point.
+
+    The errors of Q and Delta/q each collect the tail bound at the order
+    summed, the rounding of the power-basis sum ((K+1) u S, with K terms
+    and S = sum |a_k| |q|^k the Horner scale) and the relative error of
+    each computed power q^k (k (sqrt5 u + eta) |a_k| |q|^k, where sqrt5 u
+    bounds one complex product and eta the error of q = e^{2 pi i tau}).
+    They are carried through Q^3/Delta by
+    |Q^3/D - Q'^3/D'| <= |Q^3 - Q'^3|/|D| + |Q'|^3 |D - D'|/(|D| |D'|),
+    plus 10 u |j| for the cube and the division.  Every first-order
+    coefficient is raised by 1% to cover the second-order terms.
+    """
+    taus = _upper_strip(tau, "klein_j")
+    q, Qv, dq, N = _j_sums(taus)
+    s = standard_series()
+    aq = np.abs(q)
+    x = max_abs(q)
+    K = N + 1
+    C = np.abs(_j_columns()[:K])
+    k = np.arange(K, dtype=float)[:, None]
+    S_Q, S_D, S1_Q, S1_D = power_basis_product(
+        aq, np.hstack([C, k * C])).real.reshape((4,) + q.shape)
+    eta = _U * (4.0 * math.pi * np.abs(taus) + 4.0)
+    per_power = 1.01 * (math.sqrt(5.0) * _U + eta)
+    rnd = 1.01 * (K + 1) * _U
+    eQ = s["Q"].tail_bound(x, N) + rnd * S_Q + per_power * S1_Q
+    edq = s["delta_over_q"].tail_bound(x, N) + rnd * S_D + per_power * S1_D
+    delta = q * dq
+    A, D = np.abs(Qv), np.abs(delta)
+    eD = 1.01 * aq * (edq + (eta + math.sqrt(5.0) * _U) * np.abs(dq))
+    val = Qv**3 / delta
+    with np.errstate(divide="ignore"):
+        lower = np.where(D > eD, D - eD, 0.0)
+        bound = (eQ * (3.0 * A * A + 3.0 * A * eQ + eQ * eQ) / lower
+                 + A**3 * eD / (D * lower) + 10.0 * _U * np.abs(val))
+    return _as_output(tau, val), (float(bound) if np.ndim(tau) == 0
+                                  else bound)
 
 
 def klein_j_derivative(tau):
     """dj/dtau = 2 pi i * (q dj/dq), from the differentiated j series."""
-    taus = np.asarray(tau, dtype=complex)
-    if np.any(taus.imag < _MIN_IM_TAU):
-        raise DomainError("klein_j_derivative requires Im tau >= 0.5")
-    tables = standard_series()
+    taus = _upper_strip(tau, "klein_j_derivative")
     q = np.exp(2j * math.pi * taus)
-    out = 2j * math.pi * tables["j_qdq"].eval(q)
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        return complex(out)
-    return out
+    return _as_output(tau, 2j * math.pi * standard_series()["j_qdq"].eval(q))
 
 
 def j_analytic() -> AnalyticFunction:

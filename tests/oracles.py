@@ -180,3 +180,19 @@ def imag_line_reduction(coeffs: np.ndarray) -> np.ndarray:
         for l in range(coeffs.shape[1]):
             out[k, l] = (coeffs[k, l] * 1j**k).imag
     return out
+
+
+def j_horner_fixed_order(tau, N: int = 72):
+    """(j, term scale) with Q and Delta/q from the eta-route tables, each
+    summed by Horner to the fixed order N.  The term scale is
+    (sum |a_k| |q|^k of Q)^3 / |Delta|, the size of the terms that form
+    Q^3/Delta, against which rounding is judged."""
+    q_c, _ = eisenstein_tables(N)
+    d_c = delta_product_over_q(N)
+    q = np.exp(2j * math.pi * np.asarray(tau, dtype=complex))
+    qa = np.array(q_c, dtype=float)
+    polyval = np.polynomial.polynomial.polyval
+    Q = polyval(q, qa)
+    delta = q * polyval(q, np.array(d_c, dtype=float))
+    scale = polyval(np.abs(q), np.abs(qa)) ** 3 / np.abs(delta)
+    return Q**3 / delta, scale

@@ -167,3 +167,50 @@ def test_wp_vectorized_matches_scalar(lat1, rng):
         p_s, dp_s = wp_pair(complex(z[i]), lat1)
         assert p_s == pytest.approx(p_vec[i], rel=1e-14, abs=1e-14)
         assert dp_s == pytest.approx(dp_vec[i], rel=1e-14, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# batches and an independent theta-function oracle
+
+
+def _cell_points(rng, n, tau, margin=0.05):
+    """n points of the cell [0, 1] x [0, tau], margin * min(1, tau) away
+    from its corner poles."""
+    out = []
+    while len(out) < n:
+        z = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, tau))
+        if min(abs(z - c) for c in (0, 1, 1j * tau, 1 + 1j * tau)) \
+                >= margin * min(1.0, tau):
+            out.append(z)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1025])
+def test_wp_pair_batch_matches_per_point(rng, lat1, n):
+    z = _cell_points(rng, n, 1.0)
+    p, dp = wp_pair(z, lat1)
+    single = np.array([wp_pair(v, lat1) for v in z])
+    scale = np.sqrt(abs(lat1.g2))
+    assert np.all(np.abs(p - single[:, 0]) <= 1e-14 * (np.abs(p) + scale))
+    assert np.all(np.abs(dp - single[:, 1])
+                  <= 1e-14 * (np.abs(dp) + scale**1.5))
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 1.5, 3.0])
+def test_wp_matches_theta_oracle(rng, tau):
+    # p = (pi th2 th3 th4(pi z)/th1(pi z))^2 - pi^2/3 (th2^4 + th3^4)
+    # with nome e^{-pi tau}
+    mpmath = pytest.importorskip("mpmath")
+    L = lattice(tau)
+    z = _cell_points(rng, 40, tau)
+    p, _ = wp_pair(z, L)
+    with mpmath.workdps(30):
+        nome = mpmath.exp(-mpmath.pi * tau)
+        t2, t3 = mpmath.jtheta(2, 0, nome), mpmath.jtheta(3, 0, nome)
+        const = mpmath.pi**2 / 3 * (t2**4 + t3**4)
+        for zi, pi_ in zip(z, p):
+            u = mpmath.pi * mpmath.mpc(zi.real, zi.imag)
+            ref = complex((mpmath.pi * t2 * t3 * mpmath.jtheta(4, u, nome)
+                           / mpmath.jtheta(1, u, nome))**2 - const)
+            assert abs(pi_ - ref) <= 1e-12 * (abs(ref)
+                                              + np.sqrt(abs(L.g2)))

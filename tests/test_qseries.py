@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import oracles
-from mzl.qseries import (DEFAULT_ORDER, integer_tables, series_inverse,
-                         series_mul, standard_series)
+from mzl.qseries import (DEFAULT_ORDER, integer_tables, power_basis_product,
+                         series_inverse, series_mul, standard_series)
 
 
 def test_tables_match_eta_route_oracle():
@@ -72,3 +72,44 @@ def test_j_series_negative_leading_power():
     q = 1e-5
     lead = 1.0 / q
     assert abs(s.eval(q) - lead - 744.0) < 2.5  # next term is 196884 q
+
+
+def test_majorants_cover_every_coefficient():
+    for name, s in standard_series(DEFAULT_ORDER).items():
+        majorant, growth = np.array(s.majorant), np.array(s.growth)
+        assert np.all(np.abs(s.coefficients[1:]) <= majorant[1:-1]), name
+        # the growth bound at k covers every later consecutive ratio
+        ratio = majorant[2:] / majorant[1:-1]
+        later = np.maximum.accumulate(ratio[::-1])[::-1]
+        assert np.all(later <= growth[1:-1] * (1.0 + 1e-15)), name
+
+
+def test_truncation_order_follows_the_tail_bound():
+    s = standard_series()
+    orders = {}
+    for im in (0.5, np.sqrt(3.0) / 2.0, 2.0):
+        x = float(np.exp(-2.0 * np.pi * im))
+        orders[im] = max(s["Q"].order(x), s["delta_over_q"].order(x))
+        for series in (s["Q"], s["delta_over_q"]):
+            N = series.order(x)
+            scale = 2.0**-53 * np.cumsum(np.abs(series.coefficients)
+                                         * x ** np.arange(DEFAULT_ORDER + 1))
+            assert series.tail_bound(x, N) <= scale[N]
+            if N > 0:  # the smallest such order
+                assert series.tail_bound(x, N - 1) > scale[N - 1]
+    assert list(orders.values()) == [17, 9, 3]
+    assert s["Q"].order(0.9) == DEFAULT_ORDER  # no order is enough
+
+
+@pytest.mark.parametrize("n", [1, 7, 255, 256, 257, 600])
+def test_power_basis_product_matches_horner(rng, n):
+    x = 0.3 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    for K in (1, 2, 9, 64, 73):
+        C = rng.normal(size=(K, 3))
+        got = power_basis_product(x, C)
+        assert got.shape == (3, n)
+        for i in range(3):
+            want = np.polynomial.polynomial.polyval(x, C[:, i])
+            scale = np.polynomial.polynomial.polyval(np.abs(x),
+                                                     np.abs(C[:, i]))
+            assert np.all(np.abs(got[i] - want) <= 1e-14 * scale)

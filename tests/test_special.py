@@ -11,7 +11,7 @@ from mzl.errors import (AsymptoticFallbackWarning, DomainError,
                         PrecisionLossError)
 from mzl.special import (eisenstein_Q, eisenstein_R, gauss_relation_residuals,
                          hyp2f1, hyp2f1_prime, hyp2f1_with_bound, j_inverse,
-                         klein_j, klein_j_derivative,
+                         klein_j, klein_j_derivative, klein_j_with_bound,
                          ramanujan_inversion_residual)
 
 
@@ -171,6 +171,61 @@ def test_klein_j_derivative_central_difference(rng):
         fd = oracles.central_difference(klein_j, tau)
         got = klein_j_derivative(tau)
         assert abs(got - fd) < 1e-6 * (1.0 + abs(got))
+
+
+def _domain_points(rng, n, im_max=3.0):
+    """n points of the fundamental domain |Re tau| <= 1/2, |tau| >= 1,
+    with Im tau <= im_max."""
+    out = []
+    while len(out) < n:
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, im_max))
+        if abs(tau) >= 1.0:
+            out.append(tau)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("im", [0.5, 0.6, math.sqrt(3.0) / 2.0, 1.0, 2.5,
+                                6.0])
+def test_klein_j_matches_fixed_order_horner(im):
+    taus = np.linspace(-0.5, 0.5, 21) + 1j * im
+    ref, scale = oracles.j_horner_fixed_order(taus)
+    assert np.all(np.abs(klein_j(taus) - ref) <= 1e-13 * scale)
+    for tau, r, sc in zip(taus, ref, scale):
+        assert abs(klein_j(tau) - r) <= 1e-13 * sc
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1025])
+def test_klein_j_batch_matches_per_point(rng, n):
+    taus = _domain_points(rng, n)
+    _, scale = oracles.j_horner_fixed_order(taus)
+    single = np.array([klein_j(t) for t in taus])
+    assert np.all(np.abs(klein_j(taus) - single) <= 1e-14 * scale)
+
+
+def test_klein_j_matches_mpmath_kleinj(rng):
+    mpmath = pytest.importorskip("mpmath")
+    rho = complex(-0.5, math.sqrt(3.0) / 2.0)
+    taus = [t for t in _domain_points(rng, 60, im_max=4.0)
+            if min(abs(t - rho), abs(t - rho - 1.0)) > 0.1]
+    with mpmath.workdps(30):
+        for tau in taus:
+            ref = complex(1728 * mpmath.kleinj(mpmath.mpc(tau.real,
+                                                           tau.imag)))
+            assert abs(klein_j(tau) - ref) <= 1e-12 * abs(ref)
+
+
+def test_klein_j_bound_covers_the_error(rng):
+    taus = np.concatenate([[1j, 2j], _domain_points(rng, 20)])
+    vals, bounds = klein_j_with_bound(taus)
+    assert np.all(bounds > 0.0)
+    for tau, v, b in zip(taus, vals, bounds):
+        ref = oracles.j_eval_eta(tau)
+        assert abs(v - ref) <= b
+        v1, b1 = klein_j_with_bound(tau)  # one point, as mzl eval j does
+        assert v1 == klein_j(tau)
+        assert 0.0 < b1 and abs(v1 - ref) <= b1
+    assert abs(vals[0] - 1728.0) <= bounds[0]
+    assert abs(vals[1] - 287496.0) <= bounds[1]
 
 
 # ---------------------------------------------------------------------------
