@@ -1,15 +1,16 @@
 """Oriented piecewise contours and argument-principle machinery.
 
 The winding number is accumulated from phase increments between adaptive
-samples: an interval is accepted only once the phase step is below pi/2,
-which keeps the unwrapped argument exact at the sampled resolution.  A
-cluster of zeros hugging the contour can still turn the phase by a full
-2 pi k between adjacent samples and read as a small step, so the quadtree
-localizer cross-checks every subdivision against its parent and escalates
-the initial sampling density whenever the sums disagree.  The
-log-derivative integral over a segment telescopes to the change of log|f|
-plus i times the accumulated phase, so no quadrature of f'/f is ever
-performed.
+samples on the whole contour.  One rule refines it: an interval is
+accepted only once its phase step is below pi/2 and |dz| times the larger
+|f'/f| at its two ends is below pi/2 as well (after Ying & Katz, Numer.
+Math. 53, 1988).  The phase test keeps the unwrapped argument exact at
+the sampled resolution; the step bound stops a cluster of zeros hugging
+the contour from turning the phase by a full 2 pi k between adjacent
+samples, where it would read as a small step.  f' comes from a central
+difference taken in the same call of f as the samples.  The
+log-derivative integral telescopes to the change of log|f| plus i times
+the accumulated phase, so no quadrature of f'/f is ever performed.
 """
 from __future__ import annotations
 
@@ -132,50 +133,77 @@ class WindingResult:
     samples_used: int
 
 
-def _segment_phase(f, seg, zero_rtol: float, zero_atol: float,
-                   max_points: int, n_initial: int = 17):
-    """Adaptive phase accumulation over one segment.
+def _sample(f, contour: Contour, t: np.ndarray):
+    """z(t), f(z) and |f'(z)/f(z)| at the contour parameters t, from one
+    call of f at z, z + h and z - h (f' by a central difference)."""
+    z = contour.point(t)
+    h = 1e-6 * np.maximum(1.0, np.abs(z))
+    n = z.size
+    v = np.asarray(f(np.concatenate([z, z + h, z - h])), dtype=complex)
+    if not np.all(np.isfinite(v)):
+        bad = int(np.flatnonzero(~np.isfinite(v))[0]) % n
+        raise MzlError(f"non-finite value at z={z[bad]!r}")
+    fz = v[:n]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.abs((v[n:2 * n] - v[2 * n:]) / (2.0 * h)) / np.abs(fz)
+    return z, fz, rate
 
-    Returns (sum of phase steps, sum of |steps|, min |f|, points used,
-    log|f(end)| - log|f(start)|).  Raises ZeroOnContourError if |f| drops
-    below zero_atol + zero_rtol * (max |f| seen).
+
+def _contour_phase(f, contour: Contour, zero_rtol: float, zero_atol: float,
+                   max_points: int, n_initial: int = 17):
+    """Adaptive phase accumulation over the whole contour, on its global
+    parameter t in [0, len(segments)].
+
+    An interval is accepted once its phase step and |dz| max |f'/f| at
+    its two ends are both below pi/2; every refinement round evaluates f
+    once for all intervals it splits.  Returns (sum of phase steps, sum
+    of |steps|, min |f|, points used, log|f(end)| - log|f(start)|).
+    Raises ZeroOnContourError if |f| drops below zero_atol + zero_rtol *
+    (max |f| seen on the same segment).
     """
-    t = np.linspace(0.0, 1.0, n_initial)
-    v = np.asarray(f(seg.point(t)), dtype=complex)
+    nseg = len(contour.segments)
+    t = np.linspace(0.0, float(nseg), nseg * (n_initial - 1) + 1)
+    z, v, rate = _sample(f, contour, t)
     while True:
-        if not np.all(np.isfinite(v)):
-            bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise MzlError(f"non-finite value at z={seg.point(t[bad])!r}")
         mods = np.abs(v)
         # when both tolerances are active a point must violate both: the
         # absolute floor alone misfires next to a legitimate interior
         # zero, the relative one alone misfires on segments spanning many
         # decades of |f|
-        lo = float(mods.min())
-        hit = zero_atol > 0.0 or zero_rtol > 0.0
-        if zero_atol > 0.0:
-            hit = hit and lo < zero_atol
-        if zero_rtol > 0.0:
-            hit = hit and lo < zero_rtol * float(mods.max())
-        if hit:
-            i = int(np.argmin(mods))
-            raise ZeroOnContourError("|f| below tolerance on contour",
-                                     complex(seg.point(t[i])), float(mods[i]))
+        if zero_atol > 0.0 or zero_rtol > 0.0:
+            hit = np.ones(t.size, dtype=bool)
+            if zero_atol > 0.0:
+                hit &= mods < zero_atol
+            if zero_rtol > 0.0:
+                seg = np.minimum(t.astype(int), nseg - 1)
+                seg_max = np.zeros(nseg)
+                np.maximum.at(seg_max, seg, mods)
+                hit &= mods < zero_rtol * seg_max[seg]
+            if hit.any():
+                i = int(np.argmin(np.where(hit, mods, np.inf)))
+                raise ZeroOnContourError("|f| below tolerance on contour",
+                                         complex(z[i]), float(mods[i]))
         dphi = np.angle(v[1:] / v[:-1])
-        bad = np.abs(dphi) >= np.pi / 2.0
+        # the phase step alone cannot see a whole 2 pi k turn between two
+        # samples; near a zero at distance d, |f'/f| ~ 1/d, so the step
+        # bound refines exactly where such a turn could hide
+        step = np.abs(np.diff(z)) * np.maximum(rate[1:], rate[:-1])
+        bad = (np.abs(dphi) >= np.pi / 2.0) | (step >= np.pi / 2.0)
         if not bad.any():
             return (float(dphi.sum()), float(np.abs(dphi).sum()),
                     float(mods.min()), t.size,
                     float(np.log(mods[-1]) - np.log(mods[0])))
         if t.size > max_points:
             raise NonconvergenceError(
-                f"phase refinement exceeded {max_points} points per segment")
+                f"phase refinement exceeded {max_points} points")
         tm = 0.5 * (t[:-1][bad] + t[1:][bad])
-        vm = np.asarray(f(seg.point(tm)), dtype=complex)
+        zm, vm, rm = _sample(f, contour, tm)
         t = np.concatenate([t, tm])
         order = np.argsort(t, kind="stable")
         t = t[order]
+        z = np.concatenate([z, zm])[order]
         v = np.concatenate([v, vm])[order]
+        rate = np.concatenate([rate, rm])[order]
 
 
 def winding_number(f, contour: Contour, zero_rtol: float = 1e-12,
@@ -183,23 +211,14 @@ def winding_number(f, contour: Contour, zero_rtol: float = 1e-12,
                    margin: float = 0.01, n_initial: int = 17) -> WindingResult:
     """Winding of f over a closed contour, from adaptive phase increments.
 
-    n_initial sets the uniform sampling each segment starts from; raise it
-    when zeros may sit within a fraction of the default spacing of the
-    contour, where a whole 2 pi k of phase can hide inside one interval.
+    n_initial sets the uniform sampling each segment starts from.  It is
+    not needed for correctness: the |dz| |f'/f| step bound refines next
+    to zeros that hug the contour whatever the starting grid.
     """
     if not contour.closed:
         raise InvalidSpecError("winding_number requires a closed contour")
-    total = 0.0
-    tv = 0.0
-    min_mod = np.inf
-    used = 0
-    for seg in contour.segments:
-        d, a, m, n, _ = _segment_phase(f, seg, zero_rtol, zero_atol,
-                                       max_points, n_initial=n_initial)
-        total += d
-        tv += a
-        min_mod = min(min_mod, m)
-        used += n
+    total, tv, min_mod, used, _ = _contour_phase(
+        f, contour, zero_rtol, zero_atol, max_points, n_initial=n_initial)
     w = total / (2.0 * np.pi)
     wi = int(np.round(w))
     if abs(w - wi) >= margin:
@@ -212,14 +231,9 @@ def log_derivative_integral(f, contour: Contour, zero_rtol: float = 1e-12,
                             zero_atol: float = 0.0,
                             max_points: int = 400000) -> complex:
     """integral of f'/f over the contour, via d log f = d log|f| + i d arg f."""
-    re = 0.0
-    im = 0.0
-    for seg in contour.segments:
-        d, _, _, _, dlog = _segment_phase(f, seg, zero_rtol, zero_atol,
-                                          max_points)
-        re += dlog
-        im += d
-    return complex(re, im)
+    d, _, _, _, dlog = _contour_phase(f, contour, zero_rtol, zero_atol,
+                                      max_points)
+    return complex(dlog, d)
 
 
 def dominant_term_bound(f, g, contour: Contour, C: float,
@@ -304,61 +318,31 @@ class LocalizedZero:
     resolved: bool
 
 
-_JIGGLE_STEPS = [(0.25, 0.25), (-0.25, 0.5), (0.5, -0.25), (-0.5, -0.5),
-                 (0.75, 0.25), (-0.75, 0.75), (1.0, -0.5), (-1.0, 1.0)]
-
 _CUT_SHIFTS = [0.0, 0.031, -0.057, 0.083, -0.113, 0.137]
-
-# initial per-segment sampling densities tried when windings disagree
-_REFINE_LADDER = (17, 65, 257, 1025)
-
-
-def _box_winding(f, box, jiggle: float, zero_rtol: float, zero_atol: float,
-                 n_initial: int = 17):
-    """Winding over a rectangle, growing it slightly when a zero sits on
-    the boundary.  Returns (winding, possibly adjusted box)."""
-    x0, x1, y0, y1 = box
-    for attempt in range(len(_JIGGLE_STEPS) + 1):
-        try:
-            w = winding_number(f, rectangle_contour(x0, x1, y0, y1),
-                               zero_rtol=zero_rtol, zero_atol=zero_atol,
-                               n_initial=n_initial)
-            return w.winding, (x0, x1, y0, y1)
-        except ZeroOnContourError:
-            if attempt == len(_JIGGLE_STEPS):
-                raise
-            mx, my = _JIGGLE_STEPS[attempt]
-            dx, dy = jiggle * mx, jiggle * my
-            x0, x1 = box[0] - dx, box[1] + dx
-            y0, y1 = box[2] - dy, box[3] + dy
-    raise NonconvergenceError("unreachable")
 
 
 def localize_zeros(f, box, max_depth: int = 40, target_radius: float = 1e-8,
-                   jiggle: float = 1e-6, zero_rtol: float = 1e-12,
+                   zero_rtol: float = 1e-12,
                    zero_atol: float = 0.0) -> list[LocalizedZero]:
     """Quadtree localization of the zeros of f inside an axis-aligned box.
 
     box = (x0, x1, y0, y1).  Returns disks whose multiplicities sum to the
     winding of f over the box boundary.  Boxes that still hold winding > 1
-    at max_depth come back with resolved=False (cluster reports).
+    at max_depth come back with resolved=False (cluster reports).  A zero
+    on the box boundary raises ZeroOnContourError; moving the box is the
+    caller's move.
     """
-    w, box = _box_winding(f, box, jiggle, zero_rtol, zero_atol)
-    if w == 0:
-        # an empty reading is only trusted once a denser pass agrees: a
-        # zero pair hugging the boundary can rotate the phase by 2 pi k
-        # between adjacent samples and read as no zeros at all
-        w, box = _box_winding(f, box, jiggle, zero_rtol, zero_atol,
-                              n_initial=_REFINE_LADDER[1])
+    w = winding_number(f, rectangle_contour(*box), zero_rtol=zero_rtol,
+                       zero_atol=zero_atol).winding
     if w < 0:
         raise MzlError("negative winding: a pole lies inside the box")
     if w == 0:
         return []
-    return _subdivide(f, box, w, 0, max_depth, target_radius, jiggle,
-                      zero_rtol, zero_atol)
+    return _subdivide(f, box, w, 0, max_depth, target_radius, zero_rtol,
+                      zero_atol)
 
 
-def _subdivide(f, box, w, depth, max_depth, target_radius, jiggle,
+def _subdivide(f, box, w, depth, max_depth, target_radius,
                zero_rtol, zero_atol) -> list[LocalizedZero]:
     x0, x1, y0, y1 = box
     center = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
@@ -367,53 +351,36 @@ def _subdivide(f, box, w, depth, max_depth, target_radius, jiggle,
         return [LocalizedZero(center, radius, w, True)]
     if depth >= max_depth:
         return [LocalizedZero(center, radius, w, False)]
-    # the parent boundary is already clear of zeros, so any hit comes
-    # from a cut line; shifting the cut by a fraction of the box always
+    # the parent boundary is already clear of zeros, so a hit comes from
+    # a cut line; shifting the cut by a fraction of the box always
     # escapes the |f| < tol neighborhood of a zero, unlike a fixed-size
-    # nudge.  a sum mismatch at every shift means some winding was
-    # aliased: a zero cluster hugging an edge can rotate the phase by a
-    # full 2 pi k between adjacent samples, a step the pi/2 criterion
-    # cannot see.  denser initial sampling makes the swing visible, so
-    # walk the ladder and recheck the inherited parent winding itself at
-    # each stage before concluding the partition is at fault
-    for stage, n_init in enumerate(_REFINE_LADDER):
-        for shift in _CUT_SHIFTS:
-            xm = 0.5 * (x0 + x1) + shift * (x1 - x0)
-            ym = 0.5 * (y0 + y1) + shift * (y1 - y0)
-            quads = [(x0, xm, y0, ym), (xm, x1, y0, ym),
-                     (xm, x1, ym, y1), (x0, xm, ym, y1)]
-            try:
-                results = []
-                for q in quads:
-                    res = winding_number(f, rectangle_contour(*q),
-                                         zero_rtol=zero_rtol,
-                                         zero_atol=zero_atol,
-                                         n_initial=n_init)
-                    results.append((res.winding, q))
-            except (ZeroOnContourError, NonconvergenceError):
-                continue
-            if sum(r[0] for r in results) == w:
-                out: list[LocalizedZero] = []
-                for wq, bq in results:
-                    if wq > 0:
-                        out.extend(_subdivide(f, bq, wq, depth + 1,
-                                              max_depth, target_radius,
-                                              jiggle, zero_rtol, zero_atol))
-                    elif wq < 0:
-                        raise MzlError("negative winding in a quadrant")
-                return out
-        if stage + 1 < len(_REFINE_LADDER):
-            res = winding_number(f, rectangle_contour(x0, x1, y0, y1),
-                                 zero_rtol=zero_rtol, zero_atol=zero_atol,
-                                 n_initial=_REFINE_LADDER[stage + 1])
-            if res.winding != w:
-                w = res.winding
-                if w == 0:
-                    return []
-                if w < 0:
-                    raise MzlError(
-                        "negative winding: a pole lies inside the box")
-    raise NonconvergenceError("quadrant windings never matched the parent")
+    # nudge
+    for shift in _CUT_SHIFTS:
+        xm = 0.5 * (x0 + x1) + shift * (x1 - x0)
+        ym = 0.5 * (y0 + y1) + shift * (y1 - y0)
+        quads = [(x0, xm, y0, ym), (xm, x1, y0, ym),
+                 (xm, x1, ym, y1), (x0, xm, ym, y1)]
+        try:
+            windings = [winding_number(f, rectangle_contour(*q),
+                                       zero_rtol=zero_rtol,
+                                       zero_atol=zero_atol).winding
+                        for q in quads]
+            break
+        except ZeroOnContourError as exc:
+            last_error = exc
+    else:
+        raise last_error
+    if sum(windings) != w:
+        raise NonconvergenceError(
+            f"quadrant windings {windings} do not sum to the parent's {w}")
+    if min(windings) < 0:
+        raise MzlError("negative winding in a quadrant")
+    out: list[LocalizedZero] = []
+    for wq, bq in zip(windings, quads):
+        if wq > 0:
+            out.extend(_subdivide(f, bq, wq, depth + 1, max_depth,
+                                  target_radius, zero_rtol, zero_atol))
+    return out
 
 
 def trace_table(f, contour: Contour, n_per_segment: int = 256):

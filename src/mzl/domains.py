@@ -361,11 +361,7 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
                     complex(samples[i]), float(abs(vals[i])))
             pert = perturb_from_values(P, inner, vals)
             atol = 0.1 * pert.epsilon
-            # preimages of small targets cluster at the corners, on
-            # the contour itself; dense initial sampling keeps their
-            # phase swings from aliasing between samples
-            w = winding_number(pert.value, contour, zero_atol=atol,
-                               n_initial=257)
+            w = winding_number(pert.value, contour, zero_atol=atol)
             zeros = localize_zeros(pert.value, box,
                                    target_radius=target_radius,
                                    zero_atol=atol)
@@ -468,8 +464,7 @@ def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
         try:
             pert = perturb_from_values(P, inner, vals, eps=eps)
             atol = 0.1 * pert.epsilon
-            w = winding_number(pert.value, contour, zero_atol=atol,
-                               n_initial=257)
+            w = winding_number(pert.value, contour, zero_atol=atol)
             zeros: list[LocalizedZero] = []
             for tile in _wp_tiles(current):
                 zeros.extend(localize_zeros(pert.value, tile,

@@ -149,9 +149,8 @@ def test_localize_empty_box():
 
 def test_localize_pair_hugging_edge():
     # two zeros 1e-3 and 5e-3 from the left edge, spaced so their combined
-    # 2 pi of phase falls between adjacent coarse samples; the coarse
-    # winding misses the pair entirely and must be healed by the
-    # subdivision consistency check
+    # 2 pi of phase falls between adjacent coarse samples; a phase step
+    # test alone misses the pair entirely
     z1 = 0.001 + 0.031j
     z2 = 0.005 + 0.041j
     f = lambda z: (z - z1) * (z - z2)
@@ -163,6 +162,19 @@ def test_localize_pair_hugging_edge():
     got = sorted((z.center for z in zeros), key=lambda c: c.imag)
     assert abs(got[0] - z1) < 1e-5
     assert abs(got[1] - z2) < 1e-5
+
+
+def test_winding_sees_zeros_hugging_an_edge():
+    # default sampling: the |dz| |f'/f| step bound refines next to zeros
+    # that a phase step test alone lets turn a full 2 pi between samples
+    z1 = 0.001 + 0.031j
+    z2 = 0.005 + 0.041j
+    pair = lambda z: (z - z1) * (z - z2)
+    assert winding_number(pair, rectangle_contour(0, 1, -0.5, 0.5)).winding \
+        == 2
+    a, b, c = 0.3 + 5e-4j, 0.31 + 7e-4j, 0.62 - 4e-4j
+    triple = lambda z: (z - a) * (z - b) * (z - c)
+    assert winding_number(triple, rectangle_contour(0, 1, 0, 1)).winding == 2
 
 
 def test_localize_random_polynomials(rng):

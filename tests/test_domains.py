@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 import oracles
-from mzl.contour import ArcSegment, LineSegment
+from mzl.contour import ArcSegment, LineSegment, winding_number
 from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
                          bezout_step_bound, build_j_contour,
                          build_wp_contour, count_zeros_j, count_zeros_wp,
                          line_im_zero_count, proposition_bound,
                          random_polynomial, theorem1_bound, theorem2_bound,
                          theorem2_proof_bound, verify_bound_inequalities)
-from mzl.elliptic import wp_analytic, wp_eval
+from mzl.elliptic import lattice, wp_analytic, wp_eval
 from mzl.errors import AmbiguityError, InvalidSpecError
-from mzl.poly import BivariatePolynomial
+from mzl.poly import BivariatePolynomial, eval_composed, perturb
 from mzl.special import j_analytic, klein_j
 
 
@@ -184,8 +184,8 @@ def test_count_zeros_j_small_targets_cluster_at_corner():
     # both roots of the quadratic have small modulus, so their preimages
     # crowd the corner -1/2 + i sqrt(3)/2 where the modular function has
     # a triple zero; two land inside, milli-units from the left edge,
-    # and their translates sit just outside the right edge.  the coarse
-    # windings alias there and need the subdivision consistency ladder
+    # and their translates sit just outside the right edge.  a phase
+    # step test alone aliases there; the |dz| |f'/f| bound refines it
     P = BivariatePolynomial([[0.77567288 + 0.27193386j,
                               1.96917228 + 1.18376586j,
                               0.70651487 + 1.01910866j]])
@@ -214,7 +214,8 @@ def test_count_zeros_j_high_y_degree():
     # |P| grows like |j|^deg_y away from the triple zero of j at rho, many
     # decades within a few boundary samples; none of that is a zero
     rng = np.random.default_rng(31)
-    for deg_x, deg_y in ((0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)):
+    for deg_x, deg_y in ((0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4),
+                         (0, 5), (1, 5), (2, 5)):
         rep = count_zeros_j(random_polynomial(rng, deg_x, deg_y))
         assert rep.count == rep.winding
         assert rep.count == sum(z.multiplicity for z in rep.zeros)
@@ -280,6 +281,35 @@ def test_count_zeros_wp_shifted_cell_products(tau):
         P = BivariatePolynomial([np.poly(roots[:deg])[::-1]])  # prod Y - c
         rep = count_zeros_wp(P, WpDomainSpec(tau, beta=0.37))
         assert rep.count == rep.winding == 2 * deg
+
+
+@pytest.mark.parametrize("tau, beta, seed", [(1.0, 0.37, 0), (8.0, 0.0, 1)])
+def test_count_zeros_wp_degree_5_has_no_negative_quadrant(tau, beta, seed):
+    # with a phase step test alone, a full turn of phase hid between two
+    # samples of a quadtree box here, and a quadrant of a pole-free tile
+    # read a negative winding ("negative winding in a quadrant")
+    P = random_polynomial(np.random.default_rng(seed), 2, 5)
+    rep = count_zeros_wp(P, WpDomainSpec(tau, beta=beta))
+    region = WpDomainSpec(tau, beta, rep.domain["delta"])
+    inner = wp_analytic(lattice(tau))
+    dense = winding_number(lambda z: eval_composed(P, inner, z),
+                           build_wp_contour(region), n_initial=8193)
+    assert rep.count == rep.winding == dense.winding
+    assert rep.bound_holds
+
+
+def test_winding_does_not_depend_on_the_callable(lat1):
+    # f' comes from samples of f itself, never from attributes of the
+    # callable, so a plain wrapper around f gives the identical result
+    cases = ((poly_y_minus(2000j), j_analytic(),
+              build_j_contour(JDomainSpec())),
+             (poly_y_minus(2.5 + 1.5j), wp_analytic(lat1),
+              build_wp_contour(WpDomainSpec(1.0))))
+    for P, inner, contour in cases:
+        pert = perturb(P, inner, contour.sample(512))
+        direct = winding_number(pert.value, contour)
+        wrapped = winding_number(lambda z: pert.value(z), contour)
+        assert direct == wrapped
 
 
 # ---------------------------------------------------------------------------
