@@ -136,7 +136,13 @@ class PfaffianFunction:
                                      self.beta)
 
     def eval(self, x):
-        return self.outer.eval(x, self.chain.member_values(x))
+        """outer at x.  Only the members with a nonzero exponent in some
+        term of outer are evaluated; a scalar 0 stands in for the rest."""
+        used = {i for exps in self.outer.terms
+                for i, e in enumerate(exps[1:]) if e}
+        members = [ev(x) if i in used else 0.0
+                   for i, ev in enumerate(self.chain.member_evaluators)]
+        return self.outer.eval(x, members)
 
 
 def khovanskii_zero_bound(r: int, alpha: int, beta: int) -> int:

@@ -10,7 +10,7 @@ tables independently at higher truncation and compares.
 
 Each series also carries a majorant for its coefficients that holds at
 every order, so a call sums only as many terms as max |q| needs; every
-sum, and the Laurent series of wp, runs through power_basis_product.
+sum runs through power_basis_product.
 """
 from __future__ import annotations
 

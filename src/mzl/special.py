@@ -1,4 +1,4 @@
-"""Gauss hypergeometric series, Eisenstein series, Klein's j and its inverse.
+"""Gauss hypergeometric series, Klein's j and its inverse.
 
 Everything is evaluated from truncated series with computed tail bounds.
 j is assembled as Q(q)^3 / Delta(q) from the exact-integer coefficient
@@ -121,41 +121,6 @@ def gauss_relation_residuals(a: float, b: float, c: float, z: float):
     Fcp = hyp2f1(a, b, c + 1.0, z)
     rhs2 = z * ((c - a) * (c - b) * Fcp + c * (a + b - c) * F) / (c * (1.0 - z))
     return abs(lhs - complex(rhs1)), abs(lhs - rhs2)
-
-
-def _lambert_sum(q: complex, power: int, rtol: float = 1e-15,
-                 max_terms: int = 40000) -> complex:
-    """sum_{n>=1} n^power q^n / (1 - q^n) with a geometric tail cutoff."""
-    x = abs(q)
-    acc = 0.0 + 0.0j
-    qn = 1.0 + 0.0j
-    n = 0
-    while n < max_terms:
-        n += 1
-        qn = qn * q
-        acc += n**power * qn / (1.0 - qn)
-        r = x * ((n + 2) / (n + 1)) ** power
-        if r < 1.0:
-            head = (n + 1) ** power * x ** (n + 1) / (1.0 - x)
-            if head / (1.0 - r) <= rtol * max(abs(acc), 1.0):
-                return acc
-    raise PrecisionLossError("Lambert series did not converge", x)
-
-
-def eisenstein_Q(q) -> complex:
-    """Q(q) = 1 + 240 sum sigma_3(n) q^n via the Lambert form, |q| <= 0.95."""
-    q = complex(q)
-    if abs(q) > 0.95:
-        raise DomainError(f"|q|={abs(q):.4f} > 0.95")
-    return 1.0 + 240.0 * _lambert_sum(q, 3)
-
-
-def eisenstein_R(q) -> complex:
-    """R(q) = 1 - 504 sum sigma_5(n) q^n via the Lambert form, |q| <= 0.95."""
-    q = complex(q)
-    if abs(q) > 0.95:
-        raise DomainError(f"|q|={abs(q):.4f} > 0.95")
-    return 1.0 - 504.0 * _lambert_sum(q, 5)
 
 
 _MIN_IM_TAU = 0.5 - 1e-12
@@ -302,6 +267,7 @@ def ramanujan_inversion_residual(x: float) -> float:
     Fx = hyp2f1(SEXTIC_A, SEXTIC_B, 1.0, x).real
     F1mx = hyp2f1(SEXTIC_A, SEXTIC_B, 1.0, 1.0 - x).real
     q = math.exp(-TWO_PI * F1mx / Fx)
-    Qv = eisenstein_Q(q).real
-    Rv = eisenstein_R(q).real
+    s = standard_series()
+    Qv = complex(s["Q"].eval(q)).real
+    Rv = complex(s["R"].eval(q)).real
     return abs(x * (1.0 - x) - (Qv**3 - Rv**2) / (4.0 * Qv**3))

@@ -151,7 +151,8 @@ def _generic_wp_values(rng: np.random.Generator, n: int):
 
 
 def zero_count_suite(rng: np.random.Generator, trials: int = 50) -> dict:
-    """Canonical counts plus randomized count-vs-bound trials."""
+    """Canonical counts plus randomized count-vs-bound trials: j, wp on
+    the square cell, and wp at tau 0.3 and 8 with beta 0.37."""
     canonical_j = all(
         count_zeros_j(BivariatePolynomial([[-c, 1.0]])).count == 1
         for c in _generic_j_values(rng, 10))
@@ -176,14 +177,28 @@ def zero_count_suite(rng: np.random.Generator, trials: int = 50) -> dict:
         rep = count_zeros_wp(P, spec1)
         if rep.bound_holds and rep.count == rep.winding:
             wp_ok += 1
+    # extreme cells, drawn from a child generator so that the draws of
+    # every other trial and suite stay as they were
+    child = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
+    extreme_ok = 0
+    for tau in (0.3, 8.0):
+        spec = WpDomainSpec(tau=tau, beta=0.37)
+        for _ in range(trials):
+            P = random_polynomial(child, int(child.integers(0, 4)),
+                                  int(child.integers(1, 4)))
+            rep = count_zeros_wp(P, spec)
+            if rep.bound_holds and rep.count == rep.winding:
+                extreme_ok += 1
 
     ok = (canonical_j and elliptic_double and canonical_wp
-          and j_ok == trials and wp_ok == trials)
+          and j_ok == trials and wp_ok == trials
+          and extreme_ok == 2 * trials)
     return {"name": "zero_counts", "pass": bool(ok),
             "canonical_j": bool(canonical_j),
             "elliptic_double": bool(elliptic_double),
             "canonical_wp": bool(canonical_wp),
             "j_trials_ok": j_ok, "wp_trials_ok": wp_ok,
+            "wp_extreme_tau_trials_ok": extreme_ok,
             "trials": trials}
 
 

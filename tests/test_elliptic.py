@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from mzl.elliptic import (lattice, reduce_to_cell, wp_eval, wp_invariants,
-                          wp_pair, wp_prime)
+from mzl.elliptic import (_tail_bound, lattice, reduce_to_cell, wp_eval,
+                          wp_invariants, wp_pair, wp_prime)
 from mzl.errors import DomainError, PoleProximityError
+from mzl.qseries import UNIT_ROUNDOFF
 
 
 # ---------------------------------------------------------------------------
@@ -30,9 +31,14 @@ def test_invariant_homogeneity():
     assert abs(two.g3 + half.g3 / 64.0) < 1e-10 * (1.0 + abs(half.g3))
 
 
-def test_laurent_coefficients_start_from_invariants(lat15):
-    assert abs(lat15.laurent[0] - lat15.g2 / 20.0) < 1e-12 * abs(lat15.g2)
-    assert abs(lat15.laurent[1] - lat15.g3 / 28.0) < 1e-12 * abs(lat15.g3)
+def test_series_term_count_follows_the_tail_bound():
+    # tau < 1 is summed on the swapped lattice <1, i/tau>
+    counts = {tau: lattice(tau).terms for tau in (8.0, 3.0, 1.0, 0.3)}
+    assert counts == {8.0: 1, 3.0: 2, 1.0: 6, 0.3: 2}
+    for tau, M in counts.items():
+        t = max(tau, 1.0 / tau)
+        assert _tail_bound(t, M) <= UNIT_ROUNDOFF / 12.0
+        assert _tail_bound(t, M - 1) > UNIT_ROUNDOFF / 12.0  # the smallest
 
 
 def test_tau_range_guard():
@@ -68,6 +74,23 @@ def test_wp_at_half_periods(lat1, lat15):
         # critical points of wp
         assert abs(wp_prime(0.5, L)) < 1e-8
         assert abs(wp_prime(0.5j * L.tau, L)) < 1e-8
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 8.0])
+def test_wp_next_to_the_pole_follows_the_laurent_expansion(tau):
+    # p - z^-2 = (g2/20) z^2 + (g3/28) z^4 + (g2^2/1200) z^6 + ...; a
+    # 1 - e^{2 pi i z} formed by subtraction costs 1e-14 of z^-2 at
+    # |z| = 1e-3, against 6e-16 with expm1
+    L = lattice(tau)
+    c3 = L.g2**2 / 1200.0
+    for r in (1e-3, 1e-2):
+        z = r * np.exp(2j * np.pi * np.arange(16) / 16)
+        p, dp = wp_pair(z, L)
+        err = np.abs(p - z**-2 - (L.g2 / 20.0 * z**2 + L.g3 / 28.0 * z**4))
+        derr = np.abs(dp + 2.0 * z**-3
+                      - (L.g2 / 10.0 * z + L.g3 / 7.0 * z**3))
+        assert np.all(err <= 3e-15 * r**-2 + 2.0 * c3 * r**6)
+        assert np.all(derr <= 8e-15 * r**-3 + 12.0 * c3 * r**5)
 
 
 def test_square_lattice_symmetry(lat1):
@@ -196,21 +219,51 @@ def test_wp_pair_batch_matches_per_point(rng, lat1, n):
                   <= 1e-14 * (np.abs(dp) + scale**1.5))
 
 
-@pytest.mark.parametrize("tau", [0.3, 1.0, 1.5, 3.0])
-def test_wp_matches_theta_oracle(rng, tau):
-    # p = (pi th2 th3 th4(pi z)/th1(pi z))^2 - pi^2/3 (th2^4 + th3^4)
-    # with nome e^{-pi tau}
+def _cell_grid(tau):
+    """The 7 x 31 grid of the cell [0, 1] x [0, tau], its four corner
+    poles left out."""
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 7), np.linspace(0.0, tau, 31))
+    z = (x + 1j * y).ravel()
+    return np.delete(z, [0, 6, z.size - 7, z.size - 1])
+
+
+def _theta_oracle(z, tau, derivative=False):
+    """p (or p') from (pi th2 th3 th4(pi z)/th1(pi z))^2
+    - pi^2/3 (th2^4 + th3^4), nome e^{-pi tau}, at 30 digits."""
     mpmath = pytest.importorskip("mpmath")
-    L = lattice(tau)
-    z = _cell_points(rng, 40, tau)
-    p, _ = wp_pair(z, L)
+    out = []
     with mpmath.workdps(30):
-        nome = mpmath.exp(-mpmath.pi * tau)
+        pi, nome = mpmath.pi, mpmath.exp(-mpmath.pi * tau)
         t2, t3 = mpmath.jtheta(2, 0, nome), mpmath.jtheta(3, 0, nome)
-        const = mpmath.pi**2 / 3 * (t2**4 + t3**4)
-        for zi, pi_ in zip(z, p):
-            u = mpmath.pi * mpmath.mpc(zi.real, zi.imag)
-            ref = complex((mpmath.pi * t2 * t3 * mpmath.jtheta(4, u, nome)
-                           / mpmath.jtheta(1, u, nome))**2 - const)
-            assert abs(pi_ - ref) <= 1e-12 * (abs(ref)
-                                              + np.sqrt(abs(L.g2)))
+        const = pi**2 / 3 * (t2**4 + t3**4)
+        for zi in z:
+            u = pi * mpmath.mpc(zi.real, zi.imag)
+            th1, th4 = mpmath.jtheta(1, u, nome), mpmath.jtheta(4, u, nome)
+            a = pi * t2 * t3 * th4 / th1
+            if derivative:
+                d1 = mpmath.jtheta(1, u, nome, 1)
+                d4 = mpmath.jtheta(4, u, nome, 1)
+                out.append(complex(2 * a * pi**2 * t2 * t3
+                                   * (d4 * th1 - th4 * d1) / th1**2))
+            else:
+                out.append(complex(a**2 - const))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 1.5, 3.0, 8.0])
+def test_wp_matches_theta_oracle(tau):
+    L = lattice(tau)
+    z = _cell_grid(tau)
+    p, _ = wp_pair(z, L)
+    ref = _theta_oracle(z, tau)
+    assert np.all(np.abs(p - ref) <= 1e-12 * (np.abs(ref)
+                                              + np.sqrt(abs(L.g2))))
+
+
+def test_wp_prime_matches_theta_oracle_in_a_tall_cell():
+    L = lattice(8.0)
+    z = _cell_grid(8.0)
+    _, dp = wp_pair(z, L)
+    ref = _theta_oracle(z, 8.0, derivative=True)
+    assert np.all(np.abs(dp - ref) <= 1e-12 * (np.abs(ref)
+                                               + abs(L.g2) ** 0.75))

@@ -179,6 +179,33 @@ def test_zero_count_tangential_touch():
     assert min(abs(t - 0.49737) for t in detail.tangential) < 1e-3
 
 
+def test_pfaffian_eval_calls_only_the_members_outer_uses():
+    base = build_ratio_chain()
+    calls = [0] * base.order
+
+    def counted(i, ev):
+        def f(y):
+            calls[i] += 1
+            return ev(y)
+        return f
+
+    chain = PfaffianChain(base.rhs, base.domain,
+                          [counted(i, ev) for i, ev
+                           in enumerate(base.member_evaluators)],
+                          base.sample_offset, base.label)
+    y = np.linspace(0.05, 0.95, 7)
+    ratio_only = {(0,) * 9 + (k,): 1.0 + k for k in range(3)}
+    mixed = {(1, 0, 0, 2) + (0,) * 5 + (1,): -0.5, (0, 1) + (0,) * 8: 2.0}
+    for terms, used in ((ratio_only, {8}), (mixed, {0, 2, 8})):
+        calls[:] = [0] * base.order
+        pf = PfaffianFunction(chain, MultiPoly(terms, 10))
+        got = pf.eval(y)
+        assert {i for i, n in enumerate(calls) if n} == used
+        assert all(calls[i] == 1 for i in used)
+        want = pf.outer.eval(y, base.member_values(y))
+        assert np.array_equal(got, want)
+
+
 def test_zero_count_respects_khovanskii_bound(rng):
     # univariate polynomials in the (strictly monotone) ratio member: the
     # observed count can never exceed the polynomial degree, let alone the

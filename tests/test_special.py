@@ -9,9 +9,10 @@ import pytest
 import oracles
 from mzl.errors import (AsymptoticFallbackWarning, DomainError,
                         PrecisionLossError)
-from mzl.special import (eisenstein_Q, eisenstein_R, gauss_relation_residuals,
-                         hyp2f1, hyp2f1_prime, hyp2f1_with_bound, j_inverse,
-                         klein_j, klein_j_derivative, klein_j_with_bound,
+from mzl.qseries import standard_series
+from mzl.special import (gauss_relation_residuals, hyp2f1, hyp2f1_prime,
+                         hyp2f1_with_bound, j_inverse, klein_j,
+                         klein_j_derivative, klein_j_with_bound,
                          ramanujan_inversion_residual)
 
 
@@ -102,26 +103,23 @@ def test_gauss_residual_sweep(rng):
 
 
 def test_eisenstein_constant_terms():
-    assert eisenstein_Q(0.0) == 1.0
-    assert eisenstein_R(0.0) == 1.0
+    s = standard_series()
+    assert s["Q"].eval(0.0) == 1.0
+    assert s["R"].eval(0.0) == 1.0
 
 
 def test_discriminant_matches_eta_product():
     # (Q^3 - R^2)/1728 = q prod (1 - q^n)^24, eta-product oracle
+    s = standard_series()
     q = math.exp(-2.0 * math.pi)
-    lhs = (eisenstein_Q(q) ** 3 - eisenstein_R(q) ** 2) / 1728.0
+    lhs = (s["Q"].eval(q) ** 3 - s["R"].eval(q) ** 2) / 1728.0
     eta24 = oracles.eisenstein_eval(oracles.delta_product_over_q(80), q)
     assert abs(lhs - q * eta24) < 1e-10 * abs(q * eta24)
 
 
 def test_R_vanishes_at_q_exp_minus_2pi():
     # weight-6 series has a zero forced by j(i) = 1728
-    assert abs(eisenstein_R(math.exp(-2.0 * math.pi))) < 1e-10
-
-
-def test_eisenstein_range_guard():
-    with pytest.raises(DomainError):
-        eisenstein_Q(0.97)
+    assert abs(standard_series()["R"].eval(math.exp(-2.0 * math.pi))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
