@@ -12,9 +12,10 @@ from .poly import (AnalyticFunction, BivariatePolynomial, PerturbedComposite,
                    polynomial_from_json, polynomial_to_json)
 from .special import (gauss_relation_residuals, hyp2f1, hyp2f1_with_bound,
                       hyp2f1_prime, j_inverse, klein_j, klein_j_derivative,
-                      klein_j_with_bound, ramanujan_inversion_residual)
-from .elliptic import (LatticeParams, lattice, wp_analytic, wp_eval,
-                       wp_invariants, wp_pair, wp_prime)
+                      klein_j_pair, klein_j_with_bound,
+                      ramanujan_inversion_residual)
+from .elliptic import (LatticeParams, lattice, wp_analytic, wp_invariants,
+                       wp_pair)
 from .pfaffian import (MultiPoly, PfaffianChain, PfaffianFunction,
                        build_hypergeometric_chain, build_ratio_chain,
                        chain_residual, khovanskii_zero_bound,

@@ -7,10 +7,10 @@ accepted only once its phase step is below pi/2 and |dz| times the larger
 Math. 53, 1988).  The phase test keeps the unwrapped argument exact at
 the sampled resolution; the step bound stops a cluster of zeros hugging
 the contour from turning the phase by a full 2 pi k between adjacent
-samples, where it would read as a small step.  f' comes from a central
-difference taken in the same call of f as the samples.  The
-log-derivative integral telescopes to the change of log|f| plus i times
-the accumulated phase, so no quadrature of f'/f is ever performed.
+samples, where it would read as a small step.  f' comes from the same
+call when f returns the pair (f, f'), else from a central difference.
+The log-derivative integral telescopes to the change of log|f| plus i
+times the accumulated phase, so no quadrature of f'/f is ever performed.
 """
 from __future__ import annotations
 
@@ -50,9 +50,6 @@ class LineSegment:
     def point(self, t):
         return self.z0 + (self.z1 - self.z0) * np.asarray(t)
 
-    def tangent(self, t):
-        return np.full(np.shape(t), self.z1 - self.z0, dtype=complex)
-
 
 @dataclass(frozen=True)
 class ArcSegment:
@@ -85,9 +82,6 @@ class ArcSegment:
     def point(self, t):
         ang = self.ang0 + (self.ang1 - self.ang0) * np.asarray(t)
         return self.center + self.radius * np.exp(1j * ang)
-
-    def tangent(self, t):
-        return 1j * (self.ang1 - self.ang0) * (self.point(t) - self.center)
 
 
 class Contour:
@@ -135,18 +129,23 @@ class WindingResult:
 
 def _sample(f, contour: Contour, t: np.ndarray):
     """z(t), f(z) and |f'(z)/f(z)| at the contour parameters t, from one
-    call of f at z, z + h and z - h (f' by a central difference)."""
+    call of f at z.  A tuple f returns is (f, f'); a plain f gets f' from
+    a central difference, by a second call at z + h and z - h."""
     z = contour.point(t)
-    h = 1e-6 * np.maximum(1.0, np.abs(z))
-    n = z.size
-    v = np.asarray(f(np.concatenate([z, z + h, z - h])), dtype=complex)
-    if not np.all(np.isfinite(v)):
-        bad = int(np.flatnonzero(~np.isfinite(v))[0]) % n
-        raise MzlError(f"non-finite value at z={z[bad]!r}")
-    fz = v[:n]
+    v = f(z)
+    if isinstance(v, tuple):
+        v, dv = v
+    else:
+        h = 1e-6 * np.maximum(1.0, np.abs(z))
+        vh = np.asarray(f(np.concatenate([z + h, z - h])), dtype=complex)
+        dv = (vh[:z.size] - vh[z.size:]) / (2.0 * h)
+    v, dv = np.asarray(v, dtype=complex), np.asarray(dv, dtype=complex)
+    finite = np.isfinite(v) & np.isfinite(dv)
+    if not finite.all():
+        raise MzlError(f"non-finite value at z={z[np.argmin(finite)]!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.abs((v[n:2 * n] - v[2 * n:]) / (2.0 * h)) / np.abs(fz)
-    return z, fz, rate
+        rate = np.abs(dv) / np.abs(v)
+    return z, v, rate
 
 
 def _contour_phase(f, contour: Contour, zero_rtol: float, zero_atol: float,
@@ -239,7 +238,8 @@ def log_derivative_integral(f, contour: Contour, zero_rtol: float = 1e-12,
 def dominant_term_bound(f, g, contour: Contour, C: float,
                         n_check: int = 256) -> float:
     """Upper bound for |int (f+g)'/(f+g)| when |f| > C|g| on the contour:
-    |int f'/f| + C/(C-1) * length * sup(|f'||g|/|f|^2 + |g'|/|f|).
+    |int f'/f| + C/(C-1) * length * sup(|f'||g|/|f|^2 + |g'|/|f|), for
+    AnalyticFunctions f and g.
 
     The dominance precondition is checked on a sample grid, and the bound
     is verified to dominate the directly computed integral.
@@ -249,16 +249,14 @@ def dominant_term_bound(f, g, contour: Contour, C: float,
     sup_term = 0.0
     for seg in contour.segments:
         zs = seg.point(np.linspace(0.0, 1.0, n_check))
-        fv = np.asarray(f(zs), dtype=complex)
-        gv = np.asarray(g(zs), dtype=complex)
+        fv, fpv = (np.asarray(a, dtype=complex) for a in f.pair(zs))
+        gv, gpv = (np.asarray(a, dtype=complex) for a in g.pair(zs))
         ratio = np.abs(fv) - C * np.abs(gv)
         if float(ratio.min()) <= 0.0:
             i = int(np.argmin(ratio))
             fz, gz = abs(fv[i]), abs(gv[i])
             raise DominanceError("|f| > C|g| fails", complex(zs[i]),
                                  fz / gz if gz > 0 else np.inf)
-        fpv = np.asarray(f.derivative(zs), dtype=complex)
-        gpv = np.asarray(g.derivative(zs), dtype=complex)
         local = np.abs(fpv) * np.abs(gv) / np.abs(fv) ** 2 \
             + np.abs(gpv) / np.abs(fv)
         sup_term = max(sup_term, float(local.max()))

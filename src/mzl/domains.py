@@ -361,8 +361,8 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
                     complex(samples[i]), float(abs(vals[i])))
             pert = perturb_from_values(P, inner, vals)
             atol = 0.1 * pert.epsilon
-            w = winding_number(pert.value, contour, zero_atol=atol)
-            zeros = localize_zeros(pert.value, box,
+            w = winding_number(pert.pair, contour, zero_atol=atol)
+            zeros = localize_zeros(pert.pair, box,
                                    target_radius=target_radius,
                                    zero_atol=atol)
             kept = [z for z in zeros if _in_j_region(z.center, Y, inset)]
@@ -464,10 +464,10 @@ def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
         try:
             pert = perturb_from_values(P, inner, vals, eps=eps)
             atol = 0.1 * pert.epsilon
-            w = winding_number(pert.value, contour, zero_atol=atol)
+            w = winding_number(pert.pair, contour, zero_atol=atol)
             zeros: list[LocalizedZero] = []
             for tile in _wp_tiles(current):
-                zeros.extend(localize_zeros(pert.value, tile,
+                zeros.extend(localize_zeros(pert.pair, tile,
                                             target_radius=target_radius,
                                             zero_atol=atol))
             count = sum(z.multiplicity for z in zeros)

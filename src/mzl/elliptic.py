@@ -149,14 +149,6 @@ def wp_pair(z, L: LatticeParams, pole_tol: float = 1e-8):
     return p, dp
 
 
-def wp_eval(z, L: LatticeParams, pole_tol: float = 1e-8):
-    return wp_pair(z, L, pole_tol)[0]
-
-
-def wp_prime(z, L: LatticeParams, pole_tol: float = 1e-8):
-    return wp_pair(z, L, pole_tol)[1]
-
-
 def wp_analytic(L: LatticeParams) -> AnalyticFunction:
-    return AnalyticFunction(lambda z: wp_eval(z, L),
-                            lambda z: wp_prime(z, L), name="wp")
+    # wp_pair by name, so a wrapper on the module attribute sees each call
+    return AnalyticFunction(lambda z: wp_pair(z, L))

@@ -6,7 +6,8 @@ perturbation P + eps*e^{i theta} lives here too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -14,27 +15,14 @@ import numpy as np
 from .errors import CannotPerturbError
 
 
-def _ones_like(z):
-    return np.ones_like(np.asarray(z, dtype=complex))
-
-
 @dataclass(frozen=True)
 class AnalyticFunction:
-    """A function handle paired with its derivative, both vectorized."""
+    """A vectorized f given by one callable, pair(z) = (f(z), f'(z))."""
 
-    fn: Callable
-    dfn: Callable
-    name: str = ""
+    pair: Callable
 
     def __call__(self, z):
-        return self.fn(z)
-
-    def derivative(self, z):
-        return self.dfn(z)
-
-
-IDENTITY = AnalyticFunction(lambda z: np.asarray(z, dtype=complex) + 0.0,
-                            _ones_like, name="z")
+        return self.pair(z)[0]
 
 
 class BivariatePolynomial:
@@ -82,6 +70,23 @@ class BivariatePolynomial:
                 inner = inner * w + c
             acc = acc * z + inner
         return acc
+
+    def evaluate_pair(self, z, w, dw):
+        """P(z, w) and P_X(z, w) + P_Y(z, w) dw: with w = f(z), dw = f'(z),
+        P(z, f(z)) and its z-derivative, in one Horner pass in which each
+        sum starts from its leading coefficient, not from zero."""
+        p = px = py = 0.0
+        for i, row in enumerate(self.coeffs[::-1]):
+            a, da = row[-1], 0.0
+            for k, c in enumerate(row[-2::-1]):
+                da = da * w + a if k else a
+                a = a * w + c
+            px = px * z + p if i > 1 else p
+            py = py * z + da if i else da
+            p = p * z + a if i else a
+        if np.ndim(p) == 0:  # P is a constant
+            p = np.full(np.broadcast(z, w).shape, p, dtype=complex)
+        return p, px + py * dw
 
     def partial_x(self) -> "BivariatePolynomial":
         if self.deg_x == 0:
@@ -133,8 +138,7 @@ def eval_composed(P: BivariatePolynomial, f, z):
 
 def derivative_composed(P: BivariatePolynomial, f, z):
     """d/dz of P(z, f(z)) = P_X(z, f(z)) + P_Y(z, f(z)) * f'(z)."""
-    w = f(z)
-    return P.partial_x().evaluate(z, w) + P.partial_y().evaluate(z, w) * f.derivative(z)
+    return P.evaluate_pair(z, *f.pair(z))[1]
 
 
 @dataclass(frozen=True)
@@ -148,26 +152,21 @@ class PerturbedComposite:
     inner: AnalyticFunction
     epsilon: float
     theta: float
-    _px: BivariatePolynomial = field(init=False, repr=False)
-    _py: BivariatePolynomial = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_px", self.base.partial_x())
-        object.__setattr__(self, "_py", self.base.partial_y())
-
-    @property
+    @cached_property
     def offset(self) -> complex:
         return self.epsilon * np.exp(1j * self.theta)
 
+    def pair(self, z):
+        """(value, derivative) at z from one call of the inner pair."""
+        v, dv = self.base.evaluate_pair(z, *self.inner.pair(z))
+        return v + self.offset, dv
+
     def value(self, z):
-        return self.base.evaluate(z, self.inner(z)) + self.offset
+        return self.pair(z)[0]
 
     def derivative(self, z):
-        w = self.inner(z)
-        return self._px.evaluate(z, w) + self._py.evaluate(z, w) * self.inner.derivative(z)
-
-    def as_analytic(self) -> AnalyticFunction:
-        return AnalyticFunction(self.value, self.derivative, name="P_eps")
+        return self.pair(z)[1]
 
 
 def perturb(P: BivariatePolynomial, f, boundary_samples,
@@ -226,6 +225,4 @@ def perturb_from_values(P: BivariatePolynomial, f, vals,
         depth += 1
     if eps > 0.0 and best_score <= eps / 4.0:
         raise CannotPerturbError("no angle kept |P_eps| above eps/4 on the samples")
-    return PerturbedComposite(P, f if isinstance(f, AnalyticFunction)
-                              else AnalyticFunction(f, getattr(f, "derivative")),
-                              eps, theta % (2.0 * np.pi))
+    return PerturbedComposite(P, f, eps, theta % (2.0 * np.pi))

@@ -201,7 +201,7 @@ class QSeries:
 
 @lru_cache(maxsize=8)
 def standard_series(N: int = DEFAULT_ORDER) -> dict[str, QSeries]:
-    """QSeries bundle: Q, R, Delta/q, j, and the q d/dq of j.
+    """QSeries bundle: Q, R, Delta/q and j.
 
     Every majorant holds for all k >= 1, so the truncation order can be
     chosen per call from |q| alone.
@@ -221,9 +221,5 @@ def standard_series(N: int = DEFAULT_ORDER) -> dict[str, QSeries]:
         # a_k = c_{k-1}; c_n <= e^{4 pi sqrt n} for n >= 1 (Brisebarre and
         # Philibert 2005) and c_0 = 744 <= e^{4 pi}, so |a_k| <= e^{4 pi sqrt k}
         "j": QSeries(-1, asf(j_c), *_root_majorant(4.0 * pi, N), exp(-pi)),
-        # q d/dq of the j series: a_k = (k-1) c_{k-1}, and
-        # m <= e^{sqrt m} gives |a_k| <= e^{(4 pi + 1) sqrt k}
-        "j_qdq": QSeries(-1, asf([(n - 1) * c for n, c in enumerate(j_c)]),
-                         *_root_majorant(4.0 * pi + 1.0, N), exp(-pi)),
     }
     return out

@@ -2,9 +2,9 @@
 
 Everything is evaluated from truncated series with computed tail bounds.
 j is assembled as Q(q)^3 / Delta(q) from the exact-integer coefficient
-tables in qseries; its tau-derivative comes from the term-wise
-differentiated division series.  The inverse of J(t) = j(it) on x >= 1728
-is the ratio of two sextic hypergeometric values.
+tables in qseries, and its tau-derivative as -2 pi i Q^2 R / Delta from
+the same sums.  The inverse of J(t) = j(it) on x >= 1728 is the ratio of
+two sextic hypergeometric values.
 """
 from __future__ import annotations
 
@@ -124,33 +124,37 @@ def gauss_relation_residuals(a: float, b: float, c: float, z: float):
 
 
 _MIN_IM_TAU = 0.5 - 1e-12
+# above it |Delta| ~ |q| = e^{-2 pi Im tau} falls below 1e-272
+_MAX_IM_TAU = 100.0
 _U = UNIT_ROUNDOFF
-
-
-def _upper_strip(tau, name: str) -> np.ndarray:
-    taus = np.asarray(tau, dtype=complex)
-    if (taus.imag < _MIN_IM_TAU).any():
-        raise DomainError(f"{name} requires Im tau >= 0.5")
-    return taus
+_J_SERIES = ("Q", "delta_over_q", "R")
 
 
 @lru_cache(maxsize=1)
 def _j_columns() -> np.ndarray:
-    """Q and Delta/q as the two columns of one coefficient matrix."""
     s = standard_series()
-    return np.column_stack([s["Q"].coefficients,
-                            s["delta_over_q"].coefficients])
+    return np.column_stack([s[k].coefficients for k in _J_SERIES])
 
 
-def _j_sums(taus: np.ndarray):
-    """(q, Q(q), Delta(q)/q, N): both series summed to the order N that
-    each of them needs at max |q|, in one power-basis product."""
-    s = standard_series()
+@lru_cache(maxsize=4096)
+def _j_order(y: float) -> int:
+    """The order all _J_SERIES need at Im tau >= y; cached, as the sample
+    batches of one winding often share their lowest point."""
+    s, x = standard_series(), math.exp(-2.0 * math.pi * y)
+    return max(s[k].order(x) for k in _J_SERIES)
+
+
+def _j_sums(tau):
+    """(q, N, Q, Delta/q, R) at q = e^{2 pi i tau}, all summed to the
+    order N they need at the lowest tau, in one power-basis product."""
+    taus = np.asarray(tau, dtype=complex)
+    lo, hi = (taus.imag.min(), taus.imag.max()) if taus.size else (1.0, 1.0)
+    if not _MIN_IM_TAU <= lo <= hi <= _MAX_IM_TAU:
+        raise DomainError("j needs 0.5 <= Im tau <= 100")
     q = np.exp(2j * math.pi * taus)
-    x = max_abs(q)
-    N = max(s["Q"].order(x), s["delta_over_q"].order(x))
-    Qv, dq = power_basis_product(q, _j_columns()[:N + 1])
-    return q, Qv.reshape(q.shape), dq.reshape(q.shape), N
+    N = _j_order(lo)
+    sums = power_basis_product(q, _j_columns()[:N + 1])
+    return (q, N) + tuple(sums.reshape((3,) + q.shape))
 
 
 def _as_output(tau, out):
@@ -159,17 +163,23 @@ def _as_output(tau, out):
     return out
 
 
-def klein_j(tau):
-    """j(tau) = Q(q)^3 / Delta(q), q = e^{2 pi i tau}, for Im tau >= 1/2.
+def klein_j_pair(tau):
+    """(j(tau), dj/dtau) for Im tau >= 1/2, with q = e^{2 pi i tau}.
 
+    j = Q(q)^3 / Delta(q), and q dj/dq = -R j/Q gives dj/dtau =
+    -2 pi i Q^2 R / Delta, which stays finite at rho, where Q vanishes.
     Delta is evaluated from its own exact-integer series, so the
     cancellation in Q^3 - R^2 never happens in floating point.
     """
-    q, Qv, dq, _ = _j_sums(_upper_strip(tau, "klein_j"))
+    q, _, Qv, dq, Rv = _j_sums(tau)
     delta = q * dq
-    if (np.abs(delta) < 1e-280).any():
-        raise DomainError("Delta(q) vanished to working precision")
-    return _as_output(tau, Qv**3 / delta)
+    return (_as_output(tau, Qv**3 / delta),
+            _as_output(tau, (-2j * math.pi) * Qv**2 * Rv / delta))
+
+
+def klein_j(tau):
+    """j(tau); see klein_j_pair."""
+    return klein_j_pair(tau)[0]
 
 
 def klein_j_with_bound(tau):
@@ -185,13 +195,13 @@ def klein_j_with_bound(tau):
     plus 10 u |j| for the cube and the division.  Every first-order
     coefficient is raised by 1% to cover the second-order terms.
     """
-    taus = _upper_strip(tau, "klein_j")
-    q, Qv, dq, N = _j_sums(taus)
+    q, N, Qv, dq, _ = _j_sums(tau)
+    taus = np.asarray(tau, dtype=complex)
     s = standard_series()
     aq = np.abs(q)
     x = max_abs(q)
     K = N + 1
-    C = np.abs(_j_columns()[:K])
+    C = np.abs(_j_columns()[:K, :2])
     k = np.arange(K, dtype=float)[:, None]
     S_Q, S_D, S1_Q, S1_D = power_basis_product(
         aq, np.hstack([C, k * C])).real.reshape((4,) + q.shape)
@@ -213,14 +223,12 @@ def klein_j_with_bound(tau):
 
 
 def klein_j_derivative(tau):
-    """dj/dtau = 2 pi i * (q dj/dq), from the differentiated j series."""
-    taus = _upper_strip(tau, "klein_j_derivative")
-    q = np.exp(2j * math.pi * taus)
-    return _as_output(tau, 2j * math.pi * standard_series()["j_qdq"].eval(q))
+    """dj/dtau; see klein_j_pair."""
+    return klein_j_pair(tau)[1]
 
 
 def j_analytic() -> AnalyticFunction:
-    return AnalyticFunction(klein_j, klein_j_derivative, name="j")
+    return AnalyticFunction(klein_j_pair)
 
 
 def j_inverse(x: float, large_threshold: float = 1e6) -> float:
@@ -243,9 +251,8 @@ def j_inverse(x: float, large_threshold: float = 1e6) -> float:
             f"x={x:.3e} > {large_threshold:.3e}", AsymptoticFallbackWarning)
         t = math.log(x - 744.0) / TWO_PI
         for _ in range(6):
-            Jt = klein_j(1j * t).real
-            dJt = (1j * klein_j_derivative(1j * t)).real
-            step = (Jt - x) / dJt
+            Jt, dJt = klein_j_pair(1j * t)
+            step = (Jt.real - x) / (1j * dJt).real
             t -= step
             if abs(step) < 1e-14 * t:
                 break

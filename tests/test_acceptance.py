@@ -150,14 +150,14 @@ def test_dominance_and_crossing_lemmas():
         a = rng.uniform(-0.35, 0.35) + 1j * rng.uniform(-0.35, 0.35)
         c = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         f = AnalyticFunction(
-            lambda z, c=c, a=a, m=m: c * (z - a) ** m,
-            lambda z, c=c, a=a, m=m: c * m * (z - a) ** (m - 1))
+            lambda z, c=c, a=a, m=m: (c * (z - a) ** m,
+                                      c * m * (z - a) ** (m - 1)))
         gco = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         fmin = float(np.abs(f(samples)).min())
         gmax = float(np.abs(np.polyval(gco, samples)).max())
         gco = gco * (0.45 * fmin / gmax)
-        g = AnalyticFunction(lambda z, gc=gco: np.polyval(gc, z),
-                             lambda z, gc=gco: np.polyval(np.polyder(gc), z))
+        g = AnalyticFunction(lambda z, gc=gco: (
+            np.polyval(gc, z), np.polyval(np.polyder(gc), z)))
         bound = dominant_term_bound(f, g, contour, 2.0)
         direct = abs(log_derivative_integral(lambda z: f(z) + g(z), contour))
         assert bound >= direct - 1e-9
@@ -175,11 +175,11 @@ def test_dominance_and_crossing_lemmas():
     # quarter circle shrinking onto a pole of order |k|: the winding
     # contribution settles at |k|/4, never above |k|/4 + 0.1
     a0, p = 1.7 - 0.4j, 0.3 + 0.2j
-    g = AnalyticFunction(lambda z: 0.9 + 0.35 * (z - p) ** 2,
-                         lambda z: 0.7 * (z - p))
+    g = AnalyticFunction(lambda z: (0.9 + 0.35 * (z - p) ** 2,
+                                    0.7 * (z - p)))
     for k in (-2, -4, -6):
-        f = AnalyticFunction(lambda z, k=k: a0 * (z - p) ** k,
-                             lambda z, k=k: a0 * k * (z - p) ** (k - 1))
+        f = AnalyticFunction(lambda z, k=k: (a0 * (z - p) ** k,
+                                             a0 * k * (z - p) ** (k - 1)))
         for delta in (0.2, 0.1, 0.05):
             arc = Contour([ArcSegment(p, delta, 0.55, 0.55 + np.pi / 2)])
             over_2pi = dominant_term_bound(f, g, arc, 2.0) / (2.0 * np.pi)

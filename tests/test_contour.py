@@ -12,9 +12,8 @@ from mzl.errors import DominanceError, InvalidSpecError, ZeroOnContourError
 from mzl.poly import AnalyticFunction
 from mzl.special import klein_j, klein_j_derivative
 
-ZERO_FN = AnalyticFunction(lambda z: np.zeros(np.shape(z), dtype=complex),
-                           lambda z: np.zeros(np.shape(z), dtype=complex),
-                           name="0")
+ZERO_FN = AnalyticFunction(lambda z: (np.zeros(np.shape(z), dtype=complex),
+                                      np.zeros(np.shape(z), dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +176,38 @@ def test_winding_sees_zeros_hugging_an_edge():
     assert winding_number(triple, rectangle_contour(0, 1, 0, 1)).winding == 2
 
 
+def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
+    # an f that returns (f, f') is evaluated only at the points the
+    # refinement asks for: one call per round, no z +- h
+    asked, got = [], []
+    point = Contour.point
+
+    def recording_point(self, t):
+        z = point(self, t)
+        asked.append(z)
+        return z
+
+    monkeypatch.setattr(Contour, "point", recording_point)
+    co = np.poly([0.001 + 0.031j, 0.005 + 0.041j, 0.4 - 0.3j])
+    dco = np.polyder(co)
+
+    def pair(z):
+        got.append(np.array(z))
+        return np.polyval(co, z), np.polyval(dco, z)
+
+    res = winding_number(pair, rectangle_contour(0, 1, -0.5, 0.5))
+    assert res.winding == 3
+    assert len(got) == len(asked) > 1
+    assert all(np.array_equal(a, g) for a, g in zip(asked, got))
+    assert sum(g.size for g in got) == res.samples_used
+    asked.clear()
+    got.clear()
+    zeros = localize_zeros(pair, (0.0, 1.0, -0.5, 0.5), target_radius=1e-3)
+    assert sum(z.multiplicity for z in zeros) == 3
+    assert len(got) == len(asked) > 4
+    assert all(np.array_equal(a, g) for a, g in zip(asked, got))
+
+
 def test_localize_random_polynomials(rng):
     box = (-1.0, 1.0, -1.0, 1.0)
     for _ in range(10):
@@ -209,17 +240,18 @@ def test_localize_random_polynomials(rng):
 
 
 def _exp_pair(l):
-    f = AnalyticFunction(lambda z: np.exp(-2j * np.pi * l * z),
-                         lambda z: -2j * np.pi * l * np.exp(-2j * np.pi * l * z))
-    g = AnalyticFunction(
-        lambda z: klein_j(z) ** l - np.exp(-2j * np.pi * l * z),
-        lambda z: l * klein_j(z) ** (l - 1) * klein_j_derivative(z)
-        + 2j * np.pi * l * np.exp(-2j * np.pi * l * z))
+    f = AnalyticFunction(lambda z: (
+        np.exp(-2j * np.pi * l * z),
+        -2j * np.pi * l * np.exp(-2j * np.pi * l * z)))
+    g = AnalyticFunction(lambda z: (
+        klein_j(z) ** l - np.exp(-2j * np.pi * l * z),
+        l * klein_j(z) ** (l - 1) * klein_j_derivative(z)
+        + 2j * np.pi * l * np.exp(-2j * np.pi * l * z)))
     return f, g
 
 
 def test_dominant_term_bound_zero_remainder():
-    f = AnalyticFunction(lambda z: z, lambda z: np.ones(np.shape(z)))
+    f = AnalyticFunction(lambda z: (z, np.ones(np.shape(z))))
     contour = circle_contour(0.0, 1.0)
     bound = dominant_term_bound(f, ZERO_FN, contour, 2.0)
     direct = abs(log_derivative_integral(f, contour))
@@ -227,9 +259,9 @@ def test_dominant_term_bound_zero_remainder():
 
 
 def test_dominance_precondition_enforced():
-    f = AnalyticFunction(lambda z: z, lambda z: np.ones(np.shape(z)))
-    g = AnalyticFunction(lambda z: np.ones(np.shape(z), dtype=complex),
-                         lambda z: np.zeros(np.shape(z), dtype=complex))
+    f = AnalyticFunction(lambda z: (z, np.ones(np.shape(z))))
+    g = AnalyticFunction(lambda z: (np.ones(np.shape(z), dtype=complex),
+                                    np.zeros(np.shape(z), dtype=complex)))
     with pytest.raises(DominanceError):
         dominant_term_bound(f, g, circle_contour(0.0, 0.5), 2.0)
     with pytest.raises(InvalidSpecError):
@@ -251,11 +283,11 @@ def test_dominant_term_bound_on_top_line():
 def test_dominant_term_bound_open_arc_pole_ladder():
     # quarter circle around a pole of order |k|: bound/2pi falls to |k|/4
     a0, p = 1.7 - 0.4j, 0.3 + 0.2j
-    g = AnalyticFunction(lambda z: 0.9 + 0.35 * (z - p) ** 2,
-                         lambda z: 0.7 * (z - p))
+    g = AnalyticFunction(lambda z: (0.9 + 0.35 * (z - p) ** 2,
+                                    0.7 * (z - p)))
     for k in (-2, -4, -6):
-        f = AnalyticFunction(lambda z, k=k: a0 * (z - p) ** k,
-                             lambda z, k=k: a0 * k * (z - p) ** (k - 1))
+        f = AnalyticFunction(lambda z, k=k: (a0 * (z - p) ** k,
+                                             a0 * k * (z - p) ** (k - 1)))
         prev = np.inf
         for delta in (0.2, 0.1, 0.05, 0.025):
             arc = Contour([ArcSegment(p, delta, 0.55, 0.55 + np.pi / 2)])

@@ -9,9 +9,11 @@ from mzl.contour import circle_contour, winding_number
 from mzl.domains import JDomainSpec, build_j_contour, random_polynomial
 from mzl.elliptic import wp_pair
 from mzl.errors import CannotPerturbError
-from mzl.poly import (AnalyticFunction, BivariatePolynomial, IDENTITY,
+from mzl.poly import (AnalyticFunction, BivariatePolynomial,
                       PerturbedComposite, derivative_composed, eval_composed,
                       perturb, polynomial_from_json, polynomial_to_json)
+
+IDENTITY = AnalyticFunction(lambda z: (z, np.ones_like(z)))
 
 
 def _poly(rows):
@@ -51,10 +53,26 @@ def test_horner_matches_naive(rng):
         assert abs(P.evaluate(x, y) - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
+@pytest.mark.parametrize("dx, dy", [(0, 0), (0, 1), (0, 4), (1, 0), (3, 0),
+                                    (1, 1), (2, 3), (4, 2)])
+def test_evaluate_pair_matches_the_partials(rng, dx, dy):
+    c = rng.normal(size=(dx + 1, dy + 1)) \
+        + 1j * rng.normal(size=(dx + 1, dy + 1))
+    P = BivariatePolynomial(c)
+    z, w, dw = (rng.uniform(-2, 2, (3, 33)) + 1j * rng.uniform(-2, 2, (3, 33)))
+    v, dv = P.evaluate_pair(z, w, dw)
+    ref = P.partial_x().evaluate(z, w) + P.partial_y().evaluate(z, w) * dw
+    scale = BivariatePolynomial(np.abs(c)).evaluate(np.abs(z), np.abs(w))
+    assert v.shape == dv.shape == z.shape
+    assert np.all(np.abs(v - P.evaluate(z, w)) <= 1e-14 * scale.real)
+    assert np.all(np.abs(dv - ref)
+                  <= 1e-13 * (1.0 + np.abs(dw)) * (1.0 + np.abs(z)
+                                                   + np.abs(w)) * scale.real)
+
+
 def test_derivative_composed_chain_rule(lat1):
     P = _poly([[0.0, 1.0]])  # P = Y, so d/dz P(z, wp(z)) = wp'(z)
-    wp = AnalyticFunction(lambda z: wp_pair(z, lat1)[0],
-                          lambda z: wp_pair(z, lat1)[1])
+    wp = AnalyticFunction(lambda z: wp_pair(z, lat1))
     z = 0.31 + 0.42j
     assert abs(derivative_composed(P, wp, z) - wp_pair(z, lat1)[1]) < 1e-12
 
@@ -62,13 +80,12 @@ def test_derivative_composed_chain_rule(lat1):
 def test_derivative_composed_product_rule():
     P = _poly([[0.0, 0.0], [0.0, 1.0]])  # P = X*Y
     a, b, z0 = 2.5 - 1j, 0.75 + 0.25j, 1.2 + 0.3j
-    f = AnalyticFunction(lambda z: a, lambda z: b)
+    f = AnalyticFunction(lambda z: (a, b))
     assert abs(derivative_composed(P, f, z0) - (a + z0 * b)) < 1e-12
 
 
 def test_derivative_composed_central_difference(rng, lat1, jfun):
-    wp = AnalyticFunction(lambda z: wp_pair(z, lat1)[0],
-                          lambda z: wp_pair(z, lat1)[1])
+    wp = AnalyticFunction(lambda z: wp_pair(z, lat1))
     for _ in range(15):
         c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         P = BivariatePolynomial(c)
@@ -85,9 +102,9 @@ def test_derivative_composed_central_difference(rng, lat1, jfun):
 
 def test_perturb_epsilon_is_half_min():
     P = _poly([[0.0, 1.0]])  # P = Y
-    two = AnalyticFunction(lambda z: np.full_like(
-        np.asarray(z, dtype=complex), 2.0), lambda z: np.zeros_like(
-        np.asarray(z, dtype=complex)))
+    two = AnalyticFunction(lambda z: (
+        np.full_like(np.asarray(z, dtype=complex), 2.0),
+        np.zeros_like(np.asarray(z, dtype=complex))))
     pert = perturb(P, two, [0.0, 1.0, 1j])
     assert pert.epsilon == pytest.approx(1.0)
 
@@ -126,11 +143,11 @@ def test_rouche_winding_invariance(rng, jfun):
     for _ in range(8):
         P = random_polynomial(rng, 1, 1)
         base = AnalyticFunction(
-            lambda z, P=P: eval_composed(P, jfun, z),
-            lambda z, P=P: derivative_composed(P, jfun, z))
+            lambda z, P=P: (eval_composed(P, jfun, z),
+                            derivative_composed(P, jfun, z)))
         w0 = winding_number(base, contour).winding
         pert = perturb(P, jfun, samples)
-        fp = AnalyticFunction(pert.value, pert.derivative)
+        fp = AnalyticFunction(pert.pair)
         assert winding_number(fp, contour).winding == w0
 
 

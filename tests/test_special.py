@@ -12,8 +12,8 @@ from mzl.errors import (AsymptoticFallbackWarning, DomainError,
 from mzl.qseries import standard_series
 from mzl.special import (gauss_relation_residuals, hyp2f1, hyp2f1_prime,
                          hyp2f1_with_bound, j_inverse, klein_j,
-                         klein_j_derivative, klein_j_with_bound,
-                         ramanujan_inversion_residual)
+                         klein_j_derivative, klein_j_pair,
+                         klein_j_with_bound, ramanujan_inversion_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +169,35 @@ def test_klein_j_derivative_central_difference(rng):
         fd = oracles.central_difference(klein_j, tau)
         got = klein_j_derivative(tau)
         assert abs(got - fd) < 1e-6 * (1.0 + abs(got))
+
+
+def test_klein_j_derivative_vanishes_to_rounding_at_i_and_rho():
+    # j' = -2 pi i Q^2 R / Delta with R(i) = 0 and Q(rho) = 0: at i the
+    # rounding of R is scaled by 2 pi |Q^2/Delta| (about 7.5e3), at rho
+    # the rounding of Q enters squared
+    assert abs(klein_j_derivative(1j)) < 1e-10
+    rho = complex(-0.5, math.sqrt(3.0) / 2.0)
+    assert abs(klein_j_derivative(rho)) < 1e-20
+    assert abs(klein_j_derivative(rho + 1.0)) < 1e-20
+
+
+def test_klein_j_pair_matches_mpmath(rng):
+    mpmath = pytest.importorskip("mpmath")
+    rho = complex(-0.5, math.sqrt(3.0) / 2.0)
+    taus = np.concatenate([[1j, rho], _domain_points(rng, 38)])
+    vals, ders = klein_j_pair(taus)
+
+    def j(t):
+        return 1728 * mpmath.kleinj(t)
+
+    # at rho, j and j' are rounding-level, and so are the floors
+    with mpmath.workdps(30):
+        for tau, v, d in zip(taus, vals, ders):
+            t = mpmath.mpc(tau.real, tau.imag)
+            ref, dref = complex(j(t)), complex(mpmath.diff(j, t))
+            assert abs(v - ref) <= 1e-13 * abs(ref) + 1e-30
+            assert abs(d - dref) <= 1e-13 * (abs(dref) + 2.0 * math.pi
+                                             * abs(ref)) + 1e-20
 
 
 def _domain_points(rng, n, im_max=3.0):
