@@ -7,9 +7,8 @@ from .errors import (AmbiguityError, AsymptoticFallbackWarning,
                      InvalidSpecError, MzlError, NonconvergenceError,
                      PoleProximityError, PrecisionLossError,
                      ZeroOnContourError)
-from .poly import (AnalyticFunction, BivariatePolynomial, PerturbedComposite,
-                   eval_composed, derivative_composed, perturb,
-                   polynomial_from_json, polynomial_to_json)
+from .poly import (BivariatePolynomial, PerturbedComposite, eval_composed,
+                   perturb, polynomial_from_json, polynomial_to_json)
 from .special import (gauss_relation_residuals, hyp2f1, hyp2f1_with_bound,
                       hyp2f1_prime, j_inverse, klein_j, klein_j_derivative,
                       klein_j_pair, klein_j_with_bound,

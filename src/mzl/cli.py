@@ -20,9 +20,9 @@ from .elliptic import lattice, wp_analytic, wp_pair
 from .errors import MzlError
 from .pfaffian import (build_hypergeometric_chain, build_ratio_chain,
                        chain_residual, khovanskii_zero_bound)
-from .poly import eval_composed, polynomial_from_json
-from .special import (SEXTIC_A, SEXTIC_B, hyp2f1_with_bound, j_analytic,
-                      j_inverse, klein_j_with_bound)
+from .poly import PerturbedComposite, polynomial_from_json
+from .special import (SEXTIC_A, SEXTIC_B, hyp2f1_with_bound, j_inverse,
+                      klein_j_pair, klein_j_with_bound)
 from .verify import SCHEMA, run_selftest, run_suites, _SUITES
 
 _RESIDUAL_PASS = 1e-7
@@ -175,14 +175,14 @@ def _cmd_trace(args, cfg: RunConfig) -> int:
         spec = JDomainSpec(Y=args.Y if args.Y is not None else cfg.y_top,
                            inset=args.inset)
         contour = build_j_contour(spec)
-        inner = j_analytic()
+        inner = klein_j_pair
     else:
         spec = WpDomainSpec(tau=args.tau if args.tau is not None else cfg.tau,
                             beta=args.beta, delta=args.delta)
         contour = build_wp_contour(spec)
         inner = wp_analytic(lattice(spec.tau))
-    t, z, v, arg = trace_table(lambda w: eval_composed(P, inner, w),
-                               contour, args.per_segment)
+    pert = PerturbedComposite(P, inner, 0.0, 0.0)
+    t, z, v, arg = trace_table(pert.pair, contour, args.per_segment)
     out = sys.stdout if args.out is None else open(args.out, "w",
                                                    encoding="utf-8")
     try:
@@ -288,11 +288,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if getattr(args, "trials", None) is not None:
-            cfg.trials = args.trials
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
+        flags = {k: getattr(args, k) for k in ("trials", "seed")
+                 if getattr(args, k, None) is not None}
+        cfg = load_config(args.config).merged(flags, "command line")
         return args.fn(args, cfg)
     except MzlError as exc:
         sys.stderr.write(f"error: {exc}\n")

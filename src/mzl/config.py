@@ -32,7 +32,7 @@ class RunConfig:
                         f"{path}:{lineno}: expected key=value")
                 key, _, val = line.partition("=")
                 values[key.strip()] = val.strip()
-        return self._merged(values, source=path)
+        return self.merged(values, source=path)
 
     def apply_env(self, env=None) -> "RunConfig":
         env = os.environ if env is None else env
@@ -41,9 +41,9 @@ class RunConfig:
             name = "MZL_" + f.name.upper()
             if name in env:
                 values[f.name] = env[name]
-        return self._merged(values, source="environment")
+        return self.merged(values, source="environment")
 
-    def _merged(self, values: dict, source: str) -> "RunConfig":
+    def merged(self, values: dict, source: str) -> "RunConfig":
         known = {f.name: f.type for f in dataclasses.fields(self)}
         out = dataclasses.replace(self)
         for key, val in values.items():
@@ -55,6 +55,8 @@ class RunConfig:
             except ValueError as exc:
                 raise InvalidSpecError(
                     f"{source}: bad value for {key}: {val!r}") from exc
+            if key in ("samples", "trials") and coerced < 1:
+                raise InvalidSpecError(f"{source}: {key} must be at least 1")
             setattr(out, key, coerced)
         return out
 

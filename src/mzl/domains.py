@@ -31,7 +31,7 @@ from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
 from .pfaffian import khovanskii_zero_bound, real_zero_count
 from .poly import BivariatePolynomial, eval_composed, perturb_from_values
-from .special import j_analytic, klein_j
+from .special import klein_j, klein_j_pair
 
 
 # ----------------------------------------------------------------- bounds
@@ -252,12 +252,13 @@ def _sorted_zeros(zeros) -> tuple:
 
 _DOMINANCE_C = 2.0
 _DOMINANCE_HEADROOM = 1.1
+_TOP_LINE_SAMPLES = 512
 _BOUNDARY_FLOOR = 1e-9
 
 
 def _boundary_scan(P: BivariatePolynomial, inner, z: np.ndarray):
-    """P(z, f(z)) at the samples z, and the mask of the samples where it
-    is numerically zero.
+    """P(z, f(z)) at the samples z, for the pair callable f = inner, and
+    the mask of the samples where it is numerically zero.
 
     A value is numerically zero when it falls below _BOUNDARY_FLOOR times
     sum |c_ij| |z|^i |f(z)|^j, the running-error scale of the Horner sum
@@ -267,15 +268,15 @@ def _boundary_scan(P: BivariatePolynomial, inner, z: np.ndarray):
     themselves, so the growth of |j| towards the top line and of |wp|
     into the notches never makes a healthy value look small.
     """
-    w = inner(z)
+    w = inner(z)[0]
     vals = P.evaluate(z, w)
     scale = BivariatePolynomial(np.abs(P.coeffs)).evaluate(np.abs(z),
                                                            np.abs(w))
     return vals, np.abs(vals) < _BOUNDARY_FLOOR * scale.real
 
 
-def _top_line_dominates(P: BivariatePolynomial, Y: float, inset: float,
-                        n: int = 512) -> bool:
+def _top_line_dominates(P: BivariatePolynomial, Y: float,
+                        inset: float) -> bool:
     """True when the leading term h(z) e^{-2 pi i l z} exceeds 2.2x the
     remainder of P(z, j(z)) on the top line and a few lines above it."""
     l, hcol = P.leading_y_term()
@@ -287,7 +288,7 @@ def _top_line_dominates(P: BivariatePolynomial, Y: float, inset: float,
             raise DominanceError(
                 "top line too high for float arithmetic at this degree",
                 complex(0.0, y), math.inf)
-        x = np.linspace(-(0.5 + inset), 0.5 + inset, n)
+        x = np.linspace(-(0.5 + inset), 0.5 + inset, _TOP_LINE_SAMPLES)
         z = x + 1j * y
         f = npoly.polyval(z, hcol) * np.exp(-2j * np.pi * l * z)
         g = P.evaluate(z, klein_j(z)) - f
@@ -336,7 +337,7 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
         spec = JDomainSpec()
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
-    inner = j_analytic()
+    inner = klein_j_pair
     Y = _min_y_for_polynomial_roots(P, spec.Y)
     inset = spec.inset
     last_error: Exception | None = None

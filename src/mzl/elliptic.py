@@ -22,11 +22,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PoleProximityError
-from .poly import AnalyticFunction
 from .qseries import UNIT_ROUNDOFF, standard_series
 
 TAU_RANGE = (0.1, 10.0)
 TWO_PI = 2.0 * math.pi
+_POLE_TOL = 1e-8
 
 
 def _tail_bound(t: float, M: int) -> float:
@@ -122,13 +122,13 @@ def _brackets(w, qm):
                      - dr[M:].sum(axis=0)])
 
 
-def wp_pair(z, L: LatticeParams, pole_tol: float = 1e-8):
-    """(p(z), p'(z)), vectorized; z must stay pole_tol away from the lattice."""
+def wp_pair(z, L: LatticeParams):
+    """(p(z), p'(z)), vectorized; z must stay _POLE_TOL off the lattice."""
     zs = np.asarray(z, dtype=complex)
     scalar = zs.ndim == 0
     z0 = reduce_to_cell(np.atleast_1d(zs), L.tau)
     dist = np.abs(z0)
-    if np.any(dist < pole_tol):
+    if np.any(dist < _POLE_TOL):
         raise PoleProximityError("z too close to a lattice point",
                                  float(dist.min()))
     if L.tau < 1.0:
@@ -149,6 +149,7 @@ def wp_pair(z, L: LatticeParams, pole_tol: float = 1e-8):
     return p, dp
 
 
-def wp_analytic(L: LatticeParams) -> AnalyticFunction:
-    # wp_pair by name, so a wrapper on the module attribute sees each call
-    return AnalyticFunction(lambda z: wp_pair(z, L))
+def wp_analytic(L: LatticeParams):
+    # the pair callable of wp on L; wp_pair by name, so a wrapper on the
+    # module attribute sees each call
+    return lambda z: wp_pair(z, L)

@@ -255,28 +255,31 @@ def ratio_pfaffian_function() -> PfaffianFunction:
     return PfaffianFunction(chain, outer)
 
 
-def chain_residual(chain: PfaffianChain, n_samples: int = 200,
-                   h: float = 1e-5, offset: float | None = None) -> float:
+def chain_residual(chain: PfaffianChain, n_samples: int = 200) -> float:
     """max |f_i'(x) - R_i(x, f_1..f_i)| over a sample grid.
 
     Derivatives use the five-point central stencil
     (-f(x+2h) + 8 f(x+h) - 8 f(x-h) + f(x-2h)) / (12h), whose truncation
     error ~ h^4 f^(5)/30 sits below 1e-8 for these members at h = 1e-5.
-    The grid is inset from the domain ends by `offset` (default: the
-    chain's own sample_offset) so x +- 2h stays interior.
+    Each member is evaluated once, on the grid and its four shifts
+    stacked.  The grid is inset from the domain ends by the chain's
+    sample_offset so x +- 2h stays interior.
     """
+    if n_samples < 1:
+        raise InvalidSpecError(f"samples must be at least 1, got {n_samples}")
     a, b = chain.domain
-    off = chain.sample_offset if offset is None else offset
+    off = chain.sample_offset
     if not (a + off < b - off):
         raise InvalidSpecError("offset swallows the whole domain")
+    h = 1e-5
     xs = np.linspace(a + off, b - off, n_samples)
-    stencil_x = [xs + 2 * h, xs + h, xs - h, xs - 2 * h]
+    stacked = np.concatenate([xs, xs + 2 * h, xs + h, xs - h, xs - 2 * h])
     worst = 0.0
     values = []
     for i, ev in enumerate(chain.member_evaluators):
         try:
-            vals = np.asarray(ev(xs), dtype=complex)
-            shifted = [np.asarray(ev(sx), dtype=complex) for sx in stencil_x]
+            vals, *shifted = np.asarray(ev(stacked), dtype=complex).reshape(
+                5, n_samples)
         except Exception as exc:
             raise MzlError(
                 f"member {i + 1} of chain {chain.label!r} failed on "
@@ -311,17 +314,20 @@ def _local_scale(mods: np.ndarray, window: int = 64) -> np.ndarray:
     return np.repeat(wide, window)[:n]
 
 
+_REFINE_FACTOR = 8
+_REFINE_MAX_POINTS = 2_000_000
+_BISECT_TOL = 1e-10
+_TANGENTIAL_ATOL = 1e-9
+_PLATEAU_RTOL = 1e-13
+
+
 def real_zero_count_detailed(f, interval: tuple, n_initial: int = 4096,
-                             refine_rounds: int = 3, refine_factor: int = 8,
-                             bisect_tol: float = 1e-10,
-                             tangential_atol: float = 1e-9,
-                             plateau_rtol: float = 1e-13,
-                             max_points: int = 2_000_000) -> RealZeroDetail:
-    """Sign-change zero count of a real funcion on an interval.
+                             refine_rounds: int = 3) -> RealZeroDetail:
+    """Sign-change zero count of a real function on an interval.
 
     f must accept ndarray input.  Grid refinement concentrates samples
     where |f| is small relative to a local scale; crossings are bisected
-    to bisect_tol.  Points where |f| dips below tangential_atol
+    to _BISECT_TOL.  Points where |f| dips below _TANGENTIAL_ATOL
     without a sign change are reported as tangential touches, not counted.
     A flat stretch at plateau level raises AmbiguityError.
     """
@@ -338,10 +344,10 @@ def real_zero_count_detailed(f, interval: tuple, n_initial: int = 4096,
                                  (a, b))
         loc = _local_scale(mods)
         small = np.minimum(mods[:-1], mods[1:]) < 1e-3 * loc[:-1]
-        if not small.any() or t.size > max_points:
+        if not small.any() or t.size > _REFINE_MAX_POINTS:
             break
         idx = np.flatnonzero(small)
-        frac = np.arange(1, refine_factor)[:, None] / refine_factor
+        frac = np.arange(1, _REFINE_FACTOR)[:, None] / _REFINE_FACTOR
         tn = (t[idx][None, :] * (1 - frac) + t[idx + 1][None, :] * frac).ravel()
         vn = np.asarray(f(tn), dtype=float)
         t = np.concatenate([t, tn])
@@ -357,7 +363,7 @@ def real_zero_count_detailed(f, interval: tuple, n_initial: int = 4096,
     # plateau and touch detection compare against a local scale: with
     # poles near the interval ends the global maximum is meaningless
     loc = _local_scale(mods)
-    flat = mods < plateau_rtol * loc
+    flat = mods < _PLATEAU_RTOL * loc
     if flat.any():
         # a long flat run means the sign is numerically undecidable there
         runs = np.diff(np.flatnonzero(np.diff(np.concatenate(
@@ -376,7 +382,7 @@ def real_zero_count_detailed(f, interval: tuple, n_initial: int = 4096,
         lo = t[cross].copy()
         hi = t[cross + 1].copy()
         flo = v[cross].copy()
-        while float((hi - lo).max()) > bisect_tol:
+        while float((hi - lo).max()) > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
             fm = np.asarray(f(mid), dtype=float)
             left = flo * fm <= 0.0
@@ -390,7 +396,7 @@ def real_zero_count_detailed(f, interval: tuple, n_initial: int = 4096,
     interior = np.arange(1, t.size - 1)
     is_min = (mods[interior] <= mods[interior - 1]) \
         & (mods[interior] <= mods[interior + 1]) \
-        & (mods[interior] < tangential_atol) \
+        & (mods[interior] < _TANGENTIAL_ATOL) \
         & (sign[interior - 1] == sign[interior + 1]) \
         & (sign[interior] != 0.0)
     for i in interior[is_min]:
@@ -400,6 +406,6 @@ def real_zero_count_detailed(f, interval: tuple, n_initial: int = 4096,
 
 
 def real_zero_count(f, interval: tuple, n_initial: int = 4096,
-                    **kwargs) -> int:
-    return real_zero_count_detailed(f, interval, n_initial=n_initial,
-                                    **kwargs).count
+                    refine_rounds: int = 3) -> int:
+    return real_zero_count_detailed(f, interval, n_initial,
+                                    refine_rounds).count

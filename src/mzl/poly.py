@@ -1,8 +1,9 @@
 """Bivariate complex polynomials and their composition with analytic functions.
 
 A polynomial P(X, Y) is stored densely; the composite P(z, f(z)) and its
-z-derivative are what the contour machinery consumes.  The Rouche
-perturbation P + eps*e^{i theta} lives here too.
+z-derivative are what the contour machinery consumes.  The inner f is a
+pair callable, f(z) -> (f(z), f'(z)).  The Rouche perturbation
+P + eps*e^{i theta} lives here too.
 """
 from __future__ import annotations
 
@@ -14,15 +15,10 @@ import numpy as np
 
 from .errors import CannotPerturbError
 
-
-@dataclass(frozen=True)
-class AnalyticFunction:
-    """A vectorized f given by one callable, pair(z) = (f(z), f'(z))."""
-
-    pair: Callable
-
-    def __call__(self, z):
-        return self.pair(z)[0]
+# theta scan of the Rouche perturbation: angles on the first pass, and
+# the most rounds of local refinement around the best angle
+_PERTURB_ANGLES = 64
+_PERTURB_REFINE_DEPTH = 6
 
 
 class BivariatePolynomial:
@@ -132,13 +128,8 @@ def polynomial_from_json(obj: dict) -> BivariatePolynomial:
 
 
 def eval_composed(P: BivariatePolynomial, f, z):
-    """P(z, f(z)).  Evaluation failures of f (poles) propagate."""
-    return P.evaluate(z, f(z))
-
-
-def derivative_composed(P: BivariatePolynomial, f, z):
-    """d/dz of P(z, f(z)) = P_X(z, f(z)) + P_Y(z, f(z)) * f'(z)."""
-    return P.evaluate_pair(z, *f.pair(z))[1]
+    """P(z, f(z)) for the pair callable f; failures of f (poles) propagate."""
+    return P.evaluate(z, f(z)[0])
 
 
 @dataclass(frozen=True)
@@ -149,7 +140,7 @@ class PerturbedComposite:
     """
 
     base: BivariatePolynomial
-    inner: AnalyticFunction
+    inner: Callable
     epsilon: float
     theta: float
 
@@ -159,30 +150,23 @@ class PerturbedComposite:
 
     def pair(self, z):
         """(value, derivative) at z from one call of the inner pair."""
-        v, dv = self.base.evaluate_pair(z, *self.inner.pair(z))
+        v, dv = self.base.evaluate_pair(z, *self.inner(z))
         return v + self.offset, dv
 
     def value(self, z):
         return self.pair(z)[0]
 
-    def derivative(self, z):
-        return self.pair(z)[1]
 
-
-def perturb(P: BivariatePolynomial, f, boundary_samples,
-            n_angles: int = 64, refine_depth: int = 6,
-            eps: float | None = None) -> PerturbedComposite:
+def perturb(P: BivariatePolynomial, f, boundary_samples) -> PerturbedComposite:
     """Rouche perturbation sized from P(z, f(z)) at the boundary samples;
     see perturb_from_values."""
     zs = np.asarray(boundary_samples, dtype=complex)
     if zs.size == 0:
         raise ValueError("boundary_samples must be nonempty")
-    return perturb_from_values(P, f, eval_composed(P, f, zs), n_angles,
-                               refine_depth, eps)
+    return perturb_from_values(P, f, eval_composed(P, f, zs))
 
 
 def perturb_from_values(P: BivariatePolynomial, f, vals,
-                        n_angles: int = 64, refine_depth: int = 6,
                         eps: float | None = None) -> PerturbedComposite:
     """Rouche perturbation sized from vals = P(z, f(z)) at the boundary
     samples.
@@ -191,8 +175,8 @@ def perturb_from_values(P: BivariatePolynomial, f, vals,
     which keeps the interior count unchanged; a caller may pass eps
     explicitly when the composite vanishes on the boundary itself and
     the offset is meant to push that zero to a definite side.  theta is
-    scanned over n_angles angles (dyadically refined if needed) so the
-    perturbed modulus stays above eps/4 on every sample.
+    scanned over _PERTURB_ANGLES angles (refined locally if needed) so
+    the perturbed modulus stays above eps/4 on every sample.
     """
     vals = np.asarray(vals, dtype=complex)
     if vals.size == 0:
@@ -210,13 +194,14 @@ def perturb_from_values(P: BivariatePolynomial, f, vals,
     def score(theta):
         return float(np.abs(vals + eps * np.exp(1j * theta)).min())
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, _PERTURB_ANGLES, endpoint=False)
     scores = [score(t) for t in thetas]
     best = int(np.argmax(scores))
     theta, best_score = float(thetas[best]), scores[best]
-    spacing = 2.0 * np.pi / n_angles
+    spacing = 2.0 * np.pi / _PERTURB_ANGLES
     depth = 0
-    while best_score <= eps / 4.0 and depth < refine_depth and eps > 0.0:
+    while (best_score <= eps / 4.0 and depth < _PERTURB_REFINE_DEPTH
+           and eps > 0.0):
         local = theta + np.linspace(-spacing, spacing, 17)
         scores = [score(t) for t in local]
         best = int(np.argmax(scores))

@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AsymptoticFallbackWarning, DomainError, PrecisionLossError
-from .poly import AnalyticFunction
 from .qseries import (UNIT_ROUNDOFF, max_abs, power_basis_product,
                       standard_series)
 
@@ -227,17 +226,16 @@ def klein_j_derivative(tau):
     return klein_j_pair(tau)[1]
 
 
-def j_analytic() -> AnalyticFunction:
-    return AnalyticFunction(klein_j_pair)
+_J_INVERSE_LARGE = 1e6
 
 
-def j_inverse(x: float, large_threshold: float = 1e6) -> float:
+def j_inverse(x: float) -> float:
     """J^{-1}(x) for x >= 1728, where J(t) = j(it) on t >= 1.
 
     Uses the hypergeometric ratio
     2F1(1/6,5/6,1, 1/2 + y/2) / 2F1(1/6,5/6,1, 1/2 - y/2) with
-    y = sqrt(1 - 1728/x).  Beyond large_threshold the argument crowds the
-    unit circle, so the value is instead found by Newton iteration on the
+    y = sqrt(1 - 1728/x).  Beyond _J_INVERSE_LARGE the argument crowds
+    the unit circle, so the value is instead found by Newton iteration on the
     q-expansion of j; that route is flagged with a warning.
     """
     x = float(x)
@@ -245,10 +243,10 @@ def j_inverse(x: float, large_threshold: float = 1e6) -> float:
         raise DomainError(f"j_inverse requires x >= 1728, got {x}")
     if x == 1728.0:
         return 1.0
-    if x > large_threshold:
+    if x > _J_INVERSE_LARGE:
         warnings.warn(
             "j_inverse falling back to q-expansion Newton iteration for "
-            f"x={x:.3e} > {large_threshold:.3e}", AsymptoticFallbackWarning)
+            f"x={x:.3e} > {_J_INVERSE_LARGE:.3e}", AsymptoticFallbackWarning)
         t = math.log(x - 744.0) / TWO_PI
         for _ in range(6):
             Jt, dJt = klein_j_pair(1j * t)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mzl.elliptic import lattice
-from mzl.special import j_analytic
+from mzl.special import klein_j_pair
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,7 @@ def lat15():
 
 @pytest.fixture(scope="session")
 def jfun():
-    return j_analytic()
+    return klein_j_pair
 
 
 @pytest.fixture()

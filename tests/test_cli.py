@@ -231,6 +231,12 @@ def test_trace_to_file(wp_poly, tmp_path):
     assert out.read_text().startswith("t,z_re,z_im,f_re,f_im,arg_unwrapped")
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_trace_per_segment_below_one_exits_2(lin_poly, capsys, n):
+    assert main(["trace", "j", "--poly", lin_poly, "--per-segment", n]) == 2
+    assert "samples" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -289,3 +295,34 @@ def test_cli_flag_beats_config(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["trials"] == 2
     assert rep["seed"] == 3
+
+
+@pytest.mark.parametrize("key", ["samples", "trials"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_config_rejects_counts_below_one(tmp_path, monkeypatch, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    with pytest.raises(InvalidSpecError, match=key):
+        RunConfig().apply_file(str(cfg))
+    monkeypatch.setenv("MZL_" + key.upper(), value)
+    with pytest.raises(InvalidSpecError, match=key):
+        load_config()
+
+
+@pytest.mark.parametrize("domain, env, extra", [
+    ("j", "0", []), ("wp", "-5", ["--tau", "1.0"])])
+def test_count_zeros_bad_samples_exit_2(lin_poly, monkeypatch, capsys,
+                                        domain, env, extra):
+    monkeypatch.setenv("MZL_SAMPLES", env)
+    assert main(["count-zeros", domain, "--poly", lin_poly] + extra) == 2
+    assert "samples" in capsys.readouterr().err
+
+
+def test_trials_flag_below_one_exits_2(capsys):
+    assert main(["verify", "bounds", "--trials", "-2"]) == 2
+    assert "trials" in capsys.readouterr().err
+
+
+def test_verify_chain_empty_grid_exits_2(capsys):
+    assert main(["verify-chain", "--chain", "hyp", "--samples", "0"]) == 2
+    assert "samples" in capsys.readouterr().err

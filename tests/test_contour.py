@@ -8,12 +8,36 @@ from mzl.contour import (ArcSegment, Contour, LineSegment, circle_contour,
                          crossing_bound_check, dominant_term_bound,
                          localize_zeros, log_derivative_integral,
                          rectangle_contour, trace_table, winding_number)
+from mzl.domains import (JDomainSpec, WpDomainSpec, build_j_contour,
+                         build_wp_contour)
 from mzl.errors import DominanceError, InvalidSpecError, ZeroOnContourError
-from mzl.poly import AnalyticFunction
-from mzl.special import klein_j, klein_j_derivative
+from mzl.special import klein_j, klein_j_derivative, klein_j_pair
 
-ZERO_FN = AnalyticFunction(lambda z: (np.zeros(np.shape(z), dtype=complex),
-                                      np.zeros(np.shape(z), dtype=complex)))
+ZERO_FN = lambda z: (np.zeros(np.shape(z), dtype=complex),
+                     np.zeros(np.shape(z), dtype=complex))
+
+
+def identity(z):
+    return z, np.ones(np.shape(z), dtype=complex)
+
+
+def poly_pair(co):
+    """The pair callable of the polynomial with coefficients co
+    (highest first)."""
+    dco = np.polyder(co)
+    return lambda z: (np.polyval(co, z), np.polyval(dco, z))
+
+
+def roots_pair(roots):
+    """The pair callable of prod (z - r) over roots, in product form, so
+    that a multiple root stays exact."""
+    def pair(z):
+        factors = [np.asarray(z, dtype=complex) - r for r in roots]
+        one = np.ones_like(factors[0])
+        deriv = sum(np.prod([one] + factors[:k] + factors[k + 1:], axis=0)
+                    for k in range(len(factors)))
+        return np.prod(factors, axis=0), deriv
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -52,40 +76,76 @@ def test_arc_orientation_sign():
     assert fwd.length == pytest.approx(np.pi)
 
 
+@pytest.mark.parametrize("contour", [
+    build_j_contour(JDomainSpec()),
+    build_j_contour(JDomainSpec(inset=0.013)),
+    build_wp_contour(WpDomainSpec(1.0)),
+    build_wp_contour(WpDomainSpec(8.0, beta=0.37)),
+    rectangle_contour(-0.3, 1.2, 0.1, 0.7),
+    circle_contour(0.2 - 0.1j, 0.8),
+], ids=["j", "j-inset", "wp-t1", "wp-t8-b0.37", "rectangle", "circle"])
+def test_contour_point_matches_the_segments_bitwise(contour):
+    nseg = len(contour.segments)
+    rng = np.random.default_rng(7)
+    t = np.concatenate([rng.uniform(0.0, nseg, 500),
+                        np.arange(nseg + 1, dtype=float)])
+    rng.shuffle(t)
+    idx = np.clip(t.astype(int), 0, nseg - 1)
+    want = np.empty(t.shape, dtype=complex)
+    for i, seg in enumerate(contour.segments):
+        want[idx == i] = seg.point(t[idx == i] - i)
+    got = contour.point(t)
+    assert got.dtype == complex and got.shape == t.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # winding numbers
 
 
 def test_winding_simple_zero():
-    res = winding_number(lambda z: z, circle_contour(0.0, 1.0))
+    res = winding_number(identity, circle_contour(0.0, 1.0))
     assert res.winding == 1
     assert res.min_modulus == pytest.approx(1.0, rel=1e-9)
     assert res.total_variation == pytest.approx(2.0 * np.pi, rel=1e-6)
 
 
 def test_winding_with_multiplicity():
-    f = lambda z: (z - 0.2) ** 2 * (z + 0.4)
+    f = roots_pair([0.2, 0.2, -0.4])
     assert winding_number(f, circle_contour(0.0, 1.0)).winding == 3
     assert winding_number(f, rectangle_contour(-1, 1, -1, 1)).winding == 3
 
 
 def test_winding_zero_free():
-    assert winding_number(np.exp, rectangle_contour(-1, 1, -1, 1)).winding == 0
+    exp_pair = lambda z: (np.exp(z), np.exp(z))
+    assert winding_number(exp_pair,
+                          rectangle_contour(-1, 1, -1, 1)).winding == 0
 
 
 def test_winding_requires_closed_contour():
     with pytest.raises(InvalidSpecError):
-        winding_number(lambda z: z, Contour([LineSegment(0.0, 1.0)]))
+        winding_number(identity, Contour([LineSegment(0.0, 1.0)]))
 
 
 def test_winding_zero_on_contour():
     with pytest.raises(ZeroOnContourError):
-        winding_number(lambda z: z - 1j, rectangle_contour(-1, 1, -1, 1))
+        winding_number(roots_pair([1j]), rectangle_contour(-1, 1, -1, 1))
+
+
+def test_winding_rejects_a_plain_callable():
+    # a round of two points would unpack a plain f's array of two values
+    # as (f, f') without the type check
+    with pytest.raises(TypeError):
+        winding_number(lambda z: z, circle_contour(0.0, 1.0))
+    with pytest.raises(TypeError):
+        winding_number(lambda z: z, circle_contour(0.0, 1.0), n_initial=2)
+    with pytest.raises(TypeError):
+        localize_zeros(lambda z: z * z - 1.0, (-2.0, 2.0, -2.0, 2.0))
 
 
 def test_winding_additive_over_quadrants():
     roots = [0.3 + 0.4j, -0.5 + 0.2j, 0.6 - 0.35j]
-    f = lambda z: np.prod([z - r for r in roots], axis=0)
+    f = roots_pair(roots)
     total = winding_number(f, rectangle_contour(-1, 1, -1, 1)).winding
     parts = sum(winding_number(f, rectangle_contour(*q)).winding
                 for q in [(-1, 0, -1, 0), (0, 1, -1, 0),
@@ -95,7 +155,7 @@ def test_winding_additive_over_quadrants():
 
 
 def test_winding_parameterization_invariance():
-    f = lambda z: (z - 0.1j) * (z + 0.3)
+    f = roots_pair([0.1j, -0.3])
     one_arc = circle_contour(0.0, 0.8)
     two_arcs = Contour([ArcSegment(0.0, 0.8, 0.0, np.pi),
                         ArcSegment(0.0, 0.8, np.pi, 2.0 * np.pi)])
@@ -104,7 +164,7 @@ def test_winding_parameterization_invariance():
 
 
 def test_log_derivative_integral_matches_winding():
-    f = lambda z: (z - 0.4) * (z + 0.1 + 0.2j)
+    f = roots_pair([0.4, -0.1 - 0.2j])
     v = log_derivative_integral(f, circle_contour(0.0, 1.0))
     assert abs(v.real) < 1e-6          # closed contour: |f| returns to start
     assert v.imag == pytest.approx(4.0 * np.pi, rel=1e-6)
@@ -115,7 +175,8 @@ def test_log_derivative_integral_matches_winding():
 
 
 def test_localize_two_simple_zeros():
-    zeros = localize_zeros(lambda z: z * z - 1.0, (-2.0, 2.0, -2.0, 2.0))
+    zeros = localize_zeros(lambda z: (z * z - 1.0, 2.0 * z),
+                           (-2.0, 2.0, -2.0, 2.0))
     assert len(zeros) == 2
     assert all(z.multiplicity == 1 and z.resolved for z in zeros)
     centers = sorted(z.center.real for z in zeros)
@@ -125,7 +186,7 @@ def test_localize_two_simple_zeros():
 
 
 def test_localize_double_zero_keeps_multiplicity():
-    f = lambda z: (z - 0.25 - 0.25j) ** 2
+    f = roots_pair([0.25 + 0.25j, 0.25 + 0.25j])
     zeros = localize_zeros(f, (-1.0, 1.0, -1.0, 1.0))
     assert len(zeros) == 1
     assert zeros[0].multiplicity == 2
@@ -133,7 +194,10 @@ def test_localize_double_zero_keeps_multiplicity():
 
 
 def test_localize_j_critical_point():
-    f = lambda z: klein_j(z) - 1728.0
+    def f(z):
+        v, dv = klein_j_pair(z)
+        return v - 1728.0, dv
+
     zeros = localize_zeros(f, (-0.2, 0.2, 0.8, 1.2), target_radius=1e-7)
     assert len(zeros) == 1
     assert zeros[0].multiplicity == 2  # j - 1728 has a double zero at i
@@ -143,7 +207,7 @@ def test_localize_j_critical_point():
 
 
 def test_localize_empty_box():
-    assert localize_zeros(lambda z: z - 5.0, (-1.0, 1.0, -1.0, 1.0)) == []
+    assert localize_zeros(roots_pair([5.0]), (-1.0, 1.0, -1.0, 1.0)) == []
 
 
 def test_localize_pair_hugging_edge():
@@ -152,7 +216,7 @@ def test_localize_pair_hugging_edge():
     # test alone misses the pair entirely
     z1 = 0.001 + 0.031j
     z2 = 0.005 + 0.041j
-    f = lambda z: (z - z1) * (z - z2)
+    f = roots_pair([z1, z2])
     box = (0.0, 1.0, -0.5, 0.5)
     dense = winding_number(f, rectangle_contour(*box), n_initial=257)
     assert dense.winding == 2
@@ -168,11 +232,11 @@ def test_winding_sees_zeros_hugging_an_edge():
     # that a phase step test alone lets turn a full 2 pi between samples
     z1 = 0.001 + 0.031j
     z2 = 0.005 + 0.041j
-    pair = lambda z: (z - z1) * (z - z2)
+    pair = roots_pair([z1, z2])
     assert winding_number(pair, rectangle_contour(0, 1, -0.5, 0.5)).winding \
         == 2
     a, b, c = 0.3 + 5e-4j, 0.31 + 7e-4j, 0.62 - 4e-4j
-    triple = lambda z: (z - a) * (z - b) * (z - c)
+    triple = roots_pair([a, b, c])
     assert winding_number(triple, rectangle_contour(0, 1, 0, 1)).winding == 2
 
 
@@ -220,8 +284,7 @@ def test_localize_random_polynomials(rng):
                       & (np.abs(roots.imag) > 0.02)]
         if roots.size == 0:
             continue
-        coeffs = np.poly(roots)
-        f = lambda z: np.polyval(coeffs, z)
+        f = poly_pair(np.poly(roots))
         inside = int(np.sum((np.abs(roots.real) < 1.0)
                             & (np.abs(roots.imag) < 1.0)))
         zeros = localize_zeros(f, box, target_radius=1e-6)
@@ -240,18 +303,16 @@ def test_localize_random_polynomials(rng):
 
 
 def _exp_pair(l):
-    f = AnalyticFunction(lambda z: (
-        np.exp(-2j * np.pi * l * z),
-        -2j * np.pi * l * np.exp(-2j * np.pi * l * z)))
-    g = AnalyticFunction(lambda z: (
-        klein_j(z) ** l - np.exp(-2j * np.pi * l * z),
-        l * klein_j(z) ** (l - 1) * klein_j_derivative(z)
-        + 2j * np.pi * l * np.exp(-2j * np.pi * l * z)))
+    f = lambda z: (np.exp(-2j * np.pi * l * z),
+                   -2j * np.pi * l * np.exp(-2j * np.pi * l * z))
+    g = lambda z: (klein_j(z) ** l - np.exp(-2j * np.pi * l * z),
+                   l * klein_j(z) ** (l - 1) * klein_j_derivative(z)
+                   + 2j * np.pi * l * np.exp(-2j * np.pi * l * z))
     return f, g
 
 
 def test_dominant_term_bound_zero_remainder():
-    f = AnalyticFunction(lambda z: (z, np.ones(np.shape(z))))
+    f = identity
     contour = circle_contour(0.0, 1.0)
     bound = dominant_term_bound(f, ZERO_FN, contour, 2.0)
     direct = abs(log_derivative_integral(f, contour))
@@ -259,9 +320,9 @@ def test_dominant_term_bound_zero_remainder():
 
 
 def test_dominance_precondition_enforced():
-    f = AnalyticFunction(lambda z: (z, np.ones(np.shape(z))))
-    g = AnalyticFunction(lambda z: (np.ones(np.shape(z), dtype=complex),
-                                    np.zeros(np.shape(z), dtype=complex)))
+    f = identity
+    g = lambda z: (np.ones(np.shape(z), dtype=complex),
+                   np.zeros(np.shape(z), dtype=complex))
     with pytest.raises(DominanceError):
         dominant_term_bound(f, g, circle_contour(0.0, 0.5), 2.0)
     with pytest.raises(InvalidSpecError):
@@ -283,11 +344,9 @@ def test_dominant_term_bound_on_top_line():
 def test_dominant_term_bound_open_arc_pole_ladder():
     # quarter circle around a pole of order |k|: bound/2pi falls to |k|/4
     a0, p = 1.7 - 0.4j, 0.3 + 0.2j
-    g = AnalyticFunction(lambda z: (0.9 + 0.35 * (z - p) ** 2,
-                                    0.7 * (z - p)))
+    g = lambda z: (0.9 + 0.35 * (z - p) ** 2, 0.7 * (z - p))
     for k in (-2, -4, -6):
-        f = AnalyticFunction(lambda z, k=k: (a0 * (z - p) ** k,
-                                             a0 * k * (z - p) ** (k - 1)))
+        f = lambda z, k=k: (a0 * (z - p) ** k, a0 * k * (z - p) ** (k - 1))
         prev = np.inf
         for delta in (0.2, 0.1, 0.05, 0.025):
             arc = Contour([ArcSegment(p, delta, 0.55, 0.55 + np.pi / 2)])
@@ -304,7 +363,7 @@ def test_dominant_term_bound_open_arc_pole_ladder():
 
 def test_crossing_counts_for_powers():
     for k in (1, 2, 3):
-        rep = crossing_bound_check(lambda z, k=k: z ** k,
+        rep = crossing_bound_check(lambda z, k=k: (z ** k, k * z ** (k - 1)),
                                    circle_contour(0.0, 1.0))
         assert rep.im_crossings == 2 * k
         assert rep.re_crossings == 2 * k
@@ -313,8 +372,10 @@ def test_crossing_counts_for_powers():
 
 
 def test_crossing_counts_constant():
-    rep = crossing_bound_check(lambda z: np.full(np.shape(z), 2.0 + 1j),
-                               circle_contour(0.0, 1.0))
+    rep = crossing_bound_check(
+        lambda z: (np.full(np.shape(z), 2.0 + 1j),
+                   np.zeros(np.shape(z), dtype=complex)),
+        circle_contour(0.0, 1.0))
     assert rep.im_crossings == 0
     assert rep.re_crossings == 0
     assert rep.winding_abs_over_2pi == pytest.approx(0.0, abs=1e-9)
@@ -325,13 +386,13 @@ def test_crossing_counts_random_polynomials(rng):
     for _ in range(5):
         n = int(rng.integers(1, 4))
         roots = rng.uniform(-1.6, 1.6, n) + 1j * rng.uniform(-1.6, 1.6, n)
-        f = lambda z: np.polyval(np.poly(roots), z)
-        rep = crossing_bound_check(f, circle_contour(0.0, 1.3))
+        rep = crossing_bound_check(poly_pair(np.poly(roots)),
+                                   circle_contour(0.0, 1.3))
         assert rep.lemma2_holds
 
 
 def test_crossing_check_open_contour():
-    rep = crossing_bound_check(lambda z: z - (0.5 + 0.2j),
+    rep = crossing_bound_check(roots_pair([0.5 + 0.2j]),
                                Contour([LineSegment(0.0, 1.0)]))
     assert rep.im_crossings == 0   # Im f = -0.2 along the whole segment
     assert rep.re_crossings == 1
@@ -342,7 +403,7 @@ def test_crossing_check_open_contour():
 
 
 def test_trace_table_shapes():
-    t, z, v, arg = trace_table(lambda z: z, circle_contour(0.0, 1.0),
+    t, z, v, arg = trace_table(identity, circle_contour(0.0, 1.0),
                                n_per_segment=128)
     assert t.shape == z.shape == v.shape == arg.shape == (129,)
     assert np.all(np.diff(t) > 0)

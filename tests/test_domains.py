@@ -17,8 +17,8 @@ from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
                          theorem2_proof_bound, verify_bound_inequalities)
 from mzl.elliptic import lattice, wp_analytic, wp_pair
 from mzl.errors import AmbiguityError, InvalidSpecError
-from mzl.poly import BivariatePolynomial, eval_composed, perturb
-from mzl.special import j_analytic, klein_j
+from mzl.poly import BivariatePolynomial, PerturbedComposite, perturb
+from mzl.special import klein_j, klein_j_pair
 
 
 def poly_y_minus(c) -> BivariatePolynomial:
@@ -204,6 +204,15 @@ def test_count_zeros_j_rejects_zero_polynomial():
         count_zeros_j(BivariatePolynomial([[0.0]]))
 
 
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_count_zeros_rejects_samples_below_one(n_samples):
+    with pytest.raises(InvalidSpecError, match="samples"):
+        count_zeros_j(poly_y_minus(2000j), n_samples=n_samples)
+    with pytest.raises(InvalidSpecError, match="samples"):
+        count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0),
+                       n_samples=n_samples)
+
+
 def test_count_zeros_j_y_invariance():
     base = count_zeros_j(poly_y_minus(2000j), JDomainSpec(Y=2.5))
     high = count_zeros_j(poly_y_minus(2000j), JDomainSpec(Y=3.5))
@@ -292,23 +301,23 @@ def test_count_zeros_wp_degree_5_has_no_negative_quadrant(tau, beta, seed):
     rep = count_zeros_wp(P, WpDomainSpec(tau, beta=beta))
     region = WpDomainSpec(tau, beta, rep.domain["delta"])
     inner = wp_analytic(lattice(tau))
-    dense = winding_number(lambda z: eval_composed(P, inner, z),
+    dense = winding_number(PerturbedComposite(P, inner, 0.0, 0.0).pair,
                            build_wp_contour(region), n_initial=8193)
     assert rep.count == rep.winding == dense.winding
     assert rep.bound_holds
 
 
 def test_winding_does_not_depend_on_the_callable(lat1):
-    # f' comes from samples of f itself, never from attributes of the
+    # f and f' come from the one call of f, never from attributes of the
     # callable, so a plain wrapper around f gives the identical result
-    cases = ((poly_y_minus(2000j), j_analytic(),
+    cases = ((poly_y_minus(2000j), klein_j_pair,
               build_j_contour(JDomainSpec())),
              (poly_y_minus(2.5 + 1.5j), wp_analytic(lat1),
               build_wp_contour(WpDomainSpec(1.0))))
     for P, inner, contour in cases:
         pert = perturb(P, inner, contour.sample(512))
-        direct = winding_number(pert.value, contour)
-        wrapped = winding_number(lambda z: pert.value(z), contour)
+        direct = winding_number(pert.pair, contour)
+        wrapped = winding_number(lambda z: pert.pair(z), contour)
         assert direct == wrapped
 
 
@@ -320,7 +329,7 @@ def test_boundary_scan_flags_zeros_on_the_contour(lat1):
     # j - 1728 vanishes at z = i on the arc, wp - e1 at z = 1/2 on the
     # bottom edge; both points are boundary samples
     samples = build_j_contour(JDomainSpec()).sample(512)
-    _, near_zero = _boundary_scan(poly_y_minus(1728.0), j_analytic(),
+    _, near_zero = _boundary_scan(poly_y_minus(1728.0), klein_j_pair,
                                   samples)
     assert near_zero.any()
     e1 = lat1.half_period_values[0]
@@ -335,7 +344,7 @@ def test_boundary_scan_ignores_growth_near_rho():
     samples = build_j_contour(JDomainSpec()).sample(512)
     rho = complex(-0.5, math.sqrt(3.0) / 2.0)
     near = samples[np.abs(samples - rho) < 0.25]
-    vals, near_zero = _boundary_scan(P, j_analytic(), near)
+    vals, near_zero = _boundary_scan(P, klein_j_pair, near)
     mods = np.abs(vals)
     assert float(mods.max()) > 1e9 * float(mods.min())
     assert not near_zero.any()

@@ -126,6 +126,29 @@ def test_manual_reciprocal_chain():
     assert chain_residual(chain, n_samples=100) < 1e-7
 
 
+def test_chain_residual_evaluates_each_member_once():
+    chain = build_ratio_chain()
+    calls = [0] * chain.order
+
+    def counting(i, ev):
+        def counted(x):
+            calls[i] += 1
+            return ev(x)
+        return counted
+
+    counted = PfaffianChain(
+        chain.rhs, chain.domain,
+        [counting(i, ev) for i, ev in enumerate(chain.member_evaluators)],
+        chain.sample_offset, chain.label)
+    assert chain_residual(counted, n_samples=20) < 1e-7
+    assert calls == [1] * chain.order
+
+
+def test_chain_residual_rejects_an_empty_grid():
+    with pytest.raises(InvalidSpecError):
+        chain_residual(build_ratio_chain(), n_samples=0)
+
+
 def test_chain_validation_errors():
     good = MultiPoly({(0, 2): -1.0}, 2)
     with pytest.raises(InvalidSpecError):

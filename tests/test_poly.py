@@ -9,11 +9,10 @@ from mzl.contour import circle_contour, winding_number
 from mzl.domains import JDomainSpec, build_j_contour, random_polynomial
 from mzl.elliptic import wp_pair
 from mzl.errors import CannotPerturbError
-from mzl.poly import (AnalyticFunction, BivariatePolynomial,
-                      PerturbedComposite, derivative_composed, eval_composed,
+from mzl.poly import (BivariatePolynomial, PerturbedComposite, eval_composed,
                       perturb, polynomial_from_json, polynomial_to_json)
 
-IDENTITY = AnalyticFunction(lambda z: (z, np.ones_like(z)))
+IDENTITY = lambda z: (z, np.ones_like(z))
 
 
 def _poly(rows):
@@ -70,41 +69,45 @@ def test_evaluate_pair_matches_the_partials(rng, dx, dy):
                                                    + np.abs(w)) * scale.real)
 
 
+def _derivative(P, f, z):
+    """d/dz P(z, f(z)) from the unperturbed composite."""
+    return PerturbedComposite(P, f, 0.0, 0.0).pair(z)[1]
+
+
 def test_derivative_composed_chain_rule(lat1):
     P = _poly([[0.0, 1.0]])  # P = Y, so d/dz P(z, wp(z)) = wp'(z)
-    wp = AnalyticFunction(lambda z: wp_pair(z, lat1))
+    wp = lambda z: wp_pair(z, lat1)
     z = 0.31 + 0.42j
-    assert abs(derivative_composed(P, wp, z) - wp_pair(z, lat1)[1]) < 1e-12
+    assert abs(_derivative(P, wp, z) - wp_pair(z, lat1)[1]) < 1e-12
 
 
 def test_derivative_composed_product_rule():
     P = _poly([[0.0, 0.0], [0.0, 1.0]])  # P = X*Y
     a, b, z0 = 2.5 - 1j, 0.75 + 0.25j, 1.2 + 0.3j
-    f = AnalyticFunction(lambda z: (a, b))
-    assert abs(derivative_composed(P, f, z0) - (a + z0 * b)) < 1e-12
+    f = lambda z: (a, b)
+    assert abs(_derivative(P, f, z0) - (a + z0 * b)) < 1e-12
 
 
 def test_derivative_composed_central_difference(rng, lat1, jfun):
-    wp = AnalyticFunction(lambda z: wp_pair(z, lat1))
+    wp = lambda z: wp_pair(z, lat1)
     for _ in range(15):
         c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         P = BivariatePolynomial(c)
         z = complex(rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85))
         fd = oracles.central_difference(lambda w: eval_composed(P, wp, w), z)
-        got = derivative_composed(P, wp, z)
+        got = _derivative(P, wp, z)
         assert abs(got - fd) < 1e-6 * (1.0 + abs(got))
         zj = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.9, 1.8))
         fd = oracles.central_difference(lambda w: eval_composed(P, jfun, w),
                                         zj)
-        got = derivative_composed(P, jfun, zj)
+        got = _derivative(P, jfun, zj)
         assert abs(got - fd) < 1e-6 * (1.0 + abs(got))
 
 
 def test_perturb_epsilon_is_half_min():
     P = _poly([[0.0, 1.0]])  # P = Y
-    two = AnalyticFunction(lambda z: (
-        np.full_like(np.asarray(z, dtype=complex), 2.0),
-        np.zeros_like(np.asarray(z, dtype=complex))))
+    two = lambda z: (np.full_like(np.asarray(z, dtype=complex), 2.0),
+                     np.zeros_like(np.asarray(z, dtype=complex)))
     pert = perturb(P, two, [0.0, 1.0, 1j])
     assert pert.epsilon == pytest.approx(1.0)
 
@@ -114,7 +117,7 @@ def test_perturb_zero_epsilon_reproduces_composite(jfun):
     pert = PerturbedComposite(P, jfun, 0.0, 0.0)
     z = 0.2 + 1.1j
     assert pert.value(z) == eval_composed(P, jfun, z)
-    assert pert.derivative(z) == derivative_composed(P, jfun, z)
+    assert pert.pair(z)[1] == P.evaluate_pair(z, *jfun(z))[1]
 
 
 def test_perturb_identically_zero_rejected(jfun):
@@ -142,13 +145,11 @@ def test_rouche_winding_invariance(rng, jfun):
     samples = contour.sample(256)
     for _ in range(8):
         P = random_polynomial(rng, 1, 1)
-        base = AnalyticFunction(
-            lambda z, P=P: (eval_composed(P, jfun, z),
-                            derivative_composed(P, jfun, z)))
+        base = lambda z, P=P: (eval_composed(P, jfun, z),
+                               _derivative(P, jfun, z))
         w0 = winding_number(base, contour).winding
         pert = perturb(P, jfun, samples)
-        fp = AnalyticFunction(pert.pair)
-        assert winding_number(fp, contour).winding == w0
+        assert winding_number(pert.pair, contour).winding == w0
 
 
 def test_polynomial_json_roundtrip(rng):
