@@ -11,7 +11,17 @@ samples, where it would read as a small step.  Every f this module takes
 is a pair callable, f(z) -> (f(z), f'(z)), so f' comes from the same
 call as f.  The log-derivative integral telescopes to the change of
 log|f| plus i times the accumulated phase, so no quadrature of f'/f is
-ever performed.
+ever performed.  Several contours can be refined together, one f call
+per round for all of them, each refined as it would be alone.
+
+Zeros are localized in two stages.  A coarse quadtree bisects the box
+breadth-first down to boxes of radius _COARSE_RADIUS, evaluating the
+quadrant contours of a whole level together.  Each coarse box of winding
+1 then runs Newton from its center, all boxes in one f call per step,
+and its root is reported with radius target_radius once f winds exactly
+once over that disk around it.  Boxes of higher winding, and those whose
+Newton run fails or whose disk winding is not 1, are bisected on down to
+target_radius.
 """
 from __future__ import annotations
 
@@ -30,6 +40,8 @@ _ZERO_RTOL = 1e-12
 _WINDING_MARGIN = 0.01
 _MAX_POINTS = 400000
 _MAX_DEPTH = 40
+# an interval shorter than this many ulps of |z| is never split
+_SPLIT_ULPS = 16.0
 _DOMINANCE_SAMPLES = 256
 _CROSSING_GRID = 4096
 
@@ -147,15 +159,21 @@ class WindingResult:
     samples_used: int
 
 
-def _sample(f, contour: Contour, t: np.ndarray):
-    """z(t), f(z) and |f'(z)/f(z)| at the contour parameters t, from one
-    call of the pair callable f at z."""
-    z = contour.point(t)
+def _pair(f, z):
+    """(f(z), f'(z)) as complex arrays, from one call of the pair
+    callable f."""
     out = f(z)
     # a plain f returning an array of two values would unpack silently
     if not (isinstance(out, tuple) and len(out) == 2):
         raise TypeError("f must return the pair (f(z), f'(z))")
-    v, dv = (np.asarray(a, dtype=complex) for a in out)
+    return tuple(np.asarray(a, dtype=complex) for a in out)
+
+
+def _sample(f, contour: Contour, t: np.ndarray):
+    """z(t), f(z) and |f'(z)/f(z)| at the contour parameters t, from one
+    call of the pair callable f at z."""
+    z = contour.point(t)
+    v, dv = _pair(f, z)
     finite = np.isfinite(v) & np.isfinite(dv)
     if not finite.all():
         raise MzlError(f"non-finite value at z={z[np.argmin(finite)]!r}")
@@ -164,58 +182,160 @@ def _sample(f, contour: Contour, t: np.ndarray):
     return z, v, rate
 
 
-def _contour_phase(f, contour: Contour, zero_atol: float,
-                   n_initial: int = 17):
-    """Adaptive phase accumulation over the whole contour, on its global
-    parameter t in [0, len(segments)].
+def _joined(contours: Sequence[Contour]) -> Contour:
+    """One Contour over the segments of all the contours, in order.  It
+    is not a chain: only its parameterization is used, so that a single
+    point call evaluates every contour."""
+    if len(contours) == 1:
+        return contours[0]
+    joined = Contour.__new__(Contour)
+    joined.segments = [s for c in contours for s in c.segments]
+    joined.closed = False
+    return joined
 
-    An interval is accepted once its phase step and |dz| max |f'/f| at
-    its two ends are both below pi/2; every refinement round evaluates f
-    once for all intervals it splits.  Returns (sum of phase steps, sum
-    of |steps|, min |f|, points used, log|f(end)| - log|f(start)|).
-    Raises ZeroOnContourError if |f| drops below _ZERO_RTOL * (max |f|
-    seen on the same segment) and, when zero_atol is positive, below
-    zero_atol as well.
+
+def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
+                    n_initial: int = 17) -> list:
+    """Adaptive phase accumulation over several contours at once.
+
+    Contour k runs over [o_k, o_k + n_k] of the global parameter of the
+    joined segments, n_k its segment count; its end point, but for the
+    last contour's, sits one ulp below o_k + n_k, inside its own last
+    segment.  An interval is accepted once its phase step and |dz| max
+    |f'/f| at its two ends are both below pi/2; every refinement round
+    evaluates f once, for all the intervals of all the contours it
+    splits.  Each contour is refined as it would be alone, up to the last
+    bits of an f whose rounding depends on the batch (klein_j_pair picks
+    its truncation order from the largest |q|).
+
+    Returns, per contour, the tuple (sum of phase steps, sum of |steps|,
+    min |f|, points used, log|f(end)| - log|f(start)|) or the error that
+    stopped it: ZeroOnContourError if |f| drops below _ZERO_RTOL * (max
+    |f| seen on the same segment) and, when zero_atol is positive, below
+    zero_atol as well; NonconvergenceError if the contour needs more than
+    _MAX_POINTS samples, or an interval to split is shorter than
+    _SPLIT_ULPS ulps of |z|, below which the samples no longer resolve
+    the phase.
     """
-    nseg = len(contour.segments)
-    t = np.linspace(0.0, float(nseg), nseg * (n_initial - 1) + 1)
-    z, v, rate = _sample(f, contour, t)
+    if n_initial < 2:
+        raise InvalidSpecError("n_initial must be at least 2")
+    joined = _joined(contours)
+    nsegs = np.array([len(c.segments) for c in contours])
+    offsets = np.concatenate([[0], np.cumsum(nsegs)])
+    nseg = int(offsets[-1])
+    # per contour the points of np.linspace(0, n, n (n_initial - 1) + 1),
+    # shifted by its offset
+    sizes = nsegs * (n_initial - 1) + 1
+    cid = np.repeat(np.arange(len(contours)), sizes)
+    ends = np.cumsum(sizes) - 1
+    t = (np.arange(ends[-1] + 1) - np.repeat(ends - sizes + 1, sizes)) \
+        * (1.0 / (n_initial - 1)) + offsets[cid]
+    t[ends] = offsets[1:]
+    t[ends[:-1]] = np.nextafter(t[ends[:-1]], -np.inf)
+    errors: dict = {}
+    alive = np.ones(len(contours), dtype=bool)
+
+    def stop(k, error):
+        errors[k] = error
+        alive[k] = False
+
+    z, v, rate = _sample(f, joined, t)
     while True:
         mods = np.abs(v)
         # with an absolute floor a point must fall below both: the floor
         # alone misfires next to a legitimate interior zero, the relative
-        # test alone on segments spanning many decades of |f|
+        # test alone on segments spanning many decades of |f|.  t is
+        # sorted and every segment holds samples, so each segment is one
+        # run of seg
         seg = np.minimum(t.astype(int), nseg - 1)
-        seg_max = np.zeros(nseg)
-        np.maximum.at(seg_max, seg, mods)
+        seg_max = np.maximum.reduceat(mods, np.searchsorted(seg,
+                                                            np.arange(nseg)))
         hit = mods < _ZERO_RTOL * seg_max[seg]
         if zero_atol > 0.0:
             hit &= mods < zero_atol
+        hit &= alive[cid]
         if hit.any():
-            i = int(np.argmin(np.where(hit, mods, np.inf)))
-            raise ZeroOnContourError("|f| below tolerance on contour",
-                                     complex(z[i]), float(mods[i]))
-        dphi = np.angle(v[1:] / v[:-1])
-        # the phase step alone cannot see a whole 2 pi k turn between two
-        # samples; near a zero at distance d, |f'/f| ~ 1/d, so the step
-        # bound refines exactly where such a turn could hide
-        step = np.abs(np.diff(z)) * np.maximum(rate[1:], rate[:-1])
-        bad = (np.abs(dphi) >= np.pi / 2.0) | (step >= np.pi / 2.0)
-        if not bad.any():
-            return (float(dphi.sum()), float(np.abs(dphi).sum()),
-                    float(mods.min()), t.size,
-                    float(np.log(mods[-1]) - np.log(mods[0])))
+            for k in np.flatnonzero(np.bincount(cid[hit],
+                                                minlength=len(contours))):
+                idx = np.flatnonzero(hit & (cid == k))
+                i = idx[np.argmin(mods[idx])]
+                stop(k, ZeroOnContourError("|f| below tolerance on contour",
+                                           complex(z[i]), float(mods[i])))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dphi = np.angle(v[1:] / v[:-1])
+            # the phase step alone cannot see a whole 2 pi k turn between
+            # two samples; near a zero at distance d, |f'/f| ~ 1/d, so the
+            # step bound refines exactly where such a turn could hide
+            dz = np.abs(np.diff(z))
+            step = dz * np.maximum(rate[1:], rate[:-1])
+        left = cid[:-1]
+        bad = ((cid[1:] == left) & alive[left]
+               & ((np.abs(dphi) >= np.pi / 2.0) | (step >= np.pi / 2.0)))
+        split = np.flatnonzero(bad)
+        if not split.size:
+            break
+        tm = 0.5 * (t[split] + t[split + 1])
+        # below a few ulps of |z| the samples no longer resolve the phase
+        # (nor, at the last bit of t, does the midpoint fall between)
+        floor = _SPLIT_ULPS * np.spacing(np.maximum(np.abs(z[split]),
+                                                    np.abs(z[split + 1])))
+        tiny = ((dz[split] < floor) | (tm <= t[split])
+                | (tm >= t[split + 1]))
+        for i in split[tiny]:
+            if alive[left[i]]:
+                stop(left[i], NonconvergenceError(
+                    f"phase refinement reached float resolution at "
+                    f"z={complex(z[i])!r}"))
         if t.size > _MAX_POINTS:
-            raise NonconvergenceError(
-                f"phase refinement exceeded {_MAX_POINTS} points")
-        tm = 0.5 * (t[:-1][bad] + t[1:][bad])
-        zm, vm, rm = _sample(f, contour, tm)
+            for k in np.flatnonzero(np.bincount(left[split],
+                                                minlength=len(contours))):
+                if alive[k] and np.count_nonzero(cid == k) > _MAX_POINTS:
+                    stop(k, NonconvergenceError(
+                        f"phase refinement exceeded {_MAX_POINTS} points"))
+        keep = alive[left[split]]
+        if not keep.all():
+            split, tm = split[keep], tm[keep]
+            if not split.size:
+                break
+        zm, vm, rm = _sample(f, joined, tm)
         t = np.concatenate([t, tm])
         order = np.argsort(t, kind="stable")
         t = t[order]
+        cid = np.concatenate([cid, left[split]])[order]
         z = np.concatenate([z, zm])[order]
         v = np.concatenate([v, vm])[order]
         rate = np.concatenate([rate, rm])[order]
+    bounds = np.searchsorted(cid, np.arange(len(contours) + 1))
+    out = []
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if k in errors:
+            out.append(errors[k])
+            continue
+        d = dphi[lo:hi - 1]
+        out.append((float(d.sum()), float(np.abs(d).sum()),
+                    float(mods[lo:hi].min()), int(hi - lo),
+                    float(np.log(mods[hi - 1]) - np.log(mods[lo]))))
+    return out
+
+
+def _contour_phase(f, contour: Contour, zero_atol: float,
+                   n_initial: int = 17):
+    """_contour_phases for one contour; its error is raised."""
+    res = _contour_phases(f, [contour], zero_atol, n_initial)[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _integer_winding(total: float) -> int:
+    """The winding of an accumulated phase total; NonconvergenceError
+    unless it is within _WINDING_MARGIN of an integer."""
+    w = total / (2.0 * np.pi)
+    wi = int(np.round(w))
+    if abs(w - wi) >= _WINDING_MARGIN:
+        raise NonconvergenceError(
+            f"winding {w:.6f} is not within {_WINDING_MARGIN} of an integer")
+    return wi
 
 
 def winding_number(f, contour: Contour, zero_atol: float = 0.0,
@@ -230,12 +350,7 @@ def winding_number(f, contour: Contour, zero_atol: float = 0.0,
         raise InvalidSpecError("winding_number requires a closed contour")
     total, tv, min_mod, used, _ = _contour_phase(f, contour, zero_atol,
                                                  n_initial=n_initial)
-    w = total / (2.0 * np.pi)
-    wi = int(np.round(w))
-    if abs(w - wi) >= _WINDING_MARGIN:
-        raise NonconvergenceError(
-            f"winding {w:.6f} is not within {_WINDING_MARGIN} of an integer")
-    return WindingResult(wi, tv, min_mod, used)
+    return WindingResult(_integer_winding(total), tv, min_mod, used)
 
 
 def log_derivative_integral(f, contour: Contour) -> complex:
@@ -327,17 +442,45 @@ class LocalizedZero:
 
 
 _CUT_SHIFTS = [0.0, 0.031, -0.057, 0.083, -0.113, 0.137]
+# the coarse stage stops at boxes of this radius; Newton takes each
+# winding-1 box on from there
+_COARSE_RADIUS = 3e-2
+# Newton stops once its step is below this many ulps of |z|, or after
+# this many steps
+_NEWTON_ULPS = 4.0
+_NEWTON_STEPS = 40
+
+
+def _center(box) -> complex:
+    x0, x1, y0, y1 = box
+    return complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+
+
+def _radius(box) -> float:
+    x0, x1, y0, y1 = box
+    return 0.5 * float(np.hypot(x1 - x0, y1 - y0))
 
 
 def localize_zeros(f, box, target_radius: float = 1e-8,
                    zero_atol: float = 0.0) -> list[LocalizedZero]:
-    """Quadtree localization of the zeros of f inside an axis-aligned box.
+    """Localization of the zeros of f inside an axis-aligned box, in two
+    stages.
 
-    box = (x0, x1, y0, y1).  Returns disks whose multiplicities sum to the
-    winding of f over the box boundary.  Boxes that still hold winding > 1
-    at depth _MAX_DEPTH come back with resolved=False (cluster reports).
-    A zero on the box boundary raises ZeroOnContourError; moving the box
-    is the caller's move.
+    box = (x0, x1, y0, y1).  The coarse stage bisects breadth-first down
+    to boxes of radius _COARSE_RADIUS (or target_radius, if larger),
+    with the quadrant windings of a whole level in one phase batch.  The
+    fine stage runs Newton from the center of every coarse box of
+    winding 1, all boxes in one f call per step, and certifies each root
+    by one winding over the disk of radius target_radius around it.  A
+    box whose Newton root is not inside it or whose disk winding is not
+    1, and a box of winding > 1, goes on bisecting down to target_radius.
+
+    Returns disks whose multiplicities sum to the winding of f over the
+    box boundary: a Newton root with radius target_radius, or the center
+    and half-diagonal of a box of radius <= target_radius.  Boxes that
+    still hold winding > 1 at depth _MAX_DEPTH come back with
+    resolved=False (cluster reports).  A zero on the box boundary raises
+    ZeroOnContourError; moving the box is the caller's move.
     """
     w = winding_number(f, rectangle_contour(*box),
                        zero_atol=zero_atol).winding
@@ -345,46 +488,142 @@ def localize_zeros(f, box, target_radius: float = 1e-8,
         raise MzlError("negative winding: a pole lies inside the box")
     if w == 0:
         return []
-    return _subdivide(f, box, w, 0, target_radius, zero_atol)
-
-
-def _subdivide(f, box, w, depth, target_radius,
-               zero_atol) -> list[LocalizedZero]:
-    x0, x1, y0, y1 = box
-    center = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-    radius = 0.5 * float(np.hypot(x1 - x0, y1 - y0))
-    if radius <= target_radius:
-        return [LocalizedZero(center, radius, w, True)]
-    if depth >= _MAX_DEPTH:
-        return [LocalizedZero(center, radius, w, False)]
-    # the parent boundary is already clear of zeros, so a hit comes from
-    # a cut line; shifting the cut by a fraction of the box always
-    # escapes the |f| < tol neighborhood of a zero, unlike a fixed-size
-    # nudge
-    for shift in _CUT_SHIFTS:
-        xm = 0.5 * (x0 + x1) + shift * (x1 - x0)
-        ym = 0.5 * (y0 + y1) + shift * (y1 - y0)
-        quads = [(x0, xm, y0, ym), (xm, x1, y0, ym),
-                 (xm, x1, ym, y1), (x0, xm, ym, y1)]
-        try:
-            windings = [winding_number(f, rectangle_contour(*q),
-                                       zero_atol=zero_atol).winding
-                        for q in quads]
-            break
-        except ZeroOnContourError as exc:
-            last_error = exc
-    else:
-        raise last_error
-    if sum(windings) != w:
-        raise NonconvergenceError(
-            f"quadrant windings {windings} do not sum to the parent's {w}")
-    if min(windings) < 0:
-        raise MzlError("negative winding in a quadrant")
     out: list[LocalizedZero] = []
-    for wq, bq in zip(windings, quads):
-        if wq > 0:
-            out.extend(_subdivide(f, bq, wq, depth + 1, target_radius,
-                                  zero_atol))
+    coarse = _quadtree(f, [(box, w, 0)], max(target_radius, _COARSE_RADIUS),
+                       zero_atol, out)
+    simple, rest = [], []
+    for leaf in coarse:
+        fine = leaf[1] == 1 and _radius(leaf[0]) > target_radius
+        (simple if fine else rest).append(leaf)
+    roots = _newton_roots(f, [leaf[0] for leaf in simple], box,
+                          target_radius, zero_atol)
+    for leaf, root in zip(simple, roots):
+        if root is None:
+            rest.append(leaf)
+        else:
+            out.append(LocalizedZero(root, target_radius, 1, True))
+    for b, wb, _ in _quadtree(f, rest, target_radius, zero_atol, out):
+        out.append(LocalizedZero(_center(b), _radius(b), wb, True))
+    return out
+
+
+def _quadtree(f, live, stop_radius, zero_atol, out) -> list:
+    """Breadth-first bisection of the boxes (box, winding, depth) in live
+    down to radius stop_radius; returns those leaves.  Boxes that reach
+    depth _MAX_DEPTH first go to out as unresolved."""
+    leaves = []
+    while live:
+        parents = []
+        for b, w, depth in live:
+            if _radius(b) <= stop_radius:
+                leaves.append((b, w, depth))
+            elif depth >= _MAX_DEPTH:
+                out.append(LocalizedZero(_center(b), _radius(b), w, False))
+            else:
+                parents.append((b, w, depth))
+        children = _split(f, parents, zero_atol)
+        live = [(q, wq, depth + 1)
+                for (_, _, depth), quads in zip(parents, children)
+                for q, wq in quads if wq > 0]
+    return leaves
+
+
+def _split(f, parents, zero_atol) -> list:
+    """The quadrants of each parent (box, winding, depth) with their
+    windings, from one phase batch over all of them per round of cuts.
+
+    The parent boundary is already clear of zeros, so a hit comes from a
+    cut line; that parent alone moves its cuts to the next _CUT_SHIFTS
+    entry.  Shifting the cut by a fraction of the box always escapes the
+    |f| < tol neighborhood of a zero, unlike a fixed-size nudge.
+    """
+    shifts = [0] * len(parents)
+    out: list = [None] * len(parents)
+    pending = list(range(len(parents)))
+    while pending:
+        quads = []
+        for i in pending:
+            x0, x1, y0, y1 = parents[i][0]
+            xm = 0.5 * (x0 + x1) + _CUT_SHIFTS[shifts[i]] * (x1 - x0)
+            ym = 0.5 * (y0 + y1) + _CUT_SHIFTS[shifts[i]] * (y1 - y0)
+            quads.append([(x0, xm, y0, ym), (xm, x1, y0, ym),
+                          (xm, x1, ym, y1), (x0, xm, ym, y1)])
+        res = _contour_phases(f, [rectangle_contour(*q)
+                                  for qs in quads for q in qs], zero_atol)
+        retry = []
+        for n, (i, qs) in enumerate(zip(pending, quads)):
+            windings = []
+            for r in res[4 * n:4 * n + 4]:
+                if (isinstance(r, ZeroOnContourError)
+                        and shifts[i] + 1 < len(_CUT_SHIFTS)):
+                    shifts[i] += 1
+                    retry.append(i)
+                    break
+                if isinstance(r, Exception):
+                    raise r
+                windings.append(_integer_winding(r[0]))
+            else:
+                if sum(windings) != parents[i][1]:
+                    raise NonconvergenceError(
+                        f"quadrant windings {windings} do not sum to the "
+                        f"parent's {parents[i][1]}")
+                if min(windings) < 0:
+                    raise MzlError("negative winding in a quadrant")
+                out[i] = list(zip(qs, windings))
+        pending = retry
+    return out
+
+
+def _inside(z, boxes: np.ndarray) -> np.ndarray:
+    """Per point, whether it lies in the box (x0, x1, y0, y1), or in its
+    own box of the rows of boxes; NaN lies in none."""
+    x0, x1, y0, y1 = boxes.T
+    return (x0 <= z.real) & (z.real <= x1) & (y0 <= z.imag) & (z.imag <= y1)
+
+
+def _newton_roots(f, boxes, region, target_radius, zero_atol) -> list:
+    """Per box of winding 1, its zero from Newton z <- z - f/f' started at
+    the box center, or None.
+
+    Every step evaluates f once, at the iterates of all the boxes still
+    running.  A run stops when its step falls below _NEWTON_ULPS ulps of
+    |z| or after _NEWTON_STEPS steps.  The iterates may overshoot their
+    box, as they do from the center when the zero sits next to its edge,
+    but a run that leaves the region box (where f was asked for) gives
+    None, and so does a root outside its own box.  A root counts only if
+    f winds exactly once over the circle of radius target_radius around
+    it; those windings are one phase batch.
+    """
+    out: list = [None] * len(boxes)
+    if not boxes:
+        return out
+    boxes = np.array(boxes, dtype=float)
+    region = np.array(region, dtype=float)
+    z = np.array([_center(b) for b in boxes])
+    running = np.ones(len(boxes), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        idx = np.flatnonzero(running)
+        if idx.size == 0:
+            break
+        v, dv = _pair(f, z[idx])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = v / dv
+            zn = z[idx] - step
+        inside = _inside(zn, region)
+        z[idx] = np.where(inside, zn, np.nan)
+        done = ~inside | (np.abs(step)
+                          <= _NEWTON_ULPS * np.spacing(np.abs(zn)))
+        running[idx[done]] = False
+    found = np.flatnonzero(_inside(z, boxes))
+    if not found.size:
+        return out
+    disks = _contour_phases(f, [circle_contour(z[i], target_radius)
+                                for i in found], zero_atol)
+    for i, r in zip(found, disks):
+        if isinstance(r, Exception):
+            continue
+        if abs(r[0] / (2.0 * np.pi) - 1.0) < _WINDING_MARGIN:
+            out[i] = complex(z[i])
     return out
 
 

@@ -255,6 +255,9 @@ def ratio_pfaffian_function() -> PfaffianFunction:
     return PfaffianFunction(chain, outer)
 
 
+_STENCIL_H = 1e-5
+
+
 def chain_residual(chain: PfaffianChain, n_samples: int = 200) -> float:
     """max |f_i'(x) - R_i(x, f_1..f_i)| over a sample grid.
 
@@ -265,29 +268,42 @@ def chain_residual(chain: PfaffianChain, n_samples: int = 200) -> float:
     stacked.  The grid is inset from the domain ends by the chain's
     sample_offset so x +- 2h stays interior.
     """
+    return _stencil_residual(chain, *_member_stencils(chain, n_samples))
+
+
+def _member_stencils(chain: PfaffianChain, n_samples: int):
+    """The grid xs of chain_residual, and per member its values on xs,
+    xs + 2h, xs + h, xs - h and xs - 2h as the rows of one array.  A
+    chain that differs only in its right-hand sides shares them."""
     if n_samples < 1:
         raise InvalidSpecError(f"samples must be at least 1, got {n_samples}")
     a, b = chain.domain
     off = chain.sample_offset
     if not (a + off < b - off):
         raise InvalidSpecError("offset swallows the whole domain")
-    h = 1e-5
+    h = _STENCIL_H
     xs = np.linspace(a + off, b - off, n_samples)
     stacked = np.concatenate([xs, xs + 2 * h, xs + h, xs - h, xs - 2 * h])
-    worst = 0.0
-    values = []
+    stencils = []
     for i, ev in enumerate(chain.member_evaluators):
         try:
-            vals, *shifted = np.asarray(ev(stacked), dtype=complex).reshape(
-                5, n_samples)
+            stencils.append(np.asarray(ev(stacked), dtype=complex).reshape(
+                5, n_samples))
         except Exception as exc:
             raise MzlError(
                 f"member {i + 1} of chain {chain.label!r} failed on "
                 f"[{xs[0]:.6g}, {xs[-1]:.6g}]: {exc}") from exc
-        values.append(vals)
+    return xs, stencils
+
+
+def _stencil_residual(chain: PfaffianChain, xs, stencils) -> float:
+    """chain_residual from the member stencils of _member_stencils."""
+    values = [s[0] for s in stencils]
+    worst = 0.0
+    for i, (_, *shifted) in enumerate(stencils):
         deriv = (-shifted[0] + 8.0 * shifted[1]
-                 - 8.0 * shifted[2] + shifted[3]) / (12.0 * h)
-        rhs_val = chain.rhs[i].eval(xs, values)
+                 - 8.0 * shifted[2] + shifted[3]) / (12.0 * _STENCIL_H)
+        rhs_val = chain.rhs[i].eval(xs, values[:i + 1])
         worst = max(worst, float(np.abs(deriv - rhs_val).max()))
     return worst
 

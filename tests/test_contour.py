@@ -4,13 +4,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mzl.contour as contour_module
 from mzl.contour import (ArcSegment, Contour, LineSegment, circle_contour,
                          crossing_bound_check, dominant_term_bound,
                          localize_zeros, log_derivative_integral,
                          rectangle_contour, trace_table, winding_number)
 from mzl.domains import (JDomainSpec, WpDomainSpec, build_j_contour,
                          build_wp_contour)
-from mzl.errors import DominanceError, InvalidSpecError, ZeroOnContourError
+from mzl.errors import (DominanceError, InvalidSpecError, NonconvergenceError,
+                        ZeroOnContourError)
 from mzl.special import klein_j, klein_j_derivative, klein_j_pair
 
 ZERO_FN = lambda z: (np.zeros(np.shape(z), dtype=complex),
@@ -242,13 +244,14 @@ def test_winding_sees_zeros_hugging_an_edge():
 
 def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
     # an f that returns (f, f') is evaluated only at the points the
-    # refinement asks for: one call per round, no z +- h
+    # refinement asks for, one call per round, or at Newton iterates:
+    # never at z +- h
     asked, got = [], []
     point = Contour.point
 
     def recording_point(self, t):
         z = point(self, t)
-        asked.append(z)
+        asked.append((t, z))
         return z
 
     monkeypatch.setattr(Contour, "point", recording_point)
@@ -256,20 +259,152 @@ def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
     dco = np.polyder(co)
 
     def pair(z):
-        got.append(np.array(z))
+        got.append((np.array(z), len(asked)))
         return np.polyval(co, z), np.polyval(dco, z)
 
     res = winding_number(pair, rectangle_contour(0, 1, -0.5, 0.5))
     assert res.winding == 3
     assert len(got) == len(asked) > 1
-    assert all(np.array_equal(a, g) for a, g in zip(asked, got))
-    assert sum(g.size for g in got) == res.samples_used
+    assert all(np.array_equal(a[1], g[0]) for a, g in zip(asked, got))
+    assert sum(g[0].size for g in got) == res.samples_used
     asked.clear()
     got.clear()
     zeros = localize_zeros(pair, (0.0, 1.0, -0.5, 0.5), target_radius=1e-3)
     assert sum(z.multiplicity for z in zeros) == 3
-    assert len(got) == len(asked) > 4
-    assert all(np.array_equal(a, g) for a, g in zip(asked, got))
+    # each call is either the batch of the one point call made since the
+    # call before it, or a Newton batch: the first of a run at box
+    # centers, the midpoints of two sampled corners (points at integer
+    # t), every later one at iterates z - f/f' of the call before it
+    corners = np.concatenate([z[t == np.floor(t)] for t, z in asked])
+    used, newton, prev = 0, 0, None
+    for z, n_asked in got:
+        if n_asked == used + 1:
+            assert np.array_equal(asked[used][1], z)
+            used, prev = n_asked, None
+            continue
+        assert n_asked == used
+        if prev is None:
+            mids = 0.5 * (corners[:, None] + corners[None, :])
+            assert all((mids == c).any() for c in z)
+        else:
+            zp, vp, dvp = prev
+            assert np.isin(z, zp - vp / dvp).all()
+        newton += 1
+        prev = (z, np.polyval(co, z), np.polyval(dco, z))
+    assert used == len(asked)
+    assert newton > 1
+
+
+def test_coarse_level_is_one_f_call_per_refinement_round(monkeypatch):
+    # the two zeros fall in different quadrants of the first cut, so the
+    # next level has two live boxes: their eight quadrant windings share
+    # every refinement round, as many rounds as the slowest one alone.
+    # Two zeros just outside the box make the edges next to them refine
+    f = roots_pair([0.31 + 0.22j, -0.41 - 0.27j, 1.003 + 0.3j, -0.7 - 1.004j])
+    calls = []
+    point = Contour.point
+
+    def recording_point(self, t):
+        calls.append(self)
+        return point(self, t)
+
+    monkeypatch.setattr(Contour, "point", recording_point)
+    zeros = localize_zeros(f, (-1.0, 1.0, -1.0, 1.0))
+    assert sorted(z.multiplicity for z in zeros) == [1, 1]
+    batches = [c for i, c in enumerate(calls)
+               if len(c.segments) == 32 and c not in calls[:i]]
+    slowest = []
+    for batch in batches:
+        rounds = sum(c is batch for c in calls)
+        alone = []
+        for k in range(0, 32, 4):
+            lo, hi = batch.segments[k].z0, batch.segments[k + 2].z0
+            before = len(calls)
+            winding_number(f, rectangle_contour(lo.real, hi.real,
+                                                lo.imag, hi.imag))
+            alone.append(len(calls) - before)
+        assert rounds == max(alone) < sum(alone)
+        slowest.append(rounds)
+    assert max(slowest) > 2
+
+
+def test_localize_newton_roots_are_exact(rng):
+    # isolated simple zeros of random polynomials, in expanded form, come
+    # back from Newton to rounding accuracy, each with its certified disk
+    # of radius target_radius
+    box = (-1.0, 1.0, -1.0, 1.0)
+    for _ in range(10):
+        n = int(rng.integers(1, 6))
+        roots = rng.uniform(-0.95, 0.95, n) + 1j * rng.uniform(-0.95, 0.95, n)
+        gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(n)
+        if gaps.min() < 0.1:
+            continue
+        zeros = localize_zeros(poly_pair(np.poly(roots)), box)
+        assert len(zeros) == n
+        for z in zeros:
+            assert z.multiplicity == 1 and z.resolved
+            assert z.radius == 1e-8
+            assert np.abs(roots - z.center).min() < 1e-12
+
+
+def test_localize_disk_winding_equals_multiplicity(rng):
+    box = (-1.0, 1.0, -1.0, 1.0)
+    for _ in range(6):
+        n = int(rng.integers(1, 4))
+        roots = rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
+        gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(n)
+        if gaps.min() < 0.1:
+            continue
+        # the first root doubled goes through the fallback bisection
+        f = roots_pair(np.concatenate([roots, roots[:1]]))
+        zeros = localize_zeros(f, box, target_radius=1e-6)
+        assert sum(z.multiplicity for z in zeros) == n + 1
+        for z in zeros:
+            assert z.resolved
+            disk = circle_contour(z.center, z.radius)
+            assert winding_number(f, disk).winding == z.multiplicity
+
+
+def test_localize_falls_back_when_newton_leaves_the_box():
+    # f = (z - a) exp(z / (1.001 a)) has its one zero at a, but f' nearly
+    # vanishes at the center 0 of the box, so the first Newton step lands
+    # about 1000 |a| away; the box is bisected down to target_radius
+    a = 0.007 + 0.004j
+    k = 1.0 / (1.001 * a)
+
+    def f(z):
+        e = np.exp(k * z)
+        return (z - a) * e, (1.0 + k * (z - a)) * e
+
+    v, dv = f(0.0)
+    assert abs(0.0 - v / dv) > 1.0
+    box = (-0.02, 0.02, -0.02, 0.02)
+    zeros = localize_zeros(f, box, target_radius=1e-6)
+    assert len(zeros) == 1
+    z = zeros[0]
+    assert z.multiplicity == 1 and z.resolved
+    assert z.radius < 1e-6
+    assert abs(z.center - a) <= z.radius
+
+
+def test_phase_refinement_stops_at_float_resolution(monkeypatch):
+    # in expanded form the double zero is rounding noise within ~3e-9 of
+    # c, so the windings of 1e-8 boxes see a random phase there; no
+    # interval shorter than a few ulps is split, so the localization
+    # ends in a few dozen rounds instead of tens of thousands
+    rounds = [0]
+    sample = contour_module._sample
+
+    def counted(*args):
+        rounds[0] += 1
+        return sample(*args)
+
+    monkeypatch.setattr(contour_module, "_sample", counted)
+    c = 0.25 + 0.25j
+    with pytest.raises(NonconvergenceError, match="float resolution at z="):
+        localize_zeros(poly_pair(np.poly([c, c])), (-1.0, 1.0, -1.0, 1.0),
+                       target_radius=1e-8)
+    assert rounds[0] < 500
 
 
 def test_localize_random_polynomials(rng):

@@ -180,6 +180,17 @@ def test_count_zeros_j_plain_z():
     assert abs(rep.zeros[0].center - target) <= rep.epsilon + 1e-3
 
 
+def test_count_zeros_j_plain_z_newton_root():
+    # the perturbed composite z - target + offset is linear, so Newton
+    # lands on its zero to rounding, certified in a disk of the target
+    # radius
+    target = 0.1 + 1.5j
+    rep = count_zeros_j(poly_x_minus(target))
+    off = rep.epsilon * np.exp(1j * rep.theta)
+    assert abs(rep.zeros[0].center - (target - off)) < 1e-10
+    assert rep.zeros[0].radius == 1e-4
+
+
 def test_count_zeros_j_small_targets_cluster_at_corner():
     # both roots of the quadratic have small modulus, so their preimages
     # crowd the corner -1/2 + i sqrt(3)/2 where the modular function has

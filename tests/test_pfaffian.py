@@ -144,6 +144,38 @@ def test_chain_residual_evaluates_each_member_once():
     assert calls == [1] * chain.order
 
 
+def test_chain_suite_evaluates_the_hyp_members_once(monkeypatch):
+    # the corrupted negative control shares the hyp chain's members, so
+    # their values are reused, and both residuals stay those of
+    # chain_residual bit for bit
+    from mzl import verify
+    calls = []
+    build = verify.build_hypergeometric_chain
+
+    def counted_chain(*args):
+        chain = build(*args)
+
+        def counting(i, ev):
+            def counted(x):
+                calls.append(i)
+                return ev(x)
+            return counted
+
+        return PfaffianChain(
+            chain.rhs, chain.domain,
+            [counting(i, ev) for i, ev in enumerate(chain.member_evaluators)],
+            chain.sample_offset, chain.label)
+
+    monkeypatch.setattr(verify, "build_hypergeometric_chain", counted_chain)
+    rep = verify.chain_suite()
+    assert rep["pass"]
+    assert sorted(calls) == list(range(6))
+    hyp = build(0.3, 1.2, 0.8)
+    assert rep["hyp_residual"] == repr(chain_residual(hyp, 200))
+    assert rep["corrupted_residual"] == repr(
+        chain_residual(verify._corrupted(hyp), 200))
+
+
 def test_chain_residual_rejects_an_empty_grid():
     with pytest.raises(InvalidSpecError):
         chain_residual(build_ratio_chain(), n_samples=0)
