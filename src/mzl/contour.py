@@ -14,14 +14,8 @@ log|f| plus i times the accumulated phase, so no quadrature of f'/f is
 ever performed.  Several contours can be refined together, one f call
 per round for all of them, each refined as it would be alone.
 
-Zeros are localized in two stages.  A coarse quadtree bisects the box
-breadth-first down to boxes of radius _COARSE_RADIUS, evaluating the
-quadrant contours of a whole level together.  Each coarse box of winding
-1 then runs Newton from its center, all boxes in one f call per step,
-and its root is reported with radius target_radius once f winds exactly
-once over that disk around it.  Boxes of higher winding, and those whose
-Newton run fails or whose disk winding is not 1, are bisected on down to
-target_radius.
+Zeros are localized by a quadtree whose every box first tries Newton
+from its moment seeds (Delves & Lyness, Math. Comp. 21, 1967).
 """
 from __future__ import annotations
 
@@ -170,16 +164,14 @@ def _pair(f, z):
 
 
 def _sample(f, contour: Contour, t: np.ndarray):
-    """z(t), f(z) and |f'(z)/f(z)| at the contour parameters t, from one
-    call of the pair callable f at z."""
+    """z(t), f(z) and f'(z) at the contour parameters t, from one call of
+    the pair callable f at z."""
     z = contour.point(t)
     v, dv = _pair(f, z)
     finite = np.isfinite(v) & np.isfinite(dv)
     if not finite.all():
         raise MzlError(f"non-finite value at z={z[np.argmin(finite)]!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.abs(dv) / np.abs(v)
-    return z, v, rate
+    return z, v, dv
 
 
 def _joined(contours: Sequence[Contour]) -> Contour:
@@ -209,13 +201,13 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
     its truncation order from the largest |q|).
 
     Returns, per contour, the tuple (sum of phase steps, sum of |steps|,
-    min |f|, points used, log|f(end)| - log|f(start)|) or the error that
-    stopped it: ZeroOnContourError if |f| drops below _ZERO_RTOL * (max
-    |f| seen on the same segment) and, when zero_atol is positive, below
-    zero_atol as well; NonconvergenceError if the contour needs more than
-    _MAX_POINTS samples, or an interval to split is shorter than
-    _SPLIT_ULPS ulps of |z|, below which the samples no longer resolve
-    the phase.
+    min |f|, points used, log|f(end)| - log|f(start)|, and the samples
+    z, f(z), f'(z)) or the error that stopped it: ZeroOnContourError if
+    |f| drops below _ZERO_RTOL * (max |f| seen on the same segment) and,
+    when zero_atol is positive, below zero_atol as well;
+    NonconvergenceError if the contour needs more than _MAX_POINTS
+    samples, or an interval to split is shorter than _SPLIT_ULPS ulps of
+    |z|, below which the samples no longer resolve the phase.
     """
     if n_initial < 2:
         raise InvalidSpecError("n_initial must be at least 2")
@@ -239,7 +231,7 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
         errors[k] = error
         alive[k] = False
 
-    z, v, rate = _sample(f, joined, t)
+    z, v, dv = _sample(f, joined, t)
     while True:
         mods = np.abs(v)
         # with an absolute floor a point must fall below both: the floor
@@ -266,6 +258,7 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
             # the phase step alone cannot see a whole 2 pi k turn between
             # two samples; near a zero at distance d, |f'/f| ~ 1/d, so the
             # step bound refines exactly where such a turn could hide
+            rate = np.abs(dv) / mods
             dz = np.abs(np.diff(z))
             step = dz * np.maximum(rate[1:], rate[:-1])
         left = cid[:-1]
@@ -297,14 +290,19 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
             split, tm = split[keep], tm[keep]
             if not split.size:
                 break
-        zm, vm, rm = _sample(f, joined, tm)
-        t = np.concatenate([t, tm])
-        order = np.argsort(t, kind="stable")
-        t = t[order]
-        cid = np.concatenate([cid, left[split]])[order]
-        z = np.concatenate([z, zm])[order]
-        v = np.concatenate([v, vm])[order]
-        rate = np.concatenate([rate, rm])[order]
+        zm, vm, dvm = _sample(f, joined, tm)
+        # each midpoint lies strictly between its two neighbours, so it
+        # goes right after the left one and t stays sorted
+        at = split + np.arange(1, split.size + 1)
+        old = np.ones(t.size + at.size, dtype=bool)
+        old[at] = False
+        merged = []
+        for a, b in ((t, tm), (cid, left[split]), (z, zm), (v, vm),
+                     (dv, dvm)):
+            m = np.empty(old.size, dtype=a.dtype)
+            m[old], m[at] = a, b
+            merged.append(m)
+        t, cid, z, v, dv = merged
     bounds = np.searchsorted(cid, np.arange(len(contours) + 1))
     out = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -314,7 +312,8 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
         d = dphi[lo:hi - 1]
         out.append((float(d.sum()), float(np.abs(d).sum()),
                     float(mods[lo:hi].min()), int(hi - lo),
-                    float(np.log(mods[hi - 1]) - np.log(mods[lo]))))
+                    float(np.log(mods[hi - 1]) - np.log(mods[lo])),
+                    z[lo:hi], v[lo:hi], dv[lo:hi]))
     return out
 
 
@@ -348,15 +347,15 @@ def winding_number(f, contour: Contour, zero_atol: float = 0.0,
     """
     if not contour.closed:
         raise InvalidSpecError("winding_number requires a closed contour")
-    total, tv, min_mod, used, _ = _contour_phase(f, contour, zero_atol,
-                                                 n_initial=n_initial)
+    total, tv, min_mod, used = _contour_phase(f, contour, zero_atol,
+                                              n_initial=n_initial)[:4]
     return WindingResult(_integer_winding(total), tv, min_mod, used)
 
 
 def log_derivative_integral(f, contour: Contour) -> complex:
     """integral of f'/f over the contour, via d log f = d log|f| + i d arg f."""
-    d, _, _, _, dlog = _contour_phase(f, contour, 0.0)
-    return complex(dlog, d)
+    res = _contour_phase(f, contour, 0.0)
+    return complex(res[4], res[0])
 
 
 def dominant_term_bound(f, g, contour: Contour, C: float) -> float:
@@ -442,11 +441,6 @@ class LocalizedZero:
 
 
 _CUT_SHIFTS = [0.0, 0.031, -0.057, 0.083, -0.113, 0.137]
-# the coarse stage stops at boxes of this radius; Newton takes each
-# winding-1 box on from there
-_COARSE_RADIUS = 3e-2
-# Newton stops once its step is below this many ulps of |z|, or after
-# this many steps
 _NEWTON_ULPS = 4.0
 _NEWTON_STEPS = 40
 
@@ -463,17 +457,13 @@ def _radius(box) -> float:
 
 def localize_zeros(f, box, target_radius: float = 1e-8,
                    zero_atol: float = 0.0) -> list[LocalizedZero]:
-    """Localization of the zeros of f inside an axis-aligned box, in two
-    stages.
+    """Localization of the zeros of f inside the axis-aligned box
+    (x0, x1, y0, y1), by a breadth-first quadtree.
 
-    box = (x0, x1, y0, y1).  The coarse stage bisects breadth-first down
-    to boxes of radius _COARSE_RADIUS (or target_radius, if larger),
-    with the quadrant windings of a whole level in one phase batch.  The
-    fine stage runs Newton from the center of every coarse box of
-    winding 1, all boxes in one f call per step, and certifies each root
-    by one winding over the disk of radius target_radius around it.  A
-    box whose Newton root is not inside it or whose disk winding is not
-    1, and a box of winding > 1, goes on bisecting down to target_radius.
+    Every box of winding w, the top box and each quadrant, is done if
+    Newton from its w moment seeds gives w roots in it whose disks of
+    radius target_radius are disjoint and each wind exactly once; any
+    other box is bisected.  The boxes of a level share every f call.
 
     Returns disks whose multiplicities sum to the winding of f over the
     box boundary: a Newton root with radius target_radius, or the center
@@ -482,55 +472,40 @@ def localize_zeros(f, box, target_radius: float = 1e-8,
     resolved=False (cluster reports).  A zero on the box boundary raises
     ZeroOnContourError; moving the box is the caller's move.
     """
-    w = winding_number(f, rectangle_contour(*box),
-                       zero_atol=zero_atol).winding
+    top = _contour_phase(f, rectangle_contour(*box), zero_atol)
+    w = _integer_winding(top[0])
     if w < 0:
         raise MzlError("negative winding: a pole lies inside the box")
-    if w == 0:
-        return []
     out: list[LocalizedZero] = []
-    coarse = _quadtree(f, [(box, w, 0)], max(target_radius, _COARSE_RADIUS),
-                       zero_atol, out)
-    simple, rest = [], []
-    for leaf in coarse:
-        fine = leaf[1] == 1 and _radius(leaf[0]) > target_radius
-        (simple if fine else rest).append(leaf)
-    roots = _newton_roots(f, [leaf[0] for leaf in simple], box,
-                          target_radius, zero_atol)
-    for leaf, root in zip(simple, roots):
-        if root is None:
-            rest.append(leaf)
-        else:
-            out.append(LocalizedZero(root, target_radius, 1, True))
-    for b, wb, _ in _quadtree(f, rest, target_radius, zero_atol, out):
-        out.append(LocalizedZero(_center(b), _radius(b), wb, True))
+    live = [(box, w, 0, top)] if w else []
+    while live:
+        trying = []
+        for node in live:
+            b, wb, depth, _ = node
+            if _radius(b) > target_radius and depth < _MAX_DEPTH:
+                trying.append(node)
+            else:
+                out.append(LocalizedZero(_center(b), _radius(b), wb,
+                                         _radius(b) <= target_radius))
+        parents = []
+        for node, roots in zip(trying, _newton_roots(f, trying, target_radius,
+                                                     zero_atol)):
+            if roots is None:
+                parents.append(node)
+            else:
+                out.extend(LocalizedZero(r, target_radius, 1, True)
+                           for r in roots)
+        live = [(q, wq, depth + 1, rq)
+                for (_, _, depth, _), quads in zip(
+                    parents, _split(f, parents, zero_atol))
+                for q, wq, rq in quads if wq > 0]
     return out
 
 
-def _quadtree(f, live, stop_radius, zero_atol, out) -> list:
-    """Breadth-first bisection of the boxes (box, winding, depth) in live
-    down to radius stop_radius; returns those leaves.  Boxes that reach
-    depth _MAX_DEPTH first go to out as unresolved."""
-    leaves = []
-    while live:
-        parents = []
-        for b, w, depth in live:
-            if _radius(b) <= stop_radius:
-                leaves.append((b, w, depth))
-            elif depth >= _MAX_DEPTH:
-                out.append(LocalizedZero(_center(b), _radius(b), w, False))
-            else:
-                parents.append((b, w, depth))
-        children = _split(f, parents, zero_atol)
-        live = [(q, wq, depth + 1)
-                for (_, _, depth), quads in zip(parents, children)
-                for q, wq in quads if wq > 0]
-    return leaves
-
-
 def _split(f, parents, zero_atol) -> list:
-    """The quadrants of each parent (box, winding, depth) with their
-    windings, from one phase batch over all of them per round of cuts.
+    """The quadrants of each parent (box, winding, ...) with their
+    windings and phase results, from one phase batch over all of them
+    per round of cuts.
 
     The parent boundary is already clear of zeros, so a hit comes from a
     cut line; that parent alone moves its cuts to the next _CUT_SHIFTS
@@ -551,9 +526,9 @@ def _split(f, parents, zero_atol) -> list:
         res = _contour_phases(f, [rectangle_contour(*q)
                                   for qs in quads for q in qs], zero_atol)
         retry = []
-        for n, (i, qs) in enumerate(zip(pending, quads)):
+        for i, qs, rs in zip(pending, quads, zip(*[iter(res)] * 4)):
             windings = []
-            for r in res[4 * n:4 * n + 4]:
+            for r in rs:
                 if (isinstance(r, ZeroOnContourError)
                         and shifts[i] + 1 < len(_CUT_SHIFTS)):
                     shifts[i] += 1
@@ -569,7 +544,7 @@ def _split(f, parents, zero_atol) -> list:
                         f"parent's {parents[i][1]}")
                 if min(windings) < 0:
                     raise MzlError("negative winding in a quadrant")
-                out[i] = list(zip(qs, windings))
+                out[i] = list(zip(qs, windings, rs))
         pending = retry
     return out
 
@@ -581,26 +556,48 @@ def _inside(z, boxes: np.ndarray) -> np.ndarray:
     return (x0 <= z.real) & (z.real <= x1) & (y0 <= z.imag) & (z.imag <= y1)
 
 
-def _newton_roots(f, boxes, region, target_radius, zero_atol) -> list:
-    """Per box of winding 1, its zero from Newton z <- z - f/f' started at
-    the box center, or None.
+def _moment_seeds(box, w: int, z, v, dv) -> np.ndarray:
+    """The w roots of the polynomial whose power sums are those of the
+    zeros of f in the box (Delves & Lyness, Math. Comp. 21, 1967), from
+    the samples z, v = f(z), dv = f'(z) of its winding, once around it.
 
-    Every step evaluates f once, at the iterates of all the boxes still
-    running.  A run stops when its step falls below _NEWTON_ULPS ulps of
-    |z| or after _NEWTON_STEPS steps.  The iterates may overshoot their
-    box, as they do from the center when the zero sits next to its edge,
-    but a run that leaves the region box (where f was asked for) gives
-    None, and so does a root outside its own box.  A root counts only if
-    f winds exactly once over the circle of radius target_radius around
-    it; those windings are one phase batch.
-    """
-    out: list = [None] * len(boxes)
-    if not boxes:
-        return out
-    boxes = np.array(boxes, dtype=float)
-    region = np.array(region, dtype=float)
-    z = np.array([_center(b) for b in boxes])
-    running = np.ones(len(boxes), dtype=bool)
+    In u = (z - c) / r (box center c, half-diagonal r), the power sums
+    are s_k = w u0^k - (k / 2 pi i) closed integral u^(k-1) log f du, by
+    parts against the unwrapped log f, here by the trapezoid rule with
+    its endpoint-derivative correction on each interval.  Newton's
+    identities n a_n = -(s_1 a_(n-1) + ... + s_n a_0) give the monic
+    polynomial sum a_n u^(w-n)."""
+    c, r = _center(box), _radius(box)
+    u = (z - c) / r
+    logf = np.log(np.abs(v)) + 1j * np.concatenate(
+        [[np.angle(v[0])], np.angle(v[1:] / v[:-1])]).cumsum()
+    k = np.arange(1, w + 1)
+    p = u[:, None] ** (k - 1)
+    g = p * logf[:, None]
+    dg = p * ((k - 1) * (logf / u)[:, None] + (r * dv / v)[:, None])
+    du = np.diff(u)[:, None]
+    integral = (0.5 * du * (g[1:] + g[:-1])
+                + du ** 2 / 12.0 * (dg[:-1] - dg[1:])).sum(axis=0)
+    s = w * u[0] ** k - k * integral / (2j * np.pi)
+    a = [1.0 + 0j]
+    for n in range(1, w + 1):
+        a.append(-np.dot(s[:n], a[::-1]) / n)
+    return c + r * np.roots(a)
+
+
+def _newton_roots(f, nodes, target_radius, zero_atol) -> list:
+    """Per node (box, w, depth, phase result of its winding), the w zeros
+    of f in the box from Newton z <- z - f/f' started at its moment
+    seeds, or None.  Newton stops at a step below _NEWTON_ULPS ulps of
+    |z| or after _NEWTON_STEPS steps.  A box fails if one of its seeds
+    (then never evaluated) or iterates falls outside it."""
+    z = np.array([c for b, w, _, phase in nodes
+                  for c in _moment_seeds(b, w, *phase[5:])], dtype=complex)
+    owner = np.repeat(np.arange(len(nodes)), [node[1] for node in nodes])
+    own = np.array([nodes[n][0] for n in owner], dtype=float).reshape(-1, 4)
+    failed = np.zeros(len(nodes), dtype=bool)
+    failed[owner[~_inside(z, own)]] = True
+    running = ~failed[owner]
     for _ in range(_NEWTON_STEPS):
         idx = np.flatnonzero(running)
         if idx.size == 0:
@@ -609,22 +606,25 @@ def _newton_roots(f, boxes, region, target_radius, zero_atol) -> list:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = v / dv
             zn = z[idx] - step
-        inside = _inside(zn, region)
+        inside = _inside(zn, own[idx])
         z[idx] = np.where(inside, zn, np.nan)
         done = ~inside | (np.abs(step)
                           <= _NEWTON_ULPS * np.spacing(np.abs(zn)))
         running[idx[done]] = False
-    found = np.flatnonzero(_inside(z, boxes))
-    if not found.size:
-        return out
-    disks = _contour_phases(f, [circle_contour(z[i], target_radius)
-                                for i in found], zero_atol)
-    for i, r in zip(found, disks):
-        if isinstance(r, Exception):
-            continue
-        if abs(r[0] / (2.0 * np.pi) - 1.0) < _WINDING_MARGIN:
-            out[i] = complex(z[i])
-    return out
+    near = ((owner[:, None] == owner) & ~np.eye(z.size, dtype=bool)
+            & (np.abs(z[:, None] - z) <= 2.0 * target_radius)).any(axis=1)
+    # a box fails with any of its roots; the others get their disks
+    failed[owner[near | np.isnan(z)]] = True
+    good = ~failed[owner]
+    disks = _contour_phases(f, [circle_contour(c, target_radius)
+                                for c in z[good]], zero_atol) \
+        if good.any() else []
+    good[good] = [not isinstance(r, Exception)
+                  and abs(r[0] / (2.0 * np.pi) - 1.0) < _WINDING_MARGIN
+                  for r in disks]
+    failed[owner[~good]] = True
+    return [None if failed[n] else [complex(c) for c in z[owner == n]]
+            for n in range(len(nodes))]
 
 
 def trace_table(f, contour: Contour, n_per_segment: int = 256):

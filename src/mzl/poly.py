@@ -19,6 +19,8 @@ from .errors import CannotPerturbError
 # the most rounds of local refinement around the best angle
 _PERTURB_ANGLES = 64
 _PERTURB_REFINE_DEPTH = 6
+# the most (angle, sample) pairs one array op of the scan holds
+_SCAN_BLOCK = 8192
 
 
 class BivariatePolynomial:
@@ -191,21 +193,30 @@ def perturb_from_values(P: BivariatePolynomial, f, vals,
     elif not 0.0 <= eps < np.inf:
         raise ValueError("explicit eps must be finite and nonnegative")
 
-    def score(theta):
-        return float(np.abs(vals + eps * np.exp(1j * theta)).min())
+    # |v + eps e^{i theta}| >= |v| - eps, and every angle's minimum is at
+    # most min |v| + eps, so no other sample can attain a minimum (the
+    # margin covers rounding); dropping them leaves every minimum exact
+    near = vals[mods <= (float(mods.min()) + 2.0 * eps) * (1.0 + 1e-9)]
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, _PERTURB_ANGLES, endpoint=False)
-    scores = [score(t) for t in thetas]
-    best = int(np.argmax(scores))
-    theta, best_score = float(thetas[best]), scores[best]
+    rows = max(1, _SCAN_BLOCK // near.size)
+
+    def best_of(thetas):
+        """The angle of thetas with the largest min |P_eps| over the
+        samples, and that minimum; one (angles, samples) array op per
+        block of rows angles."""
+        offsets = eps * np.exp(1j * thetas)[:, None]
+        scores = np.concatenate([np.abs(near + offsets[i:i + rows]).min(axis=1)
+                                 for i in range(0, thetas.size, rows)])
+        best = int(np.argmax(scores))
+        return float(thetas[best]), float(scores[best])
+
+    theta, best_score = best_of(
+        np.linspace(0.0, 2.0 * np.pi, _PERTURB_ANGLES, endpoint=False))
     spacing = 2.0 * np.pi / _PERTURB_ANGLES
     depth = 0
     while (best_score <= eps / 4.0 and depth < _PERTURB_REFINE_DEPTH
            and eps > 0.0):
-        local = theta + np.linspace(-spacing, spacing, 17)
-        scores = [score(t) for t in local]
-        best = int(np.argmax(scores))
-        theta, best_score = float(local[best]), scores[best]
+        theta, best_score = best_of(theta + np.linspace(-spacing, spacing, 17))
         spacing /= 8.0
         depth += 1
     if eps > 0.0 and best_score <= eps / 4.0:

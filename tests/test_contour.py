@@ -208,6 +208,18 @@ def test_localize_j_critical_point():
     assert small.winding == 2
 
 
+def test_localize_j_triple_zero_at_rho():
+    # the Newton runs from the moment seeds of a box around the triple
+    # zero never give three distinct roots, so it is bisected down to
+    # target_radius and keeps its multiplicity
+    rho = complex(-0.5, np.sqrt(3.0) / 2.0)
+    box = (rho.real - 0.2, rho.real + 0.2, rho.imag - 0.2, rho.imag + 0.2)
+    zeros = localize_zeros(klein_j_pair, box, target_radius=1e-7)
+    assert len(zeros) == 1
+    assert zeros[0].multiplicity == 3
+    assert abs(zeros[0].center - rho) < 1e-6
+
+
 def test_localize_empty_box():
     assert localize_zeros(roots_pair([5.0]), (-1.0, 1.0, -1.0, 1.0)) == []
 
@@ -246,15 +258,24 @@ def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
     # an f that returns (f, f') is evaluated only at the points the
     # refinement asks for, one call per round, or at Newton iterates:
     # never at z +- h
-    asked, got = [], []
+    asked, got, seeds = [], [], []
     point = Contour.point
+    moment_seeds = contour_module._moment_seeds
 
     def recording_point(self, t):
         z = point(self, t)
         asked.append((t, z))
         return z
 
+    def recording_seeds(*args):
+        before = len(got)
+        s = moment_seeds(*args)
+        assert len(got) == before  # the seeds cost no f call
+        seeds.append(s)
+        return s
+
     monkeypatch.setattr(Contour, "point", recording_point)
+    monkeypatch.setattr(contour_module, "_moment_seeds", recording_seeds)
     co = np.poly([0.001 + 0.031j, 0.005 + 0.041j, 0.4 - 0.3j])
     dco = np.polyder(co)
 
@@ -272,10 +293,9 @@ def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
     zeros = localize_zeros(pair, (0.0, 1.0, -0.5, 0.5), target_radius=1e-3)
     assert sum(z.multiplicity for z in zeros) == 3
     # each call is either the batch of the one point call made since the
-    # call before it, or a Newton batch: the first of a run at box
-    # centers, the midpoints of two sampled corners (points at integer
-    # t), every later one at iterates z - f/f' of the call before it
-    corners = np.concatenate([z[t == np.floor(t)] for t, z in asked])
+    # call before it, or a Newton batch: the first of a run at moment
+    # seeds, which come from the samples alone, every later one at the
+    # iterates z - f/f' of the call before it
     used, newton, prev = 0, 0, None
     for z, n_asked in got:
         if n_asked == used + 1:
@@ -284,8 +304,7 @@ def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
             continue
         assert n_asked == used
         if prev is None:
-            mids = 0.5 * (corners[:, None] + corners[None, :])
-            assert all((mids == c).any() for c in z)
+            assert np.isin(z, np.concatenate(seeds)).all()
         else:
             zp, vp, dvp = prev
             assert np.isin(z, zp - vp / dvp).all()
@@ -296,11 +315,14 @@ def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
 
 
 def test_coarse_level_is_one_f_call_per_refinement_round(monkeypatch):
-    # the two zeros fall in different quadrants of the first cut, so the
-    # next level has two live boxes: their eight quadrant windings share
-    # every refinement round, as many rounds as the slowest one alone.
-    # Two zeros just outside the box make the edges next to them refine
-    f = roots_pair([0.31 + 0.22j, -0.41 - 0.27j, 1.003 + 0.3j, -0.7 - 1.004j])
+    # the top box's moment seeds fail on the two double zeros, whose
+    # Newton iterates converge together, and so do those of the two
+    # quadrants that hold them: the next level has two live boxes, whose
+    # eight quadrant windings share every refinement round, as many
+    # rounds as the slowest one alone.  Two zeros just outside the box
+    # make the edges next to them refine
+    a, b = 0.31 + 0.22j, -0.41 - 0.27j
+    f = roots_pair([a, a, b, b, 1.003 + 0.3j, -0.7 - 1.004j])
     calls = []
     point = Contour.point
 
@@ -309,10 +331,11 @@ def test_coarse_level_is_one_f_call_per_refinement_round(monkeypatch):
         return point(self, t)
 
     monkeypatch.setattr(Contour, "point", recording_point)
-    zeros = localize_zeros(f, (-1.0, 1.0, -1.0, 1.0))
-    assert sorted(z.multiplicity for z in zeros) == [1, 1]
+    zeros = localize_zeros(f, (-1.0, 1.0, -1.0, 1.0), target_radius=1e-4)
+    assert sorted(z.multiplicity for z in zeros) == [2, 2]
     batches = [c for i, c in enumerate(calls)
                if len(c.segments) == 32 and c not in calls[:i]]
+    assert batches
     slowest = []
     for batch in batches:
         rounds = sum(c is batch for c in calls)
@@ -347,6 +370,67 @@ def test_localize_newton_roots_are_exact(rng):
             assert np.abs(roots - z.center).min() < 1e-12
 
 
+def test_localize_high_degree_roots_to_1e_10(rng, monkeypatch):
+    # degree 6-10 in expanded form: the top box's power sums give
+    # ill-conditioned seeds, and boxes whose seeds fail are bisected;
+    # every root still comes back from Newton to 1e-10
+    splits = []
+    split = contour_module._split
+
+    def recording_split(f, parents, zero_atol):
+        splits.append(len(parents))
+        return split(f, parents, zero_atol)
+
+    monkeypatch.setattr(contour_module, "_split", recording_split)
+    box = (-1.0, 1.0, -1.0, 1.0)
+    trials = 0
+    while trials < 20:
+        n = int(rng.integers(6, 11))
+        roots = rng.uniform(-0.95, 0.95, n) + 1j * rng.uniform(-0.95, 0.95, n)
+        gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(n)
+        if gaps.min() < 0.05:
+            continue
+        trials += 1
+        zeros = localize_zeros(poly_pair(np.poly(roots)), box)
+        assert len(zeros) == n
+        for z in zeros:
+            assert z.multiplicity == 1 and z.resolved and z.radius == 1e-8
+        got = np.array([z.center for z in zeros])
+        assert np.abs(roots[:, None] - got[None, :]).min(axis=1).max() < 1e-10
+    assert max(splits) > 0
+
+
+@pytest.mark.parametrize("roots", [[0.3 + 0.4j, -0.5 + 0.2j],
+                                   [0.3 + 0.4j, -0.5 + 0.2j, 0.6 - 0.35j]],
+                         ids=["w2", "w3"])
+def test_localize_resolves_a_box_from_its_power_sums(roots, monkeypatch):
+    # the top box of winding 2 or 3 is resolved from its moment seeds in
+    # one Newton batch: no quadrant is ever split
+    calls, seeds, batches = [], [], []
+    moment_seeds = contour_module._moment_seeds
+    monkeypatch.setattr(contour_module, "_split",
+                        lambda f, parents, zero_atol: calls.append(parents)
+                        or [])
+    monkeypatch.setattr(contour_module, "_moment_seeds",
+                        lambda *args: seeds.append(moment_seeds(*args))
+                        or seeds[-1])
+    pair = roots_pair(roots)
+
+    def recording(z):
+        batches.append(np.array(z))
+        return pair(z)
+
+    zeros = localize_zeros(recording, (-1.0, 1.0, -1.0, 1.0))
+    assert calls == [[]]
+    assert len(seeds) == 1 and len(seeds[0]) == len(roots)
+    # the first Newton step evaluates all the seeds at once
+    assert any(np.array_equal(z, seeds[0]) for z in batches)
+    assert len(zeros) == len(roots)
+    for z in zeros:
+        assert z.multiplicity == 1 and z.radius == 1e-8
+        assert np.abs(np.array(roots) - z.center).min() < 1e-12
+
+
 def test_localize_disk_winding_equals_multiplicity(rng):
     box = (-1.0, 1.0, -1.0, 1.0)
     for _ in range(6):
@@ -365,26 +449,79 @@ def test_localize_disk_winding_equals_multiplicity(rng):
             assert winding_number(f, disk).winding == z.multiplicity
 
 
-def test_localize_falls_back_when_newton_leaves_the_box():
-    # f = (z - a) exp(z / (1.001 a)) has its one zero at a, but f' nearly
-    # vanishes at the center 0 of the box, so the first Newton step lands
-    # about 1000 |a| away; the box is bisected down to target_radius
-    a = 0.007 + 0.004j
-    k = 1.0 / (1.001 * a)
+def test_localize_falls_back_when_newton_leaves_the_box(monkeypatch):
+    # f = (z - a)(z - b)/(z - p) winds once over the box, so its one
+    # moment seed is a + b - p; with a - p = omega (b - p), omega a cube
+    # root of unity, that seed is a critical point of f, and the first
+    # Newton step from it leaves the box.  The box is bisected: b and p
+    # share a quadrant of winding 0, and a's quadrant resolves a
+    p = 0.1 + 0.5j
+    b = p + 0.3
+    a = p + 0.3 * np.exp(2j * np.pi / 3)
 
     def f(z):
-        e = np.exp(k * z)
-        return (z - a) * e, (1.0 + k * (z - a)) * e
+        v = (z - a) * (z - b) / (z - p)
+        return v, (2.0 * z - a - b - v) / (z - p)
 
-    v, dv = f(0.0)
-    assert abs(0.0 - v / dv) > 1.0
-    box = (-0.02, 0.02, -0.02, 0.02)
+    box = (-1.0, 1.0, -1.0, 1.0)
+    top = contour_module._contour_phase(f, rectangle_contour(*box), 0.0)
+    seed = contour_module._moment_seeds(box, 1, *top[5:])
+    assert abs(seed[0] - (a + b - p)) < 1e-6
+    v, dv = f(seed)
+    assert abs(v / dv)[0] > 2.0
+    splits = []
+    split = contour_module._split
+
+    def recording_split(f, parents, zero_atol):
+        splits.append(len(parents))
+        return split(f, parents, zero_atol)
+
+    monkeypatch.setattr(contour_module, "_split", recording_split)
     zeros = localize_zeros(f, box, target_radius=1e-6)
+    assert splits[0] == 1
     assert len(zeros) == 1
     z = zeros[0]
     assert z.multiplicity == 1 and z.resolved
-    assert z.radius < 1e-6
-    assert abs(z.center - a) <= z.radius
+    assert abs(z.center - a) < 1e-12
+
+
+def test_localize_never_evaluates_a_seed_outside_its_box():
+    # f = (z - a)(z - b)/(z - p) winds once over the box, and its moment
+    # seed a + b - p lies outside it: f is never asked for there.  b and
+    # p share a quadrant of winding 0, and a's quadrant resolves a
+    p, b, a = 0.2 + 0.2j, 0.9 + 0.9j, 0.5 - 0.5j
+    asked = []
+
+    def f(z):
+        asked.append(np.array(z))
+        v = (z - a) * (z - b) / (z - p)
+        return v, (2.0 * z - a - b - v) / (z - p)
+
+    box = (-1.0, 1.0, -1.0, 1.0)
+    top = contour_module._contour_phase(f, rectangle_contour(*box), 0.0)
+    seed = contour_module._moment_seeds(box, 1, *top[5:])
+    assert abs(seed[0] - (a + b - p)) < 1e-3 and seed[0].real > 1.0
+    asked.clear()
+    zeros = localize_zeros(f, box, target_radius=1e-6)
+    assert len(zeros) == 1 and abs(zeros[0].center - a) < 1e-12
+    z = np.concatenate(asked)
+    assert (np.abs(z.real) <= 1.0).all() and (np.abs(z.imag) <= 1.0).all()
+
+
+def test_localize_certifies_no_disk_that_holds_two_zeros():
+    # two zeros 4e-4 apart, on either side of the first vertical cut: the
+    # quadrant on each side takes Newton to its own zero, but the disk of
+    # radius target_radius = 1e-3 around it holds both, winds twice and
+    # fails; no reported disk of that radius holds more than its zero
+    z1, z2 = -2e-4 + 0.3j, 2e-4 + 0.3j
+    f = roots_pair([z1, z2])
+    zeros = localize_zeros(f, (-1.0, 1.0, -1.0, 1.0), target_radius=1e-3)
+    assert sum(z.multiplicity for z in zeros) == 2
+    for z in zeros:
+        assert min(abs(z.center - z1), abs(z.center - z2)) <= z.radius
+        if z.radius == 1e-3:
+            disk = circle_contour(z.center, z.radius)
+            assert winding_number(f, disk).winding == z.multiplicity
 
 
 def test_phase_refinement_stops_at_float_resolution(monkeypatch):

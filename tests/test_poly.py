@@ -10,7 +10,8 @@ from mzl.domains import JDomainSpec, build_j_contour, random_polynomial
 from mzl.elliptic import wp_pair
 from mzl.errors import CannotPerturbError
 from mzl.poly import (BivariatePolynomial, PerturbedComposite, eval_composed,
-                      perturb, polynomial_from_json, polynomial_to_json)
+                      perturb, perturb_from_values, polynomial_from_json,
+                      polynomial_to_json)
 
 IDENTITY = lambda z: (z, np.ones_like(z))
 
@@ -136,6 +137,55 @@ def test_perturb_margin_on_fresh_samples(rng, jfun):
         pert = perturb(P, jfun, coarse)
         vals = np.abs(pert.value(fine))
         assert vals.min() > pert.epsilon / 4.0
+
+
+def _reference_angle(vals, eps):
+    """The theta scan of perturb_from_values, one angle at a time."""
+    def score(theta):
+        return float(np.abs(vals + eps * np.exp(1j * theta)).min())
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    scores = [score(t) for t in thetas]
+    best = int(np.argmax(scores))
+    theta, best_score = float(thetas[best]), scores[best]
+    spacing = 2.0 * np.pi / 64
+    depth = 0
+    while best_score <= eps / 4.0 and depth < 6 and eps > 0.0:
+        local = theta + np.linspace(-spacing, spacing, 17)
+        scores = [score(t) for t in local]
+        best = int(np.argmax(scores))
+        theta, best_score = float(local[best]), scores[best]
+        spacing /= 8.0
+        depth += 1
+    if eps > 0.0 and best_score <= eps / 4.0:
+        return None
+    return theta % (2.0 * np.pi)
+
+
+def test_perturb_angle_scan_matches_the_per_angle_loop(rng, jfun):
+    # the scan is one array op over the samples that can attain a
+    # minimum; theta must be the per-angle loop's, bit for bit
+    contour = build_j_contour(JDomainSpec(Y=2.5))
+    samples = contour.sample(512)
+    ring = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    cases = [(eval_composed(random_polynomial(rng, 2, 2), jfun, samples),
+              None) for _ in range(6)]
+    # a ring of values that eps = 1 nearly cancels at every scanned angle
+    # forces the local refinement; a dense ring defeats it
+    cases.append((-np.exp(1j * (ring + 0.01)), 1.0))
+    cases.append((-np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 5000)), 1.0))
+    P = _poly([[0.0, 1.0]])
+    for vals, eps in cases:
+        want_eps = 0.5 * np.abs(vals).min() if eps is None else eps
+        want = _reference_angle(vals, want_eps)
+        if want is None:
+            with pytest.raises(CannotPerturbError):
+                perturb_from_values(P, jfun, vals, eps=eps)
+            continue
+        pert = perturb_from_values(P, jfun, vals, eps=eps)
+        assert pert.epsilon == want_eps
+        assert pert.theta == want
+    assert want is None
 
 
 def test_rouche_winding_invariance(rng, jfun):
