@@ -22,49 +22,91 @@ TWO_PI = 2.0 * math.pi
 SEXTIC_A, SEXTIC_B = 1.0 / 6.0, 5.0 / 6.0
 
 
-def _is_nonpositive_integer(c: float) -> bool:
-    return c <= 0 and abs(c - round(c)) < 1e-12
+def _params(*ps):
+    """The series parameters as they go into the loop: Python floats when
+    all are scalars, which keeps the scalar loop on float arithmetic,
+    float arrays when any is an array."""
+    if all(np.ndim(p) == 0 for p in ps):
+        return tuple(float(p) for p in ps)
+    return tuple(np.asarray(p, dtype=float) for p in ps)
 
 
-def _hyp_series(a: float, b: float, c: float, d: float, z,
-                rtol: float = 1e-14, max_terms: int = 200000):
+def _check_c(c) -> None:
+    cs = np.asarray(c, dtype=float)
+    bad = (cs <= 0) & (np.abs(cs - np.round(cs)) < 1e-12)
+    if np.any(bad):
+        raise DomainError(f"c={cs[bad].flat[0]} is a non-positive integer")
+
+
+def _hyp_series(a, b, c, d, z, rtol: float = 1e-14, max_terms: int = 200000):
     """sum_m w_m with w_0 = 1 and w_{m+1}/w_m = z (a+m)(b+m)/((c+m)(d+m)).
 
-    Requires c, d > 0.  Returns (value, max absolute tail bound); the tail
-    bound comes from the geometric majorant ratio
-    |z| (n+|a|)(n+|b|)/n^2 >= |w_{k+1}/w_k| for all k >= n.
+    a, b, c and d are scalars or arrays that broadcast against z; no c
+    is a non-positive integer and every d > 0.  Returns (value, max
+    absolute tail bound).  With c- = min(c, 0) over every element and
+    n + c- > 0, |c+k| >= k + c- and d+k >= k, so the majorant ratio
+    r = max|z| (n+max|a|)(n+max|b|)/((n+c-) n)
+    is at least |w_{k+1}/w_k| for every k >= n and element, and the tail
+    after w_n is at most |w_n| r/(1-r).  The loop stops once every element
+    meets rtol; for c >= 0 the majorant is max|z| (n+|a|)(n+|b|)/n^2.
     """
+    a, b, c, d = _params(a, b, c, d)
     z = np.asarray(z, dtype=complex)
-    amax = float(np.abs(z).max()) if z.size else 0.0
+    if isinstance(a, np.ndarray):
+        z = np.broadcast_to(z, np.broadcast_shapes(
+            z.shape, a.shape, b.shape, c.shape, d.shape))
+    if not z.size:
+        return np.ones_like(z), 0.0
+    amax = float(np.abs(z).max())
     term = np.ones_like(z)
     acc = np.ones_like(z)
-    aa, ab = abs(a), abs(b)
+    # an element that failed the last full tail test: while it clearly
+    # still fails, so would the full test, which is then skipped
+    watch = 0
+    aa, ab = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+    cneg = min(float(np.min(c)), 0.0)
     n = 0
-    tail = np.inf
+    ratio = None
     while n < max_terms:
-        term = term * (z * ((a + n) * (b + n) / ((c + n) * (d + n))))
-        acc = acc + term
+        term *= z * ((a + n) * (b + n) / ((c + n) * (d + n)))
+        acc += term
         n += 1
-        r = amax * (n + aa) * (n + ab) / (n * n)
-        if r < 1.0:
-            tail = np.abs(term) * (r / (1.0 - r))
-            if np.all(tail <= rtol * (np.abs(acc) + 1e-290)):
-                return acc, float(np.max(tail))
+        den = (n + cneg) * n
+        if den > 0:
+            r = amax * (n + aa) * (n + ab) / den
+            if r < 1.0:
+                ratio = r / (1.0 - r)
+                if (abs(term.flat[watch]) * ratio
+                        > 1.0001 * rtol * (abs(acc.flat[watch]) + 1e-290)):
+                    continue
+                tail = np.abs(term) * ratio
+                met = tail <= rtol * (np.abs(acc) + 1e-290)
+                if np.all(met):
+                    return acc, float(np.max(tail))
+                watch = int(np.argmin(met))
+    tail = np.inf if ratio is None else np.abs(term) * ratio
     achieved = float(np.max(tail / (np.abs(acc) + 1e-290)))
     raise PrecisionLossError("hypergeometric series did not converge", achieved)
 
 
-def hyp2f1(a: float, b: float, c: float, z, rtol: float = 1e-14,
-           delta: float = 1e-3, max_terms: int = 200000):
-    """2F1(a, b, c; z) for |z| <= 1 - delta, c not a non-positive integer."""
+def _as_value(out):
+    return complex(out) if np.ndim(out) == 0 else out
+
+
+def hyp2f1(a, b, c, z, rtol: float = 1e-14, delta: float = 1e-3,
+           max_terms: int = 200000):
+    """2F1(a, b, c; z) for |z| <= 1 - delta, c not a non-positive integer.
+
+    a, b and c may be arrays that broadcast against z; the whole batch is
+    one series sum.  A scalar result is a Python complex."""
     val, _ = hyp2f1_with_bound(a, b, c, z, rtol, delta, max_terms)
     return val
 
 
-def hyp2f1_with_bound(a: float, b: float, c: float, z, rtol: float = 1e-14,
-                      delta: float = 1e-3, max_terms: int = 200000):
-    if _is_nonpositive_integer(c):
-        raise DomainError(f"c={c} is a non-positive integer")
+def hyp2f1_with_bound(a, b, c, z, rtol: float = 1e-14, delta: float = 1e-3,
+                      max_terms: int = 200000):
+    """hyp2f1 and the largest tail bound over the batch (see _hyp_series)."""
+    _check_c(c)
     zs = np.asarray(z, dtype=complex)
     amax = float(np.abs(zs).max()) if zs.size else 0.0
     if amax > 1.0 - delta:
@@ -72,54 +114,61 @@ def hyp2f1_with_bound(a: float, b: float, c: float, z, rtol: float = 1e-14,
             f"|z|={amax:.6f} exceeds 1-delta={1.0 - delta:.6f}",
             amax**max_terms / max(1.0 - amax, 1e-300))
     val, bound = _hyp_series(a, b, c, 1.0, zs, rtol, max_terms)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(val), bound
-    return val, bound
+    return _as_value(val), bound
 
 
-def hyp2f1_prime(a: float, b: float, c: float, z, rtol: float = 1e-14,
-                 delta: float = 1e-3, max_terms: int = 200000):
-    """d/dz 2F1(a, b, c; z) by term-wise differentiation of the series."""
-    if _is_nonpositive_integer(c):
-        raise DomainError(f"c={c} is a non-positive integer")
+def hyp2f1_prime(a, b, c, z, rtol: float = 1e-14, delta: float = 1e-3,
+                 max_terms: int = 200000):
+    """d/dz 2F1(a, b, c; z) by term-wise differentiation of the series;
+    array parameters as in hyp2f1."""
+    _check_c(c)
     zs = np.asarray(z, dtype=complex)
     amax = float(np.abs(zs).max()) if zs.size else 0.0
     if amax > 1.0 - delta:
         raise PrecisionLossError(
             f"|z|={amax:.6f} exceeds 1-delta={1.0 - delta:.6f}", np.inf)
+    a, b, c = _params(a, b, c)
     val, _ = _hyp_series(a + 1.0, b + 1.0, c + 1.0, 1.0, zs, rtol, max_terms)
-    out = (a * b / c) * val
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(out)
-    return out
+    return _as_value((a * b / c) * val)
 
 
-def _cm1_times_F_cminus(a: float, b: float, c: float, z):
+def _cm1_times_F_cminus(a, b, c, z):
     """(c - 1) * 2F1(a, b, c - 1; z), as one series that is smooth in c.
 
     (c-1)_n = (c-1) (c)_{n-1} turns the pole of F(c-) at c = 1 into the
     finite series (c-1) + a b z * sum_m (a+1)_m (b+1)_m z^m/((c)_m (2)_m).
+    Array parameters as in hyp2f1.
     """
+    a, b, c = _params(a, b, c)
     val, _ = _hyp_series(a + 1.0, b + 1.0, c, 2.0, z)
     return (c - 1.0) + a * b * np.asarray(z, dtype=complex) * val
 
 
-def gauss_relation_residuals(a: float, b: float, c: float, z: float):
+def gauss_relation_residuals(a, b, c, z):
     """Absolute residuals of the two contiguous relations for z dF/dz.
 
     First: z F' = (c-1)(F(c-) - F).  Second:
     z F' = z [(c-a)(c-b) F(c+) + c(a+b-c) F] / (c(1-z)).
     The first is evaluated through (c-1) F(c-) as a single series, so
-    c = 1 needs no special casing.
+    c = 1 needs no special casing.  a, b, c and z may be arrays that
+    broadcast together; each relation is then one series sum over the
+    batch, and both residuals come back as arrays.  Every z must lie in
+    (0, 1).
     """
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"z={z} outside (0, 1)")
+    a, b, c = _params(a, b, c)
+    zs = np.asarray(z, dtype=float)
+    inside = (0.0 < zs) & (zs < 1.0)
+    if not np.all(inside):
+        raise DomainError(f"z={zs[~inside].flat[0]} outside (0, 1)")
+    z = float(zs) if zs.ndim == 0 else zs
     F = hyp2f1(a, b, c, z)
     lhs = z * hyp2f1_prime(a, b, c, z)
     rhs1 = _cm1_times_F_cminus(a, b, c, z) - (c - 1.0) * F
     Fcp = hyp2f1(a, b, c + 1.0, z)
     rhs2 = z * ((c - a) * (c - b) * Fcp + c * (a + b - c) * F) / (c * (1.0 - z))
-    return abs(lhs - complex(rhs1)), abs(lhs - rhs2)
+    if np.ndim(lhs) == 0:
+        return abs(lhs - complex(rhs1)), abs(lhs - rhs2)
+    return np.abs(lhs - rhs1), np.abs(lhs - rhs2)
 
 
 _MIN_IM_TAU = 0.5 - 1e-12
@@ -263,16 +312,21 @@ def j_inverse(x: float) -> float:
     return num.real / den.real
 
 
-def ramanujan_inversion_residual(x: float) -> float:
+def ramanujan_inversion_residual(x):
     """|x(1-x) - (Q(q)^3 - R(q)^2)/(4 Q(q)^3)| for the sextic nome
-    q = exp(-2 pi F(1-x)/F(x)), F = 2F1(1/6, 5/6, 1; .)."""
-    x = float(x)
-    if not 1e-3 <= x <= 1.0 - 1e-3:
-        raise DomainError(f"x={x} outside [1e-3, 1 - 1e-3]")
-    Fx = hyp2f1(SEXTIC_A, SEXTIC_B, 1.0, x).real
-    F1mx = hyp2f1(SEXTIC_A, SEXTIC_B, 1.0, 1.0 - x).real
-    q = math.exp(-TWO_PI * F1mx / Fx)
+    q = exp(-2 pi F(1-x)/F(x)), F = 2F1(1/6, 5/6, 1; .).
+
+    x may be an array: F(x) and F(1-x) are then one hyp2f1 call, and Q
+    and R one series call each, over every nome."""
+    xs = np.asarray(x, dtype=float)
+    inside = (1e-3 <= xs) & (xs <= 1.0 - 1e-3)
+    if not np.all(inside):
+        raise DomainError(
+            f"x={xs[~inside].flat[0]} outside [1e-3, 1 - 1e-3]")
+    Fx, F1mx = hyp2f1(SEXTIC_A, SEXTIC_B, 1.0, np.stack([xs, 1.0 - xs])).real
+    q = np.exp(-TWO_PI * F1mx / Fx)
     s = standard_series()
-    Qv = complex(s["Q"].eval(q)).real
-    Rv = complex(s["R"].eval(q)).real
-    return abs(x * (1.0 - x) - (Qv**3 - Rv**2) / (4.0 * Qv**3))
+    Qv = s["Q"].eval(q).real
+    Rv = s["R"].eval(q).real
+    res = np.abs(xs * (1.0 - xs) - (Qv**3 - Rv**2) / (4.0 * Qv**3))
+    return float(res) if xs.ndim == 0 else res

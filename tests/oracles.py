@@ -196,3 +196,27 @@ def j_horner_fixed_order(tau, N: int = 72):
     delta = q * polyval(q, np.array(d_c, dtype=float))
     scale = polyval(np.abs(q), np.abs(qa)) ** 3 / np.abs(delta)
     return Q**3 / delta, scale
+
+
+def hyp_series_scalar_loop(a: float, b: float, c: float, d: float, z,
+                           rtol: float = 1e-14, max_terms: int = 200000):
+    """The one-parameter-set hypergeometric loop as the library ran it
+    before it took parameter arrays: Python-float parameters and the
+    majorant ratio |z| (n+|a|)(n+|b|)/n^2, valid for c >= 0 and d > 0.
+    A scalar-parameter call of the library must return exactly this."""
+    z = np.asarray(z, dtype=complex)
+    amax = float(np.abs(z).max()) if z.size else 0.0
+    term = np.ones_like(z)
+    acc = np.ones_like(z)
+    aa, ab = abs(a), abs(b)
+    n = 0
+    while n < max_terms:
+        term = term * (z * ((a + n) * (b + n) / ((c + n) * (d + n))))
+        acc = acc + term
+        n += 1
+        r = amax * (n + aa) * (n + ab) / (n * n)
+        if r < 1.0:
+            tail = np.abs(term) * (r / (1.0 - r))
+            if np.all(tail <= rtol * (np.abs(acc) + 1e-290)):
+                return acc, float(np.max(tail))
+    raise ArithmeticError("no convergence")

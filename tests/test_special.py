@@ -82,20 +82,146 @@ def test_gauss_residuals_vanish_toward_zero():
 
 def test_gauss_residual_sweep(rng):
     # the absolute residual stays tiny where F is moderate, and under
-    # 1e-7 even with c down at 0.1 where F(c-1) is nearly singular
-    worst_safe = 0.0
+    # 1e-7 even with c down at 0.1 where F(c-1) is nearly singular; each
+    # sweep keeps its per-triple draws and is one batched call
+    safe = []
     for _ in range(100):
         a, b = rng.uniform(0.1, 1.5, 2)
         c = rng.uniform(0.4, 2.0)
         z = rng.uniform(0.05, 0.9)
-        worst_safe = max(worst_safe, *gauss_relation_residuals(a, b, c, z))
-    assert worst_safe < 1e-9
-    worst_full = 0.0
+        safe.append((a, b, c, z))
+    r1, r2 = gauss_relation_residuals(*np.transpose(safe))
+    assert max(r1.max(), r2.max()) < 1e-9
+    full = []
     for _ in range(200):
         a, b, c = rng.uniform(0.1, 2.0, 3)
         z = rng.uniform(0.05, 0.95)
-        worst_full = max(worst_full, *gauss_relation_residuals(a, b, c, z))
-    assert worst_full < 1e-7
+        full.append((a, b, c, z))
+    r1, r2 = gauss_relation_residuals(*np.transpose(full))
+    assert max(r1.max(), r2.max()) < 1e-7
+
+
+def test_array_parameters_agree_with_scalar_calls(rng):
+    # positive parameters and |z| <= 0.9 keep every sum well conditioned,
+    # so an element of a batch differs from its own scalar call by at most
+    # that call's tail bound and rounding
+    n = 60
+    a, b = rng.uniform(0.1, 1.5, (2, n))
+    c = rng.uniform(0.4, 2.0, n)
+    z = rng.uniform(0.05, 0.9, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    vals, _ = hyp2f1_with_bound(a, b, c, z)
+    primes = hyp2f1_prime(a, b, c, z)
+    assert vals.shape == primes.shape == (n,)
+    for i in range(n):
+        v, bound = hyp2f1_with_bound(a[i], b[i], c[i], z[i])
+        assert abs(vals[i] - v) <= bound + 4.0 * np.spacing(abs(v))
+        p = hyp2f1_prime(a[i], b[i], c[i], z[i])
+        _, pb = hyp2f1_with_bound(a[i] + 1.0, b[i] + 1.0, c[i] + 1.0, z[i])
+        assert (abs(primes[i] - p)
+                <= abs(a[i] * b[i] / c[i]) * pb + 4.0 * np.spacing(abs(p)))
+    assert hyp2f1_with_bound(a[:0], 0.5, 1.0, 0.3)[0].shape == (0,)
+    # parameters broadcast against z and against each other
+    grid = hyp2f1(0.5, b[:, None], 1.0, np.array([0.2, -0.4j]))
+    assert grid.shape == (n, 2)
+    assert grid[7, 1] == hyp2f1(0.5, b[7], 1.0, np.array([0.2, -0.4j]))[1]
+
+    # each residual moves by at most the tail bounds of its four sums,
+    # each under rtol = 1e-14 of the terms it enters
+    zr = rng.uniform(0.05, 0.9, n)
+    r1, r2 = gauss_relation_residuals(a, b, c, zr)
+    for i in range(n):
+        ai, bi, ci, zi = a[i], b[i], c[i], zr[i]
+        F = abs(hyp2f1(ai, bi, ci, zi))
+        scale = (zi * abs(hyp2f1_prime(ai, bi, ci, zi)) + abs(ci - 1.0) * F
+                 + zi * (abs((ci - ai) * (ci - bi)
+                             * hyp2f1(ai, bi, ci + 1.0, zi))
+                         + abs(ci * (ai + bi - ci)) * F) / (ci * (1.0 - zi)))
+        s1, s2 = gauss_relation_residuals(ai, bi, ci, zi)
+        assert abs(r1[i] - s1) <= 5e-14 * scale
+        assert abs(r2[i] - s2) <= 5e-14 * scale
+
+
+def test_scalar_calls_run_the_scalar_loop():
+    # scalar parameters with c >= 0 run, bit for bit, the loop they always
+    # ran: at the sextic values j_inverse sums, a chain member's grid and
+    # generic points
+    loop = oracles.hyp_series_scalar_loop
+    pinned = [(1.0 / 6.0, 5.0 / 6.0, 1.0, 0.9956611745940971),
+              (1.0 / 6.0, 5.0 / 6.0, 1.0, 0.004338825405902913),
+              (0.3, 1.2, 0.8, np.linspace(0.01, 0.95002, 1000)),
+              (0.3, 1.7, 0.9, 0.5 + 0.3j), (1.0, 1.0, 2.0, 0.5)]
+    for a, b, c, z in pinned:
+        v, bound = hyp2f1_with_bound(a, b, c, z, delta=2.5e-4,
+                                     max_terms=400000)
+        ref, ref_bound = loop(a, b, c, 1.0, z, max_terms=400000)
+        assert np.array_equal(v, ref) and bound == ref_bound
+        prime = hyp2f1_prime(a, b, c, z, delta=2.5e-4, max_terms=400000)
+        dref, _ = loop(a + 1.0, b + 1.0, c + 1.0, 1.0, z, max_terms=400000)
+        assert np.array_equal(prime, (a * b / c) * dref)
+    a, b, c, z = 0.4, 1.1, 0.9, 0.3
+    F = complex(loop(a, b, c, 1.0, z)[0])
+    lhs = z * complex((a * b / c) * loop(a + 1.0, b + 1.0, c + 1.0, 1.0, z)[0])
+    cm1 = (c - 1.0) + a * b * np.asarray(z, dtype=complex) * loop(
+        a + 1.0, b + 1.0, c, 2.0, z)[0]
+    Fcp = complex(loop(a, b, c + 1.0, 1.0, z)[0])
+    rhs2 = (z * ((c - a) * (c - b) * Fcp + c * (a + b - c) * F)
+            / (c * (1.0 - z)))
+    assert gauss_relation_residuals(a, b, c, z) == (
+        abs(lhs - complex(cm1 - (c - 1.0) * F)), abs(lhs - rhs2))
+
+
+@pytest.mark.parametrize("a, b, c, z", [
+    (1.0, 1.0, -1.5, 0.5), (1.3, 0.7, -3.5, 0.8), (2.0, 2.0, -5.5, 0.9),
+    # batches, whose one bound must cover the element that the largest
+    # |a| and |b|, or the most negative c, make slowest
+    ([0.1, 6.0, 0.5], [0.2, 4.0, 1.0], [1.5, 0.7, -2.5], [0.5, 0.9, 0.5]),
+    ([0.5, 2.0], [0.5, 2.0], [1.0, -5.5], [0.3, 0.9])])
+def test_hyp2f1_bound_covers_the_truncation_tail(a, b, c, z):
+    # |c + k| < k for c < 0, so the majorant divides by (n + c) n there
+    mpmath = pytest.importorskip("mpmath")
+    _, bound = hyp2f1_with_bound(a, b, c, z)
+    # the terms summed: the least max_terms that still converges
+    lo, hi = 1, 4096
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            hyp2f1_with_bound(a, b, c, z, max_terms=mid)
+            hi = mid
+        except PrecisionLossError:
+            lo = mid + 1
+    elements = zip(*np.broadcast_arrays(*map(np.atleast_1d, (a, b, c, z))))
+    with mpmath.workdps(60):
+        for A, B, C, Z in ([mpmath.mpf(float(v)) for v in p]
+                           for p in elements):
+            w = partial = mpmath.mpf(1)
+            for m in range(lo):
+                w *= Z * (A + m) * (B + m) / ((C + m) * (1 + m))
+                partial += w
+            assert abs(mpmath.hyp2f1(A, B, C, Z) - partial) <= bound
+
+
+def test_array_calls_check_every_element():
+    cs = np.array([0.7, -2.0, 1.3])
+    with pytest.raises(DomainError):
+        hyp2f1(0.5, 0.5, cs, 0.3)
+    with pytest.raises(DomainError):
+        hyp2f1_prime(0.5, 0.5, cs, 0.3)
+    with pytest.raises(DomainError):
+        gauss_relation_residuals(0.5, 0.5, cs, np.array([0.3, 0.4, 0.5]))
+    for zs in ([0.3, 1.0, 0.4], [0.3, 0.0, 0.4], [0.3, -0.2, 0.4]):
+        with pytest.raises(DomainError):
+            gauss_relation_residuals(np.full(3, 0.5), 0.5, 0.8, np.array(zs))
+    with pytest.raises(DomainError):
+        ramanujan_inversion_residual(np.array([0.2, 0.9995]))
+    edge = np.array([0.3, 0.9999])
+    for call in (hyp2f1, hyp2f1_prime, gauss_relation_residuals):
+        with pytest.raises(PrecisionLossError) as exc:
+            call(np.array([0.5, 0.7]), 0.5, 1.0, edge)
+        assert exc.value.achieved > 0.0
+    # a batch that runs out of terms reports the tail it reached
+    with pytest.raises(PrecisionLossError) as exc:
+        hyp2f1(np.array([0.5, 6.0]), 0.5, 1.0, 0.9, max_terms=50)
+    assert exc.value.achieved > 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +427,8 @@ def test_ramanujan_residual_generic_points():
     for x in (0.2, 0.35, 0.65):
         assert abs(ramanujan_inversion_residual(x)
                    - ramanujan_inversion_residual(1.0 - x)) < 1e-9
+    xs = np.linspace(0.05, 0.95, 20)
+    batch = ramanujan_inversion_residual(xs)
+    assert batch.shape == xs.shape and batch.max() < 1e-8
+    assert np.allclose(batch, [ramanujan_inversion_residual(x) for x in xs],
+                       rtol=0.0, atol=1e-14)
