@@ -14,8 +14,10 @@ log|f| plus i times the accumulated phase, so no quadrature of f'/f is
 ever performed.  Several contours can be refined together, one f call
 per round for all of them, each refined as it would be alone.
 
-Zeros are localized by a quadtree whose every box first tries Newton
-from its moment seeds (Delves & Lyness, Math. Comp. 21, 1967).
+Zeros are localized by one breadth-first quadtree over any number of
+disjoint top boxes, whose windings are one phase batch; every box first
+tries Newton from its moment seeds (Delves & Lyness, Math. Comp. 21,
+1967), and the boxes of a level share every f call.
 """
 from __future__ import annotations
 
@@ -455,29 +457,41 @@ def _radius(box) -> float:
     return 0.5 * float(np.hypot(x1 - x0, y1 - y0))
 
 
-def localize_zeros(f, box, target_radius: float = 1e-8,
+def localize_zeros(f, *boxes, target_radius: float = 1e-8,
                    zero_atol: float = 0.0) -> list[LocalizedZero]:
-    """Localization of the zeros of f inside the axis-aligned box
-    (x0, x1, y0, y1), by a breadth-first quadtree.
+    """Localization of the zeros of f inside each of the disjoint
+    axis-aligned boxes (x0, x1, y0, y1), by one breadth-first quadtree
+    over all of them.
 
-    Every box of winding w, the top box and each quadrant, is done if
-    Newton from its w moment seeds gives w roots in it whose disks of
-    radius target_radius are disjoint and each wind exactly once; any
-    other box is bisected.  The boxes of a level share every f call.
+    The top windings of all the boxes are one phase batch.  From there
+    every box of winding w, a top box or a quadrant, is done if Newton
+    from its w moment seeds gives w roots in it whose disks of radius
+    target_radius are disjoint and each wind exactly once; any other box
+    is bisected.  The boxes of a level, whichever top box they came
+    from, share every f call.
 
-    Returns disks whose multiplicities sum to the winding of f over the
-    box boundary: a Newton root with radius target_radius, or the center
-    and half-diagonal of a box of radius <= target_radius.  Boxes that
-    still hold winding > 1 at depth _MAX_DEPTH come back with
-    resolved=False (cluster reports).  A zero on the box boundary raises
-    ZeroOnContourError; moving the box is the caller's move.
+    Returns disks whose multiplicities sum to the windings of f over the
+    box boundaries: a Newton root with radius target_radius, or the
+    center and half-diagonal of a box of radius <= target_radius.  Boxes
+    that still hold winding > 1 at depth _MAX_DEPTH come back with
+    resolved=False (cluster reports).  A zero on a box boundary raises
+    ZeroOnContourError; moving the box is the caller's move.  The top
+    windings are checked in box order, so an error there is the first
+    box's that has one.  No boxes give no zeros.
     """
-    top = _contour_phase(f, rectangle_contour(*box), zero_atol)
-    w = _integer_winding(top[0])
-    if w < 0:
-        raise MzlError("negative winding: a pole lies inside the box")
+    if not boxes:
+        return []
+    live = []
+    for box, top in zip(boxes, _contour_phases(
+            f, [rectangle_contour(*b) for b in boxes], zero_atol)):
+        if isinstance(top, Exception):
+            raise top
+        w = _integer_winding(top[0])
+        if w < 0:
+            raise MzlError("negative winding: a pole lies inside the box")
+        if w:
+            live.append((box, w, 0, top))
     out: list[LocalizedZero] = []
-    live = [(box, w, 0, top)] if w else []
     while live:
         trying = []
         for node in live:

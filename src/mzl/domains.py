@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .contour import (ArcSegment, Contour, LineSegment, LocalizedZero,
-                      localize_zeros, winding_number)
+from .contour import (ArcSegment, Contour, LineSegment, localize_zeros,
+                      winding_number)
 from .elliptic import lattice, wp_analytic
 from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
@@ -424,6 +424,18 @@ def _wp_tiles(spec: WpDomainSpec):
     ]
 
 
+def _boundary_poles(spec: WpDomainSpec) -> list[complex]:
+    """The lattice points on the cell boundary: the four corners for
+    integer beta, otherwise the one inside the bottom edge and the one
+    inside the top edge."""
+    b, t = spec.beta, spec.tau
+    k = math.ceil(b)
+    if k == b:
+        return [complex(b, 0.0), complex(b + 1.0, 0.0), complex(b, t),
+                complex(b + 1.0, t)]
+    return [complex(k, 0.0), complex(k, t)]
+
+
 def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
                    n_samples: int = 512,
                    target_radius: float = 1e-3) -> ZeroCountReport:
@@ -431,7 +443,9 @@ def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
 
     The winding over the notched cell boundary is cross-checked against
     the multiplicities localized in a five-tile partition of the cell
-    minus squares around its boundary poles.  A boundary sample that is
+    minus squares around its boundary poles (_wp_tiles); the five tiles
+    are the top boxes of one localize_zeros quadtree, so their windings,
+    Newton steps and splits share every f call.  A boundary sample that is
     numerically zero (_boundary_scan) means the composite vanishes on
     the cell edge itself, e.g. at a half-period: no Rouche-safe epsilon
     exists, so the offset is set explicitly from the boundary median,
@@ -441,12 +455,14 @@ def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
     notch radius: ZeroOnContourError, CannotPerturbError or
     NonconvergenceError from the perturbation, the winding or the
     localization, a localized count that differs from the winding, and a
-    zero within 2 delta of a pole (zeros may hide in the notches).  The
-    report's retries is the number of failed attempts.
+    zero within 2 delta of a lattice point on the boundary, where a notch
+    is cut (zeros may hide in the notches).  The report's retries is the
+    number of failed attempts.
     """
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
     inner = wp_analytic(lattice(spec.tau))
+    poles = _boundary_poles(spec)
     current = spec
     last_error: Exception | None = None
     for retries in range(5):
@@ -458,19 +474,13 @@ def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
         vals, near_zero = _boundary_scan(P, inner, samples)
         eps = (1e-6 * float(np.median(np.abs(vals))) if near_zero.any()
                else None)
-        b, t = current.beta, current.tau
-        poles = [complex(b, 0.0), complex(b + 1.0, 0.0), complex(b, t),
-                 complex(b + 1.0, t), complex(math.ceil(b), 0.0),
-                 complex(math.ceil(b), t)]
         try:
             pert = perturb_from_values(P, inner, vals, eps=eps)
             atol = 0.1 * pert.epsilon
             w = winding_number(pert.pair, contour, zero_atol=atol)
-            zeros: list[LocalizedZero] = []
-            for tile in _wp_tiles(current):
-                zeros.extend(localize_zeros(pert.pair, tile,
-                                            target_radius=target_radius,
-                                            zero_atol=atol))
+            zeros = localize_zeros(pert.pair, *_wp_tiles(current),
+                                   target_radius=target_radius,
+                                   zero_atol=atol)
             count = sum(z.multiplicity for z in zeros)
             if count != w.winding:
                 raise NonconvergenceError(

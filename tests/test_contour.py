@@ -11,8 +11,8 @@ from mzl.contour import (ArcSegment, Contour, LineSegment, circle_contour,
                          rectangle_contour, trace_table, winding_number)
 from mzl.domains import (JDomainSpec, WpDomainSpec, build_j_contour,
                          build_wp_contour)
-from mzl.errors import (DominanceError, InvalidSpecError, NonconvergenceError,
-                        ZeroOnContourError)
+from mzl.errors import (DominanceError, InvalidSpecError, MzlError,
+                        NonconvergenceError, ZeroOnContourError)
 from mzl.special import klein_j, klein_j_derivative, klein_j_pair
 
 ZERO_FN = lambda z: (np.zeros(np.shape(z), dtype=complex),
@@ -222,6 +222,92 @@ def test_localize_j_triple_zero_at_rho():
 
 def test_localize_empty_box():
     assert localize_zeros(roots_pair([5.0]), (-1.0, 1.0, -1.0, 1.0)) == []
+    assert localize_zeros(roots_pair([5.0])) == []
+
+
+# four tiles of (-1, 1, -1, 1) that share their edges
+TILES = [(-1.0, 0.0, -1.0, 0.0), (0.0, 1.0, -1.0, 0.0),
+         (0.0, 1.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0)]
+
+
+def test_localize_several_boxes_is_the_union_of_single_box_calls():
+    # simple zeros, a close pair, a double zero and one outside every
+    # tile: one quadtree over the tiles finds what the calls tile by tile
+    # find, with the same multiplicities
+    f = roots_pair([0.31 + 0.22j, -0.41 - 0.27j, 0.52 - 0.61j,
+                    -0.5 + 0.45j, -0.47 + 0.41j, 0.66 + 0.7j, 0.66 + 0.7j,
+                    1.5 + 0.2j])
+    r = 1e-6
+
+    def key(z):
+        return z.center.real
+
+    joint = sorted(localize_zeros(f, *TILES, target_radius=r), key=key)
+    alone = sorted((z for tile in TILES
+                    for z in localize_zeros(f, tile, target_radius=r)),
+                   key=key)
+    assert [z.multiplicity for z in joint] \
+        == [z.multiplicity for z in alone] == [1, 1, 1, 1, 1, 2]
+    assert all(abs(a.center - b.center) <= r for a, b in zip(joint, alone))
+
+
+def test_localize_several_boxes_share_each_f_call(monkeypatch):
+    # the tiles' top windings are one batch, with as many refinement
+    # rounds as the slowest tile alone; zeros hugging the edges of two
+    # tiles make those refine longer than the others.  Every tile is
+    # resolved by Newton from its top box, so the whole call makes as
+    # many f calls as the slowest tile alone
+    f = roots_pair([0.31 + 0.22j, -0.41 - 0.27j, 0.52 - 0.001j,
+                    -0.999 + 0.45j])
+    calls, evals = [], []
+    point = Contour.point
+
+    def recording_point(self, t):
+        calls.append(self)
+        return point(self, t)
+
+    def counted(z):
+        evals.append(z)
+        return f(z)
+
+    monkeypatch.setattr(Contour, "point", recording_point)
+    zeros = localize_zeros(counted, *TILES, target_radius=1e-6)
+    assert sum(z.multiplicity for z in zeros) == 4
+    top = calls[0]
+    assert len(top.segments) == 4 * len(TILES)
+    rounds = sum(c is top for c in calls)
+    joint = len(evals)
+    alone, alone_evals = [], []
+    for tile in TILES:
+        before = len(calls)
+        winding_number(f, rectangle_contour(*tile))
+        alone.append(len(calls) - before)
+        evals.clear()
+        localize_zeros(counted, tile, target_radius=1e-6)
+        alone_evals.append(len(evals))
+    assert rounds == max(alone) < sum(alone)
+    assert joint == max(alone_evals) < sum(alone_evals)
+
+
+def test_localize_several_boxes_raises_the_first_top_error():
+    # a zero on the right edge of the second tile, and a pole inside the
+    # fourth: each box's error is raised as its own call would raise it,
+    # and of two the first in box order
+    a, p = 1.0 - 0.5j, -0.5 + 0.5j
+
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        return (z - a) / (z - p), (a - p) / (z - p) ** 2
+
+    with pytest.raises(ZeroOnContourError):
+        localize_zeros(f, TILES[1], target_radius=1e-6)
+    with pytest.raises(ZeroOnContourError):
+        localize_zeros(f, TILES[0], TILES[1], target_radius=1e-6)
+    with pytest.raises(ZeroOnContourError):
+        localize_zeros(f, *TILES, target_radius=1e-6)
+    with pytest.raises(MzlError, match="negative winding") as err:
+        localize_zeros(f, TILES[3], TILES[1], target_radius=1e-6)
+    assert type(err.value) is MzlError
 
 
 def test_localize_pair_hugging_edge():

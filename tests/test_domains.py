@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import mzl.contour as contour_module
 import oracles
 from mzl.contour import ArcSegment, LineSegment, winding_number
 from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
@@ -283,6 +284,40 @@ def test_count_zeros_wp_shifted_cell():
     rep = count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0, beta=0.3))
     assert rep.count == 2
     assert rep.bound_holds
+
+
+def test_count_zeros_wp_shifted_cell_corner_is_no_pole(lat1):
+    # for non-integer beta the cell corners are not lattice points and
+    # have no notch: a zero 0.07 from the corner 1.37 is no reason to
+    # halve delta
+    c = wp_pair(1.32 + 0.05j, lat1)[0]
+    rep = count_zeros_wp(poly_y_minus(c), WpDomainSpec(1.0, beta=0.37))
+    assert rep.count == rep.winding == 2
+    assert rep.retries == 0
+    assert rep.domain["delta"] == WpDomainSpec(1.0).delta
+
+
+def test_count_zeros_f_calls(monkeypatch):
+    # the five wp tiles are one quadtree: their top windings are one
+    # phase batch, and their Newton steps and splits share f calls
+    calls = {"pair": 0, "phases": 0}
+    pair, phases = PerturbedComposite.pair, contour_module._contour_phases
+
+    def counted_pair(self, z):
+        calls["pair"] += 1
+        return pair(self, z)
+
+    def counted_phases(*args, **kwargs):
+        calls["phases"] += 1
+        return phases(*args, **kwargs)
+
+    monkeypatch.setattr(PerturbedComposite, "pair", counted_pair)
+    monkeypatch.setattr(contour_module, "_contour_phases", counted_phases)
+    count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
+    assert calls == {"pair": 7, "phases": 3}
+    calls.update(pair=0, phases=0)
+    count_zeros_j(poly_y_minus(2000j))
+    assert calls == {"pair": 6, "phases": 3}
 
 
 def test_count_zeros_wp_notch_hides_large_values():
