@@ -37,7 +37,11 @@ def _parse_complex(s: str) -> complex:
 
 def _load_poly(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return polynomial_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise MzlError(f"{path}: not a polynomial JSON file: {exc}")
+    return polynomial_from_json(obj)
 
 
 def _emit_json(obj, path: str | None) -> None:

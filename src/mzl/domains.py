@@ -4,14 +4,17 @@ count_zeros_j counts zeros of P(z, j(z)) in the standard fundamental
 domain of the modular group truncated at height Y; count_zeros_wp counts
 zeros of P(z, wp(z)) in a period cell of the lattice spanned by 1 and
 i*tau, with quarter-circle notches excising the lattice poles.  Both
-perturb the composite by a small constant (Rouche-safe: the offset stays
-below the minimum boundary modulus) so the winding integrand never
-vanishes on the contour, then cross-check the winding against localized
-zero multiplicities.
+wind P(z, f(z)) + eps e^{i theta} around the boundary and cross-check
+the winding against localized zero multiplicities.  eps has one rule:
+half the minimum |P(z, f(z))| over the boundary samples that are not
+numerically zero.  Those samples keep |P + eps e^{i theta}| >= eps, and
+by Rouche the offset changes no count while |P| > eps on the contour.
 
 Both pipelines judge "numerically zero on the boundary" by one rule
 (_boundary_scan): |P(z, f(z))| below _BOUNDARY_FLOOR times the Horner
-running-error scale of the sum.  Each runs one retry loop in which every
+running-error scale of the sum.  count_zeros_j retries on such a
+sample; count_zeros_wp leaves it out of eps, and the offset moves that
+boundary zero off the contour.  Each runs one retry loop in which every
 kind of failure has exactly one move; see count_zeros_j and
 count_zeros_wp.
 """
@@ -254,6 +257,9 @@ _DOMINANCE_C = 2.0
 _DOMINANCE_HEADROOM = 1.1
 _TOP_LINE_SAMPLES = 512
 _BOUNDARY_FLOOR = 1e-9
+# half-width at which localize_zeros stops splitting a box
+_J_TARGET_RADIUS = 1e-4
+_WP_TARGET_RADIUS = 1e-3
 
 
 def _boundary_scan(P: BivariatePolynomial, inner, z: np.ndarray):
@@ -314,15 +320,15 @@ def _in_j_region(z: complex, Y: float, inset: float) -> bool:
 
 
 def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
-                  n_samples: int = 512,
-                  target_radius: float = 1e-4) -> ZeroCountReport:
+                  n_samples: int = 512) -> ZeroCountReport:
     """Count zeros of P(z, j(z)) in the truncated fundamental domain.
 
     The top line rises in half-steps until the leading term dominates
-    there, so no zeros hide above.  The composite is then offset by
-    epsilon e^{i theta} with epsilon half the minimum boundary modulus,
-    which preserves the interior count.  One loop retries over the state
-    (Y, inset), and each kind of failure has one move:
+    there, so no zeros hide above.  The composite is then offset as the
+    module docstring says.  An offset would split the double zero of
+    j - 1728 at i across the arc, which then counts 1, so a numerically
+    zero boundary sample widens the region instead.  One loop retries
+    over the state (Y, inset), and each kind of failure has one move:
 
     - boundary trouble widens the region by 1e-3 of inset (capped at
       0.19): a boundary sample that is numerically zero (_boundary_scan),
@@ -364,7 +370,7 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
             atol = 0.1 * pert.epsilon
             w = winding_number(pert.pair, contour, zero_atol=atol)
             zeros = localize_zeros(pert.pair, box,
-                                   target_radius=target_radius,
+                                   target_radius=_J_TARGET_RADIUS,
                                    zero_atol=atol)
             kept = [z for z in zeros if _in_j_region(z.center, Y, inset)]
             count = sum(z.multiplicity for z in kept)
@@ -437,19 +443,18 @@ def _boundary_poles(spec: WpDomainSpec) -> list[complex]:
 
 
 def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
-                   n_samples: int = 512,
-                   target_radius: float = 1e-3) -> ZeroCountReport:
+                   n_samples: int = 512) -> ZeroCountReport:
     """Count zeros of P(z, wp(z)) in one period cell of <1, i tau>.
 
     The winding over the notched cell boundary is cross-checked against
     the multiplicities localized in a five-tile partition of the cell
     minus squares around its boundary poles (_wp_tiles); the five tiles
     are the top boxes of one localize_zeros quadtree, so their windings,
-    Newton steps and splits share every f call.  A boundary sample that is
-    numerically zero (_boundary_scan) means the composite vanishes on
-    the cell edge itself, e.g. at a half-period: no Rouche-safe epsilon
-    exists, so the offset is set explicitly from the boundary median,
-    which pushes the edge zero to a definite side of the contour.
+    Newton steps and splits share every f call.  A boundary sample where
+    the composite is numerically zero (_boundary_scan), e.g. at a
+    half-period, is left out of epsilon, and the offset moves that zero
+    off the contour; an offset that nearly cancels it there raises
+    ZeroOnContourError in the winding.
 
     One loop retries, and every failure has the same move, halving the
     notch radius: ZeroOnContourError, CannotPerturbError or
@@ -472,14 +477,12 @@ def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
         contour = build_wp_contour(current)
         samples = contour.sample(n_samples)
         vals, near_zero = _boundary_scan(P, inner, samples)
-        eps = (1e-6 * float(np.median(np.abs(vals))) if near_zero.any()
-               else None)
         try:
-            pert = perturb_from_values(P, inner, vals, eps=eps)
+            pert = perturb_from_values(P, inner, vals[~near_zero])
             atol = 0.1 * pert.epsilon
             w = winding_number(pert.pair, contour, zero_atol=atol)
             zeros = localize_zeros(pert.pair, *_wp_tiles(current),
-                                   target_radius=target_radius,
+                                   target_radius=_WP_TARGET_RADIUS,
                                    zero_atol=atol)
             count = sum(z.multiplicity for z in zeros)
             if count != w.winding:

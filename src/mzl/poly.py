@@ -13,12 +13,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CannotPerturbError
+from .errors import CannotPerturbError, InvalidSpecError
 
-# theta scan of the Rouche perturbation: angles on the first pass, and
-# the most rounds of local refinement around the best angle
+# angles of the theta scan of the Rouche perturbation
 _PERTURB_ANGLES = 64
-_PERTURB_REFINE_DEPTH = 6
 # the most (angle, sample) pairs one array op of the scan holds
 _SCAN_BLOCK = 8192
 
@@ -121,11 +119,23 @@ def polynomial_to_json(P: BivariatePolynomial) -> dict:
 
 
 def polynomial_from_json(obj: dict) -> BivariatePolynomial:
-    rows = obj["coeffs"]
-    c = np.array([[complex(re, im) for re, im in row] for row in rows])
+    """The inverse of polynomial_to_json; InvalidSpecError unless obj has
+    a nonempty rectangular array of finite [re, im] pairs under "coeffs"
+    and degrees, if declared, that match it."""
+    try:
+        c = np.array([[complex(re, im) for re, im in row]
+                      for row in obj["coeffs"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"malformed polynomial: {exc!r}") from None
+    if c.ndim != 2 or c.size == 0:
+        raise InvalidSpecError("coeffs must be a nonempty array of rows")
+    if not np.all(np.isfinite(c)):
+        raise InvalidSpecError("coeffs must be finite")
     P = BivariatePolynomial(c)
-    if "deg_x" in obj and (P.deg_x, P.deg_y) != (obj["deg_x"], obj["deg_y"]):
-        raise ValueError("declared degrees do not match the coefficient array")
+    degrees = (P.deg_x, P.deg_y)
+    if (obj.get("deg_x", P.deg_x), obj.get("deg_y", P.deg_y)) != degrees:
+        raise InvalidSpecError(
+            "declared degrees do not match the coefficient array")
     return P
 
 
@@ -168,57 +178,34 @@ def perturb(P: BivariatePolynomial, f, boundary_samples) -> PerturbedComposite:
     return perturb_from_values(P, f, eval_composed(P, f, zs))
 
 
-def perturb_from_values(P: BivariatePolynomial, f, vals,
-                        eps: float | None = None) -> PerturbedComposite:
+def perturb_from_values(P: BivariatePolynomial, f, vals) -> PerturbedComposite:
     """Rouche perturbation sized from vals = P(z, f(z)) at the boundary
     samples.
 
-    eps defaults to half the minimum of |P(z, f(z))| over the samples,
-    which keeps the interior count unchanged; a caller may pass eps
-    explicitly when the composite vanishes on the boundary itself and
-    the offset is meant to push that zero to a definite side.  theta is
-    scanned over _PERTURB_ANGLES angles (refined locally if needed) so
-    the perturbed modulus stays above eps/4 on every sample.
+    eps is half the minimum of |P(z, f(z))| over vals, and theta the one
+    of _PERTURB_ANGLES scanned angles with the largest min |v + eps
+    e^{i theta}|.  Every sample keeps |v + eps e^{i theta}| >= |v| - eps
+    >= eps at any theta, and the offset changes no winding while
+    |P(z, f(z))| > eps on the contour.  The caller leaves out samples
+    where the composite is numerically zero; with no nonzero value left
+    there is nothing to size eps from (CannotPerturbError).
     """
     vals = np.asarray(vals, dtype=complex)
-    if vals.size == 0:
-        raise ValueError("boundary values must be nonempty")
     if not np.all(np.isfinite(vals)):
         raise ValueError("composite not finite at a boundary sample")
     mods = np.abs(vals)
-    if float(mods.max()) == 0.0:
+    if not mods.any():
         raise CannotPerturbError("P(z, f(z)) vanishes at every boundary sample")
-    if eps is None:
-        eps = 0.5 * float(mods.min())
-    elif not 0.0 <= eps < np.inf:
-        raise ValueError("explicit eps must be finite and nonnegative")
+    eps = 0.5 * float(mods.min())
 
-    # |v + eps e^{i theta}| >= |v| - eps, and every angle's minimum is at
-    # most min |v| + eps, so no other sample can attain a minimum (the
-    # margin covers rounding); dropping them leaves every minimum exact
-    near = vals[mods <= (float(mods.min()) + 2.0 * eps) * (1.0 + 1e-9)]
-
+    # every angle's minimum is at most min |v| + eps = 3 eps, and
+    # |v + eps e^{i theta}| >= |v| - eps, so no sample above 4 eps can
+    # attain a minimum (the margin covers rounding); dropping them leaves
+    # every minimum exact
+    near = vals[mods <= 4.0 * eps * (1.0 + 1e-9)]
     rows = max(1, _SCAN_BLOCK // near.size)
-
-    def best_of(thetas):
-        """The angle of thetas with the largest min |P_eps| over the
-        samples, and that minimum; one (angles, samples) array op per
-        block of rows angles."""
-        offsets = eps * np.exp(1j * thetas)[:, None]
-        scores = np.concatenate([np.abs(near + offsets[i:i + rows]).min(axis=1)
-                                 for i in range(0, thetas.size, rows)])
-        best = int(np.argmax(scores))
-        return float(thetas[best]), float(scores[best])
-
-    theta, best_score = best_of(
-        np.linspace(0.0, 2.0 * np.pi, _PERTURB_ANGLES, endpoint=False))
-    spacing = 2.0 * np.pi / _PERTURB_ANGLES
-    depth = 0
-    while (best_score <= eps / 4.0 and depth < _PERTURB_REFINE_DEPTH
-           and eps > 0.0):
-        theta, best_score = best_of(theta + np.linspace(-spacing, spacing, 17))
-        spacing /= 8.0
-        depth += 1
-    if eps > 0.0 and best_score <= eps / 4.0:
-        raise CannotPerturbError("no angle kept |P_eps| above eps/4 on the samples")
-    return PerturbedComposite(P, f, eps, theta % (2.0 * np.pi))
+    thetas = np.linspace(0.0, 2.0 * np.pi, _PERTURB_ANGLES, endpoint=False)
+    offsets = eps * np.exp(1j * thetas)[:, None]
+    scores = np.concatenate([np.abs(near + offsets[i:i + rows]).min(axis=1)
+                             for i in range(0, thetas.size, rows)])
+    return PerturbedComposite(P, f, eps, float(thetas[int(np.argmax(scores))]))

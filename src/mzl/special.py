@@ -109,10 +109,9 @@ def hyp2f1_with_bound(a, b, c, z, rtol: float = 1e-14, delta: float = 1e-3,
     _check_c(c)
     zs = np.asarray(z, dtype=complex)
     amax = float(np.abs(zs).max()) if zs.size else 0.0
-    if amax > 1.0 - delta:
+    if not amax <= 1.0 - delta:
         raise PrecisionLossError(
-            f"|z|={amax:.6f} exceeds 1-delta={1.0 - delta:.6f}",
-            amax**max_terms / max(1.0 - amax, 1e-300))
+            f"|z|={amax:.6f} exceeds 1-delta={1.0 - delta:.6f}", np.inf)
     val, bound = _hyp_series(a, b, c, 1.0, zs, rtol, max_terms)
     return _as_value(val), bound
 
@@ -124,7 +123,7 @@ def hyp2f1_prime(a, b, c, z, rtol: float = 1e-14, delta: float = 1e-3,
     _check_c(c)
     zs = np.asarray(z, dtype=complex)
     amax = float(np.abs(zs).max()) if zs.size else 0.0
-    if amax > 1.0 - delta:
+    if not amax <= 1.0 - delta:
         raise PrecisionLossError(
             f"|z|={amax:.6f} exceeds 1-delta={1.0 - delta:.6f}", np.inf)
     a, b, c = _params(a, b, c)

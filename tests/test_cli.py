@@ -93,6 +93,12 @@ def test_eval_2f1_reports_tail_bound(capsys):
     assert 0.0 < float(row[3]) < 1e-10
 
 
+def test_eval_2f1_outside_the_disk_exits_2(capsys):
+    assert main(["eval", "2f1", "1.5", "--a", "0.3", "--b", "1.2",
+                 "--c", "0.8"]) == 2
+    assert "exceeds 1-delta" in capsys.readouterr().err
+
+
 def test_eval_points_file(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("1i\n2i\n")
@@ -180,6 +186,21 @@ def test_count_zeros_wp_text_output(wp_poly, capsys):
 def test_count_zeros_missing_poly_file(capsys):
     assert main(["count-zeros", "j", "--poly", "/nonexistent/p.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["count-zeros", "trace"])
+@pytest.mark.parametrize("text", [
+    '{"coeffs": [[[1.0, 0.0], ',                                 # truncated
+    '{"deg_x": 0, "deg_y": 1}',                                  # no coeffs
+    '{"coeffs": [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]]}',      # ragged
+    '{"deg_x": 0, "deg_y": 2, "coeffs": [[[1.0, 0.0], [1.0, 0.0]]]}',
+    '{"coeffs": [[[NaN, 0.0], [1.0, 0.0]]]}',                    # NaN
+], ids=["truncated", "no-coeffs", "ragged", "degree-mismatch", "nan"])
+def test_bad_poly_file_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, "wp", "--poly", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
                          random_polynomial, theorem1_bound, theorem2_bound,
                          theorem2_proof_bound, verify_bound_inequalities)
 from mzl.elliptic import lattice, wp_analytic, wp_pair
-from mzl.errors import AmbiguityError, InvalidSpecError
+from mzl.errors import (AmbiguityError, InvalidSpecError,
+                        ZeroOnContourError)
 from mzl.poly import BivariatePolynomial, PerturbedComposite, perturb
 from mzl.special import klein_j, klein_j_pair
 
@@ -269,6 +270,33 @@ def test_count_zeros_wp_half_period_value(lat1):
     assert abs(rep.zeros[1].center.real - 0.5) < 0.05
     assert ims[0] < 0.05
     assert ims[1] > 0.95
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("tau", [0.3, 1.0, 8.0])
+def test_count_zeros_wp_half_period_values(tau, k):
+    # wp - e_k has a double zero at a half-period, on the cell edge for
+    # two of the three; eps is sized from the boundary samples where the
+    # composite is not numerically zero, and the offset moves the edge
+    # zero off the contour
+    L = lattice(tau)
+    P = poly_y_minus(L.half_period_values[k])
+    rep = count_zeros_wp(P, WpDomainSpec(tau))
+    assert rep.count == rep.winding == 2
+    assert rep.retries == 0
+    region = WpDomainSpec(tau, 0.0, rep.domain["delta"])
+    vals, near_zero = _boundary_scan(P, wp_analytic(L),
+                                     build_wp_contour(region).sample(512))
+    assert rep.epsilon == 0.5 * np.abs(vals[~near_zero]).min()
+
+
+@pytest.mark.xfail(raises=ZeroOnContourError, strict=True)
+def test_count_zeros_wp_bottom_edge_value(lat1):
+    # wp - wp(0.3) vanishes at 0.3 and 0.7 on the bottom edge, between
+    # boundary samples, so the scan flags none; the winding then meets
+    # the zero at z = 0.2998, and halving delta never moves that edge
+    P = poly_y_minus(wp_pair(0.3, lat1)[0])
+    assert count_zeros_wp(P, WpDomainSpec(1.0)).count == 2
 
 
 def test_count_zeros_wp_plain_z():

@@ -145,21 +145,7 @@ def _reference_angle(vals, eps):
         return float(np.abs(vals + eps * np.exp(1j * theta)).min())
 
     thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    scores = [score(t) for t in thetas]
-    best = int(np.argmax(scores))
-    theta, best_score = float(thetas[best]), scores[best]
-    spacing = 2.0 * np.pi / 64
-    depth = 0
-    while best_score <= eps / 4.0 and depth < 6 and eps > 0.0:
-        local = theta + np.linspace(-spacing, spacing, 17)
-        scores = [score(t) for t in local]
-        best = int(np.argmax(scores))
-        theta, best_score = float(local[best]), scores[best]
-        spacing /= 8.0
-        depth += 1
-    if eps > 0.0 and best_score <= eps / 4.0:
-        return None
-    return theta % (2.0 * np.pi)
+    return float(thetas[int(np.argmax([score(t) for t in thetas]))])
 
 
 def test_perturb_angle_scan_matches_the_per_angle_loop(rng, jfun):
@@ -168,24 +154,27 @@ def test_perturb_angle_scan_matches_the_per_angle_loop(rng, jfun):
     contour = build_j_contour(JDomainSpec(Y=2.5))
     samples = contour.sample(512)
     ring = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    cases = [(eval_composed(random_polynomial(rng, 2, 2), jfun, samples),
-              None) for _ in range(6)]
-    # a ring of values that eps = 1 nearly cancels at every scanned angle
-    # forces the local refinement; a dense ring defeats it
-    cases.append((-np.exp(1j * (ring + 0.01)), 1.0))
-    cases.append((-np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 5000)), 1.0))
+    cases = [eval_composed(random_polynomial(rng, 2, 2), jfun, samples)
+             for _ in range(6)]
+    # rings of equal moduli: every sample can attain a minimum
+    cases.append(-np.exp(1j * (ring + 0.01)))
+    cases.append(-np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 5000)))
     P = _poly([[0.0, 1.0]])
-    for vals, eps in cases:
-        want_eps = 0.5 * np.abs(vals).min() if eps is None else eps
-        want = _reference_angle(vals, want_eps)
-        if want is None:
-            with pytest.raises(CannotPerturbError):
-                perturb_from_values(P, jfun, vals, eps=eps)
-            continue
-        pert = perturb_from_values(P, jfun, vals, eps=eps)
-        assert pert.epsilon == want_eps
-        assert pert.theta == want
-    assert want is None
+    for vals in cases:
+        eps = 0.5 * np.abs(vals).min()
+        pert = perturb_from_values(P, jfun, vals)
+        assert pert.epsilon == eps
+        assert pert.theta == _reference_angle(vals, eps)
+        # |v| >= 2 eps, so no angle brings a sample closer than eps
+        assert np.abs(vals + pert.offset).min() >= eps
+
+
+def test_perturb_needs_a_nonzero_value(jfun):
+    # a caller that drops every flagged sample may have none left
+    P = _poly([[0.0, 1.0]])
+    for vals in ([], [0.0, 0.0]):
+        with pytest.raises(CannotPerturbError):
+            perturb_from_values(P, jfun, np.array(vals, dtype=complex))
 
 
 def test_rouche_winding_invariance(rng, jfun):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import mzl.special as special_module
 import oracles
 from mzl.errors import (AsymptoticFallbackWarning, DomainError,
                         PrecisionLossError)
@@ -44,6 +45,20 @@ def test_hyp2f1_rejects_bad_c_and_edge_z():
     with pytest.raises(PrecisionLossError) as exc:
         hyp2f1(0.5, 0.5, 1.0, 0.9999)
     assert exc.value.achieved > 0.0
+
+
+@pytest.mark.parametrize("z", [1.5, -3.0 + 2.0j, complex("nan"), np.inf])
+def test_hyp2f1_outside_the_disk_fails_before_the_series(monkeypatch, z):
+    # a z outside the disk, nan included, fails before any term is
+    # summed, with achieved inf as its evidence
+    def no_series(*args):
+        raise AssertionError("series summed outside the disk")
+
+    monkeypatch.setattr(special_module, "_hyp_series", no_series)
+    for fn in (hyp2f1, hyp2f1_with_bound, hyp2f1_prime):
+        with pytest.raises(PrecisionLossError) as exc:
+            fn(0.3, 1.2, 0.8, z)
+        assert exc.value.achieved == math.inf
 
 
 def test_hyp2f1_bound_is_honest(rng):
