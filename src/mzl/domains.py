@@ -34,6 +34,7 @@ from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
 from .pfaffian import khovanskii_zero_bound, real_zero_count
 from .poly import BivariatePolynomial, eval_composed, perturb_from_values
+from .qseries import standard_series
 from .special import klein_j, klein_j_pair
 
 
@@ -255,15 +256,14 @@ def _sorted_zeros(zeros) -> tuple:
 
 _DOMINANCE_C = 2.0
 _DOMINANCE_HEADROOM = 1.1
-_TOP_LINE_SAMPLES = 512
 _BOUNDARY_FLOOR = 1e-9
 # half-width at which localize_zeros stops splitting a box
 _J_TARGET_RADIUS = 1e-4
 _WP_TARGET_RADIUS = 1e-3
 
 
-def _boundary_scan(P: BivariatePolynomial, inner, z: np.ndarray):
-    """P(z, f(z)) at the samples z, for the pair callable f = inner, and
+def _boundary_scan(P: BivariatePolynomial, z: np.ndarray, w: np.ndarray):
+    """P(z, w) at the samples z, with w = f(z) their inner values, and
     the mask of the samples where it is numerically zero.
 
     A value is numerically zero when it falls below _BOUNDARY_FLOOR times
@@ -274,7 +274,6 @@ def _boundary_scan(P: BivariatePolynomial, inner, z: np.ndarray):
     themselves, so the growth of |j| towards the top line and of |wp|
     into the notches never makes a healthy value look small.
     """
-    w = inner(z)[0]
     vals = P.evaluate(z, w)
     scale = BivariatePolynomial(np.abs(P.coeffs)).evaluate(np.abs(z),
                                                            np.abs(w))
@@ -283,35 +282,59 @@ def _boundary_scan(P: BivariatePolynomial, inner, z: np.ndarray):
 
 def _top_line_dominates(P: BivariatePolynomial, Y: float,
                         inset: float) -> bool:
-    """True when the leading term h(z) e^{-2 pi i l z} exceeds 2.2x the
-    remainder of P(z, j(z)) on the top line and a few lines above it."""
+    """True when the leading term h_l(z) q^{-l}, q = e^{2 pi i z}, of
+    P(z, j(z)) = sum_k h_k(z) j(z)^k exceeds 2.2x the remainder on the
+    whole half-strip H = {|Re z| <= 1/2 + inset, Im z >= Y}, so that no
+    zero lies above the top line.
+
+    On H, |q| <= s = e^{-2 pi Y} and |j - q^{-1}| <= B = 744 + the tail
+    of the j majorant past q^0 at s, so j = q^{-1} (1 + d) with |d| <= Bs.
+    With m <= |h_l| on H (the leading coefficient times the distance
+    from each root of h_l to H) and R = |1/2 + inset + iY|, the
+    remainder over the leading term is at most
+
+        (1 + Bs)^l - 1 + sum_{k<l} (sum_i |c_ik| R^i / m) s^{l-k} (1 + Bs)^k.
+
+    Each term |z|^i e^{-2 pi (l-k) Im z} decreases up the strip once
+    Im z >= i / (2 pi (l - k)), which holds for every i <= deg_x once
+    Y >= deg_x / (2 pi); there a bound that holds at Y holds on all of H.
+    Below that height the check returns False and the caller raises Y.
+    """
     l, hcol = P.leading_y_term()
     if l == 0:
         return True
-    for dh in (0.0, 0.5, 1.0, 2.0):
-        y = Y + dh
-        if 2.0 * math.pi * l * y > 690.0:
-            raise DominanceError(
-                "top line too high for float arithmetic at this degree",
-                complex(0.0, y), math.inf)
-        x = np.linspace(-(0.5 + inset), 0.5 + inset, _TOP_LINE_SAMPLES)
-        z = x + 1j * y
-        f = npoly.polyval(z, hcol) * np.exp(-2j * np.pi * l * z)
-        g = P.evaluate(z, klein_j(z)) - f
-        if not np.all(np.abs(f) > _DOMINANCE_C * _DOMINANCE_HEADROOM
-                      * np.abs(g)):
-            return False
-    return True
+    if 2.0 * math.pi * l * Y > 690.0:
+        raise DominanceError(
+            "top line too high for float arithmetic at this degree",
+            complex(0.0, Y), math.inf)
+    if P.deg_x > 2.0 * math.pi * Y:
+        return False
+    xr = 0.5 + inset
+    m = abs(hcol[np.flatnonzero(hcol)[-1]])
+    for r in np.roots(hcol[::-1]):
+        m *= math.hypot(max(abs(r.real) - xr, 0.0), max(Y - r.imag, 0.0))
+    if m == 0.0:
+        return False
+    s = math.exp(-2.0 * math.pi * Y)
+    growth = 1.0 + (744.0 + standard_series()["j"].tail_bound(s, 1)) * s
+    # sum_i |c_ik| R^i for every k < l
+    h_bound = npoly.polyval(math.hypot(xr, Y), np.abs(P.coeffs[:, :l]))
+    rest = growth**l - 1.0 + sum(h_bound[k] / m * s ** (l - k) * growth**k
+                                 for k in range(l))
+    return 1.0 > _DOMINANCE_C * _DOMINANCE_HEADROOM * rest
 
 
-def _min_y_for_polynomial_roots(P: BivariatePolynomial, Y: float) -> float:
-    """With no j dependence the count is over a plain polynomial in z;
-    push the top line above all of its roots."""
-    if P.deg_y > 0 or P.deg_x == 0:
-        return Y
-    roots = np.roots(P.coeffs[::-1, 0])
-    top = max((r.imag for r in roots), default=0.0)
-    return max(Y, top + 1.0)
+def _min_y_for_polynomial_roots(P: BivariatePolynomial, Y: float,
+                                inset: float) -> float:
+    """Lift the top line to 1 above every root of the leading column h_l
+    with |Re| <= 1/2 + inset that lies above Y - 1.  A zero of
+    P(z, j(z)) sits next to each such root (with no j dependence, the
+    root itself), so the lift keeps it off the top line and out of the
+    half-strip H of _top_line_dominates, where the leading term vanishes
+    at the root and cannot dominate."""
+    roots = np.roots(P.leading_y_term()[1][::-1])
+    return max([Y] + [float(r.imag) + 1.0 for r in roots
+                      if abs(r.real) <= 0.5 + inset])
 
 
 def _in_j_region(z: complex, Y: float, inset: float) -> bool:
@@ -323,8 +346,13 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
                   n_samples: int = 512) -> ZeroCountReport:
     """Count zeros of P(z, j(z)) in the truncated fundamental domain.
 
-    The top line rises in half-steps until the leading term dominates
-    there, so no zeros hide above.  The composite is then offset as the
+    No zero may hide above the top line Y, and that is proved, not
+    sampled: each attempt first lifts Y to 1 above every root of the
+    leading column h_l in the strip that lies above Y - 1
+    (_min_y_for_polynomial_roots), then raises Y in half-steps until the
+    bound of _top_line_dominates, derived from the j series, shows the
+    leading term dominating on the whole half-strip.  Some inputs so get
+    a taller domain than spec.Y.  The composite is then offset as the
     module docstring says.  An offset would split the double zero of
     j - 1728 at i across the arc, which then counts 1, so a numerically
     zero boundary sample widens the region instead.  One loop retries
@@ -343,11 +371,11 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
         spec = JDomainSpec()
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
-    inner = klein_j_pair
-    Y = _min_y_for_polynomial_roots(P, spec.Y)
+    Y = spec.Y
     inset = spec.inset
     last_error: Exception | None = None
     for retries in range(8):
+        Y = _min_y_for_polynomial_roots(P, Y, inset)
         while not _top_line_dominates(P, Y, inset):
             Y += 0.5
             if Y > spec.Y + 8.0:
@@ -360,13 +388,13 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
         y0 = (1.0 - inset) * math.sin(region.theta_star)
         box = (-(0.5 + inset), 0.5 + inset, y0, Y)
         try:
-            vals, near_zero = _boundary_scan(P, inner, samples)
+            vals, near_zero = _boundary_scan(P, samples, klein_j(samples))
             if near_zero.any():
                 i = int(np.argmax(near_zero))
                 raise ZeroOnContourError(
                     "composite numerically zero on the boundary",
                     complex(samples[i]), float(abs(vals[i])))
-            pert = perturb_from_values(P, inner, vals)
+            pert = perturb_from_values(P, klein_j_pair, vals)
             atol = 0.1 * pert.epsilon
             w = winding_number(pert.pair, contour, zero_atol=atol)
             zeros = localize_zeros(pert.pair, box,
@@ -476,7 +504,7 @@ def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
                                       "stable count")
         contour = build_wp_contour(current)
         samples = contour.sample(n_samples)
-        vals, near_zero = _boundary_scan(P, inner, samples)
+        vals, near_zero = _boundary_scan(P, samples, inner(samples)[0])
         try:
             pert = perturb_from_values(P, inner, vals[~near_zero])
             atol = 0.1 * pert.epsilon

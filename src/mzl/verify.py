@@ -152,7 +152,8 @@ def _generic_wp_values(rng: np.random.Generator, n: int):
 
 def zero_count_suite(rng: np.random.Generator, trials: int = 50) -> dict:
     """Canonical counts plus randomized count-vs-bound trials: j, wp on
-    the square cell, and wp at tau 0.3 and 8 with beta 0.37."""
+    the square cell, wp at tau 0.3 and 8 with beta 0.37, and j at
+    deg_y 3-5."""
     canonical_j = all(
         count_zeros_j(BivariatePolynomial([[-c, 1.0]])).count == 1
         for c in _generic_j_values(rng, 10))
@@ -190,15 +191,26 @@ def zero_count_suite(rng: np.random.Generator, trials: int = 50) -> dict:
             if rep.bound_holds and rep.count == rep.winding:
                 extreme_ok += 1
 
+    # j at deg_y 3-5, from a second child generator for the same reason
+    child = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
+    j_high_ok = 0
+    for _ in range(trials):
+        P = random_polynomial(child, int(child.integers(0, 3)),
+                              int(child.integers(3, 6)))
+        rep = count_zeros_j(P)
+        if rep.bound_holds and rep.count == rep.winding:
+            j_high_ok += 1
+
     ok = (canonical_j and elliptic_double and canonical_wp
           and j_ok == trials and wp_ok == trials
-          and extreme_ok == 2 * trials)
+          and extreme_ok == 2 * trials and j_high_ok == trials)
     return {"name": "zero_counts", "pass": bool(ok),
             "canonical_j": bool(canonical_j),
             "elliptic_double": bool(elliptic_double),
             "canonical_wp": bool(canonical_wp),
             "j_trials_ok": j_ok, "wp_trials_ok": wp_ok,
             "wp_extreme_tau_trials_ok": extreme_ok,
+            "j_high_degree_trials_ok": j_high_ok,
             "trials": trials}
 
 

@@ -220,3 +220,28 @@ def hyp_series_scalar_loop(a: float, b: float, c: float, d: float, z,
             if np.all(tail <= rtol * (np.abs(acc) + 1e-290)):
                 return acc, float(np.max(tail))
     raise ArithmeticError("no convergence")
+
+
+# ---------------------------------------------------------------------------
+# top-line dominance by sampling
+
+
+def sampled_top_line_dominates(coeffs: np.ndarray, ys,
+                               inset: float) -> bool:
+    """True when the leading term h_l(z) e^{-2 pi i l z} of
+    P(z, j(z)) = sum_k h_k(z) j(z)^k exceeds 2.2x the rest at 512 evenly
+    spaced points of every line Im z = y, |Re z| <= 1/2 + inset, for y
+    in ys.
+
+    The library derives its check from the j series instead: samples
+    prove nothing between them.  j comes from the eta-route tables to
+    order 12, which leaves a relative error below 1e-60 at Im z >= 2.5."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    l = max(k for k in range(coeffs.shape[1]) if coeffs[:, k].any())
+    x = np.linspace(-(0.5 + inset), 0.5 + inset, 512)
+    z = x[None, :] + 1j * np.asarray(ys, dtype=float)[:, None]
+    j = j_horner_fixed_order(z, N=12)[0]
+    polyval = np.polynomial.polynomial.polyval
+    lead = polyval(z, coeffs[:, l]) * np.exp(-2j * math.pi * l * z)
+    total = sum(polyval(z, coeffs[:, k]) * j**k for k in range(l + 1))
+    return bool(np.all(np.abs(lead) > 2.2 * np.abs(total - lead)))

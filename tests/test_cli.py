@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import mzl
 from mzl.cli import main
 from mzl.config import RunConfig, load_config
 from mzl.errors import InvalidSpecError
@@ -223,6 +226,19 @@ def test_verify_single_suite_json(capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    # python -m mzl runs main and passes its exit code on
+    root = os.path.dirname(os.path.dirname(os.path.abspath(mzl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH")))))
+    run = lambda *argv: subprocess.run(
+        [sys.executable, "-m", "mzl", *argv], capture_output=True,
+        text=True, env=env, timeout=60)
+    ok = run("bound", "t2", "--d", "2")
+    assert (ok.returncode, ok.stdout) == (0, "65\n")
+    assert run("bound", "t2").returncode == 2
 
 
 def test_unknown_subcommand_exits_2():

@@ -11,13 +11,14 @@ import mzl.contour as contour_module
 import oracles
 from mzl.contour import ArcSegment, LineSegment, winding_number
 from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
-                         bezout_step_bound, build_j_contour,
-                         build_wp_contour, count_zeros_j, count_zeros_wp,
-                         line_im_zero_count, proposition_bound,
+                         _top_line_dominates, bezout_step_bound,
+                         build_j_contour, build_wp_contour, count_zeros_j,
+                         count_zeros_wp, line_im_zero_count,
+                         proposition_bound,
                          random_polynomial, theorem1_bound, theorem2_bound,
                          theorem2_proof_bound, verify_bound_inequalities)
 from mzl.elliptic import lattice, wp_analytic, wp_pair
-from mzl.errors import (AmbiguityError, InvalidSpecError,
+from mzl.errors import (AmbiguityError, DominanceError, InvalidSpecError,
                         ZeroOnContourError)
 from mzl.poly import BivariatePolynomial, PerturbedComposite, perturb
 from mzl.special import klein_j, klein_j_pair
@@ -244,6 +245,116 @@ def test_count_zeros_j_high_y_degree():
         assert rep.bound_holds
 
 
+# Inputs of the seeded j-count corpus whose last zero lies above the
+# default top line Y = 2.5: the sampled lines Y, Y + 1/2, Y + 1, Y + 2
+# missed it, and each count came back one short.
+HIDDEN_ZEROS = [
+    ([[0.6221252216057821 - 0.8794597147043167j,
+       -1.5290928749284465 + 1.4748226520869099j],
+      [2.0267790952431928 - 0.049755760296968106j,
+       -0.39500987549879313 - 0.3674025993780988j]],
+     2, -0.2136 + 3.9323j),
+    ([[-1.387413231554587 - 1.3075789066569106j,
+       -1.0775204968476604 - 0.6121063779878204j,
+       -1.2008631075528253 + 1.6731149700340762j,
+       1.1103678017586875 - 1.2907543993826185j],
+      [-0.8880848611591907 - 0.8316549603684383j,
+       0.6686564129642129 - 0.1622465227803788j,
+       0.5875101525212513 + 0.808990072037372j,
+       0.25967041104814037 + 0.251639190604869j]],
+     4, 0.2790 + 4.7004j),
+    ([[0.20311235434987712 + 0.8911118179263711j,
+       -3.330916459012456 - 0.9005152822669764j],
+      [-0.5255213745274884 - 0.36247650658910213j,
+       0.705581031455687 + 0.659132379969098j],
+      [-0.1511497178205969 - 0.5431911479927756j,
+       -0.7597670404767642 + 0.14134872622320707j]],
+     2, -0.0064 + 2.5720j),
+]
+
+
+@pytest.mark.parametrize("coeffs,count,zero", HIDDEN_ZEROS)
+def test_count_zeros_j_finds_zeros_above_the_default_top_line(coeffs, count,
+                                                              zero):
+    rep = count_zeros_j(BivariatePolynomial(coeffs))
+    assert rep.count == rep.winding == count
+    assert rep.domain["Y"] > zero.imag
+    assert min(abs(z.center - zero) for z in rep.zeros) < 1e-3
+
+
+@pytest.mark.parametrize("z0", [0.3 + 2.6j, 0.1 + 12j])
+def test_count_zeros_j_zero_next_to_a_root_of_the_leading_column(z0):
+    # P = (X - z0) Y - 1 vanishes where j(z) = 1/(z - z0): once next to
+    # z0, where j is huge, and once more near the corner rho.  0.3 + 2.6i
+    # lies between the lines a sampled check would look at; 0.1 + 12i is
+    # 9.5 above the default top line, out of reach of its half-steps
+    rep = count_zeros_j(BivariatePolynomial([[-1.0, -z0], [0.0, 1.0]]))
+    assert rep.count == rep.winding == 2
+    assert min(abs(z.center - z0) for z in rep.zeros) < 1e-6
+
+
+@pytest.mark.parametrize("P, count", [
+    (poly_x_minus(0.1 + 2.49999j), 1),
+    (BivariatePolynomial([[-1.0, -(0.1 + 2.49999j)], [0.0, 1.0]]), 2)])
+def test_count_zeros_j_root_just_under_the_top_line(P, count):
+    # the root of the leading column sits 1e-5 under the default top line,
+    # between boundary samples; the top line starts 1 above it instead
+    rep = count_zeros_j(P)
+    assert rep.count == rep.winding == count
+    assert rep.retries == 0
+    assert rep.domain["Y"] == pytest.approx(3.49999)
+
+
+def test_top_line_dominance_without_j_dependence():
+    assert _top_line_dominates(poly_x_minus(0.1 + 12j), 2.5, 0.0)
+
+
+def test_top_line_dominance_rejects_a_top_line_beyond_float_range():
+    P = BivariatePolynomial(np.ones((1, 6)))
+    assert _top_line_dominates(P, 21.9, 0.0)
+    with pytest.raises(DominanceError):
+        _top_line_dominates(P, 22.0, 0.0)
+
+
+def test_top_line_dominance_fails_over_a_root_of_the_leading_column():
+    P = BivariatePolynomial([[-1.0, -(0.4 + 3.0j)], [0.0, 1.0]])
+    assert not _top_line_dominates(P, 2.5, 0.0)
+    assert _top_line_dominates(P, 2.5 + 1.0, 0.0)
+    # just outside the strip at inset 0, inside it at inset 0.15
+    P = BivariatePolynomial([[-1.0, -(0.6 + 3.0j)], [0.0, 1.0]])
+    assert _top_line_dominates(P, 2.5, 0.0)
+    assert not _top_line_dominates(P, 2.5, 0.15)
+
+
+def test_top_line_dominance_implies_sampled_dominance():
+    # whenever the derived check accepts (P, Y), the leading term
+    # dominates at every sample of the lines Y, Y + 1/2, ..., Y + 6.
+    # Half the inputs move a root of the leading column near the strip,
+    # where the check has to reject some heights
+    rng = np.random.default_rng(14)
+    lines = 0.5 * np.arange(13)
+    accepted = rejected = 0
+    for _ in range(30):
+        P = random_polynomial(rng, int(rng.integers(0, 3)),
+                              int(rng.integers(1, 6)))
+        root = complex(rng.uniform(-0.7, 0.7), rng.uniform(1.0, 5.0))
+        lead = np.zeros(P.deg_x + 2, dtype=complex)
+        lead[:2] = (-root, 1.0)
+        planted = np.zeros((P.deg_x + 2, P.deg_y + 1), dtype=complex)
+        planted[:-1] = P.coeffs
+        planted[:, -1] = lead * P.coeffs[0, -1]
+        for Q in (P, BivariatePolynomial(planted)):
+            for Y in (2.5, 3.0, 4.0):
+                for inset in (0.0, 0.01):
+                    if not _top_line_dominates(Q, Y, inset):
+                        rejected += 1
+                        continue
+                    accepted += 1
+                    assert oracles.sampled_top_line_dominates(
+                        Q.coeffs, Y + lines, inset), (Q.coeffs, Y, inset)
+    assert accepted > 200 and rejected > 10
+
+
 # ---------------------------------------------------------------------------
 # period-cell counting
 
@@ -285,8 +396,8 @@ def test_count_zeros_wp_half_period_values(tau, k):
     assert rep.count == rep.winding == 2
     assert rep.retries == 0
     region = WpDomainSpec(tau, 0.0, rep.domain["delta"])
-    vals, near_zero = _boundary_scan(P, wp_analytic(L),
-                                     build_wp_contour(region).sample(512))
+    samples = build_wp_contour(region).sample(512)
+    vals, near_zero = _boundary_scan(P, samples, wp_pair(samples, L)[0])
     assert rep.epsilon == 0.5 * np.abs(vals[~near_zero]).min()
 
 
@@ -403,13 +514,13 @@ def test_boundary_scan_flags_zeros_on_the_contour(lat1):
     # j - 1728 vanishes at z = i on the arc, wp - e1 at z = 1/2 on the
     # bottom edge; both points are boundary samples
     samples = build_j_contour(JDomainSpec()).sample(512)
-    _, near_zero = _boundary_scan(poly_y_minus(1728.0), klein_j_pair,
-                                  samples)
+    _, near_zero = _boundary_scan(poly_y_minus(1728.0), samples,
+                                  klein_j(samples))
     assert near_zero.any()
     e1 = lat1.half_period_values[0]
     samples = build_wp_contour(WpDomainSpec(1.0)).sample(512)
-    _, near_zero = _boundary_scan(poly_y_minus(e1), wp_analytic(lat1),
-                                  samples)
+    _, near_zero = _boundary_scan(poly_y_minus(e1), samples,
+                                  wp_pair(samples, lat1)[0])
     assert near_zero.any()
 
 
@@ -418,7 +529,7 @@ def test_boundary_scan_ignores_growth_near_rho():
     samples = build_j_contour(JDomainSpec()).sample(512)
     rho = complex(-0.5, math.sqrt(3.0) / 2.0)
     near = samples[np.abs(samples - rho) < 0.25]
-    vals, near_zero = _boundary_scan(P, klein_j_pair, near)
+    vals, near_zero = _boundary_scan(P, near, klein_j(near))
     mods = np.abs(vals)
     assert float(mods.max()) > 1e9 * float(mods.min())
     assert not near_zero.any()
