@@ -113,16 +113,23 @@ def _cmd_verify_chain(args, cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+def _domain_spec(args, cfg: RunConfig):
+    """The domain that count-zeros and trace name, with Y and tau
+    falling back to the run configuration."""
+    if args.domain == "j":
+        return JDomainSpec(Y=args.Y if args.Y is not None else cfg.y_top,
+                           inset=args.inset)
+    return WpDomainSpec(tau=args.tau if args.tau is not None else cfg.tau,
+                        beta=args.beta, delta=args.delta)
+
+
 def _cmd_count_zeros(args, cfg: RunConfig) -> int:
     P = _load_poly(args.poly)
+    spec = _domain_spec(args, cfg)
     if args.domain == "j":
-        spec = JDomainSpec(Y=args.Y if args.Y is not None else cfg.y_top,
-                           inset=args.inset)
-        rep = count_zeros_j(P, spec, n_samples=cfg.samples)
+        rep = count_zeros_j(P, spec)
     else:
-        spec = WpDomainSpec(tau=args.tau if args.tau is not None else cfg.tau,
-                            beta=args.beta, delta=args.delta)
-        rep = count_zeros_wp(P, spec, n_samples=cfg.samples)
+        rep = count_zeros_wp(P, spec)
     payload = {"schema": SCHEMA, "report": rep.to_dict()}
     if args.report is not None:
         _emit_json(payload, args.report)
@@ -175,14 +182,11 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 
 def _cmd_trace(args, cfg: RunConfig) -> int:
     P = _load_poly(args.poly)
+    spec = _domain_spec(args, cfg)
     if args.domain == "j":
-        spec = JDomainSpec(Y=args.Y if args.Y is not None else cfg.y_top,
-                           inset=args.inset)
         contour = build_j_contour(spec)
         inner = klein_j_pair
     else:
-        spec = WpDomainSpec(tau=args.tau if args.tau is not None else cfg.tau,
-                            beta=args.beta, delta=args.delta)
         contour = build_wp_contour(spec)
         inner = wp_analytic(lattice(spec.tau))
     pert = PerturbedComposite(P, inner, 0.0, 0.0)
@@ -239,15 +243,18 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--report", default=None)
     pc.set_defaults(fn=_cmd_verify_chain)
 
-    pz = sub.add_parser("count-zeros", help="count zeros in a fundamental "
-                        "domain via the argument principle")
-    pz.add_argument("domain", choices=["j", "wp"])
-    pz.add_argument("--poly", required=True, help="polynomial JSON file")
-    pz.add_argument("--Y", type=float, default=None)
-    pz.add_argument("--inset", type=float, default=0.0)
-    pz.add_argument("--tau", type=float, default=None)
-    pz.add_argument("--beta", type=float, default=0.0)
-    pz.add_argument("--delta", type=float, default=None)
+    # the polynomial and domain arguments of count-zeros and trace
+    domain = argparse.ArgumentParser(add_help=False)
+    domain.add_argument("domain", choices=["j", "wp"])
+    domain.add_argument("--poly", required=True, help="polynomial JSON file")
+    domain.add_argument("--Y", type=float, default=None)
+    domain.add_argument("--inset", type=float, default=0.0)
+    domain.add_argument("--tau", type=float, default=None)
+    domain.add_argument("--beta", type=float, default=0.0)
+    domain.add_argument("--delta", type=float, default=None)
+
+    pz = sub.add_parser("count-zeros", parents=[domain], help="count zeros "
+                        "in a fundamental domain via the argument principle")
     pz.add_argument("--report", default=None)
     pz.add_argument("--json", action="store_true")
     pz.set_defaults(fn=_cmd_count_zeros)
@@ -270,15 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(fn=_cmd_verify)
 
-    pt = sub.add_parser("trace", help="dump the composite along a domain "
-                        "contour as CSV")
-    pt.add_argument("domain", choices=["j", "wp"])
-    pt.add_argument("--poly", required=True)
-    pt.add_argument("--Y", type=float, default=None)
-    pt.add_argument("--inset", type=float, default=0.0)
-    pt.add_argument("--tau", type=float, default=None)
-    pt.add_argument("--beta", type=float, default=0.0)
-    pt.add_argument("--delta", type=float, default=None)
+    pt = sub.add_parser("trace", parents=[domain], help="dump the composite "
+                        "along a domain contour as CSV")
     pt.add_argument("--per-segment", type=int, default=256)
     pt.add_argument("--out", default=None)
     pt.set_defaults(fn=_cmd_trace)

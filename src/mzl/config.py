@@ -14,7 +14,6 @@ from .errors import InvalidSpecError
 
 @dataclass
 class RunConfig:
-    samples: int = 512
     trials: int = 50
     seed: int = 0
     y_top: float = 2.5
@@ -55,7 +54,7 @@ class RunConfig:
             except ValueError as exc:
                 raise InvalidSpecError(
                     f"{source}: bad value for {key}: {val!r}") from exc
-            if key in ("samples", "trials") and coerced < 1:
+            if key == "trials" and coerced < 1:
                 raise InvalidSpecError(f"{source}: {key} must be at least 1")
             setattr(out, key, coerced)
         return out

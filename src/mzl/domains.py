@@ -3,10 +3,11 @@
 count_zeros_j counts zeros of P(z, j(z)) in the standard fundamental
 domain of the modular group truncated at height Y; count_zeros_wp counts
 zeros of P(z, wp(z)) in a period cell of the lattice spanned by 1 and
-i*tau, with quarter-circle notches excising the lattice poles.  Both
-wind P(z, f(z)) + eps e^{i theta} around the boundary and cross-check
-the winding against localized zero multiplicities.  eps has one rule:
-half the minimum |P(z, f(z))| over the boundary samples that are not
+i*tau, with notches excising the lattice poles on its boundary.  Each
+keeps its own geometry and one retry move, and runs every attempt
+through _attempt: wind P(z, f(z)) + eps e^{i theta} around the boundary
+and cross-check the winding against localized zero multiplicities.  eps
+is half the minimum |P(z, f(z))| over the boundary samples that are not
 numerically zero.  Those samples keep |P + eps e^{i theta}| >= eps, and
 by Rouche the offset changes no count while |P| > eps on the contour.
 
@@ -14,14 +15,12 @@ Both pipelines judge "numerically zero on the boundary" by one rule
 (_boundary_scan): |P(z, f(z))| below _BOUNDARY_FLOOR times the Horner
 running-error scale of the sum.  count_zeros_j retries on such a
 sample; count_zeros_wp leaves it out of eps, and the offset moves that
-boundary zero off the contour.  Each runs one retry loop in which every
-kind of failure has exactly one move; see count_zeros_j and
-count_zeros_wp.
+boundary zero off the contour.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -158,48 +157,67 @@ class WpDomainSpec:
         return WpDomainSpec(self.tau, self.beta, delta)
 
 
-def build_wp_contour(spec: WpDomainSpec) -> Contour:
-    """Counterclockwise cell boundary with pole notches.
-
-    With beta = 0 the poles sit at the four corners and each gets a
-    quarter-circle notch.  For non-integer beta the corners are pole
-    free but one lattice point lies inside the bottom and top edges;
-    those get semicircular notches instead."""
+def _wp_cell(spec: WpDomainSpec):
+    """(contour, tiles, poles) of the cell: its counterclockwise boundary
+    with notches, five tiles partitioning the cell minus squares of side
+    delta around the boundary poles (shared cuts, no overlap), and those
+    poles.  With integer beta they are the four corners, each with a
+    quarter-circle notch; otherwise one lies inside the bottom edge and
+    one inside the top edge, each with a semicircular notch."""
     b, t, d = spec.beta, spec.tau, spec.delta
-    frac = b - math.floor(b)
-    segs: list = []
-    if frac == 0.0:
-        # poles at all four corners
-        c0, c1 = complex(b, 0.0), complex(b + 1.0, 0.0)
-        c2, c3 = complex(b + 1.0, t), complex(b, t)
-        segs.append(LineSegment(c0 + d, c1 - d))
-        segs.append(ArcSegment(c1, d, math.pi, math.pi / 2))
-        segs.append(LineSegment(c1 + 1j * d, c2 - 1j * d))
-        segs.append(ArcSegment(c2, d, -math.pi / 2, -math.pi))
-        segs.append(LineSegment(c2 - d, c3 + d))
-        segs.append(ArcSegment(c3, d, 0.0, -math.pi / 2))
-        segs.append(LineSegment(c3 - 1j * d, c0 + 1j * d))
-        segs.append(ArcSegment(c0, d, math.pi / 2, 0.0))
-        return Contour(segs)
+    c0, c1 = complex(b, 0.0), complex(b + 1.0, 0.0)
+    c2, c3 = complex(b + 1.0, t), complex(b, t)
+    if b == math.floor(b):
+        a0, a1 = b + d, b + 1.0 - d
+        contour = Contour([
+            LineSegment(c0 + d, c1 - d),
+            ArcSegment(c1, d, math.pi, math.pi / 2),
+            LineSegment(c1 + 1j * d, c2 - 1j * d),
+            ArcSegment(c2, d, -math.pi / 2, -math.pi),
+            LineSegment(c2 - d, c3 + d),
+            ArcSegment(c3, d, 0.0, -math.pi / 2),
+            LineSegment(c3 - 1j * d, c0 + 1j * d),
+            ArcSegment(c0, d, math.pi / 2, 0.0),
+        ])
+        tiles = [
+            (a0, a1, 0.0, d),          # bottom strip
+            (a0, a1, t - d, t),        # top strip
+            (b, a0, d, t - d),         # left strip
+            (a1, b + 1.0, d, t - d),   # right strip
+            (a0, a1, d, t - d),        # center
+        ]
+        return contour, tiles, [c0, c1, c3, c2]
     k = math.ceil(b)
     if min(k - b, b + 1.0 - k) <= 2.0 * d:
         raise InvalidSpecError(
             "interior lattice point too close to a cell corner; "
             "shrink delta or shift beta")
-    c0, c1 = complex(b, 0.0), complex(b + 1.0, 0.0)
-    c2, c3 = complex(b + 1.0, t), complex(b, t)
-    segs.append(LineSegment(c0, k - d))
-    segs.append(ArcSegment(complex(k, 0.0), d, math.pi, 0.0))
-    segs.append(LineSegment(k + d, c1))
-    segs.append(LineSegment(c1, c2))
-    segs.append(LineSegment(c2, complex(k + d, t)))
-    segs.append(ArcSegment(complex(k, t), d, 0.0, -math.pi))
-    segs.append(LineSegment(complex(k - d, t), c3))
-    segs.append(LineSegment(c3, c0))
-    return Contour(segs)
+    contour = Contour([
+        LineSegment(c0, k - d),
+        ArcSegment(complex(k, 0.0), d, math.pi, 0.0),
+        LineSegment(k + d, c1),
+        LineSegment(c1, c2),
+        LineSegment(c2, complex(k + d, t)),
+        ArcSegment(complex(k, t), d, 0.0, -math.pi),
+        LineSegment(complex(k - d, t), c3),
+        LineSegment(c3, c0),
+    ])
+    tiles = [
+        (b, k - d, 0.0, d),          # bottom edge, left of the pole
+        (k + d, b + 1.0, 0.0, d),    # bottom edge, right of the pole
+        (b, k - d, t - d, t),        # top edge, left of the pole
+        (k + d, b + 1.0, t - d, t),  # top edge, right of the pole
+        (b, b + 1.0, d, t - d),      # middle band
+    ]
+    return contour, tiles, [complex(k, 0.0), complex(k, t)]
 
 
-# ----------------------------------------------------------------- report
+def build_wp_contour(spec: WpDomainSpec) -> Contour:
+    """Counterclockwise cell boundary with pole notches (see _wp_cell)."""
+    return _wp_cell(spec)[0]
+
+
+# ------------------------------------------------ count attempt and report
 
 def _fstr(x: float) -> str:
     return repr(float(x))
@@ -247,16 +265,9 @@ class ZeroCountReport:
         }
 
 
-def _sorted_zeros(zeros) -> tuple:
-    return tuple(sorted(zeros,
-                        key=lambda z: (z.center.real, z.center.imag)))
-
-
-# ------------------------------------------------------------- j pipeline
-
-_DOMINANCE_C = 2.0
-_DOMINANCE_HEADROOM = 1.1
 _BOUNDARY_FLOOR = 1e-9
+# points per contour segment of the boundary scan that sizes eps
+_BOUNDARY_SAMPLES = 512
 # half-width at which localize_zeros stops splitting a box
 _J_TARGET_RADIUS = 1e-4
 _WP_TARGET_RADIUS = 1e-3
@@ -278,6 +289,48 @@ def _boundary_scan(P: BivariatePolynomial, z: np.ndarray, w: np.ndarray):
     scale = BivariatePolynomial(np.abs(P.coeffs)).evaluate(np.abs(z),
                                                            np.abs(w))
     return vals, np.abs(vals) < _BOUNDARY_FLOOR * scale.real
+
+
+def _attempt(P: BivariatePolynomial, inner, vals: np.ndarray,
+             contour: Contour, boxes, target_radius: float, keep):
+    """One count attempt of either pipeline: offset P(z, f(z)) with eps
+    sized from vals, wind it around the contour, localize its zeros in
+    the boxes (zero_atol 0.1 eps for both) and keep those whose centers
+    pass keep.  Returns (offset composite, winding, kept zeros); raises
+    NonconvergenceError unless their multiplicities sum to the winding,
+    as when a zero near the boundary straddles keep."""
+    pert = perturb_from_values(P, inner, vals)
+    atol = 0.1 * pert.epsilon
+    w = winding_number(pert.pair, contour, zero_atol=atol)
+    zeros = localize_zeros(pert.pair, *boxes, target_radius=target_radius,
+                           zero_atol=atol)
+    kept = [z for z in zeros if keep(z.center)]
+    count = sum(z.multiplicity for z in kept)
+    if count != w.winding:
+        raise NonconvergenceError(
+            f"{count} localized zeros against winding {w.winding}")
+    return pert, w, kept
+
+
+def _report(kind, P, bound_fn, pert, w, zeros, domain, contour,
+            retries) -> ZeroCountReport:
+    d = max(1, P.degree)
+    bound = bound_fn(d)
+    count = sum(z.multiplicity for z in zeros)
+    return ZeroCountReport(
+        kind=kind, count=count, winding=w.winding,
+        zeros=tuple(sorted(zeros, key=lambda z: (z.center.real,
+                                                 z.center.imag))),
+        epsilon=pert.epsilon, theta=pert.theta, domain=domain, degree=d,
+        bound=bound, bound_holds=count <= bound, min_modulus=w.min_modulus,
+        total_variation=w.total_variation, contour_length=contour.length,
+        retries=retries)
+
+
+# ------------------------------------------------------------- j pipeline
+
+_DOMINANCE_C = 2.0
+_DOMINANCE_HEADROOM = 1.1
 
 
 def _top_line_dominates(P: BivariatePolynomial, Y: float,
@@ -342,8 +395,8 @@ def _in_j_region(z: complex, Y: float, inset: float) -> bool:
             and z.imag <= Y)
 
 
-def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
-                  n_samples: int = 512) -> ZeroCountReport:
+def count_zeros_j(P: BivariatePolynomial,
+                  spec: JDomainSpec | None = None) -> ZeroCountReport:
     """Count zeros of P(z, j(z)) in the truncated fundamental domain.
 
     No zero may hide above the top line Y, and that is proved, not
@@ -355,24 +408,18 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
     a taller domain than spec.Y.  The composite is then offset as the
     module docstring says.  An offset would split the double zero of
     j - 1728 at i across the arc, which then counts 1, so a numerically
-    zero boundary sample widens the region instead.  One loop retries
-    over the state (Y, inset), and each kind of failure has one move:
-
-    - boundary trouble widens the region by 1e-3 of inset (capped at
-      0.19): a boundary sample that is numerically zero (_boundary_scan),
-      ZeroOnContourError, CannotPerturbError, NonconvergenceError from
-      the winding or the localization, or a localized count that differs
-      from the winding;
-    - a zero within 0.5 of the top line raises Y by 1.
-
-    The report's retries is the number of failed attempts.
+    zero boundary sample widens the region instead.  One loop retries,
+    and every failure has the same move, widening the region by 1e-3 of
+    inset (capped at 0.19): a numerically zero boundary sample
+    (_boundary_scan), ZeroOnContourError, CannotPerturbError or
+    NonconvergenceError from the winding or the localization, and a
+    localized count that differs from the winding.  The report's retries
+    is the number of failed attempts.
     """
-    if spec is None:
-        spec = JDomainSpec()
+    spec = JDomainSpec() if spec is None else spec
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
-    Y = spec.Y
-    inset = spec.inset
+    Y, inset = spec.Y, spec.inset
     last_error: Exception | None = None
     for retries in range(8):
         Y = _min_y_for_polynomial_roots(P, Y, inset)
@@ -384,7 +431,7 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
                     complex(0.0, Y), math.nan)
         region = JDomainSpec(Y, inset)
         contour = build_j_contour(region)
-        samples = contour.sample(n_samples)
+        samples = contour.sample(_BOUNDARY_SAMPLES)
         y0 = (1.0 - inset) * math.sin(region.theta_star)
         box = (-(0.5 + inset), 0.5 + inset, y0, Y)
         try:
@@ -394,92 +441,29 @@ def count_zeros_j(P: BivariatePolynomial, spec: JDomainSpec | None = None,
                 raise ZeroOnContourError(
                     "composite numerically zero on the boundary",
                     complex(samples[i]), float(abs(vals[i])))
-            pert = perturb_from_values(P, klein_j_pair, vals)
-            atol = 0.1 * pert.epsilon
-            w = winding_number(pert.pair, contour, zero_atol=atol)
-            zeros = localize_zeros(pert.pair, box,
-                                   target_radius=_J_TARGET_RADIUS,
-                                   zero_atol=atol)
-            kept = [z for z in zeros if _in_j_region(z.center, Y, inset)]
-            count = sum(z.multiplicity for z in kept)
-            if count != w.winding:
-                # a zero straddled the region test near the boundary
-                raise NonconvergenceError(
-                    f"{count} localized zeros against winding {w.winding}")
+            pert, w, zeros = _attempt(
+                P, klein_j_pair, vals, contour, [box], _J_TARGET_RADIUS,
+                lambda c: _in_j_region(c, Y, inset))
         except (ZeroOnContourError, CannotPerturbError,
                 NonconvergenceError) as exc:
             last_error = exc
             inset = min(inset + 1e-3, 0.19)
             continue
-        if any(z.center.imag > Y - 0.5 for z in kept):
-            Y += 1.0
-            continue
-        d = max(1, P.degree)
-        bound = theorem1_bound(d)
-        return ZeroCountReport(
-            kind="j", count=count, winding=w.winding,
-            zeros=_sorted_zeros(kept), epsilon=pert.epsilon,
-            theta=pert.theta, domain={"Y": Y, "inset": inset},
-            degree=d, bound=bound, bound_holds=count <= bound,
-            min_modulus=w.min_modulus, total_variation=w.total_variation,
-            contour_length=contour.length, retries=retries)
-    if last_error is not None:
-        raise last_error
-    raise NonconvergenceError("zero count did not stabilize for the "
-                              "modular domain")
+        return _report("j", P, theorem1_bound, pert, w, zeros,
+                       asdict(region), contour, retries)
+    raise last_error
 
 
 # ------------------------------------------------------------ wp pipeline
 
-def _wp_tiles(spec: WpDomainSpec):
-    """Partition of the cell minus squares of side delta around its
-    boundary poles.  Shared cuts, no overlap.  Integer beta puts the
-    poles at the four corners; otherwise one pole sits inside the bottom
-    edge and one inside the top edge."""
-    b, t, d = spec.beta, spec.tau, spec.delta
-    frac = b - math.floor(b)
-    if frac == 0.0:
-        a0, a1 = b + d, b + 1.0 - d
-        c0, c1 = d, t - d
-        return [
-            (a0, a1, 0.0, c0),      # bottom strip
-            (a0, a1, c1, t),        # top strip
-            (b, a0, c0, c1),        # left strip
-            (a1, b + 1.0, c0, c1),  # right strip
-            (a0, a1, c0, c1),       # center
-        ]
-    k = float(math.ceil(b))
-    return [
-        (b, k - d, 0.0, d),          # bottom edge, left of the pole
-        (k + d, b + 1.0, 0.0, d),    # bottom edge, right of the pole
-        (b, k - d, t - d, t),        # top edge, left of the pole
-        (k + d, b + 1.0, t - d, t),  # top edge, right of the pole
-        (b, b + 1.0, d, t - d),      # middle band
-    ]
-
-
-def _boundary_poles(spec: WpDomainSpec) -> list[complex]:
-    """The lattice points on the cell boundary: the four corners for
-    integer beta, otherwise the one inside the bottom edge and the one
-    inside the top edge."""
-    b, t = spec.beta, spec.tau
-    k = math.ceil(b)
-    if k == b:
-        return [complex(b, 0.0), complex(b + 1.0, 0.0), complex(b, t),
-                complex(b + 1.0, t)]
-    return [complex(k, 0.0), complex(k, t)]
-
-
-def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
-                   n_samples: int = 512) -> ZeroCountReport:
+def count_zeros_wp(P: BivariatePolynomial,
+                   spec: WpDomainSpec) -> ZeroCountReport:
     """Count zeros of P(z, wp(z)) in one period cell of <1, i tau>.
 
     The winding over the notched cell boundary is cross-checked against
-    the multiplicities localized in a five-tile partition of the cell
-    minus squares around its boundary poles (_wp_tiles); the five tiles
-    are the top boxes of one localize_zeros quadtree, so their windings,
-    Newton steps and splits share every f call.  A boundary sample where
-    the composite is numerically zero (_boundary_scan), e.g. at a
+    the multiplicities localized in the five tiles of _wp_cell, the top
+    boxes of one localize_zeros quadtree.  A boundary sample where the
+    composite is numerically zero (_boundary_scan), e.g. at a
     half-period, is left out of epsilon, and the offset moves that zero
     off the contour; an offset that nearly cancels it there raises
     ZeroOnContourError in the winding.
@@ -495,27 +479,19 @@ def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
     inner = wp_analytic(lattice(spec.tau))
-    poles = _boundary_poles(spec)
     current = spec
     last_error: Exception | None = None
     for retries in range(5):
         if current.delta < 1e-5:
             raise NonconvergenceError("notch radius collapsed without a "
                                       "stable count")
-        contour = build_wp_contour(current)
-        samples = contour.sample(n_samples)
+        contour, tiles, poles = _wp_cell(current)
+        samples = contour.sample(_BOUNDARY_SAMPLES)
         vals, near_zero = _boundary_scan(P, samples, inner(samples)[0])
         try:
-            pert = perturb_from_values(P, inner, vals[~near_zero])
-            atol = 0.1 * pert.epsilon
-            w = winding_number(pert.pair, contour, zero_atol=atol)
-            zeros = localize_zeros(pert.pair, *_wp_tiles(current),
-                                   target_radius=_WP_TARGET_RADIUS,
-                                   zero_atol=atol)
-            count = sum(z.multiplicity for z in zeros)
-            if count != w.winding:
-                raise NonconvergenceError(
-                    f"{count} localized zeros against winding {w.winding}")
+            pert, w, zeros = _attempt(P, inner, vals[~near_zero], contour,
+                                      tiles, _WP_TARGET_RADIUS,
+                                      lambda c: True)
             if any(abs(z.center - p) < 2.0 * current.delta
                    for z in zeros for p in poles):
                 raise NonconvergenceError(
@@ -525,21 +501,9 @@ def count_zeros_wp(P: BivariatePolynomial, spec: WpDomainSpec,
             last_error = exc
             current = current.with_delta(current.delta / 2.0)
             continue
-        d = max(1, P.degree)
-        bound = theorem2_bound(d)
-        return ZeroCountReport(
-            kind="wp", count=count, winding=w.winding,
-            zeros=_sorted_zeros(zeros), epsilon=pert.epsilon,
-            theta=pert.theta,
-            domain={"tau": current.tau, "beta": current.beta,
-                    "delta": current.delta},
-            degree=d, bound=bound, bound_holds=count <= bound,
-            min_modulus=w.min_modulus, total_variation=w.total_variation,
-            contour_length=contour.length, retries=retries)
-    if last_error is not None:
-        raise last_error
-    raise NonconvergenceError("zero count did not stabilize for the "
-                              "period cell")
+        return _report("wp", P, theorem2_bound, pert, w, zeros,
+                       asdict(current), contour, retries)
+    raise last_error
 
 
 # ------------------------------------------------------------ line counts

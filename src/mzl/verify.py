@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 
@@ -150,6 +151,20 @@ def _generic_wp_values(rng: np.random.Generator, n: int):
     return re + 1j * im
 
 
+def _count_trials(rng: np.random.Generator, trials: int, count,
+                  max_x: int, min_y: int, max_y: int) -> int:
+    """How many of `trials` random P, deg_x drawn from [0, max_x) and
+    then deg_y from [min_y, max_y), give a count(P) report within its
+    bound and equal to its winding."""
+    ok = 0
+    for _ in range(trials):
+        P = random_polynomial(rng, int(rng.integers(0, max_x)),
+                              int(rng.integers(min_y, max_y)))
+        rep = count(P)
+        ok += int(rep.bound_holds and rep.count == rep.winding)
+    return ok
+
+
 def zero_count_suite(rng: np.random.Generator, trials: int = 50) -> dict:
     """Canonical counts plus randomized count-vs-bound trials: j, wp on
     the square cell, wp at tau 0.3 and 8 with beta 0.37, and j at
@@ -164,42 +179,20 @@ def zero_count_suite(rng: np.random.Generator, trials: int = 50) -> dict:
         count_zeros_wp(BivariatePolynomial([[-c, 1.0]]), spec1).count == 2
         for c in _generic_wp_values(rng, 10))
 
-    j_ok = 0
-    for _ in range(trials):
-        P = random_polynomial(rng, int(rng.integers(0, 3)),
-                              int(rng.integers(1, 3)))
-        rep = count_zeros_j(P)
-        if rep.bound_holds and rep.count == rep.winding:
-            j_ok += 1
-    wp_ok = 0
-    for _ in range(trials):
-        P = random_polynomial(rng, int(rng.integers(0, 4)),
-                              int(rng.integers(1, 4)))
-        rep = count_zeros_wp(P, spec1)
-        if rep.bound_holds and rep.count == rep.winding:
-            wp_ok += 1
+    j_ok = _count_trials(rng, trials, count_zeros_j, 3, 1, 3)
+    wp_ok = _count_trials(rng, trials, partial(count_zeros_wp, spec=spec1),
+                          4, 1, 4)
     # extreme cells, drawn from a child generator so that the draws of
     # every other trial and suite stay as they were
     child = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
-    extreme_ok = 0
-    for tau in (0.3, 8.0):
-        spec = WpDomainSpec(tau=tau, beta=0.37)
-        for _ in range(trials):
-            P = random_polynomial(child, int(child.integers(0, 4)),
-                                  int(child.integers(1, 4)))
-            rep = count_zeros_wp(P, spec)
-            if rep.bound_holds and rep.count == rep.winding:
-                extreme_ok += 1
-
+    extreme_ok = sum(
+        _count_trials(child, trials, partial(count_zeros_wp,
+                                             spec=WpDomainSpec(tau, 0.37)),
+                      4, 1, 4)
+        for tau in (0.3, 8.0))
     # j at deg_y 3-5, from a second child generator for the same reason
     child = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
-    j_high_ok = 0
-    for _ in range(trials):
-        P = random_polynomial(child, int(child.integers(0, 3)),
-                              int(child.integers(3, 6)))
-        rep = count_zeros_j(P)
-        if rep.bound_holds and rep.count == rep.winding:
-            j_high_ok += 1
+    j_high_ok = _count_trials(child, trials, count_zeros_j, 3, 3, 6)
 
     ok = (canonical_j and elliptic_double and canonical_wp
           and j_ok == trials and wp_ok == trials

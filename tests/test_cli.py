@@ -334,7 +334,7 @@ def test_cli_flag_beats_config(tmp_path, capsys):
     assert rep["seed"] == 3
 
 
-@pytest.mark.parametrize("key", ["samples", "trials"])
+@pytest.mark.parametrize("key", ["trials"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_config_rejects_counts_below_one(tmp_path, monkeypatch, key, value):
     cfg = tmp_path / "bad.cfg"
@@ -344,15 +344,6 @@ def test_config_rejects_counts_below_one(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv("MZL_" + key.upper(), value)
     with pytest.raises(InvalidSpecError, match=key):
         load_config()
-
-
-@pytest.mark.parametrize("domain, env, extra", [
-    ("j", "0", []), ("wp", "-5", ["--tau", "1.0"])])
-def test_count_zeros_bad_samples_exit_2(lin_poly, monkeypatch, capsys,
-                                        domain, env, extra):
-    monkeypatch.setenv("MZL_SAMPLES", env)
-    assert main(["count-zeros", domain, "--poly", lin_poly] + extra) == 2
-    assert "samples" in capsys.readouterr().err
 
 
 def test_trials_flag_below_one_exits_2(capsys):

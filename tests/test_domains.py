@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mzl.contour as contour_module
+import mzl.domains as domains_module
 import oracles
 from mzl.contour import ArcSegment, LineSegment, winding_number
 from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
@@ -19,7 +20,7 @@ from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
                          theorem2_proof_bound, verify_bound_inequalities)
 from mzl.elliptic import lattice, wp_analytic, wp_pair
 from mzl.errors import (AmbiguityError, DominanceError, InvalidSpecError,
-                        ZeroOnContourError)
+                        NonconvergenceError, ZeroOnContourError)
 from mzl.poly import BivariatePolynomial, PerturbedComposite, perturb
 from mzl.special import klein_j, klein_j_pair
 
@@ -216,15 +217,6 @@ def test_count_zeros_j_small_targets_cluster_at_corner():
 def test_count_zeros_j_rejects_zero_polynomial():
     with pytest.raises(InvalidSpecError):
         count_zeros_j(BivariatePolynomial([[0.0]]))
-
-
-@pytest.mark.parametrize("n_samples", [0, -5])
-def test_count_zeros_rejects_samples_below_one(n_samples):
-    with pytest.raises(InvalidSpecError, match="samples"):
-        count_zeros_j(poly_y_minus(2000j), n_samples=n_samples)
-    with pytest.raises(InvalidSpecError, match="samples"):
-        count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0),
-                       n_samples=n_samples)
 
 
 def test_count_zeros_j_y_invariance():
@@ -457,6 +449,30 @@ def test_count_zeros_f_calls(monkeypatch):
     calls.update(pair=0, phases=0)
     count_zeros_j(poly_y_minus(2000j))
     assert calls == {"pair": 6, "phases": 3}
+
+
+def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
+    # every attempt fails in the localization: the j count widens the
+    # inset by 1e-3 seven times and the wp count halves delta four
+    # times, and each raises the error of its last attempt
+    boxes = []
+
+    def failing_localize(f, *top, **kwargs):
+        boxes.append(top)
+        raise NonconvergenceError(f"attempt {len(boxes)}")
+
+    monkeypatch.setattr(domains_module, "localize_zeros", failing_localize)
+    with pytest.raises(NonconvergenceError, match="^attempt 8$"):
+        count_zeros_j(poly_y_minus(2000j))
+    insets = [top[0][1] - 0.5 for top in boxes]
+    assert insets == pytest.approx([1e-3 * k for k in range(8)], abs=1e-12)
+
+    boxes.clear()
+    with pytest.raises(NonconvergenceError, match="^attempt 5$"):
+        count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
+    # the bottom strip of an integer-beta cell has height delta
+    deltas = [top[0][3] for top in boxes]
+    assert deltas == [WpDomainSpec(1.0).delta / 2**k for k in range(5)]
 
 
 def test_count_zeros_wp_notch_hides_large_values():
