@@ -603,8 +603,10 @@ def _newton_roots(f, nodes, target_radius, zero_atol) -> list:
     """Per node (box, w, depth, phase result of its winding), the w zeros
     of f in the box from Newton z <- z - f/f' started at its moment
     seeds, or None.  Newton stops at a step below _NEWTON_ULPS ulps of
-    |z| or after _NEWTON_STEPS steps.  A box fails if one of its seeds
-    (then never evaluated) or iterates falls outside it."""
+    |z|, at a step inside target_radius that is no smaller than the one
+    before (there only rounding keeps the iterate moving), or after
+    _NEWTON_STEPS steps.  A box fails if one of its seeds (then never
+    evaluated) or iterates falls outside it."""
     z = np.array([c for b, w, _, phase in nodes
                   for c in _moment_seeds(b, w, *phase[5:])], dtype=complex)
     owner = np.repeat(np.arange(len(nodes)), [node[1] for node in nodes])
@@ -612,6 +614,7 @@ def _newton_roots(f, nodes, target_radius, zero_atol) -> list:
     failed = np.zeros(len(nodes), dtype=bool)
     failed[owner[~_inside(z, own)]] = True
     running = ~failed[owner]
+    last = np.full(z.size, np.inf)
     for _ in range(_NEWTON_STEPS):
         idx = np.flatnonzero(running)
         if idx.size == 0:
@@ -622,8 +625,10 @@ def _newton_roots(f, nodes, target_radius, zero_atol) -> list:
             zn = z[idx] - step
         inside = _inside(zn, own[idx])
         z[idx] = np.where(inside, zn, np.nan)
-        done = ~inside | (np.abs(step)
-                          <= _NEWTON_ULPS * np.spacing(np.abs(zn)))
+        size = np.abs(step)
+        done = (~inside | (size <= _NEWTON_ULPS * np.spacing(np.abs(zn)))
+                | ((size >= last[idx]) & (size < target_radius)))
+        last[idx] = size
         running[idx[done]] = False
     near = ((owner[:, None] == owner) & ~np.eye(z.size, dtype=bool)
             & (np.abs(z[:, None] - z) <= 2.0 * target_radius)).any(axis=1)

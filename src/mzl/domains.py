@@ -5,17 +5,27 @@ domain of the modular group truncated at height Y; count_zeros_wp counts
 zeros of P(z, wp(z)) in a period cell of the lattice spanned by 1 and
 i*tau, with notches excising the lattice poles on its boundary.  Each
 keeps its own geometry and one retry move, and runs every attempt
-through _attempt: wind P(z, f(z)) + eps e^{i theta} around the boundary
-and cross-check the winding against localized zero multiplicities.  eps
-is half the minimum |P(z, f(z))| over the boundary samples that are not
-numerically zero.  Those samples keep |P + eps e^{i theta}| >= eps, and
-by Rouche the offset changes no count while |P| > eps on the contour.
+through _attempt: offset P(z, f(z)) by eps e^{i theta}, localize the
+zeros of the offset composite and cross-check their multiplicities
+against a winding around the boundary.  eps is half the minimum
+|P(z, f(z))| over boundary samples that are not numerically zero.
+Those samples keep |P + eps e^{i theta}| >= eps, and by Rouche the
+offset changes no count while |P| > eps on the contour.
+
+The samples differ.  count_zeros_j scans a fixed grid of
+_BOUNDARY_SAMPLES points per segment and winds the offset composite.
+count_zeros_wp first winds the unperturbed composite
+(_unperturbed_winding); its adaptive samples size eps and its winding is
+the one the localized zeros must match, so a zero the offset would push
+across the boundary is caught.  Only when that pass meets a numerically
+zero sample does it fall back to the j route: the fixed scan, eps from
+its other samples, and the winding of the offset composite, which moves
+that boundary zero off the contour.
 
 Both pipelines judge "numerically zero on the boundary" by one rule
 (_boundary_scan): |P(z, f(z))| below _BOUNDARY_FLOOR times the Horner
-running-error scale of the sum.  count_zeros_j retries on such a
-sample; count_zeros_wp leaves it out of eps, and the offset moves that
-boundary zero off the contour.
+running-error scale of the sum (_horner_scale).  count_zeros_j retries
+on such a sample; count_zeros_wp leaves it out of eps.
 """
 from __future__ import annotations
 
@@ -26,13 +36,14 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .contour import (ArcSegment, Contour, LineSegment, localize_zeros,
-                      winding_number)
+from .contour import (ArcSegment, Contour, LineSegment, WindingResult,
+                      localize_zeros, winding_number)
 from .elliptic import lattice, wp_analytic
 from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
 from .pfaffian import khovanskii_zero_bound, real_zero_count
-from .poly import BivariatePolynomial, eval_composed, perturb_from_values
+from .poly import (BivariatePolynomial, PerturbedComposite, eval_composed,
+                   perturb_from_values)
 from .qseries import standard_series
 from .special import klein_j, klein_j_pair
 
@@ -268,9 +279,18 @@ class ZeroCountReport:
 _BOUNDARY_FLOOR = 1e-9
 # points per contour segment of the boundary scan that sizes eps
 _BOUNDARY_SAMPLES = 512
+# points per contour segment of the grid a winding pass starts from
+_N_INITIAL = 17
 # half-width at which localize_zeros stops splitting a box
 _J_TARGET_RADIUS = 1e-4
 _WP_TARGET_RADIUS = 1e-3
+
+
+def _horner_scale(P: BivariatePolynomial, z, w) -> np.ndarray:
+    """sum |c_ij| |z|^i |w|^j, the running-error scale of the Horner sum
+    P(z, w) (see _boundary_scan)."""
+    return BivariatePolynomial(np.abs(P.coeffs)).evaluate(
+        np.abs(z), np.abs(w)).real
 
 
 def _boundary_scan(P: BivariatePolynomial, z: np.ndarray, w: np.ndarray):
@@ -286,22 +306,65 @@ def _boundary_scan(P: BivariatePolynomial, z: np.ndarray, w: np.ndarray):
     into the notches never makes a healthy value look small.
     """
     vals = P.evaluate(z, w)
-    scale = BivariatePolynomial(np.abs(P.coeffs)).evaluate(np.abs(z),
-                                                           np.abs(w))
-    return vals, np.abs(vals) < _BOUNDARY_FLOOR * scale.real
+    return vals, np.abs(vals) < _BOUNDARY_FLOOR * _horner_scale(P, z, w)
+
+
+def _unperturbed_winding(P: BivariatePolynomial, inner, contour: Contour):
+    """(vals, w) for _attempt from one winding pass of the unperturbed
+    P(z, f(z)) over the contour: its values at the pass's adaptive
+    samples and the pass's WindingResult.  When the pass meets a
+    numerically zero sample, w is None and vals are the values of the
+    fixed scan of _BOUNDARY_SAMPLES points per segment that are not
+    numerically zero.
+
+    The pass's zero floor is _BOUNDARY_FLOOR times the smallest Horner
+    scale on its starting grid, so it stops only where the rule of
+    _boundary_scan would call the value numerically zero; the relative
+    rule of the contour layer alone misfires on edges where |P| spans
+    many decades.  Every sample the pass took is then flagged by that
+    rule, at the inner values its own f calls computed, which also give
+    vals.
+    """
+    grid = contour.sample(_N_INITIAL - 1)
+    atol = _BOUNDARY_FLOOR * float(
+        _horner_scale(P, grid, inner(grid)[0]).min())
+    seen = []
+
+    def recorded(z):
+        w, dw = inner(z)
+        seen.append((z, w))
+        return w, dw
+
+    try:
+        w = winding_number(PerturbedComposite(P, recorded, 0.0, 0.0).pair,
+                           contour, zero_atol=atol, n_initial=_N_INITIAL)
+    except ZeroOnContourError:
+        pass
+    else:
+        # the pass evaluated f exactly at its samples, each once
+        vals, near_zero = _boundary_scan(P, *map(np.concatenate, zip(*seen)))
+        if not near_zero.any():
+            return vals, w
+    samples = contour.sample(_BOUNDARY_SAMPLES)
+    vals, near_zero = _boundary_scan(P, samples, inner(samples)[0])
+    return vals[~near_zero], None
 
 
 def _attempt(P: BivariatePolynomial, inner, vals: np.ndarray,
-             contour: Contour, boxes, target_radius: float, keep):
+             contour: Contour, boxes, target_radius: float, keep,
+             w: WindingResult | None = None):
     """One count attempt of either pipeline: offset P(z, f(z)) with eps
-    sized from vals, wind it around the contour, localize its zeros in
-    the boxes (zero_atol 0.1 eps for both) and keep those whose centers
-    pass keep.  Returns (offset composite, winding, kept zeros); raises
-    NonconvergenceError unless their multiplicities sum to the winding,
-    as when a zero near the boundary straddles keep."""
+    sized from vals, localize its zeros in the boxes (zero_atol 0.1 eps)
+    and keep those whose centers pass keep.  w is the winding to match:
+    the caller's winding of the unperturbed composite over the contour,
+    or, when None, the winding of the offset composite there (zero_atol
+    0.1 eps as well).  Returns (offset composite, winding, kept zeros);
+    raises NonconvergenceError unless their multiplicities sum to the
+    winding, as when a zero near the boundary straddles keep."""
     pert = perturb_from_values(P, inner, vals)
     atol = 0.1 * pert.epsilon
-    w = winding_number(pert.pair, contour, zero_atol=atol)
+    if w is None:
+        w = winding_number(pert.pair, contour, zero_atol=atol)
     zeros = localize_zeros(pert.pair, *boxes, target_radius=target_radius,
                            zero_atol=atol)
     kept = [z for z in zeros if keep(z.center)]
@@ -460,17 +523,23 @@ def count_zeros_wp(P: BivariatePolynomial,
                    spec: WpDomainSpec) -> ZeroCountReport:
     """Count zeros of P(z, wp(z)) in one period cell of <1, i tau>.
 
-    The winding over the notched cell boundary is cross-checked against
-    the multiplicities localized in the five tiles of _wp_cell, the top
-    boxes of one localize_zeros quadtree.  A boundary sample where the
-    composite is numerically zero (_boundary_scan), e.g. at a
-    half-period, is left out of epsilon, and the offset moves that zero
-    off the contour; an offset that nearly cancels it there raises
+    Each attempt first winds the unperturbed composite over the notched
+    cell boundary (_unperturbed_winding).  Its adaptive samples size eps
+    and theta, and the multiplicities of the offset composite localized
+    in the five tiles of _wp_cell, the top boxes of one localize_zeros
+    quadtree, must sum to its winding.  The report's winding,
+    min_modulus and total_variation then describe the unperturbed
+    composite.  When that pass meets a numerically zero sample, e.g. at
+    a half-period on an edge, the attempt falls back to the fixed
+    boundary scan (_boundary_scan): eps comes from the samples that are
+    not numerically zero, the offset moves that zero off the contour,
+    and the offset composite is wound instead, so those report fields
+    describe it; an offset that nearly cancels the zero there raises
     ZeroOnContourError in the winding.
 
     One loop retries, and every failure has the same move, halving the
     notch radius: ZeroOnContourError, CannotPerturbError or
-    NonconvergenceError from the perturbation, the winding or the
+    NonconvergenceError from the perturbation, the windings or the
     localization, a localized count that differs from the winding, and a
     zero within 2 delta of a lattice point on the boundary, where a notch
     is cut (zeros may hide in the notches).  The report's retries is the
@@ -486,12 +555,10 @@ def count_zeros_wp(P: BivariatePolynomial,
             raise NonconvergenceError("notch radius collapsed without a "
                                       "stable count")
         contour, tiles, poles = _wp_cell(current)
-        samples = contour.sample(_BOUNDARY_SAMPLES)
-        vals, near_zero = _boundary_scan(P, samples, inner(samples)[0])
         try:
-            pert, w, zeros = _attempt(P, inner, vals[~near_zero], contour,
-                                      tiles, _WP_TARGET_RADIUS,
-                                      lambda c: True)
+            vals, w = _unperturbed_winding(P, inner, contour)
+            pert, w, zeros = _attempt(P, inner, vals, contour, tiles,
+                                      _WP_TARGET_RADIUS, lambda c: True, w)
             if any(abs(z.center - p) < 2.0 * current.delta
                    for z in zeros for p in poles):
                 raise NonconvergenceError(

@@ -456,6 +456,26 @@ def test_localize_newton_roots_are_exact(rng):
             assert np.abs(roots - z.center).min() < 1e-12
 
 
+def test_newton_stops_once_rounding_keeps_its_step_from_shrinking():
+    # f = z - a plus a 2e-15 term that jumps with the last bits of z, as
+    # rounding error does: next to a the Newton step stays near 2e-15,
+    # above 4 ulps of |z|, and stops shrinking there.  Newton stops at
+    # that step instead of running to its step cap
+    a = 0.6 + 0.4j
+    sizes = []
+
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        sizes.append(z.size)
+        return z - a + 2e-15 * np.exp(1e17j * z.real), np.ones_like(z)
+
+    zeros = localize_zeros(f, (0.0, 1.0, 0.0, 1.0))
+    assert len(zeros) == 1 and zeros[0].resolved
+    assert abs(zeros[0].center - a) < 1e-14
+    # one top winding, the Newton steps of the one seed, one disk
+    assert sizes.count(1) < 10
+
+
 def test_localize_high_degree_roots_to_1e_10(rng, monkeypatch):
     # degree 6-10 in expanded form: the top box's power sums give
     # ill-conditioned seeds, and boxes whose seeds fail are bisected;

@@ -375,22 +375,133 @@ def test_count_zeros_wp_half_period_value(lat1):
     assert ims[1] > 0.95
 
 
+@pytest.fixture
+def wp_call_sizes(monkeypatch):
+    """The sizes of the z arrays the wp inner function of count_zeros_wp
+    is called on; the fixed boundary scan is one call of 8 x 512."""
+    sizes = []
+
+    def recording(L):
+        f = wp_analytic(L)
+
+        def inner(z):
+            sizes.append(np.size(z))
+            return f(z)
+        return inner
+
+    monkeypatch.setattr(domains_module, "wp_analytic", recording)
+    return sizes
+
+
+_WP_SCAN = 8 * domains_module._BOUNDARY_SAMPLES
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("tau", [0.3, 1.0, 8.0])
-def test_count_zeros_wp_half_period_values(tau, k):
+def test_count_zeros_wp_half_period_values(tau, k, wp_call_sizes):
     # wp - e_k has a double zero at a half-period, on the cell edge for
-    # two of the three; eps is sized from the boundary samples where the
-    # composite is not numerically zero, and the offset moves the edge
-    # zero off the contour
+    # e1 and e3; at tau = 8, e2 - e3 is numerically zero, so wp - e2 is
+    # numerically zero on the edge at i tau / 2 as well.  There the
+    # unperturbed winding meets that zero and the count falls back to the
+    # fixed scan: eps is sized from the scan samples where the composite
+    # is not numerically zero, and the offset moves the edge zero off the
+    # contour.  Elsewhere eps is half the minimum over the samples of the
+    # unperturbed winding
     L = lattice(tau)
     P = poly_y_minus(L.half_period_values[k])
     rep = count_zeros_wp(P, WpDomainSpec(tau))
     assert rep.count == rep.winding == 2
     assert rep.retries == 0
-    region = WpDomainSpec(tau, 0.0, rep.domain["delta"])
-    samples = build_wp_contour(region).sample(512)
-    vals, near_zero = _boundary_scan(P, samples, wp_pair(samples, L)[0])
-    assert rep.epsilon == 0.5 * np.abs(vals[~near_zero]).min()
+    contour = build_wp_contour(WpDomainSpec(tau, 0.0, rep.domain["delta"]))
+    if k != 1 or tau == 8.0:
+        assert _WP_SCAN in wp_call_sizes
+        samples = contour.sample(512)
+        vals, near_zero = _boundary_scan(P, samples, wp_pair(samples, L)[0])
+        assert rep.epsilon == 0.5 * np.abs(vals[~near_zero]).min()
+    else:
+        assert _WP_SCAN not in wp_call_sizes
+        w = winding_number(PerturbedComposite(P, wp_analytic(L), 0.0,
+                                              0.0).pair, contour)
+        assert rep.epsilon == 0.5 * w.min_modulus
+        assert (rep.winding, rep.min_modulus) == (w.winding, w.min_modulus)
+
+
+def test_count_zeros_wp_scans_only_after_a_numerically_zero_sample(
+        lat1, wp_call_sizes):
+    # a generic input never evaluates the fixed scan; wp - e1, zero at
+    # z = 1/2 on the bottom edge, stops the unperturbed winding and does
+    count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
+    assert wp_call_sizes and _WP_SCAN not in wp_call_sizes
+    wp_call_sizes.clear()
+    count_zeros_wp(poly_y_minus(lat1.half_period_values[0]),
+                   WpDomainSpec(1.0))
+    assert _WP_SCAN in wp_call_sizes
+
+
+# op 57 of the seed-8 wp-count bench corpus (stratum t8-b0-d5, tau = 8):
+# |P| dips to 91.1 near z = 0.3759i on the left edge, between the points
+# of the fixed scan, which read a minimum of 545.9 (eps 272.97)
+_WP_STEEP_EDGE = [
+    [(1.0958158184845588+0.7682654100283441j),
+     (0.23265429419996583-0.34877129355504644j),
+     (0.8052873236132189-1.0580937671561363j),
+     (-0.3945046192222055-1.9339701116813734j),
+     (-0.4247748842381474-1.9043972649962706j),
+     (-0.737142668608095-0.16302333062426594j)],
+    [(-1.9241280283631934-1.2126497105957184j),
+     (-0.4742523016564395-1.218423766469989j),
+     (-0.6128571585521315-0.5895909645665949j),
+     (1.560513913775564-0.07720280129943148j),
+     (-1.9220071220497779-0.566559986364636j),
+     (0.0030023169201341036-1.2274507037973599j)],
+    [(-0.21344540641074353-0.7198516737955624j),
+     (-0.11847500375215371-0.26789451790268737j),
+     (-0.1971306511457009-1.139807383085538j),
+     (0.1671822330732233+0.8141037875290403j),
+     (0.7973518582959713+1.18148488509045j),
+     (-1.7093943772358013+1.2072910800402712j)]]
+
+
+def test_count_zeros_wp_eps_below_a_dip_between_scan_points(wp_call_sizes):
+    P = BivariatePolynomial(_WP_STEEP_EDGE)
+    L = lattice(8.0)
+    rep = count_zeros_wp(P, WpDomainSpec(8.0))
+    assert rep.count == rep.winding == 11
+    assert rep.retries == 0
+    assert _WP_SCAN not in wp_call_sizes
+    contour = build_wp_contour(WpDomainSpec(8.0, 0.0, rep.domain["delta"]))
+    z = contour.sample(16384)
+    mods = np.abs(P.evaluate(z, wp_pair(z, L)[0]))
+    assert mods.min() < 92.0
+    assert rep.epsilon < mods.min()
+    # brute force: every phase step of a 65536-per-segment grid is below
+    # pi/2, and they sum to 11 turns
+    z = contour.sample(65536)
+    v = P.evaluate(z, wp_pair(z, L)[0])
+    steps = np.angle(np.roll(v, -1) / v)
+    assert np.abs(steps).max() < np.pi / 2.0
+    assert steps.sum() / (2.0 * np.pi) == pytest.approx(11.0, abs=1e-6)
+    # |P| spans 91 to 1.5e14 on the left edge: without the Horner zero
+    # floor the relative rule of the contour layer stops the winding
+    composite = PerturbedComposite(P, wp_analytic(L), 0.0, 0.0).pair
+    with pytest.raises(ZeroOnContourError):
+        winding_number(composite, contour)
+
+
+def test_count_zeros_wp_eps_below_the_dense_minimum():
+    # Rouche needs |P| > eps on the whole contour, not only at the
+    # samples eps was sized from: check it 16384 points per segment
+    rng = np.random.default_rng(16)
+    for tau, beta in ((0.3, 0.0), (1.0, 0.0), (1.0, 0.37), (8.0, 0.0),
+                      (8.0, 0.37)):
+        P = random_polynomial(rng, int(rng.integers(0, 3)),
+                              int(rng.integers(1, 4)))
+        rep = count_zeros_wp(P, WpDomainSpec(tau, beta))
+        assert rep.count == rep.winding
+        z = build_wp_contour(WpDomainSpec(tau, beta, rep.domain["delta"])
+                             ).sample(16384)
+        mods = np.abs(P.evaluate(z, wp_pair(z, lattice(tau))[0]))
+        assert mods.min() >= rep.epsilon
 
 
 @pytest.mark.xfail(raises=ZeroOnContourError, strict=True)
