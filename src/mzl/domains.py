@@ -12,15 +12,15 @@ against a winding around the boundary.  eps is half the minimum
 Those samples keep |P + eps e^{i theta}| >= eps, and by Rouche the
 offset changes no count while |P| > eps on the contour.
 
-The samples differ.  count_zeros_j scans a fixed grid of
-_BOUNDARY_SAMPLES points per segment and winds the offset composite.
-count_zeros_wp first winds the unperturbed composite
-(_unperturbed_winding); its adaptive samples size eps and its winding is
-the one the localized zeros must match, so a zero the offset would push
-across the boundary is caught.  Only when that pass meets a numerically
+The pipelines take those samples from different places.  count_zeros_j
+scans a fixed grid of _BOUNDARY_SAMPLES points per segment and winds
+the offset composite.  count_zeros_wp first winds the unperturbed
+composite (_unperturbed_winding); its adaptive samples size eps and its
+winding is the one the localized zeros must match, so a zero the offset
+would push across the boundary is caught.  Only when that pass meets a numerically
 zero sample does it fall back to the j route: the fixed scan, eps from
-its other samples, and the winding of the offset composite, which moves
-that boundary zero off the contour.
+its other samples, whose offset moves that boundary zero off the
+contour, and the winding of the offset composite.
 
 Both pipelines judge "numerically zero on the boundary" by one rule
 (_boundary_scan): |P(z, f(z))| below _BOUNDARY_FLOOR times the Horner
