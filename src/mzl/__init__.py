@@ -18,8 +18,7 @@ from .elliptic import (LatticeParams, lattice, wp_analytic, wp_invariants,
 from .pfaffian import (MultiPoly, PfaffianChain, PfaffianFunction,
                        build_hypergeometric_chain, build_ratio_chain,
                        chain_residual, khovanskii_zero_bound,
-                       ratio_pfaffian_function, real_zero_count,
-                       real_zero_count_detailed)
+                       ratio_pfaffian_function, real_zero_count)
 from .contour import (ArcSegment, Contour, LineSegment, LocalizedZero,
                       WindingResult, circle_contour, crossing_bound_check,
                       dominant_term_bound, localize_zeros,

@@ -35,6 +35,13 @@ def _parse_complex(s: str) -> complex:
         raise MzlError(f"cannot parse complex number from {s!r}")
 
 
+def _parse_real(s: str) -> float:
+    try:
+        return float(s)
+    except ValueError:
+        raise MzlError(f"cannot parse real number from {s!r}")
+
+
 def _load_poly(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -79,8 +86,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
             rows.append((s, *klein_j_with_bound(z)))
     elif args.function == "jinv":
         for s in args.inputs:
-            x = float(s)
-            v = complex(j_inverse(x))
+            v = complex(j_inverse(_parse_real(s)))
             rows.append((s, v, ""))
     elif args.function in ("wp", "wpprime"):
         L = lattice(args.tau)

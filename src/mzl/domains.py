@@ -575,22 +575,21 @@ def count_zeros_wp(P: BivariatePolynomial,
 
 # ------------------------------------------------------------ line counts
 
-def line_im_zero_count(P: BivariatePolynomial, tau: float,
-                       line: str = "horizontal", component: str = "Re",
-                       offset: float = 1e-4,
-                       n_initial: int = 4096) -> int:
-    """Sign-change count of Re or Im of P(z, wp(z)) along one lattice
-    line of the cell, trimmed by `offset` at the pole endpoints.
+_LINE_OFFSET = 1e-4
 
-    horizontal: z(t) = t,     t in (offset, 1 - offset)
-    vertical:   z(t) = i * t, t in (offset, tau - offset)
+
+def line_im_zero_count(P: BivariatePolynomial, tau: float,
+                       line: str = "horizontal", component: str = "Re") -> int:
+    """Sign-change count of Re or Im of P(z, wp(z)) along one lattice
+    line of the cell, trimmed by _LINE_OFFSET at the pole endpoints.
+
+    horizontal: z(t) = t,     t in (_LINE_OFFSET, 1 - _LINE_OFFSET)
+    vertical:   z(t) = i * t, t in (_LINE_OFFSET, tau - _LINE_OFFSET)
     """
     if line not in ("horizontal", "vertical"):
         raise InvalidSpecError("line must be horizontal or vertical")
     if component not in ("Re", "Im"):
         raise InvalidSpecError("component must be Re or Im")
-    if not 0.0 < offset < 0.1:
-        raise InvalidSpecError("offset must be in (0, 0.1)")
     L = lattice(tau)
     inner = wp_analytic(L)
     take = np.real if component == "Re" else np.imag
@@ -599,9 +598,9 @@ def line_im_zero_count(P: BivariatePolynomial, tau: float,
         def f(t):
             return take(eval_composed(P, inner,
                                       np.asarray(t, dtype=complex)))
-        interval = (offset, 1.0 - offset)
+        interval = (_LINE_OFFSET, 1.0 - _LINE_OFFSET)
     else:
         def f(t):
             return take(eval_composed(P, inner, 1j * np.asarray(t)))
-        interval = (offset, tau - offset)
-    return real_zero_count(f, interval, n_initial=n_initial)
+        interval = (_LINE_OFFSET, tau - _LINE_OFFSET)
+    return real_zero_count(f, interval)

@@ -16,6 +16,9 @@ Both right-hand sides follow from the contiguous relations
     x F' = x [ (c-a)(c-b) F(c+) + c (a+b-c) F ] / (c (1-x))
 
 applied through quotient and product rules.
+
+real_zero_count checks such bounds numerically: it is a sign-change
+count on a refined grid; roots are not located.
 """
 from __future__ import annotations
 
@@ -308,13 +311,6 @@ def _stencil_residual(chain: PfaffianChain, xs, stencils) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class RealZeroDetail:
-    count: int
-    roots: tuple
-    tangential: tuple
-
-
 def _local_scale(mods: np.ndarray, window: int = 64) -> np.ndarray:
     """Blockwise running maximum of |f|, coarse but cheap."""
     n = mods.size
@@ -332,20 +328,20 @@ def _local_scale(mods: np.ndarray, window: int = 64) -> np.ndarray:
 
 _REFINE_FACTOR = 8
 _REFINE_MAX_POINTS = 2_000_000
-_BISECT_TOL = 1e-10
-_TANGENTIAL_ATOL = 1e-9
 _PLATEAU_RTOL = 1e-13
 
 
-def real_zero_count_detailed(f, interval: tuple, n_initial: int = 4096,
-                             refine_rounds: int = 3) -> RealZeroDetail:
-    """Sign-change zero count of a real function on an interval.
+def real_zero_count(f, interval: tuple, n_initial: int = 4096,
+                    refine_rounds: int = 3) -> int:
+    """Zero count of a real function on an interval: the sign-change count
+    on a refined grid; roots are not located.
 
-    f must accept ndarray input.  Grid refinement concentrates samples
-    where |f| is small relative to a local scale; crossings are bisected
-    to _BISECT_TOL.  Points where |f| dips below _TANGENTIAL_ATOL
-    without a sign change are reported as tangential touches, not counted.
-    A flat stretch at plateau level raises AmbiguityError.
+    f must accept ndarray input.  Each refinement round subdivides the
+    grid cells where |f| is small relative to a local scale, so f is
+    called at most 1 + refine_rounds times.  A grid point where f is
+    exactly zero counts as one zero; a tangential touch that never
+    changes sign is not counted.  A function that vanishes on the whole
+    grid, or a flat stretch at plateau level, raises AmbiguityError.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -376,8 +372,8 @@ def real_zero_count_detailed(f, interval: tuple, n_initial: int = 4096,
     if scale == 0.0:
         raise AmbiguityError("function vanishes identically on the grid",
                              (a, b))
-    # plateau and touch detection compare against a local scale: with
-    # poles near the interval ends the global maximum is meaningless
+    # plateau detection compares against a local scale: with poles near
+    # the interval ends the global maximum is meaningless
     loc = _local_scale(mods)
     flat = mods < _PLATEAU_RTOL * loc
     if flat.any():
@@ -391,37 +387,5 @@ def real_zero_count_detailed(f, interval: tuple, n_initial: int = 4096,
                                                             t.size - 1)])))
 
     sign = np.sign(v)
-    exact = np.flatnonzero(sign == 0.0)
-    roots = [float(t[i]) for i in exact]
-    cross = np.flatnonzero((sign[:-1] * sign[1:]) < 0.0)
-    if cross.size:
-        lo = t[cross].copy()
-        hi = t[cross + 1].copy()
-        flo = v[cross].copy()
-        while float((hi - lo).max()) > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            fm = np.asarray(f(mid), dtype=float)
-            left = flo * fm <= 0.0
-            hi = np.where(left, mid, hi)
-            keep = ~left
-            lo = np.where(keep, mid, lo)
-            flo = np.where(keep, fm, flo)
-        roots.extend(float(r) for r in 0.5 * (lo + hi))
-
-    tang = []
-    interior = np.arange(1, t.size - 1)
-    is_min = (mods[interior] <= mods[interior - 1]) \
-        & (mods[interior] <= mods[interior + 1]) \
-        & (mods[interior] < _TANGENTIAL_ATOL) \
-        & (sign[interior - 1] == sign[interior + 1]) \
-        & (sign[interior] != 0.0)
-    for i in interior[is_min]:
-        tang.append(float(t[i]))
-
-    return RealZeroDetail(len(roots), tuple(sorted(roots)), tuple(tang))
-
-
-def real_zero_count(f, interval: tuple, n_initial: int = 4096,
-                    refine_rounds: int = 3) -> int:
-    return real_zero_count_detailed(f, interval, n_initial,
-                                    refine_rounds).count
+    return int(np.count_nonzero(sign == 0.0)
+               + np.count_nonzero(sign[:-1] * sign[1:] < 0.0))

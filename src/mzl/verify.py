@@ -129,12 +129,13 @@ def chain_suite() -> dict:
 def bound_suite() -> dict:
     """Exact-arithmetic inequalities linking the chain data to the
     headline constants, plus pinned small-degree values."""
-    ok = (verify_bound_inequalities(100)
+    inequalities = verify_bound_inequalities(100)
+    ok = (inequalities
           and theorem2_bound(2) == 65
           and proposition_bound(3) == 55
           and khovanskii_zero_bound(9, 2, 1) == 2**36 * 3**9)
     return {"name": "bounds", "pass": bool(ok),
-            "inequalities_d1_100": bool(verify_bound_inequalities(100)),
+            "inequalities_d1_100": bool(inequalities),
             "theorem2_at_2": theorem2_bound(2),
             "proposition_at_3": proposition_bound(3)}
 

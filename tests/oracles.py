@@ -158,21 +158,6 @@ def naive_poly_eval(coeffs: np.ndarray, x: complex, y: complex) -> complex:
     return total
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    flo = f(lo)
-    assert flo * f(hi) < 0, "bracket must straddle a sign change"
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def imag_line_reduction(coeffs: np.ndarray) -> np.ndarray:
     """Real table q[k, l] with Im P(i t, y) = sum q[k, l] t^k y^l."""
     out = np.zeros(coeffs.shape)

@@ -213,3 +213,20 @@ def test_robustness_invariances_and_determinism():
                                   ["zero_counts"]), sort_keys=True)
             for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_line_count_and_robustness_suites_run_deterministically():
+    runs = [run_suites(RunConfig(trials=3, seed=0),
+                       ["line_counts", "robustness"]) for _ in range(2)]
+    rep = runs[0]
+    assert rep["pass"] is True
+    assert set(rep) == {"schema", "seed", "trials", "pass", "suites"}
+    lines, robust = rep["suites"]
+    assert set(lines) == {"name", "pass", "trials_ok", "trials",
+                          "max_count_seen"}
+    assert lines["name"] == "line_counts" and lines["trials_ok"] == 3
+    assert set(robust) == {"name", "pass", "delta_halving_invariant",
+                           "top_line_invariant", "report_deterministic"}
+    assert robust["name"] == "robustness" and robust["pass"] is True
+    texts = [json.dumps(r, sort_keys=True) for r in runs]
+    assert texts[0] == texts[1]

@@ -124,6 +124,11 @@ def test_eval_rejects_malformed_complex(capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+def test_eval_jinv_rejects_malformed_real(capsys):
+    assert main(["eval", "jinv", "abc"]) == 2
+    assert "error: cannot parse" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify-chain
 

@@ -702,8 +702,6 @@ def test_line_count_validation():
         line_im_zero_count(P, 1.0, line="diagonal")
     with pytest.raises(InvalidSpecError):
         line_im_zero_count(P, 1.0, component="Abs")
-    with pytest.raises(InvalidSpecError):
-        line_im_zero_count(P, 1.0, offset=0.5)
 
 
 def test_line_count_against_proposition_bound(rng):

@@ -4,13 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import oracles
 from mzl.errors import AmbiguityError, InvalidSpecError
 from mzl.pfaffian import (MultiPoly, PfaffianChain, PfaffianFunction,
                           build_hypergeometric_chain, build_ratio_chain,
                           chain_residual, khovanskii_zero_bound,
-                          ratio_pfaffian_function, real_zero_count,
-                          real_zero_count_detailed)
+                          ratio_pfaffian_function, real_zero_count)
 from mzl.special import j_inverse, klein_j
 
 
@@ -209,15 +207,28 @@ def test_zero_count_sine():
     assert real_zero_count(f, (0.1, 2.9)) == 5
 
 
+def test_zero_count_calls_f_once_per_round():
+    # a count needs the grid and its refinements only: no call locates a root
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return np.sin(2.0 * np.pi * np.asarray(x))
+
+    for rounds in (0, 1, 3):
+        calls[0] = 0
+        assert real_zero_count(f, (0.1, 2.9), refine_rounds=rounds) == 5
+        assert calls[0] <= 1 + rounds
+
+
 def test_zero_count_j_level_set():
+    # j(it) rises through 2000 once on (1, 3), at t0; |f(t0 +- 1e-7)| is
+    # about 5e-4, far above the error of klein_j
     f = lambda t: np.real(klein_j(1j * np.asarray(t))) - 2000.0
-    detail = real_zero_count_detailed(f, (1.0, 3.0), n_initial=1024)
-    assert detail.count == 1
-    root = detail.roots[0]
-    ref = oracles.bisect_root(lambda t: np.real(klein_j(1j * t)) - 2000.0,
-                              1.0, 3.0)
-    assert abs(root - ref) < 1e-8
-    assert abs(root - j_inverse(2000.0)) < 1e-7
+    t0 = j_inverse(2000.0)
+    assert real_zero_count(f, (1.0, 3.0), n_initial=1024) == 1
+    assert real_zero_count(f, (1.0, t0 - 1e-7), n_initial=1024) == 0
+    assert real_zero_count(f, (t0 + 1e-7, 3.0), n_initial=1024) == 0
 
 
 def test_zero_count_plateau_is_ambiguous():
@@ -228,10 +239,7 @@ def test_zero_count_plateau_is_ambiguous():
 
 def test_zero_count_tangential_touch():
     f = lambda x: (np.asarray(x) - 0.49737) ** 2
-    detail = real_zero_count_detailed(f, (0.0, 1.0))
-    assert detail.count == 0
-    assert len(detail.tangential) >= 1
-    assert min(abs(t - 0.49737) for t in detail.tangential) < 1e-3
+    assert real_zero_count(f, (0.0, 1.0)) == 0
 
 
 def test_pfaffian_eval_calls_only_the_members_outer_uses():
