@@ -7,12 +7,17 @@ accepted only once its phase step is below pi/2 and |dz| times the larger
 Math. 53, 1988).  The phase test keeps the unwrapped argument exact at
 the sampled resolution; the step bound stops a cluster of zeros hugging
 the contour from turning the phase by a full 2 pi k between adjacent
-samples, where it would read as a small step.  Every f this module takes
-is a pair callable, f(z) -> (f(z), f'(z)), so f' comes from the same
-call as f.  The log-derivative integral telescopes to the change of
-log|f| plus i times the accumulated phase, so no quadrature of f'/f is
-ever performed.  Several contours can be refined together, one f call
-per round for all of them, each refined as it would be alone.
+samples, where it would read as a small step.  An interval that fails is
+split in one round into k equal pieces in parameter, k = the larger of
+|phase step| and the step bound over pi/2, rounded up and clipped to
+[2, _MAX_PIECES]: the bound already says how many pieces it needs, so a
+zero near the contour costs fewer rounds, and so fewer f calls, than
+bisection.  Every f this module takes is a pair callable,
+f(z) -> (f(z), f'(z)), so f' comes from the same call as f.  The
+log-derivative integral telescopes to the change of log|f| plus i times
+the accumulated phase, so no quadrature of f'/f is ever performed.
+Several contours can be refined together, one f call per round for all
+of them, each refined as it would be alone.
 
 Zeros are localized by one breadth-first quadtree over any number of
 disjoint top boxes, whose windings are one phase batch; every box first
@@ -38,6 +43,8 @@ _MAX_POINTS = 400000
 _MAX_DEPTH = 40
 # an interval shorter than this many ulps of |z| is never split
 _SPLIT_ULPS = 16.0
+# the most pieces one refinement round splits an interval into
+_MAX_PIECES = 5
 _DOMINANCE_SAMPLES = 256
 _CROSSING_GRID = 4096
 
@@ -196,11 +203,15 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
     joined segments, n_k its segment count; its end point, but for the
     last contour's, sits one ulp below o_k + n_k, inside its own last
     segment.  An interval is accepted once its phase step and |dz| max
-    |f'/f| at its two ends are both below pi/2; every refinement round
-    evaluates f once, for all the intervals of all the contours it
-    splits.  Each contour is refined as it would be alone, up to the last
-    bits of an f whose rounding depends on the batch (klein_j_pair picks
-    its truncation order from the largest |q|).
+    |f'/f| at its two ends are both below pi/2.  One that fails is split
+    into k equal pieces in parameter, k = ceil(max(|phase step|, |dz|
+    max |f'/f|) / (pi/2)) clipped to [2, _MAX_PIECES], or bisected where
+    a piece would span fewer than _SPLIT_ULPS ulps of |z| or of its
+    parameter.  Every refinement round evaluates f once, for all the new
+    points of all the contours it splits.  Each contour is refined as it
+    would be alone, up to the last bits of an f whose rounding depends on
+    the batch (klein_j_pair picks its truncation order from the largest
+    |q|).
 
     Returns, per contour, the tuple (sum of phase steps, sum of |steps|,
     min |f|, points used, log|f(end)| - log|f(start)|, and the samples
@@ -269,37 +280,54 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
         split = np.flatnonzero(bad)
         if not split.size:
             break
-        tm = 0.5 * (t[split] + t[split + 1])
+        t0, t1 = t[split], t[split + 1]
+        # the step bound says how many pieces of step below pi/2 the
+        # interval needs; fmax and fmin let a NaN term (0/0) defer to
+        # the other
+        k = np.fmax(np.fmin(np.ceil(np.fmax(np.abs(dphi[split]), step[split])
+                                    / (np.pi / 2.0)), _MAX_PIECES), 2.0)
         # below a few ulps of |z| the samples no longer resolve the phase
-        # (nor, at the last bit of t, does the midpoint fall between)
+        # (nor, at the last bits of t, do the new points fall between);
+        # where a piece would be that short, bisect instead
         floor = _SPLIT_ULPS * np.spacing(np.maximum(np.abs(z[split]),
                                                     np.abs(z[split + 1])))
-        tiny = ((dz[split] < floor) | (tm <= t[split])
-                | (tm >= t[split + 1]))
+        k[(dz[split] < k * floor)
+          | (t1 - t0 < k * _SPLIT_ULPS * np.spacing(t1))] = 2.0
+        # the k - 1 new points of each interval, in order, and for each
+        # the interval it splits
+        n = k.astype(int) - 1
+        first = np.cumsum(n) - n
+        owner = np.repeat(np.arange(split.size), n)
+        tm = t0[owner] + (t1 - t0)[owner] * (
+            (np.arange(owner.size) - first[owner] + 1) / k[owner])
+        tiny = ((dz[split] < floor) | (tm[first] <= t0)
+                | (tm[first + n - 1] >= t1))
         for i in split[tiny]:
             if alive[left[i]]:
                 stop(left[i], NonconvergenceError(
                     f"phase refinement reached float resolution at "
                     f"z={complex(z[i])!r}"))
         if t.size > _MAX_POINTS:
-            for k in np.flatnonzero(np.bincount(left[split],
+            for c in np.flatnonzero(np.bincount(left[split],
                                                 minlength=len(contours))):
-                if alive[k] and np.count_nonzero(cid == k) > _MAX_POINTS:
-                    stop(k, NonconvergenceError(
+                if alive[c] and np.count_nonzero(cid == c) > _MAX_POINTS:
+                    stop(c, NonconvergenceError(
                         f"phase refinement exceeded {_MAX_POINTS} points"))
-        keep = alive[left[split]]
+        after = split[owner]
+        keep = alive[left[after]]
         if not keep.all():
-            split, tm = split[keep], tm[keep]
-            if not split.size:
+            after, tm = after[keep], tm[keep]
+            if not after.size:
                 break
         zm, vm, dvm = _sample(f, joined, tm)
-        # each midpoint lies strictly between its two neighbours, so it
-        # goes right after the left one and t stays sorted
-        at = split + np.arange(1, split.size + 1)
+        # the new points of an interval lie strictly between its two
+        # ends, in order, so they go right after its left one and t
+        # stays sorted
+        at = after + np.arange(1, after.size + 1)
         old = np.ones(t.size + at.size, dtype=bool)
         old[at] = False
         merged = []
-        for a, b in ((t, tm), (cid, left[split]), (z, zm), (v, vm),
+        for a, b in ((t, tm), (cid, left[after]), (z, zm), (v, vm),
                      (dv, dvm)):
             m = np.empty(old.size, dtype=a.dtype)
             m[old], m[at] = a, b

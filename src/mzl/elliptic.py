@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,6 +67,16 @@ class LatticeParams:
         vals = np.sort(roots.real)[::-1]
         return float(vals[0]), float(vals[1]), float(vals[2])
 
+    @cached_property
+    def _rows(self):
+        """(qm, const) of the lattice <1, i t>, t = max(tau, 1/tau), that
+        wp_pair sums on: the column q^1..q^M and the constant
+        1/12 - 2 sum q^m/(1-q^m)^2 of the bracket of p."""
+        t = 1.0 / self.tau if self.tau < 1.0 else self.tau
+        qm = np.exp(-TWO_PI * t * np.arange(1, self.terms + 1))[:, None]
+        qm.flags.writeable = False
+        return qm, 1.0 / 12.0 - 2.0 * float((qm / (1.0 - qm) ** 2).sum())
+
 
 def wp_invariants(tau: float) -> LatticeParams:
     """LatticeParams for <1, i tau>: g2 = (4 pi^4/3) Q(q) and
@@ -104,9 +114,9 @@ def reduce_to_cell(z, tau: float):
 _BLOCK = 512
 
 
-def _brackets(w, qm):
+def _brackets(w, qm, const):
     """The brackets of p and p' at reduced points w, as a (2, n) array;
-    qm is the column q^1..q^M."""
+    qm and const are LatticeParams._rows."""
     em1 = np.expm1((2j * math.pi) * w)          # u - 1
     u = em1 + 1.0
     v = np.concatenate([qm * u, qm * (1.0 / u)])  # q^m u, then q^m / u
@@ -116,7 +126,6 @@ def _brackets(w, qm):
     M = qm.shape[0]
     ie = 1.0 / em1
     r0 = u * ie * ie
-    const = 1.0 / 12.0 - 2.0 * float((qm / (1.0 - qm) ** 2).sum())
     return np.array([r0 + r.sum(axis=0) + const,
                      -r0 * (1.0 + u) * ie + dr[:M].sum(axis=0)
                      - dr[M:].sum(axis=0)])
@@ -133,14 +142,13 @@ def wp_pair(z, L: LatticeParams):
                                  float(dist.min()))
     if L.tau < 1.0:
         # p(z; tau) = -tau^-2 p(w; 1/tau), p'(z; tau) = i tau^-3 p'(w; 1/tau)
-        t, w = 1.0 / L.tau, -1j * z0 / L.tau
+        w = -1j * z0 / L.tau
         cp, cd = 4.0 * math.pi**2 / L.tau**2, 8.0 * math.pi**3 / L.tau**3
     else:
-        t, w = L.tau, z0
+        w = z0
         cp, cd = -4.0 * math.pi**2, -8j * math.pi**3   # (2 pi i)^2, ^3
-    qm = np.exp(-TWO_PI * t * np.arange(1, L.terms + 1))[:, None]
     w = w.ravel()
-    p, dp = np.concatenate([_brackets(w[i:i + _BLOCK], qm)
+    p, dp = np.concatenate([_brackets(w[i:i + _BLOCK], *L._rows)
                             for i in range(0, max(w.size, 1), _BLOCK)],
                            axis=1)
     p, dp = (cp * p).reshape(z0.shape), (cd * dp).reshape(z0.shape)

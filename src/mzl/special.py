@@ -277,8 +277,15 @@ def klein_j_derivative(tau):
 _J_INVERSE_LARGE = 1e6
 
 
+@lru_cache(maxsize=1)
+def _j_inverse_max() -> float:
+    """J(100) = j(100 i), the largest x whose J^{-1} lies where j is
+    evaluated (Im tau <= _MAX_IM_TAU)."""
+    return klein_j(1j * _MAX_IM_TAU).real
+
+
 def j_inverse(x: float) -> float:
-    """J^{-1}(x) for x >= 1728, where J(t) = j(it) on t >= 1.
+    """J^{-1}(x) for 1728 <= x <= J(100), where J(t) = j(it) on t >= 1.
 
     Uses the hypergeometric ratio
     2F1(1/6,5/6,1, 1/2 + y/2) / 2F1(1/6,5/6,1, 1/2 - y/2) with
@@ -292,6 +299,9 @@ def j_inverse(x: float) -> float:
     if x == 1728.0:
         return 1.0
     if x > _J_INVERSE_LARGE:
+        if x > _j_inverse_max():
+            raise DomainError(f"j_inverse requires x <= {_j_inverse_max()!r}"
+                              f" = j(100i), got {x}")
         warnings.warn(
             "j_inverse falling back to q-expansion Newton iteration for "
             f"x={x:.3e} > {_J_INVERSE_LARGE:.3e}", AsymptoticFallbackWarning)

@@ -129,6 +129,13 @@ def test_eval_jinv_rejects_malformed_real(capsys):
     assert "error: cannot parse" in capsys.readouterr().err
 
 
+def test_eval_jinv_above_j_of_100i_exits_2(capsys):
+    assert main(["eval", "jinv", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: j_inverse requires x <= 7.5036")
+    assert err.endswith("= j(100i), got 1e+300\n")
+
+
 # ---------------------------------------------------------------------------
 # verify-chain
 

@@ -340,6 +340,61 @@ def test_winding_sees_zeros_hugging_an_edge():
     assert winding_number(triple, rectangle_contour(0, 1, 0, 1)).winding == 2
 
 
+def test_refined_samples_meet_the_acceptance_rule(rng):
+    # whatever pieces a round splits an interval into, every pair of
+    # consecutive samples it returns passes the acceptance rule: random
+    # polynomials with one to three zeros within 1e-3 of an edge of the
+    # unit square or of the circle, both refined in one batch
+    square, circle = rectangle_contour(0, 1, 0, 1), circle_contour(0.5, 0.3)
+    # per edge, its point at s in (0, 1) and its unit normal there
+    edges = [lambda s: (s, 1j), lambda s: (1 + 1j * s, 1),
+             lambda s: (s + 1j, 1j), lambda s: (1j * s, 1),
+             lambda s: (0.5 + 0.3 * np.exp(2j * np.pi * s),
+                        np.exp(2j * np.pi * s))]
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        at = [edges[e](s) for e, s in zip(rng.integers(0, 5, n),
+                                          rng.uniform(0.05, 0.95, n))]
+        near = [p + d * u
+                for (p, u), d in zip(at, rng.uniform(-1e-3, 1e-3, n))]
+        far = rng.uniform(-0.5, 1.5, 2) + 1j * rng.uniform(-0.5, 1.5, 2)
+        roots = np.concatenate([near, far[:int(rng.integers(0, 3))]])
+        res = contour_module._contour_phases(roots_pair(roots),
+                                             [square, circle], 0.0)
+        inside = [np.count_nonzero((0 < roots.real) & (roots.real < 1)
+                                   & (0 < roots.imag) & (roots.imag < 1)),
+                  np.count_nonzero(np.abs(roots - 0.5) < 0.3)]
+        for r, want in zip(res, inside):
+            total, _, _, used, _, z, v, dv = r
+            assert used == z.size
+            rate = np.abs(dv / v)
+            step = np.abs(np.diff(z)) * np.maximum(rate[1:], rate[:-1])
+            assert np.abs(np.angle(v[1:] / v[:-1])).max() < np.pi / 2
+            assert step.max() < np.pi / 2
+            assert round(total / (2.0 * np.pi)) == want
+
+
+def test_zero_next_to_an_edge_winds_in_four_rounds(monkeypatch):
+    # a zero 1e-3 above the bottom edge needs intervals there about 1e-3
+    # long; bisecting the starting grid towards it takes six refinement
+    # rounds, splitting each failing interval into the pieces its step
+    # bound asks for takes three
+    rounds = [0]
+    sample = contour_module._sample
+
+    def counted(*args):
+        rounds[0] += 1
+        return sample(*args)
+
+    monkeypatch.setattr(contour_module, "_sample", counted)
+    c = 0.5 + 1e-3j
+    res = winding_number(lambda z: (z - c, np.ones_like(z)),
+                         rectangle_contour(0, 1, 0, 1))
+    assert res.winding == 1
+    assert rounds[0] == 4
+    assert res.samples_used == 83
+
+
 def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
     # an f that returns (f, f') is evaluated only at the points the
     # refinement asks for, one call per round, or at Newton iterates:

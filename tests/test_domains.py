@@ -560,6 +560,13 @@ def test_count_zeros_f_calls(monkeypatch):
     calls.update(pair=0, phases=0)
     count_zeros_j(poly_y_minus(2000j))
     assert calls == {"pair": 6, "phases": 3}
+    # at tau 8 the unperturbed winding and the tile windings refine next
+    # to the notches over several rounds; each round splits an interval
+    # into as many pieces as its step bound asks for (bisection took 15
+    # pair calls)
+    calls.update(pair=0, phases=0)
+    count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(8.0))
+    assert calls == {"pair": 11, "phases": 3}
 
 
 def test_count_zeros_raises_the_last_attempts_error(monkeypatch):

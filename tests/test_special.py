@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -423,6 +424,23 @@ def test_j_inverse_large_x_fallback_flagged():
     with pytest.warns(AsymptoticFallbackWarning):
         t = j_inverse(1e7)
     assert abs(klein_j(1j * t) - 1e7) < 1e-6 * 1e7
+
+
+def test_j_inverse_above_j_of_100i():
+    # J(100) = j(100 i) is the largest x whose inverse lies where j is
+    # evaluated; above it the error names x and that limit, and comes
+    # before the Newton fallback (and its warning) starts
+    top = klein_j(100j).real
+    with pytest.warns(AsymptoticFallbackWarning):
+        assert abs(j_inverse(1e271) - 99.31277364816246) < 1e-12
+        assert j_inverse(top) == 100.0
+    for x in (1e300, math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                j_inverse(x)
+        assert str(err.value) == (f"j_inverse requires x <= {top!r} = "
+                                  f"j(100i), got {x}")
 
 
 # ---------------------------------------------------------------------------
