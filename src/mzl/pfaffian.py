@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AmbiguityError, InvalidSpecError, MzlError
-from .special import SEXTIC_A, SEXTIC_B, hyp2f1
+from .special import SEXTIC_A, SEXTIC_B, _sextic_2f1, hyp2f1
 
 
 class MultiPoly:
@@ -225,10 +225,10 @@ def build_ratio_chain(domain: tuple = (0.0, 1.0)) -> PfaffianChain:
     ]
 
     def F(w):
-        return hyp2f1(aa, bb, 1.0, np.asarray(w, dtype=float))
+        return _sextic_2f1(1.0, w)[0]
 
     def Fc(w):
-        return hyp2f1(aa, bb, 2.0, np.asarray(w, dtype=float))
+        return _sextic_2f1(2.0, w)[0]
 
     def wp(y):
         return (1.0 + np.asarray(y, dtype=float)) / 2.0

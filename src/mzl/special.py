@@ -4,7 +4,9 @@ Everything is evaluated from truncated series with computed tail bounds.
 j is assembled as Q(q)^3 / Delta(q) from the exact-integer coefficient
 tables in qseries, and its tau-derivative as -2 pi i Q^2 R / Delta from
 the same sums.  The inverse of J(t) = j(it) on x >= 1728 is the ratio of
-two sextic hypergeometric values.
+two sextic hypergeometric values F(1/6, 5/6; 1; w).  For w <= 1/2 these
+come from the Gauss series; above 1/2, where that series falls only like
+w^n/n, from the z -> 1 - z connection series in 1 - w (_sextic_2f1).
 """
 from __future__ import annotations
 
@@ -170,6 +172,95 @@ def gauss_relation_residuals(a, b, c, z):
     return np.abs(lhs - rhs1), np.abs(lhs - rhs2)
 
 
+# a = 1/6, b = 5/6: Gamma(a) Gamma(b) = pi / sin(pi/6) = 2 pi, and Gauss's
+# digamma theorem gives 2 psi(1) - psi(a) - psi(b) = ln 432
+_SEXTIC_AB = SEXTIC_A * SEXTIC_B
+_LN_432 = math.log(432.0)
+# c: (alpha, beta, gamma, k_0, P) of _sextic_connection
+_SEXTIC_CONNECTION = {
+    1.0: (SEXTIC_A, SEXTIC_B, 1.0, _LN_432, 0.0),
+    2.0: (SEXTIC_A + 1.0, SEXTIC_B + 1.0, 2.0,
+          _LN_432 + 1.0 - 1.0 / SEXTIC_A - 1.0 / SEXTIC_B,
+          1.0 / (TWO_PI * _SEXTIC_AB)),
+}
+# below the unit roundoff, so the truncation error of a sextic value
+# sits under its rounding error
+_SEXTIC_RTOL = 1e-16
+
+
+def _sextic_connection(c: float, x: np.ndarray):
+    """F(1/6, 5/6; c; 1 - x) for c in {1, 2} and every x in (0, 1/2), from
+    the z -> 1 - z connection formulas A&S 15.3.10 (c = 1 = a + b) and
+    15.3.11 with m = 1 (c = 2).  With the constants above both read
+
+        F = P + Q sum_n u_n (k_n - ln x),   u_0 = 1,
+        u_{n+1} / u_n = x (n + alpha)(n + beta) / ((n + 1)(n + gamma)),
+        k_{n+1} - k_n = 1/(n+1) + 1/(n+gamma) - 1/(n+alpha) - 1/(n+beta),
+
+    c = 1: (alpha, beta, gamma) = (a, b, 1), k_0 = ln 432, P = 0,
+    Q = 1/(2 pi); c = 2: (a + 1, b + 1, 2), k_0 = ln 432 + 1 - 1/a - 1/b,
+    P = 1/(2 pi a b), Q = -x/(2 pi).  Every summand is positive.
+
+    Tail after term N.  c = 1: the u ratio is x (n^2 + n + ab)/(n + 1)^2
+    < x and k_n falls to 0, so each summand is below x times the last and
+    the tail is at most |Q| u_N (k_N - ln x) x/(1 - x).  c = 2: the u ratio
+    is x (1 + ab/((n + 1)(n + 2))), falling to x, so at most
+    r = x (1 + ab/((N + 1)(N + 2))) beyond N; k_n rises to 0 from
+    k_0 = -0.13 > ln x, so 0 < k_n - ln x < -ln x and the tail is at most
+    |Q| u_N (-ln x) r/(1 - r).  Returns (values, largest tail bound); the
+    loop stops once every tail is at most _SEXTIC_RTOL times its value.
+    """
+    al, be, ga, k, P = _SEXTIC_CONNECTION[c]
+    lnx = np.log(x)
+    Q = 1.0 / TWO_PI if c == 1.0 else -x / TWO_PI
+    aQ = np.abs(Q)
+    u = np.ones_like(x)
+    acc = k - lnx
+    n = 0
+    while True:
+        if c == 1.0:
+            r, factor = x, k - lnx
+        else:
+            r, factor = x * (1.0 + _SEXTIC_AB / ((n + 1) * (n + 2))), -lnx
+        value = P + Q * acc
+        tail = aQ * u * factor * r / (1.0 - r)
+        if np.all(tail <= _SEXTIC_RTOL * np.abs(value)):
+            return value, float(np.max(tail))
+        u = u * (x * ((n + al) * (n + be) / ((n + 1) * (n + ga))))
+        k += 1.0 / (n + 1) + 1.0 / (n + ga) - 1.0 / (n + al) - 1.0 / (n + be)
+        n += 1
+        acc = acc + u * (k - lnx)
+
+
+def _sextic_2f1(c: float, w):
+    """(F(1/6, 5/6; c; w), largest tail bound) for c in {1, 2} and real w
+    in [0, 1).
+
+    A batch is split at w = 1/2: the Gauss series sums the w <= 1/2 side,
+    and _sextic_connection the rest in x = 1 - w, which is exact there.
+    Near w = 1 the Gauss series falls only like w^n/n, since c - a - b is
+    0 or 1; the connection series falls like x^n <= 2^-n.  A scalar w
+    gives a float value."""
+    ws = np.asarray(w, dtype=float)
+    inside = (0.0 <= ws) & (ws < 1.0)
+    if not np.all(inside):
+        raise DomainError(f"w={ws[~inside].flat[0]} outside [0, 1)")
+    flat = ws.ravel()
+    out = np.empty_like(flat)
+    low = flat <= 0.5
+    bounds = [0.0]
+    if low.any():
+        val, bound = _hyp_series(SEXTIC_A, SEXTIC_B, c, 1.0, flat[low],
+                                 _SEXTIC_RTOL)
+        out[low] = val.real
+        bounds.append(bound)
+    if not low.all():
+        out[~low], bound = _sextic_connection(c, 1.0 - flat[~low])
+        bounds.append(bound)
+    return (float(out[0]) if ws.ndim == 0 else out.reshape(ws.shape),
+            max(bounds))
+
+
 _MIN_IM_TAU = 0.5 - 1e-12
 # above it |Delta| ~ |q| = e^{-2 pi Im tau} falls below 1e-272
 _MAX_IM_TAU = 100.0
@@ -287,14 +378,17 @@ def _j_inverse_max() -> float:
 def j_inverse(x: float) -> float:
     """J^{-1}(x) for 1728 <= x <= J(100), where J(t) = j(it) on t >= 1.
 
-    Uses the hypergeometric ratio
-    2F1(1/6,5/6,1, 1/2 + y/2) / 2F1(1/6,5/6,1, 1/2 - y/2) with
-    y = sqrt(1 - 1728/x).  Beyond _J_INVERSE_LARGE the argument crowds
-    the unit circle, so the value is instead found by Newton iteration on the
-    q-expansion of j; that route is flagged with a warning.
+    Uses the hypergeometric ratio F(1/2 + y/2) / F(1/2 - y/2) with
+    F = 2F1(1/6, 5/6; 1; .) and y = sqrt(1 - 1728/x), both values from
+    one _sextic_2f1 batch: the numerator from the connection series in
+    1 - w, the denominator from the Gauss series.  Beyond _J_INVERSE_LARGE
+    1 - w = (1 - y)/2 loses its digits to the cancellation in 1 - y, so
+    the value is instead found by Newton iteration on the q-expansion of
+    j; that route is flagged with a warning.  A NaN x raises DomainError,
+    as an x below 1728 does.
     """
     x = float(x)
-    if x < 1728.0:
+    if not x >= 1728.0:
         raise DomainError(f"j_inverse requires x >= 1728, got {x}")
     if x == 1728.0:
         return 1.0
@@ -314,25 +408,22 @@ def j_inverse(x: float) -> float:
                 break
         return t
     y = math.sqrt(1.0 - 1728.0 / x)
-    num = hyp2f1(SEXTIC_A, SEXTIC_B, 1.0, 0.5 + 0.5 * y,
-                 delta=2.5e-4, max_terms=400000)
-    den = hyp2f1(SEXTIC_A, SEXTIC_B, 1.0, 0.5 - 0.5 * y,
-                 delta=2.5e-4, max_terms=400000)
-    return num.real / den.real
+    num, den = _sextic_2f1(1.0, np.array([0.5 + 0.5 * y, 0.5 - 0.5 * y]))[0]
+    return float(num / den)
 
 
 def ramanujan_inversion_residual(x):
     """|x(1-x) - (Q(q)^3 - R(q)^2)/(4 Q(q)^3)| for the sextic nome
     q = exp(-2 pi F(1-x)/F(x)), F = 2F1(1/6, 5/6, 1; .).
 
-    x may be an array: F(x) and F(1-x) are then one hyp2f1 call, and Q
-    and R one series call each, over every nome."""
+    x may be an array: F(x) and F(1-x) are then one _sextic_2f1 batch, and
+    Q and R one series call each, over every nome."""
     xs = np.asarray(x, dtype=float)
     inside = (1e-3 <= xs) & (xs <= 1.0 - 1e-3)
     if not np.all(inside):
         raise DomainError(
             f"x={xs[~inside].flat[0]} outside [1e-3, 1 - 1e-3]")
-    Fx, F1mx = hyp2f1(SEXTIC_A, SEXTIC_B, 1.0, np.stack([xs, 1.0 - xs])).real
+    Fx, F1mx = _sextic_2f1(1.0, np.stack([xs, 1.0 - xs]))[0]
     q = np.exp(-TWO_PI * F1mx / Fx)
     s = standard_series()
     Qv = s["Q"].eval(q).real

@@ -129,6 +129,12 @@ def test_eval_jinv_rejects_malformed_real(capsys):
     assert "error: cannot parse" in capsys.readouterr().err
 
 
+def test_eval_jinv_nan_exits_2(capsys):
+    assert main(["eval", "jinv", "nan"]) == 2
+    assert capsys.readouterr().err == (
+        "error: j_inverse requires x >= 1728, got nan\n")
+
+
 def test_eval_jinv_above_j_of_100i_exits_2(capsys):
     assert main(["eval", "jinv", "1e300"]) == 2
     err = capsys.readouterr().err

@@ -241,6 +241,56 @@ def test_array_calls_check_every_element():
 
 
 # ---------------------------------------------------------------------------
+# the sextic 2F1 near w = 1
+
+
+_SEXTIC_WS = [0.5 + 1e-12, 0.6, 0.9, 0.99, 0.9956611745940971, 1.0 - 1e-9]
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_sextic_2f1_matches_mpmath(c):
+    # each value is within its tail bound plus a rounding allowance of
+    # 16 u |F|: every summand carries a few roundings from its recurrences
+    # and the summands fall at least geometrically, by x <= 1/2 or w <= 1/2
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0**-53
+    a, b = mpmath.mpf(1) / 6, mpmath.mpf(5) / 6
+    # the batch also holds a w below 1/2, so it is split into two sums
+    batch, batch_bound = special_module._sextic_2f1(
+        c, np.array(_SEXTIC_WS + [0.3]))
+    with mpmath.workdps(40):
+        for i, w in enumerate(_SEXTIC_WS + [0.3]):
+            want = mpmath.hyp2f1(a, b, int(c), mpmath.mpf(w))
+            v, bound = special_module._sextic_2f1(c, w)
+            assert isinstance(v, float)
+            assert abs(v - want) <= bound + 16 * u * abs(want)
+            assert abs(batch[i] - want) <= batch_bound + 16 * u * abs(want)
+    for w in (1.0, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            special_module._sextic_2f1(c, w)
+        with pytest.raises(DomainError):
+            special_module._sextic_2f1(c, np.array([0.3, w]))
+
+
+def test_sextic_values_above_one_half_skip_the_gauss_series(monkeypatch):
+    # j_inverse, the Ramanujan residual and the ratio chain sum the Gauss
+    # series only for w <= 1/2; above it they use the connection series
+    from mzl.pfaffian import _member_stencils, build_ratio_chain
+    series = special_module._hyp_series
+
+    def inner_series(a, b, c, d, z, *rest):
+        if np.any(np.abs(z) > 0.5):
+            raise AssertionError("Gauss series summed at |z| > 1/2")
+        return series(a, b, c, d, z, *rest)
+
+    monkeypatch.setattr(special_module, "_hyp_series", inner_series)
+    assert abs(j_inverse(1e5) - 1.831147273297785) < 1e-12
+    assert ramanujan_inversion_residual(0.95) < 1e-12
+    xs, stencils = _member_stencils(build_ratio_chain(), 200)
+    assert len(stencils) == 9 and np.all(np.isfinite(stencils))
+
+
+# ---------------------------------------------------------------------------
 # Eisenstein series and the discriminant
 
 
@@ -416,8 +466,10 @@ def test_j_inverse_roundtrip():
 
 
 def test_j_inverse_domain_error():
-    with pytest.raises(DomainError):
-        j_inverse(1500.0)
+    for x in (1500.0, math.nan, -math.inf):
+        with pytest.raises(DomainError) as err:
+            j_inverse(x)
+        assert str(err.value) == f"j_inverse requires x >= 1728, got {x}"
 
 
 def test_j_inverse_large_x_fallback_flagged():
