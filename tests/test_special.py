@@ -11,6 +11,7 @@ import mzl.special as special_module
 import oracles
 from mzl.errors import (AsymptoticFallbackWarning, DomainError,
                         PrecisionLossError)
+from mzl.pfaffian import _member_stencils, build_ratio_chain
 from mzl.qseries import standard_series
 from mzl.special import (gauss_relation_residuals, hyp2f1, hyp2f1_prime,
                          hyp2f1_with_bound, j_inverse, klein_j,
@@ -275,7 +276,6 @@ def test_sextic_2f1_matches_mpmath(c):
 def test_sextic_values_above_one_half_skip_the_gauss_series(monkeypatch):
     # j_inverse, the Ramanujan residual and the ratio chain sum the Gauss
     # series only for w <= 1/2; above it they use the connection series
-    from mzl.pfaffian import _member_stencils, build_ratio_chain
     series = special_module._hyp_series
 
     def inner_series(a, b, c, d, z, *rest):
