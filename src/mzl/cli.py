@@ -7,6 +7,7 @@ floats so identical inputs give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -30,9 +31,12 @@ _RESIDUAL_PASS = 1e-7
 
 def _parse_complex(s: str) -> complex:
     try:
-        return complex(s.replace(" ", "").replace("i", "j"))
+        z = complex(s.replace(" ", "").replace("i", "j"))
     except ValueError:
         raise MzlError(f"cannot parse complex number from {s!r}")
+    if not cmath.isfinite(z):
+        raise MzlError(f"input {s!r} is not a finite complex number")
+    return z
 
 
 def _parse_real(s: str) -> float:

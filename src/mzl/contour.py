@@ -45,6 +45,8 @@ _MAX_DEPTH = 40
 _SPLIT_ULPS = 16.0
 # the most pieces one refinement round splits an interval into
 _MAX_PIECES = 5
+# points per segment of the uniform grid a phase pass starts from
+_N_INITIAL = 17
 _DOMINANCE_SAMPLES = 256
 _CROSSING_GRID = 4096
 
@@ -195,9 +197,9 @@ def _joined(contours: Sequence[Contour]) -> Contour:
     return joined
 
 
-def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
-                    n_initial: int = 17) -> list:
-    """Adaptive phase accumulation over several contours at once.
+def _contour_phases(f, contours: Sequence[Contour], zero_atol: float) -> list:
+    """Adaptive phase accumulation over several contours at once, each
+    segment starting from _N_INITIAL uniform points.
 
     Contour k runs over [o_k, o_k + n_k] of the global parameter of the
     joined segments, n_k its segment count; its end point, but for the
@@ -222,19 +224,17 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
     samples, or an interval to split is shorter than _SPLIT_ULPS ulps of
     |z|, below which the samples no longer resolve the phase.
     """
-    if n_initial < 2:
-        raise InvalidSpecError("n_initial must be at least 2")
     joined = _joined(contours)
     nsegs = np.array([len(c.segments) for c in contours])
     offsets = np.concatenate([[0], np.cumsum(nsegs)])
     nseg = int(offsets[-1])
-    # per contour the points of np.linspace(0, n, n (n_initial - 1) + 1),
+    # per contour the points of np.linspace(0, n, n (_N_INITIAL - 1) + 1),
     # shifted by its offset
-    sizes = nsegs * (n_initial - 1) + 1
+    sizes = nsegs * (_N_INITIAL - 1) + 1
     cid = np.repeat(np.arange(len(contours)), sizes)
     ends = np.cumsum(sizes) - 1
     t = (np.arange(ends[-1] + 1) - np.repeat(ends - sizes + 1, sizes)) \
-        * (1.0 / (n_initial - 1)) + offsets[cid]
+        * (1.0 / (_N_INITIAL - 1)) + offsets[cid]
     t[ends] = offsets[1:]
     t[ends[:-1]] = np.nextafter(t[ends[:-1]], -np.inf)
     errors: dict = {}
@@ -347,10 +347,9 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
     return out
 
 
-def _contour_phase(f, contour: Contour, zero_atol: float,
-                   n_initial: int = 17):
+def _contour_phase(f, contour: Contour, zero_atol: float):
     """_contour_phases for one contour; its error is raised."""
-    res = _contour_phases(f, [contour], zero_atol, n_initial)[0]
+    res = _contour_phases(f, [contour], zero_atol)[0]
     if isinstance(res, Exception):
         raise res
     return res
@@ -367,18 +366,17 @@ def _integer_winding(total: float) -> int:
     return wi
 
 
-def winding_number(f, contour: Contour, zero_atol: float = 0.0,
-                   n_initial: int = 17) -> WindingResult:
+def winding_number(f, contour: Contour,
+                   zero_atol: float = 0.0) -> WindingResult:
     """Winding of f over a closed contour, from adaptive phase increments.
 
-    n_initial sets the uniform sampling each segment starts from.  It is
-    not needed for correctness: the |dz| |f'/f| step bound refines next
-    to zeros that hug the contour whatever the starting grid.
+    Each segment starts from _N_INITIAL uniform points; the |dz| |f'/f|
+    step bound refines next to zeros that hug the contour whatever the
+    starting grid.
     """
     if not contour.closed:
         raise InvalidSpecError("winding_number requires a closed contour")
-    total, tv, min_mod, used = _contour_phase(f, contour, zero_atol,
-                                              n_initial=n_initial)[:4]
+    total, tv, min_mod, used = _contour_phase(f, contour, zero_atol)[:4]
     return WindingResult(_integer_winding(total), tv, min_mod, used)
 
 

@@ -36,8 +36,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .contour import (ArcSegment, Contour, LineSegment, WindingResult,
-                      localize_zeros, winding_number)
+from .contour import (_N_INITIAL, ArcSegment, Contour, LineSegment,
+                      WindingResult, localize_zeros, winding_number)
 from .elliptic import lattice, wp_analytic
 from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
@@ -279,8 +279,6 @@ class ZeroCountReport:
 _BOUNDARY_FLOOR = 1e-9
 # points per contour segment of the boundary scan that sizes eps
 _BOUNDARY_SAMPLES = 512
-# points per contour segment of the grid a winding pass starts from
-_N_INITIAL = 17
 # half-width at which localize_zeros stops splitting a box
 _J_TARGET_RADIUS = 1e-4
 _WP_TARGET_RADIUS = 1e-3
@@ -325,6 +323,7 @@ def _unperturbed_winding(P: BivariatePolynomial, inner, contour: Contour):
     rule, at the inner values its own f calls computed, which also give
     vals.
     """
+    # the pass's own starting grid
     grid = contour.sample(_N_INITIAL - 1)
     atol = _BOUNDARY_FLOOR * float(
         _horner_scale(P, grid, inner(grid)[0]).min())
@@ -337,7 +336,7 @@ def _unperturbed_winding(P: BivariatePolynomial, inner, contour: Contour):
 
     try:
         w = winding_number(PerturbedComposite(P, recorded, 0.0, 0.0).pair,
-                           contour, zero_atol=atol, n_initial=_N_INITIAL)
+                           contour, zero_atol=atol)
     except ZeroOnContourError:
         pass
     else:

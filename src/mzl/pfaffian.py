@@ -15,7 +15,10 @@ Both right-hand sides follow from the contiguous relations
     x F' = (c-1) (F(c-) - F)
     x F' = x [ (c-a)(c-b) F(c+) + c (a+b-c) F ] / (c (1-x))
 
-applied through quotient and product rules.
+applied through quotient and product rules.  A chain evaluates all its
+members in one pass, so each chain sums F and F(c+) once per batch of
+points (the ratio chain at w+ and w- together) and builds every member
+from those values.
 
 real_zero_count checks such bounds numerically: it is a sign-change
 count on a refined grid; roots are not located.
@@ -23,12 +26,12 @@ count on a refined grid; roots are not located.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AmbiguityError, InvalidSpecError, MzlError
-from .special import SEXTIC_A, SEXTIC_B, _sextic_2f1, hyp2f1
+from .special import SEXTIC_A, SEXTIC_B, _check_c, _sextic_2f1, hyp2f1
 
 
 class MultiPoly:
@@ -86,11 +89,16 @@ class MultiPoly:
 
 @dataclass
 class PfaffianChain:
-    """rhs[i] is the polynomial for f_{i+1}' in variables (x, f_1..f_{i+1})."""
+    """rhs[i] is the polynomial for f_{i+1}' in variables (x, f_1..f_{i+1}).
+
+    member_values(x) returns [f_1(x), ..., f_r(x)] from one pass over x,
+    so values that several members share are computed once; it must
+    return exactly r arrays (checked where the values are used).
+    """
 
     rhs: list
     domain: tuple
-    member_evaluators: list
+    member_values: Callable
     sample_offset: float = 1e-3
     label: str = ""
 
@@ -98,8 +106,6 @@ class PfaffianChain:
         a, b = self.domain
         if not a < b:
             raise InvalidSpecError("empty chain domain")
-        if len(self.rhs) != len(self.member_evaluators):
-            raise InvalidSpecError("rhs/evaluator count mismatch")
         for i, p in enumerate(self.rhs):
             if p.nvars != i + 2:
                 raise InvalidSpecError(
@@ -113,9 +119,6 @@ class PfaffianChain:
     @property
     def alpha(self) -> int:
         return max(1, max(p.total_degree for p in self.rhs))
-
-    def member_values(self, x) -> list:
-        return [ev(x) for ev in self.member_evaluators]
 
 
 @dataclass
@@ -139,13 +142,8 @@ class PfaffianFunction:
                                      self.beta)
 
     def eval(self, x):
-        """outer at x.  Only the members with a nonzero exponent in some
-        term of outer are evaluated; a scalar 0 stands in for the rest."""
-        used = {i for exps in self.outer.terms
-                for i, e in enumerate(exps[1:]) if e}
-        members = [ev(x) if i in used else 0.0
-                   for i, ev in enumerate(self.chain.member_evaluators)]
-        return self.outer.eval(x, members)
+        """outer at x, from one pass over the chain's members."""
+        return self.outer.eval(x, self.chain.member_values(x))
 
 
 def khovanskii_zero_bound(r: int, alpha: int, beta: int) -> int:
@@ -164,8 +162,10 @@ def build_hypergeometric_chain(a: float, b: float, c: float,
     F = F(a,b;c;x).  The ratio member satisfies a Riccati equation whose
     coefficients come from the two contiguous relations; the final member
     uses F' = (A f2 f4 + (a+b-c) f2 f5) with A = (c-a)(c-b)/c, rewritten
-    through f5 f6 = 1 so only allowed variables appear.
+    through f5 f6 = 1 so only allowed variables appear.  A c or c + 1
+    that is a non-positive integer raises DomainError here.
     """
+    _check_c((c, c + 1.0))
     A = (c - a) * (c - b) / c
     s = a + b - c
     rhs = [
@@ -179,21 +179,13 @@ def build_hypergeometric_chain(a: float, b: float, c: float,
                    (0, 0, 1, 0, 0, 0, 1): -s}, 7),
     ]
 
-    def F(x):
-        return hyp2f1(a, b, c, np.asarray(x, dtype=float))
+    def member_values(x):
+        x = np.asarray(x, dtype=float)
+        F, Fp = hyp2f1(a, b, c, x), hyp2f1(a, b, c + 1.0, x)
+        xc = x.astype(complex)
+        return [1.0 / xc, 1.0 / (1.0 - xc), F / Fp, Fp, F, 1.0 / F]
 
-    def Fp(x):
-        return hyp2f1(a, b, c + 1.0, np.asarray(x, dtype=float))
-
-    evaluators = [
-        lambda x: 1.0 / np.asarray(x, dtype=complex),
-        lambda x: 1.0 / (1.0 - np.asarray(x, dtype=complex)),
-        lambda x: F(x) / Fp(x),
-        Fp,
-        F,
-        lambda x: 1.0 / F(x),
-    ]
-    return PfaffianChain(rhs, domain, evaluators, sample_offset=0.05,
+    return PfaffianChain(rhs, domain, member_values, sample_offset=0.05,
                          label=f"hyp2f1({a},{b},{c})")
 
 
@@ -224,30 +216,17 @@ def build_ratio_chain(domain: tuple = (0.0, 1.0)) -> PfaffianChain:
                    (0, 0, 0, 0, 0, 1, 0, 0, 0, 1): kappa}, 10),
     ]
 
-    def F(w):
-        return _sextic_2f1(1.0, w)[0]
+    def member_values(y):
+        y = np.asarray(y, dtype=float)
+        w = np.stack([(1.0 + y) / 2.0, (1.0 - y) / 2.0])
+        Fp, Fm = _sextic_2f1(1.0, w)[0]
+        Fcp, Fcm = _sextic_2f1(2.0, w)[0]
+        yc = y.astype(complex)
+        return [1.0 / (1.0 - yc), 1.0 / (1.0 + yc),
+                Fcp / ((1.0 - y) * Fp), Fp, Fcm / ((1.0 + y) * Fm), Fm,
+                Fcp, Fcm, Fp / Fm]
 
-    def Fc(w):
-        return _sextic_2f1(2.0, w)[0]
-
-    def wp(y):
-        return (1.0 + np.asarray(y, dtype=float)) / 2.0
-
-    def wm(y):
-        return (1.0 - np.asarray(y, dtype=float)) / 2.0
-
-    evaluators = [
-        lambda y: 1.0 / (1.0 - np.asarray(y, dtype=complex)),
-        lambda y: 1.0 / (1.0 + np.asarray(y, dtype=complex)),
-        lambda y: Fc(wp(y)) / ((1.0 - y) * F(wp(y))),
-        lambda y: F(wp(y)),
-        lambda y: Fc(wm(y)) / ((1.0 + y) * F(wm(y))),
-        lambda y: F(wm(y)),
-        lambda y: Fc(wp(y)),
-        lambda y: Fc(wm(y)),
-        lambda y: F(wp(y)) / F(wm(y)),
-    ]
-    return PfaffianChain(rhs, domain, evaluators, sample_offset=0.02,
+    return PfaffianChain(rhs, domain, member_values, sample_offset=0.02,
                          label="sextic-ratio")
 
 
@@ -267,17 +246,18 @@ def chain_residual(chain: PfaffianChain, n_samples: int = 200) -> float:
     Derivatives use the five-point central stencil
     (-f(x+2h) + 8 f(x+h) - 8 f(x-h) + f(x-2h)) / (12h), whose truncation
     error ~ h^4 f^(5)/30 sits below 1e-8 for these members at h = 1e-5.
-    Each member is evaluated once, on the grid and its four shifts
-    stacked.  The grid is inset from the domain ends by the chain's
-    sample_offset so x +- 2h stays interior.
+    The members come from one member_values pass over the grid and its
+    four shifts stacked.  The grid is inset from the domain ends by the
+    chain's sample_offset so x +- 2h stays interior.
     """
     return _stencil_residual(chain, *_member_stencils(chain, n_samples))
 
 
 def _member_stencils(chain: PfaffianChain, n_samples: int):
     """The grid xs of chain_residual, and per member its values on xs,
-    xs + 2h, xs + h, xs - h and xs - 2h as the rows of one array.  A
-    chain that differs only in its right-hand sides shares them."""
+    xs + 2h, xs + h, xs - h and xs - 2h as the rows of one array, all
+    from one member_values call.  A chain that differs only in its
+    right-hand sides shares them."""
     if n_samples < 1:
         raise InvalidSpecError(f"samples must be at least 1, got {n_samples}")
     a, b = chain.domain
@@ -287,15 +267,16 @@ def _member_stencils(chain: PfaffianChain, n_samples: int):
     h = _STENCIL_H
     xs = np.linspace(a + off, b - off, n_samples)
     stacked = np.concatenate([xs, xs + 2 * h, xs + h, xs - h, xs - 2 * h])
-    stencils = []
-    for i, ev in enumerate(chain.member_evaluators):
-        try:
-            stencils.append(np.asarray(ev(stacked), dtype=complex).reshape(
-                5, n_samples))
-        except Exception as exc:
-            raise MzlError(
-                f"member {i + 1} of chain {chain.label!r} failed on "
-                f"[{xs[0]:.6g}, {xs[-1]:.6g}]: {exc}") from exc
+    try:
+        stencils = [np.asarray(v, dtype=complex).reshape(5, n_samples)
+                    for v in chain.member_values(stacked)]
+    except Exception as exc:
+        raise MzlError(f"chain {chain.label!r} failed on "
+                       f"[{xs[0]:.6g}, {xs[-1]:.6g}]: {exc}") from exc
+    if len(stencils) != chain.order:
+        raise InvalidSpecError(
+            f"chain {chain.label!r} of order {chain.order} returned "
+            f"{len(stencils)} member arrays")
     return xs, stencils
 
 

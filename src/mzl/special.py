@@ -40,7 +40,14 @@ def _check_c(c) -> None:
         raise DomainError(f"c={cs[bad].flat[0]} is a non-positive integer")
 
 
-def _hyp_series(a, b, c, d, z, rtol: float = 1e-14, max_terms: int = 200000):
+# the relative tail tolerance of a 2F1 sum, the disk |z| <= 1 - _HYP_DELTA
+# hyp2f1 accepts, and the most terms any series sum takes
+_HYP_RTOL = 1e-14
+_HYP_DELTA = 1e-3
+_HYP_MAX_TERMS = 200000
+
+
+def _hyp_series(a, b, c, d, z, rtol: float = _HYP_RTOL):
     """sum_m w_m with w_0 = 1 and w_{m+1}/w_m = z (a+m)(b+m)/((c+m)(d+m)).
 
     a, b, c and d are scalars or arrays that broadcast against z; no c
@@ -51,6 +58,7 @@ def _hyp_series(a, b, c, d, z, rtol: float = 1e-14, max_terms: int = 200000):
     is at least |w_{k+1}/w_k| for every k >= n and element, and the tail
     after w_n is at most |w_n| r/(1-r).  The loop stops once every element
     meets rtol; for c >= 0 the majorant is max|z| (n+|a|)(n+|b|)/n^2.
+    More than _HYP_MAX_TERMS terms raise PrecisionLossError.
     """
     a, b, c, d = _params(a, b, c, d)
     z = np.asarray(z, dtype=complex)
@@ -69,7 +77,7 @@ def _hyp_series(a, b, c, d, z, rtol: float = 1e-14, max_terms: int = 200000):
     cneg = min(float(np.min(c)), 0.0)
     n = 0
     ratio = None
-    while n < max_terms:
+    while n < _HYP_MAX_TERMS:
         term *= z * ((a + n) * (b + n) / ((c + n) * (d + n)))
         acc += term
         n += 1
@@ -95,41 +103,34 @@ def _as_value(out):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def hyp2f1(a, b, c, z, rtol: float = 1e-14, delta: float = 1e-3,
-           max_terms: int = 200000):
-    """2F1(a, b, c; z) for |z| <= 1 - delta, c not a non-positive integer.
+def hyp2f1(a, b, c, z):
+    """2F1(a, b, c; z) for |z| <= 1 - _HYP_DELTA, c not a non-positive
+    integer.
 
     a, b and c may be arrays that broadcast against z; the whole batch is
     one series sum.  A scalar result is a Python complex."""
-    val, _ = hyp2f1_with_bound(a, b, c, z, rtol, delta, max_terms)
+    val, _ = hyp2f1_with_bound(a, b, c, z)
     return val
 
 
-def hyp2f1_with_bound(a, b, c, z, rtol: float = 1e-14, delta: float = 1e-3,
-                      max_terms: int = 200000):
+def hyp2f1_with_bound(a, b, c, z):
     """hyp2f1 and the largest tail bound over the batch (see _hyp_series)."""
     _check_c(c)
     zs = np.asarray(z, dtype=complex)
     amax = float(np.abs(zs).max()) if zs.size else 0.0
-    if not amax <= 1.0 - delta:
+    if not amax <= 1.0 - _HYP_DELTA:
         raise PrecisionLossError(
-            f"|z|={amax:.6f} exceeds 1-delta={1.0 - delta:.6f}", np.inf)
-    val, bound = _hyp_series(a, b, c, 1.0, zs, rtol, max_terms)
+            f"|z|={amax:.6f} exceeds 1-delta={1.0 - _HYP_DELTA:.6f}", np.inf)
+    val, bound = _hyp_series(a, b, c, 1.0, zs)
     return _as_value(val), bound
 
 
-def hyp2f1_prime(a, b, c, z, rtol: float = 1e-14, delta: float = 1e-3,
-                 max_terms: int = 200000):
-    """d/dz 2F1(a, b, c; z) by term-wise differentiation of the series;
-    array parameters as in hyp2f1."""
+def hyp2f1_prime(a, b, c, z):
+    """d/dz 2F1(a, b, c; z) = (a b / c) 2F1(a + 1, b + 1, c + 1; z), the
+    term-wise derivative of the series; array parameters as in hyp2f1."""
     _check_c(c)
-    zs = np.asarray(z, dtype=complex)
-    amax = float(np.abs(zs).max()) if zs.size else 0.0
-    if not amax <= 1.0 - delta:
-        raise PrecisionLossError(
-            f"|z|={amax:.6f} exceeds 1-delta={1.0 - delta:.6f}", np.inf)
     a, b, c = _params(a, b, c)
-    val, _ = _hyp_series(a + 1.0, b + 1.0, c + 1.0, 1.0, zs, rtol, max_terms)
+    val, _ = hyp2f1_with_bound(a + 1.0, b + 1.0, c + 1.0, z)
     return _as_value((a * b / c) * val)
 
 

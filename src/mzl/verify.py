@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -90,19 +91,18 @@ def special_value_suite() -> dict:
 
 
 def _corrupted(chain: PfaffianChain) -> PfaffianChain:
-    rhs = list(chain.rhs)
-    first = rhs[0]
-    key = next(iter(first.terms))
-    rhs[0] = first.bumped(key, 0.1)
-    return PfaffianChain(rhs, chain.domain, chain.member_evaluators,
-                         chain.sample_offset, chain.label + "-corrupted")
+    """chain with one coefficient of its first right-hand side bumped;
+    its members are chain's."""
+    first = chain.rhs[0]
+    rhs = [first.bumped(next(iter(first.terms)), 0.1)] + chain.rhs[1:]
+    return replace(chain, rhs=rhs, label=chain.label + "-corrupted")
 
 
 def chain_suite() -> dict:
     """Both chains close under differentiation; a corrupted chain fails."""
     hyp = build_hypergeometric_chain(0.3, 1.2, 0.8)
     ratio = build_ratio_chain()
-    # the corrupted chain has hyp's members, so it reuses their values
+    # the corrupted chain has hyp's members, so it reuses their one pass
     stencils = _member_stencils(hyp, 200)
     res_hyp = _stencil_residual(hyp, *stencils)
     res_ratio = chain_residual(ratio, 200)

@@ -135,6 +135,16 @@ def test_eval_jinv_nan_exits_2(capsys):
         "error: j_inverse requires x >= 1728, got nan\n")
 
 
+@pytest.mark.parametrize("function", ["j", "wp", "wpprime", "2f1"])
+def test_eval_non_finite_input_exits_2(function, capsys):
+    # rejected where it is parsed, with a message naming the input, not a
+    # NaN row or a message about Im tau or 1 - delta
+    assert main(["eval", function, "nan"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: input 'nan' is not a finite complex number\n"
+    assert out.out == ""
+
+
 def test_eval_jinv_above_j_of_100i_exits_2(capsys):
     assert main(["eval", "jinv", "1e300"]) == 2
     err = capsys.readouterr().err
@@ -154,6 +164,13 @@ def test_verify_chain_hyp(capsys):
     assert rep["alpha"] == 4
     assert rep["pass"] is True
     assert float(rep["max_residual"]) < 1e-7
+
+
+def test_verify_chain_hyp_at_c_0_exits_2(capsys):
+    # a domain error, not a traceback: exit 1 means a residual failed
+    assert main(["verify-chain", "--chain", "hyp", "--c", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: c=0.0 is a non-positive integer\n")
 
 
 def test_verify_chain_ratio_report_file(tmp_path, capsys):

@@ -140,7 +140,7 @@ def test_winding_rejects_a_plain_callable():
     with pytest.raises(TypeError):
         winding_number(lambda z: z, circle_contour(0.0, 1.0))
     with pytest.raises(TypeError):
-        winding_number(lambda z: z, circle_contour(0.0, 1.0), n_initial=2)
+        contour_module._pair(lambda z: z, np.array([0.5, 1.0j]))
     with pytest.raises(TypeError):
         localize_zeros(lambda z: z * z - 1.0, (-2.0, 2.0, -2.0, 2.0))
 
@@ -310,7 +310,7 @@ def test_localize_several_boxes_raises_the_first_top_error():
     assert type(err.value) is MzlError
 
 
-def test_localize_pair_hugging_edge():
+def test_localize_pair_hugging_edge(monkeypatch):
     # two zeros 1e-3 and 5e-3 from the left edge, spaced so their combined
     # 2 pi of phase falls between adjacent coarse samples; a phase step
     # test alone misses the pair entirely
@@ -318,7 +318,9 @@ def test_localize_pair_hugging_edge():
     z2 = 0.005 + 0.041j
     f = roots_pair([z1, z2])
     box = (0.0, 1.0, -0.5, 0.5)
-    dense = winding_number(f, rectangle_contour(*box), n_initial=257)
+    with monkeypatch.context() as m:
+        m.setattr(contour_module, "_N_INITIAL", 257)
+        dense = winding_number(f, rectangle_contour(*box))
     assert dense.winding == 2
     zeros = localize_zeros(f, box, target_radius=1e-6)
     assert sum(z.multiplicity for z in zeros) == 2

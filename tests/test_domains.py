@@ -612,7 +612,8 @@ def test_count_zeros_wp_shifted_cell_products(tau):
 
 
 @pytest.mark.parametrize("tau, beta, seed", [(1.0, 0.37, 0), (8.0, 0.0, 1)])
-def test_count_zeros_wp_degree_5_has_no_negative_quadrant(tau, beta, seed):
+def test_count_zeros_wp_degree_5_has_no_negative_quadrant(tau, beta, seed,
+                                                          monkeypatch):
     # with a phase step test alone, a full turn of phase hid between two
     # samples of a quadtree box here, and a quadrant of a pole-free tile
     # read a negative winding ("negative winding in a quadrant")
@@ -620,8 +621,9 @@ def test_count_zeros_wp_degree_5_has_no_negative_quadrant(tau, beta, seed):
     rep = count_zeros_wp(P, WpDomainSpec(tau, beta=beta))
     region = WpDomainSpec(tau, beta, rep.domain["delta"])
     inner = wp_analytic(lattice(tau))
+    monkeypatch.setattr(contour_module, "_N_INITIAL", 8193)
     dense = winding_number(PerturbedComposite(P, inner, 0.0, 0.0).pair,
-                           build_wp_contour(region), n_initial=8193)
+                           build_wp_contour(region))
     assert rep.count == rep.winding == dense.winding
     assert rep.bound_holds
 

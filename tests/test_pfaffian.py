@@ -4,12 +4,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mzl.errors import AmbiguityError, InvalidSpecError
+import mzl.pfaffian as pfaffian_module
+from mzl.errors import AmbiguityError, InvalidSpecError, MzlError
 from mzl.pfaffian import (MultiPoly, PfaffianChain, PfaffianFunction,
                           build_hypergeometric_chain, build_ratio_chain,
                           chain_residual, khovanskii_zero_bound,
                           ratio_pfaffian_function, real_zero_count)
-from mzl.special import j_inverse, klein_j
+from mzl.special import _sextic_2f1, hyp2f1, j_inverse, klein_j
+
+
+def counted(calls, key, fn):
+    """fn, with each call appended to calls as key."""
+    def wrapped(*args):
+        calls.append(key)
+        return fn(*args)
+    return wrapped
+
+
+def counted_chain(chain, calls):
+    """chain, with each member_values pass appended to calls."""
+    return PfaffianChain(chain.rhs, chain.domain,
+                         counted(calls, "pass", chain.member_values),
+                         chain.sample_offset, chain.label)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +94,7 @@ def test_corrupted_chain_fails_residual_check():
     chain = build_hypergeometric_chain(1.0 / 6.0, 5.0 / 6.0, 1.0)
     rhs_bad = list(chain.rhs)
     rhs_bad[0] = chain.rhs[0].bumped((0, 2), 1.0)
-    bad = PfaffianChain(rhs_bad, chain.domain, chain.member_evaluators,
+    bad = PfaffianChain(rhs_bad, chain.domain, chain.member_values,
                         chain.sample_offset, "corrupted")
     assert chain_residual(bad, n_samples=50) > 1e-2
 
@@ -117,57 +133,45 @@ def test_ratio_member_inverts_j():
 
 def test_manual_reciprocal_chain():
     chain = PfaffianChain([MultiPoly({(0, 2): -1.0}, 2)], (0.1, 1.0),
-                          [lambda x: 1.0 / np.asarray(x, dtype=complex)],
+                          lambda x: [1.0 / np.asarray(x, dtype=complex)],
                           label="1/x")
     assert chain.order == 1
     assert chain.alpha == 2
     assert chain_residual(chain, n_samples=100) < 1e-7
 
 
-def test_chain_residual_evaluates_each_member_once():
-    chain = build_ratio_chain()
-    calls = [0] * chain.order
-
-    def counting(i, ev):
-        def counted(x):
-            calls[i] += 1
-            return ev(x)
-        return counted
-
-    counted = PfaffianChain(
-        chain.rhs, chain.domain,
-        [counting(i, ev) for i, ev in enumerate(chain.member_evaluators)],
-        chain.sample_offset, chain.label)
-    assert chain_residual(counted, n_samples=20) < 1e-7
-    assert calls == [1] * chain.order
+def test_chain_residual_evaluates_each_member_once(monkeypatch):
+    # one member pass over the stacked stencil grids, which sums F and
+    # F(c+) once each: at w+ and w- together for the ratio chain
+    calls = []
+    for name in ("_sextic_2f1", "hyp2f1"):
+        monkeypatch.setattr(pfaffian_module, name, counted(
+            calls, name, getattr(pfaffian_module, name)))
+    for chain, series in ((build_ratio_chain(), "_sextic_2f1"),
+                          (build_hypergeometric_chain(0.3, 1.2, 0.8),
+                           "hyp2f1")):
+        calls.clear()
+        assert chain_residual(counted_chain(chain, calls), 20) < 1e-7
+        assert calls == ["pass", series, series]
 
 
 def test_chain_suite_evaluates_the_hyp_members_once(monkeypatch):
     # the corrupted negative control shares the hyp chain's members, so
-    # their values are reused, and both residuals stay those of
+    # their one pass is reused, and both residuals stay those of
     # chain_residual bit for bit
     from mzl import verify
-    calls = []
+    passes, sextic = [], []
     build = verify.build_hypergeometric_chain
-
-    def counted_chain(*args):
-        chain = build(*args)
-
-        def counting(i, ev):
-            def counted(x):
-                calls.append(i)
-                return ev(x)
-            return counted
-
-        return PfaffianChain(
-            chain.rhs, chain.domain,
-            [counting(i, ev) for i, ev in enumerate(chain.member_evaluators)],
-            chain.sample_offset, chain.label)
-
-    monkeypatch.setattr(verify, "build_hypergeometric_chain", counted_chain)
+    monkeypatch.setattr(verify, "build_hypergeometric_chain",
+                        lambda *args: counted_chain(build(*args), passes))
+    # pfaffian's own sextic sums: two in the ratio residual, two in each
+    # of the three ratio evaluations (j_inverse sums its own)
+    monkeypatch.setattr(pfaffian_module, "_sextic_2f1", counted(
+        sextic, "sextic", pfaffian_module._sextic_2f1))
     rep = verify.chain_suite()
     assert rep["pass"]
-    assert sorted(calls) == list(range(6))
+    assert passes == ["pass"]
+    assert len(sextic) == 8
     hyp = build(0.3, 1.2, 0.8)
     assert rep["hyp_residual"] == repr(chain_residual(hyp, 200))
     assert rep["corrupted_residual"] == repr(
@@ -182,11 +186,55 @@ def test_chain_residual_rejects_an_empty_grid():
 def test_chain_validation_errors():
     good = MultiPoly({(0, 2): -1.0}, 2)
     with pytest.raises(InvalidSpecError):
-        PfaffianChain([good, good], (0.0, 1.0), [lambda x: x, lambda x: x])
+        PfaffianChain([good], (1.0, 0.0), lambda x: [x])
     with pytest.raises(InvalidSpecError):
-        PfaffianChain([good], (1.0, 0.0), [lambda x: x])
+        PfaffianChain([good, good], (0.0, 1.0), lambda x: [x])
     with pytest.raises(InvalidSpecError):
         PfaffianFunction(build_ratio_chain(), MultiPoly({(1,): 1.0}, 1))
+
+
+def test_member_count_is_checked_where_the_values_come_back():
+    two = [MultiPoly({(0, 2): -1.0}, 2), MultiPoly({(0, 0, 2): 1.0}, 3)]
+    for values in (lambda x: [x], lambda x: [x, x, x]):
+        chain = PfaffianChain(two, (0.1, 1.0), values, label="short")
+        with pytest.raises(InvalidSpecError, match="returned"):
+            chain_residual(chain, 10)
+        pf = PfaffianFunction(chain, MultiPoly({(0, 1, 0): 1.0}, 3))
+        with pytest.raises(InvalidSpecError):
+            pf.eval(np.array([0.5]))
+
+
+def test_a_failing_member_pass_names_the_chain():
+    def broken(x):
+        raise ZeroDivisionError("no members here")
+
+    chain = PfaffianChain([MultiPoly({(0, 2): -1.0}, 2)], (0.1, 1.0),
+                          broken, label="broken")
+    with pytest.raises(MzlError, match="chain 'broken' failed on"):
+        chain_residual(chain, 10)
+
+
+def test_members_equal_their_closed_forms():
+    # each member, bit for bit, from its own hyp2f1 or _sextic_2f1 call
+    # on the points alone: one pass changes no value
+    x = np.linspace(0.05, 0.95, 41)
+    a, b, c = 0.3, 1.2, 0.8
+    F, Fp = hyp2f1(a, b, c, x), hyp2f1(a, b, c + 1.0, x)
+    xc = x.astype(complex)
+    want = [1.0 / xc, 1.0 / (1.0 - xc), F / Fp, Fp, F, 1.0 / F]
+    got = build_hypergeometric_chain(a, b, c).member_values(x)
+    assert len(got) == 6
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    y = np.linspace(0.02, 0.98, 41)
+    wp, wm = (1.0 + y) / 2.0, (1.0 - y) / 2.0
+    Fwp, Fwm = _sextic_2f1(1.0, wp)[0], _sextic_2f1(1.0, wm)[0]
+    Cwp, Cwm = _sextic_2f1(2.0, wp)[0], _sextic_2f1(2.0, wm)[0]
+    yc = y.astype(complex)
+    want = [1.0 / (1.0 - yc), 1.0 / (1.0 + yc), Cwp / ((1.0 - y) * Fwp),
+            Fwp, Cwm / ((1.0 + y) * Fwm), Fwm, Cwp, Cwm, Fwp / Fwm]
+    got = build_ratio_chain().member_values(y)
+    assert len(got) == 9
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_multipoly_validation():
@@ -242,29 +290,18 @@ def test_zero_count_tangential_touch():
     assert real_zero_count(f, (0.0, 1.0)) == 0
 
 
-def test_pfaffian_eval_calls_only_the_members_outer_uses():
+def test_pfaffian_eval_is_outer_on_one_member_pass():
     base = build_ratio_chain()
-    calls = [0] * base.order
-
-    def counted(i, ev):
-        def f(y):
-            calls[i] += 1
-            return ev(y)
-        return f
-
-    chain = PfaffianChain(base.rhs, base.domain,
-                          [counted(i, ev) for i, ev
-                           in enumerate(base.member_evaluators)],
-                          base.sample_offset, base.label)
+    calls = []
+    chain = counted_chain(base, calls)
     y = np.linspace(0.05, 0.95, 7)
     ratio_only = {(0,) * 9 + (k,): 1.0 + k for k in range(3)}
     mixed = {(1, 0, 0, 2) + (0,) * 5 + (1,): -0.5, (0, 1) + (0,) * 8: 2.0}
-    for terms, used in ((ratio_only, {8}), (mixed, {0, 2, 8})):
-        calls[:] = [0] * base.order
+    for terms in (ratio_only, mixed):
+        calls.clear()
         pf = PfaffianFunction(chain, MultiPoly(terms, 10))
         got = pf.eval(y)
-        assert {i for i, n in enumerate(calls) if n} == used
-        assert all(calls[i] == 1 for i in used)
+        assert calls == ["pass"]
         want = pf.outer.eval(y, base.member_values(y))
         assert np.array_equal(got, want)
 

@@ -69,7 +69,7 @@ def test_hyp2f1_bound_is_honest(rng):
         c = rng.uniform(0.4, 2.0)
         z = rng.uniform(-0.8, 0.8)
         v, bound = hyp2f1_with_bound(a, b, c, z)
-        tight, _ = hyp2f1_with_bound(a, b, c, z, rtol=1e-16)
+        tight, _ = special_module._hyp_series(a, b, c, 1.0, z, 1e-16)
         assert abs(v - tight) <= bound + 1e-15
 
 
@@ -168,12 +168,11 @@ def test_scalar_calls_run_the_scalar_loop():
               (0.3, 1.2, 0.8, np.linspace(0.01, 0.95002, 1000)),
               (0.3, 1.7, 0.9, 0.5 + 0.3j), (1.0, 1.0, 2.0, 0.5)]
     for a, b, c, z in pinned:
-        v, bound = hyp2f1_with_bound(a, b, c, z, delta=2.5e-4,
-                                     max_terms=400000)
-        ref, ref_bound = loop(a, b, c, 1.0, z, max_terms=400000)
+        v, bound = hyp2f1_with_bound(a, b, c, z)
+        ref, ref_bound = loop(a, b, c, 1.0, z)
         assert np.array_equal(v, ref) and bound == ref_bound
-        prime = hyp2f1_prime(a, b, c, z, delta=2.5e-4, max_terms=400000)
-        dref, _ = loop(a + 1.0, b + 1.0, c + 1.0, 1.0, z, max_terms=400000)
+        prime = hyp2f1_prime(a, b, c, z)
+        dref, _ = loop(a + 1.0, b + 1.0, c + 1.0, 1.0, z)
         assert np.array_equal(prime, (a * b / c) * dref)
     a, b, c, z = 0.4, 1.1, 0.9, 0.3
     F = complex(loop(a, b, c, 1.0, z)[0])
@@ -193,16 +192,17 @@ def test_scalar_calls_run_the_scalar_loop():
     # |a| and |b|, or the most negative c, make slowest
     ([0.1, 6.0, 0.5], [0.2, 4.0, 1.0], [1.5, 0.7, -2.5], [0.5, 0.9, 0.5]),
     ([0.5, 2.0], [0.5, 2.0], [1.0, -5.5], [0.3, 0.9])])
-def test_hyp2f1_bound_covers_the_truncation_tail(a, b, c, z):
+def test_hyp2f1_bound_covers_the_truncation_tail(a, b, c, z, monkeypatch):
     # |c + k| < k for c < 0, so the majorant divides by (n + c) n there
     mpmath = pytest.importorskip("mpmath")
     _, bound = hyp2f1_with_bound(a, b, c, z)
-    # the terms summed: the least max_terms that still converges
+    # the terms summed: the least term cap that still converges
     lo, hi = 1, 4096
     while lo < hi:
         mid = (lo + hi) // 2
+        monkeypatch.setattr(special_module, "_HYP_MAX_TERMS", mid)
         try:
-            hyp2f1_with_bound(a, b, c, z, max_terms=mid)
+            hyp2f1_with_bound(a, b, c, z)
             hi = mid
         except PrecisionLossError:
             lo = mid + 1
@@ -217,7 +217,7 @@ def test_hyp2f1_bound_covers_the_truncation_tail(a, b, c, z):
             assert abs(mpmath.hyp2f1(A, B, C, Z) - partial) <= bound
 
 
-def test_array_calls_check_every_element():
+def test_array_calls_check_every_element(monkeypatch):
     cs = np.array([0.7, -2.0, 1.3])
     with pytest.raises(DomainError):
         hyp2f1(0.5, 0.5, cs, 0.3)
@@ -236,8 +236,9 @@ def test_array_calls_check_every_element():
             call(np.array([0.5, 0.7]), 0.5, 1.0, edge)
         assert exc.value.achieved > 0.0
     # a batch that runs out of terms reports the tail it reached
+    monkeypatch.setattr(special_module, "_HYP_MAX_TERMS", 50)
     with pytest.raises(PrecisionLossError) as exc:
-        hyp2f1(np.array([0.5, 6.0]), 0.5, 1.0, 0.9, max_terms=50)
+        hyp2f1(np.array([0.5, 6.0]), 0.5, 1.0, 0.9)
     assert exc.value.achieved > 1e-14
 
 
