@@ -30,8 +30,10 @@ _RESIDUAL_PASS = 1e-7
 
 
 def _parse_complex(s: str) -> complex:
+    # only a trailing i is the imaginary unit: "inf" keeps its own i
+    t = s.replace(" ", "")
     try:
-        z = complex(s.replace(" ", "").replace("i", "j"))
+        z = complex(t[:-1] + "j" if t.endswith("i") else t)
     except ValueError:
         raise MzlError(f"cannot parse complex number from {s!r}")
     if not cmath.isfinite(z):

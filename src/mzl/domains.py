@@ -4,28 +4,26 @@ count_zeros_j counts zeros of P(z, j(z)) in the standard fundamental
 domain of the modular group truncated at height Y; count_zeros_wp counts
 zeros of P(z, wp(z)) in a period cell of the lattice spanned by 1 and
 i*tau, with notches excising the lattice poles on its boundary.  Each
-keeps its own geometry and one retry move, and runs every attempt
-through _attempt: offset P(z, f(z)) by eps e^{i theta}, localize the
-zeros of the offset composite and cross-check their multiplicities
-against a winding around the boundary.  eps is half the minimum
-|P(z, f(z))| over boundary samples that are not numerically zero.
-Those samples keep |P + eps e^{i theta}| >= eps, and by Rouche the
-offset changes no count while |P| > eps on the contour.
-
-The pipelines take those samples from different places.  count_zeros_j
-scans a fixed grid of _BOUNDARY_SAMPLES points per segment and winds
-the offset composite.  count_zeros_wp first winds the unperturbed
-composite (_unperturbed_winding); its adaptive samples size eps and its
-winding is the one the localized zeros must match, so a zero the offset
-would push across the boundary is caught.  Only when that pass meets a numerically
-zero sample does it fall back to the j route: the fixed scan, eps from
-its other samples, whose offset moves that boundary zero off the
-contour, and the winding of the offset composite.
+keeps its own geometry and one retry move, and runs every attempt the
+same way.  It first winds the unperturbed composite P(z, f(z)) over the
+boundary (_unperturbed_winding).  _attempt then offsets the composite by
+eps e^{i theta}, with eps half the minimum |P(z, f(z))| over that
+pass's adaptive samples, localizes the zeros of the offset composite
+and checks that their multiplicities sum to the unperturbed winding, so
+a zero the offset would push across the boundary is caught.  The
+samples keep |P + eps e^{i theta}| >= eps, and by Rouche the offset
+changes no count while |P| > eps on the contour; the pass's step rule
+refines wherever a zero hugs the contour, so |P| between its samples
+stays above eps.
 
 Both pipelines judge "numerically zero on the boundary" by one rule
 (_boundary_scan): |P(z, f(z))| below _BOUNDARY_FLOOR times the Horner
-running-error scale of the sum (_horner_scale).  count_zeros_j retries
-on such a sample; count_zeros_wp leaves it out of eps.
+running-error scale of the sum (_horner_scale).  A pass that meets such
+a sample raises ZeroOnContourError.  count_zeros_j retries on it;
+count_zeros_wp falls back to a fixed scan of _BOUNDARY_SAMPLES points
+per segment: eps from the scan samples that are not numerically zero,
+whose offset moves that boundary zero off the contour, and the winding
+of the offset composite.
 """
 from __future__ import annotations
 
@@ -277,7 +275,8 @@ class ZeroCountReport:
 
 
 _BOUNDARY_FLOOR = 1e-9
-# points per contour segment of the boundary scan that sizes eps
+# points per contour segment of the fixed scan that sizes eps when the
+# unperturbed winding of a wp count meets a numerically zero sample
 _BOUNDARY_SAMPLES = 512
 # half-width at which localize_zeros stops splitting a box
 _J_TARGET_RADIUS = 1e-4
@@ -307,26 +306,25 @@ def _boundary_scan(P: BivariatePolynomial, z: np.ndarray, w: np.ndarray):
     return vals, np.abs(vals) < _BOUNDARY_FLOOR * _horner_scale(P, z, w)
 
 
-def _unperturbed_winding(P: BivariatePolynomial, inner, contour: Contour):
+def _unperturbed_winding(P: BivariatePolynomial, inner, values,
+                         contour: Contour):
     """(vals, w) for _attempt from one winding pass of the unperturbed
-    P(z, f(z)) over the contour: its values at the pass's adaptive
-    samples and the pass's WindingResult.  When the pass meets a
-    numerically zero sample, w is None and vals are the values of the
-    fixed scan of _BOUNDARY_SAMPLES points per segment that are not
-    numerically zero.
+    P(z, f(z)) over the contour, with inner the pair callable of f and
+    values its values-only form: the composite's values at the pass's
+    adaptive samples and the pass's WindingResult.
 
     The pass's zero floor is _BOUNDARY_FLOOR times the smallest Horner
-    scale on its starting grid, so it stops only where the rule of
-    _boundary_scan would call the value numerically zero; the relative
-    rule of the contour layer alone misfires on edges where |P| spans
-    many decades.  Every sample the pass took is then flagged by that
-    rule, at the inner values its own f calls computed, which also give
-    vals.
+    scale on its starting grid (f from values), so it stops only where
+    the rule of _boundary_scan would call the value numerically zero; the
+    relative rule of the contour layer alone misfires on edges where |P|
+    spans many decades.  Every sample the pass took is then flagged by
+    that rule, at the inner values its own f calls computed, which also
+    give vals.  A stopped pass or a flagged sample raises
+    ZeroOnContourError.
     """
     # the pass's own starting grid
     grid = contour.sample(_N_INITIAL - 1)
-    atol = _BOUNDARY_FLOOR * float(
-        _horner_scale(P, grid, inner(grid)[0]).min())
+    atol = _BOUNDARY_FLOOR * float(_horner_scale(P, grid, values(grid)).min())
     seen = []
 
     def recorded(z):
@@ -334,19 +332,16 @@ def _unperturbed_winding(P: BivariatePolynomial, inner, contour: Contour):
         seen.append((z, w))
         return w, dw
 
-    try:
-        w = winding_number(PerturbedComposite(P, recorded, 0.0, 0.0).pair,
-                           contour, zero_atol=atol)
-    except ZeroOnContourError:
-        pass
-    else:
-        # the pass evaluated f exactly at its samples, each once
-        vals, near_zero = _boundary_scan(P, *map(np.concatenate, zip(*seen)))
-        if not near_zero.any():
-            return vals, w
-    samples = contour.sample(_BOUNDARY_SAMPLES)
-    vals, near_zero = _boundary_scan(P, samples, inner(samples)[0])
-    return vals[~near_zero], None
+    w = winding_number(PerturbedComposite(P, recorded, 0.0, 0.0).pair,
+                       contour, zero_atol=atol)
+    # the pass evaluated f exactly at its samples, each once
+    z, fz = map(np.concatenate, zip(*seen))
+    vals, near_zero = _boundary_scan(P, z, fz)
+    if near_zero.any():
+        i = int(np.argmax(near_zero))
+        raise ZeroOnContourError("composite numerically zero on the boundary",
+                                 complex(z[i]), float(abs(vals[i])))
+    return vals, w
 
 
 def _attempt(P: BivariatePolynomial, inner, vals: np.ndarray,
@@ -356,10 +351,11 @@ def _attempt(P: BivariatePolynomial, inner, vals: np.ndarray,
     sized from vals, localize its zeros in the boxes (zero_atol 0.1 eps)
     and keep those whose centers pass keep.  w is the winding to match:
     the caller's winding of the unperturbed composite over the contour,
-    or, when None, the winding of the offset composite there (zero_atol
-    0.1 eps as well).  Returns (offset composite, winding, kept zeros);
-    raises NonconvergenceError unless their multiplicities sum to the
-    winding, as when a zero near the boundary straddles keep."""
+    or, when None (the fixed-scan fallback of count_zeros_wp), the
+    winding of the offset composite there (zero_atol 0.1 eps as well).
+    Returns (offset composite, winding, kept zeros); raises
+    NonconvergenceError unless their multiplicities sum to the winding,
+    as when a zero near the boundary straddles keep."""
     pert = perturb_from_values(P, inner, vals)
     atol = 0.1 * pert.epsilon
     if w is None:
@@ -467,16 +463,16 @@ def count_zeros_j(P: BivariatePolynomial,
     (_min_y_for_polynomial_roots), then raises Y in half-steps until the
     bound of _top_line_dominates, derived from the j series, shows the
     leading term dominating on the whole half-strip.  Some inputs so get
-    a taller domain than spec.Y.  The composite is then offset as the
-    module docstring says.  An offset would split the double zero of
-    j - 1728 at i across the arc, which then counts 1, so a numerically
-    zero boundary sample widens the region instead.  One loop retries,
-    and every failure has the same move, widening the region by 1e-3 of
-    inset (capped at 0.19): a numerically zero boundary sample
-    (_boundary_scan), ZeroOnContourError, CannotPerturbError or
-    NonconvergenceError from the winding or the localization, and a
-    localized count that differs from the winding.  The report's retries
-    is the number of failed attempts.
+    a taller domain than spec.Y.  The composite is then wound and offset
+    as the module docstring says; no fixed scan sizes eps.  An offset
+    would split the double zero of j - 1728 at i across the arc, which
+    then counts 1, so a numerically zero sample of the unperturbed
+    winding widens the region instead.  One loop retries, and every
+    failure has the same move, widening the region by 1e-3 of inset
+    (capped at 0.19): ZeroOnContourError from the unperturbed winding,
+    CannotPerturbError, NonconvergenceError from the winding or the
+    localization, and a localized count that differs from the winding.
+    The report's retries is the number of failed attempts.
     """
     spec = JDomainSpec() if spec is None else spec
     if P.is_zero():
@@ -493,19 +489,13 @@ def count_zeros_j(P: BivariatePolynomial,
                     complex(0.0, Y), math.nan)
         region = JDomainSpec(Y, inset)
         contour = build_j_contour(region)
-        samples = contour.sample(_BOUNDARY_SAMPLES)
         y0 = (1.0 - inset) * math.sin(region.theta_star)
         box = (-(0.5 + inset), 0.5 + inset, y0, Y)
         try:
-            vals, near_zero = _boundary_scan(P, samples, klein_j(samples))
-            if near_zero.any():
-                i = int(np.argmax(near_zero))
-                raise ZeroOnContourError(
-                    "composite numerically zero on the boundary",
-                    complex(samples[i]), float(abs(vals[i])))
+            vals, w = _unperturbed_winding(P, klein_j_pair, klein_j, contour)
             pert, w, zeros = _attempt(
                 P, klein_j_pair, vals, contour, [box], _J_TARGET_RADIUS,
-                lambda c: _in_j_region(c, Y, inset))
+                lambda c: _in_j_region(c, Y, inset), w)
         except (ZeroOnContourError, CannotPerturbError,
                 NonconvergenceError) as exc:
             last_error = exc
@@ -529,12 +519,12 @@ def count_zeros_wp(P: BivariatePolynomial,
     quadtree, must sum to its winding.  The report's winding,
     min_modulus and total_variation then describe the unperturbed
     composite.  When that pass meets a numerically zero sample, e.g. at
-    a half-period on an edge, the attempt falls back to the fixed
-    boundary scan (_boundary_scan): eps comes from the samples that are
-    not numerically zero, the offset moves that zero off the contour,
-    and the offset composite is wound instead, so those report fields
-    describe it; an offset that nearly cancels the zero there raises
-    ZeroOnContourError in the winding.
+    a half-period on an edge, the attempt falls back to the fixed scan
+    of _BOUNDARY_SAMPLES points per segment: eps comes from the scan
+    samples that are not numerically zero, the offset moves that zero
+    off the contour, and the offset composite is wound instead, so those
+    report fields describe it; an offset that nearly cancels the zero
+    there raises ZeroOnContourError in the winding.
 
     One loop retries, and every failure has the same move, halving the
     notch radius: ZeroOnContourError, CannotPerturbError or
@@ -555,7 +545,14 @@ def count_zeros_wp(P: BivariatePolynomial,
                                       "stable count")
         contour, tiles, poles = _wp_cell(current)
         try:
-            vals, w = _unperturbed_winding(P, inner, contour)
+            try:
+                vals, w = _unperturbed_winding(P, inner,
+                                               lambda z: inner(z)[0], contour)
+            except ZeroOnContourError:
+                samples = contour.sample(_BOUNDARY_SAMPLES)
+                vals, near_zero = _boundary_scan(P, samples,
+                                                 inner(samples)[0])
+                vals, w = vals[~near_zero], None
             pert, w, zeros = _attempt(P, inner, vals, contour, tiles,
                                       _WP_TARGET_RADIUS, lambda c: True, w)
             if any(abs(z.center - p) < 2.0 * current.delta

@@ -108,11 +108,9 @@ def chain_suite() -> dict:
     res_ratio = chain_residual(ratio, 200)
     res_bad = _stencil_residual(_corrupted(hyp), *stencils)
     pf = ratio_pfaffian_function()
-    worst_ratio_id = 0.0
-    for y in (0.2, 0.5, 0.8):
-        lhs = complex(pf.eval(np.array([y]))[0])
-        rhs = j_inverse(1728.0 / (1.0 - y * y))
-        worst_ratio_id = max(worst_ratio_id, abs(lhs - rhs))
+    ys = (0.2, 0.5, 0.8)
+    worst_ratio_id = max(abs(complex(lhs) - j_inverse(1728.0 / (1.0 - y * y)))
+                         for y, lhs in zip(ys, pf.eval(np.array(ys))))
     ok = (res_hyp < 1e-7 and res_ratio < 1e-7 and res_bad > 1e-4
           and worst_ratio_id < 1e-8
           and hyp.order == 6 and ratio.order == 9 and ratio.alpha == 2

@@ -139,10 +139,12 @@ def test_eval_jinv_nan_exits_2(capsys):
 def test_eval_non_finite_input_exits_2(function, capsys):
     # rejected where it is parsed, with a message naming the input, not a
     # NaN row or a message about Im tau or 1 - delta
-    assert main(["eval", function, "nan"]) == 2
-    out = capsys.readouterr()
-    assert out.err == "error: input 'nan' is not a finite complex number\n"
-    assert out.out == ""
+    for value in ("nan", "inf"):
+        assert main(["eval", function, value]) == 2
+        out = capsys.readouterr()
+        assert out.err == (f"error: input {value!r} is not a finite "
+                           "complex number\n")
+        assert out.out == ""
 
 
 def test_eval_jinv_above_j_of_100i_exits_2(capsys):

@@ -297,6 +297,82 @@ def test_count_zeros_j_root_just_under_the_top_line(P, count):
     assert rep.domain["Y"] == pytest.approx(3.49999)
 
 
+# ops 65, 166, 105 and 147 of the seed-1, 3, 5 and 6 j-count bench
+# corpora: |P| dips to 0.084, 0.058, 0.0037 and 0.013 within 0.04 of rho
+# or rho + 1, between the points of a fixed scan of 512 per segment.  An
+# eps sized from such a scan lies above the dip, and its offset moves a
+# zero across the contour (counts 4, 1, 2 and 2)
+_J_NEAR_RHO = [
+    ([[(1.1970542790702832+0.12799295347351022j),
+       (0.9911074476835425+1.218221469811786j),
+       (0.020177928521369855-1.1292338850667993j),
+       (0.9836313946445512-0.5591398781846658j),
+       (-0.9661328199695761-0.7686730083877418j)],
+      [(0.7510146370030524-1.4956459404457607j),
+       (-0.08724841948114659+0.9612682752696962j),
+       (1.1309056978794503+1.310997302986027j),
+       (0.4660105512578667+0.8000432070570264j),
+       (-1.0898797857123523+0.24257031543727606j)]], 3),
+    ([[(0.9914056580780776+0.8306663583748539j),
+       (1.287076554368245+0.724292751580105j),
+       (-0.033750607022160345-0.6983180131877972j)],
+      [(-0.15680255183864147-0.08319466924015172j),
+       (0.8527729960275634-0.11925099258087192j),
+       (-0.394411679840583+1.7333403801281198j)]], 2),
+    ([[(1.7589710766812527+0.7543686438915898j),
+       (0.5406502875557727-0.7651259000530994j),
+       (0.059491529994791854-0.6796276894565825j)],
+      [(0.0656800558330705-2.061922492127639j),
+       (0.7307927491415821-0.793378841071178j),
+       (0.9212337664614076+1.6069652687673104j)],
+      [(-1.3168137745000827-0.06952390178003978j),
+       (0.18547932372329412-0.8550109597366835j),
+       (1.715647072880231-0.5761205222847363j)]], 3),
+    ([[(-0.006799676321550907+0.7924921877248152j),
+       (-1.8901992886658578+0.4243669072986624j),
+       (-0.8647224014288574+0.9355729787601016j)],
+      [(-1.173025949802626-1.0139329772836085j),
+       (-0.6971823624708005-0.8045815247920635j),
+       (-0.9477648689222273-0.3223399235763279j)]], 3),
+]
+
+
+@pytest.mark.parametrize("coeffs, count", _J_NEAR_RHO,
+                         ids=["s1-op65", "s3-op166", "s5-op105", "s6-op147"])
+def test_count_zeros_j_eps_below_a_dip_near_rho(coeffs, count):
+    # the true counts: the winding of the unperturbed composite over the
+    # reported contour, 65536 samples per segment, refined until every
+    # phase step is below pi/4
+    rep = count_zeros_j(BivariatePolynomial(coeffs))
+    assert rep.count == rep.winding == count
+
+
+@pytest.fixture
+def j_call_sizes(monkeypatch):
+    """The sizes of the z arrays count_zeros_j evaluates j on, through
+    klein_j or klein_j_pair."""
+    sizes = []
+
+    def recording(f):
+        def g(z):
+            sizes.append(np.size(z))
+            return f(z)
+        return g
+
+    for name in ("klein_j", "klein_j_pair"):
+        monkeypatch.setattr(domains_module, name,
+                            recording(getattr(domains_module, name)))
+    return sizes
+
+
+def test_count_zeros_j_sizes_eps_without_a_boundary_scan(j_call_sizes):
+    # eps comes from the samples of the unperturbed winding: no call
+    # evaluates j on a fixed grid of 512 points on each of the 4 segments
+    rep = count_zeros_j(poly_y_minus(2000j))
+    assert rep.count == rep.winding == 1
+    assert j_call_sizes and 4 * 512 not in j_call_sizes
+
+
 def test_top_line_dominance_without_j_dependence():
     assert _top_line_dominates(poly_x_minus(0.1 + 12j), 2.5, 0.0)
 
@@ -490,7 +566,9 @@ def test_count_zeros_wp_eps_below_a_dip_between_scan_points(wp_call_sizes):
 
 def test_count_zeros_wp_eps_below_the_dense_minimum():
     # Rouche needs |P| > eps on the whole contour, not only at the
-    # samples eps was sized from: check it 16384 points per segment
+    # samples eps was sized from: check it 16384 points per segment (wp)
+    # and 4096 (j, on inputs of low degree in z, whose zeros often lie
+    # near rho; a scan of 512 per segment misses 5 of these 60 dips)
     rng = np.random.default_rng(16)
     for tau, beta in ((0.3, 0.0), (1.0, 0.0), (1.0, 0.37), (8.0, 0.0),
                       (8.0, 0.37)):
@@ -502,6 +580,16 @@ def test_count_zeros_wp_eps_below_the_dense_minimum():
                              ).sample(16384)
         mods = np.abs(P.evaluate(z, wp_pair(z, lattice(tau))[0]))
         assert mods.min() >= rep.epsilon
+    rng = np.random.default_rng(2021)
+    for _ in range(20):
+        for deg_x, deg_y in ((1, 2), (2, 2), (1, 4)):
+            P = random_polynomial(rng, deg_x, deg_y)
+            rep = count_zeros_j(P)
+            assert rep.count == rep.winding
+            z = build_j_contour(JDomainSpec(rep.domain["Y"],
+                                            rep.domain["inset"])
+                                ).sample(4096)
+            assert np.abs(P.evaluate(z, klein_j(z))).min() >= rep.epsilon
 
 
 @pytest.mark.xfail(raises=ZeroOnContourError, strict=True)

@@ -164,14 +164,14 @@ def test_chain_suite_evaluates_the_hyp_members_once(monkeypatch):
     build = verify.build_hypergeometric_chain
     monkeypatch.setattr(verify, "build_hypergeometric_chain",
                         lambda *args: counted_chain(build(*args), passes))
-    # pfaffian's own sextic sums: two in the ratio residual, two in each
-    # of the three ratio evaluations (j_inverse sums its own)
+    # pfaffian's own sextic sums: two in the ratio residual, two in the
+    # one ratio evaluation over three points (j_inverse sums its own)
     monkeypatch.setattr(pfaffian_module, "_sextic_2f1", counted(
         sextic, "sextic", pfaffian_module._sextic_2f1))
     rep = verify.chain_suite()
     assert rep["pass"]
     assert passes == ["pass"]
-    assert len(sextic) == 8
+    assert len(sextic) == 4
     hyp = build(0.3, 1.2, 0.8)
     assert rep["hyp_residual"] == repr(chain_residual(hyp, 200))
     assert rep["corrupted_residual"] == repr(
