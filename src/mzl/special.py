@@ -7,6 +7,12 @@ the same sums.  The inverse of J(t) = j(it) on x >= 1728 is the ratio of
 two sextic hypergeometric values F(1/6, 5/6; 1; w).  For w <= 1/2 these
 come from the Gauss series; above 1/2, where that series falls only like
 w^n/n, from the z -> 1 - z connection series in 1 - w (_sextic_2f1).
+
+Both 2F1 loops build the term ratios of a block of terms in one array op
+and then spend two or three in-place ops per term, testing the tail
+after every term, so they stop on the same term, with the same bits, as
+a loop that takes one term at a time.  A real argument is summed in
+float64.
 """
 from __future__ import annotations
 
@@ -26,8 +32,8 @@ SEXTIC_A, SEXTIC_B = 1.0 / 6.0, 5.0 / 6.0
 
 def _params(*ps):
     """The series parameters as they go into the loop: Python floats when
-    all are scalars, which keeps the scalar loop on float arithmetic,
-    float arrays when any is an array."""
+    all are scalars, float arrays, which z is broadcast against, when any
+    is an array."""
     if all(np.ndim(p) == 0 for p in ps):
         return tuple(float(p) for p in ps)
     return tuple(np.asarray(p, dtype=float) for p in ps)
@@ -40,25 +46,50 @@ def _check_c(c) -> None:
         raise DomainError(f"c={cs[bad].flat[0]} is a non-positive integer")
 
 
+def _check_params(a, b, c) -> None:
+    """DomainError for a NaN or infinite a, b or c, which no series sum
+    survives, or a c that _check_c rejects."""
+    for name, p in (("a", a), ("b", b), ("c", c)):
+        ps = np.asarray(p, dtype=float)
+        bad = ~np.isfinite(ps)
+        if np.any(bad):
+            raise DomainError(f"{name}={ps[bad].flat[0]} is not finite")
+    _check_c(c)
+
+
 # the relative tail tolerance of a 2F1 sum, the disk |z| <= 1 - _HYP_DELTA
 # hyp2f1 accepts, and the most terms any series sum takes
 _HYP_RTOL = 1e-14
 _HYP_DELTA = 1e-3
 _HYP_MAX_TERMS = 200000
+# the terms a series loop takes per block: their ratios, or their
+# recurrence rows, are then one (block, batch) array op each
+_TERM_BLOCK = 32
 
 
+# a term or partial sum that overflows or turns NaN is reported by the
+# loop itself, as PrecisionLossError
+@np.errstate(over="ignore", invalid="ignore")
 def _hyp_series(a, b, c, d, z, rtol: float = _HYP_RTOL):
     """sum_m w_m with w_0 = 1 and w_{m+1}/w_m = z (a+m)(b+m)/((c+m)(d+m)).
 
     a, b, c and d are scalars or arrays that broadcast against z; no c
-    is a non-positive integer and every d > 0.  Returns (value, max
-    absolute tail bound).  With c- = min(c, 0) over every element and
+    is a non-positive integer and every d > 0.  Returns (complex value,
+    max absolute tail bound).  With c- = min(c, 0) over every element and
     n + c- > 0, |c+k| >= k + c- and d+k >= k, so the majorant ratio
     r = max|z| (n+max|a|)(n+max|b|)/((n+c-) n)
     is at least |w_{k+1}/w_k| for every k >= n and element, and the tail
     after w_n is at most |w_n| r/(1-r).  The loop stops once every element
     meets rtol; for c >= 0 the majorant is max|z| (n+|a|)(n+|b|)/n^2.
-    More than _HYP_MAX_TERMS terms raise PrecisionLossError.
+
+    The term ratios of _TERM_BLOCK consecutive n are one (block, batch)
+    array; each term then costs two in-place array ops, and the tail test
+    still follows every term.  A real z is summed in float64, whose
+    products and sums are those of the complex loop with every imaginary
+    part 0, and the value is cast to complex once.  More than
+    _HYP_MAX_TERMS terms raise PrecisionLossError, and so does a partial
+    sum that is not finite at the end of a block or when the tail test
+    passes.
     """
     a, b, c, d = _params(a, b, c, d)
     z = np.asarray(z, dtype=complex)
@@ -67,6 +98,8 @@ def _hyp_series(a, b, c, d, z, rtol: float = _HYP_RTOL):
             z.shape, a.shape, b.shape, c.shape, d.shape))
     if not z.size:
         return np.ones_like(z), 0.0
+    if not z.imag.any():
+        z = z.real.copy()
     amax = float(np.abs(z).max())
     term = np.ones_like(z)
     acc = np.ones_like(z)
@@ -75,28 +108,46 @@ def _hyp_series(a, b, c, d, z, rtol: float = _HYP_RTOL):
     watch = 0
     aa, ab = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
     cneg = min(float(np.min(c)), 0.0)
+    # one buffer for every block: a fresh array per block this large
+    # would be mapped and faulted in again each time
+    rows = np.empty((_TERM_BLOCK,) + z.shape, dtype=z.dtype)
     n = 0
     ratio = None
     while n < _HYP_MAX_TERMS:
-        term *= z * ((a + n) * (b + n) / ((c + n) * (d + n)))
-        acc += term
-        n += 1
-        den = (n + cneg) * n
-        if den > 0:
-            r = amax * (n + aa) * (n + ab) / den
-            if r < 1.0:
-                ratio = r / (1.0 - r)
-                if (abs(term.flat[watch]) * ratio
-                        > 1.0001 * rtol * (abs(acc.flat[watch]) + 1e-290)):
-                    continue
-                tail = np.abs(term) * ratio
-                met = tail <= rtol * (np.abs(acc) + 1e-290)
-                if np.all(met):
-                    return acc, float(np.max(tail))
-                watch = int(np.argmin(met))
+        m = np.arange(n, min(n + _TERM_BLOCK, _HYP_MAX_TERMS), dtype=float)
+        m = m.reshape((-1,) + (1,) * z.ndim)
+        ratios = (a + m) * (b + m) / ((c + m) * (d + m))
+        for row in np.multiply(z, ratios, out=rows[:len(m)]):
+            term *= row
+            acc += term
+            n += 1
+            den = (n + cneg) * n
+            if den > 0:
+                r = amax * (n + aa) * (n + ab) / den
+                if r < 1.0:
+                    ratio = r / (1.0 - r)
+                    if (abs(term.flat[watch]) * ratio
+                            > 1.0001 * rtol * (abs(acc.flat[watch]) + 1e-290)):
+                        continue
+                    tail = np.abs(term) * ratio
+                    met = tail <= rtol * (np.abs(acc) + 1e-290)
+                    if np.all(met):
+                        return (_finite(acc, n).astype(complex, copy=False),
+                                float(np.max(tail)))
+                    watch = int(np.argmin(met))
+        _finite(acc, n)
     tail = np.inf if ratio is None else np.abs(term) * ratio
     achieved = float(np.max(tail / (np.abs(acc) + 1e-290)))
     raise PrecisionLossError("hypergeometric series did not converge", achieved)
+
+
+def _finite(acc, n: int):
+    """acc, or PrecisionLossError if a partial sum has overflowed or
+    turned NaN."""
+    if not np.all(np.isfinite(acc)):
+        raise PrecisionLossError(
+            f"hypergeometric series not finite by term {n}", math.inf)
+    return acc
 
 
 def _as_value(out):
@@ -104,8 +155,8 @@ def _as_value(out):
 
 
 def hyp2f1(a, b, c, z):
-    """2F1(a, b, c; z) for |z| <= 1 - _HYP_DELTA, c not a non-positive
-    integer.
+    """2F1(a, b, c; z) for |z| <= 1 - _HYP_DELTA, finite a, b and c, c
+    not a non-positive integer.
 
     a, b and c may be arrays that broadcast against z; the whole batch is
     one series sum.  A scalar result is a Python complex."""
@@ -115,7 +166,7 @@ def hyp2f1(a, b, c, z):
 
 def hyp2f1_with_bound(a, b, c, z):
     """hyp2f1 and the largest tail bound over the batch (see _hyp_series)."""
-    _check_c(c)
+    _check_params(a, b, c)
     zs = np.asarray(z, dtype=complex)
     amax = float(np.abs(zs).max()) if zs.size else 0.0
     if not amax <= 1.0 - _HYP_DELTA:
@@ -128,7 +179,7 @@ def hyp2f1_with_bound(a, b, c, z):
 def hyp2f1_prime(a, b, c, z):
     """d/dz 2F1(a, b, c; z) = (a b / c) 2F1(a + 1, b + 1, c + 1; z), the
     term-wise derivative of the series; array parameters as in hyp2f1."""
-    _check_c(c)
+    _check_params(a, b, c)
     a, b, c = _params(a, b, c)
     val, _ = hyp2f1_with_bound(a + 1.0, b + 1.0, c + 1.0, z)
     return _as_value((a * b / c) * val)
@@ -210,6 +261,13 @@ def _sextic_connection(c: float, x: np.ndarray):
     k_0 = -0.13 > ln x, so 0 < k_n - ln x < -ln x and the tail is at most
     |Q| u_N (-ln x) r/(1 - r).  Returns (values, largest tail bound); the
     loop stops once every tail is at most _SEXTIC_RTOL times its value.
+
+    The k_n - ln x and u ratios of _TERM_BLOCK consecutive n are one
+    (block, batch) array each, so each term costs three in-place array
+    ops.  The tail test after every term runs on one watched element, in
+    the same arithmetic as the full test, and the full test runs only
+    where the watched element passes; a failing full test watches the
+    element furthest from passing.
     """
     al, be, ga, k, P = _SEXTIC_CONNECTION[c]
     lnx = np.log(x)
@@ -217,20 +275,43 @@ def _sextic_connection(c: float, x: np.ndarray):
     aQ = np.abs(Q)
     u = np.ones_like(x)
     acc = k - lnx
+    summand = np.empty_like(x)
+
+    def test(i, j):
+        """(value, tail, tail met) of term n + i at the elements j."""
+        if c == 1.0:
+            q, aq, r, factor = Q, aQ, x[j], KL[i, j]
+        else:
+            q, aq, r, factor = Q[j], aQ[j], x[j] * s[i], -lnx[j]
+        value = P + q * acc[j]
+        tail = aq * u[j] * factor * r / (1.0 - r)
+        return value, tail, tail <= _SEXTIC_RTOL * np.abs(value)
+
+    # the element furthest from passing at the last full test: the full
+    # test cannot pass on a term where it fails
+    watch = 0
     n = 0
     while True:
-        if c == 1.0:
-            r, factor = x, k - lnx
-        else:
-            r, factor = x * (1.0 + _SEXTIC_AB / ((n + 1) * (n + 2))), -lnx
-        value = P + Q * acc
-        tail = aQ * u * factor * r / (1.0 - r)
-        if np.all(tail <= _SEXTIC_RTOL * np.abs(value)):
-            return value, float(np.max(tail))
-        u = u * (x * ((n + al) * (n + be) / ((n + 1) * (n + ga))))
-        k += 1.0 / (n + 1) + 1.0 / (n + ga) - 1.0 / (n + al) - 1.0 / (n + be)
-        n += 1
-        acc = acc + u * (k - lnx)
+        # row i holds term n + i: k_{n+i} - ln x, u_{n+i+1}/u_{n+i} and
+        # the c = 2 ratio factor; KL has one row more, for the step out
+        # of the block
+        m = np.arange(n, n + _TERM_BLOCK + 1, dtype=float)
+        dk = 1.0 / (m + 1) + 1.0 / (m + ga) - 1.0 / (m + al) - 1.0 / (m + be)
+        ks = np.cumsum(np.concatenate(([k], dk[:-1])))
+        KL = ks[:, None] - lnx
+        X = x * ((m + al) * (m + be) / ((m + 1) * (m + ga)))[:, None]
+        s = 1.0 + _SEXTIC_AB / ((m + 1) * (m + 2))
+        for i in range(_TERM_BLOCK):
+            if test(i, watch)[2]:
+                value, tail, met = test(i, slice(None))
+                if met.all():
+                    return value, float(np.max(tail))
+                watch = int(np.argmax(tail / np.abs(value)))
+            np.multiply(u, X[i], u)
+            np.multiply(u, KL[i + 1], summand)
+            acc += summand
+        n += _TERM_BLOCK
+        k = ks[-1]
 
 
 def _sextic_2f1(c: float, w):

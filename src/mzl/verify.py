@@ -38,10 +38,10 @@ def _f(x) -> str:
 def identity_suite(rng: np.random.Generator) -> dict:
     """Contiguous-relation, differential-equation, and nome-inversion
     residuals on random sweeps."""
-    # the draws stay interleaved per triple; the sweep is one batch
-    draws = np.array([[rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5),
-                       rng.uniform(0.4, 2.0), rng.uniform(0.05, 0.9)]
-                      for _ in range(100)])
+    # one row (a, b, c, z) per point, drawn row by row in one call: the
+    # same doubles as drawing each in turn; the sweep is one batch
+    draws = rng.uniform([0.1, 0.1, 0.4, 0.05], [1.5, 1.5, 2.0, 0.9],
+                        size=(100, 4))
     r1, r2 = gauss_relation_residuals(*draws.T)
     worst_gauss = float(max(r1.max(), r2.max()))
 

@@ -6,7 +6,9 @@ Eisenstein combination, the j series is divided against that product,
 divisor sums are computed by trial division instead of a sieve, and the
 elliptic function comes from trigonometric row sums instead of Laurent
 series plus duplication.  Agreement between the two routes is the whole
-point of the comparisons.
+point of the comparisons.  The exceptions are the 2F1 loops below,
+kept as the library once ran them: the library must still return
+exactly what they return.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from mzl.errors import PrecisionLossError
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,6 +209,103 @@ def hyp_series_scalar_loop(a: float, b: float, c: float, d: float, z,
             if np.all(tail <= rtol * (np.abs(acc) + 1e-290)):
                 return acc, float(np.max(tail))
     raise ArithmeticError("no convergence")
+
+
+# ---------------------------------------------------------------------------
+# the 2F1 loops as the library summed them one term at a time, in complex
+# arithmetic: the library sums a block of terms at a time, in real
+# arithmetic for real z, and must return exactly what these return
+
+
+def _loop_params(*ps):
+    if all(np.ndim(p) == 0 for p in ps):
+        return tuple(float(p) for p in ps)
+    return tuple(np.asarray(p, dtype=float) for p in ps)
+
+
+def hyp_series_term_loop(a, b, c, d, z, rtol: float = 1e-14,
+                         max_terms: int = 200000):
+    """sum_m w_m with w_0 = 1 and w_{m+1}/w_m = z (a+m)(b+m)/((c+m)(d+m)),
+    one term per pass: array parameters, the majorant
+    max|z| (n+max|a|)(n+max|b|)/((n+c-) n) with c- = min(c, 0), and the
+    full tail test skipped while one watched element clearly fails.
+    Returns (value, max absolute tail bound); more than max_terms terms
+    raise PrecisionLossError."""
+    a, b, c, d = _loop_params(a, b, c, d)
+    z = np.asarray(z, dtype=complex)
+    if isinstance(a, np.ndarray):
+        z = np.broadcast_to(z, np.broadcast_shapes(
+            z.shape, a.shape, b.shape, c.shape, d.shape))
+    if not z.size:
+        return np.ones_like(z), 0.0
+    amax = float(np.abs(z).max())
+    term = np.ones_like(z)
+    acc = np.ones_like(z)
+    # an element that failed the last full tail test: while it clearly
+    # still fails, so would the full test, which is then skipped
+    watch = 0
+    aa, ab = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+    cneg = min(float(np.min(c)), 0.0)
+    n = 0
+    ratio = None
+    while n < max_terms:
+        term *= z * ((a + n) * (b + n) / ((c + n) * (d + n)))
+        acc += term
+        n += 1
+        den = (n + cneg) * n
+        if den > 0:
+            r = amax * (n + aa) * (n + ab) / den
+            if r < 1.0:
+                ratio = r / (1.0 - r)
+                if (abs(term.flat[watch]) * ratio
+                        > 1.0001 * rtol * (abs(acc.flat[watch]) + 1e-290)):
+                    continue
+                tail = np.abs(term) * ratio
+                met = tail <= rtol * (np.abs(acc) + 1e-290)
+                if np.all(met):
+                    return acc, float(np.max(tail))
+                watch = int(np.argmin(met))
+    tail = np.inf if ratio is None else np.abs(term) * ratio
+    achieved = float(np.max(tail / (np.abs(acc) + 1e-290)))
+    raise PrecisionLossError("hypergeometric series did not converge", achieved)
+
+
+_SEXTIC_A, _SEXTIC_B = 1.0 / 6.0, 5.0 / 6.0
+_SEXTIC_AB = _SEXTIC_A * _SEXTIC_B
+_LN_432 = math.log(432.0)
+_SEXTIC_CONNECTION = {
+    1.0: (_SEXTIC_A, _SEXTIC_B, 1.0, _LN_432, 0.0),
+    2.0: (_SEXTIC_A + 1.0, _SEXTIC_B + 1.0, 2.0,
+          _LN_432 + 1.0 - 1.0 / _SEXTIC_A - 1.0 / _SEXTIC_B,
+          1.0 / (TWO_PI * _SEXTIC_AB)),
+}
+
+
+def sextic_connection_term_loop(c: float, x: np.ndarray):
+    """F(1/6, 5/6; c; 1 - x), c in {1, 2}, x in (0, 1/2), from the
+    z -> 1 - z connection series F = P + Q sum_n u_n (k_n - ln x), one
+    term per pass, with the full tail test after every term.  Returns
+    (values, largest tail bound)."""
+    al, be, ga, k, P = _SEXTIC_CONNECTION[c]
+    lnx = np.log(x)
+    Q = 1.0 / TWO_PI if c == 1.0 else -x / TWO_PI
+    aQ = np.abs(Q)
+    u = np.ones_like(x)
+    acc = k - lnx
+    n = 0
+    while True:
+        if c == 1.0:
+            r, factor = x, k - lnx
+        else:
+            r, factor = x * (1.0 + _SEXTIC_AB / ((n + 1) * (n + 2))), -lnx
+        value = P + Q * acc
+        tail = aQ * u * factor * r / (1.0 - r)
+        if np.all(tail <= 1e-16 * np.abs(value)):
+            return value, float(np.max(tail))
+        u = u * (x * ((n + al) * (n + be) / ((n + 1) * (n + ga))))
+        k += 1.0 / (n + 1) + 1.0 / (n + ga) - 1.0 / (n + al) - 1.0 / (n + be)
+        n += 1
+        acc = acc + u * (k - lnx)
 
 
 # ---------------------------------------------------------------------------

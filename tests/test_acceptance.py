@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from mzl.config import RunConfig
 from mzl.contour import (circle_contour, crossing_bound_check,
@@ -26,19 +27,19 @@ from mzl.pfaffian import (PfaffianChain, build_hypergeometric_chain,
 from mzl.poly import BivariatePolynomial
 from mzl.special import (SEXTIC_A, SEXTIC_B, gauss_relation_residuals,
                          j_inverse, klein_j, ramanujan_inversion_residual)
-from mzl.verify import run_suites
+from mzl.verify import identity_suite, run_suites
 
 SEED = 20260815
+# the ranges of the (a, b, c, z) rows of the identity suite's sweep
+_SWEEP_LOW, _SWEEP_HIGH = [0.1, 0.1, 0.4, 0.05], [1.5, 1.5, 2.0, 0.9]
 
 
 def test_identity_suite_runtime_and_residuals():
     t0 = time.monotonic()
     rng = np.random.default_rng(SEED)
 
-    # per-triple draws, as the verify suite makes them, in one batch
-    draws = np.array([[rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5),
-                       rng.uniform(0.4, 2.0), rng.uniform(0.05, 0.9)]
-                      for _ in range(100)])
+    # (a, b, c, z) rows, drawn as the verify suite draws them, in one batch
+    draws = rng.uniform(_SWEEP_LOW, _SWEEP_HIGH, size=(100, 4))
     r1, r2 = gauss_relation_residuals(*draws.T)
     assert max(r1.max(), r2.max()) < 1e-9
 
@@ -54,6 +55,24 @@ def test_identity_suite_runtime_and_residuals():
     worst_ram = ramanujan_inversion_residual(np.linspace(0.05, 0.95, 20))
     assert worst_ram.max() < 1e-8
     assert time.monotonic() - t0 < 30.0
+
+
+@pytest.mark.parametrize("seed", [0, 14, SEED])
+def test_identity_sweep_is_drawn_as_value_by_value_draws(seed):
+    # identity_suite draws its 100 (a, b, c, z) rows in one call: the same
+    # doubles, and the same generator state after them, as drawing the 400
+    # values one at a time, row by row, so every report stays as it was
+    one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = one.uniform(_SWEEP_LOW, _SWEEP_HIGH, size=(100, 4))
+    ref = np.array([[each.uniform(lo, hi)
+                     for lo, hi in zip(_SWEEP_LOW, _SWEEP_HIGH)]
+                    for _ in range(100)])
+    assert np.array_equal(rows, ref)
+    assert one.uniform() == each.uniform()
+    r1, r2 = gauss_relation_residuals(*ref.T)
+    report = identity_suite(np.random.default_rng(seed))
+    assert report["max_gauss_residual"] == repr(float(max(r1.max(),
+                                                          r2.max())))
 
 
 def test_special_values_and_inverse_roundtrip():

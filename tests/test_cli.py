@@ -102,6 +102,18 @@ def test_eval_2f1_outside_the_disk_exits_2(capsys):
     assert "exceeds 1-delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, message", [
+    (["--a", "nan", "--b", "0.5", "--c", "1"], "a=nan is not finite"),
+    (["--a", "0.5", "--b=-inf", "--c", "1"], "b=-inf is not finite"),
+    (["--a", "0.5", "--b", "0.5", "--c", "inf"], "c=inf is not finite"),
+    # finite parameters whose terms overflow
+    (["--a", "1e300", "--b", "0.5", "--c", "1"], "not finite by term")])
+def test_eval_2f1_non_finite_parameters_exit_2(params, message, capsys):
+    assert main(["eval", "2f1", "0.3"] + params) == 2
+    out = capsys.readouterr()
+    assert message in out.err and out.out == ""
+
+
 def test_eval_points_file(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("1i\n2i\n")

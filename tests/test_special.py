@@ -242,6 +242,107 @@ def test_array_calls_check_every_element(monkeypatch):
     assert exc.value.achieved > 1e-14
 
 
+@pytest.mark.parametrize("name", ["a", "b", "c"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_fail_before_the_series(monkeypatch, name,
+                                                      bad):
+    def no_series(*args):
+        raise AssertionError("series summed with a non-finite parameter")
+
+    monkeypatch.setattr(special_module, "_hyp_series", no_series)
+    for value in (bad, np.array([0.5, bad])):
+        params = {"a": 0.3, "b": 1.2, "c": 0.8, name: value}
+        for fn in (hyp2f1, hyp2f1_with_bound, hyp2f1_prime,
+                   gauss_relation_residuals):
+            with pytest.raises(DomainError, match=f"^{name}=.* not finite"):
+                fn(params["a"], params["b"], params["c"], 0.3)
+
+
+@pytest.mark.parametrize("a, c, z, term", [
+    # the terms reach inf by the second: the block ends, the sum is not
+    # finite; alternating signs and complex z also make NaN
+    (1e300, 1.0, 0.3, special_module._TERM_BLOCK),
+    (1e300, 1.0, np.array([0.3, -0.5]), special_module._TERM_BLOCK),
+    (1e300, 1.0, 0.3 + 0.1j, special_module._TERM_BLOCK),
+    # the first ratio is inf, and the majorant would accept the sum
+    (0.5, 1e-310, 0.3, 1)])
+def test_a_sum_that_is_not_finite_stops_where_it_is_seen(a, c, z, term):
+    with pytest.raises(PrecisionLossError,
+                       match=f"not finite by term {term} ") as exc:
+        hyp2f1(a, 0.5, c, z)
+    assert exc.value.achieved == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the blocked loops return, bit for bit, what the one-term loops returned
+
+
+def _hyp_cases():
+    rng = np.random.default_rng(3)
+    n = 100
+    a, b = rng.uniform(0.1, 1.5, (2, n))
+    c = rng.uniform(0.4, 2.0, n)
+    z = rng.uniform(0.05, 0.9, n)
+    zc = z * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    grid = np.linspace(0.01, 0.95002, 1000)
+    return [
+        # the four sums of an identity-suite sweep; d = 2 is (c-1) F(c-)
+        (a, b, c, 1.0, z), (a + 1.0, b + 1.0, c + 1.0, 1.0, z),
+        (a + 1.0, b + 1.0, c, 2.0, z), (a, b, c + 1.0, 1.0, z),
+        # a hypergeometric chain's grid, F and F(c+)
+        (0.3, 1.2, 0.8, 1.0, grid), (0.3, 1.2, 1.8, 1.0, grid),
+        # complex z, and a real z held as complex with imaginary parts -0
+        (a, b, c, 1.0, zc), (0.3, 1.7, 0.9, 1.0, 0.5 + 0.3j),
+        (0.3, 1.7, 0.9, 1.0, np.array([complex(0.4, -0.0), -0.6])),
+        # negative non-integer c, alone and in a batch
+        (1.3, 0.7, -3.5, 1.0, 0.8),
+        ([0.1, 6.0, 0.5], [0.2, 4.0, 1.0], [1.5, 0.7, -2.5], 1.0,
+         [0.5, 0.9, 0.5]),
+        # a terminating series, z = 0 in the batch
+        (-3.0, 0.5, 1.5, 1.0, np.array([0.3, -0.7, 0.0])),
+        # parameters broadcast against z and each other
+        (0.5, np.array([[0.2], [0.4]]), 1.0, 1.0, np.array([0.2, -0.4j])),
+        # 0-d and empty z
+        (0.4, 1.1, 0.9, 1.0, 0.3), (0.4, 1.1, 0.9, 1.0, np.array([]))]
+
+
+def _same_bits(got, want):
+    return (got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+            and got[0].tobytes() == want[0].tobytes() and got[1] == want[1])
+
+
+@pytest.mark.parametrize("rtol", [1e-14, 1e-16])
+def test_hyp_series_matches_the_one_term_loop(rtol):
+    for case in _hyp_cases():
+        assert _same_bits(special_module._hyp_series(*case, rtol),
+                          oracles.hyp_series_term_loop(*case, rtol))
+
+
+@pytest.mark.parametrize("max_terms", [50, 77])
+def test_hyp_series_runs_out_of_terms_where_the_one_term_loop_did(
+        monkeypatch, max_terms):
+    # the cap is not a multiple of the block, so the last block is short;
+    # the second sum never gets a majorant below 1
+    monkeypatch.setattr(special_module, "_HYP_MAX_TERMS", max_terms)
+    for case in [(np.array([0.5, 6.0]), 0.5, 1.0, 1.0, 0.9),
+                 (0.5, 0.5, 1.0, 1.0, np.array([0.999, 0.5j]))]:
+        with pytest.raises(PrecisionLossError) as got:
+            special_module._hyp_series(*case)
+        with pytest.raises(PrecisionLossError) as want:
+            oracles.hyp_series_term_loop(*case, max_terms=max_terms)
+        assert got.value.achieved == want.value.achieved
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_sextic_connection_matches_the_one_term_loop(c):
+    rng = np.random.default_rng(4)
+    for x in (np.linspace(1e-12, 0.5 - 1e-12, 1000)[::-1],
+              rng.uniform(1e-12, 0.5, 37), np.array([0.004338825405902913]),
+              np.array([0.5 - 1e-12, 1e-9])):
+        assert _same_bits(special_module._sextic_connection(c, x),
+                          oracles.sextic_connection_term_loop(c, x))
+
+
 # ---------------------------------------------------------------------------
 # the sextic 2F1 near w = 1
 
