@@ -2,11 +2,10 @@
 plus the supporting special functions, Pfaffian chains, and bound checks."""
 from __future__ import annotations
 
-from .errors import (AmbiguityError, AsymptoticFallbackWarning,
-                     CannotPerturbError, DomainError, DominanceError,
-                     InvalidSpecError, MzlError, NonconvergenceError,
-                     PoleProximityError, PrecisionLossError,
-                     ZeroOnContourError)
+from .errors import (AmbiguityError, CannotPerturbError, DomainError,
+                     DominanceError, InvalidSpecError, MzlError,
+                     NonconvergenceError, PoleProximityError,
+                     PrecisionLossError, ZeroOnContourError)
 from .poly import (BivariatePolynomial, PerturbedComposite, eval_composed,
                    perturb, polynomial_from_json, polynomial_to_json)
 from .special import (gauss_relation_residuals, hyp2f1, hyp2f1_with_bound,

@@ -65,7 +65,3 @@ class AmbiguityError(MzlError):
 
 class InvalidSpecError(MzlError, ValueError):
     """A domain specification violates its invariants."""
-
-
-class AsymptoticFallbackWarning(UserWarning):
-    """A hypergeometric evaluation was replaced by an asymptotic route."""

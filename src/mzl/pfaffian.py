@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AmbiguityError, InvalidSpecError, MzlError
-from .special import SEXTIC_A, SEXTIC_B, _check_c, _sextic_2f1, hyp2f1
+from .special import SEXTIC_A, SEXTIC_B, _check_c, _sextic_pair, hyp2f1
 
 
 class MultiPoly:
@@ -155,9 +155,8 @@ def khovanskii_zero_bound(r: int, alpha: int, beta: int) -> int:
     return 2 ** (r * (r - 1) // 2) * beta * (alpha + beta) ** r
 
 
-def build_hypergeometric_chain(a: float, b: float, c: float,
-                               domain: tuple = (0.0, 1.0)) -> PfaffianChain:
-    """Order-6 chain: 1/x, 1/(1-x), F/F(c+), F(c+), F, 1/F.
+def build_hypergeometric_chain(a: float, b: float, c: float) -> PfaffianChain:
+    """Order-6 chain on (0, 1): 1/x, 1/(1-x), F/F(c+), F(c+), F, 1/F.
 
     F = F(a,b;c;x).  The ratio member satisfies a Riccati equation whose
     coefficients come from the two contiguous relations; the final member
@@ -185,13 +184,13 @@ def build_hypergeometric_chain(a: float, b: float, c: float,
         xc = x.astype(complex)
         return [1.0 / xc, 1.0 / (1.0 - xc), F / Fp, Fp, F, 1.0 / F]
 
-    return PfaffianChain(rhs, domain, member_values, sample_offset=0.05,
+    return PfaffianChain(rhs, (0.0, 1.0), member_values, sample_offset=0.05,
                          label=f"hyp2f1({a},{b},{c})")
 
 
-def build_ratio_chain(domain: tuple = (0.0, 1.0)) -> PfaffianChain:
-    """Order-9, degree-2 chain containing ratio(y) = F(w+)/F(w-) where
-    F = F(1/6, 5/6; 1; .), w+ = (1+y)/2, w- = (1-y)/2.
+def build_ratio_chain() -> PfaffianChain:
+    """Order-9, degree-2 chain on (0, 1) containing ratio(y) = F(w+)/F(w-)
+    where F = F(1/6, 5/6; 1; .), w+ = (1+y)/2, w- = (1-y)/2.
 
     Members: 1/(1-y), 1/(1+y), w1*F(c+)(w+)/F(w+), F(w+),
     w2*F(c+)(w-)/F(w-), F(w-), F(c+)(w+), F(c+)(w-), ratio.
@@ -217,16 +216,17 @@ def build_ratio_chain(domain: tuple = (0.0, 1.0)) -> PfaffianChain:
     ]
 
     def member_values(y):
+        # F and F(c+) at w- and w+ = 1 - w- are one pair each: y in [0, 1)
         y = np.asarray(y, dtype=float)
-        w = np.stack([(1.0 + y) / 2.0, (1.0 - y) / 2.0])
-        Fp, Fm = _sextic_2f1(1.0, w)[0]
-        Fcp, Fcm = _sextic_2f1(2.0, w)[0]
+        wm = (1.0 - y) / 2.0
+        Fm, Fp, _ = _sextic_pair(1.0, wm)
+        Fcm, Fcp, _ = _sextic_pair(2.0, wm)
         yc = y.astype(complex)
         return [1.0 / (1.0 - yc), 1.0 / (1.0 + yc),
                 Fcp / ((1.0 - y) * Fp), Fp, Fcm / ((1.0 + y) * Fm), Fm,
                 Fcp, Fcm, Fp / Fm]
 
-    return PfaffianChain(rhs, domain, member_values, sample_offset=0.02,
+    return PfaffianChain(rhs, (0.0, 1.0), member_values, sample_offset=0.02,
                          label="sextic-ratio")
 
 

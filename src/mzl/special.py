@@ -3,10 +3,10 @@
 Everything is evaluated from truncated series with computed tail bounds.
 j is assembled as Q(q)^3 / Delta(q) from the exact-integer coefficient
 tables in qseries, and its tau-derivative as -2 pi i Q^2 R / Delta from
-the same sums.  The inverse of J(t) = j(it) on x >= 1728 is the ratio of
-two sextic hypergeometric values F(1/6, 5/6; 1; w).  For w <= 1/2 these
-come from the Gauss series; above 1/2, where that series falls only like
-w^n/n, from the z -> 1 - z connection series in 1 - w (_sextic_2f1).
+the same sums.  The inverse of J(t) = j(it) on x >= 1728 is the ratio
+F(1 - s)/F(s) of sextic hypergeometric values F(1/6, 5/6; 1; .), s in
+(0, 1/2], both summed from s itself (_sextic_pair): F(s) by the Gauss
+series and F(1 - s) by the z -> 1 - z connection series in s.
 
 Both 2F1 loops build the term ratios of a block of terms in one array op
 and then spend two or three in-place ops per term, testing the tail
@@ -17,12 +17,11 @@ float64.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AsymptoticFallbackWarning, DomainError, PrecisionLossError
+from .errors import DomainError, PrecisionLossError
 from .qseries import (UNIT_ROUNDOFF, max_abs, power_basis_product,
                       standard_series)
 
@@ -103,8 +102,8 @@ def _hyp_series(a, b, c, d, z, rtol: float = _HYP_RTOL):
     amax = float(np.abs(z).max())
     term = np.ones_like(z)
     acc = np.ones_like(z)
-    # an element that failed the last full tail test: while it clearly
-    # still fails, so would the full test, which is then skipped
+    # the element furthest from passing at the last full tail test: while
+    # it clearly still fails, so would the full test, which is then skipped
     watch = 0
     aa, ab = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
     cneg = min(float(np.min(c)), 0.0)
@@ -134,7 +133,7 @@ def _hyp_series(a, b, c, d, z, rtol: float = _HYP_RTOL):
                     if np.all(met):
                         return (_finite(acc, n).astype(complex, copy=False),
                                 float(np.max(tail)))
-                    watch = int(np.argmin(met))
+                    watch = int(np.argmax(tail / (np.abs(acc) + 1e-290)))
         _finite(acc, n)
     tail = np.inf if ratio is None else np.abs(term) * ratio
     achieved = float(np.max(tail / (np.abs(acc) + 1e-290)))
@@ -241,7 +240,7 @@ _SEXTIC_RTOL = 1e-16
 
 
 def _sextic_connection(c: float, x: np.ndarray):
-    """F(1/6, 5/6; c; 1 - x) for c in {1, 2} and every x in (0, 1/2), from
+    """F(1/6, 5/6; c; 1 - x) for c in {1, 2} and a 1-d x in (0, 1/2], from
     the z -> 1 - z connection formulas A&S 15.3.10 (c = 1 = a + b) and
     15.3.11 with m = 1 (c = 2).  With the constants above both read
 
@@ -269,6 +268,8 @@ def _sextic_connection(c: float, x: np.ndarray):
     where the watched element passes; a failing full test watches the
     element furthest from passing.
     """
+    if not x.size:
+        return x.copy(), 0.0
     al, be, ga, k, P = _SEXTIC_CONNECTION[c]
     lnx = np.log(x)
     Q = 1.0 / TWO_PI if c == 1.0 else -x / TWO_PI
@@ -276,6 +277,10 @@ def _sextic_connection(c: float, x: np.ndarray):
     u = np.ones_like(x)
     acc = k - lnx
     summand = np.empty_like(x)
+    # row i holds term n + i: k_{n+i} - ln x and u_{n+i+1}/u_{n+i}, KL
+    # one row more for the step out of the block; one buffer each for
+    # every block, as fresh rows per block would be faulted in each time
+    KL, X = np.empty((2, _TERM_BLOCK + 1, x.size))
 
     def test(i, j):
         """(value, tail, tail met) of term n + i at the elements j."""
@@ -292,14 +297,13 @@ def _sextic_connection(c: float, x: np.ndarray):
     watch = 0
     n = 0
     while True:
-        # row i holds term n + i: k_{n+i} - ln x, u_{n+i+1}/u_{n+i} and
-        # the c = 2 ratio factor; KL has one row more, for the step out
-        # of the block
         m = np.arange(n, n + _TERM_BLOCK + 1, dtype=float)
         dk = 1.0 / (m + 1) + 1.0 / (m + ga) - 1.0 / (m + al) - 1.0 / (m + be)
         ks = np.cumsum(np.concatenate(([k], dk[:-1])))
-        KL = ks[:, None] - lnx
-        X = x * ((m + al) * (m + be) / ((m + 1) * (m + ga)))[:, None]
+        np.subtract(ks[:, None], lnx, out=KL)
+        np.multiply(x, ((m + al) * (m + be) / ((m + 1) * (m + ga)))[:, None],
+                    out=X)
+        # the c = 2 ratio factor of term n + i
         s = 1.0 + _SEXTIC_AB / ((m + 1) * (m + 2))
         for i in range(_TERM_BLOCK):
             if test(i, watch)[2]:
@@ -314,33 +318,24 @@ def _sextic_connection(c: float, x: np.ndarray):
         k = ks[-1]
 
 
-def _sextic_2f1(c: float, w):
-    """(F(1/6, 5/6; c; w), largest tail bound) for c in {1, 2} and real w
-    in [0, 1).
+def _sextic_pair(c: float, s):
+    """(F(s), F(1 - s), largest tail bound) with F = F(1/6, 5/6; c; .),
+    for c in {1, 2} and real s in (0, 1/2].
 
-    A batch is split at w = 1/2: the Gauss series sums the w <= 1/2 side,
-    and _sextic_connection the rest in x = 1 - w, which is exact there.
-    Near w = 1 the Gauss series falls only like w^n/n, since c - a - b is
-    0 or 1; the connection series falls like x^n <= 2^-n.  A scalar w
-    gives a float value."""
-    ws = np.asarray(w, dtype=float)
-    inside = (0.0 <= ws) & (ws < 1.0)
+    F(s) is the Gauss series and F(1 - s) _sextic_connection, both in s,
+    so no caller forms 1 - s and a small s keeps its digits; near 1 the
+    Gauss series would fall only like w^n/n, since c - a - b is 0 or 1.
+    A scalar s gives float values."""
+    ss = np.asarray(s, dtype=float)
+    inside = (0.0 < ss) & (ss <= 0.5)
     if not np.all(inside):
-        raise DomainError(f"w={ws[~inside].flat[0]} outside [0, 1)")
-    flat = ws.ravel()
-    out = np.empty_like(flat)
-    low = flat <= 0.5
-    bounds = [0.0]
-    if low.any():
-        val, bound = _hyp_series(SEXTIC_A, SEXTIC_B, c, 1.0, flat[low],
-                                 _SEXTIC_RTOL)
-        out[low] = val.real
-        bounds.append(bound)
-    if not low.all():
-        out[~low], bound = _sextic_connection(c, 1.0 - flat[~low])
-        bounds.append(bound)
-    return (float(out[0]) if ws.ndim == 0 else out.reshape(ws.shape),
-            max(bounds))
+        raise DomainError(f"s={ss[~inside].flat[0]} outside (0, 1/2]")
+    flat = ss.ravel()
+    near, nb = _hyp_series(SEXTIC_A, SEXTIC_B, c, 1.0, flat, _SEXTIC_RTOL)
+    far, fb = _sextic_connection(c, flat)
+    if ss.ndim == 0:
+        return float(near[0].real), float(far[0]), max(nb, fb)
+    return near.real.reshape(ss.shape), far.reshape(ss.shape), max(nb, fb)
 
 
 _MIN_IM_TAU = 0.5 - 1e-12
@@ -447,9 +442,6 @@ def klein_j_derivative(tau):
     return klein_j_pair(tau)[1]
 
 
-_J_INVERSE_LARGE = 1e6
-
-
 @lru_cache(maxsize=1)
 def _j_inverse_max() -> float:
     """J(100) = j(100 i), the largest x whose J^{-1} lies where j is
@@ -460,52 +452,42 @@ def _j_inverse_max() -> float:
 def j_inverse(x: float) -> float:
     """J^{-1}(x) for 1728 <= x <= J(100), where J(t) = j(it) on t >= 1.
 
-    Uses the hypergeometric ratio F(1/2 + y/2) / F(1/2 - y/2) with
-    F = 2F1(1/6, 5/6; 1; .) and y = sqrt(1 - 1728/x), both values from
-    one _sextic_2f1 batch: the numerator from the connection series in
-    1 - w, the denominator from the Gauss series.  Beyond _J_INVERSE_LARGE
-    1 - w = (1 - y)/2 loses its digits to the cancellation in 1 - y, so
-    the value is instead found by Newton iteration on the q-expansion of
-    j; that route is flagged with a warning.  A NaN x raises DomainError,
-    as an x below 1728 does.
+    The ratio F(w+) / F(w-) with F = 2F1(1/6, 5/6; 1; .),
+    w+- = (1 +- y)/2 and y = sqrt(1 - 1728/x), both values from one
+    _sextic_pair at s = w- = 864/(x (1 + y)), which is (1 - y)/2 without
+    the cancellation in 1 - y; so one route serves the whole range.  J is
+    increasing, so x <= J(100) puts J^{-1}(x) <= 100, and the ratio, 2 ulps
+    above 100 at J(100), is clamped to _MAX_IM_TAU.  A NaN x raises
+    DomainError, as an x below 1728 or above J(100) does.
     """
     x = float(x)
     if not x >= 1728.0:
         raise DomainError(f"j_inverse requires x >= 1728, got {x}")
     if x == 1728.0:
         return 1.0
-    if x > _J_INVERSE_LARGE:
-        if x > _j_inverse_max():
-            raise DomainError(f"j_inverse requires x <= {_j_inverse_max()!r}"
-                              f" = j(100i), got {x}")
-        warnings.warn(
-            "j_inverse falling back to q-expansion Newton iteration for "
-            f"x={x:.3e} > {_J_INVERSE_LARGE:.3e}", AsymptoticFallbackWarning)
-        t = math.log(x - 744.0) / TWO_PI
-        for _ in range(6):
-            Jt, dJt = klein_j_pair(1j * t)
-            step = (Jt.real - x) / (1j * dJt).real
-            t -= step
-            if abs(step) < 1e-14 * t:
-                break
-        return t
+    if x > _j_inverse_max():
+        raise DomainError(f"j_inverse requires x <= {_j_inverse_max()!r}"
+                          f" = j(100i), got {x}")
     y = math.sqrt(1.0 - 1728.0 / x)
-    num, den = _sextic_2f1(1.0, np.array([0.5 + 0.5 * y, 0.5 - 0.5 * y]))[0]
-    return float(num / den)
+    den, num, _ = _sextic_pair(1.0, 864.0 / (x * (1.0 + y)))
+    return min(num / den, _MAX_IM_TAU)
 
 
 def ramanujan_inversion_residual(x):
     """|x(1-x) - (Q(q)^3 - R(q)^2)/(4 Q(q)^3)| for the sextic nome
     q = exp(-2 pi F(1-x)/F(x)), F = 2F1(1/6, 5/6, 1; .).
 
-    x may be an array: F(x) and F(1-x) are then one _sextic_2f1 batch, and
-    Q and R one series call each, over every nome."""
+    F(x) and F(1-x) are one _sextic_pair at s = min(x, 1 - x), swapped
+    back where x > 1/2.  x may be an array: the pair is then one batch,
+    and Q and R one series call each, over every nome."""
     xs = np.asarray(x, dtype=float)
     inside = (1e-3 <= xs) & (xs <= 1.0 - 1e-3)
     if not np.all(inside):
         raise DomainError(
             f"x={xs[~inside].flat[0]} outside [1e-3, 1 - 1e-3]")
-    Fx, F1mx = _sextic_2f1(1.0, np.stack([xs, 1.0 - xs]))[0]
+    near, far, _ = _sextic_pair(1.0, np.minimum(xs, 1.0 - xs))
+    low = xs <= 0.5
+    Fx, F1mx = np.where(low, near, far), np.where(low, far, near)
     q = np.exp(-TWO_PI * F1mx / Fx)
     s = standard_series()
     Qv = s["Q"].eval(q).real

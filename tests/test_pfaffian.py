@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import mzl.pfaffian as pfaffian_module
-from mzl.errors import AmbiguityError, InvalidSpecError, MzlError
+from mzl.errors import (AmbiguityError, DomainError, InvalidSpecError,
+                        MzlError)
 from mzl.pfaffian import (MultiPoly, PfaffianChain, PfaffianFunction,
                           build_hypergeometric_chain, build_ratio_chain,
                           chain_residual, khovanskii_zero_bound,
                           ratio_pfaffian_function, real_zero_count)
-from mzl.special import _sextic_2f1, hyp2f1, j_inverse, klein_j
+from mzl.special import _sextic_pair, hyp2f1, j_inverse, klein_j
 
 
 def counted(calls, key, fn):
@@ -122,6 +123,16 @@ def test_ratio_member_at_small_argument():
     assert abs(v - 1.0) < 1e-6
 
 
+def test_ratio_members_need_y_in_zero_to_one():
+    # w- = (1 - y)/2 must lie in (0, 1/2]: y = 0 gives the ratio 1 up to
+    # rounding, and a y in (-1, 0) or at 1 is outside the chain's domain
+    chain = build_ratio_chain()
+    assert abs(chain.member_values(np.array([0.0]))[8][0] - 1.0) < 1e-15
+    for y in (-0.5, -1e-3, 1.0):
+        with pytest.raises(DomainError):
+            chain.member_values(np.array([0.2, y]))
+
+
 def test_ratio_member_inverts_j():
     # F(w+)/F(w-) at y equals the aspect ratio t with j(it) = 1728/(1-y^2)
     rf = ratio_pfaffian_function()
@@ -144,10 +155,10 @@ def test_chain_residual_evaluates_each_member_once(monkeypatch):
     # one member pass over the stacked stencil grids, which sums F and
     # F(c+) once each: at w+ and w- together for the ratio chain
     calls = []
-    for name in ("_sextic_2f1", "hyp2f1"):
+    for name in ("_sextic_pair", "hyp2f1"):
         monkeypatch.setattr(pfaffian_module, name, counted(
             calls, name, getattr(pfaffian_module, name)))
-    for chain, series in ((build_ratio_chain(), "_sextic_2f1"),
+    for chain, series in ((build_ratio_chain(), "_sextic_pair"),
                           (build_hypergeometric_chain(0.3, 1.2, 0.8),
                            "hyp2f1")):
         calls.clear()
@@ -166,8 +177,8 @@ def test_chain_suite_evaluates_the_hyp_members_once(monkeypatch):
                         lambda *args: counted_chain(build(*args), passes))
     # pfaffian's own sextic sums: two in the ratio residual, two in the
     # one ratio evaluation over three points (j_inverse sums its own)
-    monkeypatch.setattr(pfaffian_module, "_sextic_2f1", counted(
-        sextic, "sextic", pfaffian_module._sextic_2f1))
+    monkeypatch.setattr(pfaffian_module, "_sextic_pair", counted(
+        sextic, "sextic", pfaffian_module._sextic_pair))
     rep = verify.chain_suite()
     assert rep["pass"]
     assert passes == ["pass"]
@@ -215,7 +226,7 @@ def test_a_failing_member_pass_names_the_chain():
 
 
 def test_members_equal_their_closed_forms():
-    # each member, bit for bit, from its own hyp2f1 or _sextic_2f1 call
+    # each member, bit for bit, from its own hyp2f1 or _sextic_pair call
     # on the points alone: one pass changes no value
     x = np.linspace(0.05, 0.95, 41)
     a, b, c = 0.3, 1.2, 0.8
@@ -226,9 +237,9 @@ def test_members_equal_their_closed_forms():
     assert len(got) == 6
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     y = np.linspace(0.02, 0.98, 41)
-    wp, wm = (1.0 + y) / 2.0, (1.0 - y) / 2.0
-    Fwp, Fwm = _sextic_2f1(1.0, wp)[0], _sextic_2f1(1.0, wm)[0]
-    Cwp, Cwm = _sextic_2f1(2.0, wp)[0], _sextic_2f1(2.0, wm)[0]
+    wm = (1.0 - y) / 2.0
+    Fwm, Fwp = _sextic_pair(1.0, wm)[:2]
+    Cwm, Cwp = _sextic_pair(2.0, wm)[:2]
     yc = y.astype(complex)
     want = [1.0 / (1.0 - yc), 1.0 / (1.0 + yc), Cwp / ((1.0 - y) * Fwp),
             Fwp, Cwm / ((1.0 + y) * Fwm), Fwm, Cwp, Cwm, Fwp / Fwm]

@@ -9,8 +9,7 @@ import pytest
 
 import mzl.special as special_module
 import oracles
-from mzl.errors import (AsymptoticFallbackWarning, DomainError,
-                        PrecisionLossError)
+from mzl.errors import DomainError, PrecisionLossError
 from mzl.pfaffian import _member_stencils, build_ratio_chain
 from mzl.qseries import standard_series
 from mzl.special import (gauss_relation_residuals, hyp2f1, hyp2f1_prime,
@@ -344,35 +343,39 @@ def test_sextic_connection_matches_the_one_term_loop(c):
 
 
 # ---------------------------------------------------------------------------
-# the sextic 2F1 near w = 1
+# the sextic pair F(s), F(1 - s)
 
 
-_SEXTIC_WS = [0.5 + 1e-12, 0.6, 0.9, 0.99, 0.9956611745940971, 1.0 - 1e-9]
+# s = 1 - w for w from just above 1/2 to 1 - 1e-9, the edge s = 1/2, and 0.3
+_SEXTIC_SS = [1.0 - w for w in (0.5 + 1e-12, 0.6, 0.9, 0.99,
+                                0.9956611745940971, 1.0 - 1e-9)] + [0.5, 0.3]
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0])
-def test_sextic_2f1_matches_mpmath(c):
-    # each value is within its tail bound plus a rounding allowance of
-    # 16 u |F|: every summand carries a few roundings from its recurrences
-    # and the summands fall at least geometrically, by x <= 1/2 or w <= 1/2
+def test_sextic_pair_matches_mpmath(c):
+    # F(s) and F(1 - s), 1 - s taken exactly, are each within the largest
+    # tail bound plus a rounding allowance of 16 u |F|: every summand
+    # carries a few roundings from its recurrences, and the summands of
+    # both series fall at least like s^n <= 2^-n
     mpmath = pytest.importorskip("mpmath")
     u = 2.0**-53
     a, b = mpmath.mpf(1) / 6, mpmath.mpf(5) / 6
-    # the batch also holds a w below 1/2, so it is split into two sums
-    batch, batch_bound = special_module._sextic_2f1(
-        c, np.array(_SEXTIC_WS + [0.3]))
+    near_batch, far_batch, batch_bound = special_module._sextic_pair(
+        c, np.array(_SEXTIC_SS))
     with mpmath.workdps(40):
-        for i, w in enumerate(_SEXTIC_WS + [0.3]):
-            want = mpmath.hyp2f1(a, b, int(c), mpmath.mpf(w))
-            v, bound = special_module._sextic_2f1(c, w)
-            assert isinstance(v, float)
-            assert abs(v - want) <= bound + 16 * u * abs(want)
-            assert abs(batch[i] - want) <= batch_bound + 16 * u * abs(want)
-    for w in (1.0, -0.1, math.nan):
+        for i, s in enumerate(_SEXTIC_SS):
+            near, far, bound = special_module._sextic_pair(c, s)
+            assert isinstance(near, float) and isinstance(far, float)
+            for v, batch, w in ((near, near_batch[i], mpmath.mpf(s)),
+                                (far, far_batch[i], 1 - mpmath.mpf(s))):
+                want = mpmath.hyp2f1(a, b, int(c), w)
+                assert abs(v - want) <= bound + 16 * u * abs(want)
+                assert abs(batch - want) <= batch_bound + 16 * u * abs(want)
+    for s in (0.0, 0.6, math.nan):
         with pytest.raises(DomainError):
-            special_module._sextic_2f1(c, w)
+            special_module._sextic_pair(c, s)
         with pytest.raises(DomainError):
-            special_module._sextic_2f1(c, np.array([0.3, w]))
+            special_module._sextic_pair(c, np.array([0.3, s]))
 
 
 def test_sextic_values_above_one_half_skip_the_gauss_series(monkeypatch):
@@ -574,27 +577,47 @@ def test_j_inverse_domain_error():
         assert str(err.value) == f"j_inverse requires x >= 1728, got {x}"
 
 
-def test_j_inverse_large_x_fallback_flagged():
-    with pytest.warns(AsymptoticFallbackWarning):
+def test_j_inverse_large_x_takes_the_same_route():
+    # above 1e6 the sextic ratio still holds its digits: no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         t = j_inverse(1e7)
     assert abs(klein_j(1j * t) - 1e7) < 1e-6 * 1e7
 
 
 def test_j_inverse_above_j_of_100i():
     # J(100) = j(100 i) is the largest x whose inverse lies where j is
-    # evaluated; above it the error names x and that limit, and comes
-    # before the Newton fallback (and its warning) starts
+    # evaluated; the ratio there, 2 ulps above 100, is clamped to 100, and
+    # above it the error names x and that limit
     top = klein_j(100j).real
-    with pytest.warns(AsymptoticFallbackWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert abs(j_inverse(1e271) - 99.31277364816246) < 1e-12
         assert j_inverse(top) == 100.0
-    for x in (1e300, math.inf):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        for x in (1e300, math.inf):
             with pytest.raises(DomainError) as err:
                 j_inverse(x)
-        assert str(err.value) == (f"j_inverse requires x <= {top!r} = "
-                                  f"j(100i), got {x}")
+            assert str(err.value) == (f"j_inverse requires x <= {top!r} = "
+                                      f"j(100i), got {x}")
+
+
+def test_j_inverse_matches_mpmath():
+    # within 8 ulps of t on a log-uniform grid over [1729, J(100)], and
+    # with no warning; the reference is the root of log J(t) = log x,
+    # which, unlike 1 - 1728/x at a fixed precision, keeps its digits at
+    # every x
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    top = klein_j(100j).real
+    xs = np.exp(rng.uniform(math.log(1729.0), math.log(top), 40))
+    with warnings.catch_warnings(), mpmath.workdps(40):
+        warnings.simplefilter("error")
+        for x in [1729.0, 1e6, 2e6, 1e7, 1e271, *xs]:
+            lx = mpmath.log(x)
+            want = float(mpmath.findroot(
+                lambda t: mpmath.log(1728 * mpmath.re(mpmath.kleinj(1j * t)))
+                - lx, lx / (2 * mpmath.pi)))
+            assert abs(j_inverse(x) - want) <= 8 * math.ulp(want), x
 
 
 # ---------------------------------------------------------------------------
