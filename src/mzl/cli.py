@@ -129,8 +129,7 @@ def _domain_spec(args, cfg: RunConfig):
     """The domain that count-zeros and trace name, with Y and tau
     falling back to the run configuration."""
     if args.domain == "j":
-        return JDomainSpec(Y=args.Y if args.Y is not None else cfg.y_top,
-                           inset=args.inset)
+        return JDomainSpec(Y=args.Y if args.Y is not None else cfg.y_top)
     return WpDomainSpec(tau=args.tau if args.tau is not None else cfg.tau,
                         beta=args.beta, delta=args.delta)
 
@@ -260,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     domain.add_argument("domain", choices=["j", "wp"])
     domain.add_argument("--poly", required=True, help="polynomial JSON file")
     domain.add_argument("--Y", type=float, default=None)
-    domain.add_argument("--inset", type=float, default=0.0)
     domain.add_argument("--tau", type=float, default=None)
     domain.add_argument("--beta", type=float, default=0.0)
     domain.add_argument("--delta", type=float, default=None)

@@ -1,11 +1,11 @@
 """Zero counting inside fundamental domains.
 
-count_zeros_j counts zeros of P(z, j(z)) in the standard fundamental
+count_zeros_j counts zeros of P(z, j(z)) in the half-open fundamental
 domain of the modular group truncated at height Y; count_zeros_wp counts
 zeros of P(z, wp(z)) in a period cell of the lattice spanned by 1 and
 i*tau, with notches excising the lattice poles on its boundary.  Each
-keeps its own geometry and one retry move, and runs every attempt the
-same way.  It first winds the unperturbed composite P(z, f(z)) over the
+keeps its own geometry and retry moves, and runs every attempt the same
+way.  It first winds the unperturbed composite P(z, f(z)) over the
 boundary (_unperturbed_winding).  _attempt then offsets the composite by
 eps e^{i theta}, with eps half the minimum |P(z, f(z))| over that
 pass's adaptive samples, localizes the zeros of the offset composite
@@ -19,7 +19,8 @@ stays above eps.
 Both pipelines judge "numerically zero on the boundary" by one rule
 (_boundary_scan): |P(z, f(z))| below _BOUNDARY_FLOOR times the Horner
 running-error scale of the sum (_horner_scale).  A pass that meets such
-a sample raises ZeroOnContourError.  count_zeros_j retries on it;
+a sample raises ZeroOnContourError.  count_zeros_j then moves its
+contour further off the classical boundary, which it never touches;
 count_zeros_wp falls back to a fixed scan of _BOUNDARY_SAMPLES points
 per segment: eps from the scan samples that are not numerically zero,
 whose offset moves that boundary zero off the contour, and the winding
@@ -27,6 +28,7 @@ of the offset composite.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -111,37 +113,51 @@ def random_polynomial(rng: np.random.Generator, deg_x: int, deg_y: int,
 
 @dataclass(frozen=True)
 class JDomainSpec:
-    """Truncated fundamental domain: |Re z| <= 1/2 + inset,
-    |z| >= 1 - inset, Im z <= Y.  Positive inset expands the region
-    outward so zeros sitting exactly on the classical boundary fall
-    strictly inside."""
+    """The standard fundamental domain truncated at height Y, half-open
+    (Serre, A Course in Arithmetic, VII.1.2): -1/2 <= Re z < 1/2,
+    Im z <= Y, |z| >= 1 and |z| > 1 where Re z > 0; so its left edge and
+    arc half are in, i and rho too, and the right ones are out."""
 
     Y: float = 2.5
-    inset: float = 0.0
 
     def __post_init__(self):
         if not self.Y > 1.0:
             raise InvalidSpecError("Y must exceed 1")
-        if not 0.0 <= self.inset < 0.2:
-            raise InvalidSpecError("inset must be in [0, 0.2)")
-
-    @property
-    def theta_star(self) -> float:
-        return math.acos((0.5 + self.inset) / (1.0 - self.inset))
 
 
-def build_j_contour(spec: JDomainSpec) -> Contour:
-    """Counterclockwise boundary: lower circular arc (left to right),
-    right vertical edge, top line (right to left), left vertical edge."""
-    ts = spec.theta_star
-    r = 1.0 - spec.inset
-    xr = 0.5 + spec.inset
-    y_arc = r * math.sin(ts)
+# the j contour's distances eta from the classical boundary, in turn
+_J_ETAS = (1e-6, 1e-5, 1e-4, 1e-3)
+
+
+def _dip_radius(eta: float) -> float:
+    """Radius of the j contour's dip below i."""
+    return max(1e-3, 10.0 * eta)
+
+
+def build_j_contour(spec: JDomainSpec, eta: float = _J_ETAS[0]) -> Contour:
+    """Counterclockwise boundary of the half-open domain: the left arc half
+    at radius 1 - eta, a dip of radius _dip_radius(eta) about i below it,
+    the right arc half at radius 1 + eta, the right edge at 1/2 - eta, the
+    top line and the left edge at -1/2 - eta.  The pieces that are in lie
+    outside the classical boundary and the others inside it, so a zero on
+    it, i and rho too, lies inside the contour exactly if the domain has
+    it."""
+    r, xl, xr = _dip_radius(eta), -0.5 - eta, 0.5 - eta
+    rl, rr = 1.0 - eta, 1.0 + eta
+    # each arc half, radius R, meets the dip circle |z - i| = r at height
+    # R - h, h = (r^2 - eta^2) / 2, and R^2 - (R - h)^2 = h (2 R - h)
+    h = 0.5 * (r * r - eta * eta)
+    pl = complex(-math.sqrt(h * (2.0 * rl - h)), rl - h)
+    pr = complex(math.sqrt(h * (2.0 * rr - h)), rr - h)
+    cl = complex(xl, math.sqrt(rl * rl - xl * xl))
+    cr = complex(xr, math.sqrt(rr * rr - xr * xr))
     return Contour([
-        ArcSegment(0.0, r, math.pi - ts, ts),
-        LineSegment(complex(xr, y_arc), complex(xr, spec.Y)),
-        LineSegment(complex(xr, spec.Y), complex(-xr, spec.Y)),
-        LineSegment(complex(-xr, spec.Y), complex(-xr, y_arc)),
+        ArcSegment(0.0, rl, cmath.phase(cl), cmath.phase(pl)),
+        ArcSegment(1j, r, cmath.phase(pl - 1j), cmath.phase(pr - 1j)),
+        ArcSegment(0.0, rr, cmath.phase(pr), cmath.phase(cr)),
+        LineSegment(cr, complex(xr, spec.Y)),
+        LineSegment(complex(xr, spec.Y), complex(xl, spec.Y)),
+        LineSegment(complex(xl, spec.Y), cl),
     ])
 
 
@@ -389,20 +405,23 @@ def _report(kind, P, bound_fn, pert, w, zeros, domain, contour,
 
 _DOMINANCE_C = 2.0
 _DOMINANCE_HEADROOM = 1.1
+# half-width of the strip the top line is proved on; it holds every
+# j contour's edges
+_J_STRIP = 0.5 + _J_ETAS[-1]
 
 
 def _top_line_dominates(P: BivariatePolynomial, Y: float,
-                        inset: float) -> bool:
+                        roots: np.ndarray) -> bool:
     """True when the leading term h_l(z) q^{-l}, q = e^{2 pi i z}, of
     P(z, j(z)) = sum_k h_k(z) j(z)^k exceeds 2.2x the remainder on the
-    whole half-strip H = {|Re z| <= 1/2 + inset, Im z >= Y}, so that no
-    zero lies above the top line.
+    whole half-strip H = {|Re z| <= _J_STRIP, Im z >= Y}, so that no
+    zero lies above the top line; roots are those of h_l.
 
     On H, |q| <= s = e^{-2 pi Y} and |j - q^{-1}| <= B = 744 + the tail
     of the j majorant past q^0 at s, so j = q^{-1} (1 + d) with |d| <= Bs.
     With m <= |h_l| on H (the leading coefficient times the distance
-    from each root of h_l to H) and R = |1/2 + inset + iY|, the
-    remainder over the leading term is at most
+    from each root of h_l to H) and R = |_J_STRIP + iY|, the remainder
+    over the leading term is at most
 
         (1 + Bs)^l - 1 + sum_{k<l} (sum_i |c_ik| R^i / m) s^{l-k} (1 + Bs)^k.
 
@@ -420,89 +439,88 @@ def _top_line_dominates(P: BivariatePolynomial, Y: float,
             complex(0.0, Y), math.inf)
     if P.deg_x > 2.0 * math.pi * Y:
         return False
-    xr = 0.5 + inset
     m = abs(hcol[np.flatnonzero(hcol)[-1]])
-    for r in np.roots(hcol[::-1]):
-        m *= math.hypot(max(abs(r.real) - xr, 0.0), max(Y - r.imag, 0.0))
+    for r in roots:
+        m *= math.hypot(max(abs(r.real) - _J_STRIP, 0.0),
+                        max(Y - r.imag, 0.0))
     if m == 0.0:
         return False
     s = math.exp(-2.0 * math.pi * Y)
     growth = 1.0 + (744.0 + standard_series()["j"].tail_bound(s, 1)) * s
     # sum_i |c_ik| R^i for every k < l
-    h_bound = npoly.polyval(math.hypot(xr, Y), np.abs(P.coeffs[:, :l]))
+    h_bound = npoly.polyval(math.hypot(_J_STRIP, Y), np.abs(P.coeffs[:, :l]))
     rest = growth**l - 1.0 + sum(h_bound[k] / m * s ** (l - k) * growth**k
                                  for k in range(l))
     return 1.0 > _DOMINANCE_C * _DOMINANCE_HEADROOM * rest
 
 
-def _min_y_for_polynomial_roots(P: BivariatePolynomial, Y: float,
-                                inset: float) -> float:
+def _min_y_for_polynomial_roots(roots: np.ndarray, Y: float) -> float:
     """Lift the top line to 1 above every root of the leading column h_l
-    with |Re| <= 1/2 + inset that lies above Y - 1.  A zero of
-    P(z, j(z)) sits next to each such root (with no j dependence, the
-    root itself), so the lift keeps it off the top line and out of the
+    with |Re| <= _J_STRIP that lies above Y - 1.  A zero of P(z, j(z))
+    sits next to each such root (with no j dependence, the root
+    itself), so the lift keeps it off the top line and out of the
     half-strip H of _top_line_dominates, where the leading term vanishes
     at the root and cannot dominate."""
-    roots = np.roots(P.leading_y_term()[1][::-1])
     return max([Y] + [float(r.imag) + 1.0 for r in roots
-                      if abs(r.real) <= 0.5 + inset])
+                      if abs(r.real) <= _J_STRIP])
 
 
-def _in_j_region(z: complex, Y: float, inset: float) -> bool:
-    return (abs(z.real) <= 0.5 + inset and abs(z) >= 1.0 - inset
-            and z.imag <= Y)
+def _in_j_region(z: complex, Y: float, eta: float) -> bool:
+    """Whether z lies inside build_j_contour's contour for Y and eta."""
+    bottom = 1.0 - eta if z.real < 0.0 else 1.0 + eta
+    return (-0.5 - eta <= z.real <= 0.5 - eta and z.imag <= Y
+            and (abs(z) >= bottom or abs(z - 1j) <= _dip_radius(eta)))
 
 
 def count_zeros_j(P: BivariatePolynomial,
                   spec: JDomainSpec | None = None) -> ZeroCountReport:
-    """Count zeros of P(z, j(z)) in the truncated fundamental domain.
+    """Count zeros of P(z, j(z)), each with its multiplicity, in the
+    half-open domain of JDomainSpec, with Y first raised until no zero
+    can lie above it (_min_y_for_polynomial_roots, _top_line_dominates).
 
-    No zero may hide above the top line Y, and that is proved, not
-    sampled: each attempt first lifts Y to 1 above every root of the
-    leading column h_l in the strip that lies above Y - 1
-    (_min_y_for_polynomial_roots), then raises Y in half-steps until the
-    bound of _top_line_dominates, derived from the j series, shows the
-    leading term dominating on the whole half-strip.  Some inputs so get
-    a taller domain than spec.Y.  The composite is then wound and offset
-    as the module docstring says; no fixed scan sizes eps.  An offset
-    would split the double zero of j - 1728 at i across the arc, which
-    then counts 1, so a numerically zero sample of the unperturbed
-    winding widens the region instead.  One loop retries, and every
-    failure has the same move, widening the region by 1e-3 of inset
-    (capped at 0.19): ZeroOnContourError from the unperturbed winding,
-    CannotPerturbError, NonconvergenceError from the winding or the
-    localization, and a localized count that differs from the winding.
-    The report's retries is the number of failed attempts.
+    The zeros are localized in one box around build_j_contour's contour
+    and kept by _in_j_region.  Neither retry move changes which zeros
+    count: a failed unperturbed winding, as at a multiple zero on the
+    classical boundary eta away, takes the next eta of _J_ETAS (after
+    the last, its error is raised), and any other failure lowers the
+    box's bottom edge, below the domain, by 1e-3.  The report's retries
+    is the number of failed attempts.
     """
     spec = JDomainSpec() if spec is None else spec
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
-    Y, inset = spec.Y, spec.inset
+    roots = np.roots(P.leading_y_term()[1][::-1])
+    Y = _min_y_for_polynomial_roots(roots, spec.Y)
+    while not _top_line_dominates(P, Y, roots):
+        Y += 0.5
+        if Y > spec.Y + 8.0:
+            raise DominanceError("leading term never dominated the top line",
+                                 complex(0.0, Y), math.nan)
+    k, drop = 0, 0.0
     last_error: Exception | None = None
     for retries in range(8):
-        Y = _min_y_for_polynomial_roots(P, Y, inset)
-        while not _top_line_dominates(P, Y, inset):
-            Y += 0.5
-            if Y > spec.Y + 8.0:
-                raise DominanceError(
-                    "leading term never dominated the top line",
-                    complex(0.0, Y), math.nan)
-        region = JDomainSpec(Y, inset)
-        contour = build_j_contour(region)
-        y0 = (1.0 - inset) * math.sin(region.theta_star)
-        box = (-(0.5 + inset), 0.5 + inset, y0, Y)
+        eta = _J_ETAS[k]
+        contour = build_j_contour(JDomainSpec(Y), eta)
         try:
             vals, w = _unperturbed_winding(P, klein_j_pair, klein_j, contour)
+        except (ZeroOnContourError, NonconvergenceError) as exc:
+            if k + 1 == len(_J_ETAS):
+                raise
+            last_error, k = exc, k + 1
+            continue
+        # the box's bottom edge starts at the contour's left corner, its
+        # lowest point
+        y0 = contour.segments[0].start.imag - drop
+        box = (-0.5 - eta, 0.5 - eta, y0, Y)
+        try:
             pert, w, zeros = _attempt(
                 P, klein_j_pair, vals, contour, [box], _J_TARGET_RADIUS,
-                lambda c: _in_j_region(c, Y, inset), w)
-        except (ZeroOnContourError, CannotPerturbError,
-                NonconvergenceError) as exc:
-            last_error = exc
-            inset = min(inset + 1e-3, 0.19)
+                lambda c: _in_j_region(c, Y, eta), w)
+        except (ZeroOnContourError, NonconvergenceError) as exc:
+            last_error, drop = exc, drop + 1e-3
             continue
         return _report("j", P, theorem1_bound, pert, w, zeros,
-                       asdict(region), contour, retries)
+                       {"Y": Y, "eta": eta}, contour, retries)
     raise last_error
 
 

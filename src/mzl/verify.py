@@ -151,16 +151,18 @@ def _generic_wp_values(rng: np.random.Generator, n: int):
 
 
 def _count_trials(rng: np.random.Generator, trials: int, count,
-                  max_x: int, min_y: int, max_y: int) -> int:
+                  max_x: int, min_y: int, max_y: int, per_root: int) -> int:
     """How many of `trials` random P, deg_x drawn from [0, max_x) and
     then deg_y from [min_y, max_y), give a count(P) report within its
-    bound and equal to its winding."""
+    bound and equal to its winding, and for deg_x = 0, a product of
+    Y - c over generic c, to per_root (1 for j, 2 for wp) times deg_y."""
     ok = 0
     for _ in range(trials):
-        P = random_polynomial(rng, int(rng.integers(0, max_x)),
-                              int(rng.integers(min_y, max_y)))
-        rep = count(P)
-        ok += int(rep.bound_holds and rep.count == rep.winding)
+        deg_x = int(rng.integers(0, max_x))
+        deg_y = int(rng.integers(min_y, max_y))
+        rep = count(random_polynomial(rng, deg_x, deg_y))
+        ok += int(rep.bound_holds and rep.count == rep.winding
+                  and (deg_x > 0 or rep.count == per_root * deg_y))
     return ok
 
 
@@ -178,20 +180,20 @@ def zero_count_suite(rng: np.random.Generator, trials: int = 50) -> dict:
         count_zeros_wp(BivariatePolynomial([[-c, 1.0]]), spec1).count == 2
         for c in _generic_wp_values(rng, 10))
 
-    j_ok = _count_trials(rng, trials, count_zeros_j, 3, 1, 3)
+    j_ok = _count_trials(rng, trials, count_zeros_j, 3, 1, 3, 1)
     wp_ok = _count_trials(rng, trials, partial(count_zeros_wp, spec=spec1),
-                          4, 1, 4)
+                          4, 1, 4, 2)
     # extreme cells, drawn from a child generator so that the draws of
     # every other trial and suite stay as they were
     child = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
     extreme_ok = sum(
         _count_trials(child, trials, partial(count_zeros_wp,
                                              spec=WpDomainSpec(tau, 0.37)),
-                      4, 1, 4)
+                      4, 1, 4, 2)
         for tau in (0.3, 8.0))
     # j at deg_y 3-5, from a second child generator for the same reason
     child = np.random.default_rng(rng.bit_generator.seed_seq.spawn(1)[0])
-    j_high_ok = _count_trials(child, trials, count_zeros_j, 3, 3, 6)
+    j_high_ok = _count_trials(child, trials, count_zeros_j, 3, 3, 6, 1)
 
     ok = (canonical_j and elliptic_double and canonical_wp
           and j_ok == trials and wp_ok == trials

@@ -313,10 +313,10 @@ def sextic_connection_term_loop(c: float, x: np.ndarray):
 
 
 def sampled_top_line_dominates(coeffs: np.ndarray, ys,
-                               inset: float) -> bool:
+                               half_width: float) -> bool:
     """True when the leading term h_l(z) e^{-2 pi i l z} of
     P(z, j(z)) = sum_k h_k(z) j(z)^k exceeds 2.2x the rest at 512 evenly
-    spaced points of every line Im z = y, |Re z| <= 1/2 + inset, for y
+    spaced points of every line Im z = y, |Re z| <= half_width, for y
     in ys.
 
     The library derives its check from the j series instead: samples
@@ -324,7 +324,7 @@ def sampled_top_line_dominates(coeffs: np.ndarray, ys,
     order 12, which leaves a relative error below 1e-60 at Im z >= 2.5."""
     coeffs = np.asarray(coeffs, dtype=complex)
     l = max(k for k in range(coeffs.shape[1]) if coeffs[:, k].any())
-    x = np.linspace(-(0.5 + inset), 0.5 + inset, 512)
+    x = np.linspace(-half_width, half_width, 512)
     z = x[None, :] + 1j * np.asarray(ys, dtype=float)[:, None]
     j = j_horner_fixed_order(z, N=12)[0]
     polyval = np.polynomial.polynomial.polyval

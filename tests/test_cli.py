@@ -228,6 +228,26 @@ def test_count_zeros_report_deterministic(lin_poly, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["count-zeros", "trace"])
+def test_inset_is_no_option(lin_poly, command):
+    # the j domain is the half-open one, and no option widens it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "j", "--poly", lin_poly, "--inset", "0.01"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("c, count", [(1000.0, 1), (0.0, 3), (1728.0, 2)])
+def test_count_zeros_j_boundary_values(tmp_path, capsys, c, count):
+    # one preimage of j = 1000 on each half of the arc, of which the left
+    # counts; the triple zero of j at rho and the double zero of j - 1728
+    # at i count with their multiplicities
+    path = write_poly(tmp_path / "p.json", BivariatePolynomial([[-c, 1.0]]))
+    assert main(["count-zeros", "j", "--poly", path, "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert (rep["count"], rep["retries"]) == (count, 0)
+    assert rep["domain"] == {"Y": "2.5", "eta": "1e-06"}
+
+
 def test_count_zeros_wp_text_output(wp_poly, capsys):
     assert main(["count-zeros", "wp", "--poly", wp_poly]) == 0
     out = capsys.readouterr().out

@@ -80,12 +80,12 @@ def test_arc_orientation_sign():
 
 @pytest.mark.parametrize("contour", [
     build_j_contour(JDomainSpec()),
-    build_j_contour(JDomainSpec(inset=0.013)),
+    build_j_contour(JDomainSpec(), eta=1e-3),
     build_wp_contour(WpDomainSpec(1.0)),
     build_wp_contour(WpDomainSpec(8.0, beta=0.37)),
     rectangle_contour(-0.3, 1.2, 0.1, 0.7),
     circle_contour(0.2 - 0.1j, 0.8),
-], ids=["j", "j-inset", "wp-t1", "wp-t8-b0.37", "rectangle", "circle"])
+], ids=["j", "j-eta", "wp-t1", "wp-t8-b0.37", "rectangle", "circle"])
 def test_contour_point_matches_the_segments_bitwise(contour):
     nseg = len(contour.segments)
     rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 """Counting domains, the zero-count pipelines, and the degree bounds."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -10,9 +11,10 @@ import pytest
 import mzl.contour as contour_module
 import mzl.domains as domains_module
 import oracles
-from mzl.contour import ArcSegment, LineSegment, winding_number
+from mzl.contour import ArcSegment, Contour, LineSegment, winding_number
 from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
-                         _top_line_dominates, bezout_step_bound,
+                         _in_j_region, _top_line_dominates,
+                         bezout_step_bound,
                          build_j_contour, build_wp_contour, count_zeros_j,
                          count_zeros_wp, line_im_zero_count,
                          proposition_bound,
@@ -31,6 +33,21 @@ def poly_y_minus(c) -> BivariatePolynomial:
 
 def poly_x_minus(c) -> BivariatePolynomial:
     return BivariatePolynomial([[-c], [1.0]])
+
+
+RHO = complex(-0.5, math.sqrt(3.0) / 2.0)
+
+
+def classical_j_boundary(Y: float) -> Contour:
+    """The classical boundary of the domain truncated at Y,
+    counterclockwise: the arc from rho to rho + 1, the right edge, the
+    top line and the left edge."""
+    return Contour([
+        ArcSegment(0.0, 1.0, 2.0 * math.pi / 3.0, math.pi / 3.0),
+        LineSegment(RHO + 1.0, complex(0.5, Y)),
+        LineSegment(complex(0.5, Y), complex(-0.5, Y)),
+        LineSegment(complex(-0.5, Y), RHO),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -76,25 +93,67 @@ def test_j_domain_spec_validation():
     with pytest.raises(InvalidSpecError):
         JDomainSpec(Y=1.0)
     with pytest.raises(InvalidSpecError):
-        JDomainSpec(Y=3.0, inset=0.2)
-    with pytest.raises(InvalidSpecError):
-        JDomainSpec(Y=3.0, inset=-0.01)
-    assert JDomainSpec(3.0).theta_star == pytest.approx(math.pi / 3.0)
+        JDomainSpec(Y=math.nan)
+    # the domain is the half-open one: no field widens it
+    assert [f.name for f in dataclasses.fields(JDomainSpec)] == ["Y"]
+    with pytest.raises(TypeError):
+        JDomainSpec(Y=3.0, inset=0.01)
 
 
 def test_j_contour_geometry():
-    contour = build_j_contour(JDomainSpec(Y=3.0))
-    assert contour.closed
+    classical = classical_j_boundary(3.0)
+    assert classical.closed
     # arc pi/3 long, two verticals of 3 - sin(pi/3), top edge of 1
     want = math.pi / 3.0 + 2.0 * (3.0 - math.sin(math.pi / 3.0) * 1.0) + 1.0
-    assert contour.length == pytest.approx(want, abs=1e-9)
-    assert contour.length == pytest.approx(6.315146743627721, abs=1e-9)
-    kinds = [type(s) for s in contour.segments]
-    assert kinds == [ArcSegment, LineSegment, LineSegment, LineSegment]
+    assert classical.length == pytest.approx(want, abs=1e-9)
+    assert classical.length == pytest.approx(6.315146743627721, abs=1e-9)
+    for eta, dip in ((1e-6, 1e-3), (1e-4, 1e-3), (1e-3, 1e-2)):
+        contour = build_j_contour(JDomainSpec(Y=3.0), eta)
+        assert contour.closed
+        kinds = [type(s) for s in contour.segments]
+        assert kinds == [ArcSegment] * 3 + [LineSegment] * 3
+        left, middle, right, redge, top, ledge = contour.segments
+        # the arc half and edge that are in move out, the others in
+        assert (left.center, left.radius) == (0.0, 1.0 - eta)
+        assert (right.center, right.radius) == (0.0, 1.0 + eta)
+        assert redge.z0.real == redge.z1.real == 0.5 - eta
+        assert ledge.z0.real == ledge.z1.real == -0.5 - eta
+        assert top.z0.imag == top.z1.imag == 3.0
+        # the dip runs counterclockwise about i, through i - i dip
+        assert (middle.center, middle.radius) == (1j, dip)
+        assert middle.ang0 < -math.pi / 2.0 < middle.ang1
+        assert abs(left.start - RHO) < 3.0 * eta
+        assert abs(right.end - (RHO + 1.0)) < 3.0 * eta
+        # the dip's half circle replaces about 2 dip of the arc
+        assert contour.length == pytest.approx(
+            classical.length + (math.pi - 2.0) * dip, abs=10.0 * eta)
+
+
+@pytest.mark.parametrize("eta", [1e-6, 1e-3])
+def test_j_region_is_inside_the_contour(eta):
+    # _in_j_region keeps the localized zeros that the contour encloses:
+    # z - c winds once about the contour exactly where it holds c
+    Y = 3.0
+    contour = build_j_contour(JDomainSpec(Y), eta)
+    d = 1e-2 if eta == 1e-3 else 1e-3
+    rng = np.random.default_rng(3)
+    points = list(rng.uniform(-0.6, 0.6, 200)
+                  + 1j * rng.uniform(0.75, 1.15, 200))
+    # the classical boundary, by the half-open rule, and next to the dip
+    points += [1j, RHO, RHO + 1.0, -0.5 + 1.2j, 0.5 + 1.2j,
+               np.exp(0.6j * np.pi), np.exp(0.4j * np.pi),
+               1j - 0.5j * d, 1j + 0.9 * d, 1j - 0.9 * d + 0.1j * d]
+    for c in points:
+        w = winding_number(lambda z, c=c: (z - c, np.ones_like(z)), contour)
+        assert (w.winding == 1) == _in_j_region(c, Y, eta), c
+    for c in (1j, RHO, -0.5 + 1.2j, np.exp(0.6j * np.pi)):
+        assert _in_j_region(c, Y, eta)
+    for c in (RHO + 1.0, 0.5 + 1.2j, np.exp(0.4j * np.pi)):
+        assert not _in_j_region(c, Y, eta)
 
 
 def test_j_real_on_arc_and_verticals():
-    contour = build_j_contour(JDomainSpec(Y=3.0))
+    contour = classical_j_boundary(3.0)
     ts = np.linspace(0.02, 0.98, 40)
     for seg in (contour.segments[0], contour.segments[1],
                 contour.segments[3]):
@@ -166,12 +225,60 @@ def test_count_zeros_j_level_2000i():
 
 def test_count_zeros_j_critical_value():
     # j - 1728 vanishes doubly at z = i, a point of the classical
-    # boundary arc: the inset ladder pulls it inside and counts 2
+    # boundary arc: the contour's dip runs below it, and it counts 2
     rep = count_zeros_j(poly_y_minus(1728.0))
     assert rep.count == 2
     assert sum(z.multiplicity for z in rep.zeros) == 2
     for z in rep.zeros:
         assert abs(z.center - 1j) < 0.05
+
+
+# The domain is half-open (Serre, A Course in Arithmetic, VII.1.2): the
+# left edge and the left half of the arc are in, i and rho too, the right
+# edge and the right half of the arc are out.  j takes real values below 0
+# on the edges, in [0, 1728] on the arc and above 1728 on the imaginary
+# axis, so each real c below 1728 has a preimage on both halves of the
+# boundary, of which one counts.  The double zero of j - 1728 at i counts
+# 2 and the triple zero of j at rho counts 3, not 6 with rho + 1
+@pytest.mark.parametrize("c, count", [
+    (-100.0, 1), (1e-3, 1), (1000.0, 1), (1727.0, 1), (5000.0, 1),
+    (0.0, 3), (1728.0, 2)])
+def test_count_zeros_j_level_sets_on_the_boundary(c, count):
+    rep = count_zeros_j(poly_y_minus(c))
+    assert rep.count == rep.winding == count
+    assert rep.retries == 0
+
+
+@pytest.mark.parametrize("c, count", [
+    (1000.0, 2), (-100.0, 2), (0.0, 6), (1728.0, 4)])
+def test_count_zeros_j_squares_count_their_boundary_zeros_once(c, count):
+    # a double zero of (Y - c)^2 on the boundary is numerically zero at a
+    # contour sample eta = 1e-6 away, so eta grows; the domain does not,
+    # and the translate on the excluded half never counts
+    rep = count_zeros_j(BivariatePolynomial([[c * c, -2.0 * c, 1.0]]))
+    assert rep.count == rep.winding == count
+
+
+@pytest.mark.parametrize("x, count", [(-0.5, 1), (0.5, 0)])
+def test_count_zeros_j_zero_on_an_edge(x, count):
+    # z - (x + 1.2i) vanishes on the left edge, which is in, or on the
+    # right edge, which is out
+    rep = count_zeros_j(poly_x_minus(complex(x, 1.2)))
+    assert rep.count == rep.winding == count
+
+
+def test_count_zeros_j_translates_on_both_edges_count_once():
+    # a deg_x = 0, deg_y = 4 trial of `mzl verify --seed 2`: four generic
+    # roots, so four zeros.  One lies 1.8e-4 inside the right edge, at
+    # 0.49982 + 0.89935i, and its translate by -1 lies 1.8e-4 outside the
+    # left edge; a domain widened by 1e-3 holds both
+    rep = count_zeros_j(BivariatePolynomial([[
+        1.9451214671724453 - 0.8122803052222975j,
+        -2.0862286839131476 - 2.0904493280827405j,
+        0.5141526933124381 - 0.26556954139097577j,
+        -1.0904051260868457 + 0.19462635169916115j,
+        -1.6982982593076594 - 0.10067433398788521j]]))
+    assert rep.count == rep.winding == 4
 
 
 def test_count_zeros_j_plain_z():
@@ -373,25 +480,50 @@ def test_count_zeros_j_sizes_eps_without_a_boundary_scan(j_call_sizes):
     assert j_call_sizes and 4 * 512 not in j_call_sizes
 
 
+def dominates(P: BivariatePolynomial, Y: float) -> bool:
+    return _top_line_dominates(P, Y, np.roots(P.leading_y_term()[1][::-1]))
+
+
 def test_top_line_dominance_without_j_dependence():
-    assert _top_line_dominates(poly_x_minus(0.1 + 12j), 2.5, 0.0)
+    assert dominates(poly_x_minus(0.1 + 12j), 2.5)
 
 
 def test_top_line_dominance_rejects_a_top_line_beyond_float_range():
     P = BivariatePolynomial(np.ones((1, 6)))
-    assert _top_line_dominates(P, 21.9, 0.0)
+    assert dominates(P, 21.9)
     with pytest.raises(DominanceError):
-        _top_line_dominates(P, 22.0, 0.0)
+        dominates(P, 22.0)
 
 
 def test_top_line_dominance_fails_over_a_root_of_the_leading_column():
     P = BivariatePolynomial([[-1.0, -(0.4 + 3.0j)], [0.0, 1.0]])
-    assert not _top_line_dominates(P, 2.5, 0.0)
-    assert _top_line_dominates(P, 2.5 + 1.0, 0.0)
-    # just outside the strip at inset 0, inside it at inset 0.15
+    assert not dominates(P, 2.5)
+    assert dominates(P, 2.5 + 1.0)
+    # the strip is |Re z| <= 1/2 + 1e-3: a root just outside it does not
+    # stop the top line, one inside it, right of the right edge, does
     P = BivariatePolynomial([[-1.0, -(0.6 + 3.0j)], [0.0, 1.0]])
-    assert _top_line_dominates(P, 2.5, 0.0)
-    assert not _top_line_dominates(P, 2.5, 0.15)
+    assert dominates(P, 2.5)
+    P = BivariatePolynomial([[-1.0, -(0.5005 + 3.0j)], [0.0, 1.0]])
+    assert not dominates(P, 2.5)
+
+
+def test_count_zeros_j_factors_the_leading_column_once(monkeypatch):
+    # the top line rises in half-steps here, and every step reuses the
+    # roots of the leading column (localization factors other
+    # polynomials, its moment seeds)
+    calls = []
+    roots = np.roots
+
+    def counted(p):
+        calls.append(np.array(p))
+        return roots(p)
+
+    monkeypatch.setattr(np, "roots", counted)
+    P = BivariatePolynomial([[-1.0, -(0.4 + 3.0j)], [0.0, 1.0]])
+    rep = count_zeros_j(P)
+    assert rep.domain["Y"] > 3.0
+    lead = P.leading_y_term()[1][::-1]
+    assert sum(np.array_equal(c, lead) for c in calls) == 1
 
 
 def test_top_line_dominance_implies_sampled_dominance():
@@ -402,7 +534,7 @@ def test_top_line_dominance_implies_sampled_dominance():
     rng = np.random.default_rng(14)
     lines = 0.5 * np.arange(13)
     accepted = rejected = 0
-    for _ in range(30):
+    for _ in range(60):
         P = random_polynomial(rng, int(rng.integers(0, 3)),
                               int(rng.integers(1, 6)))
         root = complex(rng.uniform(-0.7, 0.7), rng.uniform(1.0, 5.0))
@@ -413,13 +545,13 @@ def test_top_line_dominance_implies_sampled_dominance():
         planted[:, -1] = lead * P.coeffs[0, -1]
         for Q in (P, BivariatePolynomial(planted)):
             for Y in (2.5, 3.0, 4.0):
-                for inset in (0.0, 0.01):
-                    if not _top_line_dominates(Q, Y, inset):
-                        rejected += 1
-                        continue
-                    accepted += 1
-                    assert oracles.sampled_top_line_dominates(
-                        Q.coeffs, Y + lines, inset), (Q.coeffs, Y, inset)
+                if not dominates(Q, Y):
+                    rejected += 1
+                    continue
+                accepted += 1
+                assert oracles.sampled_top_line_dominates(
+                    Q.coeffs, Y + lines, domains_module._J_STRIP), \
+                    (Q.coeffs, Y)
     assert accepted > 200 and rejected > 10
 
 
@@ -586,9 +718,8 @@ def test_count_zeros_wp_eps_below_the_dense_minimum():
             P = random_polynomial(rng, deg_x, deg_y)
             rep = count_zeros_j(P)
             assert rep.count == rep.winding
-            z = build_j_contour(JDomainSpec(rep.domain["Y"],
-                                            rep.domain["inset"])
-                                ).sample(4096)
+            z = build_j_contour(JDomainSpec(rep.domain["Y"]),
+                                rep.domain["eta"]).sample(4096)
             assert np.abs(P.evaluate(z, klein_j(z))).min() >= rep.epsilon
 
 
@@ -658,9 +789,10 @@ def test_count_zeros_f_calls(monkeypatch):
 
 
 def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
-    # every attempt fails in the localization: the j count widens the
-    # inset by 1e-3 seven times and the wp count halves delta four
-    # times, and each raises the error of its last attempt
+    # every attempt fails in the localization: the j count lowers the
+    # bottom edge of its box by 1e-3 seven times, on the same contour,
+    # and the wp count halves delta four times, and each raises the
+    # error of its last attempt
     boxes = []
 
     def failing_localize(f, *top, **kwargs):
@@ -670,8 +802,11 @@ def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
     monkeypatch.setattr(domains_module, "localize_zeros", failing_localize)
     with pytest.raises(NonconvergenceError, match="^attempt 8$"):
         count_zeros_j(poly_y_minus(2000j))
-    insets = [top[0][1] - 0.5 for top in boxes]
-    assert insets == pytest.approx([1e-3 * k for k in range(8)], abs=1e-12)
+    corner = build_j_contour(JDomainSpec()).segments[0].start.imag
+    bottoms = [top[0][2] for top in boxes]
+    assert bottoms == pytest.approx([corner - 1e-3 * k for k in range(8)],
+                                    abs=1e-12)
+    assert {top[0][:2] for top in boxes} == {(-0.5 - 1e-6, 0.5 - 1e-6)}
 
     boxes.clear()
     with pytest.raises(NonconvergenceError, match="^attempt 5$"):
@@ -735,9 +870,10 @@ def test_winding_does_not_depend_on_the_callable(lat1):
 
 
 def test_boundary_scan_flags_zeros_on_the_contour(lat1):
-    # j - 1728 vanishes at z = i on the arc, wp - e1 at z = 1/2 on the
-    # bottom edge; both points are boundary samples
-    samples = build_j_contour(JDomainSpec()).sample(512)
+    # j - 1728 vanishes at z = i on the classical arc, wp - e1 at z = 1/2
+    # on the bottom edge; both points are boundary samples
+    samples = classical_j_boundary(2.5).sample(512)
+    assert np.abs(samples - 1j).min() < 1e-15
     _, near_zero = _boundary_scan(poly_y_minus(1728.0), samples,
                                   klein_j(samples))
     assert near_zero.any()
