@@ -38,11 +38,11 @@ from numpy.polynomial import polynomial as npoly
 
 from .contour import (_N_INITIAL, ArcSegment, Contour, LineSegment,
                       WindingResult, localize_zeros, winding_number)
-from .elliptic import lattice, wp_analytic
+from .elliptic import lattice, wp_analytic, wp_on_line
 from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
 from .pfaffian import khovanskii_zero_bound, real_zero_count
-from .poly import (BivariatePolynomial, PerturbedComposite, eval_composed,
+from .poly import (BivariatePolynomial, PerturbedComposite,
                    perturb_from_values)
 from .qseries import standard_series
 from .special import klein_j, klein_j_pair
@@ -599,22 +599,21 @@ def line_im_zero_count(P: BivariatePolynomial, tau: float,
 
     horizontal: z(t) = t,     t in (_LINE_OFFSET, 1 - _LINE_OFFSET)
     vertical:   z(t) = i * t, t in (_LINE_OFFSET, tau - _LINE_OFFSET)
+
+    wp is real on both lines and is taken real (elliptic.wp_on_line), so
+    a component that is identically zero there, such as Im P for real P
+    on the horizontal line, vanishes exactly and raises AmbiguityError.
     """
     if line not in ("horizontal", "vertical"):
         raise InvalidSpecError("line must be horizontal or vertical")
     if component not in ("Re", "Im"):
         raise InvalidSpecError("component must be Re or Im")
     L = lattice(tau)
-    inner = wp_analytic(L)
     take = np.real if component == "Re" else np.imag
+    direction = 1.0 if line == "horizontal" else 1j   # z(t) = direction t
 
-    if line == "horizontal":
-        def f(t):
-            return take(eval_composed(P, inner,
-                                      np.asarray(t, dtype=complex)))
-        interval = (_LINE_OFFSET, 1.0 - _LINE_OFFSET)
-    else:
-        def f(t):
-            return take(eval_composed(P, inner, 1j * np.asarray(t)))
-        interval = (_LINE_OFFSET, tau - _LINE_OFFSET)
-    return real_zero_count(f, interval)
+    def f(t):
+        return take(P.evaluate(direction * t, wp_on_line(t, L, line)))
+
+    end = 1.0 if line == "horizontal" else tau
+    return real_zero_count(f, (_LINE_OFFSET, end - _LINE_OFFSET))

@@ -12,6 +12,20 @@ is used instead, p(z; tau) = -tau^-2 p(-iz/tau; 1/tau), so |q| <= e^{-2 pi}
 always.  The term count is fixed per lattice from a geometric tail bound,
 and 1 - u is taken as -expm1(2 pi i z), so nothing cancels next to the
 pole.  g2 and g3 are the Eisenstein series Q and R on the same nome.
+
+On the lattice lines through 0, p is real, and wp_on_line sums the same
+rows in real arithmetic, values only.  On the real axis, u = e^{2 pi i x}
+gives u/(1-u)^2 = -1/(4 sin^2 pi x), and row m pairs into one real term:
+with a = q^m and c = cos 2 pi x,
+
+    q^m u/(1-q^m u)^2 + q^m u^-1/(1-q^m u^-1)^2
+        = 2a (c (1+a^2) - 2a) / (1 - 2ac + a^2)^2.
+
+On the imaginary axis, z = iy, u = e^{-2 pi y} is real, and so is every
+row.  For tau < 1 the swap w = -iz/tau maps each line to the other one:
+the real axis of <1, i tau> to the imaginary axis of <1, i/tau>, and its
+imaginary axis to the real one.  The point is reduced by its own line's
+period (1 or tau) before the swap, as in wp_pair.
 """
 from __future__ import annotations
 
@@ -21,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, PoleProximityError
+from .errors import DomainError, InvalidSpecError, PoleProximityError
 from .qseries import UNIT_ROUNDOFF, standard_series
 
 TAU_RANGE = (0.1, 10.0)
@@ -155,6 +169,58 @@ def wp_pair(z, L: LatticeParams):
     if scalar:
         return complex(p[0]), complex(dp[0])
     return p, dp
+
+
+def _real_axis_bracket(x, qm, const):
+    """The bracket of p at real reduced x: -1/(4 sin^2 pi x), the paired
+    rows 2a (c (1+a^2) - 2a) / (1 - 2ac + a^2)^2 and const."""
+    s2 = np.sin(math.pi * x) ** 2
+    c = 1.0 - 2.0 * s2                          # cos 2 pi x
+    a2, b = 2.0 * qm, 1.0 + qm * qm
+    den = b - a2 * c
+    rows = a2 * (b * c - a2) / (den * den)
+    return rows.sum(axis=0) + const - 0.25 / s2
+
+
+def _imaginary_axis_bracket(y, qm, const):
+    """The bracket of p at z = iy, y real and reduced: u = e^{-2 pi y}."""
+    em1 = np.expm1(-TWO_PI * y)                 # u - 1
+    u = em1 + 1.0
+    v = np.concatenate([qm * u, qm / u])
+    iv = 1.0 / (1.0 - v)
+    return (v * iv * iv).sum(axis=0) + const + u / (em1 * em1)
+
+
+def wp_on_line(t, L: LatticeParams, line: str):
+    """p(t) on the horizontal line or p(it) on the vertical line, for real
+    t, as a float array (float for scalar t); values only, in real
+    arithmetic.  t must stay _POLE_TOL off the lattice."""
+    if line not in ("horizontal", "vertical"):
+        raise InvalidSpecError("line must be horizontal or vertical")
+    ts = np.asarray(t, dtype=float)
+    horizontal = line == "horizontal"
+    period = 1.0 if horizontal else L.tau
+    r = np.atleast_1d(ts - period * np.round(ts / period)).ravel()
+    dist = np.abs(r)
+    if np.any(dist < _POLE_TOL):
+        raise PoleProximityError("z too close to a lattice point",
+                                 float(dist.min()))
+    if L.tau < 1.0:
+        # p(z; tau) = -tau^-2 p(-iz/tau; 1/tau); p is even, so the real
+        # axis maps to i r/tau and the imaginary axis to r/tau
+        r, horizontal = r / L.tau, not horizontal
+        scale = 4.0 * math.pi**2 / L.tau**2
+    else:
+        scale = -4.0 * math.pi**2                   # (2 pi i)^2
+    bracket = _real_axis_bracket if horizontal else _imaginary_axis_bracket
+    out = np.empty(r.size)
+    step = 2 * _BLOCK      # real rows: the bytes of a complex _BLOCK
+    for i in range(0, r.size, step):
+        out[i:i + step] = bracket(r[i:i + step], *L._rows)
+    out *= scale
+    if ts.ndim == 0:
+        return float(out[0])
+    return out.reshape(ts.shape)
 
 
 def wp_analytic(L: LatticeParams):

@@ -299,11 +299,9 @@ def _local_scale(mods: np.ndarray, window: int = 64) -> np.ndarray:
     pad = np.full(nb * window, 0.0)
     pad[:n] = mods
     blocks = pad.reshape(nb, window).max(axis=1)
-    wide = np.maximum(blocks,
-                      np.maximum(np.roll(blocks, 1), np.roll(blocks, -1)))
-    if nb > 1:
-        wide[0] = max(blocks[0], blocks[1])
-        wide[-1] = max(blocks[-1], blocks[-2])
+    wide = blocks.copy()          # each block and its two neighbours
+    np.maximum(wide[1:], blocks[:-1], out=wide[1:])
+    np.maximum(wide[:-1], blocks[1:], out=wide[:-1])
     return np.repeat(wide, window)[:n]
 
 

@@ -6,9 +6,9 @@ Eisenstein combination, the j series is divided against that product,
 divisor sums are computed by trial division instead of a sieve, and the
 elliptic function comes from trigonometric row sums instead of Laurent
 series plus duplication.  Agreement between the two routes is the whole
-point of the comparisons.  The exceptions are the 2F1 loops below,
-kept as the library once ran them: the library must still return
-exactly what they return.
+point of the comparisons.  The exceptions are the 2F1 loops and the
+rolled local scale below, kept as the library once ran them: the
+library must still return exactly what they return.
 """
 from __future__ import annotations
 
@@ -306,6 +306,25 @@ def sextic_connection_term_loop(c: float, x: np.ndarray):
         k += 1.0 / (n + 1) + 1.0 / (n + ga) - 1.0 / (n + al) - 1.0 / (n + be)
         n += 1
         acc = acc + u * (k - lnx)
+
+
+# ---------------------------------------------------------------------------
+# real_zero_count's local scale, with np.roll
+
+
+def local_scale_roll(mods: np.ndarray, window: int = 64) -> np.ndarray:
+    """Blockwise running maximum of |f|, coarse but cheap."""
+    n = mods.size
+    nb = max(1, (n + window - 1) // window)
+    pad = np.full(nb * window, 0.0)
+    pad[:n] = mods
+    blocks = pad.reshape(nb, window).max(axis=1)
+    wide = np.maximum(blocks,
+                      np.maximum(np.roll(blocks, 1), np.roll(blocks, -1)))
+    if nb > 1:
+        wide[0] = max(blocks[0], blocks[1])
+        wide[-1] = max(blocks[-1], blocks[-2])
+    return np.repeat(wide, window)[:n]
 
 
 # ---------------------------------------------------------------------------

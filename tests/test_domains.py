@@ -10,6 +10,7 @@ import pytest
 
 import mzl.contour as contour_module
 import mzl.domains as domains_module
+import mzl.elliptic as elliptic_module
 import oracles
 from mzl.contour import ArcSegment, Contour, LineSegment, winding_number
 from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
@@ -927,6 +928,31 @@ def test_line_count_constant_polynomial():
                               component="Im") == 0
     with pytest.raises(AmbiguityError):
         line_im_zero_count(BivariatePolynomial([[1j]]), 1.0, component="Re")
+
+
+@pytest.mark.parametrize("tau, line", [(1.0, "horizontal"),
+                                       (0.3, "vertical"),
+                                       (0.3, "horizontal"),
+                                       (1.0, "vertical")])
+def test_line_count_identically_zero_component_is_ambiguous(tau, line):
+    # wp is real on both lines, so Im of a real P(wp) vanishes exactly
+    # there; it must not count the rounding noise of a complex wp
+    with pytest.raises(AmbiguityError):
+        line_im_zero_count(poly_y_minus(5.0), tau, line=line,
+                           component="Im")
+
+
+def test_line_count_makes_no_wp_pair_call(monkeypatch):
+    def no_pair(*args):
+        raise AssertionError("wp_pair called")
+
+    monkeypatch.setattr(elliptic_module, "wp_pair", no_pair)
+    for tau in (0.3, 1.0):
+        e1, _, e3 = lattice(tau).half_period_values
+        assert line_im_zero_count(poly_y_minus(e1 + 5.0), tau,
+                                  component="Re") == 2
+        assert line_im_zero_count(poly_y_minus(e3 - 5.0), tau,
+                                  line="vertical", component="Re") == 2
 
 
 def test_line_count_validation():

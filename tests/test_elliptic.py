@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
+from mzl.domains import _LINE_OFFSET
 from mzl.elliptic import (_tail_bound, lattice, reduce_to_cell,
-                          wp_invariants, wp_pair)
-from mzl.errors import DomainError, PoleProximityError
+                          wp_invariants, wp_on_line, wp_pair)
+from mzl.errors import DomainError, InvalidSpecError, PoleProximityError
 from mzl.qseries import UNIT_ROUNDOFF
 
 
@@ -267,3 +268,45 @@ def test_wp_prime_matches_theta_oracle_in_a_tall_cell():
     ref = _theta_oracle(z, 8.0, derivative=True)
     assert np.all(np.abs(dp - ref) <= 1e-12 * (np.abs(ref)
                                                + abs(L.g2) ** 0.75))
+
+
+# ---------------------------------------------------------------------------
+# real p on the lattice lines
+
+
+def _line_samples(end):
+    """The first and last 6 points and 6 middle points of the 4096-point
+    grid that line_im_zero_count starts from on (0, end)."""
+    t = np.linspace(_LINE_OFFSET, end - _LINE_OFFSET, 4096)
+    return np.concatenate([t[:6], t[2045:2051], t[-6:]])
+
+
+@pytest.mark.parametrize("line", ["horizontal", "vertical"])
+@pytest.mark.parametrize("tau", [0.3, 1.0, 1.5, 8.0])
+def test_wp_on_line_matches_theta_oracle(tau, line):
+    # 2e-15 fails a tau < 1 point reduced after the swap instead of
+    # before it, which loses digits next to the far pole
+    L = lattice(tau)
+    end, direction = (1.0, 1.0) if line == "horizontal" else (tau, 1j)
+    t = _line_samples(end)
+    p = wp_on_line(t, L, line)
+    ref = _theta_oracle(direction * t + 0j, tau)
+    assert p.dtype == np.float64 and p.shape == t.shape
+    assert np.all(np.abs(p - ref) <= 2e-15 * (np.abs(ref)
+                                              + np.sqrt(abs(L.g2))))
+    assert isinstance(wp_on_line(float(t[7]), L, line), float)
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 1.5])
+def test_wp_on_line_pole_guard(tau):
+    L = lattice(tau)
+    for t, line in ((0.0, "horizontal"), (1.0, "horizontal"),
+                    (0.0, "vertical"), (tau, "vertical")):
+        for off in (0.0, 5e-9):
+            with pytest.raises(PoleProximityError) as exc:
+                wp_on_line(np.array([0.25, t + off]), L, line)
+            assert exc.value.distance < 1e-8
+        # wp_pair's guard distance
+        assert np.isfinite(wp_on_line(t + 2e-8, L, line))
+    with pytest.raises(InvalidSpecError):
+        wp_on_line(0.5, L, "diagonal")

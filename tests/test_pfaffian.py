@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mzl.pfaffian as pfaffian_module
+import oracles
 from mzl.errors import (AmbiguityError, DomainError, InvalidSpecError,
                         MzlError)
 from mzl.pfaffian import (MultiPoly, PfaffianChain, PfaffianFunction,
@@ -299,6 +300,17 @@ def test_zero_count_plateau_is_ambiguous():
 def test_zero_count_tangential_touch():
     f = lambda x: (np.asarray(x) - 0.49737) ** 2
     assert real_zero_count(f, (0.0, 1.0)) == 0
+
+
+@pytest.mark.parametrize("n", [1, 40, 64, 65, 128, 129, 1000, 4096])
+def test_local_scale_equals_the_rolled_version(rng, n):
+    # 1, 2 and many blocks of 64; slices instead of np.roll, same bits
+    for _ in range(5):
+        mods = np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-8, 8, n)
+        got = pfaffian_module._local_scale(mods)
+        want = oracles.local_scale_roll(mods)
+        assert got.shape == want.shape == (n,)
+        assert np.all(got == want)
 
 
 def test_pfaffian_eval_is_outer_on_one_member_pass():
