@@ -17,7 +17,7 @@ from .domains import (JDomainSpec, WpDomainSpec, bezout_step_bound,
                       build_j_contour, build_wp_contour, count_zeros_j,
                       count_zeros_wp, proposition_bound, theorem1_bound,
                       theorem2_bound, theorem2_proof_bound)
-from .elliptic import lattice, wp_analytic, wp_pair
+from .elliptic import lattice, wp_analytic, wp_error_bound, wp_pair
 from .errors import MzlError
 from .pfaffian import (build_hypergeometric_chain, build_ratio_chain,
                        chain_residual, khovanskii_zero_bound)
@@ -94,12 +94,16 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         for s in args.inputs:
             v = complex(j_inverse(_parse_real(s)))
             rows.append((s, v, ""))
-    elif args.function in ("wp", "wpprime"):
+    elif args.function == "wp":
         L = lattice(args.tau)
         for s in args.inputs:
             z = _parse_complex(s)
             p, dp = wp_pair(z, L)
-            rows.append((s, p if args.function == "wp" else dp, ""))
+            rows.append((s, p, wp_error_bound(z, p, dp, L)))
+    elif args.function == "wpprime":
+        L = lattice(args.tau)
+        for s in args.inputs:
+            rows.append((s, wp_pair(_parse_complex(s), L)[1], ""))
     elif args.function == "2f1":
         for s in args.inputs:
             z = _parse_complex(s)

@@ -2,29 +2,32 @@
 
 count_zeros_j counts zeros of P(z, j(z)) in the half-open fundamental
 domain of the modular group truncated at height Y; count_zeros_wp counts
-zeros of P(z, wp(z)) in a period cell of the lattice spanned by 1 and
-i*tau, with notches excising the lattice poles on its boundary.  Each
-keeps its own geometry and retry moves, and runs every attempt the same
-way.  It first winds the unperturbed composite P(z, f(z)) over the
-boundary (_unperturbed_winding).  _attempt then offsets the composite by
-eps e^{i theta}, with eps half the minimum |P(z, f(z))| over that
-pass's adaptive samples, localizes the zeros of the offset composite
-and checks that their multiplicities sum to the unperturbed winding, so
-a zero the offset would push across the boundary is caught.  The
-samples keep |P + eps e^{i theta}| >= eps, and by Rouche the offset
-changes no count while |P| > eps on the contour; the pass's step rule
-refines wherever a zero hugs the contour, so |P| between its samples
-stays above eps.
+zeros of P(z, wp(z)) in the half-open period cell [beta, beta + 1) x
+[0, tau) of the lattice spanned by 1 and i*tau, with notches excising the
+lattice poles on its boundary.  Both follow Serre (A Course in
+Arithmetic, VII.1.2): each winds a contour eta off the classical
+boundary, outside it along the pieces that are in and inside it along
+the pieces that are out, so a zero on the classical boundary lies inside
+the contour exactly if the domain has it.
 
-Both pipelines judge "numerically zero on the boundary" by one rule
-(_boundary_scan): |P(z, f(z))| below _BOUNDARY_FLOOR times the Horner
-running-error scale of the sum (_horner_scale).  A pass that meets such
-a sample raises ZeroOnContourError.  count_zeros_j then moves its
-contour further off the classical boundary, which it never touches;
-count_zeros_wp falls back to a fixed scan of _BOUNDARY_SAMPLES points
-per segment: eps from the scan samples that are not numerically zero,
-whose offset moves that boundary zero off the contour, and the winding
-of the offset composite.
+Every attempt first winds the unperturbed composite P(z, f(z)) over the
+contour (_unperturbed_winding).  _attempt then offsets the composite by
+eps e^{i theta}, with eps half the minimum |P(z, f(z))| over that pass's
+adaptive samples, localizes the zeros of the offset composite and checks
+that their multiplicities sum to the unperturbed winding, so a zero the
+offset would push across the contour is caught.  The samples keep
+|P + eps e^{i theta}| >= eps, and by Rouche the offset changes no count
+while |P| > eps on the contour; the pass's step rule refines wherever a
+zero hugs the contour, so |P| between its samples stays above eps.
+
+One rule says when a sample is numerically zero (_zero_floor): |P(z, w)|
+is at most a bound on its own error, the Horner running error
+gamma sum |c_ij| |z|^i |w|^j (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., 5.1) plus |P_Y(z, w)| times a bound on
+the error of w = f(z) (special.klein_j_error_bound,
+elliptic.wp_error_bound).  The unperturbed winding raises
+ZeroOnContourError at the first such sample, and both counts then take a
+larger eta; the domain stays as it is.
 """
 from __future__ import annotations
 
@@ -36,16 +39,17 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .contour import (_N_INITIAL, ArcSegment, Contour, LineSegment,
-                      WindingResult, localize_zeros, winding_number)
-from .elliptic import lattice, wp_analytic, wp_on_line
+from .contour import (ArcSegment, Contour, LineSegment, WindingResult,
+                      localize_zeros, winding_number)
+from .elliptic import lattice, wp_analytic, wp_error_bound, wp_on_line
 from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
 from .pfaffian import khovanskii_zero_bound, real_zero_count
-from .poly import (BivariatePolynomial, PerturbedComposite,
-                   perturb_from_values)
-from .qseries import standard_series
-from .special import klein_j, klein_j_pair
+from .poly import BivariatePolynomial, perturb_from_values
+from .qseries import UNIT_ROUNDOFF, standard_series
+# klein_j is not called here; bench/test_bench.py reads it from this
+# module to check that the tracer restored it
+from .special import klein_j, klein_j_error_bound, klein_j_pair  # noqa: F401
 
 
 # ----------------------------------------------------------------- bounds
@@ -163,8 +167,8 @@ def build_j_contour(spec: JDomainSpec, eta: float = _J_ETAS[0]) -> Contour:
 
 @dataclass(frozen=True)
 class WpDomainSpec:
-    """Period cell [beta, beta+1] x [0, tau] with quarter-circle notches
-    of radius delta around the lattice points on its boundary."""
+    """Half-open period cell [beta, beta+1) x [0, tau), with the lattice
+    points on its boundary excised by notches of radius delta."""
 
     tau: float
     beta: float = 0.0
@@ -182,18 +186,32 @@ class WpDomainSpec:
         return WpDomainSpec(self.tau, self.beta, delta)
 
 
-def _wp_cell(spec: WpDomainSpec):
-    """(contour, tiles, poles) of the cell: its counterclockwise boundary
-    with notches, five tiles partitioning the cell minus squares of side
-    delta around the boundary poles (shared cuts, no overlap), and those
-    poles.  With integer beta they are the four corners, each with a
-    quarter-circle notch; otherwise one lies inside the bottom edge and
-    one inside the top edge, each with a semicircular notch."""
+# the wp contour's distances eta from the classical cell boundary, in turn
+_WP_ETAS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+# the smallest notch radius per unit of eta: the notch centres move by
+# eta sqrt 2 off the poles, which stay well inside
+_NOTCH_PER_ETA = 4.0
+
+
+def _wp_cell(spec: WpDomainSpec, eta: float):
+    """(contour, tiles, poles) of the cell translated by -eta (1 + i): its
+    counterclockwise boundary with notches, five tiles partitioning the
+    cell minus squares of side delta around the notch centres (shared
+    cuts, no overlap), and those centres.  The bottom and left edges,
+    which are in, move out by eta, and the top and right edges, which are
+    out, move in, so a zero on the classical boundary lies inside the
+    contour exactly if the half-open cell has it.  With integer beta the
+    poles are the four corners, each with a quarter-circle notch;
+    otherwise one lies inside the bottom edge and one inside the top
+    edge, each with a semicircular notch."""
     b, t, d = spec.beta, spec.tau, spec.delta
-    c0, c1 = complex(b, 0.0), complex(b + 1.0, 0.0)
-    c2, c3 = complex(b + 1.0, t), complex(b, t)
+    if d < _NOTCH_PER_ETA * eta:
+        raise InvalidSpecError("delta must be at least 4 eta")
+    x0, x1, y0, y1 = b - eta, b + 1.0 - eta, -eta, t - eta
+    c0, c1 = complex(x0, y0), complex(x1, y0)
+    c2, c3 = complex(x1, y1), complex(x0, y1)
     if b == math.floor(b):
-        a0, a1 = b + d, b + 1.0 - d
+        a0, a1 = x0 + d, x1 - d
         contour = Contour([
             LineSegment(c0 + d, c1 - d),
             ArcSegment(c1, d, math.pi, math.pi / 2),
@@ -205,11 +223,11 @@ def _wp_cell(spec: WpDomainSpec):
             ArcSegment(c0, d, math.pi / 2, 0.0),
         ])
         tiles = [
-            (a0, a1, 0.0, d),          # bottom strip
-            (a0, a1, t - d, t),        # top strip
-            (b, a0, d, t - d),         # left strip
-            (a1, b + 1.0, d, t - d),   # right strip
-            (a0, a1, d, t - d),        # center
+            (a0, a1, y0, y0 + d),          # bottom strip
+            (a0, a1, y1 - d, y1),          # top strip
+            (x0, a0, y0 + d, y1 - d),      # left strip
+            (a1, x1, y0 + d, y1 - d),      # right strip
+            (a0, a1, y0 + d, y1 - d),      # center
         ]
         return contour, tiles, [c0, c1, c3, c2]
     k = math.ceil(b)
@@ -217,29 +235,31 @@ def _wp_cell(spec: WpDomainSpec):
         raise InvalidSpecError(
             "interior lattice point too close to a cell corner; "
             "shrink delta or shift beta")
+    k -= eta
     contour = Contour([
-        LineSegment(c0, k - d),
-        ArcSegment(complex(k, 0.0), d, math.pi, 0.0),
-        LineSegment(k + d, c1),
+        LineSegment(c0, complex(k - d, y0)),
+        ArcSegment(complex(k, y0), d, math.pi, 0.0),
+        LineSegment(complex(k + d, y0), c1),
         LineSegment(c1, c2),
-        LineSegment(c2, complex(k + d, t)),
-        ArcSegment(complex(k, t), d, 0.0, -math.pi),
-        LineSegment(complex(k - d, t), c3),
+        LineSegment(c2, complex(k + d, y1)),
+        ArcSegment(complex(k, y1), d, 0.0, -math.pi),
+        LineSegment(complex(k - d, y1), c3),
         LineSegment(c3, c0),
     ])
     tiles = [
-        (b, k - d, 0.0, d),          # bottom edge, left of the pole
-        (k + d, b + 1.0, 0.0, d),    # bottom edge, right of the pole
-        (b, k - d, t - d, t),        # top edge, left of the pole
-        (k + d, b + 1.0, t - d, t),  # top edge, right of the pole
-        (b, b + 1.0, d, t - d),      # middle band
+        (x0, k - d, y0, y0 + d),       # bottom edge, left of the pole
+        (k + d, x1, y0, y0 + d),       # bottom edge, right of the pole
+        (x0, k - d, y1 - d, y1),       # top edge, left of the pole
+        (k + d, x1, y1 - d, y1),       # top edge, right of the pole
+        (x0, x1, y0 + d, y1 - d),      # middle band
     ]
-    return contour, tiles, [complex(k, 0.0), complex(k, t)]
+    return contour, tiles, [complex(k, y0), complex(k, y1)]
 
 
-def build_wp_contour(spec: WpDomainSpec) -> Contour:
-    """Counterclockwise cell boundary with pole notches (see _wp_cell)."""
-    return _wp_cell(spec)[0]
+def build_wp_contour(spec: WpDomainSpec, eta: float = _WP_ETAS[0]) -> Contour:
+    """Counterclockwise boundary of the half-open cell, eta off the
+    classical one, with pole notches (see _wp_cell)."""
+    return _wp_cell(spec, eta)[0]
 
 
 # ------------------------------------------------ count attempt and report
@@ -290,100 +310,123 @@ class ZeroCountReport:
         }
 
 
-_BOUNDARY_FLOOR = 1e-9
-# points per contour segment of the fixed scan that sizes eps when the
-# unperturbed winding of a wp count meets a numerically zero sample
-_BOUNDARY_SAMPLES = 512
 # half-width at which localize_zeros stops splitting a box
 _J_TARGET_RADIUS = 1e-4
 _WP_TARGET_RADIUS = 1e-3
+# the smallest half-width to which _attempt refines a box report that
+# meets the contour
+_MIN_TARGET_RADIUS = 1e-11
 
 
-def _horner_scale(P: BivariatePolynomial, z, w) -> np.ndarray:
-    """sum |c_ij| |z|^i |w|^j, the running-error scale of the Horner sum
-    P(z, w) (see _boundary_scan)."""
-    return BivariatePolynomial(np.abs(P.coeffs)).evaluate(
-        np.abs(z), np.abs(w)).real
+def _zero_floor(P: BivariatePolynomial, z, w, py, w_error) -> np.ndarray:
+    """The bound on the error of the computed P(z, w), at the samples z
+    with w = f(z) their inner values, P_Y(z, w) = py and |w - f(z)| <=
+    w_error.  A sample is numerically zero when |P(z, w)| is at most this
+    floor: then it says nothing about the sign or phase of P(z, f(z)).
 
-
-def _boundary_scan(P: BivariatePolynomial, z: np.ndarray, w: np.ndarray):
-    """P(z, w) at the samples z, with w = f(z) their inner values, and
-    the mask of the samples where it is numerically zero.
-
-    A value is numerically zero when it falls below _BOUNDARY_FLOOR times
-    sum |c_ij| |z|^i |f(z)|^j, the running-error scale of the Horner sum
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    5.1): the rounding error of the sum, and the error of f(z) carried
-    through it, are small multiples of that scale.  It follows the terms
-    themselves, so the growth of |j| towards the top line and of |wp|
-    into the notches never makes a healthy value look small.
+    The Horner sum with nested steps v w + c, a complex product and a sum
+    each, loses at most 4 units of rounding per step on every term, and a
+    term of P passes through at most deg_x + deg_y steps (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 5.1); two more steps
+    cover the second-order terms.  The error of w adds |P_Y| w_error to
+    first order.  Both follow the terms themselves, so the growth of |j|
+    towards the top line and of |wp| into the notches never makes a
+    healthy value look small.
     """
-    vals = P.evaluate(z, w)
-    return vals, np.abs(vals) < _BOUNDARY_FLOOR * _horner_scale(P, z, w)
+    gamma = 4.0 * (P.deg_x + P.deg_y + 2) * UNIT_ROUNDOFF
+    k = np.arange(max(P.deg_x, P.deg_y) + 1)[:, None]
+    scale = ((np.abs(z) ** k[:P.deg_x + 1])
+             * (np.abs(P.coeffs) @ np.abs(w) ** k[:P.deg_y + 1])).sum(axis=0)
+    return gamma * scale + np.abs(py) * w_error
 
 
-def _unperturbed_winding(P: BivariatePolynomial, inner, values,
+def _unperturbed_winding(P: BivariatePolynomial, inner, w_error,
                          contour: Contour):
     """(vals, w) for _attempt from one winding pass of the unperturbed
     P(z, f(z)) over the contour, with inner the pair callable of f and
-    values its values-only form: the composite's values at the pass's
-    adaptive samples and the pass's WindingResult.
+    w_error(z, w, dw) a bound on the error of its values: the composite's
+    values at the pass's adaptive samples and the pass's WindingResult.
 
-    The pass's zero floor is _BOUNDARY_FLOOR times the smallest Horner
-    scale on its starting grid (f from values), so it stops only where
-    the rule of _boundary_scan would call the value numerically zero; the
-    relative rule of the contour layer alone misfires on edges where |P|
-    spans many decades.  Every sample the pass took is then flagged by
-    that rule, at the inner values its own f calls computed, which also
-    give vals.  A stopped pass or a flagged sample raises
-    ZeroOnContourError.
+    The pass calls inner once per sample, and every sample is checked by
+    _zero_floor as the pass takes it; the first round that meets a
+    numerically zero one raises ZeroOnContourError.  The contour layer's
+    own zero test, relative to the largest |f| on a segment, misfires on
+    edges where |P| spans many decades, so the pass gives it the smallest
+    positive float as its floor: every value it sees lies above the rule's
+    floor already.
     """
-    # the pass's own starting grid
-    grid = contour.sample(_N_INITIAL - 1)
-    atol = _BOUNDARY_FLOOR * float(_horner_scale(P, grid, values(grid)).min())
     seen = []
 
-    def recorded(z):
+    def composite(z):
         w, dw = inner(z)
-        seen.append((z, w))
-        return w, dw
+        v, px, py = P.evaluate_partials(z, w)
+        mods = np.abs(v)
+        excess = mods - _zero_floor(P, z, w, py, w_error(z, w, dw))
+        if (excess <= 0.0).any():
+            i = int(np.argmin(excess))
+            raise ZeroOnContourError(
+                "composite numerically zero on the boundary",
+                complex(z[i]), float(mods[i]))
+        seen.append(v)
+        return v, px + py * dw
 
-    w = winding_number(PerturbedComposite(P, recorded, 0.0, 0.0).pair,
-                       contour, zero_atol=atol)
-    # the pass evaluated f exactly at its samples, each once
-    z, fz = map(np.concatenate, zip(*seen))
-    vals, near_zero = _boundary_scan(P, z, fz)
-    if near_zero.any():
-        i = int(np.argmax(near_zero))
-        raise ZeroOnContourError("composite numerically zero on the boundary",
-                                 complex(z[i]), float(abs(vals[i])))
-    return vals, w
+    w = winding_number(composite, contour, zero_atol=math.ulp(0.0))
+    return np.concatenate(seen), w
+
+
+def _distance(contour: Contour, z: complex) -> float:
+    """The distance from z to the contour."""
+    out = math.inf
+    for s in contour.segments:
+        if isinstance(s, LineSegment):
+            d = s.z1 - s.z0
+            t = min(max(((z - s.z0) * d.conjugate()).real / abs(d) ** 2,
+                        0.0), 1.0)
+            out = min(out, abs(z - s.z0 - t * d))
+            continue
+        a = cmath.phase(z - s.center)
+        lo, hi = sorted((s.ang0, s.ang1))
+        if any(lo <= a + k * 2.0 * math.pi <= hi for k in (-1, 0, 1)):
+            out = min(out, abs(abs(z - s.center) - s.radius))
+        else:
+            out = min(out, abs(z - s.start), abs(z - s.end))
+    return out
 
 
 def _attempt(P: BivariatePolynomial, inner, vals: np.ndarray,
-             contour: Contour, boxes, target_radius: float, keep,
-             w: WindingResult | None = None):
+             w: WindingResult, boxes, target_radius: float,
+             keep=None, contour: Contour | None = None):
     """One count attempt of either pipeline: offset P(z, f(z)) with eps
     sized from vals, localize its zeros in the boxes (zero_atol 0.1 eps)
-    and keep those whose centers pass keep.  w is the winding to match:
-    the caller's winding of the unperturbed composite over the contour,
-    or, when None (the fixed-scan fallback of count_zeros_wp), the
-    winding of the offset composite there (zero_atol 0.1 eps as well).
-    Returns (offset composite, winding, kept zeros); raises
-    NonconvergenceError unless their multiplicities sum to the winding,
-    as when a zero near the boundary straddles keep."""
+    and, when keep is given, keep those whose centers pass it.  A box
+    report (not a Newton root, whose center is the zero to rounding)
+    whose disk meets the contour could hold zeros on either side, so
+    before any is kept the whole localization runs again at a sixteenth
+    of the target radius until none does.  That ends: on the contour the
+    offset composite has modulus at least eps, so its zeros lie about
+    eps / |f'| off it.  Returns (offset composite, kept zeros); raises
+    NonconvergenceError unless their multiplicities sum to w, the winding
+    of the unperturbed composite over the contour."""
     pert = perturb_from_values(P, inner, vals)
     atol = 0.1 * pert.epsilon
-    if w is None:
-        w = winding_number(pert.pair, contour, zero_atol=atol)
-    zeros = localize_zeros(pert.pair, *boxes, target_radius=target_radius,
-                           zero_atol=atol)
-    kept = [z for z in zeros if keep(z.center)]
+    target = target_radius
+    while True:
+        zeros = localize_zeros(pert.pair, *boxes, target_radius=target,
+                               zero_atol=atol)
+        if keep is None or not any(
+                (z.multiplicity > 1 or z.radius != target)
+                and _distance(contour, z.center) < z.radius for z in zeros):
+            break
+        target /= 16.0
+        if target < _MIN_TARGET_RADIUS:
+            raise NonconvergenceError(
+                "a localized box stays across the contour")
+    kept = zeros if keep is None else [z for z in zeros if keep(z.center)]
     count = sum(z.multiplicity for z in kept)
     if count != w.winding:
         raise NonconvergenceError(
             f"{count} localized zeros against winding {w.winding}")
-    return pert, w, kept
+    return pert, kept
 
 
 def _report(kind, P, bound_fn, pert, w, zeros, domain, contour,
@@ -479,7 +522,8 @@ def count_zeros_j(P: BivariatePolynomial,
     can lie above it (_min_y_for_polynomial_roots, _top_line_dominates).
 
     The zeros are localized in one box around build_j_contour's contour
-    and kept by _in_j_region.  Neither retry move changes which zeros
+    and kept by _in_j_region, once no box report meets the contour
+    (_attempt refines those).  Neither retry move changes which zeros
     count: a failed unperturbed winding, as at a multiple zero on the
     classical boundary eta away, takes the next eta of _J_ETAS (after
     the last, its error is raised), and any other failure lowers the
@@ -498,11 +542,15 @@ def count_zeros_j(P: BivariatePolynomial,
                                  complex(0.0, Y), math.nan)
     k, drop = 0, 0.0
     last_error: Exception | None = None
+
+    def j_error(z, w, dw):
+        return klein_j_error_bound(z, w)
+
     for retries in range(8):
         eta = _J_ETAS[k]
         contour = build_j_contour(JDomainSpec(Y), eta)
         try:
-            vals, w = _unperturbed_winding(P, klein_j_pair, klein_j, contour)
+            vals, w = _unperturbed_winding(P, klein_j_pair, j_error, contour)
         except (ZeroOnContourError, NonconvergenceError) as exc:
             if k + 1 == len(_J_ETAS):
                 raise
@@ -513,9 +561,9 @@ def count_zeros_j(P: BivariatePolynomial,
         y0 = contour.segments[0].start.imag - drop
         box = (-0.5 - eta, 0.5 - eta, y0, Y)
         try:
-            pert, w, zeros = _attempt(
-                P, klein_j_pair, vals, contour, [box], _J_TARGET_RADIUS,
-                lambda c: _in_j_region(c, Y, eta), w)
+            pert, zeros = _attempt(
+                P, klein_j_pair, vals, w, [box], _J_TARGET_RADIUS,
+                lambda c: _in_j_region(c, Y, eta), contour)
         except (ZeroOnContourError, NonconvergenceError) as exc:
             last_error, drop = exc, drop + 1e-3
             continue
@@ -528,51 +576,57 @@ def count_zeros_j(P: BivariatePolynomial,
 
 def count_zeros_wp(P: BivariatePolynomial,
                    spec: WpDomainSpec) -> ZeroCountReport:
-    """Count zeros of P(z, wp(z)) in one period cell of <1, i tau>.
+    """Count zeros of P(z, wp(z)), each with its multiplicity, in the
+    half-open period cell of WpDomainSpec.
 
-    Each attempt first winds the unperturbed composite over the notched
-    cell boundary (_unperturbed_winding).  Its adaptive samples size eps
-    and theta, and the multiplicities of the offset composite localized
-    in the five tiles of _wp_cell, the top boxes of one localize_zeros
-    quadtree, must sum to its winding.  The report's winding,
-    min_modulus and total_variation then describe the unperturbed
-    composite.  When that pass meets a numerically zero sample, e.g. at
-    a half-period on an edge, the attempt falls back to the fixed scan
-    of _BOUNDARY_SAMPLES points per segment: eps comes from the scan
-    samples that are not numerically zero, the offset moves that zero
-    off the contour, and the offset composite is wound instead, so those
-    report fields describe it; an offset that nearly cancels the zero
-    there raises ZeroOnContourError in the winding.
+    Each attempt winds the unperturbed composite over the contour of
+    _wp_cell, eta off the classical boundary (_unperturbed_winding).  Its
+    adaptive samples size eps and theta, and the multiplicities of the
+    offset composite localized in the five tiles of _wp_cell, the top
+    boxes of one localize_zeros quadtree, must sum to its winding.
 
-    One loop retries, and every failure has the same move, halving the
-    notch radius: ZeroOnContourError, CannotPerturbError or
-    NonconvergenceError from the perturbation, the windings or the
-    localization, a localized count that differs from the winding, and a
-    zero within 2 delta of a lattice point on the boundary, where a notch
-    is cut (zeros may hide in the notches).  The report's retries is the
-    number of failed attempts.
+    Two retry moves; neither changes which zeros count.  A numerically
+    zero sample in the unperturbed winding, as at a multiple zero on the
+    classical boundary eta away, takes the next eta of _WP_ETAS (after
+    the last, or once delta is below 4 times the next eta, its error is
+    raised).  Every other failure halves the notch radius:
+    CannotPerturbError or NonconvergenceError from the perturbation, the
+    winding or the localization, a localized count that differs from the
+    winding, and a zero within 2 delta of a notch centre, where zeros may
+    hide in the notch.  The report's domain holds the spec's fields and
+    eta, and its retries is the number of failed attempts.
     """
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
-    inner = wp_analytic(lattice(spec.tau))
-    current = spec
+    L = lattice(spec.tau)
+    inner = wp_analytic(L)
+
+    def wp_error(z, w, dw):
+        return wp_error_bound(z, w, dw, L)
+
+    current, k = spec, 0
     last_error: Exception | None = None
-    for retries in range(5):
-        if current.delta < 1e-5:
+    for retries in range(8):
+        eta = _WP_ETAS[k]
+        if current.delta < max(1e-5, _NOTCH_PER_ETA * eta):
             raise NonconvergenceError("notch radius collapsed without a "
                                       "stable count")
-        contour, tiles, poles = _wp_cell(current)
+        contour, tiles, poles = _wp_cell(current, eta)
         try:
-            try:
-                vals, w = _unperturbed_winding(P, inner,
-                                               lambda z: inner(z)[0], contour)
-            except ZeroOnContourError:
-                samples = contour.sample(_BOUNDARY_SAMPLES)
-                vals, near_zero = _boundary_scan(P, samples,
-                                                 inner(samples)[0])
-                vals, w = vals[~near_zero], None
-            pert, w, zeros = _attempt(P, inner, vals, contour, tiles,
-                                      _WP_TARGET_RADIUS, lambda c: True, w)
+            vals, w = _unperturbed_winding(P, inner, wp_error, contour)
+        except ZeroOnContourError as exc:
+            if (k + 1 == len(_WP_ETAS)
+                    or current.delta < _NOTCH_PER_ETA * _WP_ETAS[k + 1]):
+                raise
+            last_error, k = exc, k + 1
+            continue
+        except NonconvergenceError as exc:
+            last_error = exc
+            current = current.with_delta(current.delta / 2.0)
+            continue
+        try:
+            pert, zeros = _attempt(P, inner, vals, w, tiles,
+                                   _WP_TARGET_RADIUS)
             if any(abs(z.center - p) < 2.0 * current.delta
                    for z in zeros for p in poles):
                 raise NonconvergenceError(
@@ -583,7 +637,7 @@ def count_zeros_wp(P: BivariatePolynomial,
             current = current.with_delta(current.delta / 2.0)
             continue
         return _report("wp", P, theorem2_bound, pert, w, zeros,
-                       asdict(current), contour, retries)
+                       {**asdict(current), "eta": eta}, contour, retries)
     raise last_error
 
 

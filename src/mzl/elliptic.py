@@ -74,12 +74,11 @@ class LatticeParams:
 
     @property
     def half_period_values(self) -> tuple[float, float, float]:
-        """(e1, e2, e3), descending real roots of 4t^3 - g2 t - g3."""
-        roots = np.roots([4.0, 0.0, -self.g2, -self.g3])
-        if np.abs(roots.imag).max() > 1e-8 * (1.0 + np.abs(roots.real).max()):
-            raise DomainError("half-period values came out non-real")
-        vals = np.sort(roots.real)[::-1]
-        return float(vals[0]), float(vals[1]), float(vals[2])
+        """(e1, e2, e3) = p at 1/2, 1/2 + i tau/2 and i tau/2, from wp_pair;
+        on a rectangular lattice they are real and descend in this order."""
+        p = wp_pair(np.array([0.5, 0.5 + 0.5j * self.tau, 0.5j * self.tau]),
+                    self)[0].real
+        return float(p[0]), float(p[1]), float(p[2])
 
     @cached_property
     def _rows(self):
@@ -90,6 +89,20 @@ class LatticeParams:
         qm = np.exp(-TWO_PI * t * np.arange(1, self.terms + 1))[:, None]
         qm.flags.writeable = False
         return qm, 1.0 / 12.0 - 2.0 * float((qm / (1.0 - qm) ** 2).sum())
+
+    @cached_property
+    def _error_terms(self) -> tuple[float, float]:
+        """(k u, A) of wp_error_bound: k = 2M + 14 units of rounding per
+        unit of |p| + A, and A = |c| (2 R + 2 |const| + 1), with c the
+        factor wp_pair multiplies the bracket by and R = 2 s / ((1-s)^2
+        (1-s^2)) a bound on sum_m |q^m u/(1-q^m u)^2| + |q^m u^-1/(1-q^m
+        u^-1)^2| at reduced z, s = e^{-pi t}."""
+        t = 1.0 / self.tau if self.tau < 1.0 else self.tau
+        c = 4.0 * math.pi**2 / min(self.tau, 1.0) ** 2
+        s = math.exp(-math.pi * t)
+        R = 2.0 * s / ((1.0 - s) ** 2 * (1.0 - s * s))
+        return ((2 * self.terms + 14) * UNIT_ROUNDOFF,
+                c * (2.0 * R + 2.0 * abs(self._rows[1]) + 1.0))
 
 
 def wp_invariants(tau: float) -> LatticeParams:
@@ -169,6 +182,27 @@ def wp_pair(z, L: LatticeParams):
     if scalar:
         return complex(p[0]), complex(dp[0])
     return p, dp
+
+
+def wp_error_bound(z, p, dp, L: LatticeParams):
+    """A bound on |p - wp(z)| for p, dp = wp_pair(z, L), from |p|, |dp|,
+    |z| and constants of L alone, so that it costs no second sum.
+
+    wp_pair gives c B, with B the bracket r_0 + sum_m r_m + const over the
+    2M + 2 terms of the module docstring.  Its error has two parts.
+    - Rounding, about a dozen units per term for forming it and one per
+      term for the sum (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., 4.2), on sum |terms| <= |B| + 2 R + 2 |const|;
+      plus the tail, below 1/12 unit, and the few units of absolute error
+      that u = expm1 + 1 carries where |u| is small: k u (|p| + A) with
+      (k u, A) = L._error_terms.
+    - The rounding of the reduced point and of 2 pi i z: at most
+      u (|z| + tau + 1) in the argument of p, that is 2 u |p'| (|z| + tau
+      + 1) with a factor 2 to spare.
+    """
+    ku, A = L._error_terms
+    return (ku * (np.abs(p) + A)
+            + 2.0 * UNIT_ROUNDOFF * np.abs(dp) * (np.abs(z) + L.tau + 1.0))
 
 
 def _real_axis_bracket(x, qm, const):

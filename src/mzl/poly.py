@@ -69,8 +69,13 @@ class BivariatePolynomial:
 
     def evaluate_pair(self, z, w, dw):
         """P(z, w) and P_X(z, w) + P_Y(z, w) dw: with w = f(z), dw = f'(z),
-        P(z, f(z)) and its z-derivative, in one Horner pass in which each
-        sum starts from its leading coefficient, not from zero."""
+        P(z, f(z)) and its z-derivative (see evaluate_partials)."""
+        p, px, py = self.evaluate_partials(z, w)
+        return p, px + py * dw
+
+    def evaluate_partials(self, z, w):
+        """P(z, w), P_X(z, w) and P_Y(z, w) in one Horner pass in which
+        each sum starts from its leading coefficient, not from zero."""
         p = px = py = 0.0
         for i, row in enumerate(self.coeffs[::-1]):
             a, da = row[-1], 0.0
@@ -82,7 +87,7 @@ class BivariatePolynomial:
             p = p * z + a if i else a
         if np.ndim(p) == 0:  # P is a constant
             p = np.full(np.broadcast(z, w).shape, p, dtype=complex)
-        return p, px + py * dw
+        return p, px, py
 
     def partial_x(self) -> "BivariatePolynomial":
         if self.deg_x == 0:
@@ -186,9 +191,9 @@ def perturb_from_values(P: BivariatePolynomial, f, vals) -> PerturbedComposite:
     of _PERTURB_ANGLES scanned angles with the largest min |v + eps
     e^{i theta}|.  Every sample keeps |v + eps e^{i theta}| >= |v| - eps
     >= eps at any theta, and the offset changes no winding while
-    |P(z, f(z))| > eps on the contour.  The caller leaves out samples
-    where the composite is numerically zero; with no nonzero value left
-    there is nothing to size eps from (CannotPerturbError).
+    |P(z, f(z))| > eps on the contour.  The caller passes no sample
+    where the composite is numerically zero; with every value zero there
+    is nothing to size eps from (CannotPerturbError).
     """
     vals = np.asarray(vals, dtype=complex)
     if not np.all(np.isfinite(vals)):

@@ -437,6 +437,50 @@ def klein_j_with_bound(tau):
                                   else bound)
 
 
+@lru_cache(maxsize=4096)
+def _j_error_terms(y: float):
+    """(tail and rounding of Q, S1_Q, the same two of Delta/q, lower
+    bound on |Delta/q|) at Im tau >= y for klein_j_error_bound; cached
+    like _j_order."""
+    x = math.exp(-TWO_PI * y)
+    N = _j_order(y)
+    K = N + 1
+    C = np.abs(_j_columns()[:K, :2])
+    k = np.arange(K, dtype=float)[:, None]
+    S_Q, S_D, S1_Q, S1_D = np.hstack([C, k * C]).T @ x ** k[:, 0]
+    s = standard_series()
+    rnd = 1.01 * (K + 1) * _U
+    return (s["Q"].tail_bound(x, N) + rnd * S_Q, float(S1_Q),
+            s["delta_over_q"].tail_bound(x, N) + rnd * S_D, float(S1_D),
+            0.99 * math.exp(-24.0 * x / (1.0 - x) ** 2))
+
+
+def klein_j_error_bound(tau, j):
+    """A bound on |j - j(tau)| at each point of the batch tau, for j =
+    klein_j_pair(tau)[0] on that same batch, from |j| and Im tau alone:
+    it covers klein_j_with_bound and costs no second sum.
+
+    It is klein_j_with_bound with every per-point sum replaced by its
+    value at the batch's largest |q|, x = e^{-2 pi min Im tau}, which the
+    sums of |coefficients| times powers of |q| never fall below, and with
+    |Delta| >= D = 0.99 |q| e^{-24 x/(1-x)^2}, from prod (1 - x^n)^24 and
+    log(1 - t) >= -t/(1-t).  With A = (|j| D)^{1/3} in place of |Q|, the
+    term eQ (3 A^2 + 3 A eQ + eQ^2) / D = 3 eQ A (A + eQ) / D + eQ^3 / D
+    falls as D grows, so the lower D bounds it.
+    """
+    taus = np.asarray(tau, dtype=complex)
+    eQ, S1_Q, edq, S1_D, lower_dq = _j_error_terms(float(taus.imag.min()))
+    eta = _U * (4.0 * math.pi * float(np.abs(taus).max()) + 4.0)
+    per_power = 1.01 * (math.sqrt(5.0) * _U + eta)
+    eQ += per_power * S1_Q
+    edq += per_power * S1_D
+    rel = 1.01 * (edq / lower_dq + eta + math.sqrt(5.0) * _U) + 10.0 * _U
+    D = lower_dq * np.exp(-TWO_PI * taus.imag)
+    aj = np.abs(j)
+    A = np.cbrt(aj * D)
+    return (3.03 * eQ * A * (A + eQ) + 1.01 * eQ ** 3) / D + 1.01 * rel * aj
+
+
 def klein_j_derivative(tau):
     """dj/dtau; see klein_j_pair."""
     return klein_j_pair(tau)[1]

@@ -87,6 +87,12 @@ def test_eval_wp_half_period(capsys):
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert abs(float(row[1]) - 6.875185818020373) < 1e-9
     assert abs(float(row[2])) < 1e-12
+    # the bound on the error of wp: a few dozen units of rounding on |wp|
+    # and the lattice's bracket scale, far below the 1e-9 checked above
+    assert 1e-15 < float(row[3]) < 1e-12
+    # no bound is derived for wp'
+    assert main(["eval", "wpprime", "0.3", "--tau", "1.0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",")
 
 
 def test_eval_2f1_reports_tail_bound(capsys):

@@ -13,8 +13,8 @@ import mzl.domains as domains_module
 import mzl.elliptic as elliptic_module
 import oracles
 from mzl.contour import ArcSegment, Contour, LineSegment, winding_number
-from mzl.domains import (JDomainSpec, WpDomainSpec, _boundary_scan,
-                         _in_j_region, _top_line_dominates,
+from mzl.domains import (_WP_ETAS, JDomainSpec, WpDomainSpec, _in_j_region,
+                         _top_line_dominates, _zero_floor,
                          bezout_step_bound,
                          build_j_contour, build_wp_contour, count_zeros_j,
                          count_zeros_wp, line_im_zero_count,
@@ -25,7 +25,7 @@ from mzl.elliptic import lattice, wp_analytic, wp_pair
 from mzl.errors import (AmbiguityError, DominanceError, InvalidSpecError,
                         NonconvergenceError, ZeroOnContourError)
 from mzl.poly import BivariatePolynomial, PerturbedComposite, perturb
-from mzl.special import klein_j, klein_j_pair
+from mzl.special import klein_j, klein_j_error_bound, klein_j_pair
 
 
 def poly_y_minus(c) -> BivariatePolynomial:
@@ -153,6 +153,20 @@ def test_j_region_is_inside_the_contour(eta):
         assert not _in_j_region(c, Y, eta)
 
 
+def test_distance_to_the_j_contour():
+    # against the nearest of 20000 samples per segment, for points next
+    # to the arcs, the dip, the edges and the corners
+    contour = build_j_contour(JDomainSpec(Y=3.0), 1e-3)
+    dense = contour.sample(20000)
+    rng = np.random.default_rng(11)
+    points = list(rng.uniform(-0.7, 0.7, 60)
+                  + 1j * rng.uniform(0.7, 3.2, 60))
+    points += [1j, 1j - 5e-3j, RHO, RHO + 1.0, 0.5 + 3.1j, -0.6 + 0.5j]
+    for c in points:
+        gap = np.abs(dense - c).min() - domains_module._distance(contour, c)
+        assert -1e-12 <= gap < 1e-4, c
+
+
 def test_j_real_on_arc_and_verticals():
     contour = classical_j_boundary(3.0)
     ts = np.linspace(0.02, 0.98, 40)
@@ -196,8 +210,32 @@ def test_wp_contour_shifted_cell():
         build_wp_contour(WpDomainSpec(1.0, beta=0.98))
 
 
+def test_wp_contour_is_the_half_open_cell():
+    # the whole notched cell moves by -eta (1 + i): the bottom and left
+    # edges, which are in, move out, the top and right edges move in, and
+    # each notch centre lies eta sqrt 2 from its pole
+    eta = 1e-4
+    for beta in (0.0, 0.37):
+        spec = WpDomainSpec(1.0, beta)
+        classical = build_wp_contour(spec, 0.0)
+        contour = build_wp_contour(spec, eta)
+        assert contour.length == pytest.approx(classical.length, abs=1e-12)
+        for a, b in zip(classical.segments, contour.segments):
+            assert abs(b.start - (a.start - eta * (1 + 1j))) < 1e-12
+            assert abs(b.end - (a.end - eta * (1 + 1j))) < 1e-12
+        for c, inside in ((complex(beta + 0.3, 0.0), True),
+                          (complex(beta, 0.4), True),
+                          (complex(beta + 0.3, 1.0), False),
+                          (complex(beta + 1.0, 0.4), False)):
+            w = winding_number(lambda z: (z - c, np.ones_like(z)), contour)
+            assert w.winding == int(inside), c
+    with pytest.raises(InvalidSpecError):
+        build_wp_contour(WpDomainSpec(1.0, delta=1e-3), 1e-3)
+
+
 def test_wp_real_on_straight_pieces(lat1):
-    contour = build_wp_contour(WpDomainSpec(1.0))
+    # on the classical cell boundary, eta = 0
+    contour = build_wp_contour(WpDomainSpec(1.0), 0.0)
     ts = np.linspace(0.05, 0.95, 30)
     for seg in contour.segments:
         if isinstance(seg, LineSegment):
@@ -248,16 +286,21 @@ def test_count_zeros_j_level_sets_on_the_boundary(c, count):
     rep = count_zeros_j(poly_y_minus(c))
     assert rep.count == rep.winding == count
     assert rep.retries == 0
+    assert rep.domain["eta"] == 1e-6
 
 
 @pytest.mark.parametrize("c, count", [
     (1000.0, 2), (-100.0, 2), (0.0, 6), (1728.0, 4)])
 def test_count_zeros_j_squares_count_their_boundary_zeros_once(c, count):
-    # a double zero of (Y - c)^2 on the boundary is numerically zero at a
-    # contour sample eta = 1e-6 away, so eta grows; the domain does not,
-    # and the translate on the excluded half never counts
+    # a double zero of (Y - c)^2 on the boundary lies eta = 1e-6 inside
+    # the contour, or outside it for its translate on the excluded half,
+    # and no contour sample is numerically zero; the offset splits it into
+    # a pair closer than the target radius, whose box report is refined
+    # until it lies on one side of the contour
     rep = count_zeros_j(BivariatePolynomial([[c * c, -2.0 * c, 1.0]]))
     assert rep.count == rep.winding == count
+    assert rep.retries == 0
+    assert rep.domain["eta"] == 1e-6
 
 
 @pytest.mark.parametrize("x, count", [(-0.5, 1), (0.5, 0)])
@@ -571,80 +614,165 @@ def test_count_zeros_wp_generic_value():
     assert abs(total - (1.0 + 1.0j)) < 1e-2
 
 
+def _inside(contour: Contour, c: complex) -> bool:
+    return winding_number(lambda z: (z - c, np.ones_like(z)),
+                          contour).winding == 1
+
+
 def test_count_zeros_wp_half_period_value(lat1):
-    # wp - e1 has a double zero at z = 1/2 on the cell edge; the offset
-    # splits it into one zero near the bottom edge and one near the top
+    # wp - e1 has a double zero at z = 1/2 on the bottom edge, which is
+    # in, and its copy at 1/2 + i on the top edge, which is out: the zeros
+    # of the offset composite lie next to 1/2, inside the contour, and
+    # none next to 1/2 + i
     e1 = lat1.half_period_values[0]
     rep = count_zeros_wp(poly_y_minus(e1), WpDomainSpec(1.0))
-    assert rep.count == 2
-    ims = sorted(z.center.imag for z in rep.zeros)
-    assert abs(rep.zeros[0].center.real - 0.5) < 0.05
-    assert abs(rep.zeros[1].center.real - 0.5) < 0.05
-    assert ims[0] < 0.05
-    assert ims[1] > 0.95
+    assert rep.count == rep.winding == 2
+    contour = build_wp_contour(WpDomainSpec(1.0), rep.domain["eta"])
+    for z in rep.zeros:
+        assert abs(z.center - 0.5) < 0.05
+        assert _inside(contour, z.center)
+    assert min(abs(z.center - (0.5 + 1j)) for z in rep.zeros) > 0.9
 
 
 @pytest.fixture
-def wp_call_sizes(monkeypatch):
-    """The sizes of the z arrays the wp inner function of count_zeros_wp
-    is called on; the fixed boundary scan is one call of 8 x 512."""
-    sizes = []
+def wp_call_points(monkeypatch):
+    """The z arrays the wp inner function of count_zeros_wp is called on."""
+    points = []
 
     def recording(L):
         f = wp_analytic(L)
 
         def inner(z):
-            sizes.append(np.size(z))
+            points.append(np.atleast_1d(z))
             return f(z)
         return inner
 
     monkeypatch.setattr(domains_module, "wp_analytic", recording)
-    return sizes
+    return points
 
 
-_WP_SCAN = 8 * domains_module._BOUNDARY_SAMPLES
+# wp - e_k vanishes doubly at a half-period: on the bottom edge for e1,
+# inside the cell for e2 and on the left edge for e3.  No contour sample
+# of the half-open cell is numerically zero, but for wp - e3 at tau = 8:
+# wp'' (4i) = 3.8e-8 there, so |P| eta from 4i is 1.9e-8 eta^2, below
+# the rounding of wp (about 1e-14) until eta = 1e-2
+_HALF_PERIOD_ETAS = {(0.3, 0): 1e-6, (0.3, 1): 1e-6, (0.3, 2): 1e-6,
+                     (1.0, 0): 1e-6, (1.0, 1): 1e-6, (1.0, 2): 1e-6,
+                     (8.0, 0): 1e-6, (8.0, 1): 1e-6, (8.0, 2): 1e-2}
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("tau", [0.3, 1.0, 8.0])
-def test_count_zeros_wp_half_period_values(tau, k, wp_call_sizes):
-    # wp - e_k has a double zero at a half-period, on the cell edge for
-    # e1 and e3; at tau = 8, e2 - e3 is numerically zero, so wp - e2 is
-    # numerically zero on the edge at i tau / 2 as well.  There the
-    # unperturbed winding meets that zero and the count falls back to the
-    # fixed scan: eps is sized from the scan samples where the composite
-    # is not numerically zero, and the offset moves the edge zero off the
-    # contour.  Elsewhere eps is half the minimum over the samples of the
-    # unperturbed winding
+def test_count_zeros_wp_half_period_values(tau, k):
     L = lattice(tau)
+    half_period = (0.5, 0.5 + 0.5j * tau, 0.5j * tau)[k]
     P = poly_y_minus(L.half_period_values[k])
     rep = count_zeros_wp(P, WpDomainSpec(tau))
     assert rep.count == rep.winding == 2
+    eta = rep.domain["eta"]
+    assert eta == _HALF_PERIOD_ETAS[tau, k]
+    assert rep.retries == _WP_ETAS.index(eta)
+    contour = build_wp_contour(WpDomainSpec(tau), eta)
+    for z in rep.zeros:
+        assert _inside(contour, z.center)
+        if k != 1:
+            assert abs(z.center - half_period) < 0.05
+    # eps is half the minimum over the samples of the unperturbed winding,
+    # and below |P| on a dense grid of the contour
+    assert rep.epsilon == 0.5 * rep.min_modulus
+    z = contour.sample(4096)
+    assert np.abs(P.evaluate(z, wp_pair(z, L)[0])).min() >= rep.epsilon
+
+
+def test_count_zeros_wp_bottom_edge_value(lat1):
+    # wp - wp(0.3) vanishes at 0.3 and 0.7 on the bottom edge, which is
+    # in, between contour samples eta below it
+    P = poly_y_minus(wp_pair(0.3, lat1)[0])
+    rep = count_zeros_wp(P, WpDomainSpec(1.0))
+    assert rep.count == rep.winding == 2
+    assert (rep.retries, rep.domain["eta"]) == (0, 1e-6)
+    contour = build_wp_contour(WpDomainSpec(1.0), rep.domain["eta"])
+    for z, want in zip(rep.zeros, (0.3, 0.7)):
+        assert abs(z.center - want) < 1e-3
+        assert _inside(contour, z.center)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.37])
+@pytest.mark.parametrize("edge, count", [
+    ("bottom", 1), ("left", 1), ("top", 0), ("right", 0)])
+def test_count_zeros_wp_zero_on_an_edge(beta, edge, count):
+    # z - c vanishes on the edge: the bottom and left ones are in the
+    # half-open cell, the top and right ones are out
+    c = {"bottom": complex(beta + 0.3, 0.0), "left": complex(beta, 0.4),
+         "top": complex(beta + 0.3, 1.0),
+         "right": complex(beta + 1.0, 0.4)}[edge]
+    rep = count_zeros_wp(poly_x_minus(c), WpDomainSpec(1.0, beta))
+    assert rep.count == rep.winding == count
     assert rep.retries == 0
-    contour = build_wp_contour(WpDomainSpec(tau, 0.0, rep.domain["delta"]))
-    if k != 1 or tau == 8.0:
-        assert _WP_SCAN in wp_call_sizes
-        samples = contour.sample(512)
-        vals, near_zero = _boundary_scan(P, samples, wp_pair(samples, L)[0])
-        assert rep.epsilon == 0.5 * np.abs(vals[~near_zero]).min()
-    else:
-        assert _WP_SCAN not in wp_call_sizes
-        w = winding_number(PerturbedComposite(P, wp_analytic(L), 0.0,
-                                              0.0).pair, contour)
-        assert rep.epsilon == 0.5 * w.min_modulus
-        assert (rep.winding, rep.min_modulus) == (w.winding, w.min_modulus)
 
 
-def test_count_zeros_wp_scans_only_after_a_numerically_zero_sample(
-        lat1, wp_call_sizes):
-    # a generic input never evaluates the fixed scan; wp - e1, zero at
-    # z = 1/2 on the bottom edge, stops the unperturbed winding and does
-    count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
-    assert wp_call_sizes and _WP_SCAN not in wp_call_sizes
-    wp_call_sizes.clear()
-    count_zeros_wp(poly_y_minus(lat1.half_period_values[0]),
-                   WpDomainSpec(1.0))
-    assert _WP_SCAN in wp_call_sizes
+@pytest.mark.parametrize("c, count", [
+    (0.37, 1), (1.37, 0), (1.37 + 1j, 0), (0.37 + 1j, 0)])
+def test_count_zeros_wp_zero_at_a_corner(c, count):
+    # with beta = 0.37 the corners are no lattice points: only the bottom
+    # left one is in the half-open cell
+    rep = count_zeros_wp(poly_x_minus(c), WpDomainSpec(1.0, 0.37))
+    assert rep.count == rep.winding == count
+    assert rep.retries == 0
+
+
+_D = WpDomainSpec(1.0).delta
+
+
+@pytest.mark.parametrize("c, count, retries", [
+    (_D * np.exp(0.25j * np.pi), 1, 1),
+    (1.0 + _D * np.exp(0.75j * np.pi), 1, 1),
+    (1.0 + 1j + _D * np.exp(-0.75j * np.pi), 0, 0),
+    (1j + _D * np.exp(-0.25j * np.pi), 1, 1)])
+def test_count_zeros_wp_zero_on_a_notch(c, count, retries):
+    # z - c vanishes on the middle of a corner notch, inside the cell.
+    # Three notch centres moved away from c, which then lies inside the
+    # contour, within 2 delta of a pole, so delta halves once; the top
+    # right one moved towards c, which hides in that notch
+    rep = count_zeros_wp(poly_x_minus(c), WpDomainSpec(1.0))
+    assert rep.count == rep.winding == count
+    assert rep.retries == retries
+
+
+class _PassDone(Exception):
+    pass
+
+
+def test_unperturbed_pass_evaluates_each_point_once(
+        monkeypatch, wp_call_points):
+    # the pass calls the inner function once per sample, and no other
+    # call evaluates it on the pass's starting grid first.  The grid
+    # closes the contour at its first point, which it evaluates again
+    points = wp_call_points
+
+    def recording(f):
+        def g(z):
+            points.append(np.atleast_1d(z))
+            return f(z)
+        return g
+
+    for name in ("klein_j", "klein_j_pair"):
+        monkeypatch.setattr(domains_module, name,
+                            recording(getattr(domains_module, name)))
+
+    def stop(*args):
+        raise _PassDone
+
+    monkeypatch.setattr(domains_module, "perturb_from_values", stop)
+    for count in (lambda: count_zeros_j(poly_y_minus(2000j)),
+                  lambda: count_zeros_wp(poly_y_minus(2.5 + 1.5j),
+                                         WpDomainSpec(1.0))):
+        points.clear()
+        with pytest.raises(_PassDone):
+            count()
+        assert np.abs(points[0][-1] - points[0][0]) < 1e-15
+        z = np.concatenate([points[0][:-1]] + points[1:])
+        assert z.size > 90 and np.unique(z).size == z.size
 
 
 # op 57 of the seed-8 wp-count bench corpus (stratum t8-b0-d5, tau = 8):
@@ -671,14 +799,14 @@ _WP_STEEP_EDGE = [
      (-1.7093943772358013+1.2072910800402712j)]]
 
 
-def test_count_zeros_wp_eps_below_a_dip_between_scan_points(wp_call_sizes):
+def test_count_zeros_wp_eps_below_a_dip_between_scan_points():
     P = BivariatePolynomial(_WP_STEEP_EDGE)
     L = lattice(8.0)
     rep = count_zeros_wp(P, WpDomainSpec(8.0))
     assert rep.count == rep.winding == 11
     assert rep.retries == 0
-    assert _WP_SCAN not in wp_call_sizes
-    contour = build_wp_contour(WpDomainSpec(8.0, 0.0, rep.domain["delta"]))
+    contour = build_wp_contour(WpDomainSpec(8.0, 0.0, rep.domain["delta"]),
+                               rep.domain["eta"])
     z = contour.sample(16384)
     mods = np.abs(P.evaluate(z, wp_pair(z, L)[0]))
     assert mods.min() < 92.0
@@ -690,7 +818,7 @@ def test_count_zeros_wp_eps_below_a_dip_between_scan_points(wp_call_sizes):
     steps = np.angle(np.roll(v, -1) / v)
     assert np.abs(steps).max() < np.pi / 2.0
     assert steps.sum() / (2.0 * np.pi) == pytest.approx(11.0, abs=1e-6)
-    # |P| spans 91 to 1.5e14 on the left edge: without the Horner zero
+    # |P| spans 91 to 1.5e14 on the left edge: without the derived zero
     # floor the relative rule of the contour layer stops the winding
     composite = PerturbedComposite(P, wp_analytic(L), 0.0, 0.0).pair
     with pytest.raises(ZeroOnContourError):
@@ -709,8 +837,8 @@ def test_count_zeros_wp_eps_below_the_dense_minimum():
                               int(rng.integers(1, 4)))
         rep = count_zeros_wp(P, WpDomainSpec(tau, beta))
         assert rep.count == rep.winding
-        z = build_wp_contour(WpDomainSpec(tau, beta, rep.domain["delta"])
-                             ).sample(16384)
+        z = build_wp_contour(WpDomainSpec(tau, beta, rep.domain["delta"]),
+                             rep.domain["eta"]).sample(16384)
         mods = np.abs(P.evaluate(z, wp_pair(z, lattice(tau))[0]))
         assert mods.min() >= rep.epsilon
     rng = np.random.default_rng(2021)
@@ -722,15 +850,6 @@ def test_count_zeros_wp_eps_below_the_dense_minimum():
             z = build_j_contour(JDomainSpec(rep.domain["Y"]),
                                 rep.domain["eta"]).sample(4096)
             assert np.abs(P.evaluate(z, klein_j(z))).min() >= rep.epsilon
-
-
-@pytest.mark.xfail(raises=ZeroOnContourError, strict=True)
-def test_count_zeros_wp_bottom_edge_value(lat1):
-    # wp - wp(0.3) vanishes at 0.3 and 0.7 on the bottom edge, between
-    # boundary samples, so the scan flags none; the winding then meets
-    # the zero at z = 0.2998, and halving delta never moves that edge
-    P = poly_y_minus(wp_pair(0.3, lat1)[0])
-    assert count_zeros_wp(P, WpDomainSpec(1.0)).count == 2
 
 
 def test_count_zeros_wp_plain_z():
@@ -761,19 +880,26 @@ def test_count_zeros_wp_shifted_cell_corner_is_no_pole(lat1):
 
 def test_count_zeros_f_calls(monkeypatch):
     # the five wp tiles are one quadtree: their top windings are one
-    # phase batch, and their Newton steps and splits share f calls
+    # phase batch, and their Newton steps and splits share f calls.  pair
+    # counts the calls of the inner function, one per round of the
+    # unperturbed winding and one per round of the localization
     calls = {"pair": 0, "phases": 0}
-    pair, phases = PerturbedComposite.pair, contour_module._contour_phases
+    phases = contour_module._contour_phases
 
-    def counted_pair(self, z):
-        calls["pair"] += 1
-        return pair(self, z)
+    def counted(f):
+        def g(*args):
+            calls["pair"] += 1
+            return f(*args)
+        return g
 
     def counted_phases(*args, **kwargs):
         calls["phases"] += 1
         return phases(*args, **kwargs)
 
-    monkeypatch.setattr(PerturbedComposite, "pair", counted_pair)
+    monkeypatch.setattr(elliptic_module, "wp_pair",
+                        counted(elliptic_module.wp_pair))
+    monkeypatch.setattr(domains_module, "klein_j_pair",
+                        counted(domains_module.klein_j_pair))
     monkeypatch.setattr(contour_module, "_contour_phases", counted_phases)
     count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
     assert calls == {"pair": 7, "phases": 3}
@@ -810,11 +936,14 @@ def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
     assert {top[0][:2] for top in boxes} == {(-0.5 - 1e-6, 0.5 - 1e-6)}
 
     boxes.clear()
-    with pytest.raises(NonconvergenceError, match="^attempt 5$"):
+    with pytest.raises(NonconvergenceError, match="^attempt 8$"):
         count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
-    # the bottom strip of an integer-beta cell has height delta
-    deltas = [top[0][3] for top in boxes]
-    assert deltas == [WpDomainSpec(1.0).delta / 2**k for k in range(5)]
+    # the bottom strip of an integer-beta cell has height delta, and eta
+    # stays where it was
+    deltas = [top[0][3] - top[0][2] for top in boxes]
+    assert deltas == pytest.approx(
+        [WpDomainSpec(1.0).delta / 2**k for k in range(8)], rel=1e-9)
+    assert {top[0][2] for top in boxes} == {-1e-6}
 
 
 def test_count_zeros_wp_notch_hides_large_values():
@@ -847,7 +976,7 @@ def test_count_zeros_wp_degree_5_has_no_negative_quadrant(tau, beta, seed,
     inner = wp_analytic(lattice(tau))
     monkeypatch.setattr(contour_module, "_N_INITIAL", 8193)
     dense = winding_number(PerturbedComposite(P, inner, 0.0, 0.0).pair,
-                           build_wp_contour(region))
+                           build_wp_contour(region, rep.domain["eta"]))
     assert rep.count == rep.winding == dense.winding
     assert rep.bound_holds
 
@@ -870,30 +999,60 @@ def test_winding_does_not_depend_on_the_callable(lat1):
 # near-zero rule
 
 
-def test_boundary_scan_flags_zeros_on_the_contour(lat1):
+def _flags(P, z, w, dw, w_error):
+    v, _, py = P.evaluate_partials(z, w)
+    return np.abs(v) <= _zero_floor(P, z, w, py, w_error)
+
+
+def test_zero_floor_flags_zeros_on_the_contour(lat1):
     # j - 1728 vanishes at z = i on the classical arc, wp - e1 at z = 1/2
-    # on the bottom edge; both points are boundary samples
+    # on the bottom edge; both points are samples of the classical
+    # boundary, and no other sample is numerically zero
     samples = classical_j_boundary(2.5).sample(512)
     assert np.abs(samples - 1j).min() < 1e-15
-    _, near_zero = _boundary_scan(poly_y_minus(1728.0), samples,
-                                  klein_j(samples))
-    assert near_zero.any()
+    j, dj = klein_j_pair(samples)
+    flags = _flags(poly_y_minus(1728.0), samples, j, dj,
+                   klein_j_error_bound(samples, j))
+    assert np.array_equal(np.flatnonzero(flags),
+                          [np.argmin(np.abs(samples - 1j))])
     e1 = lat1.half_period_values[0]
-    samples = build_wp_contour(WpDomainSpec(1.0)).sample(512)
-    _, near_zero = _boundary_scan(poly_y_minus(e1), samples,
-                                  wp_pair(samples, lat1)[0])
-    assert near_zero.any()
+    samples = build_wp_contour(WpDomainSpec(1.0), 0.0).sample(512)
+    p, dp = wp_pair(samples, lat1)
+    flags = _flags(poly_y_minus(e1), samples, p, dp,
+                   elliptic_module.wp_error_bound(samples, p, dp, lat1))
+    assert np.array_equal(np.flatnonzero(flags),
+                          [np.argmin(np.abs(samples - c)) for c in (0.5,
+                                                                    0.5 + 1j)])
 
 
-def test_boundary_scan_ignores_growth_near_rho():
+def test_zero_floor_ignores_growth_near_rho():
     P = random_polynomial(np.random.default_rng(5), 0, 4)
     samples = build_j_contour(JDomainSpec()).sample(512)
-    rho = complex(-0.5, math.sqrt(3.0) / 2.0)
-    near = samples[np.abs(samples - rho) < 0.25]
-    vals, near_zero = _boundary_scan(P, near, klein_j(near))
-    mods = np.abs(vals)
+    near = samples[np.abs(samples - RHO) < 0.25]
+    j, dj = klein_j_pair(near)
+    mods = np.abs(P.evaluate(near, j))
     assert float(mods.max()) > 1e9 * float(mods.min())
-    assert not near_zero.any()
+    assert not _flags(P, near, j, dj, klein_j_error_bound(near, j)).any()
+
+
+def test_zero_floor_covers_the_error_of_the_composite():
+    # |P(z, w) - P(z, j(z))| against the floor at samples of the j
+    # contour, with j(z) from mpmath
+    mpmath = pytest.importorskip("mpmath")
+    P = random_polynomial(np.random.default_rng(7), 2, 3)
+    z = build_j_contour(JDomainSpec()).sample(8)
+    j, dj = klein_j_pair(z)
+    with mpmath.workdps(40):
+        exact = []
+        for zi, ji in zip(z, j):
+            x = mpmath.mpc(zi.real, zi.imag)
+            jr = 1728 * mpmath.kleinj(x)
+            v = sum(mpmath.mpc(complex(P.coeffs[a, b])) * x**a * jr**b
+                    for a in range(P.deg_x + 1) for b in range(P.deg_y + 1))
+            exact.append(complex(v))
+    v, _, py = P.evaluate_partials(z, j)
+    floor = _zero_floor(P, z, j, py, klein_j_error_bound(z, j))
+    assert np.all(np.abs(v - np.array(exact)) <= floor)
 
 
 # ---------------------------------------------------------------------------
@@ -946,9 +1105,10 @@ def test_line_count_makes_no_wp_pair_call(monkeypatch):
     def no_pair(*args):
         raise AssertionError("wp_pair called")
 
+    # the half-period values come from wp_pair, so before the patch
+    levels = {tau: lattice(tau).half_period_values for tau in (0.3, 1.0)}
     monkeypatch.setattr(elliptic_module, "wp_pair", no_pair)
-    for tau in (0.3, 1.0):
-        e1, _, e3 = lattice(tau).half_period_values
+    for tau, (e1, _, e3) in levels.items():
         assert line_im_zero_count(poly_y_minus(e1 + 5.0), tau,
                                   component="Re") == 2
         assert line_im_zero_count(poly_y_minus(e3 - 5.0), tau,
@@ -1008,7 +1168,8 @@ def test_zero_count_report_fields():
     d = rep.to_dict()
     assert d["kind"] == "wp"
     assert d["count"] == 2
-    assert set(d["domain"]) == {"tau", "beta", "delta"}
+    assert set(d["domain"]) == {"tau", "beta", "delta", "eta"}
+    assert d["domain"]["eta"] == "1e-06"
     assert rep.min_modulus > 0.0
     assert rep.contour_length > 0.0
     assert rep.retries >= 0

@@ -7,7 +7,8 @@ import pytest
 import oracles
 from mzl.domains import _LINE_OFFSET
 from mzl.elliptic import (_tail_bound, lattice, reduce_to_cell,
-                          wp_invariants, wp_on_line, wp_pair)
+                          wp_error_bound, wp_invariants, wp_on_line,
+                          wp_pair)
 from mzl.errors import DomainError, InvalidSpecError, PoleProximityError
 from mzl.qseries import UNIT_ROUNDOFF
 
@@ -249,6 +250,40 @@ def _theta_oracle(z, tau, derivative=False):
             else:
                 out.append(complex(a**2 - const))
     return np.array(out)
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 8.0])
+def test_half_period_values_match_theta_oracle(tau):
+    # wp at the three half-periods; at tau = 8, e2 and e3 differ by
+    # 1.9e-9, which the roots of 4t^3 - g2 t - g3 lose in rounding
+    L = lattice(tau)
+    half = np.array([0.5, 0.5 + 0.5j * tau, 0.5j * tau])
+    got = np.array(L.half_period_values)
+    assert np.array_equal(got, wp_pair(half, L)[0].real)
+    assert got[0] > got[1] > got[2]
+    ref = _theta_oracle(half, tau).real
+    assert np.all(np.abs(got - ref) <= 4e-16 * np.abs(ref).max())
+    if tau == 8.0:
+        assert got[1] - got[2] == pytest.approx(1.92e-9, rel=0.01)
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 8.0])
+def test_wp_error_bound_covers_the_theta_oracle(tau):
+    # on the cell grid and on circles of radius 1e-5 to 0.1 around the
+    # four corner poles, where |wp| and |wp'| span many decades
+    L = lattice(tau)
+    r = np.array([1e-5, 1e-3, 0.1])[:, None, None]
+    ring = np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)[:, None]
+    corners = np.array([0.0, 1.0, 1j * tau, 1.0 + 1j * tau])
+    z = np.concatenate([_cell_grid(tau), (corners + r * ring).ravel()])
+    p, dp = wp_pair(z, L)
+    bound = wp_error_bound(z, p, dp, L)
+    assert np.all(np.abs(p - _theta_oracle(z, tau)) <= bound)
+    # away from the poles it stays a small multiple of the rounding of
+    # |wp|; next to them it follows |wp'| times the rounding of z
+    grid = slice(0, _cell_grid(tau).size)
+    assert np.all(bound[grid] <= 2e-13 * (np.abs(p[grid])
+                                          + np.abs(L.g2) ** 0.5))
 
 
 @pytest.mark.parametrize("tau", [0.3, 1.0, 1.5, 3.0, 8.0])

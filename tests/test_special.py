@@ -14,8 +14,9 @@ from mzl.pfaffian import _member_stencils, build_ratio_chain
 from mzl.qseries import standard_series
 from mzl.special import (gauss_relation_residuals, hyp2f1, hyp2f1_prime,
                          hyp2f1_with_bound, j_inverse, klein_j,
-                         klein_j_derivative, klein_j_pair,
-                         klein_j_with_bound, ramanujan_inversion_residual)
+                         klein_j_derivative, klein_j_error_bound,
+                         klein_j_pair, klein_j_with_bound,
+                         ramanujan_inversion_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +551,23 @@ def test_klein_j_bound_covers_the_error(rng):
         assert 0.0 < b1 and abs(v1 - ref) <= b1
     assert abs(vals[0] - 1728.0) <= bounds[0]
     assert abs(vals[1] - 287496.0) <= bounds[1]
+
+
+def test_klein_j_error_bound_covers_klein_j_with_bound(rng):
+    # the bound from |j| and Im tau alone covers the one from the sums, on
+    # a batch, on each point alone, and next to rho, where Q vanishes
+    rho = complex(-0.5, math.sqrt(3.0) / 2.0)
+    taus = np.concatenate([[1j, 2j, rho, rho + 1e-9j],
+                           _domain_points(rng, 20),
+                           _domain_points(rng, 20, im_max=4.0),
+                           rho + 1e-4 * np.exp(1j * rng.uniform(0.0, 3.0,
+                                                                10))])
+    j, _ = klein_j_pair(taus)
+    _, bounds = klein_j_with_bound(taus)
+    assert np.all(klein_j_error_bound(taus, j) >= bounds)
+    for tau in taus:
+        v, b = klein_j_with_bound(tau)
+        assert klein_j_error_bound(tau, v) >= b
 
 
 # ---------------------------------------------------------------------------
