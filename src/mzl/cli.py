@@ -94,16 +94,15 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         for s in args.inputs:
             v = complex(j_inverse(_parse_real(s)))
             rows.append((s, v, ""))
-    elif args.function == "wp":
+    elif args.function in ("wp", "wpprime"):
         L = lattice(args.tau)
         for s in args.inputs:
             z = _parse_complex(s)
             p, dp = wp_pair(z, L)
-            rows.append((s, p, wp_error_bound(z, p, dp, L)))
-    elif args.function == "wpprime":
-        L = lattice(args.tau)
-        for s in args.inputs:
-            rows.append((s, wp_pair(_parse_complex(s), L)[1], ""))
+            if args.function == "wp":
+                rows.append((s, p, wp_error_bound(z, p, dp, L)))
+            else:
+                rows.append((s, dp, ""))
     elif args.function == "2f1":
         for s in args.inputs:
             z = _parse_complex(s)

@@ -466,6 +466,9 @@ class LocalizedZero:
     radius: float
     multiplicity: int
     resolved: bool
+    # the quadtree box (x0, x1, y0, y1) of a box report; None for a Newton
+    # root
+    box: tuple | None = None
 
 
 _CUT_SHIFTS = [0.0, 0.031, -0.057, 0.083, -0.113, 0.137]
@@ -498,7 +501,8 @@ def localize_zeros(f, *boxes, target_radius: float = 1e-8,
 
     Returns disks whose multiplicities sum to the windings of f over the
     box boundaries: a Newton root with radius target_radius, or the
-    center and half-diagonal of a box of radius <= target_radius.  Boxes
+    center and half-diagonal of a box of radius <= target_radius, which
+    carries the box.  Boxes
     that still hold winding > 1 at depth _MAX_DEPTH come back with
     resolved=False (cluster reports).  A zero on a box boundary raises
     ZeroOnContourError; moving the box is the caller's move.  The top
@@ -526,7 +530,7 @@ def localize_zeros(f, *boxes, target_radius: float = 1e-8,
                 trying.append(node)
             else:
                 out.append(LocalizedZero(_center(b), _radius(b), wb,
-                                         _radius(b) <= target_radius))
+                                         _radius(b) <= target_radius, b))
         parents = []
         for node, roots in zip(trying, _newton_roots(f, trying, target_radius,
                                                      zero_atol)):

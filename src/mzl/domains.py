@@ -165,10 +165,20 @@ def build_j_contour(spec: JDomainSpec, eta: float = _J_ETAS[0]) -> Contour:
     ])
 
 
+# the wp contour's distances eta from the classical cell boundary, in turn
+_WP_ETAS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+# the smallest notch radius per unit of eta: the notch centres move by
+# eta sqrt 2 off the poles, which stay well inside
+_NOTCH_PER_ETA = 4.0
+_MIN_DELTA = _NOTCH_PER_ETA * _WP_ETAS[0]
+
+
 @dataclass(frozen=True)
 class WpDomainSpec:
     """Half-open period cell [beta, beta+1) x [0, tau), with the lattice
-    points on its boundary excised by notches of radius delta."""
+    points on its boundary excised by notches of radius delta; delta is
+    at least _MIN_DELTA, so the notches hold the poles at the contour's
+    smallest eta."""
 
     tau: float
     beta: float = 0.0
@@ -179,18 +189,11 @@ class WpDomainSpec:
             raise InvalidSpecError("tau must lie in [0.1, 10]")
         if self.delta is None:
             object.__setattr__(self, "delta", min(1.0, self.tau) / 16.0)
-        if not 0.0 < self.delta < min(1.0, self.tau) / 4.0:
-            raise InvalidSpecError("delta must lie in (0, min(1, tau)/4)")
+        if not _MIN_DELTA <= self.delta < min(1.0, self.tau) / 4.0:
+            raise InvalidSpecError("delta must lie in [4e-6, min(1, tau)/4)")
 
     def with_delta(self, delta: float) -> "WpDomainSpec":
         return WpDomainSpec(self.tau, self.beta, delta)
-
-
-# the wp contour's distances eta from the classical cell boundary, in turn
-_WP_ETAS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
-# the smallest notch radius per unit of eta: the notch centres move by
-# eta sqrt 2 off the poles, which stay well inside
-_NOTCH_PER_ETA = 4.0
 
 
 def _wp_cell(spec: WpDomainSpec, eta: float):
@@ -313,7 +316,7 @@ class ZeroCountReport:
 # half-width at which localize_zeros stops splitting a box
 _J_TARGET_RADIUS = 1e-4
 _WP_TARGET_RADIUS = 1e-3
-# the smallest half-width to which _attempt refines a box report that
+# the smallest half-width to which _off_contour refines a box report that
 # meets the contour
 _MIN_TARGET_RADIUS = 1e-11
 
@@ -393,40 +396,49 @@ def _distance(contour: Contour, z: complex) -> float:
     return out
 
 
-def _attempt(P: BivariatePolynomial, inner, vals: np.ndarray,
-             w: WindingResult, boxes, target_radius: float,
-             keep=None, contour: Contour | None = None):
-    """One count attempt of either pipeline: offset P(z, f(z)) with eps
-    sized from vals, localize its zeros in the boxes (zero_atol 0.1 eps)
-    and, when keep is given, keep those whose centers pass it.  A box
-    report (not a Newton root, whose center is the zero to rounding)
-    whose disk meets the contour could hold zeros on either side, so
-    before any is kept the whole localization runs again at a sixteenth
-    of the target radius until none does.  That ends: on the contour the
-    offset composite has modulus at least eps, so its zeros lie about
-    eps / |f'| off it.  Returns (offset composite, kept zeros); raises
-    NonconvergenceError unless their multiplicities sum to w, the winding
-    of the unperturbed composite over the contour."""
-    pert = perturb_from_values(P, inner, vals)
-    atol = 0.1 * pert.epsilon
-    target = target_radius
-    while True:
-        zeros = localize_zeros(pert.pair, *boxes, target_radius=target,
-                               zero_atol=atol)
-        if keep is None or not any(
-                (z.multiplicity > 1 or z.radius != target)
-                and _distance(contour, z.center) < z.radius for z in zeros):
-            break
-        target /= 16.0
-        if target < _MIN_TARGET_RADIUS:
+def _off_contour(f, zeros, contour: Contour, atol: float) -> list:
+    """zeros with each box report whose disk meets the contour, which
+    could hold zeros on either side, replaced by the zeros localize_zeros
+    finds in its box at a sixteenth of its radius, until no report's disk
+    does.  That ends: on the contour the offset composite f has modulus
+    at least eps, so its zeros lie about eps / |f'| off it."""
+    out, todo = [], list(zeros)
+    while todo:
+        z = todo.pop()
+        if z.box is None or _distance(contour, z.center) >= z.radius:
+            out.append(z)
+            continue
+        if z.radius / 16.0 < _MIN_TARGET_RADIUS:
             raise NonconvergenceError(
                 "a localized box stays across the contour")
-    kept = zeros if keep is None else [z for z in zeros if keep(z.center)]
-    count = sum(z.multiplicity for z in kept)
+        todo += localize_zeros(f, z.box, target_radius=z.radius / 16.0,
+                               zero_atol=atol)
+    return out
+
+
+def _attempt(P: BivariatePolynomial, inner, vals: np.ndarray,
+             w: WindingResult, boxes, target_radius: float, region=None):
+    """One count attempt of either pipeline: offset P(z, f(z)) with eps
+    sized from vals and localize its zeros in the boxes (zero_atol
+    0.1 eps).  The j count passes region = (contour, keep): its box
+    reports are first moved off the contour (_off_contour), and only the
+    zeros whose centers pass keep are kept.  Returns (offset composite,
+    kept zeros); raises NonconvergenceError unless their multiplicities
+    sum to w, the winding of the unperturbed composite over the
+    contour."""
+    pert = perturb_from_values(P, inner, vals)
+    atol = 0.1 * pert.epsilon
+    zeros = localize_zeros(pert.pair, *boxes, target_radius=target_radius,
+                           zero_atol=atol)
+    if region is not None:
+        contour, keep = region
+        zeros = [z for z in _off_contour(pert.pair, zeros, contour, atol)
+                 if keep(z.center)]
+    count = sum(z.multiplicity for z in zeros)
     if count != w.winding:
         raise NonconvergenceError(
             f"{count} localized zeros against winding {w.winding}")
-    return pert, kept
+    return pert, zeros
 
 
 def _report(kind, P, bound_fn, pert, w, zeros, domain, contour,
@@ -523,7 +535,7 @@ def count_zeros_j(P: BivariatePolynomial,
 
     The zeros are localized in one box around build_j_contour's contour
     and kept by _in_j_region, once no box report meets the contour
-    (_attempt refines those).  Neither retry move changes which zeros
+    (_off_contour refines those).  Neither retry move changes which zeros
     count: a failed unperturbed winding, as at a multiple zero on the
     classical boundary eta away, takes the next eta of _J_ETAS (after
     the last, its error is raised), and any other failure lowers the
@@ -563,7 +575,7 @@ def count_zeros_j(P: BivariatePolynomial,
         try:
             pert, zeros = _attempt(
                 P, klein_j_pair, vals, w, [box], _J_TARGET_RADIUS,
-                lambda c: _in_j_region(c, Y, eta), contour)
+                (contour, lambda c: _in_j_region(c, Y, eta)))
         except (ZeroOnContourError, NonconvergenceError) as exc:
             last_error, drop = exc, drop + 1e-3
             continue

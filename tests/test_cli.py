@@ -343,6 +343,15 @@ def test_trace_to_file(wp_poly, tmp_path):
     assert out.read_text().startswith("t,z_re,z_im,f_re,f_im,arg_unwrapped")
 
 
+def test_trace_wp_delta_below_the_notch_floor_exits_2(wp_poly, capsys):
+    # delta must hold the poles at the contour's smallest eta
+    assert main(["trace", "wp", "--poly", wp_poly, "--delta", "3e-6",
+                 "--per-segment", "4"]) == 2
+    assert "delta" in capsys.readouterr().err
+    assert main(["trace", "wp", "--poly", wp_poly, "--delta", "4e-6",
+                 "--per-segment", "4"]) == 0
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_trace_per_segment_below_one_exits_2(lin_poly, capsys, n):
     assert main(["trace", "j", "--poly", lin_poly, "--per-segment", n]) == 2

@@ -181,6 +181,7 @@ def test_localize_two_simple_zeros():
                            (-2.0, 2.0, -2.0, 2.0))
     assert len(zeros) == 2
     assert all(z.multiplicity == 1 and z.resolved for z in zeros)
+    assert all(z.box is None for z in zeros)   # Newton roots
     centers = sorted(z.center.real for z in zeros)
     assert abs(centers[0] + 1.0) < 1e-7
     assert abs(centers[1] - 1.0) < 1e-7
@@ -218,6 +219,10 @@ def test_localize_j_triple_zero_at_rho():
     assert len(zeros) == 1
     assert zeros[0].multiplicity == 3
     assert abs(zeros[0].center - rho) < 1e-6
+    # a box report carries its box, whose center and half-diagonal it is
+    x0, x1, y0, y1 = zeros[0].box
+    assert zeros[0].center == complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    assert zeros[0].radius == 0.5 * float(np.hypot(x1 - x0, y1 - y0))
 
 
 def test_localize_empty_box():

@@ -12,7 +12,8 @@ import mzl.contour as contour_module
 import mzl.domains as domains_module
 import mzl.elliptic as elliptic_module
 import oracles
-from mzl.contour import ArcSegment, Contour, LineSegment, winding_number
+from mzl.contour import (ArcSegment, Contour, LineSegment, LocalizedZero,
+                         winding_number)
 from mzl.domains import (_WP_ETAS, JDomainSpec, WpDomainSpec, _in_j_region,
                          _top_line_dominates, _zero_floor,
                          bezout_step_bound,
@@ -167,6 +168,40 @@ def test_distance_to_the_j_contour():
         assert -1e-12 <= gap < 1e-4, c
 
 
+def test_off_contour_refines_only_the_boxes_across_the_contour(monkeypatch):
+    # zeros 1e-6 above and below the bottom edge: the box report across
+    # the edge is localized again in its box alone; a Newton root (no box)
+    # and a box report clear of the contour are kept as they are
+    contour = contour_module.rectangle_contour(0.0, 1.0, 0.0, 1.0)
+    a, b = 0.5 + 1e-6j, 0.5 - 1e-6j
+
+    def f(z):
+        return (z - a) * (z - b), 2.0 * z - a - b
+
+    across = LocalizedZero(0.5, math.sqrt(2.0) * 1e-4, 2, True,
+                           (0.5 - 1e-4, 0.5 + 1e-4, -1e-4, 1e-4))
+    root = LocalizedZero(0.3, 1e-4, 1, True)
+    clear = LocalizedZero(0.5 + 0.5j, 1e-4, 1, True,
+                          (0.5 - 1e-4, 0.5 + 1e-4, 0.5 - 1e-4, 0.5 + 1e-4))
+    calls = []
+
+    def localize(g, *boxes, **kw):
+        calls.append(boxes)
+        return contour_module.localize_zeros(g, *boxes, **kw)
+    monkeypatch.setattr(domains_module, "localize_zeros", localize)
+    out = domains_module._off_contour(f, [root, across, clear], contour,
+                                      0.0)
+    assert root in out and clear in out
+    refined = [z for z in out if z not in (root, clear)]
+    assert calls[0] == (across.box,)
+    assert all(len(boxes) == 1 for boxes in calls)
+    assert sum(z.multiplicity for z in refined) == 2
+    assert sorted(np.sign(z.center.imag) for z in refined) == [-1.0, 1.0]
+    for z in refined:
+        assert (z.box is None
+                or domains_module._distance(contour, z.center) >= z.radius)
+
+
 def test_j_real_on_arc_and_verticals():
     contour = classical_j_boundary(3.0)
     ts = np.linspace(0.02, 0.98, 40)
@@ -186,6 +221,10 @@ def test_wp_domain_spec_validation():
     with pytest.raises(InvalidSpecError):
         WpDomainSpec(1.0, delta=0.3)
     assert spec.with_delta(0.01).delta == 0.01
+    # the notches must hold the poles at the contour's smallest eta, 1e-6
+    with pytest.raises(InvalidSpecError):
+        WpDomainSpec(1.0, delta=3e-6)
+    assert build_wp_contour(WpDomainSpec(1.0, delta=4e-6)).closed
 
 
 def test_wp_contour_corner_notches():
