@@ -442,10 +442,11 @@ def crossing_bound_check(f, contour: Contour) -> CrossingReport:
         return np.asarray(f(contour.point((t + shift) % n if contour.closed
                                           else t))[0], dtype=complex)
 
-    imc = real_zero_count(lambda t: at(t).imag, (0.0, n),
-                          n_initial=_CROSSING_GRID)
-    rec = real_zero_count(lambda t: at(t).real, (0.0, n),
-                          n_initial=_CROSSING_GRID)
+    # one evaluation of f on the starting grid serves both components
+    t = np.linspace(0.0, n, _CROSSING_GRID)
+    v = at(t)
+    imc = real_zero_count(lambda t: at(t).imag, t, v.imag)
+    rec = real_zero_count(lambda t: at(t).real, t, v.real)
     holds = (w <= imc / 2.0 + 1.0 + 1e-9) and (w <= rec / 2.0 + 1.0 + 1e-9)
     return CrossingReport(w, imc, rec, holds)
 

@@ -35,6 +35,7 @@ import cmath
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -656,6 +657,59 @@ def count_zeros_wp(P: BivariatePolynomial,
 # ------------------------------------------------------------ line counts
 
 _LINE_OFFSET = 1e-4
+# points of the grid a line count starts from
+_LINE_GRID = 4096
+
+
+@lru_cache(maxsize=8)
+def _line_grid(tau: float, line: str):
+    """The starting grid t of a line count on (tau, line) and wp on it,
+    both read-only.  They depend on nothing else, so every count on the
+    same line shares them."""
+    end = 1.0 if line == "horizontal" else tau
+    t = np.linspace(_LINE_OFFSET, end - _LINE_OFFSET, _LINE_GRID)
+    w = wp_on_line(t, lattice(tau), line)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+def _horner(coeffs, w):
+    """The polynomial with real ascending coeffs at w, by Horner from the
+    leading coefficient; 0.0 when every coefficient is zero."""
+    if not coeffs.any():
+        return 0.0
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * w + c
+    return acc
+
+
+def _line_values(P: BivariatePolynomial, t, w, line: str, component: str):
+    """Re or Im of P(z(t), w) for real t and real w, in real arithmetic.
+
+    On the horizontal line (z = t) the real and imaginary parts never
+    mix, so one real column of the coefficients gives the component.  On
+    the vertical line (z = it) the real and imaginary columns follow the
+    complex multiply's operations in its order,
+    (a_r + i a_i) it + (b_r + i b_i) = (b_r - a_i t) + i (a_r t + b_i).
+    Each value has the bits of Re or Im of P.evaluate(z(t), w) apart
+    from the sign of zero, so an identically zero component still
+    vanishes exactly.
+    """
+    c = P.coeffs
+    if line == "horizontal":
+        col = c.real if component == "Re" else c.imag
+        acc = _horner(col[-1], w)
+        for row in col[-2::-1]:
+            acc = acc * t + _horner(row, w)
+    else:
+        ar, ai = _horner(c[-1].real, w), _horner(c[-1].imag, w)
+        for row in c[-2::-1]:
+            br, bi = _horner(row.real, w), _horner(row.imag, w)
+            ar, ai = br - ai * t, ar * t + bi
+        acc = ar if component == "Re" else ai
+    return acc if np.ndim(acc) else np.full(np.shape(t), acc)
 
 
 def line_im_zero_count(P: BivariatePolynomial, tau: float,
@@ -666,20 +720,22 @@ def line_im_zero_count(P: BivariatePolynomial, tau: float,
     horizontal: z(t) = t,     t in (_LINE_OFFSET, 1 - _LINE_OFFSET)
     vertical:   z(t) = i * t, t in (_LINE_OFFSET, tau - _LINE_OFFSET)
 
-    wp is real on both lines and is taken real (elliptic.wp_on_line), so
-    a component that is identically zero there, such as Im P for real P
-    on the horizontal line, vanishes exactly and raises AmbiguityError.
+    The count starts from the _LINE_GRID-point grid of _line_grid, with
+    wp on it computed once per (tau, line) and shared by every count
+    there; only the refinements evaluate wp again.  wp is real on both
+    lines and is taken real (elliptic.wp_on_line), and P is evaluated in
+    real arithmetic (_line_values), so a component that is identically
+    zero there, such as Im P for real P on the horizontal line, vanishes
+    exactly and raises AmbiguityError.
     """
     if line not in ("horizontal", "vertical"):
         raise InvalidSpecError("line must be horizontal or vertical")
     if component not in ("Re", "Im"):
         raise InvalidSpecError("component must be Re or Im")
     L = lattice(tau)
-    take = np.real if component == "Re" else np.imag
-    direction = 1.0 if line == "horizontal" else 1j   # z(t) = direction t
 
     def f(t):
-        return take(P.evaluate(direction * t, wp_on_line(t, L, line)))
+        return _line_values(P, t, wp_on_line(t, L, line), line, component)
 
-    end = 1.0 if line == "horizontal" else tau
-    return real_zero_count(f, (_LINE_OFFSET, end - _LINE_OFFSET))
+    t, w = _line_grid(tau, line)
+    return real_zero_count(f, t, _line_values(P, t, w, line, component))

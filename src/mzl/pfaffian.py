@@ -310,23 +310,28 @@ _REFINE_MAX_POINTS = 2_000_000
 _PLATEAU_RTOL = 1e-13
 
 
-def real_zero_count(f, interval: tuple, n_initial: int = 4096,
-                    refine_rounds: int = 3) -> int:
-    """Zero count of a real function on an interval: the sign-change count
-    on a refined grid; roots are not located.
+def real_zero_count(f, t, v, refine_rounds: int = 3) -> int:
+    """Zero count of a real function on [t[0], t[-1]]: the sign-change
+    count on a refined grid; roots are not located.
 
-    f must accept ndarray input.  Each refinement round subdivides the
-    grid cells where |f| is small relative to a local scale, so f is
-    called at most 1 + refine_rounds times.  A grid point where f is
-    exactly zero counts as one zero; a tangential touch that never
-    changes sign is not counted.  A function that vanishes on the whole
-    grid, or a flat stretch at plateau level, raises AmbiguityError.
+    t is the starting grid, strictly increasing, and v the values of f
+    on it; the caller builds both, so a grid shared by many counts is
+    built once.  f must accept ndarray input.  Each refinement round
+    subdivides the grid cells where |f| is small relative to a local
+    scale, so f is called at most refine_rounds times, at the new points
+    only; t and v are never written.  A grid point where f is exactly
+    zero counts as one zero; a tangential touch that never changes sign
+    is not counted.  A function that vanishes on the whole grid, or a
+    flat stretch at plateau level, raises AmbiguityError.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise InvalidSpecError("empty interval")
-    t = np.linspace(a, b, n_initial)
-    v = np.asarray(f(t), dtype=float)
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if t.ndim != 1 or t.size < 2 or v.shape != t.shape:
+        raise InvalidSpecError("t must be a grid of at least 2 points and "
+                               "v the values on it")
+    if not np.all(t[1:] > t[:-1]):
+        raise InvalidSpecError("the grid must increase strictly")
+    a, b = float(t[0]), float(t[-1])
     for _ in range(refine_rounds):
         mods = np.abs(v)
         scale = float(mods.max())

@@ -18,7 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from mzl.elliptic import lattice, wp_on_line
 from mzl.errors import PrecisionLossError
+from mzl.pfaffian import real_zero_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,6 +327,28 @@ def local_scale_roll(mods: np.ndarray, window: int = 64) -> np.ndarray:
         wide[0] = max(blocks[0], blocks[1])
         wide[-1] = max(blocks[-1], blocks[-2])
     return np.repeat(wide, window)[:n]
+
+
+# ---------------------------------------------------------------------------
+# line counts in complex arithmetic on a fresh grid
+
+
+def line_count_complex(P, tau: float, line: str = "horizontal",
+                       component: str = "Re") -> int:
+    """The sign-change count of Re or Im of P(z, wp(z)) on a lattice line
+    as line_im_zero_count once made it: a fresh 4096-point grid on
+    (1e-4, end - 1e-4), wp evaluated on it at every call, and P by the
+    complex Horner pass of BivariatePolynomial.evaluate."""
+    L = lattice(tau)
+    take = np.real if component == "Re" else np.imag
+    direction = 1.0 if line == "horizontal" else 1j
+
+    def f(t):
+        return take(P.evaluate(direction * t, wp_on_line(t, L, line)))
+
+    end = 1.0 if line == "horizontal" else tau
+    t = np.linspace(1e-4, end - 1e-4, 4096)
+    return real_zero_count(f, t, f(t))
 
 
 # ---------------------------------------------------------------------------

@@ -803,8 +803,15 @@ def test_dominant_term_bound_open_arc_pole_ladder():
 
 def test_crossing_counts_for_powers():
     for k in (1, 2, 3):
-        rep = crossing_bound_check(lambda z, k=k: (z ** k, k * z ** (k - 1)),
-                                   circle_contour(0.0, 1.0))
+        sizes = []
+
+        def f(z, k=k):
+            sizes.append(np.size(z))
+            return z ** k, k * z ** (k - 1)
+
+        rep = crossing_bound_check(f, circle_contour(0.0, 1.0))
+        # Im and Re are counted from one evaluation on the 4096-point grid
+        assert sizes.count(4096) == 1
         assert rep.im_crossings == 2 * k
         assert rep.re_crossings == 2 * k
         assert rep.winding_abs_over_2pi == pytest.approx(k, abs=1e-6)

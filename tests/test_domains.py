@@ -1173,6 +1173,75 @@ def test_line_count_against_proposition_bound(rng):
         assert n <= proposition_bound(d)
 
 
+@pytest.mark.parametrize("tau", [0.3, 1.0, 1.5, 8.0])
+def test_line_values_equal_the_complex_horner_pass(tau):
+    # the real-arithmetic values have the bits of the complex pass (==
+    # treats -0.0 and 0.0 alike); some polynomials have all-zero rows
+    rng = np.random.default_rng(int(tau * 10))
+    polys = []
+    for dx in range(4):
+        for dy in range(4):
+            for real in (True, False):
+                polys.append(random_polynomial(rng, dx, dy, real=real))
+                sparse = random_polynomial(rng, dx, dy, real=real).coeffs
+                polys.append(BivariatePolynomial(
+                    sparse * (rng.random(sparse.shape) < 0.5)))
+    for line, direction in (("horizontal", 1.0), ("vertical", 1j)):
+        t, w = domains_module._line_grid(tau, line)
+        for P in polys:
+            full = P.evaluate(direction * t, w)
+            for component, take in (("Re", np.real), ("Im", np.imag)):
+                got = domains_module._line_values(P, t, w, line, component)
+                assert got.shape == t.shape
+                assert np.array_equal(got, take(full))
+
+
+def test_line_count_equals_the_complex_oracle():
+    # line_count_suite's draws at seeds 0-19: 1000 trials
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            dx = int(rng.integers(0, 4))
+            dy = int(rng.integers(1, 4))
+            P = random_polynomial(rng, dx, dy, real=True)
+            tau = float(rng.choice([1.0, 1.5]))
+            line = "horizontal" if rng.integers(2) else "vertical"
+            assert (line_im_zero_count(P, tau, line=line, component="Re")
+                    == oracles.line_count_complex(P, tau, line, "Re"))
+
+
+def test_line_grid_is_shared_and_read_only(monkeypatch):
+    sizes = []
+    wp_on_line = domains_module.wp_on_line
+
+    def recorded(t, L, line):
+        sizes.append(np.size(t))
+        return wp_on_line(t, L, line)
+
+    monkeypatch.setattr(domains_module, "wp_on_line", recorded)
+    domains_module._line_grid.cache_clear()
+    P = BivariatePolynomial([[-3.0, 0.5, 1.0], [2.0, 0.0, -1.0]])
+    first = line_im_zero_count(P, 1.0, line="vertical")
+    assert 4096 in sizes
+    sizes.clear()
+    assert line_im_zero_count(P, 1.0, line="vertical") == first
+    assert 4096 not in sizes
+
+    t, w = domains_module._line_grid(1.0, "vertical")
+    for a in (t, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+    # tau < 1: wp_on_line works on the swapped lattice, the grid spans
+    # the vertical line of this one
+    tau = 0.3
+    t, w = domains_module._line_grid(tau, "vertical")
+    assert t.size == 4096 and t[0] == 1e-4 and t[-1] == tau - 1e-4
+    swapped = -wp_on_line(t / tau, lattice(1.0 / tau), "horizontal") / tau**2
+    scale = np.abs(swapped) + math.sqrt(abs(lattice(tau).g2))
+    assert np.all(np.abs(w - swapped) <= 1e-12 * scale)
+
+
 # ---------------------------------------------------------------------------
 # line-restriction algebra
 

@@ -262,9 +262,15 @@ def test_multipoly_validation():
 # real zero counting
 
 
+def _count(f, a, b, n=4096, **kwargs):
+    # the count on the n-point grid over [a, b], with f's values on it
+    t = np.linspace(a, b, n)
+    return real_zero_count(f, t, f(t), **kwargs)
+
+
 def test_zero_count_sine():
     f = lambda x: np.sin(2.0 * np.pi * np.asarray(x))
-    assert real_zero_count(f, (0.1, 2.9)) == 5
+    assert _count(f, 0.1, 2.9) == 5
 
 
 def test_zero_count_calls_f_once_per_round():
@@ -275,10 +281,25 @@ def test_zero_count_calls_f_once_per_round():
         calls[0] += 1
         return np.sin(2.0 * np.pi * np.asarray(x))
 
+    # a shared grid and its values are read-only: the count writes neither
+    t = np.linspace(0.1, 2.9, 4096)
+    v = f(t)
+    t.setflags(write=False)
+    v.setflags(write=False)
     for rounds in (0, 1, 3):
         calls[0] = 0
-        assert real_zero_count(f, (0.1, 2.9), refine_rounds=rounds) == 5
-        assert calls[0] <= 1 + rounds
+        assert real_zero_count(f, t, v, refine_rounds=rounds) == 5
+        assert calls[0] <= rounds
+
+
+def test_zero_count_grid_validation():
+    f = lambda x: np.sin(2.0 * np.pi * np.asarray(x))
+    t = np.linspace(0.1, 2.9, 64)
+    for grid, values in ((t[::-1], f(t[::-1])), (t[:1], f(t[:1])),
+                         (np.array([0.5, 0.5]), np.zeros(2)),
+                         (t, f(t)[:-1])):
+        with pytest.raises(InvalidSpecError):
+            real_zero_count(f, grid, values)
 
 
 def test_zero_count_j_level_set():
@@ -286,20 +307,20 @@ def test_zero_count_j_level_set():
     # about 5e-4, far above the error of klein_j
     f = lambda t: np.real(klein_j(1j * np.asarray(t))) - 2000.0
     t0 = j_inverse(2000.0)
-    assert real_zero_count(f, (1.0, 3.0), n_initial=1024) == 1
-    assert real_zero_count(f, (1.0, t0 - 1e-7), n_initial=1024) == 0
-    assert real_zero_count(f, (t0 + 1e-7, 3.0), n_initial=1024) == 0
+    assert _count(f, 1.0, 3.0, 1024) == 1
+    assert _count(f, 1.0, t0 - 1e-7, 1024) == 0
+    assert _count(f, t0 + 1e-7, 3.0, 1024) == 0
 
 
 def test_zero_count_plateau_is_ambiguous():
     f = lambda x: np.minimum(np.asarray(x) - 0.5, 0.0)
     with pytest.raises(AmbiguityError):
-        real_zero_count(f, (0.0, 1.0))
+        _count(f, 0.0, 1.0)
 
 
 def test_zero_count_tangential_touch():
     f = lambda x: (np.asarray(x) - 0.49737) ** 2
-    assert real_zero_count(f, (0.0, 1.0)) == 0
+    assert _count(f, 0.0, 1.0) == 0
 
 
 @pytest.mark.parametrize("n", [1, 40, 64, 65, 128, 129, 1000, 4096])
@@ -340,6 +361,6 @@ def test_zero_count_respects_khovanskii_bound(rng):
         terms = {(0,) * 9 + (k,): float(c) for k, c in enumerate(coeffs)}
         pf = PfaffianFunction(chain, MultiPoly(terms, 10))
         f = lambda y: np.real(pf.eval(np.asarray(y)))
-        n = real_zero_count(f, (0.02, 0.98), n_initial=512, refine_rounds=2)
+        n = _count(f, 0.02, 0.98, 512, refine_rounds=2)
         assert n <= deg
         assert n <= pf.zero_bound
