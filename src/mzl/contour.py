@@ -12,12 +12,26 @@ split in one round into k equal pieces in parameter, k = the larger of
 |phase step| and the step bound over pi/2, rounded up and clipped to
 [2, _MAX_PIECES]: the bound already says how many pieces it needs, so a
 zero near the contour costs fewer rounds, and so fewer f calls, than
-bisection.  Every f this module takes is a pair callable,
-f(z) -> (f(z), f'(z)), so f' comes from the same call as f.  The
-log-derivative integral telescopes to the change of log|f| plus i times
-the accumulated phase, so no quadrature of f'/f is ever performed.
-Several contours can be refined together, one f call per round for all
-of them, each refined as it would be alone.
+bisection.  _MAX_PIECES = 16 lets one round split as deep as the bound
+asks next to a lattice pole (about 10 pieces at tau = 8, 1/16 from a
+notch); over the j and wp bench corpora at seeds 0-9 and 14 (2706
+counts) caps from 6 to 64 change no count and no failure, and 16 takes
+most of the fall in rounds that 64 gives.  Every f this module takes is
+a pair callable, f(z) -> (f(z), f'(z)), so f' comes from the same call
+as f.  The log-derivative integral telescopes to the change of log|f|
+plus i times the accumulated phase, so no quadrature of f'/f is ever
+performed.  Several contours can be refined together, one f call per
+round for all of them, each refined as it would be alone.
+
+The starting grid of a phase batch depends on its geometry alone, and a
+count repeats two batches on a fixed domain: winding_number over its
+contour and the top boxes of localize_zeros.  Those two take their grid
+from a cache of the last _SHARED_GRIDS geometries (_shared_grid), so the
+first round calls f on the same read-only z array each time, and a
+caller can keep what it computes on that array with the grid
+(_grid_store).  Quadrant splits, Newton disks, a box report localized
+again on its own and every other pass build their own grids and never
+touch the cache.
 
 Zeros are localized by one breadth-first quadtree over any number of
 disjoint top boxes, whose windings are one phase batch; every box first
@@ -26,6 +40,7 @@ tries Newton from its moment seeds (Delves & Lyness, Math. Comp. 21,
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -44,9 +59,11 @@ _MAX_DEPTH = 40
 # an interval shorter than this many ulps of |z| is never split
 _SPLIT_ULPS = 16.0
 # the most pieces one refinement round splits an interval into
-_MAX_PIECES = 5
+_MAX_PIECES = 16
 # points per segment of the uniform grid a phase pass starts from
 _N_INITIAL = 17
+# the most starting grids _shared_grid keeps
+_SHARED_GRIDS = 64
 _DOMINANCE_SAMPLES = 256
 _CROSSING_GRID = 4096
 
@@ -174,15 +191,14 @@ def _pair(f, z):
     return tuple(np.asarray(a, dtype=complex) for a in out)
 
 
-def _sample(f, contour: Contour, t: np.ndarray):
-    """z(t), f(z) and f'(z) at the contour parameters t, from one call of
-    the pair callable f at z."""
-    z = contour.point(t)
+def _sample(f, z):
+    """f(z) and f'(z), checked finite, from one call of the pair callable
+    f: one refinement round."""
     v, dv = _pair(f, z)
     finite = np.isfinite(v) & np.isfinite(dv)
     if not finite.all():
         raise MzlError(f"non-finite value at z={z[np.argmin(finite)]!r}")
-    return z, v, dv
+    return v, dv
 
 
 def _joined(contours: Sequence[Contour]) -> Contour:
@@ -197,23 +213,105 @@ def _joined(contours: Sequence[Contour]) -> Contour:
     return joined
 
 
-def _contour_phases(f, contours: Sequence[Contour], zero_atol: float) -> list:
-    """Adaptive phase accumulation over several contours at once, each
-    segment starting from _N_INITIAL uniform points.
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """The starting grid of a phase batch: the global parameters t of its
+    points, the contour id cid of each, the joined contour and z =
+    joined.point(t).  store holds what callers compute on z
+    (_grid_store)."""
 
-    Contour k runs over [o_k, o_k + n_k] of the global parameter of the
-    joined segments, n_k its segment count; its end point, but for the
-    last contour's, sits one ulp below o_k + n_k, inside its own last
-    segment.  An interval is accepted once its phase step and |dz| max
-    |f'/f| at its two ends are both below pi/2.  One that fails is split
-    into k equal pieces in parameter, k = ceil(max(|phase step|, |dz|
-    max |f'/f|) / (pi/2)) clipped to [2, _MAX_PIECES], or bisected where
-    a piece would span fewer than _SPLIT_ULPS ulps of |z| or of its
-    parameter.  Every refinement round evaluates f once, for all the new
-    points of all the contours it splits.  Each contour is refined as it
-    would be alone, up to the last bits of an f whose rounding depends on
-    the batch (klein_j_pair picks its truncation order from the largest
-    |q|).
+    t: np.ndarray
+    cid: np.ndarray
+    joined: Contour
+    z: np.ndarray
+    store: dict
+
+
+def _start_grid(contours: Sequence[Contour]) -> _Grid:
+    """The grid of _N_INITIAL uniform points per segment.  Contour k runs
+    over [o_k, o_k + n_k] of the global parameter of the joined segments,
+    n_k its segment count; its end point, but for the last contour's,
+    sits one ulp below o_k + n_k, inside its own last segment."""
+    joined = _joined(contours)
+    nsegs = np.array([len(c.segments) for c in contours])
+    offsets = np.concatenate([[0], np.cumsum(nsegs)])
+    # per contour the points of np.linspace(0, n, n (_N_INITIAL - 1) + 1),
+    # shifted by its offset
+    sizes = nsegs * (_N_INITIAL - 1) + 1
+    cid = np.repeat(np.arange(len(contours)), sizes)
+    ends = np.cumsum(sizes) - 1
+    t = (np.arange(ends[-1] + 1) - np.repeat(ends - sizes + 1, sizes)) \
+        * (1.0 / (_N_INITIAL - 1)) + offsets[cid]
+    t[ends] = offsets[1:]
+    t[ends[:-1]] = np.nextafter(t[ends[:-1]], -np.inf)
+    return _Grid(t, cid, joined, joined.point(t), {})
+
+
+# the shared starting grids by geometry, least recently used first, and
+# the same grids by id(z)
+_grids: OrderedDict = OrderedDict()
+_grids_by_z: dict = {}
+
+
+def _shared_grid(contours: Sequence[Contour]) -> _Grid:
+    """The starting grid of the contours from the cache of the last
+    _SHARED_GRIDS geometries, built on a miss; its t, cid and z are
+    read-only.  The key is _N_INITIAL, the segment count of each contour
+    and the bits of their segment tables, which are all the grid depends
+    on."""
+    key = (_N_INITIAL, tuple(len(c.segments) for c in contours),
+           b"".join(c._table.tobytes() for c in contours))
+    grid = _grids.get(key)
+    if grid is not None:
+        _grids.move_to_end(key)
+        return grid
+    grid = _start_grid(contours)
+    for a in (grid.t, grid.cid, grid.z):
+        a.setflags(write=False)
+    _grids[key] = grid
+    _grids_by_z[id(grid.z)] = grid
+    if len(_grids) > _SHARED_GRIDS:
+        _, old = _grids.popitem(last=False)
+        del _grids_by_z[id(old.z)]
+    return grid
+
+
+def _grid_store(z) -> dict | None:
+    """The store of the shared grid whose z is this very array, or None
+    (for any other array, a copy or view of one too).  What a caller
+    keeps there lives as long as the grid stays in the cache."""
+    grid = _grids_by_z.get(id(z))
+    return grid.store if grid is not None and grid.z is z else None
+
+
+def _clear_grids() -> None:
+    """Empty the shared-grid cache and every store with it."""
+    _grids.clear()
+    _grids_by_z.clear()
+
+
+def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
+                    shared: bool = False) -> list:
+    """Adaptive phase accumulation over several contours at once, each
+    segment starting from _N_INITIAL uniform points (_start_grid); with
+    shared, that grid comes from the cache of _shared_grid, so the first
+    round calls f on the same read-only z array every time.  Only the
+    two passes a count repeats on a fixed domain share: winding_number
+    over its contour and the top-box batch of localize_zeros.  The cache
+    keeps the last _SHARED_GRIDS = 64 geometries, a few kB each; a count
+    uses two per attempt.
+
+    An interval is accepted once its phase step and |dz| max |f'/f| at
+    its two ends are both below pi/2.  One that fails is split into k
+    equal pieces in parameter, k = ceil(max(|phase step|, |dz| max
+    |f'/f|) / (pi/2)) clipped to [2, _MAX_PIECES] (16, so that one round
+    splits as deep as the step bound asks next to a lattice pole; see the
+    module docstring), or bisected where a piece would span fewer than
+    _SPLIT_ULPS ulps of |z| or of its parameter.  Every refinement round
+    evaluates f once, for all the new points of all the contours it
+    splits.  Each contour is refined as it would be alone, up to the
+    last bits of an f whose rounding depends on the batch (klein_j_pair
+    picks its truncation order from the largest |q|).
 
     Returns, per contour, the tuple (sum of phase steps, sum of |steps|,
     min |f|, points used, log|f(end)| - log|f(start)|, and the samples
@@ -224,19 +322,9 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float) -> list:
     samples, or an interval to split is shorter than _SPLIT_ULPS ulps of
     |z|, below which the samples no longer resolve the phase.
     """
-    joined = _joined(contours)
-    nsegs = np.array([len(c.segments) for c in contours])
-    offsets = np.concatenate([[0], np.cumsum(nsegs)])
-    nseg = int(offsets[-1])
-    # per contour the points of np.linspace(0, n, n (_N_INITIAL - 1) + 1),
-    # shifted by its offset
-    sizes = nsegs * (_N_INITIAL - 1) + 1
-    cid = np.repeat(np.arange(len(contours)), sizes)
-    ends = np.cumsum(sizes) - 1
-    t = (np.arange(ends[-1] + 1) - np.repeat(ends - sizes + 1, sizes)) \
-        * (1.0 / (_N_INITIAL - 1)) + offsets[cid]
-    t[ends] = offsets[1:]
-    t[ends[:-1]] = np.nextafter(t[ends[:-1]], -np.inf)
+    grid = (_shared_grid if shared else _start_grid)(contours)
+    t, cid, joined, z = grid.t, grid.cid, grid.joined, grid.z
+    nseg = len(joined.segments)
     errors: dict = {}
     alive = np.ones(len(contours), dtype=bool)
 
@@ -244,7 +332,7 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float) -> list:
         errors[k] = error
         alive[k] = False
 
-    z, v, dv = _sample(f, joined, t)
+    v, dv = _sample(f, z)
     while True:
         mods = np.abs(v)
         # with an absolute floor a point must fall below both: the floor
@@ -319,7 +407,8 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float) -> list:
             after, tm = after[keep], tm[keep]
             if not after.size:
                 break
-        zm, vm, dvm = _sample(f, joined, tm)
+        zm = joined.point(tm)
+        vm, dvm = _sample(f, zm)
         # the new points of an interval lie strictly between its two
         # ends, in order, so they go right after its left one and t
         # stays sorted
@@ -347,9 +436,10 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float) -> list:
     return out
 
 
-def _contour_phase(f, contour: Contour, zero_atol: float):
+def _contour_phase(f, contour: Contour, zero_atol: float,
+                   shared: bool = False):
     """_contour_phases for one contour; its error is raised."""
-    res = _contour_phases(f, [contour], zero_atol)[0]
+    res = _contour_phases(f, [contour], zero_atol, shared)[0]
     if isinstance(res, Exception):
         raise res
     return res
@@ -370,13 +460,15 @@ def winding_number(f, contour: Contour,
                    zero_atol: float = 0.0) -> WindingResult:
     """Winding of f over a closed contour, from adaptive phase increments.
 
-    Each segment starts from _N_INITIAL uniform points; the |dz| |f'/f|
-    step bound refines next to zeros that hug the contour whatever the
-    starting grid.
+    Each segment starts from _N_INITIAL uniform points, a grid shared
+    with every winding over an equal contour (_contour_phases), so f is
+    called on a read-only array there; the |dz| |f'/f| step bound refines
+    next to zeros that hug the contour whatever the starting grid.
     """
     if not contour.closed:
         raise InvalidSpecError("winding_number requires a closed contour")
-    total, tv, min_mod, used = _contour_phase(f, contour, zero_atol)[:4]
+    total, tv, min_mod, used = _contour_phase(f, contour, zero_atol,
+                                              shared=True)[:4]
     return WindingResult(_integer_winding(total), tv, min_mod, used)
 
 
@@ -508,13 +600,22 @@ def localize_zeros(f, *boxes, target_radius: float = 1e-8,
     resolved=False (cluster reports).  A zero on a box boundary raises
     ZeroOnContourError; moving the box is the caller's move.  The top
     windings are checked in box order, so an error there is the first
-    box's that has one.  No boxes give no zeros.
+    box's that has one.  No boxes give no zeros.  The top batch starts
+    from the shared grid of its boxes (_contour_phases).
     """
+    return _localize(f, boxes, target_radius, zero_atol, shared=True)
+
+
+def _localize(f, boxes, target_radius: float, zero_atol: float,
+              shared: bool) -> list[LocalizedZero]:
+    """localize_zeros, with its top batch on a shared starting grid or,
+    unless shared, on a grid of its own: for boxes that no other call
+    meets again, such as a box report localized again."""
     if not boxes:
         return []
     live = []
     for box, top in zip(boxes, _contour_phases(
-            f, [rectangle_contour(*b) for b in boxes], zero_atol)):
+            f, [rectangle_contour(*b) for b in boxes], zero_atol, shared)):
         if isinstance(top, Exception):
             raise top
         w = _integer_winding(top[0])
@@ -601,17 +702,15 @@ def _inside(z, boxes: np.ndarray) -> np.ndarray:
     return (x0 <= z.real) & (z.real <= x1) & (y0 <= z.imag) & (z.imag <= y1)
 
 
-def _moment_seeds(box, w: int, z, v, dv) -> np.ndarray:
-    """The w roots of the polynomial whose power sums are those of the
-    zeros of f in the box (Delves & Lyness, Math. Comp. 21, 1967), from
-    the samples z, v = f(z), dv = f'(z) of its winding, once around it.
+def _power_sums(box, w: int, z, v, dv) -> np.ndarray:
+    """The power sums s_1..s_w of the zeros of f in the box, in u = (z -
+    c) / r (box center c, half-diagonal r), from the samples z, v = f(z),
+    dv = f'(z) of its winding, once around it (Delves & Lyness, Math.
+    Comp. 21, 1967).
 
-    In u = (z - c) / r (box center c, half-diagonal r), the power sums
-    are s_k = w u0^k - (k / 2 pi i) closed integral u^(k-1) log f du, by
-    parts against the unwrapped log f, here by the trapezoid rule with
-    its endpoint-derivative correction on each interval.  Newton's
-    identities n a_n = -(s_1 a_(n-1) + ... + s_n a_0) give the monic
-    polynomial sum a_n u^(w-n)."""
+    They are s_k = w u0^k - (k / 2 pi i) closed integral u^(k-1) log f
+    du, by parts against the unwrapped log f, here by the trapezoid rule
+    with its endpoint-derivative correction on each interval."""
     c, r = _center(box), _radius(box)
     u = (z - c) / r
     logf = np.log(np.abs(v)) + 1j * np.concatenate(
@@ -623,7 +722,19 @@ def _moment_seeds(box, w: int, z, v, dv) -> np.ndarray:
     du = np.diff(u)[:, None]
     integral = (0.5 * du * (g[1:] + g[:-1])
                 + du ** 2 / 12.0 * (dg[:-1] - dg[1:])).sum(axis=0)
-    s = w * u[0] ** k - k * integral / (2j * np.pi)
+    return w * u[0] ** k - k * integral / (2j * np.pi)
+
+
+def _moment_seeds(box, w: int, z, v, dv) -> np.ndarray:
+    """The w roots of the monic polynomial sum a_n u^(w-n) whose power
+    sums are _power_sums, from Newton's identities n a_n = -(s_1 a_(n-1)
+    + ... + s_n a_0), mapped back to z = c + r u.  For w = 1 that root is
+    s_1 itself, which np.roots would find as the one eigenvalue of the
+    1x1 companion matrix of u - s_1."""
+    c, r = _center(box), _radius(box)
+    s = _power_sums(box, w, z, v, dv)
+    if w == 1:
+        return c + r * s
     a = [1.0 + 0j]
     for n in range(1, w + 1):
         a.append(-np.dot(s[:n], a[::-1]) / n)

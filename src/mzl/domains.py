@@ -28,6 +28,15 @@ the error of w = f(z) (special.klein_j_error_bound,
 elliptic.wp_error_bound).  The unperturbed winding raises
 ZeroOnContourError at the first such sample, and both counts then take a
 larger eta; the domain stays as it is.
+
+Counts on one domain share their starting grids.  The unperturbed
+winding over the contour and the localization's top boxes start from
+the cached grid of their geometry (contour._shared_grid, the last 64
+geometries), and the inner values w, w' and their error bound on such a
+grid are computed once per (grid, inner function) and kept read-only
+with it (_on_shared_grids).  A repeated count's first rounds then cost
+only P's Horner; every later round, and every count's results, are as
+from a cold cache.
 """
 from __future__ import annotations
 
@@ -41,7 +50,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .contour import (ArcSegment, Contour, LineSegment, WindingResult,
-                      localize_zeros, winding_number)
+                      _grid_store, _localize, localize_zeros, winding_number)
 from .elliptic import lattice, wp_analytic, wp_error_bound, wp_on_line
 from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
@@ -344,6 +353,42 @@ def _zero_floor(P: BivariatePolynomial, z, w, py, w_error) -> np.ndarray:
     return gamma * scale + np.abs(py) * w_error
 
 
+def _on_shared_grids(key, inner, w_error):
+    """The pair callable inner of f and the bound w_error(z, w, dw) on
+    the error of its values, wrapped: called on the z array of a shared
+    starting grid (contour._grid_store), each returns what inner and
+    w_error gave the first time on that grid under key, kept read-only
+    in the grid's store; on any other array they are inner and w_error.
+
+    The key is the inner function (klein_j_pair, or the LatticeParams
+    that fix wp), so every count on the domain shares the values, and a
+    wrapper around elliptic.wp_pair keeps the key.  The stored values
+    are those of exactly the batch the first round evaluates, so they
+    have the bits a fresh call gives (klein_j_pair picks its order from
+    the whole batch)."""
+    def stored(z):
+        store = _grid_store(z)
+        if store is None:
+            return None
+        out = store.get(key)
+        if out is None:
+            w, dw = inner(z)
+            out = tuple(np.asarray(a) for a in (w, dw, w_error(z, w, dw)))
+            for a in out:
+                a.setflags(write=False)
+            store[key] = out
+        return out
+
+    def pair(z):
+        out = stored(z)
+        return inner(z) if out is None else out[:2]
+
+    def error(z, w, dw):
+        out = stored(z)
+        return w_error(z, w, dw) if out is None else out[2]
+    return pair, error
+
+
 def _unperturbed_winding(P: BivariatePolynomial, inner, w_error,
                          contour: Contour):
     """(vals, w) for _attempt from one winding pass of the unperturbed
@@ -412,8 +457,7 @@ def _off_contour(f, zeros, contour: Contour, atol: float) -> list:
         if z.radius / 16.0 < _MIN_TARGET_RADIUS:
             raise NonconvergenceError(
                 "a localized box stays across the contour")
-        todo += localize_zeros(f, z.box, target_radius=z.radius / 16.0,
-                               zero_atol=atol)
+        todo += _localize(f, [z.box], z.radius / 16.0, atol, shared=False)
     return out
 
 
@@ -556,14 +600,15 @@ def count_zeros_j(P: BivariatePolynomial,
     k, drop = 0, 0.0
     last_error: Exception | None = None
 
-    def j_error(z, w, dw):
-        return klein_j_error_bound(z, w)
+    inner, j_error = _on_shared_grids(
+        klein_j_pair, klein_j_pair,
+        lambda z, w, dw: klein_j_error_bound(z, w))
 
     for retries in range(8):
         eta = _J_ETAS[k]
         contour = build_j_contour(JDomainSpec(Y), eta)
         try:
-            vals, w = _unperturbed_winding(P, klein_j_pair, j_error, contour)
+            vals, w = _unperturbed_winding(P, inner, j_error, contour)
         except (ZeroOnContourError, NonconvergenceError) as exc:
             if k + 1 == len(_J_ETAS):
                 raise
@@ -575,7 +620,7 @@ def count_zeros_j(P: BivariatePolynomial,
         box = (-0.5 - eta, 0.5 - eta, y0, Y)
         try:
             pert, zeros = _attempt(
-                P, klein_j_pair, vals, w, [box], _J_TARGET_RADIUS,
+                P, inner, vals, w, [box], _J_TARGET_RADIUS,
                 (contour, lambda c: _in_j_region(c, Y, eta)))
         except (ZeroOnContourError, NonconvergenceError) as exc:
             last_error, drop = exc, drop + 1e-3
@@ -612,10 +657,8 @@ def count_zeros_wp(P: BivariatePolynomial,
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
     L = lattice(spec.tau)
-    inner = wp_analytic(L)
-
-    def wp_error(z, w, dw):
-        return wp_error_bound(z, w, dw, L)
+    inner, wp_error = _on_shared_grids(
+        L, wp_analytic(L), lambda z, w, dw: wp_error_bound(z, w, dw, L))
 
     current, k = spec, 0
     last_error: Exception | None = None

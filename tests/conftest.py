@@ -3,8 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mzl import contour, domains
 from mzl.elliptic import lattice
 from mzl.special import klein_j_pair
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    # every test starts from empty starting-grid caches, so a test that
+    # counts f or inner calls sees the calls of a first count
+    contour._clear_grids()
+    domains._line_grid.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -381,11 +381,11 @@ def test_refined_samples_meet_the_acceptance_rule(rng):
             assert round(total / (2.0 * np.pi)) == want
 
 
-def test_zero_next_to_an_edge_winds_in_four_rounds(monkeypatch):
+def test_zero_next_to_an_edge_winds_in_three_rounds(monkeypatch):
     # a zero 1e-3 above the bottom edge needs intervals there about 1e-3
     # long; bisecting the starting grid towards it takes six refinement
     # rounds, splitting each failing interval into the pieces its step
-    # bound asks for takes three
+    # bound asks for, up to _MAX_PIECES = 16, takes two (three at 5)
     rounds = [0]
     sample = contour_module._sample
 
@@ -398,8 +398,8 @@ def test_zero_next_to_an_edge_winds_in_four_rounds(monkeypatch):
     res = winding_number(lambda z: (z - c, np.ones_like(z)),
                          rectangle_contour(0, 1, 0, 1))
     assert res.winding == 1
-    assert rounds[0] == 4
-    assert res.samples_used == 83
+    assert rounds[0] == 3
+    assert res.samples_used == 99
 
 
 def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
@@ -438,6 +438,10 @@ def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
     assert sum(g[0].size for g in got) == res.samples_used
     asked.clear()
     got.clear()
+    # the box is the winding's rectangle, whose starting grid, and its
+    # point call, the cache now holds; from a cold cache the top batch
+    # makes its own
+    contour_module._clear_grids()
     zeros = localize_zeros(pair, (0.0, 1.0, -0.5, 0.5), target_radius=1e-3)
     assert sum(z.multiplicity for z in zeros) == 3
     # each call is either the batch of the one point call made since the
@@ -856,3 +860,105 @@ def test_trace_table_shapes():
     assert np.all(np.diff(t) > 0)
     assert arg[-1] - arg[0] == pytest.approx(2.0 * np.pi, abs=1e-3)
     assert np.allclose(np.abs(z), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# shared starting grids
+
+
+def test_shared_grid_is_read_only_and_found_by_identity():
+    # the winding's starting grid is cached: a second winding over an
+    # equal contour calls f on the very same read-only array
+    seen = []
+
+    def pair(z):
+        seen.append(z)
+        return identity(z)
+
+    for _ in range(2):
+        winding_number(pair, rectangle_contour(-1, 1, -1, 1))
+    assert seen[0] is seen[1]
+    (grid,) = contour_module._grids.values()
+    for a in (grid.t, grid.cid, grid.z):
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    assert contour_module._grid_store(grid.z) is grid.store
+    assert contour_module._grid_store(grid.z.copy()) is None
+    assert contour_module._grid_store(grid.z[:]) is None
+
+
+def test_shared_grid_keeps_n_initial_in_its_key(monkeypatch):
+    # a grid built at another _N_INITIAL is never reused at 17
+    box = rectangle_contour(-1, 1, -1, 1)
+    with monkeypatch.context() as m:
+        m.setattr(contour_module, "_N_INITIAL", 33)
+        wide = winding_number(identity, box)
+    res = winding_number(identity, box)
+    sizes = sorted(g.z.size for g in contour_module._grids.values())
+    assert sizes == [4 * 16 + 1, 4 * 32 + 1]
+    contour_module._clear_grids()
+    assert winding_number(identity, box) == res != wide
+
+
+def test_shared_grid_cache_is_bounded_least_recently_used(monkeypatch):
+    monkeypatch.setattr(contour_module, "_SHARED_GRIDS", 4)
+    circles = [circle_contour(0.0, 1.0 + k) for k in range(10)]
+    for c in circles[:4]:
+        winding_number(identity, c)
+    # a hit makes circle 0 the most recently used, so circle 1 goes first
+    winding_number(identity, circles[0])
+    for c in circles[4:7]:
+        winding_number(identity, c)
+    kept = [round(abs(g.z[0])) for g in contour_module._grids.values()]
+    assert kept == [1, 5, 6, 7]
+    assert len(contour_module._grids_by_z) == 4
+    assert all(contour_module._grid_store(g.z) is g.store
+               for g in contour_module._grids.values())
+
+
+def test_only_top_boxes_and_windings_share_grids(monkeypatch):
+    # quadrant splits, Newton disks and a box refined again on its own
+    # (domains._off_contour) neither enter the full cache nor evict
+    # from it
+    monkeypatch.setattr(contour_module, "_SHARED_GRIDS", 2)
+    flags = []
+    phases = contour_module._contour_phases
+
+    def recording(f, contours, zero_atol, shared=False):
+        flags.append(shared)
+        return phases(f, contours, zero_atol, shared)
+
+    monkeypatch.setattr(contour_module, "_contour_phases", recording)
+    # Newton cannot resolve the double zero, so its boxes split
+    f = roots_pair([0.2 + 0.3j, 0.2 + 0.3j, -0.6 - 0.1j])
+    box = (-1.0, 1.0, -1.0, 1.0)
+    localize_zeros(f, box, target_radius=1e-3)
+    winding_number(f, circle_contour(3.0, 1.0))
+    keys = list(contour_module._grids)
+    flags.clear()
+    zeros = localize_zeros(f, box, target_radius=1e-3)
+    assert sum(z.multiplicity for z in zeros) == 3
+    # one shared top batch, then splits and disks on grids of their own
+    assert flags[0] and not any(flags[1:]) and len(flags) > 2
+    assert list(contour_module._grids) == keys[::-1]
+    contour_module._localize(f, [(0.1, 0.3, 0.2, 0.4)], 1e-3, 0.0,
+                             shared=False)
+    assert list(contour_module._grids) == keys[::-1]
+
+
+def test_moment_seed_of_one_zero_is_the_companion_root(rng):
+    # for w = 1 the seed is c + r s_1 itself, with the bits np.roots gives
+    # for the monic u - s_1 of Newton's identities
+    for _ in range(50):
+        x0, y0 = rng.uniform(-1.0, 1.0, 2)
+        box = (x0, x0 + rng.uniform(0.01, 2.0), y0, y0 + rng.uniform(0.01, 2.0))
+        roots = rng.uniform(-2.0, 2.0, 3) + 1j * rng.uniform(-2.0, 2.0, 3)
+        top = contour_module._contour_phases(
+            roots_pair(roots), [rectangle_contour(*box)], 0.0)[0]
+        z, v, dv = top[5:]
+        s = contour_module._power_sums(box, 1, z, v, dv)
+        a = [1.0 + 0j]
+        a.append(-np.dot(s[:1], a[::-1]) / 1)
+        c, r = contour_module._center(box), contour_module._radius(box)
+        assert np.array_equal(contour_module._moment_seeds(box, 1, z, v, dv),
+                              c + r * np.roots(a))

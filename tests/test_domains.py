@@ -185,10 +185,10 @@ def test_off_contour_refines_only_the_boxes_across_the_contour(monkeypatch):
                           (0.5 - 1e-4, 0.5 + 1e-4, 0.5 - 1e-4, 0.5 + 1e-4))
     calls = []
 
-    def localize(g, *boxes, **kw):
-        calls.append(boxes)
-        return contour_module.localize_zeros(g, *boxes, **kw)
-    monkeypatch.setattr(domains_module, "localize_zeros", localize)
+    def localize(g, boxes, *args, **kw):
+        calls.append(tuple(boxes))
+        return contour_module._localize(g, boxes, *args, **kw)
+    monkeypatch.setattr(domains_module, "_localize", localize)
     out = domains_module._off_contour(f, [root, across, clear], contour,
                                       0.0)
     assert root in out and clear in out
@@ -946,12 +946,93 @@ def test_count_zeros_f_calls(monkeypatch):
     count_zeros_j(poly_y_minus(2000j))
     assert calls == {"pair": 6, "phases": 3}
     # at tau 8 the unperturbed winding and the tile windings refine next
-    # to the notches over several rounds; each round splits an interval
-    # into as many pieces as its step bound asks for (bisection took 15
-    # pair calls)
+    # to the notches, where the step bound asks for about 10 pieces per
+    # interval; each round splits an interval into as many pieces as its
+    # step bound asks for, up to _MAX_PIECES = 16 (bisection took 15 pair
+    # calls, a cap of 5 took 11)
     calls.update(pair=0, phases=0)
     count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(8.0))
-    assert calls == {"pair": 11, "phases": 3}
+    assert calls == {"pair": 9, "phases": 3}
+
+
+def _grid_calls(monkeypatch, module, name) -> list:
+    """Per call of module.name from now on, whether its z is the array of
+    a shared starting grid."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recording(z, *args):
+        calls.append(contour_module._grid_store(z) is not None)
+        return fn(z, *args)
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_repeated_counts_reuse_the_starting_grids(monkeypatch):
+    # a count on a domain that a count has run on before makes no inner
+    # call on its two starting grids, the contour's and the top boxes',
+    # and reports what a count from a cold cache does
+    j_calls = _grid_calls(monkeypatch, domains_module, "klein_j_pair")
+    P, Q = poly_y_minus(2000j), BivariatePolynomial(
+        [np.poly([300.0 + 400.0j, -500.0 + 300.0j])[::-1]])
+    first = count_zeros_j(P)
+    assert first.retries == 0 and j_calls.count(True) == 2
+    j_calls.clear()
+    other = count_zeros_j(Q)
+    again = count_zeros_j(P)
+    assert other.domain == first.domain and other.retries == 0
+    assert j_calls and not any(j_calls)
+    assert again.to_dict() == first.to_dict()
+    contour_module._clear_grids()
+    assert count_zeros_j(Q).to_dict() == other.to_dict()
+
+    # wp keys its values by the lattice, so a wrapper installed around
+    # elliptic.wp_pair after the first count, as bench/tracer.py does,
+    # finds them
+    contour_module._clear_grids()
+    P, Q = poly_y_minus(2.5 + 1.5j), poly_y_minus(-1.0 - 3.0j)
+    first = count_zeros_wp(P, WpDomainSpec(1.0))
+    wp_calls = _grid_calls(monkeypatch, elliptic_module, "wp_pair")
+    other = count_zeros_wp(Q, WpDomainSpec(1.0))
+    again = count_zeros_wp(P, WpDomainSpec(1.0))
+    assert first.retries == other.retries == 0
+    assert wp_calls and not any(wp_calls)
+    assert again.to_dict() == first.to_dict()
+    contour_module._clear_grids()
+    wp_calls.clear()
+    assert count_zeros_wp(Q, WpDomainSpec(1.0)).to_dict() == other.to_dict()
+    assert wp_calls.count(True) == 2
+
+
+def test_stored_inner_values_are_read_only():
+    count_zeros_j(poly_y_minus(2000j))
+    count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
+    stores = [g.store for g in contour_module._grids.values()]
+    assert len(stores) == 4
+    assert {k for st in stores for k in st} == {klein_j_pair, lattice(1.0)}
+    for st in stores:
+        (w, dw, err), = st.values()
+        for a in (w, dw, err):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def test_box_refined_off_the_contour_leaves_the_grid_cache(monkeypatch):
+    # with the cache full after a count, refining a box report across
+    # the contour (domains._off_contour) neither adds a grid nor evicts
+    # one
+    count_zeros_j(poly_y_minus(2000j))
+    keys = list(contour_module._grids)
+    monkeypatch.setattr(contour_module, "_SHARED_GRIDS", len(keys))
+    contour = contour_module.rectangle_contour(0.0, 1.0, 0.0, 1.0)
+    a, b = 0.5 + 1e-6j, 0.5 - 1e-6j
+    across = LocalizedZero(0.5, math.sqrt(2.0) * 1e-4, 2, True,
+                           (0.5 - 1e-4, 0.5 + 1e-4, -1e-4, 1e-4))
+    out = domains_module._off_contour(
+        lambda z: ((z - a) * (z - b), 2.0 * z - a - b), [across], contour,
+        0.0)
+    assert sum(z.multiplicity for z in out) == 2
+    assert list(contour_module._grids) == keys
 
 
 def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
