@@ -23,15 +23,10 @@ plus i times the accumulated phase, so no quadrature of f'/f is ever
 performed.  Several contours can be refined together, one f call per
 round for all of them, each refined as it would be alone.
 
-The starting grid of a phase batch depends on its geometry alone, and a
-count repeats two batches on a fixed domain: winding_number over its
-contour and the top boxes of localize_zeros.  Those two take their grid
-from a cache of the last _SHARED_GRIDS geometries (_shared_grid), so the
-first round calls f on the same read-only z array each time, and a
-caller can keep what it computes on that array with the grid
-(_grid_store).  Quadrant splits, Newton disks, a box report localized
-again on its own and every other pass build their own grids and never
-touch the cache.
+Every phase pass starts from a uniform grid that depends on its geometry
+alone, and _start_grid keeps the last _START_GRIDS of those grids,
+read-only and keyed by their geometry's bits, so a pass over a contour
+met before starts from the same arrays.
 
 Zeros are localized by one breadth-first quadtree over any number of
 disjoint top boxes, whose windings are one phase batch; every box first
@@ -62,8 +57,8 @@ _SPLIT_ULPS = 16.0
 _MAX_PIECES = 16
 # points per segment of the uniform grid a phase pass starts from
 _N_INITIAL = 17
-# the most starting grids _shared_grid keeps
-_SHARED_GRIDS = 64
+# the most starting grids _start_grid keeps
+_START_GRIDS = 64
 _DOMINANCE_SAMPLES = 256
 _CROSSING_GRID = 4096
 
@@ -213,27 +208,29 @@ def _joined(contours: Sequence[Contour]) -> Contour:
     return joined
 
 
-@dataclass(frozen=True, eq=False)
-class _Grid:
-    """The starting grid of a phase batch: the global parameters t of its
-    points, the contour id cid of each, the joined contour and z =
-    joined.point(t).  store holds what callers compute on z
-    (_grid_store)."""
-
-    t: np.ndarray
-    cid: np.ndarray
-    joined: Contour
-    z: np.ndarray
-    store: dict
+# the starting grids by key, least recently used first
+_start_grids: OrderedDict = OrderedDict()
 
 
-def _start_grid(contours: Sequence[Contour]) -> _Grid:
-    """The grid of _N_INITIAL uniform points per segment.  Contour k runs
-    over [o_k, o_k + n_k] of the global parameter of the joined segments,
-    n_k its segment count; its end point, but for the last contour's,
-    sits one ulp below o_k + n_k, inside its own last segment."""
+def _start_grid(contours: Sequence[Contour]) -> tuple:
+    """(t, cid, joined, z): the global parameters t of _N_INITIAL uniform
+    points per segment, the contour id cid of each, the joined contour
+    and z = joined.point(t).  Contour k runs over [o_k, o_k + n_k] of the
+    global parameter of the joined segments, n_k its segment count; its
+    end point, but for the last contour's, sits one ulp below o_k + n_k,
+    inside its own last segment.
+
+    t, cid and z are read-only, and the grid is memoized for the last
+    _START_GRIDS keys.  The key is _N_INITIAL, the segment count of each
+    contour and the bits of the joined segment table, which are all the
+    grid depends on and which point() builds anyway."""
     joined = _joined(contours)
     nsegs = np.array([len(c.segments) for c in contours])
+    key = (_N_INITIAL, tuple(nsegs), joined._table.tobytes())
+    grid = _start_grids.get(key)
+    if grid is not None:
+        _start_grids.move_to_end(key)
+        return grid
     offsets = np.concatenate([[0], np.cumsum(nsegs)])
     # per contour the points of np.linspace(0, n, n (_N_INITIAL - 1) + 1),
     # shifted by its offset
@@ -244,62 +241,19 @@ def _start_grid(contours: Sequence[Contour]) -> _Grid:
         * (1.0 / (_N_INITIAL - 1)) + offsets[cid]
     t[ends] = offsets[1:]
     t[ends[:-1]] = np.nextafter(t[ends[:-1]], -np.inf)
-    return _Grid(t, cid, joined, joined.point(t), {})
-
-
-# the shared starting grids by geometry, least recently used first, and
-# the same grids by id(z)
-_grids: OrderedDict = OrderedDict()
-_grids_by_z: dict = {}
-
-
-def _shared_grid(contours: Sequence[Contour]) -> _Grid:
-    """The starting grid of the contours from the cache of the last
-    _SHARED_GRIDS geometries, built on a miss; its t, cid and z are
-    read-only.  The key is _N_INITIAL, the segment count of each contour
-    and the bits of their segment tables, which are all the grid depends
-    on."""
-    key = (_N_INITIAL, tuple(len(c.segments) for c in contours),
-           b"".join(c._table.tobytes() for c in contours))
-    grid = _grids.get(key)
-    if grid is not None:
-        _grids.move_to_end(key)
-        return grid
-    grid = _start_grid(contours)
-    for a in (grid.t, grid.cid, grid.z):
+    z = joined.point(t)
+    for a in (t, cid, z):
         a.setflags(write=False)
-    _grids[key] = grid
-    _grids_by_z[id(grid.z)] = grid
-    if len(_grids) > _SHARED_GRIDS:
-        _, old = _grids.popitem(last=False)
-        del _grids_by_z[id(old.z)]
+    grid = _start_grids[key] = (t, cid, joined, z)
+    if len(_start_grids) > _START_GRIDS:
+        _start_grids.popitem(last=False)
     return grid
 
 
-def _grid_store(z) -> dict | None:
-    """The store of the shared grid whose z is this very array, or None
-    (for any other array, a copy or view of one too).  What a caller
-    keeps there lives as long as the grid stays in the cache."""
-    grid = _grids_by_z.get(id(z))
-    return grid.store if grid is not None and grid.z is z else None
-
-
-def _clear_grids() -> None:
-    """Empty the shared-grid cache and every store with it."""
-    _grids.clear()
-    _grids_by_z.clear()
-
-
-def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
-                    shared: bool = False) -> list:
+def _contour_phases(f, contours: Sequence[Contour],
+                    zero_atol: float) -> list:
     """Adaptive phase accumulation over several contours at once, each
-    segment starting from _N_INITIAL uniform points (_start_grid); with
-    shared, that grid comes from the cache of _shared_grid, so the first
-    round calls f on the same read-only z array every time.  Only the
-    two passes a count repeats on a fixed domain share: winding_number
-    over its contour and the top-box batch of localize_zeros.  The cache
-    keeps the last _SHARED_GRIDS = 64 geometries, a few kB each; a count
-    uses two per attempt.
+    segment starting from _N_INITIAL uniform points (_start_grid).
 
     An interval is accepted once its phase step and |dz| max |f'/f| at
     its two ends are both below pi/2.  One that fails is split into k
@@ -322,8 +276,7 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
     samples, or an interval to split is shorter than _SPLIT_ULPS ulps of
     |z|, below which the samples no longer resolve the phase.
     """
-    grid = (_shared_grid if shared else _start_grid)(contours)
-    t, cid, joined, z = grid.t, grid.cid, grid.joined, grid.z
+    t, cid, joined, z = _start_grid(contours)
     nseg = len(joined.segments)
     errors: dict = {}
     alive = np.ones(len(contours), dtype=bool)
@@ -436,10 +389,9 @@ def _contour_phases(f, contours: Sequence[Contour], zero_atol: float,
     return out
 
 
-def _contour_phase(f, contour: Contour, zero_atol: float,
-                   shared: bool = False):
+def _contour_phase(f, contour: Contour, zero_atol: float):
     """_contour_phases for one contour; its error is raised."""
-    res = _contour_phases(f, [contour], zero_atol, shared)[0]
+    res = _contour_phases(f, [contour], zero_atol)[0]
     if isinstance(res, Exception):
         raise res
     return res
@@ -460,15 +412,13 @@ def winding_number(f, contour: Contour,
                    zero_atol: float = 0.0) -> WindingResult:
     """Winding of f over a closed contour, from adaptive phase increments.
 
-    Each segment starts from _N_INITIAL uniform points, a grid shared
-    with every winding over an equal contour (_contour_phases), so f is
-    called on a read-only array there; the |dz| |f'/f| step bound refines
-    next to zeros that hug the contour whatever the starting grid.
+    Each segment starts from _N_INITIAL uniform points (_start_grid);
+    the |dz| |f'/f| step bound refines next to zeros that hug the contour
+    whatever the starting grid.
     """
     if not contour.closed:
         raise InvalidSpecError("winding_number requires a closed contour")
-    total, tv, min_mod, used = _contour_phase(f, contour, zero_atol,
-                                              shared=True)[:4]
+    total, tv, min_mod, used = _contour_phase(f, contour, zero_atol)[:4]
     return WindingResult(_integer_winding(total), tv, min_mod, used)
 
 
@@ -600,22 +550,13 @@ def localize_zeros(f, *boxes, target_radius: float = 1e-8,
     resolved=False (cluster reports).  A zero on a box boundary raises
     ZeroOnContourError; moving the box is the caller's move.  The top
     windings are checked in box order, so an error there is the first
-    box's that has one.  No boxes give no zeros.  The top batch starts
-    from the shared grid of its boxes (_contour_phases).
+    box's that has one.  No boxes give no zeros.
     """
-    return _localize(f, boxes, target_radius, zero_atol, shared=True)
-
-
-def _localize(f, boxes, target_radius: float, zero_atol: float,
-              shared: bool) -> list[LocalizedZero]:
-    """localize_zeros, with its top batch on a shared starting grid or,
-    unless shared, on a grid of its own: for boxes that no other call
-    meets again, such as a box report localized again."""
     if not boxes:
         return []
     live = []
     for box, top in zip(boxes, _contour_phases(
-            f, [rectangle_contour(*b) for b in boxes], zero_atol, shared)):
+            f, [rectangle_contour(*b) for b in boxes], zero_atol)):
         if isinstance(top, Exception):
             raise top
         w = _integer_winding(top[0])

@@ -29,19 +29,19 @@ elliptic.wp_error_bound).  The unperturbed winding raises
 ZeroOnContourError at the first such sample, and both counts then take a
 larger eta; the domain stays as it is.
 
-Counts on one domain share their starting grids.  The unperturbed
-winding over the contour and the localization's top boxes start from
-the cached grid of their geometry (contour._shared_grid, the last 64
-geometries), and the inner values w, w' and their error bound on such a
-grid are computed once per (grid, inner function) and kept read-only
-with it (_on_shared_grids).  A repeated count's first rounds then cost
-only P's Horner; every later round, and every count's results, are as
-from a cold cache.
+Counts on one domain repeat two phase passes: the unperturbed winding
+over the contour and the localization's top boxes.  The first round of
+each, w, w' and their error bound on the pass's starting grid, is
+memoized read-only under (inner key, the bytes of the grid) for the
+last _FIRST_ROUNDS such rounds (_first_round), so a repeated count's
+first rounds cost only P's Horner; every later round, and every count's
+results, are as from a cold memo.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +50,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .contour import (ArcSegment, Contour, LineSegment, WindingResult,
-                      _grid_store, _localize, localize_zeros, winding_number)
+                      localize_zeros, winding_number)
 from .elliptic import lattice, wp_analytic, wp_error_bound, wp_on_line
 from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
                      NonconvergenceError, ZeroOnContourError)
@@ -353,50 +353,49 @@ def _zero_floor(P: BivariatePolynomial, z, w, py, w_error) -> np.ndarray:
     return gamma * scale + np.abs(py) * w_error
 
 
-def _on_shared_grids(key, inner, w_error):
-    """The pair callable inner of f and the bound w_error(z, w, dw) on
-    the error of its values, wrapped: called on the z array of a shared
-    starting grid (contour._grid_store), each returns what inner and
-    w_error gave the first time on that grid under key, kept read-only
-    in the grid's store; on any other array they are inner and w_error.
+# the first rounds of the counts' phase passes by (inner key, bytes of
+# z), least recently used first
+_first_rounds: OrderedDict = OrderedDict()
+# the most first rounds _first_round keeps
+_FIRST_ROUNDS = 64
+
+
+def _first_round(inner, z) -> tuple:
+    """(w, w', error bound) at the starting grid z of a phase pass, for
+    inner = (key, pair, w_error): the pair callable of f and the bound
+    w_error(z, w, dw) on the error of its values, kept read-only under
+    (key, z.tobytes()) for the last _FIRST_ROUNDS keys.
 
     The key is the inner function (klein_j_pair, or the LatticeParams
     that fix wp), so every count on the domain shares the values, and a
-    wrapper around elliptic.wp_pair keeps the key.  The stored values
-    are those of exactly the batch the first round evaluates, so they
-    have the bits a fresh call gives (klein_j_pair picks its order from
-    the whole batch)."""
-    def stored(z):
-        store = _grid_store(z)
-        if store is None:
-            return None
-        out = store.get(key)
-        if out is None:
-            w, dw = inner(z)
-            out = tuple(np.asarray(a) for a in (w, dw, w_error(z, w, dw)))
-            for a in out:
-                a.setflags(write=False)
-            store[key] = out
+    wrapper around elliptic.wp_pair keeps the key.  The values are those
+    of exactly the batch the first round evaluates, so they have the bits
+    a fresh call gives (klein_j_pair picks its order from the whole
+    batch)."""
+    key, pair, w_error = inner
+    k = (key, z.tobytes())
+    out = _first_rounds.get(k)
+    if out is not None:
+        _first_rounds.move_to_end(k)
         return out
+    w, dw = pair(z)
+    out = tuple(np.asarray(a) for a in (w, dw, w_error(z, w, dw)))
+    for a in out:
+        a.setflags(write=False)
+    _first_rounds[k] = out
+    if len(_first_rounds) > _FIRST_ROUNDS:
+        _first_rounds.popitem(last=False)
+    return out
 
-    def pair(z):
-        out = stored(z)
-        return inner(z) if out is None else out[:2]
 
-    def error(z, w, dw):
-        out = stored(z)
-        return w_error(z, w, dw) if out is None else out[2]
-    return pair, error
-
-
-def _unperturbed_winding(P: BivariatePolynomial, inner, w_error,
-                         contour: Contour):
+def _unperturbed_winding(P: BivariatePolynomial, inner, contour: Contour):
     """(vals, w) for _attempt from one winding pass of the unperturbed
-    P(z, f(z)) over the contour, with inner the pair callable of f and
-    w_error(z, w, dw) a bound on the error of its values: the composite's
-    values at the pass's adaptive samples and the pass's WindingResult.
+    P(z, f(z)) over the contour, with inner = (key, pair, w_error) as for
+    _first_round: the composite's values at the pass's adaptive samples
+    and the pass's WindingResult.
 
-    The pass calls inner once per sample, and every sample is checked by
+    The pass's first round takes f from _first_round, every later one
+    calls pair once per sample, and every sample is checked by
     _zero_floor as the pass takes it; the first round that meets a
     numerically zero one raises ZeroOnContourError.  The contour layer's
     own zero test, relative to the largest |f| on a segment, misfires on
@@ -404,13 +403,18 @@ def _unperturbed_winding(P: BivariatePolynomial, inner, w_error,
     positive float as its floor: every value it sees lies above the rule's
     floor already.
     """
+    _, pair, w_error = inner
     seen = []
 
     def composite(z):
-        w, dw = inner(z)
+        if seen:
+            w, dw = pair(z)
+            error = w_error(z, w, dw)
+        else:
+            w, dw, error = _first_round(inner, z)
         v, px, py = P.evaluate_partials(z, w)
         mods = np.abs(v)
-        excess = mods - _zero_floor(P, z, w, py, w_error(z, w, dw))
+        excess = mods - _zero_floor(P, z, w, py, error)
         if (excess <= 0.0).any():
             i = int(np.argmin(excess))
             raise ZeroOnContourError(
@@ -457,7 +461,8 @@ def _off_contour(f, zeros, contour: Contour, atol: float) -> list:
         if z.radius / 16.0 < _MIN_TARGET_RADIUS:
             raise NonconvergenceError(
                 "a localized box stays across the contour")
-        todo += _localize(f, [z.box], z.radius / 16.0, atol, shared=False)
+        todo += localize_zeros(f, z.box, target_radius=z.radius / 16.0,
+                               zero_atol=atol)
     return out
 
 
@@ -465,13 +470,22 @@ def _attempt(P: BivariatePolynomial, inner, vals: np.ndarray,
              w: WindingResult, boxes, target_radius: float, region=None):
     """One count attempt of either pipeline: offset P(z, f(z)) with eps
     sized from vals and localize its zeros in the boxes (zero_atol
-    0.1 eps).  The j count passes region = (contour, keep): its box
-    reports are first moved off the contour (_off_contour), and only the
-    zeros whose centers pass keep are kept.  Returns (offset composite,
-    kept zeros); raises NonconvergenceError unless their multiplicities
-    sum to w, the winding of the unperturbed composite over the
-    contour."""
-    pert = perturb_from_values(P, inner, vals)
+    0.1 eps), with inner as for _first_round; the localization's first
+    call, its top batch, takes f from _first_round.  The j count passes
+    region = (contour, keep): its box reports are first moved off the
+    contour (_off_contour), and only the zeros whose centers pass keep
+    are kept.  Returns (offset composite, kept zeros); raises
+    NonconvergenceError unless their multiplicities sum to w, the
+    winding of the unperturbed composite over the contour."""
+    first = True
+
+    def f(z):
+        nonlocal first
+        if first:
+            first = False
+            return _first_round(inner, z)[:2]
+        return inner[1](z)
+    pert = perturb_from_values(P, f, vals)
     atol = 0.1 * pert.epsilon
     zeros = localize_zeros(pert.pair, *boxes, target_radius=target_radius,
                            zero_atol=atol)
@@ -600,15 +614,14 @@ def count_zeros_j(P: BivariatePolynomial,
     k, drop = 0, 0.0
     last_error: Exception | None = None
 
-    inner, j_error = _on_shared_grids(
-        klein_j_pair, klein_j_pair,
-        lambda z, w, dw: klein_j_error_bound(z, w))
+    inner = (klein_j_pair, klein_j_pair,
+             lambda z, w, dw: klein_j_error_bound(z, w))
 
     for retries in range(8):
         eta = _J_ETAS[k]
         contour = build_j_contour(JDomainSpec(Y), eta)
         try:
-            vals, w = _unperturbed_winding(P, inner, j_error, contour)
+            vals, w = _unperturbed_winding(P, inner, contour)
         except (ZeroOnContourError, NonconvergenceError) as exc:
             if k + 1 == len(_J_ETAS):
                 raise
@@ -657,8 +670,7 @@ def count_zeros_wp(P: BivariatePolynomial,
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
     L = lattice(spec.tau)
-    inner, wp_error = _on_shared_grids(
-        L, wp_analytic(L), lambda z, w, dw: wp_error_bound(z, w, dw, L))
+    inner = (L, wp_analytic(L), lambda z, w, dw: wp_error_bound(z, w, dw, L))
 
     current, k = spec, 0
     last_error: Exception | None = None
@@ -669,7 +681,7 @@ def count_zeros_wp(P: BivariatePolynomial,
                                       "stable count")
         contour, tiles, poles = _wp_cell(current, eta)
         try:
-            vals, w = _unperturbed_winding(P, inner, wp_error, contour)
+            vals, w = _unperturbed_winding(P, inner, contour)
         except ZeroOnContourError as exc:
             if (k + 1 == len(_WP_ETAS)
                     or current.delta < _NOTCH_PER_ETA * _WP_ETAS[k + 1]):

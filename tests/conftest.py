@@ -10,9 +10,11 @@ from mzl.special import klein_j_pair
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    # every test starts from empty starting-grid caches, so a test that
-    # counts f or inner calls sees the calls of a first count
-    contour._clear_grids()
+    # every test starts from empty memos of starting grids and first
+    # rounds, so a test that counts f or inner calls sees the calls of a
+    # first count
+    contour._start_grids.clear()
+    domains._first_rounds.clear()
     domains._line_grid.cache_clear()
 
 

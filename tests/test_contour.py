@@ -439,9 +439,9 @@ def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
     asked.clear()
     got.clear()
     # the box is the winding's rectangle, whose starting grid, and its
-    # point call, the cache now holds; from a cold cache the top batch
+    # point call, the grid memo now holds; from a cold memo the top batch
     # makes its own
-    contour_module._clear_grids()
+    contour_module._start_grids.clear()
     zeros = localize_zeros(pair, (0.0, 1.0, -0.5, 0.5), target_radius=1e-3)
     assert sum(z.multiplicity for z in zeros) == 3
     # each call is either the batch of the one point call made since the
@@ -863,12 +863,12 @@ def test_trace_table_shapes():
 
 
 # ---------------------------------------------------------------------------
-# shared starting grids
+# the starting-grid memo
 
 
-def test_shared_grid_is_read_only_and_found_by_identity():
-    # the winding's starting grid is cached: a second winding over an
-    # equal contour calls f on the very same read-only array
+def test_start_grid_is_read_only_and_found_by_its_bits():
+    # a second winding over an equal contour, another object, calls f on
+    # the very same read-only array
     seen = []
 
     def pair(z):
@@ -878,30 +878,33 @@ def test_shared_grid_is_read_only_and_found_by_identity():
     for _ in range(2):
         winding_number(pair, rectangle_contour(-1, 1, -1, 1))
     assert seen[0] is seen[1]
-    (grid,) = contour_module._grids.values()
-    for a in (grid.t, grid.cid, grid.z):
+    (grid,) = contour_module._start_grids.values()
+    t, cid, _, z = grid
+    assert z is seen[0]
+    for a in (t, cid, z):
         with pytest.raises(ValueError):
             a[0] = a[1]
-    assert contour_module._grid_store(grid.z) is grid.store
-    assert contour_module._grid_store(grid.z.copy()) is None
-    assert contour_module._grid_store(grid.z[:]) is None
+    # a contour that differs in one bit misses
+    winding_number(pair, rectangle_contour(-1, 1, -1, np.nextafter(1, 2)))
+    assert len(contour_module._start_grids) == 2
+    assert seen[2] is not seen[0]
 
 
-def test_shared_grid_keeps_n_initial_in_its_key(monkeypatch):
+def test_start_grid_keeps_n_initial_in_its_key(monkeypatch):
     # a grid built at another _N_INITIAL is never reused at 17
     box = rectangle_contour(-1, 1, -1, 1)
     with monkeypatch.context() as m:
         m.setattr(contour_module, "_N_INITIAL", 33)
         wide = winding_number(identity, box)
     res = winding_number(identity, box)
-    sizes = sorted(g.z.size for g in contour_module._grids.values())
+    sizes = sorted(g[3].size for g in contour_module._start_grids.values())
     assert sizes == [4 * 16 + 1, 4 * 32 + 1]
-    contour_module._clear_grids()
+    contour_module._start_grids.clear()
     assert winding_number(identity, box) == res != wide
 
 
-def test_shared_grid_cache_is_bounded_least_recently_used(monkeypatch):
-    monkeypatch.setattr(contour_module, "_SHARED_GRIDS", 4)
+def test_start_grid_memo_is_bounded_least_recently_used(monkeypatch):
+    monkeypatch.setattr(contour_module, "_START_GRIDS", 4)
     circles = [circle_contour(0.0, 1.0 + k) for k in range(10)]
     for c in circles[:4]:
         winding_number(identity, c)
@@ -909,41 +912,26 @@ def test_shared_grid_cache_is_bounded_least_recently_used(monkeypatch):
     winding_number(identity, circles[0])
     for c in circles[4:7]:
         winding_number(identity, c)
-    kept = [round(abs(g.z[0])) for g in contour_module._grids.values()]
+    kept = [round(abs(g[3][0])) for g in contour_module._start_grids.values()]
     assert kept == [1, 5, 6, 7]
-    assert len(contour_module._grids_by_z) == 4
-    assert all(contour_module._grid_store(g.z) is g.store
-               for g in contour_module._grids.values())
 
 
-def test_only_top_boxes_and_windings_share_grids(monkeypatch):
-    # quadrant splits, Newton disks and a box refined again on its own
-    # (domains._off_contour) neither enter the full cache nor evict
-    # from it
-    monkeypatch.setattr(contour_module, "_SHARED_GRIDS", 2)
-    flags = []
-    phases = contour_module._contour_phases
-
-    def recording(f, contours, zero_atol, shared=False):
-        flags.append(shared)
-        return phases(f, contours, zero_atol, shared)
-
-    monkeypatch.setattr(contour_module, "_contour_phases", recording)
-    # Newton cannot resolve the double zero, so its boxes split
+def test_repeated_localization_starts_every_pass_from_the_memo():
+    # quadrant splits and Newton disks start from the memo as well: a
+    # second localization adds no grid and calls f on the memoized arrays
     f = roots_pair([0.2 + 0.3j, 0.2 + 0.3j, -0.6 - 0.1j])
     box = (-1.0, 1.0, -1.0, 1.0)
-    localize_zeros(f, box, target_radius=1e-3)
-    winding_number(f, circle_contour(3.0, 1.0))
-    keys = list(contour_module._grids)
-    flags.clear()
-    zeros = localize_zeros(f, box, target_radius=1e-3)
-    assert sum(z.multiplicity for z in zeros) == 3
-    # one shared top batch, then splits and disks on grids of their own
-    assert flags[0] and not any(flags[1:]) and len(flags) > 2
-    assert list(contour_module._grids) == keys[::-1]
-    contour_module._localize(f, [(0.1, 0.3, 0.2, 0.4)], 1e-3, 0.0,
-                             shared=False)
-    assert list(contour_module._grids) == keys[::-1]
+    first = localize_zeros(f, box, target_radius=1e-3)
+    keys = list(contour_module._start_grids)
+    # Newton cannot resolve the double zero, so its boxes split
+    assert len(keys) > 2
+    seen = []
+    again = localize_zeros(lambda z: seen.append(z) or f(z), box,
+                           target_radius=1e-3)
+    assert again == first
+    assert list(contour_module._start_grids) == keys
+    assert ({id(g[3]) for g in contour_module._start_grids.values()}
+            <= {id(z) for z in seen})
 
 
 def test_moment_seed_of_one_zero_is_the_companion_root(rng):

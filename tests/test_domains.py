@@ -185,10 +185,10 @@ def test_off_contour_refines_only_the_boxes_across_the_contour(monkeypatch):
                           (0.5 - 1e-4, 0.5 + 1e-4, 0.5 - 1e-4, 0.5 + 1e-4))
     calls = []
 
-    def localize(g, boxes, *args, **kw):
-        calls.append(tuple(boxes))
-        return contour_module._localize(g, boxes, *args, **kw)
-    monkeypatch.setattr(domains_module, "_localize", localize)
+    def localize(g, *boxes, **kw):
+        calls.append(boxes)
+        return contour_module.localize_zeros(g, *boxes, **kw)
+    monkeypatch.setattr(domains_module, "localize_zeros", localize)
     out = domains_module._off_contour(f, [root, across, clear], contour,
                                       0.0)
     assert root in out and clear in out
@@ -955,84 +955,135 @@ def test_count_zeros_f_calls(monkeypatch):
     assert calls == {"pair": 9, "phases": 3}
 
 
-def _grid_calls(monkeypatch, module, name) -> list:
-    """Per call of module.name from now on, whether its z is the array of
-    a shared starting grid."""
+def _inner_calls(monkeypatch, module, name) -> list:
+    """The z of every call of module.name from now on, as bytes."""
     calls = []
     fn = getattr(module, name)
 
     def recording(z, *args):
-        calls.append(contour_module._grid_store(z) is not None)
+        calls.append(np.asarray(z).tobytes())
         return fn(z, *args)
     monkeypatch.setattr(module, name, recording)
     return calls
 
 
+def _on_first_rounds(calls) -> list:
+    """Per call of _inner_calls, whether its z is that of a memoized
+    first round."""
+    grids = {z for _, z in domains_module._first_rounds}
+    return [z in grids for z in calls]
+
+
 def test_repeated_counts_reuse_the_starting_grids(monkeypatch):
     # a count on a domain that a count has run on before makes no inner
     # call on its two starting grids, the contour's and the top boxes',
-    # and reports what a count from a cold cache does
-    j_calls = _grid_calls(monkeypatch, domains_module, "klein_j_pair")
+    # and reports what a count from a cold memo does
+    j_calls = _inner_calls(monkeypatch, domains_module, "klein_j_pair")
     P, Q = poly_y_minus(2000j), BivariatePolynomial(
         [np.poly([300.0 + 400.0j, -500.0 + 300.0j])[::-1]])
     first = count_zeros_j(P)
-    assert first.retries == 0 and j_calls.count(True) == 2
+    assert first.retries == 0 and _on_first_rounds(j_calls).count(True) == 2
     j_calls.clear()
     other = count_zeros_j(Q)
     again = count_zeros_j(P)
     assert other.domain == first.domain and other.retries == 0
-    assert j_calls and not any(j_calls)
+    assert j_calls and not any(_on_first_rounds(j_calls))
     assert again.to_dict() == first.to_dict()
-    contour_module._clear_grids()
+    domains_module._first_rounds.clear()
+    contour_module._start_grids.clear()
     assert count_zeros_j(Q).to_dict() == other.to_dict()
 
     # wp keys its values by the lattice, so a wrapper installed around
     # elliptic.wp_pair after the first count, as bench/tracer.py does,
     # finds them
-    contour_module._clear_grids()
+    domains_module._first_rounds.clear()
     P, Q = poly_y_minus(2.5 + 1.5j), poly_y_minus(-1.0 - 3.0j)
     first = count_zeros_wp(P, WpDomainSpec(1.0))
-    wp_calls = _grid_calls(monkeypatch, elliptic_module, "wp_pair")
+    wp_calls = _inner_calls(monkeypatch, elliptic_module, "wp_pair")
     other = count_zeros_wp(Q, WpDomainSpec(1.0))
     again = count_zeros_wp(P, WpDomainSpec(1.0))
     assert first.retries == other.retries == 0
-    assert wp_calls and not any(wp_calls)
+    assert wp_calls and not any(_on_first_rounds(wp_calls))
     assert again.to_dict() == first.to_dict()
-    contour_module._clear_grids()
+    domains_module._first_rounds.clear()
+    contour_module._start_grids.clear()
     wp_calls.clear()
     assert count_zeros_wp(Q, WpDomainSpec(1.0)).to_dict() == other.to_dict()
-    assert wp_calls.count(True) == 2
+    assert _on_first_rounds(wp_calls).count(True) == 2
+
+
+def test_first_round_memo_is_keyed_by_the_bits_of_z():
+    # an equal copy of a pass's z hits, a z that differs in one bit misses
+    calls = []
+
+    def pair(z):
+        calls.append(z)
+        return klein_j_pair(z)
+    inner = ("j", pair, lambda z, w, dw: klein_j_error_bound(z, w))
+    z = np.array([0.1 + 1.2j, -0.3 + 1.5j])
+    out = domains_module._first_round(inner, z)
+    assert domains_module._first_round(inner, z.copy()) is out
+    assert len(calls) == 1
+    nudged = z.copy()
+    nudged[1] = np.nextafter(nudged[1].real, 1.0) + 1j * nudged[1].imag
+    assert domains_module._first_round(inner, nudged) is not out
+    assert len(calls) == 2
+    # another key misses on the same z
+    domains_module._first_round(("other",) + inner[1:], z)
+    assert len(calls) == 3
 
 
 def test_stored_inner_values_are_read_only():
     count_zeros_j(poly_y_minus(2000j))
     count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
-    stores = [g.store for g in contour_module._grids.values()]
-    assert len(stores) == 4
-    assert {k for st in stores for k in st} == {klein_j_pair, lattice(1.0)}
-    for st in stores:
-        (w, dw, err), = st.values()
+    rounds = domains_module._first_rounds
+    assert len(rounds) == 4
+    assert {key for key, _ in rounds} == {klein_j_pair, lattice(1.0)}
+    for w, dw, err in rounds.values():
         for a in (w, dw, err):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
 
-def test_box_refined_off_the_contour_leaves_the_grid_cache(monkeypatch):
-    # with the cache full after a count, refining a box report across
-    # the contour (domains._off_contour) neither adds a grid nor evicts
-    # one
-    count_zeros_j(poly_y_minus(2000j))
-    keys = list(contour_module._grids)
-    monkeypatch.setattr(contour_module, "_SHARED_GRIDS", len(keys))
-    contour = contour_module.rectangle_contour(0.0, 1.0, 0.0, 1.0)
-    a, b = 0.5 + 1e-6j, 0.5 - 1e-6j
-    across = LocalizedZero(0.5, math.sqrt(2.0) * 1e-4, 2, True,
-                           (0.5 - 1e-4, 0.5 + 1e-4, -1e-4, 1e-4))
-    out = domains_module._off_contour(
-        lambda z: ((z - a) * (z - b), 2.0 * z - a - b), [across], contour,
-        0.0)
-    assert sum(z.multiplicity for z in out) == 2
-    assert list(contour_module._grids) == keys
+def test_first_round_memo_is_bounded_least_recently_used(monkeypatch):
+    monkeypatch.setattr(domains_module, "_FIRST_ROUNDS", 4)
+    inner = ("j", klein_j_pair, lambda z, w, dw: klein_j_error_bound(z, w))
+    zs = [np.array([complex(0.1 * k, 1.5)]) for k in range(10)]
+    for z in zs[:4]:
+        domains_module._first_round(inner, z)
+    # a hit makes z 0 the most recently used, so z 1 goes first
+    domains_module._first_round(inner, zs[0])
+    for z in zs[4:7]:
+        domains_module._first_round(inner, z)
+    kept = [np.frombuffer(z, dtype=complex)[0].real / 0.1
+            for _, z in domains_module._first_rounds]
+    assert np.round(kept).tolist() == [0, 4, 5, 6]
+
+
+def test_a_count_adds_at_most_two_first_rounds_per_attempt(monkeypatch):
+    # the unperturbed winding and the localization's top boxes add one
+    # first round each; a box report refined across the contour
+    # (_off_contour), as for the triple zero of j at rho, adds none
+    attempts, localizations = [], []
+    winding = domains_module._unperturbed_winding
+
+    def recording_winding(*args):
+        attempts.append(args)
+        return winding(*args)
+
+    def recording_localize(f, *boxes, **kwargs):
+        localizations.append(boxes)
+        return contour_module.localize_zeros(f, *boxes, **kwargs)
+    monkeypatch.setattr(domains_module, "_unperturbed_winding",
+                        recording_winding)
+    monkeypatch.setattr(domains_module, "localize_zeros", recording_localize)
+    rep = count_zeros_j(poly_y_minus(0.0))
+    assert rep.count == 3 and rep.retries == 0
+    assert len(attempts) == 1 and len(localizations) > 1
+    assert len(domains_module._first_rounds) == 2
+    rep = count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(8.0))
+    assert len(attempts) == rep.retries + 2
+    assert len(domains_module._first_rounds) <= 2 * len(attempts)
 
 
 def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
