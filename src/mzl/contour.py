@@ -24,9 +24,9 @@ performed.  Several contours can be refined together, one f call per
 round for all of them, each refined as it would be alone.
 
 Every phase pass starts from a uniform grid that depends on its geometry
-alone, and _start_grid keeps the last _START_GRIDS of those grids,
-read-only and keyed by their geometry's bits, so a pass over a contour
-met before starts from the same arrays.
+alone, and _start_grid memoizes the last _START_GRIDS of those grids
+(functools.lru_cache), read-only and keyed by their geometry's bits, so
+a pass over a contour met before starts from the same arrays.
 
 Zeros are localized by one breadth-first quadtree over any number of
 disjoint top boxes, whose windings are one phase batch; every box first
@@ -35,9 +35,8 @@ tries Newton from its moment seeds (Delves & Lyness, Math. Comp. 21,
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -150,16 +149,7 @@ class Contour:
     def point(self, t):
         """Global parameterization on [0, len(segments)], t in any order:
         per point the expression of LineSegment.point or ArcSegment.point."""
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(t.astype(int), 0, len(self.segments) - 1)
-        loc = t - idx
-        z0, dz, center, radius, ang0, dang = self._table[:, idx]
-        z = z0 + dz * loc
-        arc = radius.real > 0.0
-        if arc.any():
-            ang = ang0.real + dang.real * loc
-            z = np.where(arc, center + radius.real * np.exp(1j * ang), z)
-        return z
+        return _table_point(self._table, np.asarray(t, dtype=float))
 
     def sample(self, n_per_segment: int) -> np.ndarray:
         if n_per_segment < 1:
@@ -174,6 +164,19 @@ class WindingResult:
     total_variation: float
     min_modulus: float
     samples_used: int
+
+
+def _table_point(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Contour.point of the contour whose _table is table."""
+    idx = np.clip(t.astype(int), 0, table.shape[1] - 1)
+    loc = t - idx
+    z0, dz, center, radius, ang0, dang = table[:, idx]
+    z = z0 + dz * loc
+    arc = radius.real > 0.0
+    if arc.any():
+        ang = ang0.real + dang.real * loc
+        z = np.where(arc, center + radius.real * np.exp(1j * ang), z)
+    return z
 
 
 def _pair(f, z):
@@ -208,46 +211,34 @@ def _joined(contours: Sequence[Contour]) -> Contour:
     return joined
 
 
-# the starting grids by key, least recently used first
-_start_grids: OrderedDict = OrderedDict()
+@lru_cache(maxsize=_START_GRIDS)
+def _start_grid(n_initial: int, nsegs: tuple, table: bytes) -> tuple:
+    """(t, cid, z) for a phase pass over contours of nsegs segments each,
+    joined into one whose _table has the bits table: the global
+    parameters t of n_initial uniform points per segment, the contour id
+    cid of each and z = joined.point(t), with the bits _table_point
+    gives.  Contour k runs over [o_k, o_k + n_k] of the global parameter
+    of the joined segments, n_k its segment count; its end point, but for
+    the last contour's, sits one ulp below o_k + n_k, inside its own last
+    segment.
 
-
-def _start_grid(contours: Sequence[Contour]) -> tuple:
-    """(t, cid, joined, z): the global parameters t of _N_INITIAL uniform
-    points per segment, the contour id cid of each, the joined contour
-    and z = joined.point(t).  Contour k runs over [o_k, o_k + n_k] of the
-    global parameter of the joined segments, n_k its segment count; its
-    end point, but for the last contour's, sits one ulp below o_k + n_k,
-    inside its own last segment.
-
-    t, cid and z are read-only, and the grid is memoized for the last
-    _START_GRIDS keys.  The key is _N_INITIAL, the segment count of each
-    contour and the bits of the joined segment table, which are all the
-    grid depends on and which point() builds anyway."""
-    joined = _joined(contours)
-    nsegs = np.array([len(c.segments) for c in contours])
-    key = (_N_INITIAL, tuple(nsegs), joined._table.tobytes())
-    grid = _start_grids.get(key)
-    if grid is not None:
-        _start_grids.move_to_end(key)
-        return grid
+    t, cid and z are read-only, memoized under all they depend on for the
+    last _START_GRIDS keys."""
+    nsegs = np.array(nsegs)
     offsets = np.concatenate([[0], np.cumsum(nsegs)])
-    # per contour the points of np.linspace(0, n, n (_N_INITIAL - 1) + 1),
+    # per contour the points of np.linspace(0, n, n (n_initial - 1) + 1),
     # shifted by its offset
-    sizes = nsegs * (_N_INITIAL - 1) + 1
-    cid = np.repeat(np.arange(len(contours)), sizes)
+    sizes = nsegs * (n_initial - 1) + 1
+    cid = np.repeat(np.arange(nsegs.size), sizes)
     ends = np.cumsum(sizes) - 1
     t = (np.arange(ends[-1] + 1) - np.repeat(ends - sizes + 1, sizes)) \
-        * (1.0 / (_N_INITIAL - 1)) + offsets[cid]
+        * (1.0 / (n_initial - 1)) + offsets[cid]
     t[ends] = offsets[1:]
     t[ends[:-1]] = np.nextafter(t[ends[:-1]], -np.inf)
-    z = joined.point(t)
+    z = _table_point(np.frombuffer(table, dtype=complex).reshape(6, -1), t)
     for a in (t, cid, z):
         a.setflags(write=False)
-    grid = _start_grids[key] = (t, cid, joined, z)
-    if len(_start_grids) > _START_GRIDS:
-        _start_grids.popitem(last=False)
-    return grid
+    return t, cid, z
 
 
 def _contour_phases(f, contours: Sequence[Contour],
@@ -276,7 +267,9 @@ def _contour_phases(f, contours: Sequence[Contour],
     samples, or an interval to split is shorter than _SPLIT_ULPS ulps of
     |z|, below which the samples no longer resolve the phase.
     """
-    t, cid, joined, z = _start_grid(contours)
+    joined = _joined(contours)
+    nsegs = tuple(len(c.segments) for c in contours)
+    t, cid, z = _start_grid(_N_INITIAL, nsegs, joined._table.tobytes())
     nseg = len(joined.segments)
     errors: dict = {}
     alive = np.ones(len(contours), dtype=bool)

@@ -31,20 +31,19 @@ larger eta; the domain stays as it is.
 
 Counts on one domain repeat two phase passes: the unperturbed winding
 over the contour and the localization's top boxes.  The first round of
-each, w, w' and their error bound on the pass's starting grid, is
-memoized read-only under (inner key, the bytes of the grid) for the
-last _FIRST_ROUNDS such rounds (_first_round), so a repeated count's
-first rounds cost only P's Horner; every later round, and every count's
+each, w and w' on the pass's starting grid, is memoized read-only under
+(pair callable, the bytes of the grid) for the last _FIRST_ROUNDS such
+rounds (_first_round), so a repeated count's first rounds cost only P's
+Horner and the error bound of w; every later round, and every count's
 results, are as from a cold memo.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -353,46 +352,41 @@ def _zero_floor(P: BivariatePolynomial, z, w, py, w_error) -> np.ndarray:
     return gamma * scale + np.abs(py) * w_error
 
 
-# the first rounds of the counts' phase passes by (inner key, bytes of
-# z), least recently used first
-_first_rounds: OrderedDict = OrderedDict()
 # the most first rounds _first_round keeps
 _FIRST_ROUNDS = 64
 
 
-def _first_round(inner, z) -> tuple:
-    """(w, w', error bound) at the starting grid z of a phase pass, for
-    inner = (key, pair, w_error): the pair callable of f and the bound
-    w_error(z, w, dw) on the error of its values, kept read-only under
-    (key, z.tobytes()) for the last _FIRST_ROUNDS keys.
-
-    The key is the inner function (klein_j_pair, or the LatticeParams
-    that fix wp), so every count on the domain shares the values, and a
-    wrapper around elliptic.wp_pair keeps the key.  The values are those
-    of exactly the batch the first round evaluates, so they have the bits
-    a fresh call gives (klein_j_pair picks its order from the whole
-    batch)."""
-    key, pair, w_error = inner
-    k = (key, z.tobytes())
-    out = _first_rounds.get(k)
-    if out is not None:
-        _first_rounds.move_to_end(k)
-        return out
-    w, dw = pair(z)
-    out = tuple(np.asarray(a) for a in (w, dw, w_error(z, w, dw)))
+@lru_cache(maxsize=_FIRST_ROUNDS)
+def _first_round(pair, z: bytes) -> tuple:
+    """The read-only (w, w') = pair(z) at the starting grid of a phase
+    pass, z given as its bytes: the values of exactly the batch the first
+    round evaluates, so they have the bits of a fresh call (klein_j_pair
+    picks its order from the whole batch)."""
+    out = tuple(np.asarray(a) for a in pair(np.frombuffer(z, dtype=complex)))
     for a in out:
         a.setflags(write=False)
-    _first_rounds[k] = out
-    if len(_first_rounds) > _FIRST_ROUNDS:
-        _first_rounds.popitem(last=False)
     return out
 
 
-def _unperturbed_winding(P: BivariatePolynomial, inner, contour: Contour):
+def _first_from_memo(pair):
+    """pair, with its first call taken from _first_round."""
+    first = True
+
+    def f(z):
+        nonlocal first
+        if first:
+            first = False
+            return _first_round(pair, z.tobytes())
+        return pair(z)
+    return f
+
+
+def _unperturbed_winding(P: BivariatePolynomial, pair, w_error,
+                         contour: Contour):
     """(vals, w) for _attempt from one winding pass of the unperturbed
-    P(z, f(z)) over the contour, with inner = (key, pair, w_error) as for
-    _first_round: the composite's values at the pass's adaptive samples
-    and the pass's WindingResult.
+    P(z, f(z)) over the contour, for the pair callable pair of f and the
+    bound w_error(z, w, dw) on the error of its values: the composite's
+    values at the pass's adaptive samples and the pass's WindingResult.
 
     The pass's first round takes f from _first_round, every later one
     calls pair once per sample, and every sample is checked by
@@ -403,18 +397,14 @@ def _unperturbed_winding(P: BivariatePolynomial, inner, contour: Contour):
     positive float as its floor: every value it sees lies above the rule's
     floor already.
     """
-    _, pair, w_error = inner
+    f = _first_from_memo(pair)
     seen = []
 
     def composite(z):
-        if seen:
-            w, dw = pair(z)
-            error = w_error(z, w, dw)
-        else:
-            w, dw, error = _first_round(inner, z)
+        w, dw = f(z)
         v, px, py = P.evaluate_partials(z, w)
         mods = np.abs(v)
-        excess = mods - _zero_floor(P, z, w, py, error)
+        excess = mods - _zero_floor(P, z, w, py, w_error(z, w, dw))
         if (excess <= 0.0).any():
             i = int(np.argmin(excess))
             raise ZeroOnContourError(
@@ -466,26 +456,18 @@ def _off_contour(f, zeros, contour: Contour, atol: float) -> list:
     return out
 
 
-def _attempt(P: BivariatePolynomial, inner, vals: np.ndarray,
+def _attempt(P: BivariatePolynomial, pair, vals: np.ndarray,
              w: WindingResult, boxes, target_radius: float, region=None):
     """One count attempt of either pipeline: offset P(z, f(z)) with eps
     sized from vals and localize its zeros in the boxes (zero_atol
-    0.1 eps), with inner as for _first_round; the localization's first
+    0.1 eps), for the pair callable pair of f; the localization's first
     call, its top batch, takes f from _first_round.  The j count passes
     region = (contour, keep): its box reports are first moved off the
     contour (_off_contour), and only the zeros whose centers pass keep
     are kept.  Returns (offset composite, kept zeros); raises
     NonconvergenceError unless their multiplicities sum to w, the
     winding of the unperturbed composite over the contour."""
-    first = True
-
-    def f(z):
-        nonlocal first
-        if first:
-            first = False
-            return _first_round(inner, z)[:2]
-        return inner[1](z)
-    pert = perturb_from_values(P, f, vals)
+    pert = perturb_from_values(P, _first_from_memo(pair), vals)
     atol = 0.1 * pert.epsilon
     zeros = localize_zeros(pert.pair, *boxes, target_radius=target_radius,
                            zero_atol=atol)
@@ -614,14 +596,13 @@ def count_zeros_j(P: BivariatePolynomial,
     k, drop = 0, 0.0
     last_error: Exception | None = None
 
-    inner = (klein_j_pair, klein_j_pair,
-             lambda z, w, dw: klein_j_error_bound(z, w))
+    pair, w_error = klein_j_pair, lambda z, w, dw: klein_j_error_bound(z, w)
 
     for retries in range(8):
         eta = _J_ETAS[k]
         contour = build_j_contour(JDomainSpec(Y), eta)
         try:
-            vals, w = _unperturbed_winding(P, inner, contour)
+            vals, w = _unperturbed_winding(P, pair, w_error, contour)
         except (ZeroOnContourError, NonconvergenceError) as exc:
             if k + 1 == len(_J_ETAS):
                 raise
@@ -633,7 +614,7 @@ def count_zeros_j(P: BivariatePolynomial,
         box = (-0.5 - eta, 0.5 - eta, y0, Y)
         try:
             pert, zeros = _attempt(
-                P, inner, vals, w, [box], _J_TARGET_RADIUS,
+                P, pair, vals, w, [box], _J_TARGET_RADIUS,
                 (contour, lambda c: _in_j_region(c, Y, eta)))
         except (ZeroOnContourError, NonconvergenceError) as exc:
             last_error, drop = exc, drop + 1e-3
@@ -670,7 +651,7 @@ def count_zeros_wp(P: BivariatePolynomial,
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
     L = lattice(spec.tau)
-    inner = (L, wp_analytic(L), lambda z, w, dw: wp_error_bound(z, w, dw, L))
+    pair, w_error = wp_analytic(L), partial(wp_error_bound, L=L)
 
     current, k = spec, 0
     last_error: Exception | None = None
@@ -681,7 +662,7 @@ def count_zeros_wp(P: BivariatePolynomial,
                                       "stable count")
         contour, tiles, poles = _wp_cell(current, eta)
         try:
-            vals, w = _unperturbed_winding(P, inner, contour)
+            vals, w = _unperturbed_winding(P, pair, w_error, contour)
         except ZeroOnContourError as exc:
             if (k + 1 == len(_WP_ETAS)
                     or current.delta < _NOTCH_PER_ETA * _WP_ETAS[k + 1]):
@@ -693,7 +674,7 @@ def count_zeros_wp(P: BivariatePolynomial,
             current = current.with_delta(current.delta / 2.0)
             continue
         try:
-            pert, zeros = _attempt(P, inner, vals, w, tiles,
+            pert, zeros = _attempt(P, pair, vals, w, tiles,
                                    _WP_TARGET_RADIUS)
             if any(abs(z.center - p) < 2.0 * current.delta
                    for z in zeros for p in poles):

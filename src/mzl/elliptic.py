@@ -257,7 +257,8 @@ def wp_on_line(t, L: LatticeParams, line: str):
     return out.reshape(ts.shape)
 
 
+@lru_cache(maxsize=64)
 def wp_analytic(L: LatticeParams):
-    # the pair callable of wp on L; wp_pair by name, so a wrapper on the
-    # module attribute sees each call
+    # the one pair callable of wp on L, so it can key a memo; wp_pair by
+    # name, so a wrapper on the module attribute sees each call
     return lambda z: wp_pair(z, L)

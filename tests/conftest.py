@@ -13,8 +13,8 @@ def cold_caches():
     # every test starts from empty memos of starting grids and first
     # rounds, so a test that counts f or inner calls sees the calls of a
     # first count
-    contour._start_grids.clear()
-    domains._first_rounds.clear()
+    contour._start_grid.cache_clear()
+    domains._first_round.cache_clear()
     domains._line_grid.cache_clear()
 
 

@@ -407,11 +407,11 @@ def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
     # refinement asks for, one call per round, or at Newton iterates:
     # never at z +- h
     asked, got, seeds = [], [], []
-    point = Contour.point
+    point = contour_module._table_point
     moment_seeds = contour_module._moment_seeds
 
-    def recording_point(self, t):
-        z = point(self, t)
+    def recording_point(table, t):
+        z = point(table, t)
         asked.append((t, z))
         return z
 
@@ -422,7 +422,7 @@ def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
         seeds.append(s)
         return s
 
-    monkeypatch.setattr(Contour, "point", recording_point)
+    monkeypatch.setattr(contour_module, "_table_point", recording_point)
     monkeypatch.setattr(contour_module, "_moment_seeds", recording_seeds)
     co = np.poly([0.001 + 0.031j, 0.005 + 0.041j, 0.4 - 0.3j])
     dco = np.polyder(co)
@@ -441,7 +441,7 @@ def test_pair_callable_is_called_once_per_round_at_the_samples(monkeypatch):
     # the box is the winding's rectangle, whose starting grid, and its
     # point call, the grid memo now holds; from a cold memo the top batch
     # makes its own
-    contour_module._start_grids.clear()
+    contour_module._start_grid.cache_clear()
     zeros = localize_zeros(pair, (0.0, 1.0, -0.5, 0.5), target_radius=1e-3)
     assert sum(z.multiplicity for z in zeros) == 3
     # each call is either the batch of the one point call made since the
@@ -475,25 +475,27 @@ def test_coarse_level_is_one_f_call_per_refinement_round(monkeypatch):
     # make the edges next to them refine
     a, b = 0.31 + 0.22j, -0.41 - 0.27j
     f = roots_pair([a, a, b, b, 1.003 + 0.3j, -0.7 - 1.004j])
-    calls = []
-    point = Contour.point
+    # each point call by the bits of its contour's segment table
+    calls, tables = [], {}
+    point = contour_module._table_point
 
-    def recording_point(self, t):
-        calls.append(self)
-        return point(self, t)
+    def recording_point(table, t):
+        calls.append(table.tobytes())
+        tables[calls[-1]] = table
+        return point(table, t)
 
-    monkeypatch.setattr(Contour, "point", recording_point)
+    monkeypatch.setattr(contour_module, "_table_point", recording_point)
     zeros = localize_zeros(f, (-1.0, 1.0, -1.0, 1.0), target_radius=1e-4)
     assert sorted(z.multiplicity for z in zeros) == [2, 2]
-    batches = [c for i, c in enumerate(calls)
-               if len(c.segments) == 32 and c not in calls[:i]]
+    batches = [c for c in dict.fromkeys(calls) if tables[c].shape[1] == 32]
     assert batches
     slowest = []
     for batch in batches:
-        rounds = sum(c is batch for c in calls)
+        rounds = calls.count(batch)
         alone = []
         for k in range(0, 32, 4):
-            lo, hi = batch.segments[k].z0, batch.segments[k + 2].z0
+            # z0 of the quadrant's bottom and top edges
+            lo, hi = tables[batch][0, k], tables[batch][0, k + 2]
             before = len(calls)
             winding_number(f, rectangle_contour(lo.real, hi.real,
                                                 lo.imag, hi.imag))
@@ -866,6 +868,12 @@ def test_trace_table_shapes():
 # the starting-grid memo
 
 
+def _grid_memo() -> tuple:
+    """(hits, misses, entries) of the starting-grid memo."""
+    info = contour_module._start_grid.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
 def test_start_grid_is_read_only_and_found_by_its_bits():
     # a second winding over an equal contour, another object, calls f on
     # the very same read-only array
@@ -878,16 +886,18 @@ def test_start_grid_is_read_only_and_found_by_its_bits():
     for _ in range(2):
         winding_number(pair, rectangle_contour(-1, 1, -1, 1))
     assert seen[0] is seen[1]
-    (grid,) = contour_module._start_grids.values()
-    t, cid, _, z = grid
+    assert _grid_memo() == (1, 1, 1)
+    box = rectangle_contour(-1, 1, -1, 1)
+    t, cid, z = contour_module._start_grid(17, (4,), box._table.tobytes())
     assert z is seen[0]
+    assert z.tobytes() == box.point(t).tobytes()
     for a in (t, cid, z):
         with pytest.raises(ValueError):
             a[0] = a[1]
     # a contour that differs in one bit misses
     winding_number(pair, rectangle_contour(-1, 1, -1, np.nextafter(1, 2)))
-    assert len(contour_module._start_grids) == 2
-    assert seen[2] is not seen[0]
+    assert _grid_memo() == (2, 2, 2)
+    assert seen[-1] is not seen[0]
 
 
 def test_start_grid_keeps_n_initial_in_its_key(monkeypatch):
@@ -897,41 +907,55 @@ def test_start_grid_keeps_n_initial_in_its_key(monkeypatch):
         m.setattr(contour_module, "_N_INITIAL", 33)
         wide = winding_number(identity, box)
     res = winding_number(identity, box)
-    sizes = sorted(g[3].size for g in contour_module._start_grids.values())
+    assert _grid_memo() == (0, 2, 2)
+    sizes = [contour_module._start_grid(n, (4,), box._table.tobytes())[2].size
+             for n in (17, 33)]
     assert sizes == [4 * 16 + 1, 4 * 32 + 1]
-    contour_module._start_grids.clear()
+    assert _grid_memo() == (2, 2, 2)
+    contour_module._start_grid.cache_clear()
     assert winding_number(identity, box) == res != wide
 
 
-def test_start_grid_memo_is_bounded_least_recently_used(monkeypatch):
-    monkeypatch.setattr(contour_module, "_START_GRIDS", 4)
-    circles = [circle_contour(0.0, 1.0 + k) for k in range(10)]
-    for c in circles[:4]:
+def test_start_grid_memo_is_bounded_least_recently_used():
+    size = contour_module._START_GRIDS
+    circles = [circle_contour(0.0, 1.0 + k) for k in range(size + 1)]
+    for c in circles[:size]:
         winding_number(identity, c)
     # a hit makes circle 0 the most recently used, so circle 1 goes first
     winding_number(identity, circles[0])
-    for c in circles[4:7]:
+    winding_number(identity, circles[size])
+    assert _grid_memo() == (1, size + 1, size)
+    for c in [circles[0]] + circles[2:]:
         winding_number(identity, c)
-    kept = [round(abs(g[3][0])) for g in contour_module._start_grids.values()]
-    assert kept == [1, 5, 6, 7]
+    assert _grid_memo() == (size + 1, size + 1, size)
+    winding_number(identity, circles[1])
+    assert _grid_memo() == (size + 1, size + 2, size)
 
 
-def test_repeated_localization_starts_every_pass_from_the_memo():
+def test_repeated_localization_starts_every_pass_from_the_memo(monkeypatch):
     # quadrant splits and Newton disks start from the memo as well: a
     # second localization adds no grid and calls f on the memoized arrays
     f = roots_pair([0.2 + 0.3j, 0.2 + 0.3j, -0.6 - 0.1j])
     box = (-1.0, 1.0, -1.0, 1.0)
+    grids = []
+    start_grid = contour_module._start_grid
+
+    def recording(*key):
+        grid = start_grid(*key)
+        grids.append(grid[2])
+        return grid
     first = localize_zeros(f, box, target_radius=1e-3)
-    keys = list(contour_module._start_grids)
+    _, misses, entries = _grid_memo()
     # Newton cannot resolve the double zero, so its boxes split
-    assert len(keys) > 2
+    assert misses == entries > 2
+    monkeypatch.setattr(contour_module, "_start_grid", recording)
     seen = []
     again = localize_zeros(lambda z: seen.append(z) or f(z), box,
                            target_radius=1e-3)
     assert again == first
-    assert list(contour_module._start_grids) == keys
-    assert ({id(g[3]) for g in contour_module._start_grids.values()}
-            <= {id(z) for z in seen})
+    monkeypatch.undo()
+    assert _grid_memo() == (len(grids), misses, entries)
+    assert {id(z) for z in grids} <= {id(z) for z in seen}
 
 
 def test_moment_seed_of_one_zero_is_the_companion_root(rng):

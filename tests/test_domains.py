@@ -967,49 +967,79 @@ def _inner_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def _on_first_rounds(calls) -> list:
+# the first-round memo itself, whichever wrapper a test installs
+_FIRST_ROUND = domains_module._first_round
+
+
+def _first_rounds() -> tuple:
+    """(hits, misses, entries) of the first-round memo."""
+    info = _FIRST_ROUND.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+def _first_round_keys(monkeypatch) -> list:
+    """The (pair, z bytes) of every _first_round call from now on: the
+    keys of the memo while it holds fewer than _FIRST_ROUNDS."""
+    keys = []
+
+    def recording(pair, z):
+        keys.append((pair, z))
+        return _FIRST_ROUND(pair, z)
+    monkeypatch.setattr(domains_module, "_first_round", recording)
+    return keys
+
+
+def _on_first_rounds(calls, keys) -> list:
     """Per call of _inner_calls, whether its z is that of a memoized
     first round."""
-    grids = {z for _, z in domains_module._first_rounds}
+    grids = {z for _, z in keys}
     return [z in grids for z in calls]
+
+
+def _clear_memos(keys) -> None:
+    _FIRST_ROUND.cache_clear()
+    contour_module._start_grid.cache_clear()
+    keys.clear()
 
 
 def test_repeated_counts_reuse_the_starting_grids(monkeypatch):
     # a count on a domain that a count has run on before makes no inner
     # call on its two starting grids, the contour's and the top boxes',
     # and reports what a count from a cold memo does
+    keys = _first_round_keys(monkeypatch)
     j_calls = _inner_calls(monkeypatch, domains_module, "klein_j_pair")
     P, Q = poly_y_minus(2000j), BivariatePolynomial(
         [np.poly([300.0 + 400.0j, -500.0 + 300.0j])[::-1]])
     first = count_zeros_j(P)
-    assert first.retries == 0 and _on_first_rounds(j_calls).count(True) == 2
+    assert first.retries == 0
+    assert _on_first_rounds(j_calls, keys).count(True) == 2
     j_calls.clear()
     other = count_zeros_j(Q)
     again = count_zeros_j(P)
     assert other.domain == first.domain and other.retries == 0
-    assert j_calls and not any(_on_first_rounds(j_calls))
+    assert j_calls and not any(_on_first_rounds(j_calls, keys))
+    assert _first_rounds() == (4, 2, 2)
     assert again.to_dict() == first.to_dict()
-    domains_module._first_rounds.clear()
-    contour_module._start_grids.clear()
+    _clear_memos(keys)
     assert count_zeros_j(Q).to_dict() == other.to_dict()
 
-    # wp keys its values by the lattice, so a wrapper installed around
-    # elliptic.wp_pair after the first count, as bench/tracer.py does,
-    # finds them
-    domains_module._first_rounds.clear()
+    # wp keys its values by its pair callable, one per lattice, so a
+    # wrapper installed around elliptic.wp_pair after the first count, as
+    # bench/tracer.py does, finds them
+    _clear_memos(keys)
     P, Q = poly_y_minus(2.5 + 1.5j), poly_y_minus(-1.0 - 3.0j)
     first = count_zeros_wp(P, WpDomainSpec(1.0))
     wp_calls = _inner_calls(monkeypatch, elliptic_module, "wp_pair")
     other = count_zeros_wp(Q, WpDomainSpec(1.0))
     again = count_zeros_wp(P, WpDomainSpec(1.0))
     assert first.retries == other.retries == 0
-    assert wp_calls and not any(_on_first_rounds(wp_calls))
+    assert wp_calls and not any(_on_first_rounds(wp_calls, keys))
+    assert _first_rounds() == (4, 2, 2)
     assert again.to_dict() == first.to_dict()
-    domains_module._first_rounds.clear()
-    contour_module._start_grids.clear()
+    _clear_memos(keys)
     wp_calls.clear()
     assert count_zeros_wp(Q, WpDomainSpec(1.0)).to_dict() == other.to_dict()
-    assert _on_first_rounds(wp_calls).count(True) == 2
+    assert _on_first_rounds(wp_calls, keys).count(True) == 2
 
 
 def test_first_round_memo_is_keyed_by_the_bits_of_z():
@@ -1019,45 +1049,53 @@ def test_first_round_memo_is_keyed_by_the_bits_of_z():
     def pair(z):
         calls.append(z)
         return klein_j_pair(z)
-    inner = ("j", pair, lambda z, w, dw: klein_j_error_bound(z, w))
     z = np.array([0.1 + 1.2j, -0.3 + 1.5j])
-    out = domains_module._first_round(inner, z)
-    assert domains_module._first_round(inner, z.copy()) is out
+    out = _FIRST_ROUND(pair, z.tobytes())
+    assert _FIRST_ROUND(pair, z.copy().tobytes()) is out
     assert len(calls) == 1
     nudged = z.copy()
     nudged[1] = np.nextafter(nudged[1].real, 1.0) + 1j * nudged[1].imag
-    assert domains_module._first_round(inner, nudged) is not out
+    assert _FIRST_ROUND(pair, nudged.tobytes()) is not out
     assert len(calls) == 2
-    # another key misses on the same z
-    domains_module._first_round(("other",) + inner[1:], z)
+    # another pair misses on the same z
+    _FIRST_ROUND(lambda z: pair(z), z.tobytes())
     assert len(calls) == 3
+    assert _first_rounds() == (1, 3, 3)
+    # the memo holds the pair's values only, with the bits of a fresh call
+    assert [a.tobytes() for a in out] == [a.tobytes()
+                                          for a in klein_j_pair(z)]
 
 
-def test_stored_inner_values_are_read_only():
+def test_stored_inner_values_are_read_only(monkeypatch):
+    keys = _first_round_keys(monkeypatch)
     count_zeros_j(poly_y_minus(2000j))
     count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
-    rounds = domains_module._first_rounds
-    assert len(rounds) == 4
-    assert {key for key, _ in rounds} == {klein_j_pair, lattice(1.0)}
-    for w, dw, err in rounds.values():
-        for a in (w, dw, err):
+    assert len(keys) == _first_rounds()[2] == 4
+    assert ({pair for pair, _ in keys}
+            == {klein_j_pair, wp_analytic(lattice(1.0))})
+    for key in keys:
+        values = _FIRST_ROUND(*key)
+        assert len(values) == 2
+        for a in values:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
 
-def test_first_round_memo_is_bounded_least_recently_used(monkeypatch):
-    monkeypatch.setattr(domains_module, "_FIRST_ROUNDS", 4)
-    inner = ("j", klein_j_pair, lambda z, w, dw: klein_j_error_bound(z, w))
-    zs = [np.array([complex(0.1 * k, 1.5)]) for k in range(10)]
-    for z in zs[:4]:
-        domains_module._first_round(inner, z)
+def test_first_round_memo_is_bounded_least_recently_used():
+    size = domains_module._FIRST_ROUNDS
+    zs = [np.array([complex(0.01 * k, 1.5)]).tobytes()
+          for k in range(size + 1)]
+    for z in zs[:size]:
+        _FIRST_ROUND(klein_j_pair, z)
     # a hit makes z 0 the most recently used, so z 1 goes first
-    domains_module._first_round(inner, zs[0])
-    for z in zs[4:7]:
-        domains_module._first_round(inner, z)
-    kept = [np.frombuffer(z, dtype=complex)[0].real / 0.1
-            for _, z in domains_module._first_rounds]
-    assert np.round(kept).tolist() == [0, 4, 5, 6]
+    _FIRST_ROUND(klein_j_pair, zs[0])
+    _FIRST_ROUND(klein_j_pair, zs[size])
+    assert _first_rounds() == (1, size + 1, size)
+    for z in [zs[0]] + zs[2:]:
+        _FIRST_ROUND(klein_j_pair, z)
+    assert _first_rounds() == (size + 1, size + 1, size)
+    _FIRST_ROUND(klein_j_pair, zs[1])
+    assert _first_rounds() == (size + 1, size + 2, size)
 
 
 def test_a_count_adds_at_most_two_first_rounds_per_attempt(monkeypatch):
@@ -1080,10 +1118,10 @@ def test_a_count_adds_at_most_two_first_rounds_per_attempt(monkeypatch):
     rep = count_zeros_j(poly_y_minus(0.0))
     assert rep.count == 3 and rep.retries == 0
     assert len(attempts) == 1 and len(localizations) > 1
-    assert len(domains_module._first_rounds) == 2
+    assert _first_rounds()[2] == 2
     rep = count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(8.0))
     assert len(attempts) == rep.retries + 2
-    assert len(domains_module._first_rounds) <= 2 * len(attempts)
+    assert _first_rounds()[2] <= 2 * len(attempts)
 
 
 def test_count_zeros_raises_the_last_attempts_error(monkeypatch):

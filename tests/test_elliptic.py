@@ -4,9 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mzl.elliptic as elliptic_module
 import oracles
 from mzl.domains import _LINE_OFFSET
-from mzl.elliptic import (_tail_bound, lattice, reduce_to_cell,
+from mzl.elliptic import (_tail_bound, lattice, reduce_to_cell, wp_analytic,
                           wp_error_bound, wp_invariants, wp_on_line,
                           wp_pair)
 from mzl.errors import DomainError, InvalidSpecError, PoleProximityError
@@ -192,6 +193,28 @@ def test_wp_vectorized_matches_scalar(lat1, rng):
         p_s, dp_s = wp_pair(complex(z[i]), lat1)
         assert p_s == pytest.approx(p_vec[i], rel=1e-14, abs=1e-14)
         assert dp_s == pytest.approx(dp_vec[i], rel=1e-14, abs=1e-14)
+
+
+def test_wp_analytic_is_one_pair_per_lattice(monkeypatch):
+    # each lattice has one pair callable, so it can key a memo, and the
+    # pair looks wp_pair up by name: a wrapper installed after its first
+    # call, as bench/tracer.py installs one, sees every later call
+    f = wp_analytic(lattice(1.0))
+    z = np.array([0.3 + 0.2j, 0.6 + 0.7j])
+    want = f(z)
+    assert wp_analytic(lattice(1.0)) is f
+    assert wp_analytic(lattice(1.5)) is not f
+    assert wp_analytic(lattice(1.5)) is wp_analytic(lattice(1.5))
+    calls = []
+
+    def recording(z, L):
+        calls.append(L)
+        return wp_pair(z, L)
+    monkeypatch.setattr(elliptic_module, "wp_pair", recording)
+    for _ in range(2):
+        got = wp_analytic(lattice(1.0))(z)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert calls == [lattice(1.0)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -262,10 +262,10 @@ def test_multipoly_validation():
 # real zero counting
 
 
-def _count(f, a, b, n=4096, **kwargs):
+def _count(f, a, b, n=4096):
     # the count on the n-point grid over [a, b], with f's values on it
     t = np.linspace(a, b, n)
-    return real_zero_count(f, t, f(t), **kwargs)
+    return real_zero_count(f, t, f(t))
 
 
 def test_zero_count_sine():
@@ -273,7 +273,7 @@ def test_zero_count_sine():
     assert _count(f, 0.1, 2.9) == 5
 
 
-def test_zero_count_calls_f_once_per_round():
+def test_zero_count_calls_f_once_per_round(monkeypatch):
     # a count needs the grid and its refinements only: no call locates a root
     calls = [0]
 
@@ -288,7 +288,8 @@ def test_zero_count_calls_f_once_per_round():
     v.setflags(write=False)
     for rounds in (0, 1, 3):
         calls[0] = 0
-        assert real_zero_count(f, t, v, refine_rounds=rounds) == 5
+        monkeypatch.setattr(pfaffian_module, "_REFINE_ROUNDS", rounds)
+        assert real_zero_count(f, t, v) == 5
         assert calls[0] <= rounds
 
 
@@ -350,17 +351,18 @@ def test_pfaffian_eval_is_outer_on_one_member_pass():
         assert np.array_equal(got, want)
 
 
-def test_zero_count_respects_khovanskii_bound(rng):
+def test_zero_count_respects_khovanskii_bound(rng, monkeypatch):
     # univariate polynomials in the (strictly monotone) ratio member: the
     # observed count can never exceed the polynomial degree, let alone the
     # Khovanskii bound
     chain = build_ratio_chain()
+    monkeypatch.setattr(pfaffian_module, "_REFINE_ROUNDS", 2)
     for _ in range(50):
         deg = int(rng.integers(1, 9))
         coeffs = rng.normal(size=deg + 1)
         terms = {(0,) * 9 + (k,): float(c) for k, c in enumerate(coeffs)}
         pf = PfaffianFunction(chain, MultiPoly(terms, 10))
         f = lambda y: np.real(pf.eval(np.asarray(y)))
-        n = _count(f, 0.02, 0.98, 512, refine_rounds=2)
+        n = _count(f, 0.02, 0.98, 512)
         assert n <= deg
         assert n <= pf.zero_bound
