@@ -26,12 +26,15 @@ round for all of them, each refined as it would be alone.
 Every phase pass starts from a uniform grid that depends on its geometry
 alone, and _start_grid memoizes the last _START_GRIDS of those grids
 (functools.lru_cache), read-only and keyed by their geometry's bits, so
-a pass over a contour met before starts from the same arrays.
+a pass over a contour met before starts from the same arrays; the grid's
+parameters depend on the segment counts alone and have their own memo.
 
 Zeros are localized by one breadth-first quadtree over any number of
 disjoint top boxes, whose windings are one phase batch; every box first
 tries Newton from its moment seeds (Delves & Lyness, Math. Comp. 21,
-1967), and the boxes of a level share every f call.
+1967), and the boxes of a level share every f call.  Newton stops a root
+once its step is at most 2^-10 of the target radius, well inside the
+disk of that radius that certifies it.
 """
 from __future__ import annotations
 
@@ -167,8 +170,8 @@ class WindingResult:
 
 
 def _table_point(table: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Contour.point of the contour whose _table is table."""
-    idx = np.clip(t.astype(int), 0, table.shape[1] - 1)
+    """Contour.point of the contour whose _table is table, at t >= 0."""
+    idx = np.minimum(t.astype(int), table.shape[1] - 1)
     loc = t - idx
     z0, dz, center, radius, ang0, dang = table[:, idx]
     z = z0 + dz * loc
@@ -190,13 +193,15 @@ def _pair(f, z):
 
 
 def _sample(f, z):
-    """f(z) and f'(z), checked finite, from one call of the pair callable
-    f: one refinement round."""
-    v, dv = _pair(f, z)
-    finite = np.isfinite(v) & np.isfinite(dv)
-    if not finite.all():
+    """The rows z, f(z), f'(z) of one complex array, f and f' checked
+    finite, from one call of the pair callable f: one refinement round."""
+    s = np.empty((3, z.size), dtype=complex)
+    s[0] = z
+    s[1], s[2] = _pair(f, z)
+    if not np.isfinite(s[1:]).all():
+        finite = np.isfinite(s[1:]).all(axis=0)
         raise MzlError(f"non-finite value at z={z[np.argmin(finite)]!r}")
-    return v, dv
+    return s
 
 
 def _joined(contours: Sequence[Contour]) -> Contour:
@@ -212,18 +217,9 @@ def _joined(contours: Sequence[Contour]) -> Contour:
 
 
 @lru_cache(maxsize=_START_GRIDS)
-def _start_grid(n_initial: int, nsegs: tuple, table: bytes) -> tuple:
-    """(t, cid, z) for a phase pass over contours of nsegs segments each,
-    joined into one whose _table has the bits table: the global
-    parameters t of n_initial uniform points per segment, the contour id
-    cid of each and z = joined.point(t), with the bits _table_point
-    gives.  Contour k runs over [o_k, o_k + n_k] of the global parameter
-    of the joined segments, n_k its segment count; its end point, but for
-    the last contour's, sits one ulp below o_k + n_k, inside its own last
-    segment.
-
-    t, cid and z are read-only, memoized under all they depend on for the
-    last _START_GRIDS keys."""
+def _start_params(n_initial: int, nsegs: tuple) -> tuple:
+    """(t, cid) of _start_grid, which depend on the segment counts
+    alone, read-only."""
     nsegs = np.array(nsegs)
     offsets = np.concatenate([[0], np.cumsum(nsegs)])
     # per contour the points of np.linspace(0, n, n (n_initial - 1) + 1),
@@ -235,9 +231,28 @@ def _start_grid(n_initial: int, nsegs: tuple, table: bytes) -> tuple:
         * (1.0 / (n_initial - 1)) + offsets[cid]
     t[ends] = offsets[1:]
     t[ends[:-1]] = np.nextafter(t[ends[:-1]], -np.inf)
-    z = _table_point(np.frombuffer(table, dtype=complex).reshape(6, -1), t)
-    for a in (t, cid, z):
+    for a in (t, cid):
         a.setflags(write=False)
+    return t, cid
+
+
+@lru_cache(maxsize=_START_GRIDS)
+def _start_grid(n_initial: int, nsegs: tuple, table: bytes) -> tuple:
+    """(t, cid, z) for a phase pass over contours of nsegs segments each,
+    joined into one whose _table has the bits table: the global
+    parameters t of n_initial uniform points per segment, the contour id
+    cid of each and z = joined.point(t), with the bits _table_point
+    gives.  Contour k runs over [o_k, o_k + n_k] of the global parameter
+    of the joined segments, n_k its segment count; its end point, but for
+    the last contour's, sits one ulp below o_k + n_k, inside its own last
+    segment.
+
+    t, cid and z are read-only, memoized under all they depend on for the
+    last _START_GRIDS keys; t and cid, which Newton disks and quadrant
+    splits share though their z differ, under (n_initial, nsegs)."""
+    t, cid = _start_params(n_initial, nsegs)
+    z = _table_point(np.frombuffer(table, dtype=complex).reshape(6, -1), t)
+    z.setflags(write=False)
     return t, cid, z
 
 
@@ -257,6 +272,14 @@ def _contour_phases(f, contours: Sequence[Contour],
     splits.  Each contour is refined as it would be alone, up to the
     last bits of an f whose rounding depends on the batch (klein_j_pair
     picks its truncation order from the largest |q|).
+
+    A round makes few numpy calls, since on arrays of some tens of points
+    their overhead is most of its time: the samples z, f(z),
+    f'(z) are the rows of one array, merged with one masked write; the
+    segment maximum of the relative zero test is taken only where the
+    absolute floor zero_atol finds a sample (or when there is none); and
+    the masks that leave out stopped contours run only once one has
+    stopped.
 
     Returns, per contour, the tuple (sum of phase steps, sum of |steps|,
     min |f|, points used, log|f(end)| - log|f(start)|, and the samples
@@ -278,64 +301,72 @@ def _contour_phases(f, contours: Sequence[Contour],
         errors[k] = error
         alive[k] = False
 
-    v, dv = _sample(f, z)
+    zvd = _sample(f, z)
     while True:
+        z, v, dv = zvd
         mods = np.abs(v)
         # with an absolute floor a point must fall below both: the floor
         # alone misfires next to a legitimate interior zero, the relative
-        # test alone on segments spanning many decades of |f|.  t is
-        # sorted and every segment holds samples, so each segment is one
-        # run of seg
-        seg = np.minimum(t.astype(int), nseg - 1)
-        seg_max = np.maximum.reduceat(mods, np.searchsorted(seg,
-                                                            np.arange(nseg)))
-        hit = mods < _ZERO_RTOL * seg_max[seg]
-        if zero_atol > 0.0:
-            hit &= mods < zero_atol
-        hit &= alive[cid]
-        if hit.any():
-            for k in np.flatnonzero(np.bincount(cid[hit],
-                                                minlength=len(contours))):
-                idx = np.flatnonzero(hit & (cid == k))
-                i = idx[np.argmin(mods[idx])]
-                stop(k, ZeroOnContourError("|f| below tolerance on contour",
-                                           complex(z[i]), float(mods[i])))
+        # test alone on segments spanning many decades of |f|.  The floor
+        # is tested first, since it rarely finds a sample and the segment
+        # maximum is needed only where it does.  t is sorted and every
+        # segment holds samples, so each segment is one run of seg
+        if zero_atol <= 0.0 or (mods < zero_atol).any():
+            seg = np.minimum(t.astype(int), nseg - 1)
+            seg_max = np.maximum.reduceat(
+                mods, np.searchsorted(seg, np.arange(nseg)))
+            hit = mods < _ZERO_RTOL * seg_max[seg]
+            if zero_atol > 0.0:
+                hit &= mods < zero_atol
+            if errors:
+                hit &= alive[cid]
+            if hit.any():
+                for k in np.bincount(cid[hit],
+                                     minlength=len(contours)).nonzero()[0]:
+                    idx = (hit & (cid == k)).nonzero()[0]
+                    i = idx[np.argmin(mods[idx])]
+                    stop(k, ZeroOnContourError(
+                        "|f| below tolerance on contour", complex(z[i]),
+                        float(mods[i])))
         with np.errstate(divide="ignore", invalid="ignore"):
-            dphi = np.angle(v[1:] / v[:-1])
+            r = v[1:] / v[:-1]
+            dphi = np.arctan2(r.imag, r.real)
             # the phase step alone cannot see a whole 2 pi k turn between
             # two samples; near a zero at distance d, |f'/f| ~ 1/d, so the
             # step bound refines exactly where such a turn could hide
             rate = np.abs(dv) / mods
-            dz = np.abs(np.diff(z))
+            dz = np.abs(z[1:] - z[:-1])
             step = dz * np.maximum(rate[1:], rate[:-1])
+        adphi = np.abs(dphi)
+        # the intervals of a stopped contour are split too, but their new
+        # points are dropped below, before f is called
         left = cid[:-1]
-        bad = ((cid[1:] == left) & alive[left]
-               & ((np.abs(dphi) >= np.pi / 2.0) | (step >= np.pi / 2.0)))
-        split = np.flatnonzero(bad)
+        split = ((cid[1:] == left) & ((adphi >= np.pi / 2.0)
+                                      | (step >= np.pi / 2.0))).nonzero()[0]
         if not split.size:
             break
-        t0, t1 = t[split], t[split + 1]
+        right = split + 1
+        t0, t1, dzs = t[split], t[right], dz[split]
+        dt = t1 - t0
         # the step bound says how many pieces of step below pi/2 the
         # interval needs; fmax and fmin let a NaN term (0/0) defer to
         # the other
-        k = np.fmax(np.fmin(np.ceil(np.fmax(np.abs(dphi[split]), step[split])
+        k = np.fmax(np.fmin(np.ceil(np.fmax(adphi[split], step[split])
                                     / (np.pi / 2.0)), _MAX_PIECES), 2.0)
         # below a few ulps of |z| the samples no longer resolve the phase
         # (nor, at the last bits of t, do the new points fall between);
         # where a piece would be that short, bisect instead
         floor = _SPLIT_ULPS * np.spacing(np.maximum(np.abs(z[split]),
-                                                    np.abs(z[split + 1])))
-        k[(dz[split] < k * floor)
-          | (t1 - t0 < k * _SPLIT_ULPS * np.spacing(t1))] = 2.0
+                                                    np.abs(z[right])))
+        k[(dzs < k * floor) | (dt < k * _SPLIT_ULPS * np.spacing(t1))] = 2.0
         # the k - 1 new points of each interval, in order, and for each
         # the interval it splits
         n = k.astype(int) - 1
-        first = np.cumsum(n) - n
-        owner = np.repeat(np.arange(split.size), n)
-        tm = t0[owner] + (t1 - t0)[owner] * (
+        first = n.cumsum() - n
+        owner = np.arange(split.size).repeat(n)
+        tm = t0[owner] + dt[owner] * (
             (np.arange(owner.size) - first[owner] + 1) / k[owner])
-        tiny = ((dz[split] < floor) | (tm[first] <= t0)
-                | (tm[first + n - 1] >= t1))
+        tiny = (dzs < floor) | (tm[first] <= t0) | (tm[first + n - 1] >= t1)
         for i in split[tiny]:
             if alive[left[i]]:
                 stop(left[i], NonconvergenceError(
@@ -348,13 +379,13 @@ def _contour_phases(f, contours: Sequence[Contour],
                     stop(c, NonconvergenceError(
                         f"phase refinement exceeded {_MAX_POINTS} points"))
         after = split[owner]
-        keep = alive[left[after]]
-        if not keep.all():
+        if errors:
+            keep = alive[left[after]]
             after, tm = after[keep], tm[keep]
             if not after.size:
                 break
         zm = joined.point(tm)
-        vm, dvm = _sample(f, zm)
+        new = _sample(f, zm)
         # the new points of an interval lie strictly between its two
         # ends, in order, so they go right after its left one and t
         # stays sorted
@@ -362,20 +393,19 @@ def _contour_phases(f, contours: Sequence[Contour],
         old = np.ones(t.size + at.size, dtype=bool)
         old[at] = False
         merged = []
-        for a, b in ((t, tm), (cid, left[after]), (z, zm), (v, vm),
-                     (dv, dvm)):
-            m = np.empty(old.size, dtype=a.dtype)
-            m[old], m[at] = a, b
+        for a, b in ((t, tm), (cid, left[after]), (zvd, new)):
+            m = np.empty(a.shape[:-1] + old.shape, dtype=a.dtype)
+            m[..., old], m[..., at] = a, b
             merged.append(m)
-        t, cid, z, v, dv = merged
+        t, cid, zvd = merged
     bounds = np.searchsorted(cid, np.arange(len(contours) + 1))
     out = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if k in errors:
             out.append(errors[k])
             continue
-        d = dphi[lo:hi - 1]
-        out.append((float(d.sum()), float(np.abs(d).sum()),
+        out.append((float(dphi[lo:hi - 1].sum()),
+                    float(adphi[lo:hi - 1].sum()),
                     float(mods[lo:hi].min()), int(hi - lo),
                     float(np.log(mods[hi - 1]) - np.log(mods[lo])),
                     z[lo:hi], v[lo:hi], dv[lo:hi]))
@@ -509,6 +539,8 @@ class LocalizedZero:
 
 _CUT_SHIFTS = [0.0, 0.031, -0.057, 0.083, -0.113, 0.137]
 _NEWTON_ULPS = 4.0
+# Newton stops at a step of at most this fraction of target_radius
+_NEWTON_STOP = 2.0 ** -10
 _NEWTON_STEPS = 40
 
 
@@ -678,11 +710,17 @@ def _moment_seeds(box, w: int, z, v, dv) -> np.ndarray:
 def _newton_roots(f, nodes, target_radius, zero_atol) -> list:
     """Per node (box, w, depth, phase result of its winding), the w zeros
     of f in the box from Newton z <- z - f/f' started at its moment
-    seeds, or None.  Newton stops at a step below _NEWTON_ULPS ulps of
-    |z|, at a step inside target_radius that is no smaller than the one
-    before (there only rounding keeps the iterate moving), or after
-    _NEWTON_STEPS steps.  A box fails if one of its seeds (then never
-    evaluated) or iterates falls outside it."""
+    seeds, or None.  Newton stops a root, after the update, once its step
+    is at most _NEWTON_STOP = 2^-10 of target_radius: the disk of radius
+    target_radius about the updated iterate certifies the root as any
+    later one would, and quadratic convergence leaves that iterate within
+    about |f''/2f'| 2^-20 target_radius^2 of the zero, so a further step
+    would only cost one more f call.  It also stops at a step below
+    _NEWTON_ULPS ulps of |z| (the first stop to fire where target_radius
+    is below about 1e-12 |z|), at a step inside target_radius that is no
+    smaller than the one before (there only rounding keeps the iterate
+    moving), or after _NEWTON_STEPS steps.  A box fails if one of its
+    seeds (then never evaluated) or iterates falls outside it."""
     z = np.array([c for b, w, _, phase in nodes
                   for c in _moment_seeds(b, w, *phase[5:])], dtype=complex)
     owner = np.repeat(np.arange(len(nodes)), [node[1] for node in nodes])
@@ -692,17 +730,19 @@ def _newton_roots(f, nodes, target_radius, zero_atol) -> list:
     running = ~failed[owner]
     last = np.full(z.size, np.inf)
     for _ in range(_NEWTON_STEPS):
-        idx = np.flatnonzero(running)
+        idx = running.nonzero()[0]
         if idx.size == 0:
             break
-        v, dv = _pair(f, z[idx])
+        zi = z[idx]
+        v, dv = _pair(f, zi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = v / dv
-            zn = z[idx] - step
+            zn = zi - step
         inside = _inside(zn, own[idx])
         z[idx] = np.where(inside, zn, np.nan)
         size = np.abs(step)
-        done = (~inside | (size <= _NEWTON_ULPS * np.spacing(np.abs(zn)))
+        done = (~inside | (size <= _NEWTON_STOP * target_radius)
+                | (size <= _NEWTON_ULPS * np.spacing(np.abs(zn)))
                 | ((size >= last[idx]) & (size < target_radius)))
         last[idx] = size
         running[idx[done]] = False

@@ -374,3 +374,140 @@ def sampled_top_line_dominates(coeffs: np.ndarray, ys,
     lead = polyval(z, coeffs[:, l]) * np.exp(-2j * math.pi * l * z)
     total = sum(polyval(z, coeffs[:, k]) * j**k for k in range(l + 1))
     return bool(np.all(np.abs(lead) > 2.2 * np.abs(total - lead)))
+
+
+# ---------------------------------------------------------------------------
+# the phase pass as it ran before its round dropped redundant numpy calls
+
+
+def table_point_clip(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Contour.point of the contour whose _table is table."""
+    idx = np.clip(t.astype(int), 0, table.shape[1] - 1)
+    loc = t - idx
+    z0, dz, center, radius, ang0, dang = table[:, idx]
+    z = z0 + dz * loc
+    arc = radius.real > 0.0
+    if arc.any():
+        ang = ang0.real + dang.real * loc
+        z = np.where(arc, center + radius.real * np.exp(1j * ang), z)
+    return z
+
+
+def sample_pair(f, z):
+    """f(z) and f'(z), checked finite, from one call of the pair callable
+    f: one refinement round."""
+    from mzl import contour as C
+    from mzl.errors import MzlError
+
+    v, dv = C._pair(f, z)
+    finite = np.isfinite(v) & np.isfinite(dv)
+    if not finite.all():
+        raise MzlError(f"non-finite value at z={z[np.argmin(finite)]!r}")
+    return v, dv
+
+
+def contour_phases_masked(f, contours, zero_atol: float) -> list:
+    """contour._contour_phases as it ran before: the segment maximum and
+    the alive masks on every round, np.angle, np.diff and np.flatnonzero,
+    and one masked merge per array.  The library's helpers and constants
+    are read at call time, so a test that monkeypatches one patches both
+    passes; z comes from table_point_clip, not the library's point, and
+    f(z), f'(z) from sample_pair, not the library's _sample."""
+    from mzl import contour as C
+    from mzl.errors import NonconvergenceError, ZeroOnContourError
+
+    joined = C._joined(contours)
+    nsegs = tuple(len(c.segments) for c in contours)
+    t, cid, _ = C._start_grid(C._N_INITIAL, nsegs, joined._table.tobytes())
+    z = table_point_clip(joined._table, t)
+    nseg = len(joined.segments)
+    errors: dict = {}
+    alive = np.ones(len(contours), dtype=bool)
+
+    def stop(k, error):
+        errors[k] = error
+        alive[k] = False
+
+    v, dv = sample_pair(f, z)
+    while True:
+        mods = np.abs(v)
+        seg = np.minimum(t.astype(int), nseg - 1)
+        seg_max = np.maximum.reduceat(mods, np.searchsorted(seg,
+                                                            np.arange(nseg)))
+        hit = mods < C._ZERO_RTOL * seg_max[seg]
+        if zero_atol > 0.0:
+            hit &= mods < zero_atol
+        hit &= alive[cid]
+        if hit.any():
+            for k in np.flatnonzero(np.bincount(cid[hit],
+                                                minlength=len(contours))):
+                idx = np.flatnonzero(hit & (cid == k))
+                i = idx[np.argmin(mods[idx])]
+                stop(k, ZeroOnContourError("|f| below tolerance on contour",
+                                           complex(z[i]), float(mods[i])))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dphi = np.angle(v[1:] / v[:-1])
+            rate = np.abs(dv) / mods
+            dz = np.abs(np.diff(z))
+            step = dz * np.maximum(rate[1:], rate[:-1])
+        left = cid[:-1]
+        bad = ((cid[1:] == left) & alive[left]
+               & ((np.abs(dphi) >= np.pi / 2.0) | (step >= np.pi / 2.0)))
+        split = np.flatnonzero(bad)
+        if not split.size:
+            break
+        t0, t1 = t[split], t[split + 1]
+        k = np.fmax(np.fmin(np.ceil(np.fmax(np.abs(dphi[split]), step[split])
+                                    / (np.pi / 2.0)), C._MAX_PIECES), 2.0)
+        floor = C._SPLIT_ULPS * np.spacing(np.maximum(np.abs(z[split]),
+                                                      np.abs(z[split + 1])))
+        k[(dz[split] < k * floor)
+          | (t1 - t0 < k * C._SPLIT_ULPS * np.spacing(t1))] = 2.0
+        n = k.astype(int) - 1
+        first = np.cumsum(n) - n
+        owner = np.repeat(np.arange(split.size), n)
+        tm = t0[owner] + (t1 - t0)[owner] * (
+            (np.arange(owner.size) - first[owner] + 1) / k[owner])
+        tiny = ((dz[split] < floor) | (tm[first] <= t0)
+                | (tm[first + n - 1] >= t1))
+        for i in split[tiny]:
+            if alive[left[i]]:
+                stop(left[i], NonconvergenceError(
+                    f"phase refinement reached float resolution at "
+                    f"z={complex(z[i])!r}"))
+        if t.size > C._MAX_POINTS:
+            for c in np.flatnonzero(np.bincount(left[split],
+                                                minlength=len(contours))):
+                if alive[c] and np.count_nonzero(cid == c) > C._MAX_POINTS:
+                    stop(c, NonconvergenceError(
+                        f"phase refinement exceeded {C._MAX_POINTS} points"))
+        after = split[owner]
+        keep = alive[left[after]]
+        if not keep.all():
+            after, tm = after[keep], tm[keep]
+            if not after.size:
+                break
+        zm = table_point_clip(joined._table, tm)
+        vm, dvm = sample_pair(f, zm)
+        at = after + np.arange(1, after.size + 1)
+        old = np.ones(t.size + at.size, dtype=bool)
+        old[at] = False
+        merged = []
+        for a, b in ((t, tm), (cid, left[after]), (z, zm), (v, vm),
+                     (dv, dvm)):
+            m = np.empty(old.size, dtype=a.dtype)
+            m[old], m[at] = a, b
+            merged.append(m)
+        t, cid, z, v, dv = merged
+    bounds = np.searchsorted(cid, np.arange(len(contours) + 1))
+    out = []
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if k in errors:
+            out.append(errors[k])
+            continue
+        d = dphi[lo:hi - 1]
+        out.append((float(d.sum()), float(np.abs(d).sum()),
+                    float(mods[lo:hi].min()), int(hi - lo),
+                    float(np.log(mods[hi - 1]) - np.log(mods[lo])),
+                    z[lo:hi], v[lo:hi], dv[lo:hi]))
+    return out

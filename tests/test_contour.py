@@ -1,16 +1,21 @@
 """Winding numbers, zero localization, and boundary-integral bounds."""
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import mzl.contour as contour_module
+import oracles
 from mzl.contour import (ArcSegment, Contour, LineSegment, circle_contour,
                          crossing_bound_check, dominant_term_bound,
                          localize_zeros, log_derivative_integral,
                          rectangle_contour, trace_table, winding_number)
 from mzl.domains import (JDomainSpec, WpDomainSpec, build_j_contour,
                          build_wp_contour)
+from mzl.elliptic import lattice, wp_analytic
 from mzl.errors import (DominanceError, InvalidSpecError, MzlError,
                         NonconvergenceError, ZeroOnContourError)
 from mzl.special import klein_j, klein_j_derivative, klein_j_pair
@@ -207,6 +212,29 @@ def test_localize_j_critical_point():
     assert abs(zeros[0].center - 1j) < 1e-6
     small = winding_number(f, circle_contour(1j, 0.05))
     assert small.winding == 2
+
+
+def test_localize_double_zero_of_j_within_its_newton_budget():
+    # Newton converges only linearly to the double zero at i, so at each
+    # level of the quadtree it runs until its step falls to 2^-10 of
+    # target_radius; the report is the same box of multiplicity 2 as when
+    # Newton ran to 4 ulps, in 62 f calls instead of 132
+    calls = [0]
+
+    def f(z):
+        calls[0] += 1
+        v, dv = klein_j_pair(z)
+        return v - 1728.0, dv
+
+    zeros = localize_zeros(f, (-0.2, 0.2, 0.8, 1.2), target_radius=1e-4)
+    assert [(z.center, z.radius, z.multiplicity, z.resolved, z.box)
+            for z in zeros] == [(
+                complex(float.fromhex("0x1.b71758e219ad8p-18"),
+                        float.fromhex("0x1.00006dc5d6388p+0")),
+                float.fromhex("0x1.33968ad18f8afp-14"), 2, True,
+                (-4.531249999999902e-05, 5.839843750000098e-05,
+                 0.9999546874999999, 1.0000583984375))]
+    assert calls[0] <= 70
 
 
 def test_localize_j_triple_zero_at_rho():
@@ -974,3 +1002,165 @@ def test_moment_seed_of_one_zero_is_the_companion_root(rng):
         c, r = contour_module._center(box), contour_module._radius(box)
         assert np.array_equal(contour_module._moment_seeds(box, 1, z, v, dv),
                               c + r * np.roots(a))
+
+
+# ---------------------------------------------------------------------------
+# the phase pass against the masked pass it replaced
+
+
+def _both_passes(f, contours, zero_atol) -> list:
+    """The phase pass over contours, after checking that it calls f on
+    the same points and gives the same outputs, to the bit, as the
+    masked pass it replaced."""
+    runs = []
+    for phases in (contour_module._contour_phases,
+                   oracles.contour_phases_masked):
+        calls = []
+
+        def recording(z):
+            calls.append(np.asarray(z).tobytes())
+            return f(z)
+        runs.append((calls, phases(recording, contours, zero_atol)))
+    (calls, new), (old_calls, old) = runs
+    assert calls == old_calls
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert type(a) is type(b)
+        if isinstance(b, Exception):
+            assert str(a) == str(b)
+            if isinstance(b, ZeroOnContourError):
+                assert (a.location, a.modulus) == (b.location, b.modulus)
+            continue
+        assert a[:5] == b[:5]
+        for x, y in zip(a[5:], b[5:]):
+            assert x.tobytes() == y.tobytes()
+    return new
+
+
+def _shifted(pair, c):
+    """The pair callable of f - c."""
+    def g(z):
+        v, dv = pair(z)
+        return v - c, dv
+    return g
+
+
+def _random_batch(rng):
+    """A pair callable and a batch of rectangles and circles, with zeros
+    inside them and 10^-1 to 10^-6 from their boundaries, so that the
+    contours refine for different numbers of rounds."""
+    roots, contours = [], []
+    for _ in range(3):
+        x0, y0 = rng.uniform(-1.0, 0.5, 2)
+        x1, y1 = x0 + rng.uniform(0.2, 1.0), y0 + rng.uniform(0.2, 1.0)
+        contours.append(rectangle_contour(x0, x1, y0, y1))
+        d = 10.0 ** -rng.uniform(1.0, 6.0) * rng.choice([-1.0, 1.0])
+        roots.append(complex(rng.uniform(x0, x1), y0 + d))
+    for _ in range(2):
+        c = complex(*rng.uniform(-1.0, 1.0, 2))
+        r = rng.uniform(0.05, 0.5)
+        contours.append(circle_contour(c, r))
+        d = 10.0 ** -rng.uniform(1.0, 6.0) * rng.choice([-1.0, 1.0])
+        roots.append(c + (r + d) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    return roots_pair(roots), contours
+
+
+_ZERO_ATOLS = pytest.mark.parametrize("zero_atol", [0.0, math.ulp(0.0), 1.0],
+                                      ids=["none", "ulp", "one"])
+
+
+@_ZERO_ATOLS
+def test_phase_pass_is_bit_identical_to_the_masked_pass(rng, zero_atol):
+    for _ in range(6):
+        _both_passes(*_random_batch(rng), zero_atol)
+    # a zero 1e-14 off a starting sample of a steep f: |f| = 10 there is
+    # below 1e-12 of the segment maximum but not below a positive floor
+    steep = lambda z: (1e15 * (z - (0.5 + 1e-14j)),
+                       np.full(np.shape(z), 1e15 + 0j))
+    _both_passes(steep, [rectangle_contour(0.0, 1.0, 0.0, 1.0),
+                         circle_contour(0.5, 0.25)], zero_atol)
+    # the j and wp domain contours, whose notches and arcs refine next to
+    # the poles and the corners
+    j_contours = [build_j_contour(JDomainSpec()),
+                  build_j_contour(JDomainSpec(), eta=1e-3)]
+    for c in rng.uniform(-2000.0, 2000.0, (3, 2)) @ [1.0, 1j]:
+        _both_passes(_shifted(klein_j_pair, c), j_contours, zero_atol)
+    for tau, beta in ((1.0, 0.0), (8.0, 0.37)):
+        wp = [build_wp_contour(WpDomainSpec(tau, beta=beta))]
+        for c in rng.uniform(-50.0, 50.0, (2, 2)) @ [1.0, 1j]:
+            _both_passes(_shifted(wp_analytic(lattice(tau)), c), wp,
+                         zero_atol)
+
+
+@_ZERO_ATOLS
+def test_phase_pass_is_bit_identical_where_contours_stop(monkeypatch,
+                                                         zero_atol):
+    # the first square holds a zero at one of its starting samples and
+    # stops on ZeroOnContourError in the first round; with _MAX_POINTS low
+    # the second square, 1e-5 from a zero inside, stops on
+    # NonconvergenceError in the fifth, while the first circle and the
+    # smaller rectangle refine on for three more rounds, to the point
+    # counts they reach uncapped; so both passes run their dead-contour
+    # masks
+    monkeypatch.setattr(contour_module, "_MAX_POINTS", 150)
+    roots = [0.5, 0.37 + 1e-3j, 0.71 + 1e-5j,
+             2.0 + 0.5j + 0.3 * (1.0 + 1e-4) * np.exp(0.4j)]
+    f = roots_pair(roots)
+    contours = [rectangle_contour(0.0, 1.0, 0.0, 1.0),
+                rectangle_contour(0.0, 1.0, 1e-6, 1.0),
+                circle_contour(2.0 + 0.5j, 0.3),
+                rectangle_contour(0.1, 0.9, 2e-3, 0.5),
+                circle_contour(5.0, 1.0)]
+    kinds = [type(r).__name__ if isinstance(r, Exception) else r[3]
+             for r in _both_passes(f, contours, zero_atol)]
+    assert kinds == ["ZeroOnContourError", "NonconvergenceError", 69, 117, 17]
+
+
+@pytest.mark.parametrize("contour", [
+    build_j_contour(JDomainSpec()),
+    build_wp_contour(WpDomainSpec(8.0, beta=0.37)),
+    rectangle_contour(-0.3, 1.2, 0.1, 0.7),
+    circle_contour(0.2 - 0.1j, 0.8),
+], ids=["j", "wp-t8-b0.37", "rectangle", "circle"])
+def test_table_point_is_bit_identical_to_the_clipped_point(contour):
+    nseg = len(contour.segments)
+    rng = np.random.default_rng(11)
+    t = np.concatenate([rng.uniform(0.0, nseg, 500),
+                        np.arange(nseg + 1, dtype=float)])
+    table = contour._table
+    assert (contour_module._table_point(table, t).tobytes()
+            == oracles.table_point_clip(table, t).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# warnings from f
+
+
+def _warning_pair(z):
+    """identity, after a RuntimeWarning raised inside f itself."""
+    np.log(np.zeros(1))
+    return identity(z)
+
+
+def test_a_warning_from_f_is_never_silenced():
+    # the phase and Newton arithmetic run under np.errstate, f never:
+    # the divide-by-zero inside f stays a RuntimeWarning, an error under
+    # filterwarnings = error, through a winding and a Newton step alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            winding_number(_warning_pair, rectangle_contour(-1, 1, -1, 1))
+        calls = [0]
+
+        def newton_warns(z):
+            # the top winding is one call; the next is the first Newton
+            # step, at the moment seed
+            calls[0] += 1
+            if calls[0] == 2:
+                assert np.shape(z) == (1,)
+                return _warning_pair(z)
+            return identity(z)
+
+        with pytest.raises(RuntimeWarning):
+            localize_zeros(newton_warns, (-0.5, 1.0, -0.5, 1.0))
+        assert calls[0] == 2

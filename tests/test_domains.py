@@ -921,7 +921,8 @@ def test_count_zeros_f_calls(monkeypatch):
     # the five wp tiles are one quadtree: their top windings are one
     # phase batch, and their Newton steps and splits share f calls.  pair
     # counts the calls of the inner function, one per round of the
-    # unperturbed winding and one per round of the localization
+    # unperturbed winding and one per round of the localization, where
+    # Newton stops a root once its step is 2^-10 of the target radius
     calls = {"pair": 0, "phases": 0}
     phases = contour_module._contour_phases
 
@@ -941,18 +942,17 @@ def test_count_zeros_f_calls(monkeypatch):
                         counted(domains_module.klein_j_pair))
     monkeypatch.setattr(contour_module, "_contour_phases", counted_phases)
     count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
-    assert calls == {"pair": 7, "phases": 3}
+    assert calls == {"pair": 6, "phases": 3}
     calls.update(pair=0, phases=0)
     count_zeros_j(poly_y_minus(2000j))
-    assert calls == {"pair": 6, "phases": 3}
+    assert calls == {"pair": 4, "phases": 3}
     # at tau 8 the unperturbed winding and the tile windings refine next
     # to the notches, where the step bound asks for about 10 pieces per
     # interval; each round splits an interval into as many pieces as its
-    # step bound asks for, up to _MAX_PIECES = 16 (bisection took 15 pair
-    # calls, a cap of 5 took 11)
+    # step bound asks for, up to _MAX_PIECES = 16
     calls.update(pair=0, phases=0)
     count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(8.0))
-    assert calls == {"pair": 9, "phases": 3}
+    assert calls == {"pair": 7, "phases": 3}
 
 
 def _inner_calls(monkeypatch, module, name) -> list:
