@@ -52,7 +52,8 @@ from .contour import (ArcSegment, Contour, LineSegment, WindingResult,
                       localize_zeros, winding_number)
 from .elliptic import lattice, wp_analytic, wp_error_bound, wp_on_line
 from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
-                     NonconvergenceError, ZeroOnContourError)
+                     NonconvergenceError, PrecisionLossError,
+                     ZeroOnContourError)
 from .pfaffian import khovanskii_zero_bound, real_zero_count
 from .poly import BivariatePolynomial, perturb_from_values
 from .qseries import UNIT_ROUNDOFF, standard_series
@@ -580,8 +581,9 @@ def count_zeros_j(P: BivariatePolynomial,
     count: a failed unperturbed winding, as at a multiple zero on the
     classical boundary eta away, takes the next eta of _J_ETAS (after
     the last, its error is raised), and any other failure lowers the
-    box's bottom edge, below the domain, by 1e-3.  The report's retries
-    is the number of failed attempts.
+    box's bottom edge, below the domain, by 1e-3, and keeps the winding,
+    whose contour has not moved.  The report's retries is the number of
+    failed attempts.
     """
     spec = JDomainSpec() if spec is None else spec
     if P.is_zero():
@@ -598,16 +600,21 @@ def count_zeros_j(P: BivariatePolynomial,
 
     pair, w_error = klein_j_pair, lambda z, w, dw: klein_j_error_bound(z, w)
 
+    # eta only moves on a failed winding, so a winding that succeeded
+    # holds for every later retry, which moves only the box's bottom edge
+    wound = None
     for retries in range(8):
         eta = _J_ETAS[k]
         contour = build_j_contour(JDomainSpec(Y), eta)
-        try:
-            vals, w = _unperturbed_winding(P, pair, w_error, contour)
-        except (ZeroOnContourError, NonconvergenceError) as exc:
-            if k + 1 == len(_J_ETAS):
-                raise
-            last_error, k = exc, k + 1
-            continue
+        if wound is None:
+            try:
+                wound = _unperturbed_winding(P, pair, w_error, contour)
+            except (ZeroOnContourError, NonconvergenceError) as exc:
+                if k + 1 == len(_J_ETAS):
+                    raise
+                last_error, k = exc, k + 1
+                continue
+        vals, w = wound
         # the box's bottom edge starts at the contour's left corner, its
         # lowest point
         y0 = contour.segments[0].start.imag - drop
@@ -748,6 +755,31 @@ def _line_values(P: BivariatePolynomial, t, w, line: str, component: str):
     return acc if np.ndim(acc) else np.full(np.shape(t), acc)
 
 
+def _weighted_line_values(P: BivariatePolynomial, t, w, line: str,
+                          component: str):
+    """_line_values divided by the weight (1 + w^2)^(deg_y / 2).
+
+    The weight is positive and finite, so every sign and every exact
+    zero is the component's own.  Next to the double poles at the line
+    ends P grows like w^deg_y and the weighted values stay bounded.  A
+    weight that overflows, or a nonzero value that the division takes to
+    zero, raises PrecisionLossError rather than give a false zero; with
+    |w| <= 1e8 on the line that needs deg_y > 38.
+    """
+    with np.errstate(over="ignore"):
+        weight = np.power(1.0 + w * w, 0.5 * P.deg_y)
+    if not np.isfinite(weight).all():
+        raise PrecisionLossError(
+            f"(1 + wp^2)^(deg_y/2) overflows at deg_y = {P.deg_y}", math.inf)
+    v = _line_values(P, t, w, line, component)
+    out = v / weight
+    if np.count_nonzero(out) != np.count_nonzero(v):
+        raise PrecisionLossError(
+            f"P / (1 + wp^2)^(deg_y/2) underflows at deg_y = {P.deg_y}",
+            math.inf)
+    return out
+
+
 def line_im_zero_count(P: BivariatePolynomial, tau: float,
                        line: str = "horizontal", component: str = "Re") -> int:
     """Sign-change count of Re or Im of P(z, wp(z)) along one lattice
@@ -763,6 +795,11 @@ def line_im_zero_count(P: BivariatePolynomial, tau: float,
     real arithmetic (_line_values), so a component that is identically
     zero there, such as Im P for real P on the horizontal line, vanishes
     exactly and raises AmbiguityError.
+
+    real_zero_count counts the signs of _weighted_line_values, which are
+    the component's own.  Its refinement flags cells where the values are
+    small against a local scale; the weight keeps the pole's growth out of
+    that scale, so only cells where P can change sign are refined.
     """
     if line not in ("horizontal", "vertical"):
         raise InvalidSpecError("line must be horizontal or vertical")
@@ -771,7 +808,9 @@ def line_im_zero_count(P: BivariatePolynomial, tau: float,
     L = lattice(tau)
 
     def f(t):
-        return _line_values(P, t, wp_on_line(t, L, line), line, component)
+        return _weighted_line_values(P, t, wp_on_line(t, L, line), line,
+                                     component)
 
     t, w = _line_grid(tau, line)
-    return real_zero_count(f, t, _line_values(P, t, w, line, component))
+    return real_zero_count(f, t, _weighted_line_values(P, t, w, line,
+                                                       component))

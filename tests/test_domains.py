@@ -24,7 +24,8 @@ from mzl.domains import (_WP_ETAS, JDomainSpec, WpDomainSpec, _in_j_region,
                          theorem2_proof_bound, verify_bound_inequalities)
 from mzl.elliptic import lattice, wp_analytic, wp_pair
 from mzl.errors import (AmbiguityError, DominanceError, InvalidSpecError,
-                        NonconvergenceError, ZeroOnContourError)
+                        MzlError, NonconvergenceError, PrecisionLossError,
+                        ZeroOnContourError)
 from mzl.poly import BivariatePolynomial, PerturbedComposite, perturb
 from mzl.special import klein_j, klein_j_error_bound, klein_j_pair
 
@@ -326,6 +327,33 @@ def test_count_zeros_j_level_sets_on_the_boundary(c, count):
     assert rep.count == rep.winding == count
     assert rep.retries == 0
     assert rep.domain["eta"] == 1e-6
+
+
+def test_count_zeros_j_box_retry_keeps_the_winding(monkeypatch):
+    # a box-edge retry moves neither eta nor the contour, so the
+    # unperturbed winding runs once and the count is the same
+    windings, attempts = [], []
+    winding, attempt = (domains_module._unperturbed_winding,
+                        domains_module._attempt)
+
+    def counted_winding(*args):
+        windings.append(args)
+        return winding(*args)
+
+    def failing_once(*args, **kwargs):
+        attempts.append(args[4])
+        if len(attempts) == 1:
+            raise NonconvergenceError("forced box retry")
+        return attempt(*args, **kwargs)
+
+    monkeypatch.setattr(domains_module, "_unperturbed_winding",
+                        counted_winding)
+    monkeypatch.setattr(domains_module, "_attempt", failing_once)
+    rep = count_zeros_j(poly_y_minus(1000.0))
+    assert rep.count == rep.winding == 1 and rep.retries == 1
+    assert len(windings) == 1 and len(attempts) == 2
+    # the second attempt's box has its bottom edge 1e-3 lower
+    assert attempts[1][0][2] == pytest.approx(attempts[0][0][2] - 1e-3)
 
 
 @pytest.mark.parametrize("c, count", [
@@ -1410,6 +1438,104 @@ def test_line_grid_is_shared_and_read_only(monkeypatch):
     swapped = -wp_on_line(t / tau, lattice(1.0 / tau), "horizontal") / tau**2
     scale = np.abs(swapped) + math.sqrt(abs(lattice(tau).g2))
     assert np.all(np.abs(w - swapped) <= 1e-12 * scale)
+
+
+def test_line_count_close_pair_next_to_a_pole():
+    # ((X - 5e-4)^2 - (2e-5)^2) Y has zeros at 4.8e-4 and 5.2e-4, inside
+    # one cell of the base grid next to the pole at 0; an unweighted scale
+    # there is the pole's growth and never flags that cell
+    a, b = 5e-4, 2e-5
+    P = BivariatePolynomial([[0.0, a * a - b * b], [0.0, -2.0 * a],
+                             [0.0, 1.0]])
+    assert line_im_zero_count(P, 1.0, component="Re") == 2
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 1.5, 8.0])
+def test_weighted_line_values_keep_every_sign(tau):
+    # line_count_suite's draws at seeds 0-4, and deg_y up to 6
+    polys = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            dx = int(rng.integers(0, 4))
+            dy = int(rng.integers(1, 4))
+            polys.append(random_polynomial(rng, dx, dy, real=True))
+            rng.choice([1.0, 1.5])
+            rng.integers(2)
+    rng = np.random.default_rng(int(tau * 10))
+    polys += [random_polynomial(rng, dx, dy, real=real)
+              for dx in range(3) for dy in range(7) for real in (True, False)]
+    for line in ("horizontal", "vertical"):
+        t, w = domains_module._line_grid(tau, line)
+        for P in polys:
+            for component in ("Re", "Im"):
+                got = domains_module._weighted_line_values(P, t, w, line,
+                                                           component)
+                plain = domains_module._line_values(P, t, w, line, component)
+                assert np.array_equal(np.sign(got), np.sign(plain))
+
+
+def test_weighted_line_values_guard_overflow():
+    # |wp| reaches 1e8 at the line ends: (1 + wp^2)^19 is finite there and
+    # (1 + wp^2)^19.5 is not
+    def y_power_plus_one(d):
+        coeffs = np.zeros((1, d + 1))
+        coeffs[0, [0, d]] = 1.0
+        return BivariatePolynomial(coeffs)
+
+    assert line_im_zero_count(y_power_plus_one(38), 1.0, line="vertical") == 0
+    with pytest.raises(PrecisionLossError, match="deg_y = 39"):
+        line_im_zero_count(y_power_plus_one(39), 1.0, line="vertical")
+
+
+def test_weighted_line_values_guard_underflow():
+    # Re P = 1e-30 while deg_y = 38: next to a pole the weight is about
+    # 1e304, and the quotient would be a false zero
+    coeffs = np.zeros((1, 39), dtype=complex)
+    coeffs[0, 0], coeffs[0, -1] = 1e-30, 1j
+    with pytest.raises(PrecisionLossError, match="underflows"):
+        line_im_zero_count(BivariatePolynomial(coeffs), 1.0, component="Re")
+
+
+def test_line_count_refines_no_cell_without_a_sign_change(monkeypatch):
+    # the grid's wp comes from the cache, so every wp_on_line call would
+    # be a refinement round; with the weight these counts need none
+    sizes = []
+    wp_on_line = domains_module.wp_on_line
+
+    def recorded(t, L, line):
+        sizes.append(np.size(t))
+        return wp_on_line(t, L, line)
+
+    for line in ("horizontal", "vertical"):
+        domains_module._line_grid(1.0, line)
+    monkeypatch.setattr(domains_module, "wp_on_line", recorded)
+    for P in (BivariatePolynomial([[-3.0, 0.5, 1.0], [2.0, 0.0, -1.0]]),
+              poly_y_minus(5.0)):
+        for line in ("horizontal", "vertical"):
+            line_im_zero_count(P, 1.0, line=line)
+    assert sizes == []
+
+
+def test_line_count_equals_the_complex_oracle_on_wider_draws():
+    # deg_x <= 4, deg_y <= 6, real and complex P, four lattices, both
+    # lines and both components: the same count, or the same exception
+    def outcome(count, *args):
+        try:
+            return count(*args)
+        except MzlError as exc:
+            return type(exc).__name__
+
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        P = random_polynomial(rng, int(rng.integers(0, 5)),
+                              int(rng.integers(0, 7)),
+                              real=bool(rng.integers(2)))
+        args = (P, float(rng.choice([0.3, 1.0, 1.5, 8.0])),
+                "horizontal" if rng.integers(2) else "vertical",
+                "Re" if rng.integers(2) else "Im")
+        assert (outcome(line_im_zero_count, *args)
+                == outcome(oracles.line_count_complex, *args))
 
 
 # ---------------------------------------------------------------------------
