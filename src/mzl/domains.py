@@ -755,28 +755,52 @@ def _line_values(P: BivariatePolynomial, t, w, line: str, component: str):
     return acc if np.ndim(acc) else np.full(np.shape(t), acc)
 
 
+def _component_degree(P: BivariatePolynomial, line: str,
+                      component: str) -> int:
+    """The degree in wp of Re or Im of P(z(t), wp) on the line: the
+    highest column of that component's real coefficients that is not all
+    zero, or 0 if there is none.
+
+    On the horizontal line Re takes the real parts of the coefficients
+    and Im the imaginary parts.  On the vertical line (it)^i is real for
+    even i and imaginary for odd i, so there the two swap on odd X
+    powers.
+    """
+    c = P.coeffs
+    even, odd = (c.real, c.imag) if component == "Re" else (c.imag, c.real)
+    if line == "horizontal":
+        odd = even
+    k = P.deg_y
+    while k > 0 and not (even[::2, k].any() or odd[1::2, k].any()):
+        k -= 1
+    return k
+
+
 def _weighted_line_values(P: BivariatePolynomial, t, w, line: str,
                           component: str):
-    """_line_values divided by the weight (1 + w^2)^(deg_y / 2).
+    """_line_values divided by the weight (1 + w^2)^(k / 2), with k the
+    component's own degree in wp (_component_degree).
 
     The weight is positive and finite, so every sign and every exact
     zero is the component's own.  Next to the double poles at the line
-    ends P grows like w^deg_y and the weighted values stay bounded.  A
-    weight that overflows, or a nonzero value that the division takes to
-    zero, raises PrecisionLossError rather than give a false zero; with
-    |w| <= 1e8 on the line that needs deg_y > 38.
+    ends the component grows like w^k and the weighted values stay
+    bounded.  A weight that overflows, or a nonzero value that the
+    division takes to zero, raises PrecisionLossError rather than give a
+    false zero; with |w| <= 1e8 on the line that needs k > 38.
     """
+    k = _component_degree(P, line, component)
     with np.errstate(over="ignore"):
-        weight = np.power(1.0 + w * w, 0.5 * P.deg_y)
+        weight = np.power(1.0 + w * w, 0.5 * k)
     if not np.isfinite(weight).all():
         raise PrecisionLossError(
-            f"(1 + wp^2)^(deg_y/2) overflows at deg_y = {P.deg_y}", math.inf)
+            f"(1 + wp^2)^(k/2) overflows at the {component} degree k = {k}"
+            f" (deg_y = {P.deg_y})", math.inf)
     v = _line_values(P, t, w, line, component)
     out = v / weight
     if np.count_nonzero(out) != np.count_nonzero(v):
         raise PrecisionLossError(
-            f"P / (1 + wp^2)^(deg_y/2) underflows at deg_y = {P.deg_y}",
-            math.inf)
+            f"P / (1 + wp^2)^(k/2) underflows at the {component} degree"
+            f" k = {k} (deg_y = {P.deg_y})", math.inf)
     return out
 
 

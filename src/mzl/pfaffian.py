@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AmbiguityError, InvalidSpecError, MzlError
-from .special import SEXTIC_A, SEXTIC_B, _check_c, _sextic_pair, hyp2f1
+from .special import (SEXTIC_A, SEXTIC_B, _check_c, _gauss_series,
+                      _sextic_pair)
 
 
 class MultiPoly:
@@ -179,8 +180,10 @@ def build_hypergeometric_chain(a: float, b: float, c: float) -> PfaffianChain:
     ]
 
     def member_values(x):
+        # F and F(c+) are the two rows of one series loop
         x = np.asarray(x, dtype=float)
-        F, Fp = hyp2f1(a, b, c, x), hyp2f1(a, b, c + 1.0, x)
+        (F, _), (Fp, _) = _gauss_series([(a, b, c, 1.0), (a, b, c + 1.0, 1.0)],
+                                        x)
         xc = x.astype(complex)
         return [1.0 / xc, 1.0 / (1.0 - xc), F / Fp, Fp, F, 1.0 / F]
 

@@ -8,11 +8,16 @@ F(1 - s)/F(s) of sextic hypergeometric values F(1/6, 5/6; 1; .), s in
 (0, 1/2], both summed from s itself (_sextic_pair): F(s) by the Gauss
 series and F(1 - s) by the z -> 1 - z connection series in s.
 
-Both 2F1 loops build the term ratios of a block of terms in one array op
-and then spend two or three in-place ops per term, testing the tail
-after every term, so they stop on the same term, with the same bits, as
-a loop that takes one term at a time.  A real argument is summed in
-float64.
+One loop (_hyp_series) sums the Gauss series of several parameter rows
+over one z: the term ratios of a block of terms, for every row, are one
+array op, and each term then costs two in-place ops for all rows
+together.  Every row tests its own tail after every term and stops on
+its own term, with the bits it has alone; so an identity sweep's four
+sums, or a chain's F and F(c+), run one loop.  The connection series
+loop (_sextic_connection) builds its block of recurrence rows the same
+way and spends three in-place ops per term.  Both stop on the same term,
+with the same bits, as a loop that takes one term at a time.  A real
+argument is summed in float64.
 """
 from __future__ import annotations
 
@@ -67,76 +72,120 @@ _TERM_BLOCK = 32
 
 
 # a term or partial sum that overflows or turns NaN is reported by the
-# loop itself, as PrecisionLossError
-@np.errstate(over="ignore", invalid="ignore")
-def _hyp_series(a, b, c, d, z, rtol: float = _HYP_RTOL):
-    """sum_m w_m with w_0 = 1 and w_{m+1}/w_m = z (a+m)(b+m)/((c+m)(d+m)).
+# loop itself, as PrecisionLossError, for every row still summing; a
+# stopped row's lane is multiplied on unseen, and a majorant whose
+# n + c- is 0 is never used
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _hyp_series(rows, z, rtol: float = _HYP_RTOL):
+    """For each row (a, b, c, d): sum_m w_m with w_0 = 1 and
+    w_{m+1}/w_m = z (a+m)(b+m)/((c+m)(d+m)), every row over the one z.
 
     a, b, c and d are scalars or arrays that broadcast against z; no c
-    is a non-positive integer and every d > 0.  Returns (complex value,
-    max absolute tail bound).  With c- = min(c, 0) over every element and
-    n + c- > 0, |c+k| >= k + c- and d+k >= k, so the majorant ratio
+    is a non-positive integer and every d > 0.  Returns a list with one
+    (complex value, max absolute tail bound) per row; every value has the
+    broadcast shape of z and all the parameters.  Per row, with
+    c- = min(c, 0) over its elements and n + c- > 0, |c+k| >= k + c- and
+    d+k >= k, so the majorant ratio
     r = max|z| (n+max|a|)(n+max|b|)/((n+c-) n)
     is at least |w_{k+1}/w_k| for every k >= n and element, and the tail
-    after w_n is at most |w_n| r/(1-r).  The loop stops once every element
-    meets rtol; for c >= 0 the majorant is max|z| (n+|a|)(n+|b|)/n^2.
+    after w_n is at most |w_n| r/(1-r).  A row stops on the first term
+    where every element meets rtol; for c >= 0 its majorant is
+    max|z| (n+|a|)(n+|b|)/n^2.
 
-    The term ratios of _TERM_BLOCK consecutive n are one (block, batch)
-    array; each term then costs two in-place array ops, and the tail test
-    still follows every term.  A real z is summed in float64, whose
-    products and sums are those of the complex loop with every imaginary
-    part 0, and the value is cast to complex once.  More than
-    _HYP_MAX_TERMS terms raise PrecisionLossError, and so does a partial
-    sum that is not finite at the end of a block or when the tail test
-    passes.
+    The term ratios of _TERM_BLOCK consecutive n for every row are one
+    (block, row, batch) array, and each term then costs two in-place
+    array ops for all rows together; the elementwise products and sums
+    do not depend on the stack.  After every term each row that is still
+    summing runs its tail test: one watched element is tested first, in
+    the arithmetic of the full test with a 1.0001 margin, and while it
+    clearly fails, so would the full test, which is then skipped; a
+    failed full test watches the element furthest from passing.  So each
+    row stops on the same term, with the same bits, as it does alone and
+    as a loop that takes one term at a time; a stopped row is copied out
+    and not tested again.  A real z is summed in float64, whose products
+    and sums are those of the complex loop with every imaginary part 0,
+    and each value is cast to complex once.
+
+    PrecisionLossError: a row that is still summing and not finite at
+    the end of a block, or at its stop, raises what it raises alone; if
+    rows are left after _HYP_MAX_TERMS terms, the first of them in row
+    order gives the achieved tail.  Where two rows would fail, the one
+    that fails first in term order is reported, which separate calls in
+    row order need not do.
     """
-    a, b, c, d = _params(a, b, c, d)
+    params = [_params(*row) for row in rows]
+    # _params gives Python floats or arrays
+    pshape = np.broadcast_shapes(*{p.shape for ps in params for p in ps
+                                   if isinstance(p, np.ndarray)})
     z = np.asarray(z, dtype=complex)
-    if isinstance(a, np.ndarray):
-        z = np.broadcast_to(z, np.broadcast_shapes(
-            z.shape, a.shape, b.shape, c.shape, d.shape))
+    shape = np.broadcast_shapes(z.shape, pshape)
+    if shape != z.shape:
+        z = np.broadcast_to(z, shape)
     if not z.size:
-        return np.ones_like(z), 0.0
+        return [(np.ones(shape, dtype=complex), 0.0) for _ in params]
     if not z.imag.any():
         z = z.real.copy()
+    k = len(params)
+    # a, b, c and d of every row over the parameters' own broadcast
+    # shape, left-padded to z's rank: a row of scalars costs one element
+    # per term, not a batch
+    abcd = np.empty((4, k) + (1,) * (len(shape) - len(pshape)) + pshape)
+    for j, ps in enumerate(params):
+        for i, p in enumerate(ps):
+            abcd[i, j] = p
+    A, B, C, D = abcd
     amax = float(np.abs(z).max())
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    # the element furthest from passing at the last full tail test: while
-    # it clearly still fails, so would the full test, which is then skipped
-    watch = 0
-    aa, ab = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
-    cneg = min(float(np.min(c)), 0.0)
+    aa, ab = np.abs(abcd[:2].reshape(2, k, -1)).max(axis=2)
+    cneg = np.minimum(C.reshape(k, -1).min(axis=1), 0.0)
+    term = np.ones((k,) + shape, dtype=z.dtype)
+    acc = np.ones_like(term)
+    lane_t, lane_a = term.reshape(k, -1), acc.reshape(k, -1)
+    # per row: the element furthest from passing at its last full test
+    watch = [0] * k
+    last_ratio = [None] * k
+    out = [None] * k
+    live = list(range(k))
     # one buffer for every block: a fresh array per block this large
     # would be mapped and faulted in again each time
-    rows = np.empty((_TERM_BLOCK,) + z.shape, dtype=z.dtype)
+    buf = np.empty((_TERM_BLOCK, k) + shape, dtype=z.dtype)
     n = 0
-    ratio = None
     while n < _HYP_MAX_TERMS:
         m = np.arange(n, min(n + _TERM_BLOCK, _HYP_MAX_TERMS), dtype=float)
-        m = m.reshape((-1,) + (1,) * z.ndim)
-        ratios = (a + m) * (b + m) / ((c + m) * (d + m))
-        for row in np.multiply(z, ratios, out=rows[:len(m)]):
-            term *= row
+        mm = m.reshape((-1, 1) + (1,) * z.ndim)
+        qs = np.multiply(z, (A + mm) * (B + mm) / ((C + mm) * (D + mm)),
+                         out=buf[:len(m)])
+        # the majorant r after each term of the block, per row; the tail
+        # is tested where r < 1 and n + c- > 0
+        s = (m + 1.0)[:, None]
+        den = (s + cneg) * s
+        r = amax * (s + aa) * (s + ab) / den
+        for i, (q, dens, rs) in enumerate(zip(qs, den.tolist(), r.tolist())):
+            term *= q
             acc += term
-            n += 1
-            den = (n + cneg) * n
-            if den > 0:
-                r = amax * (n + aa) * (n + ab) / den
-                if r < 1.0:
-                    ratio = r / (1.0 - r)
-                    if (abs(term.flat[watch]) * ratio
-                            > 1.0001 * rtol * (abs(acc.flat[watch]) + 1e-290)):
-                        continue
-                    tail = np.abs(term) * ratio
-                    met = tail <= rtol * (np.abs(acc) + 1e-290)
-                    if np.all(met):
-                        return (_finite(acc, n).astype(complex, copy=False),
-                                float(np.max(tail)))
-                    watch = int(np.argmax(tail / (np.abs(acc) + 1e-290)))
-        _finite(acc, n)
-    tail = np.inf if ratio is None else np.abs(term) * ratio
-    achieved = float(np.max(tail / (np.abs(acc) + 1e-290)))
+            for j in tuple(live):
+                if not (dens[j] > 0 and rs[j] < 1.0):
+                    continue
+                last_ratio[j] = ratio = rs[j] / (1.0 - rs[j])
+                w = watch[j]
+                if (abs(lane_t[j, w]) * ratio
+                        > 1.0001 * rtol * (abs(lane_a[j, w]) + 1e-290)):
+                    continue
+                tail = np.abs(term[j]) * ratio
+                met = tail <= rtol * (np.abs(acc[j]) + 1e-290)
+                if np.all(met):
+                    out[j] = (_finite(acc[j, ...], n + i + 1).astype(complex),
+                              float(np.max(tail)))
+                    live.remove(j)
+                else:
+                    watch[j] = int(np.argmax(tail / (np.abs(acc[j]) + 1e-290)))
+            if not live:
+                return out
+        n += len(m)
+        _finite(acc[live], n)
+    j = live[0]
+    tail = (np.inf if last_ratio[j] is None
+            else np.abs(term[j]) * last_ratio[j])
+    achieved = float(np.max(tail / (np.abs(acc[j]) + 1e-290)))
     raise PrecisionLossError("hypergeometric series did not converge", achieved)
 
 
@@ -163,16 +212,24 @@ def hyp2f1(a, b, c, z):
     return val
 
 
-def hyp2f1_with_bound(a, b, c, z):
-    """hyp2f1 and the largest tail bound over the batch (see _hyp_series)."""
-    _check_params(a, b, c)
+def _gauss_series(rows, z):
+    """[(value, tail bound)] of the series rows (a, b, c, d) of
+    _hyp_series over one z, all in one loop, after hyp2f1's checks: the
+    parameters of every row, then |z| <= 1 - _HYP_DELTA.  A scalar value
+    is a Python complex."""
+    for a, b, c, _ in rows:
+        _check_params(a, b, c)
     zs = np.asarray(z, dtype=complex)
     amax = float(np.abs(zs).max()) if zs.size else 0.0
     if not amax <= 1.0 - _HYP_DELTA:
         raise PrecisionLossError(
             f"|z|={amax:.6f} exceeds 1-delta={1.0 - _HYP_DELTA:.6f}", np.inf)
-    val, bound = _hyp_series(a, b, c, 1.0, zs)
-    return _as_value(val), bound
+    return [(_as_value(val), bound) for val, bound in _hyp_series(rows, zs)]
+
+
+def hyp2f1_with_bound(a, b, c, z):
+    """hyp2f1 and the largest tail bound over the batch (see _hyp_series)."""
+    return _gauss_series([(a, b, c, 1.0)], z)[0]
 
 
 def hyp2f1_prime(a, b, c, z):
@@ -184,28 +241,18 @@ def hyp2f1_prime(a, b, c, z):
     return _as_value((a * b / c) * val)
 
 
-def _cm1_times_F_cminus(a, b, c, z):
-    """(c - 1) * 2F1(a, b, c - 1; z), as one series that is smooth in c.
-
-    (c-1)_n = (c-1) (c)_{n-1} turns the pole of F(c-) at c = 1 into the
-    finite series (c-1) + a b z * sum_m (a+1)_m (b+1)_m z^m/((c)_m (2)_m).
-    Array parameters as in hyp2f1.
-    """
-    a, b, c = _params(a, b, c)
-    val, _ = _hyp_series(a + 1.0, b + 1.0, c, 2.0, z)
-    return (c - 1.0) + a * b * np.asarray(z, dtype=complex) * val
-
-
 def gauss_relation_residuals(a, b, c, z):
     """Absolute residuals of the two contiguous relations for z dF/dz.
 
     First: z F' = (c-1)(F(c-) - F).  Second:
     z F' = z [(c-a)(c-b) F(c+) + c(a+b-c) F] / (c(1-z)).
-    The first is evaluated through (c-1) F(c-) as a single series, so
-    c = 1 needs no special casing.  a, b, c and z may be arrays that
-    broadcast together; each relation is then one series sum over the
-    batch, and both residuals come back as arrays.  Every z must lie in
-    (0, 1).
+    (c-1)_n = (c-1) (c)_{n-1} turns (c-1) F(c-), whose F(c-) has a pole
+    at c = 1, into the finite (c-1) + a b z G with
+    G = sum_m (a+1)_m (b+1)_m z^m/((c)_m (2)_m), so c = 1 needs no special
+    casing.  F, the derivative series (a+1, b+1, c+1), G and F(c+) are
+    the four rows of one _hyp_series loop over the batch.  a, b, c and z
+    may be arrays that broadcast together, and both residuals then come
+    back as arrays.  Every z must lie in (0, 1).
     """
     a, b, c = _params(a, b, c)
     zs = np.asarray(z, dtype=float)
@@ -213,10 +260,12 @@ def gauss_relation_residuals(a, b, c, z):
     if not np.all(inside):
         raise DomainError(f"z={zs[~inside].flat[0]} outside (0, 1)")
     z = float(zs) if zs.ndim == 0 else zs
-    F = hyp2f1(a, b, c, z)
-    lhs = z * hyp2f1_prime(a, b, c, z)
-    rhs1 = _cm1_times_F_cminus(a, b, c, z) - (c - 1.0) * F
-    Fcp = hyp2f1(a, b, c + 1.0, z)
+    (F, _), (dF, _), (G, _), (Fcp, _) = _gauss_series(
+        [(a, b, c, 1.0), (a + 1.0, b + 1.0, c + 1.0, 1.0),
+         (a + 1.0, b + 1.0, c, 2.0), (a, b, c + 1.0, 1.0)], z)
+    lhs = z * ((a * b / c) * dF)
+    cm1 = (c - 1.0) + a * b * np.asarray(z, dtype=complex) * G
+    rhs1 = cm1 - (c - 1.0) * F
     rhs2 = z * ((c - a) * (c - b) * Fcp + c * (a + b - c) * F) / (c * (1.0 - z))
     if np.ndim(lhs) == 0:
         return abs(lhs - complex(rhs1)), abs(lhs - rhs2)
@@ -331,7 +380,8 @@ def _sextic_pair(c: float, s):
     if not np.all(inside):
         raise DomainError(f"s={ss[~inside].flat[0]} outside (0, 1/2]")
     flat = ss.ravel()
-    near, nb = _hyp_series(SEXTIC_A, SEXTIC_B, c, 1.0, flat, _SEXTIC_RTOL)
+    [(near, nb)] = _hyp_series([(SEXTIC_A, SEXTIC_B, c, 1.0)], flat,
+                               _SEXTIC_RTOL)
     far, fb = _sextic_connection(c, flat)
     if ss.ndim == 0:
         return float(near[0].real), float(far[0]), max(nb, fb)

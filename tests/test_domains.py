@@ -1489,17 +1489,35 @@ def test_weighted_line_values_guard_overflow():
 
 
 def test_weighted_line_values_guard_underflow():
-    # Re P = 1e-30 while deg_y = 38: next to a pole the weight is about
-    # 1e304, and the quotient would be a false zero
-    coeffs = np.zeros((1, 39), dtype=complex)
-    coeffs[0, 0], coeffs[0, -1] = 1e-30, 1j
+    # X (X - 1/4) Y^38 + 1e-30 at t = 1/4 and wp = 2^26: the Y^38 terms
+    # cancel exactly, Re P = 1e-30 while its degree in wp is 38, and the
+    # weight, about 2^988, would take the quotient to a false zero
+    coeffs = np.zeros((3, 39), dtype=complex)
+    coeffs[0, 0], coeffs[1, -1], coeffs[2, -1] = 1e-30, -0.25, 1.0
+    P = BivariatePolynomial(coeffs)
+    t, w = np.array([0.25]), np.array([2.0**26])
+    assert domains_module._line_values(P, t, w, "horizontal", "Re") == 1e-30
     with pytest.raises(PrecisionLossError, match="underflows"):
-        line_im_zero_count(BivariatePolynomial(coeffs), 1.0, component="Re")
+        domains_module._weighted_line_values(P, t, w, "horizontal", "Re")
 
 
-def test_line_count_refines_no_cell_without_a_sign_change(monkeypatch):
-    # the grid's wp comes from the cache, so every wp_on_line call would
-    # be a refinement round; with the weight these counts need none
+@pytest.mark.parametrize("line, component, degree", [
+    ("horizontal", "Re", 2), ("horizontal", "Im", 6),
+    ("vertical", "Re", 3), ("vertical", "Im", 6)])
+def test_component_degree_reads_the_component_own_columns(line, component,
+                                                          degree):
+    # 1 + 2 Y^2 + i Y^6 + 3i X Y^3: on the vertical line the X row's real
+    # and imaginary parts swap components
+    coeffs = np.zeros((2, 7), dtype=complex)
+    coeffs[0, [0, 2, 6]] = 1.0, 2.0, 1j
+    coeffs[1, 3] = 3j
+    assert domains_module._component_degree(
+        BivariatePolynomial(coeffs), line, component) == degree
+
+
+def _refined_sizes(monkeypatch):
+    """The sizes of every wp_on_line call from here on; the grid's wp
+    comes from the cache, so each one is a refinement round."""
     sizes = []
     wp_on_line = domains_module.wp_on_line
 
@@ -1510,6 +1528,56 @@ def test_line_count_refines_no_cell_without_a_sign_change(monkeypatch):
     for line in ("horizontal", "vertical"):
         domains_module._line_grid(1.0, line)
     monkeypatch.setattr(domains_module, "wp_on_line", recorded)
+    return sizes
+
+
+def test_line_count_weighs_by_the_component_degree(monkeypatch):
+    # Re of 1 + i Y^6 and of 1e-30 + i Y^38 are constants: weighted by
+    # deg_y they decayed next to the poles, so the first was refined on
+    # 4879 extra points and the second underflowed; weighted by their own
+    # degree 0 they need no refinement
+    sizes = _refined_sizes(monkeypatch)
+    for top in (6, 38):
+        coeffs = np.zeros((1, top + 1), dtype=complex)
+        coeffs[0, 0], coeffs[0, -1] = 1.0 if top == 6 else 1e-30, 1j
+        assert line_im_zero_count(BivariatePolynomial(coeffs), 1.0,
+                                  component="Re") == 0
+    # 1 + X Y^6 on the vertical line: Re is 1, Im is t wp^6
+    P = BivariatePolynomial([[1.0] + [0.0] * 6, [0.0] * 6 + [1.0]])
+    assert line_im_zero_count(P, 1.0, "vertical", "Re") == 0
+    assert sizes == []
+
+
+def test_line_count_equals_the_complex_oracle_on_sparse_draws():
+    # sparse complex P, half with a purely imaginary top column, so a
+    # component's degree in wp is often below deg_y: the same count, or
+    # the same exception
+    def outcome(count, *args):
+        try:
+            return count(*args)
+        except MzlError as exc:
+            return type(exc).__name__
+
+    rng = np.random.default_rng(33)
+    for _ in range(60):
+        dx, dy = int(rng.integers(0, 3)), int(rng.integers(1, 7))
+        c = rng.standard_normal((dx + 1, dy + 1)) + 1j * rng.standard_normal(
+            (dx + 1, dy + 1))
+        c *= rng.random((dx + 1, dy + 1)) < 0.5
+        c[0, 0] += 1.0
+        c[:, -1] = 1j * rng.standard_normal(dx + 1) if rng.integers(2) \
+            else c[:, -1] + 1.0
+        args = (BivariatePolynomial(c),
+                float(rng.choice([0.3, 1.0, 1.5, 8.0])),
+                "horizontal" if rng.integers(2) else "vertical",
+                "Re" if rng.integers(2) else "Im")
+        assert (outcome(line_im_zero_count, *args)
+                == outcome(oracles.line_count_complex, *args))
+
+
+def test_line_count_refines_no_cell_without_a_sign_change(monkeypatch):
+    # with the weight these counts need no refinement round
+    sizes = _refined_sizes(monkeypatch)
     for P in (BivariatePolynomial([[-3.0, 0.5, 1.0], [2.0, 0.0, -1.0]]),
               poly_y_minus(5.0)):
         for line in ("horizontal", "vertical"):

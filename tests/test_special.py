@@ -53,7 +53,7 @@ def test_hyp2f1_rejects_bad_c_and_edge_z():
 def test_hyp2f1_outside_the_disk_fails_before_the_series(monkeypatch, z):
     # a z outside the disk, nan included, fails before any term is
     # summed, with achieved inf as its evidence
-    def no_series(*args):
+    def no_series(rows, z, *rest):
         raise AssertionError("series summed outside the disk")
 
     monkeypatch.setattr(special_module, "_hyp_series", no_series)
@@ -69,7 +69,7 @@ def test_hyp2f1_bound_is_honest(rng):
         c = rng.uniform(0.4, 2.0)
         z = rng.uniform(-0.8, 0.8)
         v, bound = hyp2f1_with_bound(a, b, c, z)
-        tight, _ = special_module._hyp_series(a, b, c, 1.0, z, 1e-16)
+        [(tight, _)] = special_module._hyp_series([(a, b, c, 1.0)], z, 1e-16)
         assert abs(v - tight) <= bound + 1e-15
 
 
@@ -246,7 +246,7 @@ def test_array_calls_check_every_element(monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_parameters_fail_before_the_series(monkeypatch, name,
                                                       bad):
-    def no_series(*args):
+    def no_series(rows, z, *rest):
         raise AssertionError("series summed with a non-finite parameter")
 
     monkeypatch.setattr(special_module, "_hyp_series", no_series)
@@ -278,6 +278,7 @@ def test_a_sum_that_is_not_finite_stops_where_it_is_seen(a, c, z, term):
 
 
 def _hyp_cases():
+    """Stacks (rows, z) of series over one z."""
     rng = np.random.default_rng(3)
     n = 100
     a, b = rng.uniform(0.1, 1.5, (2, n))
@@ -285,25 +286,37 @@ def _hyp_cases():
     z = rng.uniform(0.05, 0.9, n)
     zc = z * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
     grid = np.linspace(0.01, 0.95002, 1000)
+    # the four sums of an identity-suite sweep; d = 2 is the series behind
+    # (c-1) F(c-)
+    identity = [(a, b, c, 1.0), (a + 1.0, b + 1.0, c + 1.0, 1.0),
+                (a + 1.0, b + 1.0, c, 2.0), (a, b, c + 1.0, 1.0)]
     return [
-        # the four sums of an identity-suite sweep; d = 2 is (c-1) F(c-)
-        (a, b, c, 1.0, z), (a + 1.0, b + 1.0, c + 1.0, 1.0, z),
-        (a + 1.0, b + 1.0, c, 2.0, z), (a, b, c + 1.0, 1.0, z),
+        (identity, z),
         # a hypergeometric chain's grid, F and F(c+)
-        (0.3, 1.2, 0.8, 1.0, grid), (0.3, 1.2, 1.8, 1.0, grid),
+        ([(0.3, 1.2, 0.8, 1.0), (0.3, 1.2, 1.8, 1.0)], grid),
+        # rows of scalar and of array parameters, and a row that mixes
+        # them, over one z
+        ([(0.3, 1.2, 0.8, 1.0), (a, b, c, 1.0), (a, 0.5, 1.1, 2.0)], z),
         # complex z, and a real z held as complex with imaginary parts -0
-        (a, b, c, 1.0, zc), (0.3, 1.7, 0.9, 1.0, 0.5 + 0.3j),
-        (0.3, 1.7, 0.9, 1.0, np.array([complex(0.4, -0.0), -0.6])),
+        (identity, zc), ([(0.3, 1.7, 0.9, 1.0)], 0.5 + 0.3j),
+        ([(0.3, 1.7, 0.9, 1.0), (0.4, 1.1, 1.9, 1.0)],
+         np.array([complex(0.4, -0.0), -0.6])),
         # negative non-integer c, alone and in a batch
-        (1.3, 0.7, -3.5, 1.0, 0.8),
-        ([0.1, 6.0, 0.5], [0.2, 4.0, 1.0], [1.5, 0.7, -2.5], 1.0,
-         [0.5, 0.9, 0.5]),
+        ([(1.3, 0.7, -3.5, 1.0), (1.3, 0.7, 0.5, 1.0)], 0.8),
+        ([([0.1, 6.0, 0.5], [0.2, 4.0, 1.0], [1.5, 0.7, -2.5], 1.0),
+          (0.5, 0.5, 1.0, 1.0)], [0.5, 0.9, 0.5]),
         # a terminating series, z = 0 in the batch
-        (-3.0, 0.5, 1.5, 1.0, np.array([0.3, -0.7, 0.0])),
+        ([(-3.0, 0.5, 1.5, 1.0), (0.3, 1.2, 0.8, 1.0)],
+         np.array([0.3, -0.7, 0.0])),
+        # a = 0: the row stops on its first testable term, n = 5 at
+        # |z| = 0.9, while the others run on
+        ([(0.3, 1.2, 0.8, 1.0), (0.0, 0.5, 1.5, 1.0), (a, b, c, 2.0)], z),
         # parameters broadcast against z and each other
-        (0.5, np.array([[0.2], [0.4]]), 1.0, 1.0, np.array([0.2, -0.4j])),
+        ([(0.5, np.array([[0.2], [0.4]]), 1.0, 1.0),
+          (np.array([[0.7], [0.9]]), 0.3, 1.4, 1.0)], np.array([0.2, -0.4j])),
         # 0-d and empty z
-        (0.4, 1.1, 0.9, 1.0, 0.3), (0.4, 1.1, 0.9, 1.0, np.array([]))]
+        ([(0.4, 1.1, 0.9, 1.0), (1.4, 2.1, 1.9, 2.0)], 0.3),
+        ([(0.4, 1.1, 0.9, 1.0), (1.4, 2.1, 1.9, 2.0)], np.array([]))]
 
 
 def _same_bits(got, want):
@@ -313,9 +326,13 @@ def _same_bits(got, want):
 
 @pytest.mark.parametrize("rtol", [1e-14, 1e-16])
 def test_hyp_series_matches_the_one_term_loop(rtol):
-    for case in _hyp_cases():
-        assert _same_bits(special_module._hyp_series(*case, rtol),
-                          oracles.hyp_series_term_loop(*case, rtol))
+    # every row of a stacked call has the bits of its own one-term loop
+    for rows, z in _hyp_cases():
+        got = special_module._hyp_series(rows, z, rtol)
+        assert len(got) == len(rows)
+        for row, value in zip(rows, got):
+            assert _same_bits(value,
+                              oracles.hyp_series_term_loop(*row, z, rtol))
 
 
 @pytest.mark.parametrize("max_terms", [50, 77])
@@ -327,10 +344,65 @@ def test_hyp_series_runs_out_of_terms_where_the_one_term_loop_did(
     for case in [(np.array([0.5, 6.0]), 0.5, 1.0, 1.0, 0.9),
                  (0.5, 0.5, 1.0, 1.0, np.array([0.999, 0.5j]))]:
         with pytest.raises(PrecisionLossError) as got:
-            special_module._hyp_series(*case)
+            special_module._hyp_series([case[:4]], case[4])
         with pytest.raises(PrecisionLossError) as want:
             oracles.hyp_series_term_loop(*case, max_terms=max_terms)
         assert got.value.achieved == want.value.achieved
+    # a stack reports the first row in row order that is left: here the
+    # second, after the a = 0 row has stopped, and then the first of two
+    stacks = [([(0.0, 0.5, 1.0, 1.0), (np.array([0.5, 6.0]), 0.5, 1.0, 1.0)],
+               0.9, 1),
+              ([(0.5, 0.5, 1.0, 1.0), (0.5, 1.5, 1.0, 1.0)],
+               np.array([0.999, 0.5j]), 0),
+              ([(np.array([0.5, 6.0]), 0.5, 1.0, 1.0), (0.5, 0.5, 1.0, 1.0)],
+               0.9, 0)]
+    for rows, z, first in stacks:
+        with pytest.raises(PrecisionLossError) as got:
+            special_module._hyp_series(rows, z)
+        with pytest.raises(PrecisionLossError) as want:
+            oracles.hyp_series_term_loop(*rows[first], z, max_terms=max_terms)
+        assert got.value.achieved == want.value.achieved
+
+
+@pytest.mark.parametrize("z", [0.3, np.array([0.3, -0.5]), 0.3 + 0.1j])
+def test_a_stacked_row_that_is_not_finite_raises_what_it_raises_alone(z):
+    # the 1e300 row overflows in its first block, while the row before it
+    # is still summing (it needs more than one block) and the row after
+    # it has stopped (on its first term)
+    rows = [(5.0, 1.1, 0.9, 1.0), (1e300, 0.5, 1.0, 1.0),
+            (0.0, 0.5, 1.0, 1.0)]
+    with pytest.raises(PrecisionLossError, match="did not converge"):
+        oracles.hyp_series_term_loop(*rows[0], z, max_terms=32)
+    oracles.hyp_series_term_loop(*rows[2], z, max_terms=1)
+    with pytest.raises(PrecisionLossError) as alone:
+        special_module._hyp_series(rows[1:2], z)
+    with pytest.raises(PrecisionLossError) as stacked:
+        special_module._hyp_series(rows, z)
+    assert str(stacked.value) == str(alone.value)
+    assert f"by term {special_module._TERM_BLOCK} " in str(stacked.value)
+    assert stacked.value.achieved == alone.value.achieved == math.inf
+
+
+def test_identity_suite_and_hyp_chain_sum_one_loop_each(monkeypatch):
+    # the identity sweep's four series are one loop and the Ramanujan
+    # residual's sextic values another, where they were five; a hyp
+    # chain's F and F(c+) are one loop, where they were two
+    from mzl import verify
+    from mzl.pfaffian import build_hypergeometric_chain
+    calls = []
+    series = special_module._hyp_series
+
+    def counted(rows, z, *rest):
+        calls.append(len(rows))
+        return series(rows, z, *rest)
+
+    monkeypatch.setattr(special_module, "_hyp_series", counted)
+    verify.identity_suite(np.random.default_rng(0))
+    assert calls == [4, 1]
+    calls.clear()
+    build_hypergeometric_chain(0.3, 1.2, 0.8).member_values(
+        np.linspace(0.05, 0.95, 11))
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0])
@@ -384,10 +456,10 @@ def test_sextic_values_above_one_half_skip_the_gauss_series(monkeypatch):
     # series only for w <= 1/2; above it they use the connection series
     series = special_module._hyp_series
 
-    def inner_series(a, b, c, d, z, *rest):
+    def inner_series(rows, z, *rest):
         if np.any(np.abs(z) > 0.5):
             raise AssertionError("Gauss series summed at |z| > 1/2")
-        return series(a, b, c, d, z, *rest)
+        return series(rows, z, *rest)
 
     monkeypatch.setattr(special_module, "_hyp_series", inner_series)
     assert abs(j_inverse(1e5) - 1.831147273297785) < 1e-12
