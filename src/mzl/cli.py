@@ -134,7 +134,7 @@ def _domain_spec(args, cfg: RunConfig):
     if args.domain == "j":
         return JDomainSpec(Y=args.Y if args.Y is not None else cfg.y_top)
     return WpDomainSpec(tau=args.tau if args.tau is not None else cfg.tau,
-                        beta=args.beta, delta=args.delta)
+                        beta=args.beta)
 
 
 def _cmd_count_zeros(args, cfg: RunConfig) -> int:
@@ -264,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     domain.add_argument("--Y", type=float, default=None)
     domain.add_argument("--tau", type=float, default=None)
     domain.add_argument("--beta", type=float, default=0.0)
-    domain.add_argument("--delta", type=float, default=None)
 
     pz = sub.add_parser("count-zeros", parents=[domain], help="count zeros "
                         "in a fundamental domain via the argument principle")

@@ -12,11 +12,11 @@ split in one round into k equal pieces in parameter, k = the larger of
 |phase step| and the step bound over pi/2, rounded up and clipped to
 [2, _MAX_PIECES]: the bound already says how many pieces it needs, so a
 zero near the contour costs fewer rounds, and so fewer f calls, than
-bisection.  _MAX_PIECES = 16 lets one round split as deep as the bound
-asks next to a lattice pole (about 10 pieces at tau = 8, 1/16 from a
-notch); over the j and wp bench corpora at seeds 0-9 and 14 (2706
-counts) caps from 6 to 64 change no count and no failure, and 16 takes
-most of the fall in rounds that 64 gives.  Every f this module takes is
+bisection.  Over the j and wp bench corpora at seeds 0-9 and 14 (2706
+counts, the wp ones on the plain period rectangle) caps from 6 to 64
+change no count and no failure, and _MAX_PIECES = 16 takes 95 % of the
+fall in phase rounds that 64 gives: wp 3967, 3915 and 3912 rounds and
+j 11172, 11031 and 11023 at caps 6, 16 and 64.  Every f this module takes is
 a pair callable, f(z) -> (f(z), f'(z)), so f' comes from the same call
 as f.  The log-derivative integral telescopes to the change of log|f|
 plus i times the accumulated phase, so no quadrature of f'/f is ever
@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DominanceError, InvalidSpecError, MzlError,
+                     PrecisionLossError,
                      NonconvergenceError, ZeroOnContourError)
 from .pfaffian import real_zero_count
 
@@ -194,13 +195,15 @@ def _pair(f, z):
 
 def _sample(f, z):
     """The rows z, f(z), f'(z) of one complex array, f and f' checked
-    finite, from one call of the pair callable f: one refinement round."""
+    finite (else PrecisionLossError), from one call of the pair callable
+    f: one refinement round."""
     s = np.empty((3, z.size), dtype=complex)
     s[0] = z
     s[1], s[2] = _pair(f, z)
     if not np.isfinite(s[1:]).all():
         finite = np.isfinite(s[1:]).all(axis=0)
-        raise MzlError(f"non-finite value at z={z[np.argmin(finite)]!r}")
+        raise PrecisionLossError(
+            f"non-finite value at z={z[np.argmin(finite)]!r}", np.inf)
     return s
 
 
@@ -264,9 +267,8 @@ def _contour_phases(f, contours: Sequence[Contour],
     An interval is accepted once its phase step and |dz| max |f'/f| at
     its two ends are both below pi/2.  One that fails is split into k
     equal pieces in parameter, k = ceil(max(|phase step|, |dz| max
-    |f'/f|) / (pi/2)) clipped to [2, _MAX_PIECES] (16, so that one round
-    splits as deep as the step bound asks next to a lattice pole; see the
-    module docstring), or bisected where a piece would span fewer than
+    |f'/f|) / (pi/2)) clipped to [2, _MAX_PIECES] (16; see the module
+    docstring), or bisected where a piece would span fewer than
     _SPLIT_ULPS ulps of |z| or of its parameter.  Every refinement round
     evaluates f once, for all the new points of all the contours it
     splits.  Each contour is refined as it would be alone, up to the

@@ -3,35 +3,41 @@
 count_zeros_j counts zeros of P(z, j(z)) in the half-open fundamental
 domain of the modular group truncated at height Y; count_zeros_wp counts
 zeros of P(z, wp(z)) in the half-open period cell [beta, beta + 1) x
-[0, tau) of the lattice spanned by 1 and i*tau, with notches excising the
-lattice poles on its boundary.  Both follow Serre (A Course in
-Arithmetic, VII.1.2): each winds a contour eta off the classical
-boundary, outside it along the pieces that are in and inside it along
-the pieces that are out, so a zero on the classical boundary lies inside
-the contour exactly if the domain has it.
+[0, tau) of the lattice spanned by 1 and i*tau.  Both follow Serre (A
+Course in Arithmetic, VII.1.2): each winds a contour eta off the
+classical boundary, outside it along the pieces that are in and inside
+it along the pieces that are out, so a zero on the classical boundary
+lies inside the contour exactly if the domain has it.  The wp contour
+is the plain rectangle, and the wp count winds F(z) P(z, wp(z)), whose
+factor F = prod_k (z - omega_k)^e_k cancels the poles at the lattice
+points next to the rectangle (_lattice_factor, _pole_order).
 
-Every attempt first winds the unperturbed composite P(z, f(z)) over the
-contour (_unperturbed_winding).  _attempt then offsets the composite by
-eps e^{i theta}, with eps half the minimum |P(z, f(z))| over that pass's
-adaptive samples, localizes the zeros of the offset composite and checks
-that their multiplicities sum to the unperturbed winding, so a zero the
-offset would push across the contour is caught.  The samples keep
-|P + eps e^{i theta}| >= eps, and by Rouche the offset changes no count
-while |P| > eps on the contour; the pass's step rule refines wherever a
-zero hugs the contour, so |P| between its samples stays above eps.
+Every attempt first winds the unperturbed composite G = P(z, f(z)), or
+F P(z, wp(z)) for wp, over the contour (_unperturbed_winding).  _attempt
+then offsets G by eps e^{i theta}, with eps half the minimum |G| over
+that pass's adaptive samples, localizes the zeros of the offset G and
+checks that their multiplicities sum to the unperturbed winding, so a
+zero the offset would push across the contour is caught.  The samples
+keep |G + eps e^{i theta}| >= eps, and by Rouche the offset changes no
+count while |G| > eps on the contour; the pass's step rule refines
+wherever a zero hugs the contour, so |G| between its samples stays
+above eps.
 
 One rule says when a sample is numerically zero (_zero_floor): |P(z, w)|
 is at most a bound on its own error, the Horner running error
 gamma sum |c_ij| |z|^i |w|^j (Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed., 5.1) plus |P_Y(z, w)| times a bound on
 the error of w = f(z) (special.klein_j_error_bound,
-elliptic.wp_error_bound).  The unperturbed winding raises
+elliptic.wp_error_bound).  F vanishes nowhere on the wp contour, so G
+is numerically zero exactly where P is.  The unperturbed winding raises
 ZeroOnContourError at the first such sample, and both counts then take a
 larger eta; the domain stays as it is.
 
 Counts on one domain repeat two phase passes: the unperturbed winding
-over the contour and the localization's top boxes.  The first round of
-each, w and w' on the pass's starting grid, is memoized read-only under
+over the contour and the localization's top boxes (for wp the same
+rectangle, so both start from one memoized first round).  The first
+round of each, w and w' on the pass's starting grid, is memoized
+read-only under
 (pair callable, the bytes of the grid) for the last _FIRST_ROUNDS such
 rounds (_first_round), so a repeated count's first rounds cost only P's
 Horner and the error bound of w; every later round, and every count's
@@ -49,11 +55,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .contour import (ArcSegment, Contour, LineSegment, WindingResult,
-                      localize_zeros, winding_number)
+                      localize_zeros, rectangle_contour, winding_number)
 from .elliptic import lattice, wp_analytic, wp_error_bound, wp_on_line
-from .errors import (CannotPerturbError, DominanceError, InvalidSpecError,
-                     NonconvergenceError, PrecisionLossError,
-                     ZeroOnContourError)
+from .errors import (AmbiguityError, CannotPerturbError, DominanceError,
+                     InvalidSpecError, NonconvergenceError,
+                     PrecisionLossError, ZeroOnContourError)
 from .pfaffian import khovanskii_zero_bound, real_zero_count
 from .poly import BivariatePolynomial, perturb_from_values
 from .qseries import UNIT_ROUNDOFF, standard_series
@@ -177,102 +183,119 @@ def build_j_contour(spec: JDomainSpec, eta: float = _J_ETAS[0]) -> Contour:
 
 # the wp contour's distances eta from the classical cell boundary, in turn
 _WP_ETAS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
-# the smallest notch radius per unit of eta: the notch centres move by
-# eta sqrt 2 off the poles, which stay well inside
-_NOTCH_PER_ETA = 4.0
-_MIN_DELTA = _NOTCH_PER_ETA * _WP_ETAS[0]
+# the largest |beta|: up to it the floats near beta are at most 2^-33
+# apart, 1.2e-4 of the smallest eta, so the contour keeps its offsets
+_MAX_BETA = 1e6
 
 
 @dataclass(frozen=True)
 class WpDomainSpec:
-    """Half-open period cell [beta, beta+1) x [0, tau), with the lattice
-    points on its boundary excised by notches of radius delta; delta is
-    at least _MIN_DELTA, so the notches hold the poles at the contour's
-    smallest eta."""
+    """Half-open period cell [beta, beta+1) x [0, tau) of the lattice
+    <1, i tau>, with beta finite and |beta| <= _MAX_BETA."""
 
     tau: float
     beta: float = 0.0
-    delta: float | None = None
 
     def __post_init__(self):
         if not 0.1 <= self.tau <= 10.0:
             raise InvalidSpecError("tau must lie in [0.1, 10]")
-        if self.delta is None:
-            object.__setattr__(self, "delta", min(1.0, self.tau) / 16.0)
-        if not _MIN_DELTA <= self.delta < min(1.0, self.tau) / 4.0:
-            raise InvalidSpecError("delta must lie in [4e-6, min(1, tau)/4)")
-
-    def with_delta(self, delta: float) -> "WpDomainSpec":
-        return WpDomainSpec(self.tau, self.beta, delta)
+        if not abs(self.beta) <= _MAX_BETA:
+            raise InvalidSpecError("beta must be finite, with |beta| <= 1e6")
 
 
-def _wp_cell(spec: WpDomainSpec, eta: float):
-    """(contour, tiles, poles) of the cell translated by -eta (1 + i): its
-    counterclockwise boundary with notches, five tiles partitioning the
-    cell minus squares of side delta around the notch centres (shared
-    cuts, no overlap), and those centres.  The bottom and left edges,
-    which are in, move out by eta, and the top and right edges, which are
-    out, move in, so a zero on the classical boundary lies inside the
-    contour exactly if the half-open cell has it.  With integer beta the
-    poles are the four corners, each with a quarter-circle notch;
-    otherwise one lies inside the bottom edge and one inside the top
-    edge, each with a semicircular notch."""
-    b, t, d = spec.beta, spec.tau, spec.delta
-    if d < _NOTCH_PER_ETA * eta:
-        raise InvalidSpecError("delta must be at least 4 eta")
-    x0, x1, y0, y1 = b - eta, b + 1.0 - eta, -eta, t - eta
-    c0, c1 = complex(x0, y0), complex(x1, y0)
-    c2, c3 = complex(x1, y1), complex(x0, y1)
-    if b == math.floor(b):
-        a0, a1 = x0 + d, x1 - d
-        contour = Contour([
-            LineSegment(c0 + d, c1 - d),
-            ArcSegment(c1, d, math.pi, math.pi / 2),
-            LineSegment(c1 + 1j * d, c2 - 1j * d),
-            ArcSegment(c2, d, -math.pi / 2, -math.pi),
-            LineSegment(c2 - d, c3 + d),
-            ArcSegment(c3, d, 0.0, -math.pi / 2),
-            LineSegment(c3 - 1j * d, c0 + 1j * d),
-            ArcSegment(c0, d, math.pi / 2, 0.0),
-        ])
-        tiles = [
-            (a0, a1, y0, y0 + d),          # bottom strip
-            (a0, a1, y1 - d, y1),          # top strip
-            (x0, a0, y0 + d, y1 - d),      # left strip
-            (a1, x1, y0 + d, y1 - d),      # right strip
-            (a0, a1, y0 + d, y1 - d),      # center
-        ]
-        return contour, tiles, [c0, c1, c3, c2]
-    k = math.ceil(b)
-    if min(k - b, b + 1.0 - k) <= 2.0 * d:
-        raise InvalidSpecError(
-            "interior lattice point too close to a cell corner; "
-            "shrink delta or shift beta")
-    k -= eta
-    contour = Contour([
-        LineSegment(c0, complex(k - d, y0)),
-        ArcSegment(complex(k, y0), d, math.pi, 0.0),
-        LineSegment(complex(k + d, y0), c1),
-        LineSegment(c1, c2),
-        LineSegment(c2, complex(k + d, y1)),
-        ArcSegment(complex(k, y1), d, 0.0, -math.pi),
-        LineSegment(complex(k - d, y1), c3),
-        LineSegment(c3, c0),
-    ])
-    tiles = [
-        (x0, k - d, y0, y0 + d),       # bottom edge, left of the pole
-        (k + d, x1, y0, y0 + d),       # bottom edge, right of the pole
-        (x0, k - d, y1 - d, y1),       # top edge, left of the pole
-        (k + d, x1, y1 - d, y1),       # top edge, right of the pole
-        (x0, x1, y0 + d, y1 - d),      # middle band
-    ]
-    return contour, tiles, [complex(k, y0), complex(k, y1)]
+def _wp_box(spec: WpDomainSpec, eta: float) -> tuple:
+    """(x0, x1, y0, y1) of the cell translated by -eta (1 + i)."""
+    return (spec.beta - eta, spec.beta + 1.0 - eta, -eta, spec.tau - eta)
 
 
 def build_wp_contour(spec: WpDomainSpec, eta: float = _WP_ETAS[0]) -> Contour:
-    """Counterclockwise boundary of the half-open cell, eta off the
-    classical one, with pole notches (see _wp_cell)."""
-    return _wp_cell(spec, eta)[0]
+    """Counterclockwise boundary of the cell translated by -eta (1 + i).
+    The bottom and left edges, which are in, move out by eta, and the top
+    and right edges, which are out, move in, so a zero on the classical
+    boundary lies inside the contour exactly if the half-open cell has
+    it.  One lattice point lies inside, ceil(beta - eta): the cell's own
+    ceil(beta) unless beta lies within eta above an integer."""
+    return rectangle_contour(*_wp_box(spec, eta))
+
+
+def _pole_order(P: BivariatePolynomial, omega: int) -> int:
+    """The order of the pole of P(z, wp(z)) at the lattice point omega,
+    an integer; 0 if it has none.
+
+    With a_j(omega + u) = sum_k t_jk u^k the Taylor expansions of the
+    Y-columns of P and u^2 wp(omega + u) = 1 + (g2/20) u^4 + (g3/28) u^6
+    + ... (DLMF 23.9.2-3), P(omega + u, wp(omega + u)) is the sum of the
+    products t_jk u^(k - 2j) (u^2 wp)^j.  The walk takes the Laurent
+    coefficients at orders -2 deg_y ... -1 in turn.  A coefficient that
+    is not zero sets the order, and the walk stops.  One whose t_jk are
+    all zero counts as zero, and the walk goes on.  One whose t_jk cancel
+    raises AmbiguityError: whether the walk should go on then depends on
+    the u^4 and later terms, whose g2 and g3 are rounded.
+
+    Each t_jk meets the walk first at order k - 2j, times the constant
+    term 1, and its products with the later terms come at later orders,
+    which the walk reaches only if t_jk = 0.  So at every order -m the
+    walk reaches, the coefficient is sum_j t_(j, 2j - m), and g2 and g3
+    never enter.  The stored coefficients are binary fractions and omega
+    an integer, so the t_jk = sum_i C(i, k) omega^(i - k) c_ij and their
+    sums are exact in rational arithmetic, with no rounding to bound.
+    """
+    c = [[(Fraction(v.real), Fraction(v.imag)) for v in row]
+         for row in P.coeffs]
+
+    def taylor(j: int, k: int) -> tuple:
+        w = [(math.comb(i, k) * omega ** (i - k), c[i][j])
+             for i in range(k, P.deg_x + 1)]
+        return (sum(a * v[0] for a, v in w), sum(a * v[1] for a, v in w))
+
+    for m in range(2 * P.deg_y, 0, -1):
+        terms = [taylor(j, 2 * j - m) for j in range((m + 1) // 2,
+                                                     P.deg_y + 1)]
+        if any(map(sum, zip(*terms))):
+            return m
+        if any(map(any, terms)):
+            top = max(abs(complex(*t)) for t in terms)
+            raise AmbiguityError(
+                f"the Laurent coefficient of P(z, wp(z)) of order -{m} at "
+                f"the lattice point {omega} cancels exactly (its terms "
+                f"reach {top:.3e})", (float(omega), float(omega)))
+    return 0
+
+
+def _lattice_factor(P: BivariatePolynomial, spec: WpDomainSpec,
+                    box: tuple):
+    """The pair callable of F(z) = prod_k (z - omega_k)^e_k over the
+    lattice points omega_k within min(1, tau)/4 of the box (x0, x1, y0,
+    y1) of build_wp_contour, or None if every e_k is 0.  At omega =
+    ceil(x0), the one lattice point in the box, e_k is the order of the
+    pole of P(z, wp(z)) there (_pole_order), and at the others 2 deg_y,
+    the highest pole order.  F P(z, wp(z)) is then holomorphic and
+    nonzero at omega and holomorphic at the others, so the contour and
+    the localization's boxes meet no pole.  Those lattice points lie on
+    the lines Im z = 0 and Im z = tau, so there are at most four."""
+    x0, x1, y0, y1 = box
+    omega = math.ceil(x0)
+    p = _pole_order(P, omega)
+    r = min(1.0, spec.tau) / 4.0
+    points, exps = [], []
+    for m in range(math.floor(x0 - r), math.floor(x1 + r) + 1):
+        for n in (0, 1):
+            y = n * spec.tau
+            gap = math.hypot(max(x0 - m, 0.0, m - x1),
+                             max(y0 - y, 0.0, y - y1))
+            e = p if (m, n) == (omega, 0) else 2 * P.deg_y
+            if gap <= r and e:
+                points.append(complex(m, y))
+                exps.append(float(e))
+    if not points:
+        return None
+    om, e = np.array(points), np.array(exps)
+
+    def factor(z):
+        d = np.subtract.outer(z, om)
+        f = np.prod(d ** e, axis=-1)
+        return f, f * (e / d).sum(axis=-1)
+    return factor
 
 
 # ------------------------------------------------ count attempt and report
@@ -343,8 +366,8 @@ def _zero_floor(P: BivariatePolynomial, z, w, py, w_error) -> np.ndarray:
     and Stability of Numerical Algorithms, 2nd ed., 5.1); two more steps
     cover the second-order terms.  The error of w adds |P_Y| w_error to
     first order.  Both follow the terms themselves, so the growth of |j|
-    towards the top line and of |wp| into the notches never makes a
-    healthy value look small.
+    towards the top line and of |wp| towards the lattice points never
+    makes a healthy value look small.
     """
     gamma = 4.0 * (P.deg_x + P.deg_y + 2) * UNIT_ROUNDOFF
     k = np.arange(max(P.deg_x, P.deg_y) + 1)[:, None]
@@ -383,20 +406,22 @@ def _first_from_memo(pair):
 
 
 def _unperturbed_winding(P: BivariatePolynomial, pair, w_error,
-                         contour: Contour):
+                         contour: Contour, factor=None):
     """(vals, w) for _attempt from one winding pass of the unperturbed
-    P(z, f(z)) over the contour, for the pair callable pair of f and the
-    bound w_error(z, w, dw) on the error of its values: the composite's
-    values at the pass's adaptive samples and the pass's WindingResult.
+    G(z) = F(z) P(z, f(z)) over the contour, for the pair callable pair
+    of f, the bound w_error(z, w, dw) on the error of its values and the
+    pair callable factor of F (None for F = 1): G's values at the pass's
+    adaptive samples and the pass's WindingResult.
 
     The pass's first round takes f from _first_round, every later one
-    calls pair once per sample, and every sample is checked by
+    calls pair once per sample, and every sample of P is checked by
     _zero_floor as the pass takes it; the first round that meets a
-    numerically zero one raises ZeroOnContourError.  The contour layer's
-    own zero test, relative to the largest |f| on a segment, misfires on
-    edges where |P| spans many decades, so the pass gives it the smallest
-    positive float as its floor: every value it sees lies above the rule's
-    floor already.
+    numerically zero one raises ZeroOnContourError.  F vanishes nowhere
+    on the contour, so G is numerically zero exactly where P is.  The
+    contour layer's own zero test, relative to the largest |f| on a
+    segment, misfires on edges where |P| spans many decades, so the pass
+    gives it the smallest positive float as its floor: every value it
+    sees lies above the rule's floor already.
     """
     f = _first_from_memo(pair)
     seen = []
@@ -411,8 +436,12 @@ def _unperturbed_winding(P: BivariatePolynomial, pair, w_error,
             raise ZeroOnContourError(
                 "composite numerically zero on the boundary",
                 complex(z[i]), float(mods[i]))
+        dv = px + py * dw
+        if factor is not None:
+            g, dg = factor(z)
+            v, dv = g * v, dg * v + g * dv
         seen.append(v)
-        return v, px + py * dw
+        return v, dv
 
     w = winding_number(composite, contour, zero_atol=math.ulp(0.0))
     return np.concatenate(seen), w
@@ -458,17 +487,19 @@ def _off_contour(f, zeros, contour: Contour, atol: float) -> list:
 
 
 def _attempt(P: BivariatePolynomial, pair, vals: np.ndarray,
-             w: WindingResult, boxes, target_radius: float, region=None):
-    """One count attempt of either pipeline: offset P(z, f(z)) with eps
-    sized from vals and localize its zeros in the boxes (zero_atol
-    0.1 eps), for the pair callable pair of f; the localization's first
-    call, its top batch, takes f from _first_round.  The j count passes
-    region = (contour, keep): its box reports are first moved off the
+             w: WindingResult, boxes, target_radius: float, region=None,
+             factor=None):
+    """One count attempt of either pipeline: offset F(z) P(z, f(z)) with
+    eps sized from vals and localize its zeros in the boxes (zero_atol
+    0.1 eps), for the pair callable pair of f and factor of F, as in
+    _unperturbed_winding; the localization's first call, its top batch,
+    takes f from _first_round.  The j count passes region = (contour,
+    keep): its box reports are first moved off the
     contour (_off_contour), and only the zeros whose centers pass keep
     are kept.  Returns (offset composite, kept zeros); raises
     NonconvergenceError unless their multiplicities sum to w, the
-    winding of the unperturbed composite over the contour."""
-    pert = perturb_from_values(P, _first_from_memo(pair), vals)
+    winding of the unperturbed G over the contour."""
+    pert = perturb_from_values(P, _first_from_memo(pair), vals, factor)
     atol = 0.1 * pert.epsilon
     zeros = localize_zeros(pert.pair, *boxes, target_radius=target_radius,
                            zero_atol=atol)
@@ -638,62 +669,45 @@ def count_zeros_wp(P: BivariatePolynomial,
     """Count zeros of P(z, wp(z)), each with its multiplicity, in the
     half-open period cell of WpDomainSpec.
 
-    Each attempt winds the unperturbed composite over the contour of
-    _wp_cell, eta off the classical boundary (_unperturbed_winding).  Its
-    adaptive samples size eps and theta, and the multiplicities of the
-    offset composite localized in the five tiles of _wp_cell, the top
-    boxes of one localize_zeros quadtree, must sum to its winding.
+    Each attempt winds G = F P(z, wp(z)) over the rectangle of
+    build_wp_contour, eta off the classical boundary
+    (_unperturbed_winding), with F from _lattice_factor.  G is
+    holomorphic inside and nonzero at the rectangle's lattice point, so
+    its winding is the count of the half-open cell.  Its adaptive samples
+    size eps and theta, and the multiplicities of the offset G localized
+    in the rectangle, the one top box of the localize_zeros quadtree,
+    must sum to its winding.
 
-    Two retry moves; neither changes which zeros count.  A numerically
-    zero sample in the unperturbed winding, as at a multiple zero on the
-    classical boundary eta away, takes the next eta of _WP_ETAS (after
-    the last, or once delta is below 4 times the next eta, its error is
-    raised).  Every other failure halves the notch radius:
-    CannotPerturbError or NonconvergenceError from the perturbation, the
-    winding or the localization, a localized count that differs from the
-    winding, and a zero within 2 delta of a notch centre, where zeros may
-    hide in the notch.  The report's domain holds the spec's fields and
-    eta, and its retries is the number of failed attempts.
+    One retry move, which changes no count: a failed attempt, as at a
+    multiple zero on the classical boundary eta away, takes the next eta
+    of _WP_ETAS; after the last, its error is raised.  An attempt fails
+    too where P overflows (PrecisionLossError): |wp| is about
+    1/(2 eta^2) at the corners next to the lattice points, so at
+    eta = 1e-6 a P of deg_y 26 or more overflows there, and each step of
+    eta divides |wp| there by 100.  The report's domain holds the spec's
+    fields and eta, and its retries is the number of failed attempts.
     """
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
     L = lattice(spec.tau)
     pair, w_error = wp_analytic(L), partial(wp_error_bound, L=L)
-
-    current, k = spec, 0
     last_error: Exception | None = None
-    for retries in range(8):
-        eta = _WP_ETAS[k]
-        if current.delta < max(1e-5, _NOTCH_PER_ETA * eta):
-            raise NonconvergenceError("notch radius collapsed without a "
-                                      "stable count")
-        contour, tiles, poles = _wp_cell(current, eta)
+    for retries, eta in enumerate(_WP_ETAS):
+        box = _wp_box(spec, eta)
+        contour = rectangle_contour(*box)
+        factor = _lattice_factor(P, spec, box)
         try:
-            vals, w = _unperturbed_winding(P, pair, w_error, contour)
-        except ZeroOnContourError as exc:
-            if (k + 1 == len(_WP_ETAS)
-                    or current.delta < _NOTCH_PER_ETA * _WP_ETAS[k + 1]):
-                raise
-            last_error, k = exc, k + 1
-            continue
-        except NonconvergenceError as exc:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals, w = _unperturbed_winding(P, pair, w_error, contour,
+                                               factor)
+                pert, zeros = _attempt(P, pair, vals, w, [box],
+                                       _WP_TARGET_RADIUS, factor=factor)
+        except (ZeroOnContourError, CannotPerturbError, NonconvergenceError,
+                PrecisionLossError) as exc:
             last_error = exc
-            current = current.with_delta(current.delta / 2.0)
-            continue
-        try:
-            pert, zeros = _attempt(P, pair, vals, w, tiles,
-                                   _WP_TARGET_RADIUS)
-            if any(abs(z.center - p) < 2.0 * current.delta
-                   for z in zeros for p in poles):
-                raise NonconvergenceError(
-                    "a localized zero lies within 2 delta of a pole")
-        except (ZeroOnContourError, CannotPerturbError,
-                NonconvergenceError) as exc:
-            last_error = exc
-            current = current.with_delta(current.delta / 2.0)
             continue
         return _report("wp", P, theorem2_bound, pert, w, zeros,
-                       {**asdict(current), "eta": eta}, contour, retries)
+                       {**asdict(spec), "eta": eta}, contour, retries)
     raise last_error
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AmbiguityError, InvalidSpecError, MzlError
 from .special import (SEXTIC_A, SEXTIC_B, _check_c, _gauss_series,
-                      _sextic_pair)
+                      _sextic_pairs)
 
 
 class MultiPoly:
@@ -219,11 +219,11 @@ def build_ratio_chain() -> PfaffianChain:
     ]
 
     def member_values(y):
-        # F and F(c+) at w- and w+ = 1 - w- are one pair each: y in [0, 1)
+        # F and F(c+) at w- and w+ = 1 - w- are one pair each, their Gauss
+        # series one two-row loop: y in [0, 1)
         y = np.asarray(y, dtype=float)
         wm = (1.0 - y) / 2.0
-        Fm, Fp, _ = _sextic_pair(1.0, wm)
-        Fcm, Fcp, _ = _sextic_pair(2.0, wm)
+        (Fm, Fp, _), (Fcm, Fcp, _) = _sextic_pairs((1.0, 2.0), wm)
         yc = y.astype(complex)
         return [1.0 / (1.0 - yc), 1.0 / (1.0 + yc),
                 Fcp / ((1.0 - y) * Fp), Fp, Fcm / ((1.0 + y) * Fm), Fm,

@@ -151,7 +151,8 @@ def eval_composed(P: BivariatePolynomial, f, z):
 
 @dataclass(frozen=True)
 class PerturbedComposite:
-    """P(z, f(z)) + eps*e^{i theta} with its z-derivative.
+    """F(z) P(z, f(z)) + eps*e^{i theta} with its z-derivative, for the
+    pair callable factor of F, or F = 1 when factor is None.
 
     eps = 0 reproduces the unperturbed composite exactly.
     """
@@ -160,6 +161,7 @@ class PerturbedComposite:
     inner: Callable
     epsilon: float
     theta: float
+    factor: Callable | None = None
 
     @cached_property
     def offset(self) -> complex:
@@ -168,6 +170,9 @@ class PerturbedComposite:
     def pair(self, z):
         """(value, derivative) at z from one call of the inner pair."""
         v, dv = self.base.evaluate_pair(z, *self.inner(z))
+        if self.factor is not None:
+            g, dg = self.factor(z)
+            v, dv = g * v, dg * v + g * dv
         return v + self.offset, dv
 
     def value(self, z):
@@ -183,15 +188,16 @@ def perturb(P: BivariatePolynomial, f, boundary_samples) -> PerturbedComposite:
     return perturb_from_values(P, f, eval_composed(P, f, zs))
 
 
-def perturb_from_values(P: BivariatePolynomial, f, vals) -> PerturbedComposite:
-    """Rouche perturbation sized from vals = P(z, f(z)) at the boundary
-    samples.
+def perturb_from_values(P: BivariatePolynomial, f, vals,
+                        factor=None) -> PerturbedComposite:
+    """Rouche perturbation sized from vals = F(z) P(z, f(z)) at the
+    boundary samples, for the pair callable factor of F (None for F = 1).
 
-    eps is half the minimum of |P(z, f(z))| over vals, and theta the one
-    of _PERTURB_ANGLES scanned angles with the largest min |v + eps
+    eps is half the minimum of |vals|, and theta the one of
+    _PERTURB_ANGLES scanned angles with the largest min |v + eps
     e^{i theta}|.  Every sample keeps |v + eps e^{i theta}| >= |v| - eps
     >= eps at any theta, and the offset changes no winding while
-    |P(z, f(z))| > eps on the contour.  The caller passes no sample
+    |F(z) P(z, f(z))| > eps on the contour.  The caller passes no sample
     where the composite is numerically zero; with every value zero there
     is nothing to size eps from (CannotPerturbError).
     """
@@ -213,4 +219,5 @@ def perturb_from_values(P: BivariatePolynomial, f, vals) -> PerturbedComposite:
     offsets = eps * np.exp(1j * thetas)[:, None]
     scores = np.concatenate([np.abs(near + offsets[i:i + rows]).min(axis=1)
                              for i in range(0, thetas.size, rows)])
-    return PerturbedComposite(P, f, eps, float(thetas[int(np.argmax(scores))]))
+    return PerturbedComposite(P, f, eps, float(thetas[int(np.argmax(scores))]),
+                              factor)

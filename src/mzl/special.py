@@ -5,7 +5,7 @@ j is assembled as Q(q)^3 / Delta(q) from the exact-integer coefficient
 tables in qseries, and its tau-derivative as -2 pi i Q^2 R / Delta from
 the same sums.  The inverse of J(t) = j(it) on x >= 1728 is the ratio
 F(1 - s)/F(s) of sextic hypergeometric values F(1/6, 5/6; 1; .), s in
-(0, 1/2], both summed from s itself (_sextic_pair): F(s) by the Gauss
+(0, 1/2], both summed from s itself (_sextic_pairs): F(s) by the Gauss
 series and F(1 - s) by the z -> 1 - z connection series in s.
 
 One loop (_hyp_series) sums the Gauss series of several parameter rows
@@ -367,25 +367,32 @@ def _sextic_connection(c: float, x: np.ndarray):
         k = ks[-1]
 
 
-def _sextic_pair(c: float, s):
-    """(F(s), F(1 - s), largest tail bound) with F = F(1/6, 5/6; c; .),
-    for c in {1, 2} and real s in (0, 1/2].
+def _sextic_pairs(cs, s) -> list:
+    """Per c of cs, (F(s), F(1 - s), largest tail bound) with F = F(1/6,
+    5/6; c; .), for c in {1, 2} and real s in (0, 1/2].
 
     F(s) is the Gauss series and F(1 - s) _sextic_connection, both in s,
     so no caller forms 1 - s and a small s keeps its digits; near 1 the
     Gauss series would fall only like w^n/n, since c - a - b is 0 or 1.
-    A scalar s gives float values."""
+    The Gauss series of all the cs are the rows of one _hyp_series loop,
+    each with the bits it has alone; the connection series are one loop
+    per c.  A scalar s gives float values."""
     ss = np.asarray(s, dtype=float)
     inside = (0.0 < ss) & (ss <= 0.5)
     if not np.all(inside):
         raise DomainError(f"s={ss[~inside].flat[0]} outside (0, 1/2]")
     flat = ss.ravel()
-    [(near, nb)] = _hyp_series([(SEXTIC_A, SEXTIC_B, c, 1.0)], flat,
-                               _SEXTIC_RTOL)
-    far, fb = _sextic_connection(c, flat)
-    if ss.ndim == 0:
-        return float(near[0].real), float(far[0]), max(nb, fb)
-    return near.real.reshape(ss.shape), far.reshape(ss.shape), max(nb, fb)
+    gauss = _hyp_series([(SEXTIC_A, SEXTIC_B, c, 1.0) for c in cs], flat,
+                        _SEXTIC_RTOL)
+    out = []
+    for c, (near, nb) in zip(cs, gauss):
+        far, fb = _sextic_connection(c, flat)
+        if ss.ndim == 0:
+            out.append((float(near[0].real), float(far[0]), max(nb, fb)))
+        else:
+            out.append((near.real.reshape(ss.shape), far.reshape(ss.shape),
+                        max(nb, fb)))
+    return out
 
 
 _MIN_IM_TAU = 0.5 - 1e-12
@@ -548,7 +555,7 @@ def j_inverse(x: float) -> float:
 
     The ratio F(w+) / F(w-) with F = 2F1(1/6, 5/6; 1; .),
     w+- = (1 +- y)/2 and y = sqrt(1 - 1728/x), both values from one
-    _sextic_pair at s = w- = 864/(x (1 + y)), which is (1 - y)/2 without
+    _sextic_pairs at s = w- = 864/(x (1 + y)), which is (1 - y)/2 without
     the cancellation in 1 - y; so one route serves the whole range.  J is
     increasing, so x <= J(100) puts J^{-1}(x) <= 100, and the ratio, 2 ulps
     above 100 at J(100), is clamped to _MAX_IM_TAU.  A NaN x raises
@@ -563,7 +570,7 @@ def j_inverse(x: float) -> float:
         raise DomainError(f"j_inverse requires x <= {_j_inverse_max()!r}"
                           f" = j(100i), got {x}")
     y = math.sqrt(1.0 - 1728.0 / x)
-    den, num, _ = _sextic_pair(1.0, 864.0 / (x * (1.0 + y)))
+    [(den, num, _)] = _sextic_pairs((1.0,), 864.0 / (x * (1.0 + y)))
     return min(num / den, _MAX_IM_TAU)
 
 
@@ -571,7 +578,7 @@ def ramanujan_inversion_residual(x):
     """|x(1-x) - (Q(q)^3 - R(q)^2)/(4 Q(q)^3)| for the sextic nome
     q = exp(-2 pi F(1-x)/F(x)), F = 2F1(1/6, 5/6, 1; .).
 
-    F(x) and F(1-x) are one _sextic_pair at s = min(x, 1 - x), swapped
+    F(x) and F(1-x) are one _sextic_pairs at s = min(x, 1 - x), swapped
     back where x > 1/2.  x may be an array: the pair is then one batch,
     and Q and R one series call each, over every nome."""
     xs = np.asarray(x, dtype=float)
@@ -579,7 +586,7 @@ def ramanujan_inversion_residual(x):
     if not np.all(inside):
         raise DomainError(
             f"x={xs[~inside].flat[0]} outside [1e-3, 1 - 1e-3]")
-    near, far, _ = _sextic_pair(1.0, np.minimum(xs, 1.0 - xs))
+    [(near, far, _)] = _sextic_pairs((1.0,), np.minimum(xs, 1.0 - xs))
     low = xs <= 0.5
     Fx, F1mx = np.where(low, near, far), np.where(low, far, near)
     q = np.exp(-TWO_PI * F1mx / Fx)

@@ -218,10 +218,16 @@ def test_line_counts_stay_under_bound():
 
 
 def test_robustness_invariances_and_determinism():
-    P = BivariatePolynomial([[-(2.5 + 1.5j), 1.0]])
-    a = count_zeros_wp(P, WpDomainSpec(tau=1.0, delta=1.0 / 16.0))
-    b = count_zeros_wp(P, WpDomainSpec(tau=1.0, delta=1.0 / 32.0))
-    assert a.count == b.count == 2
+    # the same zeros moved by the period 1: P(X, Y) at beta = 0 and
+    # P(X - 1, Y) at beta = 1
+    P = BivariatePolynomial([[-(2.5 + 1.5j), 1.0], [0.5, 0.25j]])
+    a = count_zeros_wp(P, WpDomainSpec(tau=1.0))
+    b = count_zeros_wp(BivariatePolynomial([[-(3.0 + 1.5j), 1.0 - 0.25j],
+                                            [0.5, 0.25j]]),
+                       WpDomainSpec(tau=1.0, beta=1.0))
+    assert a.count == b.count
+    assert sorted(round(z.center.real % 1.0, 2) for z in a.zeros) \
+        == sorted(round(z.center.real % 1.0, 2) for z in b.zeros)
 
     Q = BivariatePolynomial([[-2000j, 1.0]])
     assert (count_zeros_j(Q, JDomainSpec(Y=2.5)).count
@@ -243,7 +249,7 @@ def test_line_count_and_robustness_suites_run_deterministically():
     assert set(lines) == {"name", "pass", "trials_ok", "trials",
                           "max_count_seen"}
     assert lines["name"] == "line_counts" and lines["trials_ok"] == 3
-    assert set(robust) == {"name", "pass", "delta_halving_invariant",
+    assert set(robust) == {"name", "pass", "period_shift_invariant",
                            "top_line_invariant", "report_deterministic"}
     assert robust["name"] == "robustness" and robust["pass"] is True
     texts = [json.dumps(r, sort_keys=True) for r in runs]

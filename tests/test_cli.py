@@ -343,13 +343,21 @@ def test_trace_to_file(wp_poly, tmp_path):
     assert out.read_text().startswith("t,z_re,z_im,f_re,f_im,arg_unwrapped")
 
 
-def test_trace_wp_delta_below_the_notch_floor_exits_2(wp_poly, capsys):
-    # delta must hold the poles at the contour's smallest eta
-    assert main(["trace", "wp", "--poly", wp_poly, "--delta", "3e-6",
-                 "--per-segment", "4"]) == 2
-    assert "delta" in capsys.readouterr().err
-    assert main(["trace", "wp", "--poly", wp_poly, "--delta", "4e-6",
-                 "--per-segment", "4"]) == 0
+def test_trace_wp_has_no_delta_option(wp_poly):
+    # the wp contour is the plain rectangle: there is no notch radius
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "wp", "--poly", wp_poly, "--delta", "4e-6",
+              "--per-segment", "4"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["count-zeros", "trace"])
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "1e300"])
+def test_wp_beta_not_finite_or_too_large_exits_2(wp_poly, capsys, command,
+                                                 beta):
+    # beyond |beta| = 1e6 the contour's offsets by eta are lost
+    assert main([command, "wp", "--poly", wp_poly, f"--beta={beta}"]) == 2
+    assert "beta must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -1079,7 +1079,7 @@ def test_phase_pass_is_bit_identical_to_the_masked_pass(rng, zero_atol):
                        np.full(np.shape(z), 1e15 + 0j))
     _both_passes(steep, [rectangle_contour(0.0, 1.0, 0.0, 1.0),
                          circle_contour(0.5, 0.25)], zero_atol)
-    # the j and wp domain contours, whose notches and arcs refine next to
+    # the j and wp domain contours, whose arcs and edges refine next to
     # the poles and the corners
     j_contours = [build_j_contour(JDomainSpec()),
                   build_j_contour(JDomainSpec(), eta=1e-3)]

@@ -214,46 +214,48 @@ def test_j_real_on_arc_and_verticals():
 
 
 def test_wp_domain_spec_validation():
-    spec = WpDomainSpec(1.0)
-    assert spec.delta == pytest.approx(1.0 / 16.0)
-    assert WpDomainSpec(0.5).delta == pytest.approx(0.5 / 16.0)
-    with pytest.raises(InvalidSpecError):
-        WpDomainSpec(0.05)
-    with pytest.raises(InvalidSpecError):
-        WpDomainSpec(1.0, delta=0.3)
-    assert spec.with_delta(0.01).delta == 0.01
-    # the notches must hold the poles at the contour's smallest eta, 1e-6
-    with pytest.raises(InvalidSpecError):
-        WpDomainSpec(1.0, delta=3e-6)
-    assert build_wp_contour(WpDomainSpec(1.0, delta=4e-6)).closed
+    # the cell is all there is to the domain: no field cuts it down
+    assert [f.name for f in dataclasses.fields(WpDomainSpec)] == ["tau",
+                                                                   "beta"]
+    with pytest.raises(TypeError):
+        WpDomainSpec(1.0, 0.0, 1.0 / 16.0)
+    for tau in (0.05, 10.5, math.nan):
+        with pytest.raises(InvalidSpecError):
+            WpDomainSpec(tau)
+    # beyond |beta| = 1e6 the floats near beta lose the offsets by eta
+    for beta in (math.nan, math.inf, -math.inf, 1e300, 1.000001e6):
+        with pytest.raises(InvalidSpecError, match="beta"):
+            WpDomainSpec(1.0, beta)
+    for beta in (-1e6, 1e6):
+        contour = build_wp_contour(WpDomainSpec(1.0, beta))
+        assert contour.closed
+        assert contour.segments[0].z0 == complex(beta - 1e-6, -1e-6)
 
 
-def test_wp_contour_corner_notches():
-    spec = WpDomainSpec(1.0)
-    contour = build_wp_contour(spec)
+def test_wp_contour_is_a_rectangle():
+    # four edges, eta = 1e-6 off the classical cell, with no notch at the
+    # lattice points
+    contour = build_wp_contour(WpDomainSpec(1.0))
     assert contour.closed
-    d = spec.delta
-    assert contour.length == pytest.approx(4.0 * (1.0 - 2.0 * d)
-                                           + 2.0 * math.pi * d, abs=1e-12)
-    assert contour.length == pytest.approx(3.8926990816987246, abs=1e-12)
+    assert [type(s) for s in contour.segments] == [LineSegment] * 4
+    assert [s.z0 for s in contour.segments] == [
+        complex(-1e-6, -1e-6), complex(1.0 - 1e-6, -1e-6),
+        complex(1.0 - 1e-6, 1.0 - 1e-6), complex(-1e-6, 1.0 - 1e-6)]
+    assert contour.length == pytest.approx(4.0, abs=1e-12)
 
 
 def test_wp_contour_shifted_cell():
-    spec = WpDomainSpec(1.0, beta=0.3)
-    contour = build_wp_contour(spec)
-    assert contour.closed
-    d = spec.delta
-    want = 2.0 * (1.0 - 2.0 * d) + 2.0 * 1.0 + 2.0 * math.pi * d
-    assert contour.length == pytest.approx(want, abs=1e-12)
-    # interior lattice point too close to a corner
-    with pytest.raises(InvalidSpecError):
-        build_wp_contour(WpDomainSpec(1.0, beta=0.98))
+    for beta in (0.3, 0.02, 0.98):
+        contour = build_wp_contour(WpDomainSpec(2.0, beta=beta))
+        assert contour.closed
+        assert contour.length == pytest.approx(2.0 * 1.0 + 2.0 * 2.0,
+                                               abs=1e-12)
+        assert contour.segments[0].z0 == complex(beta - 1e-6, -1e-6)
 
 
 def test_wp_contour_is_the_half_open_cell():
-    # the whole notched cell moves by -eta (1 + i): the bottom and left
-    # edges, which are in, move out, the top and right edges move in, and
-    # each notch centre lies eta sqrt 2 from its pole
+    # the whole cell moves by -eta (1 + i): the bottom and left edges,
+    # which are in, move out, and the top and right edges move in
     eta = 1e-4
     for beta in (0.0, 0.37):
         spec = WpDomainSpec(1.0, beta)
@@ -263,14 +265,20 @@ def test_wp_contour_is_the_half_open_cell():
         for a, b in zip(classical.segments, contour.segments):
             assert abs(b.start - (a.start - eta * (1 + 1j))) < 1e-12
             assert abs(b.end - (a.end - eta * (1 + 1j))) < 1e-12
+        # the cell's one lattice point, ceil(beta), is in, and the
+        # lattice points next to it are out
+        omega = math.ceil(beta)
         for c, inside in ((complex(beta + 0.3, 0.0), True),
                           (complex(beta, 0.4), True),
                           (complex(beta + 0.3, 1.0), False),
-                          (complex(beta + 1.0, 0.4), False)):
+                          (complex(beta + 1.0, 0.4), False),
+                          (complex(omega, 0.0), True),
+                          (complex(omega - 1, 0.0), False),
+                          (complex(omega + 1, 0.0), False),
+                          (complex(omega, 1.0), False),
+                          (complex(omega + 1, 1.0), False)):
             w = winding_number(lambda z: (z - c, np.ones_like(z)), contour)
             assert w.winding == int(inside), c
-    with pytest.raises(InvalidSpecError):
-        build_wp_contour(WpDomainSpec(1.0, delta=1e-3), 1e-3)
 
 
 def test_wp_real_on_straight_pieces(lat1):
@@ -278,10 +286,9 @@ def test_wp_real_on_straight_pieces(lat1):
     contour = build_wp_contour(WpDomainSpec(1.0), 0.0)
     ts = np.linspace(0.05, 0.95, 30)
     for seg in contour.segments:
-        if isinstance(seg, LineSegment):
-            v = wp_pair(seg.point(ts), lat1)[0]
-            assert float(np.abs(v.imag).max()) \
-                < 1e-8 * (1.0 + float(np.abs(v).max()))
+        v = wp_pair(seg.point(ts), lat1)[0]
+        assert float(np.abs(v.imag).max()) \
+            < 1e-8 * (1.0 + float(np.abs(v).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +693,15 @@ def _inside(contour: Contour, c: complex) -> bool:
                           contour).winding == 1
 
 
+def _wound(P: BivariatePolynomial, spec: WpDomainSpec, eta: float):
+    """The pair callable of G = F P(z, wp(z)) that count_zeros_wp winds
+    over build_wp_contour(spec, eta)."""
+    factor = domains_module._lattice_factor(
+        P, spec, domains_module._wp_box(spec, eta))
+    return PerturbedComposite(P, wp_analytic(lattice(spec.tau)), 0.0, 0.0,
+                              factor).pair
+
+
 def test_count_zeros_wp_half_period_value(lat1):
     # wp - e1 has a double zero at z = 1/2 on the bottom edge, which is
     # in, and its copy at 1/2 + i on the top edge, which is out: the zeros
@@ -745,10 +761,11 @@ def test_count_zeros_wp_half_period_values(tau, k):
         if k != 1:
             assert abs(z.center - half_period) < 0.05
     # eps is half the minimum over the samples of the unperturbed winding,
-    # and below |P| on a dense grid of the contour
+    # and below |G| = |F P| on a dense grid of the contour
     assert rep.epsilon == 0.5 * rep.min_modulus
     z = contour.sample(4096)
-    assert np.abs(P.evaluate(z, wp_pair(z, L)[0])).min() >= rep.epsilon
+    assert np.abs(_wound(P, WpDomainSpec(tau), eta)(z)[0]).min() \
+        >= rep.epsilon
 
 
 def test_count_zeros_wp_bottom_edge_value(lat1):
@@ -788,22 +805,129 @@ def test_count_zeros_wp_zero_at_a_corner(c, count):
     assert rep.retries == 0
 
 
-_D = WpDomainSpec(1.0).delta
+# the radius of the corner notches that the wp contour once cut out of
+# the cell at tau = 1
+_D = 1.0 / 16.0
 
 
 @pytest.mark.parametrize("c, count, retries", [
-    (_D * np.exp(0.25j * np.pi), 1, 1),
-    (1.0 + _D * np.exp(0.75j * np.pi), 1, 1),
-    (1.0 + 1j + _D * np.exp(-0.75j * np.pi), 0, 0),
-    (1j + _D * np.exp(-0.25j * np.pi), 1, 1)])
+    (_D * np.exp(0.25j * np.pi), 1, 0),
+    (1.0 + _D * np.exp(0.75j * np.pi), 1, 0),
+    (1.0 + 1j + _D * np.exp(-0.75j * np.pi), 1, 0),
+    (1j + _D * np.exp(-0.25j * np.pi), 1, 0)])
 def test_count_zeros_wp_zero_on_a_notch(c, count, retries):
-    # z - c vanishes on the middle of a corner notch, inside the cell.
-    # Three notch centres moved away from c, which then lies inside the
-    # contour, within 2 delta of a pole, so delta halves once; the top
-    # right one moved towards c, which hides in that notch
+    # z - c vanishes 1/16 from a corner of the cell, inside it: the
+    # rectangle holds it, with no retry
     rep = count_zeros_wp(poly_x_minus(c), WpDomainSpec(1.0))
     assert rep.count == rep.winding == count
     assert rep.retries == retries
+    # the zero of the offset composite z - c + eps e^{i theta}
+    off = rep.epsilon * np.exp(1j * rep.theta)
+    assert abs(rep.zeros[0].center - (c - off)) < 1e-3
+
+
+def test_count_zeros_wp_notch_zero_with_wp_zeros():
+    # (z - c)(wp - 5) with c in the old top-right notch: c and the two
+    # zeros of wp - 5
+    c = 1.0 + 1j + _D * np.exp(-0.75j * np.pi)
+    P = BivariatePolynomial(np.outer([-c, 1.0], [-5.0, 1.0]))
+    rep = count_zeros_wp(P, WpDomainSpec(1.0))
+    assert rep.count == rep.winding == 3
+    assert rep.retries == 0
+    assert min(abs(z.center - c) for z in rep.zeros) < 0.05
+
+
+# op 11 of the seed-9 wp-count bench corpus (stratum t1-b0.37-d5): one of
+# its 11 zeros lies 0.046 from the lattice point 1, within the 1/16 that
+# a notch once cut out there
+_WP_NEAR_POLE = [
+    [(-0.20989851720283073-0.31641561030265536j),
+     (-0.9620535511310718-0.36418406936700654j),
+     (0.6506275580760367-0.6977353101751619j),
+     (0.822476750673023-0.798638912963253j),
+     (-0.34015874885018743-0.5668169433244012j),
+     (1.126002164891761+0.5750296109609638j)],
+    [(-1.6964392455054735-0.47593980450868306j),
+     (-0.4869969098261485-1.3610429841149938j),
+     (-0.9335783226800657-1.5941662642482448j),
+     (-0.5995886565197912+0.13101492426199624j),
+     (-1.6466565757931355-1.7381041588301942j),
+     (0.9447460750281186+0.6899758393955985j)],
+    [(-0.9647141271194453-0.5086551086446398j),
+     (-0.14433198499473895-0.5174748600658043j),
+     (1.171954969702038+0.2189444204581622j),
+     (1.5974644091816506-0.3707374844137465j),
+     (1.1703947713773957+0.701656889606069j),
+     (-2.2457260892010726-1.2962683519054874j)]]
+
+
+def test_count_zeros_wp_zero_next_to_a_lattice_point():
+    rep = count_zeros_wp(BivariatePolynomial(_WP_NEAR_POLE),
+                         WpDomainSpec(1.0, 0.37))
+    assert rep.count == rep.winding == 11
+    assert rep.retries == 0
+    near = 0.955919 + 0.014541j
+    assert any(abs(z.center - near) <= z.radius for z in rep.zeros)
+
+
+@pytest.mark.parametrize("coeffs, beta", [
+    ([[0.0, 0.0], [0.0, 1.0]], 0.0),              # X Y
+    ([[0.0, -1.0], [0.0, 1.0]], 1.0),             # (X - 1) Y
+    ([[0.0, -1.0], [0.0, 1.0]], 1.0 + 5e-7)])
+def test_count_zeros_wp_pole_order_below_2_deg_y(coeffs, beta):
+    # the leading column vanishes at the rectangle's lattice point, where
+    # P(z, wp(z)) has a simple pole, not a double one: the count is that
+    # of wp's two zeros.  With beta 5e-7 above 1 the rectangle, 1e-6 off
+    # the cell, holds the lattice point 1, not the cell's 2
+    P = BivariatePolynomial(coeffs)
+    assert domains_module._pole_order(P, 1 if beta else 0) == 1
+    rep = count_zeros_wp(P, WpDomainSpec(1.0, beta))
+    assert rep.count == rep.winding == 2
+    assert rep.retries == 0
+
+
+def test_pole_order_walks_the_laurent_coefficients():
+    # generic: 2 deg_y from the leading column, exact at any integer
+    P = random_polynomial(np.random.default_rng(4), 2, 3)
+    for omega in (-3, 0, 1, 10**6):
+        assert domains_module._pole_order(P, omega) == 6
+    # X^2 Y: u^2 wp(u) has no pole at 0; X^3 Y^2 + X Y leaves u^-1
+    assert domains_module._pole_order(
+        BivariatePolynomial([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), 0) == 0
+    assert domains_module._pole_order(BivariatePolynomial(
+        [[0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]]), 0) == 1
+    # with no Y there is no pole
+    assert domains_module._pole_order(poly_x_minus(0.3), 0) == 0
+
+
+def test_count_zeros_wp_cancelling_laurent_coefficient_is_ambiguous():
+    # X^2 Y^2 - Y: the order -2 coefficient is 1 - 1, and whether P has a
+    # pole at 0 depends on the u^4 term of u^2 wp; it has none, and a
+    # double zero at 0 instead
+    P = BivariatePolynomial([[0.0, -1.0, 0.0], [0.0, 0.0, 0.0],
+                             [0.0, 0.0, 1.0]])
+    with pytest.raises(AmbiguityError, match="order -2 at the lattice "
+                                             "point 0") as info:
+        count_zeros_wp(P, WpDomainSpec(1.0))
+    assert info.value.interval == (0.0, 0.0)
+
+
+def test_count_zeros_wp_overflow_takes_the_next_eta():
+    # |wp| is about 1/(2 eta^2) = 5e11 at the corners next to the lattice
+    # points, where P of deg_y 28 overflows at eta = 1e-6: the count
+    # retries at eta = 1e-5, where it does not
+    rng = np.random.default_rng(28)
+    P = random_polynomial(rng, int(rng.integers(0, 3)), 28)
+    rep = count_zeros_wp(P, WpDomainSpec(1.0))
+    assert rep.count == rep.winding == 56
+    assert (rep.retries, rep.domain["eta"]) == (1, 1e-5)
+
+
+@pytest.mark.parametrize("beta", [0.02, 0.999])
+def test_count_zeros_wp_lattice_point_next_to_a_corner(beta):
+    # the cell's lattice point lies 0.02 or 0.001 from a corner
+    rep = count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0, beta))
+    assert rep.count == rep.winding == 2
 
 
 class _PassDone(Exception):
@@ -839,7 +963,10 @@ def test_unperturbed_pass_evaluates_each_point_once(
             count()
         assert np.abs(points[0][-1] - points[0][0]) < 1e-15
         z = np.concatenate([points[0][:-1]] + points[1:])
-        assert z.size > 90 and np.unique(z).size == z.size
+        assert np.unique(z).size == z.size
+    # the starting grid of the wp rectangle: 16 points per edge and the
+    # closing one
+    assert points[0].size == 65
 
 
 # op 57 of the seed-8 wp-count bench corpus (stratum t8-b0-d5, tau = 8):
@@ -872,24 +999,23 @@ def test_count_zeros_wp_eps_below_a_dip_between_scan_points():
     rep = count_zeros_wp(P, WpDomainSpec(8.0))
     assert rep.count == rep.winding == 11
     assert rep.retries == 0
-    contour = build_wp_contour(WpDomainSpec(8.0, 0.0, rep.domain["delta"]),
-                               rep.domain["eta"])
+    contour = build_wp_contour(WpDomainSpec(8.0), rep.domain["eta"])
+    G = _wound(P, WpDomainSpec(8.0), rep.domain["eta"])
     z = contour.sample(16384)
-    mods = np.abs(P.evaluate(z, wp_pair(z, L)[0]))
-    assert mods.min() < 92.0
-    assert rep.epsilon < mods.min()
-    # brute force: every phase step of a 65536-per-segment grid is below
-    # pi/2, and they sum to 11 turns
+    left = z[np.abs(z.real - z[0].real) < 1e-12]
+    assert np.abs(P.evaluate(left, wp_pair(left, L)[0])).min() < 92.0
+    assert rep.epsilon < np.abs(G(z)[0]).min()
+    # brute force: every phase step of G on a 65536-per-segment grid is
+    # below pi/2, and they sum to 11 turns
     z = contour.sample(65536)
-    v = P.evaluate(z, wp_pair(z, L)[0])
+    v = G(z)[0]
     steps = np.angle(np.roll(v, -1) / v)
     assert np.abs(steps).max() < np.pi / 2.0
     assert steps.sum() / (2.0 * np.pi) == pytest.approx(11.0, abs=1e-6)
     # |P| spans 91 to 1.5e14 on the left edge: without the derived zero
     # floor the relative rule of the contour layer stops the winding
-    composite = PerturbedComposite(P, wp_analytic(L), 0.0, 0.0).pair
     with pytest.raises(ZeroOnContourError):
-        winding_number(composite, contour)
+        winding_number(G, contour)
 
 
 def test_count_zeros_wp_eps_below_the_dense_minimum():
@@ -902,11 +1028,11 @@ def test_count_zeros_wp_eps_below_the_dense_minimum():
                       (8.0, 0.37)):
         P = random_polynomial(rng, int(rng.integers(0, 3)),
                               int(rng.integers(1, 4)))
-        rep = count_zeros_wp(P, WpDomainSpec(tau, beta))
+        spec = WpDomainSpec(tau, beta)
+        rep = count_zeros_wp(P, spec)
         assert rep.count == rep.winding
-        z = build_wp_contour(WpDomainSpec(tau, beta, rep.domain["delta"]),
-                             rep.domain["eta"]).sample(16384)
-        mods = np.abs(P.evaluate(z, wp_pair(z, lattice(tau))[0]))
+        z = build_wp_contour(spec, rep.domain["eta"]).sample(16384)
+        mods = np.abs(_wound(P, spec, rep.domain["eta"])(z)[0])
         assert mods.min() >= rep.epsilon
     rng = np.random.default_rng(2021)
     for _ in range(20):
@@ -935,22 +1061,20 @@ def test_count_zeros_wp_shifted_cell():
 
 
 def test_count_zeros_wp_shifted_cell_corner_is_no_pole(lat1):
-    # for non-integer beta the cell corners are not lattice points and
-    # have no notch: a zero 0.07 from the corner 1.37 is no reason to
-    # halve delta
+    # for non-integer beta the cell corners are not lattice points: a
+    # zero 0.07 from the corner 1.37 is counted with no retry
     c = wp_pair(1.32 + 0.05j, lat1)[0]
     rep = count_zeros_wp(poly_y_minus(c), WpDomainSpec(1.0, beta=0.37))
     assert rep.count == rep.winding == 2
     assert rep.retries == 0
-    assert rep.domain["delta"] == WpDomainSpec(1.0).delta
 
 
 def test_count_zeros_f_calls(monkeypatch):
-    # the five wp tiles are one quadtree: their top windings are one
-    # phase batch, and their Newton steps and splits share f calls.  pair
-    # counts the calls of the inner function, one per round of the
+    # pair counts the calls of the inner function, one per round of the
     # unperturbed winding and one per round of the localization, where
-    # Newton stops a root once its step is 2^-10 of the target radius
+    # Newton stops a root once its step is 2^-10 of the target radius.
+    # The wp rectangle is also the localization's top box, so the top
+    # winding's first round is the unperturbed winding's, from the memo
     calls = {"pair": 0, "phases": 0}
     phases = contour_module._contour_phases
 
@@ -970,17 +1094,16 @@ def test_count_zeros_f_calls(monkeypatch):
                         counted(domains_module.klein_j_pair))
     monkeypatch.setattr(contour_module, "_contour_phases", counted_phases)
     count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
-    assert calls == {"pair": 6, "phases": 3}
+    assert calls == {"pair": 3, "phases": 3}
     calls.update(pair=0, phases=0)
     count_zeros_j(poly_y_minus(2000j))
     assert calls == {"pair": 4, "phases": 3}
-    # at tau 8 the unperturbed winding and the tile windings refine next
-    # to the notches, where the step bound asks for about 10 pieces per
-    # interval; each round splits an interval into as many pieces as its
-    # step bound asks for, up to _MAX_PIECES = 16
+    # at tau 8 the edges are 8 long, and the windings refine along them;
+    # each round splits an interval into as many pieces as its step bound
+    # asks for, up to _MAX_PIECES = 16
     calls.update(pair=0, phases=0)
     count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(8.0))
-    assert calls == {"pair": 7, "phases": 3}
+    assert calls == {"pair": 6, "phases": 3}
 
 
 def _inner_calls(monkeypatch, module, name) -> list:
@@ -1053,7 +1176,9 @@ def test_repeated_counts_reuse_the_starting_grids(monkeypatch):
 
     # wp keys its values by its pair callable, one per lattice, so a
     # wrapper installed around elliptic.wp_pair after the first count, as
-    # bench/tracer.py does, finds them
+    # bench/tracer.py does, finds them.  The wp rectangle is the
+    # localization's top box, so both passes start from one grid: the
+    # first count's localization already hits
     _clear_memos(keys)
     P, Q = poly_y_minus(2.5 + 1.5j), poly_y_minus(-1.0 - 3.0j)
     first = count_zeros_wp(P, WpDomainSpec(1.0))
@@ -1062,12 +1187,12 @@ def test_repeated_counts_reuse_the_starting_grids(monkeypatch):
     again = count_zeros_wp(P, WpDomainSpec(1.0))
     assert first.retries == other.retries == 0
     assert wp_calls and not any(_on_first_rounds(wp_calls, keys))
-    assert _first_rounds() == (4, 2, 2)
+    assert _first_rounds() == (5, 1, 1)
     assert again.to_dict() == first.to_dict()
     _clear_memos(keys)
     wp_calls.clear()
     assert count_zeros_wp(Q, WpDomainSpec(1.0)).to_dict() == other.to_dict()
-    assert _on_first_rounds(wp_calls, keys).count(True) == 2
+    assert _on_first_rounds(wp_calls, keys).count(True) == 1
 
 
 def test_first_round_memo_is_keyed_by_the_bits_of_z():
@@ -1098,7 +1223,8 @@ def test_stored_inner_values_are_read_only(monkeypatch):
     keys = _first_round_keys(monkeypatch)
     count_zeros_j(poly_y_minus(2000j))
     count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
-    assert len(keys) == _first_rounds()[2] == 4
+    # the wp winding and localization share their first round
+    assert len(keys) == 4 and _first_rounds()[2] == 3
     assert ({pair for pair, _ in keys}
             == {klein_j_pair, wp_analytic(lattice(1.0))})
     for key in keys:
@@ -1155,8 +1281,8 @@ def test_a_count_adds_at_most_two_first_rounds_per_attempt(monkeypatch):
 def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
     # every attempt fails in the localization: the j count lowers the
     # bottom edge of its box by 1e-3 seven times, on the same contour,
-    # and the wp count halves delta four times, and each raises the
-    # error of its last attempt
+    # and the wp count takes each eta of _WP_ETAS in turn, and each
+    # raises the error of its last attempt
     boxes = []
 
     def failing_localize(f, *top, **kwargs):
@@ -1173,27 +1299,31 @@ def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
     assert {top[0][:2] for top in boxes} == {(-0.5 - 1e-6, 0.5 - 1e-6)}
 
     boxes.clear()
-    with pytest.raises(NonconvergenceError, match="^attempt 8$"):
+    with pytest.raises(NonconvergenceError, match="^attempt 5$"):
         count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
-    # the bottom strip of an integer-beta cell has height delta, and eta
-    # stays where it was
-    deltas = [top[0][3] - top[0][2] for top in boxes]
-    assert deltas == pytest.approx(
-        [WpDomainSpec(1.0).delta / 2**k for k in range(8)], rel=1e-9)
-    assert {top[0][2] for top in boxes} == {-1e-6}
+    # the one top box is the rectangle eta off the cell
+    assert boxes == [((-eta, 1.0 - eta, -eta, 1.0 - eta),)
+                     for eta in _WP_ETAS]
 
 
 def test_count_zeros_wp_notch_hides_large_values():
-    # preimages of a large value sit within delta of the poles, inside
-    # the notches: the notched cell legitimately contains no zeros
-    rep = count_zeros_wp(poly_y_minus(250.0 + 170.0j), WpDomainSpec(1.0))
-    assert rep.count == 0
+    # the two preimages of a large value sit next to the cell's lattice
+    # point, about |c|^-1/2 from it, where a notch once hid them; wp takes
+    # every value twice per cell
+    for tau in (0.3, 1.0, 8.0):
+        for beta in (0.0, 0.37):
+            for c in (250.0 + 170.0j, -6000.0 + 8000.0j):
+                rep = count_zeros_wp(poly_y_minus(c), WpDomainSpec(tau, beta))
+                assert rep.count == rep.winding == 2, (tau, beta, c)
+                for z in rep.zeros:
+                    assert min(abs(z.center - complex(m, n * tau))
+                               for m in (0, 1, 2) for n in (0, 1)) < 0.1
 
 
 @pytest.mark.parametrize("tau", [0.3, 1.0, 8.0])
 def test_count_zeros_wp_shifted_cell_products(tau):
     # generic values (|Im c| >= 0.3 |c|, |c| <= 4) have two simple
-    # preimages per cell, away from the real-valued edges and the notches
+    # preimages per cell, away from the real-valued edges and the poles
     roots = [2.1 + 1.3j, -1.4 + 2.2j, 0.6 - 1.9j]
     for deg in (2, 3):
         P = BivariatePolynomial([np.poly(roots[:deg])[::-1]])  # prod Y - c
@@ -1205,15 +1335,14 @@ def test_count_zeros_wp_shifted_cell_products(tau):
 def test_count_zeros_wp_degree_5_has_no_negative_quadrant(tau, beta, seed,
                                                           monkeypatch):
     # with a phase step test alone, a full turn of phase hid between two
-    # samples of a quadtree box here, and a quadrant of a pole-free tile
+    # samples of a quadtree box here, and a quadrant of a pole-free box
     # read a negative winding ("negative winding in a quadrant")
     P = random_polynomial(np.random.default_rng(seed), 2, 5)
     rep = count_zeros_wp(P, WpDomainSpec(tau, beta=beta))
-    region = WpDomainSpec(tau, beta, rep.domain["delta"])
-    inner = wp_analytic(lattice(tau))
+    spec = WpDomainSpec(tau, beta)
     monkeypatch.setattr(contour_module, "_N_INITIAL", 8193)
-    dense = winding_number(PerturbedComposite(P, inner, 0.0, 0.0).pair,
-                           build_wp_contour(region, rep.domain["eta"]))
+    dense = winding_number(_wound(P, spec, rep.domain["eta"]),
+                           build_wp_contour(spec, rep.domain["eta"]))
     assert rep.count == rep.winding == dense.winding
     assert rep.bound_holds
 
@@ -1253,7 +1382,10 @@ def test_zero_floor_flags_zeros_on_the_contour(lat1):
     assert np.array_equal(np.flatnonzero(flags),
                           [np.argmin(np.abs(samples - 1j))])
     e1 = lat1.half_period_values[0]
-    samples = build_wp_contour(WpDomainSpec(1.0), 0.0).sample(512)
+    # the classical cell's edges without their ends, the lattice points
+    samples = np.concatenate([
+        s.point(np.arange(1, 512) / 512.0)
+        for s in build_wp_contour(WpDomainSpec(1.0), 0.0).segments])
     p, dp = wp_pair(samples, lat1)
     flags = _flags(poly_y_minus(e1), samples, p, dp,
                    elliptic_module.wp_error_bound(samples, p, dp, lat1))
@@ -1640,7 +1772,7 @@ def test_zero_count_report_fields():
     d = rep.to_dict()
     assert d["kind"] == "wp"
     assert d["count"] == 2
-    assert set(d["domain"]) == {"tau", "beta", "delta", "eta"}
+    assert set(d["domain"]) == {"tau", "beta", "eta"}
     assert d["domain"]["eta"] == "1e-06"
     assert rep.min_modulus > 0.0
     assert rep.contour_length > 0.0

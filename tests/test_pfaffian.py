@@ -12,7 +12,7 @@ from mzl.pfaffian import (MultiPoly, PfaffianChain, PfaffianFunction,
                           build_hypergeometric_chain, build_ratio_chain,
                           chain_residual, khovanskii_zero_bound,
                           ratio_pfaffian_function, real_zero_count)
-from mzl.special import _sextic_pair, hyp2f1, j_inverse, klein_j
+from mzl.special import _sextic_pairs, hyp2f1, j_inverse, klein_j
 
 
 def counted(calls, key, fn):
@@ -154,13 +154,14 @@ def test_manual_reciprocal_chain():
 
 def test_chain_residual_evaluates_each_member_once(monkeypatch):
     # one member pass over the stacked stencil grids, which sums F and
-    # F(c+) once each: at w+ and w- together for the ratio chain, and in
-    # one two-row series loop for the hyp chain
+    # F(c+) once each: at w+ and w- together, and with one two-row Gauss
+    # loop, for the ratio chain, and in one two-row series loop for the
+    # hyp chain
     calls = []
-    for name in ("_sextic_pair", "_gauss_series"):
+    for name in ("_sextic_pairs", "_gauss_series"):
         monkeypatch.setattr(pfaffian_module, name, counted(
             calls, name, getattr(pfaffian_module, name)))
-    for chain, series in ((build_ratio_chain(), ["_sextic_pair"] * 2),
+    for chain, series in ((build_ratio_chain(), ["_sextic_pairs"]),
                           (build_hypergeometric_chain(0.3, 1.2, 0.8),
                            ["_gauss_series"])):
         calls.clear()
@@ -177,14 +178,15 @@ def test_chain_suite_evaluates_the_hyp_members_once(monkeypatch):
     build = verify.build_hypergeometric_chain
     monkeypatch.setattr(verify, "build_hypergeometric_chain",
                         lambda *args: counted_chain(build(*args), passes))
-    # pfaffian's own sextic sums: two in the ratio residual, two in the
-    # one ratio evaluation over three points (j_inverse sums its own)
-    monkeypatch.setattr(pfaffian_module, "_sextic_pair", counted(
-        sextic, "sextic", pfaffian_module._sextic_pair))
+    # pfaffian's own sextic sums, c = 1 and 2 in one call: one in the
+    # ratio residual, one in the one ratio evaluation over three points
+    # (j_inverse sums its own)
+    monkeypatch.setattr(pfaffian_module, "_sextic_pairs", counted(
+        sextic, "sextic", pfaffian_module._sextic_pairs))
     rep = verify.chain_suite()
     assert rep["pass"]
     assert passes == ["pass"]
-    assert len(sextic) == 4
+    assert len(sextic) == 2
     hyp = build(0.3, 1.2, 0.8)
     assert rep["hyp_residual"] == repr(chain_residual(hyp, 200))
     assert rep["corrupted_residual"] == repr(
@@ -228,7 +230,8 @@ def test_a_failing_member_pass_names_the_chain():
 
 
 def test_members_equal_their_closed_forms():
-    # each member, bit for bit, from its own hyp2f1 or _sextic_pair call
+    # each member, bit for bit, from its own hyp2f1 or one-c _sextic_pairs
+    # call
     # on the points alone: one pass changes no value
     x = np.linspace(0.05, 0.95, 41)
     a, b, c = 0.3, 1.2, 0.8
@@ -240,8 +243,8 @@ def test_members_equal_their_closed_forms():
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     y = np.linspace(0.02, 0.98, 41)
     wm = (1.0 - y) / 2.0
-    Fwm, Fwp = _sextic_pair(1.0, wm)[:2]
-    Cwm, Cwp = _sextic_pair(2.0, wm)[:2]
+    Fwm, Fwp = _sextic_pairs((1.0,), wm)[0][:2]
+    Cwm, Cwp = _sextic_pairs((2.0,), wm)[0][:2]
     yc = y.astype(complex)
     want = [1.0 / (1.0 - yc), 1.0 / (1.0 + yc), Cwp / ((1.0 - y) * Fwp),
             Fwp, Cwm / ((1.0 + y) * Fwm), Fwm, Cwp, Cwm, Fwp / Fwm]

@@ -433,11 +433,11 @@ def test_sextic_pair_matches_mpmath(c):
     mpmath = pytest.importorskip("mpmath")
     u = 2.0**-53
     a, b = mpmath.mpf(1) / 6, mpmath.mpf(5) / 6
-    near_batch, far_batch, batch_bound = special_module._sextic_pair(
-        c, np.array(_SEXTIC_SS))
+    [(near_batch, far_batch, batch_bound)] = special_module._sextic_pairs(
+        (c,), np.array(_SEXTIC_SS))
     with mpmath.workdps(40):
         for i, s in enumerate(_SEXTIC_SS):
-            near, far, bound = special_module._sextic_pair(c, s)
+            [(near, far, bound)] = special_module._sextic_pairs((c,), s)
             assert isinstance(near, float) and isinstance(far, float)
             for v, batch, w in ((near, near_batch[i], mpmath.mpf(s)),
                                 (far, far_batch[i], 1 - mpmath.mpf(s))):
@@ -446,9 +446,9 @@ def test_sextic_pair_matches_mpmath(c):
                 assert abs(batch - want) <= batch_bound + 16 * u * abs(want)
     for s in (0.0, 0.6, math.nan):
         with pytest.raises(DomainError):
-            special_module._sextic_pair(c, s)
+            special_module._sextic_pairs((c,), s)
         with pytest.raises(DomainError):
-            special_module._sextic_pair(c, np.array([0.3, s]))
+            special_module._sextic_pairs((c,), np.array([0.3, s]))
 
 
 def test_sextic_values_above_one_half_skip_the_gauss_series(monkeypatch):
