@@ -12,16 +12,16 @@ is the plain rectangle, and the wp count winds F(z) P(z, wp(z)), whose
 factor F = prod_k (z - omega_k)^e_k cancels the poles at the lattice
 points next to the rectangle (_lattice_factor, _pole_order).
 
-Every attempt first winds the unperturbed composite G = P(z, f(z)), or
-F P(z, wp(z)) for wp, over the contour (_unperturbed_winding).  _attempt
-then offsets G by eps e^{i theta}, with eps half the minimum |G| over
-that pass's adaptive samples, localizes the zeros of the offset G and
-checks that their multiplicities sum to the unperturbed winding, so a
-zero the offset would push across the contour is caught.  The samples
-keep |G + eps e^{i theta}| >= eps, and by Rouche the offset changes no
-count while |G| > eps on the contour; the pass's step rule refines
-wherever a zero hugs the contour, so |G| between its samples stays
-above eps.
+Both counts run one loop (_count).  Every attempt first winds the
+unperturbed composite G = P(z, f(z)), or F P(z, wp(z)) for wp, over the
+contour (_unperturbed_winding), then offsets G by eps e^{i theta}, with
+eps half the minimum |G| over that pass's adaptive samples, localizes
+the zeros of the offset G and checks that their multiplicities sum to
+the unperturbed winding, so a zero the offset would push across the
+contour is caught.  The samples keep |G + eps e^{i theta}| >= eps, and
+by Rouche the offset changes no count while |G| > eps on the contour;
+the pass's step rule refines wherever a zero hugs the contour, so |G|
+between its samples stays above eps.
 
 One rule says when a sample is numerically zero (_zero_floor): |P(z, w)|
 is at most a bound on its own error, the Horner running error
@@ -30,8 +30,9 @@ Numerical Algorithms, 2nd ed., 5.1) plus |P_Y(z, w)| times a bound on
 the error of w = f(z) (special.klein_j_error_bound,
 elliptic.wp_error_bound).  F vanishes nowhere on the wp contour, so G
 is numerically zero exactly where P is.  The unperturbed winding raises
-ZeroOnContourError at the first such sample, and both counts then take a
-larger eta; the domain stays as it is.
+ZeroOnContourError at the first such sample.  Any failed attempt takes
+the next, larger eta, the one retry move of both counts; the domain
+stays as it is.
 
 Counts on one domain repeat two phase passes: the unperturbed winding
 over the contour and the localization's top boxes (for wp the same
@@ -54,8 +55,8 @@ from functools import lru_cache, partial
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .contour import (ArcSegment, Contour, LineSegment, WindingResult,
-                      localize_zeros, rectangle_contour, winding_number)
+from .contour import (ArcSegment, Contour, LineSegment, localize_zeros,
+                      rectangle_contour, winding_number)
 from .elliptic import lattice, wp_analytic, wp_error_bound, wp_on_line
 from .errors import (AmbiguityError, CannotPerturbError, DominanceError,
                      InvalidSpecError, NonconvergenceError,
@@ -407,7 +408,7 @@ def _first_from_memo(pair):
 
 def _unperturbed_winding(P: BivariatePolynomial, pair, w_error,
                          contour: Contour, factor=None):
-    """(vals, w) for _attempt from one winding pass of the unperturbed
+    """(vals, w) for _count from one winding pass of the unperturbed
     G(z) = F(z) P(z, f(z)) over the contour, for the pair callable pair
     of f, the bound w_error(z, w, dw) on the error of its values and the
     pair callable factor of F (None for F = 1): G's values at the pass's
@@ -486,47 +487,63 @@ def _off_contour(f, zeros, contour: Contour, atol: float) -> list:
     return out
 
 
-def _attempt(P: BivariatePolynomial, pair, vals: np.ndarray,
-             w: WindingResult, boxes, target_radius: float, region=None,
-             factor=None):
-    """One count attempt of either pipeline: offset F(z) P(z, f(z)) with
-    eps sized from vals and localize its zeros in the boxes (zero_atol
-    0.1 eps), for the pair callable pair of f and factor of F, as in
-    _unperturbed_winding; the localization's first call, its top batch,
-    takes f from _first_round.  The j count passes region = (contour,
-    keep): its box reports are first moved off the
-    contour (_off_contour), and only the zeros whose centers pass keep
-    are kept.  Returns (offset composite, kept zeros); raises
-    NonconvergenceError unless their multiplicities sum to w, the
-    winding of the unperturbed G over the contour."""
-    pert = perturb_from_values(P, _first_from_memo(pair), vals, factor)
-    atol = 0.1 * pert.epsilon
-    zeros = localize_zeros(pert.pair, *boxes, target_radius=target_radius,
-                           zero_atol=atol)
-    if region is not None:
-        contour, keep = region
-        zeros = [z for z in _off_contour(pert.pair, zeros, contour, atol)
-                 if keep(z.center)]
-    count = sum(z.multiplicity for z in zeros)
-    if count != w.winding:
-        raise NonconvergenceError(
-            f"{count} localized zeros against winding {w.winding}")
-    return pert, zeros
+def _count(kind: str, P: BivariatePolynomial, pair, w_error, etas,
+           geometry, target_radius: float, bound_fn,
+           domain: dict) -> ZeroCountReport:
+    """The count of either pipeline, for the pair callable pair of f and
+    the bound w_error on its error, as in _unperturbed_winding.
 
+    Each attempt takes the next eta of etas and geometry(eta) = (contour,
+    box, factor, keep): the contour to wind, the one top box of the
+    localization, the pair callable of F (None for F = 1) and the
+    predicate a zero's center must pass to count (None: every zero in the
+    box counts).  It winds the unperturbed G = F P(z, f(z)) over the
+    contour, offsets G by eps e^{i theta} sized from that pass's samples
+    and localizes the offset G's zeros in the box (zero_atol 0.1 eps); the
+    localization's first call, its top batch, takes f from _first_round.
+    With keep, the box reports are first moved off the contour
+    (_off_contour), and only the zeros whose centers pass keep are kept.
+    Their multiplicities must sum to the winding.
 
-def _report(kind, P, bound_fn, pert, w, zeros, domain, contour,
-            retries) -> ZeroCountReport:
-    d = max(1, P.degree)
-    bound = bound_fn(d)
-    count = sum(z.multiplicity for z in zeros)
-    return ZeroCountReport(
-        kind=kind, count=count, winding=w.winding,
-        zeros=tuple(sorted(zeros, key=lambda z: (z.center.real,
-                                                 z.center.imag))),
-        epsilon=pert.epsilon, theta=pert.theta, domain=domain, degree=d,
-        bound=bound, bound_holds=count <= bound, min_modulus=w.min_modulus,
-        total_variation=w.total_variation, contour_length=contour.length,
-        retries=retries)
+    One retry move, which changes no count: any failed attempt, as at a
+    multiple zero on the classical boundary eta away, takes the next eta;
+    after the last, its error is raised.  The report's domain holds the
+    fields of domain and eta, and its retries is the number of failed
+    attempts, so its eta is etas[retries].
+    """
+    for retries, eta in enumerate(etas):
+        contour, box, factor, keep = geometry(eta)
+        try:
+            vals, w = _unperturbed_winding(P, pair, w_error, contour, factor)
+            pert = perturb_from_values(P, _first_from_memo(pair), vals,
+                                       factor)
+            atol = 0.1 * pert.epsilon
+            zeros = localize_zeros(pert.pair, box,
+                                   target_radius=target_radius,
+                                   zero_atol=atol)
+            if keep is not None:
+                zeros = [z for z in _off_contour(pert.pair, zeros, contour,
+                                                 atol) if keep(z.center)]
+            count = sum(z.multiplicity for z in zeros)
+            if count != w.winding:
+                raise NonconvergenceError(
+                    f"{count} localized zeros against winding {w.winding}")
+        except (ZeroOnContourError, CannotPerturbError, NonconvergenceError,
+                PrecisionLossError):
+            if retries + 1 == len(etas):
+                raise
+            continue
+        d = max(1, P.degree)
+        bound = bound_fn(d)
+        return ZeroCountReport(
+            kind=kind, count=count, winding=w.winding,
+            zeros=tuple(sorted(zeros, key=lambda z: (z.center.real,
+                                                     z.center.imag))),
+            epsilon=pert.epsilon, theta=pert.theta,
+            domain={**domain, "eta": eta}, degree=d, bound=bound,
+            bound_holds=count <= bound, min_modulus=w.min_modulus,
+            total_variation=w.total_variation, contour_length=contour.length,
+            retries=retries)
 
 
 # ------------------------------------------------------------- j pipeline
@@ -600,6 +617,15 @@ def _in_j_region(z: complex, Y: float, eta: float) -> bool:
             and (abs(z) >= bottom or abs(z - 1j) <= _dip_radius(eta)))
 
 
+def _j_geometry(Y: float, eta: float) -> tuple:
+    """(contour, box, factor, keep) of a j count for _count: the contour
+    of build_j_contour, the box from its left corner, its lowest point,
+    to the top line, no factor, and _in_j_region for Y and eta."""
+    contour = build_j_contour(JDomainSpec(Y), eta)
+    box = (-0.5 - eta, 0.5 - eta, contour.segments[0].start.imag, Y)
+    return contour, box, None, partial(_in_j_region, Y=Y, eta=eta)
+
+
 def count_zeros_j(P: BivariatePolynomial,
                   spec: JDomainSpec | None = None) -> ZeroCountReport:
     """Count zeros of P(z, j(z)), each with its multiplicity, in the
@@ -608,13 +634,11 @@ def count_zeros_j(P: BivariatePolynomial,
 
     The zeros are localized in one box around build_j_contour's contour
     and kept by _in_j_region, once no box report meets the contour
-    (_off_contour refines those).  Neither retry move changes which zeros
-    count: a failed unperturbed winding, as at a multiple zero on the
-    classical boundary eta away, takes the next eta of _J_ETAS (after
-    the last, its error is raised), and any other failure lowers the
-    box's bottom edge, below the domain, by 1e-3, and keeps the winding,
-    whose contour has not moved.  The report's retries is the number of
-    failed attempts.
+    (_off_contour refines those).  A failed attempt, as at a multiple
+    zero on the classical boundary eta away, takes the next eta of
+    _J_ETAS, which changes no count (_count); after the last, its error
+    is raised.  The report's domain holds Y and eta, and its retries is
+    the number of failed attempts.
     """
     spec = JDomainSpec() if spec is None else spec
     if P.is_zero():
@@ -626,43 +650,23 @@ def count_zeros_j(P: BivariatePolynomial,
         if Y > spec.Y + 8.0:
             raise DominanceError("leading term never dominated the top line",
                                  complex(0.0, Y), math.nan)
-    k, drop = 0, 0.0
-    last_error: Exception | None = None
-
-    pair, w_error = klein_j_pair, lambda z, w, dw: klein_j_error_bound(z, w)
-
-    # eta only moves on a failed winding, so a winding that succeeded
-    # holds for every later retry, which moves only the box's bottom edge
-    wound = None
-    for retries in range(8):
-        eta = _J_ETAS[k]
-        contour = build_j_contour(JDomainSpec(Y), eta)
-        if wound is None:
-            try:
-                wound = _unperturbed_winding(P, pair, w_error, contour)
-            except (ZeroOnContourError, NonconvergenceError) as exc:
-                if k + 1 == len(_J_ETAS):
-                    raise
-                last_error, k = exc, k + 1
-                continue
-        vals, w = wound
-        # the box's bottom edge starts at the contour's left corner, its
-        # lowest point
-        y0 = contour.segments[0].start.imag - drop
-        box = (-0.5 - eta, 0.5 - eta, y0, Y)
-        try:
-            pert, zeros = _attempt(
-                P, pair, vals, w, [box], _J_TARGET_RADIUS,
-                (contour, lambda c: _in_j_region(c, Y, eta)))
-        except (ZeroOnContourError, NonconvergenceError) as exc:
-            last_error, drop = exc, drop + 1e-3
-            continue
-        return _report("j", P, theorem1_bound, pert, w, zeros,
-                       {"Y": Y, "eta": eta}, contour, retries)
-    raise last_error
+    return _count("j", P, klein_j_pair,
+                  lambda z, w, dw: klein_j_error_bound(z, w), _J_ETAS,
+                  partial(_j_geometry, Y), _J_TARGET_RADIUS, theorem1_bound,
+                  {"Y": Y})
 
 
 # ------------------------------------------------------------ wp pipeline
+
+def _wp_geometry(P: BivariatePolynomial, spec: WpDomainSpec,
+                 eta: float) -> tuple:
+    """(contour, box, factor, keep) of a wp count for _count: the
+    rectangle of build_wp_contour, which is also the box, the factor of
+    _lattice_factor, and no keep."""
+    box = _wp_box(spec, eta)
+    return (build_wp_contour(spec, eta), box, _lattice_factor(P, spec, box),
+            None)
+
 
 def count_zeros_wp(P: BivariatePolynomial,
                    spec: WpDomainSpec) -> ZeroCountReport:
@@ -678,37 +682,21 @@ def count_zeros_wp(P: BivariatePolynomial,
     in the rectangle, the one top box of the localize_zeros quadtree,
     must sum to its winding.
 
-    One retry move, which changes no count: a failed attempt, as at a
-    multiple zero on the classical boundary eta away, takes the next eta
-    of _WP_ETAS; after the last, its error is raised.  An attempt fails
-    too where P overflows (PrecisionLossError): |wp| is about
-    1/(2 eta^2) at the corners next to the lattice points, so at
-    eta = 1e-6 a P of deg_y 26 or more overflows there, and each step of
-    eta divides |wp| there by 100.  The report's domain holds the spec's
-    fields and eta, and its retries is the number of failed attempts.
+    A failed attempt takes the next eta of _WP_ETAS (_count); after the
+    last, its error is raised.  An attempt fails too where P overflows
+    (PrecisionLossError): |wp| is about 1/(2 eta^2) at the corners next
+    to the lattice points, so at eta = 1e-6 a P of deg_y 26 or more
+    overflows there, and each step of eta divides |wp| there by 100.  The
+    report's domain holds the spec's fields and eta, and its retries is
+    the number of failed attempts.
     """
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
     L = lattice(spec.tau)
-    pair, w_error = wp_analytic(L), partial(wp_error_bound, L=L)
-    last_error: Exception | None = None
-    for retries, eta in enumerate(_WP_ETAS):
-        box = _wp_box(spec, eta)
-        contour = rectangle_contour(*box)
-        factor = _lattice_factor(P, spec, box)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals, w = _unperturbed_winding(P, pair, w_error, contour,
-                                               factor)
-                pert, zeros = _attempt(P, pair, vals, w, [box],
-                                       _WP_TARGET_RADIUS, factor=factor)
-        except (ZeroOnContourError, CannotPerturbError, NonconvergenceError,
-                PrecisionLossError) as exc:
-            last_error = exc
-            continue
-        return _report("wp", P, theorem2_bound, pert, w, zeros,
-                       {**asdict(spec), "eta": eta}, contour, retries)
-    raise last_error
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _count("wp", P, wp_analytic(L), partial(wp_error_bound, L=L),
+                      _WP_ETAS, partial(_wp_geometry, P, spec),
+                      _WP_TARGET_RADIUS, theorem2_bound, asdict(spec))
 
 
 # ------------------------------------------------------------ line counts

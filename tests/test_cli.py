@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -341,6 +342,19 @@ def test_trace_to_file(wp_poly, tmp_path):
     assert main(["trace", "wp", "--poly", wp_poly,
                  "--per-segment", "4", "--out", str(out)]) == 0
     assert out.read_text().startswith("t,z_re,z_im,f_re,f_im,arg_unwrapped")
+
+
+@pytest.mark.parametrize("beta", ["0", "0.37"])
+@pytest.mark.parametrize("tau", ["0.3", "1", "8"])
+def test_trace_wp_dumps_the_wound_composite(wp_poly, capsys, tau, beta):
+    # the trace is of F P(z, wp(z)), which the count winds: its argument
+    # turns by 2 pi per zero of P(z, wp(z)) in the cell, and the pole the
+    # factor cancels takes nothing away
+    assert main(["trace", "wp", "--poly", wp_poly, "--tau", tau,
+                 f"--beta={beta}"]) == 0
+    arg = [float(ln.split(",")[-1])
+           for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert arg[-1] - arg[0] == pytest.approx(2 * 2 * math.pi, abs=1e-3)
 
 
 def test_trace_wp_has_no_delta_option(wp_poly):

@@ -14,8 +14,8 @@ import mzl.elliptic as elliptic_module
 import oracles
 from mzl.contour import (ArcSegment, Contour, LineSegment, LocalizedZero,
                          winding_number)
-from mzl.domains import (_WP_ETAS, JDomainSpec, WpDomainSpec, _in_j_region,
-                         _top_line_dominates, _zero_floor,
+from mzl.domains import (_J_ETAS, _WP_ETAS, JDomainSpec, WpDomainSpec,
+                         _in_j_region, _top_line_dominates, _zero_floor,
                          bezout_step_bound,
                          build_j_contour, build_wp_contour, count_zeros_j,
                          count_zeros_wp, line_im_zero_count,
@@ -336,31 +336,56 @@ def test_count_zeros_j_level_sets_on_the_boundary(c, count):
     assert rep.domain["eta"] == 1e-6
 
 
-def test_count_zeros_j_box_retry_keeps_the_winding(monkeypatch):
-    # a box-edge retry moves neither eta nor the contour, so the
-    # unperturbed winding runs once and the count is the same
-    windings, attempts = [], []
-    winding, attempt = (domains_module._unperturbed_winding,
-                        domains_module._attempt)
+def test_count_zeros_j_failed_localization_takes_the_next_eta(monkeypatch):
+    # a count's one retry move is the next eta, whatever failed: after a
+    # failed localization the count winds again on the contour of the
+    # next eta, and counts the same
+    windings, localizations = [], []
+    winding, localize = (domains_module._unperturbed_winding,
+                         domains_module.localize_zeros)
 
     def counted_winding(*args):
         windings.append(args)
         return winding(*args)
 
     def failing_once(*args, **kwargs):
-        attempts.append(args[4])
-        if len(attempts) == 1:
-            raise NonconvergenceError("forced box retry")
-        return attempt(*args, **kwargs)
+        localizations.append(args)
+        if len(localizations) == 1:
+            raise NonconvergenceError("forced retry")
+        return localize(*args, **kwargs)
 
     monkeypatch.setattr(domains_module, "_unperturbed_winding",
                         counted_winding)
-    monkeypatch.setattr(domains_module, "_attempt", failing_once)
+    monkeypatch.setattr(domains_module, "localize_zeros", failing_once)
     rep = count_zeros_j(poly_y_minus(1000.0))
-    assert rep.count == rep.winding == 1 and rep.retries == 1
-    assert len(windings) == 1 and len(attempts) == 2
-    # the second attempt's box has its bottom edge 1e-3 lower
-    assert attempts[1][0][2] == pytest.approx(attempts[0][0][2] - 1e-3)
+    assert rep.count == rep.winding == 1
+    assert (rep.retries, rep.domain["eta"]) == (1, 1e-5)
+    assert len(windings) == 2
+
+
+# the coefficients of a j count whose offset composite has zeros within
+# about 1e-4 of the line Im z = Im rho, below the arc: the box's bottom
+# edge meets them at eta = 1e-6 and 1e-5, and the count takes eta = 1e-4
+_J_BOX_EDGE_COEFFS = np.array([
+    [-0.0695940279619468 - 0.5200586652550714j,
+     -0.23866056477176292 + 1.4903082290762408j,
+     0.5323742791050526 - 1.9518603992765322j,
+     0.708121821703462 - 0.6701416954837595j],
+    [-1.1137688591720734 - 0.5291569660279176j,
+     -0.20715878280324507 + 0.66353962317159j,
+     0.9182758409347652 + 0.606275476109527j,
+     0.26983762907210557 + 1.3951942602387315j],
+    [0.12195404350177193 - 1.5740328423373253j,
+     1.5540176686087332 + 0.7504750090304797j,
+     -0.6777727596396438 - 0.29327986428830616j,
+     0.08274589510763317 - 0.6656252372581756j]])
+
+
+def test_count_zeros_j_box_edge_zeros_take_the_next_eta():
+    rep = count_zeros_j(BivariatePolynomial(_J_BOX_EDGE_COEFFS))
+    assert rep.count == rep.winding == 2
+    assert rep.retries > 0
+    assert rep.domain["eta"] == _J_ETAS[rep.retries]
 
 
 @pytest.mark.parametrize("c, count", [
@@ -696,8 +721,7 @@ def _inside(contour: Contour, c: complex) -> bool:
 def _wound(P: BivariatePolynomial, spec: WpDomainSpec, eta: float):
     """The pair callable of G = F P(z, wp(z)) that count_zeros_wp winds
     over build_wp_contour(spec, eta)."""
-    factor = domains_module._lattice_factor(
-        P, spec, domains_module._wp_box(spec, eta))
+    _, _, factor, _ = domains_module._wp_geometry(P, spec, eta)
     return PerturbedComposite(P, wp_analytic(lattice(spec.tau)), 0.0, 0.0,
                               factor).pair
 
@@ -921,6 +945,7 @@ def test_count_zeros_wp_overflow_takes_the_next_eta():
     rep = count_zeros_wp(P, WpDomainSpec(1.0))
     assert rep.count == rep.winding == 56
     assert (rep.retries, rep.domain["eta"]) == (1, 1e-5)
+    assert rep.domain["eta"] == _WP_ETAS[rep.retries]
 
 
 @pytest.mark.parametrize("beta", [0.02, 0.999])
@@ -1279,10 +1304,9 @@ def test_a_count_adds_at_most_two_first_rounds_per_attempt(monkeypatch):
 
 
 def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
-    # every attempt fails in the localization: the j count lowers the
-    # bottom edge of its box by 1e-3 seven times, on the same contour,
-    # and the wp count takes each eta of _WP_ETAS in turn, and each
-    # raises the error of its last attempt
+    # every attempt fails in the localization: both counts make one
+    # attempt per eta, each with the box of its eta, and raise the error
+    # of the last attempt
     boxes = []
 
     def failing_localize(f, *top, **kwargs):
@@ -1290,13 +1314,13 @@ def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
         raise NonconvergenceError(f"attempt {len(boxes)}")
 
     monkeypatch.setattr(domains_module, "localize_zeros", failing_localize)
-    with pytest.raises(NonconvergenceError, match="^attempt 8$"):
+    with pytest.raises(NonconvergenceError, match="^attempt 4$"):
         count_zeros_j(poly_y_minus(2000j))
-    corner = build_j_contour(JDomainSpec()).segments[0].start.imag
-    bottoms = [top[0][2] for top in boxes]
-    assert bottoms == pytest.approx([corner - 1e-3 * k for k in range(8)],
-                                    abs=1e-12)
-    assert {top[0][:2] for top in boxes} == {(-0.5 - 1e-6, 0.5 - 1e-6)}
+    # the j box runs from the contour's left corner, its lowest point, to
+    # the top line
+    assert boxes == [((-0.5 - eta, 0.5 - eta, build_j_contour(
+        JDomainSpec(), eta).segments[0].start.imag, 2.5),)
+        for eta in _J_ETAS]
 
     boxes.clear()
     with pytest.raises(NonconvergenceError, match="^attempt 5$"):
