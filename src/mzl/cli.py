@@ -13,17 +13,17 @@ import sys
 
 from .config import RunConfig, load_config
 from .contour import trace_table
-from .domains import (_J_ETAS, _WP_ETAS, JDomainSpec, WpDomainSpec,
-                      _j_geometry, _wp_geometry, bezout_step_bound,
-                      count_zeros_j, count_zeros_wp, proposition_bound,
-                      theorem1_bound, theorem2_bound, theorem2_proof_bound)
-from .elliptic import lattice, wp_analytic, wp_error_bound, wp_pair
+from .domains import (JDomainSpec, WpDomainSpec, bezout_step_bound,
+                      count_zeros_j, count_zeros_wp, first_attempt,
+                      proposition_bound, theorem1_bound, theorem2_bound,
+                      theorem2_proof_bound)
+from .elliptic import lattice, wp_error_bound, wp_pair
 from .errors import MzlError
 from .pfaffian import (build_hypergeometric_chain, build_ratio_chain,
                        chain_residual, khovanskii_zero_bound)
 from .poly import PerturbedComposite, polynomial_from_json
 from .special import (SEXTIC_A, SEXTIC_B, hyp2f1_with_bound, j_inverse,
-                      klein_j_pair, klein_j_with_bound)
+                      klein_j_with_bound)
 from .verify import SCHEMA, run_selftest, run_suites, _SUITES
 
 _RESIDUAL_PASS = 1e-7
@@ -196,14 +196,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 
 def _cmd_trace(args, cfg: RunConfig) -> int:
     P = _load_poly(args.poly)
-    spec = _domain_spec(args, cfg)
-    # the contour and factor of a count's first attempt
-    if args.domain == "j":
-        contour, _, factor, _ = _j_geometry(spec.Y, _J_ETAS[0])
-        inner = klein_j_pair
-    else:
-        contour, _, factor, _ = _wp_geometry(P, spec, _WP_ETAS[0])
-        inner = wp_analytic(lattice(spec.tau))
+    contour, factor, inner = first_attempt(P, _domain_spec(args, cfg))
     pert = PerturbedComposite(P, inner, 0.0, 0.0, factor)
     t, z, v, arg = trace_table(pert.pair, contour, args.per_segment)
     out = sys.stdout if args.out is None else open(args.out, "w",

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 from .errors import InvalidSpecError
 
+# the least value of each integer key; numpy takes no negative seed
+_LEAST = {"trials": 1, "seed": 0}
+
 
 @dataclass
 class RunConfig:
@@ -54,8 +57,9 @@ class RunConfig:
             except ValueError as exc:
                 raise InvalidSpecError(
                     f"{source}: bad value for {key}: {val!r}") from exc
-            if key == "trials" and coerced < 1:
-                raise InvalidSpecError(f"{source}: {key} must be at least 1")
+            if key in _LEAST and coerced < _LEAST[key]:
+                raise InvalidSpecError(
+                    f"{source}: {key} must be at least {_LEAST[key]}")
             setattr(out, key, coerced)
         return out
 

@@ -31,8 +31,10 @@ the error of w = f(z) (special.klein_j_error_bound,
 elliptic.wp_error_bound).  F vanishes nowhere on the wp contour, so G
 is numerically zero exactly where P is.  The unperturbed winding raises
 ZeroOnContourError at the first such sample.  Any failed attempt takes
-the next, larger eta, the one retry move of both counts; the domain
-stays as it is.
+the next, larger eta, the one retry move of both counts.  The domain
+stays as it is, but the counted region is the one of the report's own
+eta, so a zero less than that eta from the classical boundary can be
+counted on the wrong side of it (ROADMAP item 21).
 
 Counts on one domain repeat two phase passes: the unperturbed winding
 over the contour and the localization's top boxes (for wp the same
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -487,15 +490,29 @@ def _off_contour(f, zeros, contour: Contour, atol: float) -> list:
     return out
 
 
-def _count(kind: str, P: BivariatePolynomial, pair, w_error, etas,
-           geometry, target_radius: float, bound_fn,
-           domain: dict) -> ZeroCountReport:
-    """The count of either pipeline, for the pair callable pair of f and
-    the bound w_error on its error, as in _unperturbed_winding.
+@dataclass(frozen=True)
+class _Plan:
+    """What a domain gives _count: the report's kind, the pair callable
+    of f and the bound w_error on its error, as in _unperturbed_winding,
+    the eta ladder, geometry(eta) = (contour, box, factor, keep), the
+    localization's target radius, the bound function of the degree and
+    the report's domain fields."""
+    kind: str
+    pair: Callable
+    w_error: Callable
+    etas: tuple
+    geometry: Callable
+    target_radius: float
+    bound_fn: Callable
+    domain: dict
 
-    Each attempt takes the next eta of etas and geometry(eta) = (contour,
-    box, factor, keep): the contour to wind, the one top box of the
-    localization, the pair callable of F (None for F = 1) and the
+
+def _count(P: BivariatePolynomial, plan: _Plan) -> ZeroCountReport:
+    """The count of either pipeline, for P and its domain's plan.
+
+    Each attempt takes the next eta of plan.etas and geometry(eta) =
+    (contour, box, factor, keep): the contour to wind, the one top box of
+    the localization, the pair callable of F (None for F = 1) and the
     predicate a zero's center must pass to count (None: every zero in the
     box counts).  It winds the unperturbed G = F P(z, f(z)) over the
     contour, offsets G by eps e^{i theta} sized from that pass's samples
@@ -505,21 +522,25 @@ def _count(kind: str, P: BivariatePolynomial, pair, w_error, etas,
     (_off_contour), and only the zeros whose centers pass keep are kept.
     Their multiplicities must sum to the winding.
 
-    One retry move, which changes no count: any failed attempt, as at a
-    multiple zero on the classical boundary eta away, takes the next eta;
-    after the last, its error is raised.  The report's domain holds the
-    fields of domain and eta, and its retries is the number of failed
-    attempts, so its eta is etas[retries].
+    One retry move: any failed attempt, as at a multiple zero on the
+    classical boundary eta away, takes the next eta; after the last, its
+    error is raised.  The move can change the count: a report counts the
+    region of its own eta, and a zero less than that eta from the
+    classical boundary can lie on the wrong side of its contour (ROADMAP
+    item 21).  The report's domain holds the plan's fields and eta, and
+    its retries is the number of failed attempts, so its eta is
+    plan.etas[retries].
     """
-    for retries, eta in enumerate(etas):
-        contour, box, factor, keep = geometry(eta)
+    for retries, eta in enumerate(plan.etas):
+        contour, box, factor, keep = plan.geometry(eta)
         try:
-            vals, w = _unperturbed_winding(P, pair, w_error, contour, factor)
-            pert = perturb_from_values(P, _first_from_memo(pair), vals,
+            vals, w = _unperturbed_winding(P, plan.pair, plan.w_error,
+                                           contour, factor)
+            pert = perturb_from_values(P, _first_from_memo(plan.pair), vals,
                                        factor)
             atol = 0.1 * pert.epsilon
             zeros = localize_zeros(pert.pair, box,
-                                   target_radius=target_radius,
+                                   target_radius=plan.target_radius,
                                    zero_atol=atol)
             if keep is not None:
                 zeros = [z for z in _off_contour(pert.pair, zeros, contour,
@@ -530,17 +551,17 @@ def _count(kind: str, P: BivariatePolynomial, pair, w_error, etas,
                     f"{count} localized zeros against winding {w.winding}")
         except (ZeroOnContourError, CannotPerturbError, NonconvergenceError,
                 PrecisionLossError):
-            if retries + 1 == len(etas):
+            if retries + 1 == len(plan.etas):
                 raise
             continue
         d = max(1, P.degree)
-        bound = bound_fn(d)
+        bound = plan.bound_fn(d)
         return ZeroCountReport(
-            kind=kind, count=count, winding=w.winding,
+            kind=plan.kind, count=count, winding=w.winding,
             zeros=tuple(sorted(zeros, key=lambda z: (z.center.real,
                                                      z.center.imag))),
             epsilon=pert.epsilon, theta=pert.theta,
-            domain={**domain, "eta": eta}, degree=d, bound=bound,
+            domain={**plan.domain, "eta": eta}, degree=d, bound=bound,
             bound_holds=count <= bound, min_modulus=w.min_modulus,
             total_variation=w.total_variation, contour_length=contour.length,
             retries=retries)
@@ -626,21 +647,9 @@ def _j_geometry(Y: float, eta: float) -> tuple:
     return contour, box, None, partial(_in_j_region, Y=Y, eta=eta)
 
 
-def count_zeros_j(P: BivariatePolynomial,
-                  spec: JDomainSpec | None = None) -> ZeroCountReport:
-    """Count zeros of P(z, j(z)), each with its multiplicity, in the
-    half-open domain of JDomainSpec, with Y first raised until no zero
-    can lie above it (_min_y_for_polynomial_roots, _top_line_dominates).
-
-    The zeros are localized in one box around build_j_contour's contour
-    and kept by _in_j_region, once no box report meets the contour
-    (_off_contour refines those).  A failed attempt, as at a multiple
-    zero on the classical boundary eta away, takes the next eta of
-    _J_ETAS, which changes no count (_count); after the last, its error
-    is raised.  The report's domain holds Y and eta, and its retries is
-    the number of failed attempts.
-    """
-    spec = JDomainSpec() if spec is None else spec
+def _j_plan(P: BivariatePolynomial, spec: JDomainSpec) -> _Plan:
+    """The plan of count_zeros_j, with Y first raised until no zero can
+    lie above it (_min_y_for_polynomial_roots, _top_line_dominates)."""
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
     roots = np.roots(P.leading_y_term()[1][::-1])
@@ -650,10 +659,27 @@ def count_zeros_j(P: BivariatePolynomial,
         if Y > spec.Y + 8.0:
             raise DominanceError("leading term never dominated the top line",
                                  complex(0.0, Y), math.nan)
-    return _count("j", P, klein_j_pair,
-                  lambda z, w, dw: klein_j_error_bound(z, w), _J_ETAS,
-                  partial(_j_geometry, Y), _J_TARGET_RADIUS, theorem1_bound,
-                  {"Y": Y})
+    return _Plan("j", klein_j_pair,
+                 lambda z, w, dw: klein_j_error_bound(z, w), _J_ETAS,
+                 partial(_j_geometry, Y), _J_TARGET_RADIUS, theorem1_bound,
+                 {"Y": Y})
+
+
+def count_zeros_j(P: BivariatePolynomial,
+                  spec: JDomainSpec | None = None) -> ZeroCountReport:
+    """Count zeros of P(z, j(z)), each with its multiplicity, in the
+    half-open domain of JDomainSpec, with Y first raised until no zero
+    can lie above it (_j_plan).
+
+    The zeros are localized in one box around build_j_contour's contour
+    and kept by _in_j_region, once no box report meets the contour
+    (_off_contour refines those).  A failed attempt, as at a multiple
+    zero on the classical boundary eta away, takes the next eta of
+    _J_ETAS (_count); after the last, its error is raised.  The report's
+    domain holds Y and eta, and its retries is the number of failed
+    attempts.
+    """
+    return _count(P, _j_plan(P, JDomainSpec() if spec is None else spec))
 
 
 # ------------------------------------------------------------ wp pipeline
@@ -666,6 +692,16 @@ def _wp_geometry(P: BivariatePolynomial, spec: WpDomainSpec,
     box = _wp_box(spec, eta)
     return (build_wp_contour(spec, eta), box, _lattice_factor(P, spec, box),
             None)
+
+
+def _wp_plan(P: BivariatePolynomial, spec: WpDomainSpec) -> _Plan:
+    """The plan of count_zeros_wp."""
+    if P.is_zero():
+        raise InvalidSpecError("zero polynomial")
+    L = lattice(spec.tau)
+    return _Plan("wp", wp_analytic(L), partial(wp_error_bound, L=L),
+                 _WP_ETAS, partial(_wp_geometry, P, spec), _WP_TARGET_RADIUS,
+                 theorem2_bound, asdict(spec))
 
 
 def count_zeros_wp(P: BivariatePolynomial,
@@ -690,13 +726,20 @@ def count_zeros_wp(P: BivariatePolynomial,
     report's domain holds the spec's fields and eta, and its retries is
     the number of failed attempts.
     """
-    if P.is_zero():
-        raise InvalidSpecError("zero polynomial")
-    L = lattice(spec.tau)
+    plan = _wp_plan(P, spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _count("wp", P, wp_analytic(L), partial(wp_error_bound, L=L),
-                      _WP_ETAS, partial(_wp_geometry, P, spec),
-                      _WP_TARGET_RADIUS, theorem2_bound, asdict(spec))
+        return _count(P, plan)
+
+
+def first_attempt(P: BivariatePolynomial, spec) -> tuple:
+    """(contour, factor, pair) of the first attempt of P's count on spec,
+    a JDomainSpec or WpDomainSpec: the contour count_zeros_j or
+    count_zeros_wp winds at its first eta, with the j count's lifted Y,
+    the pair callable of F (None for F = 1) and that of f."""
+    plan = (_j_plan(P, spec) if isinstance(spec, JDomainSpec)
+            else _wp_plan(P, spec))
+    contour, _, factor, _ = plan.geometry(plan.etas[0])
+    return contour, factor, plan.pair
 
 
 # ------------------------------------------------------------ line counts

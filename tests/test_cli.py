@@ -357,6 +357,22 @@ def test_trace_wp_dumps_the_wound_composite(wp_poly, capsys, tau, beta):
     assert arg[-1] - arg[0] == pytest.approx(2 * 2 * math.pi, abs=1e-3)
 
 
+def test_trace_j_dumps_the_counted_contour(tmp_path, capsys):
+    # (X - 3i) Y + 5 vanishes next to 3i, above the default top line 2.5:
+    # the count lifts Y to 4, and the trace runs along the same top line,
+    # with the argument turning by 2 pi per counted zero
+    path = write_poly(tmp_path / "p.json",
+                      BivariatePolynomial([[5.0, -3j], [0.0, 1.0]]))
+    assert main(["count-zeros", "j", "--poly", path, "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert (rep["count"], rep["domain"]["Y"]) == (2, "4.0")
+    assert main(["trace", "j", "--poly", path]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert max(float(r[2]) for r in rows) == 4.0
+    assert float(rows[-1][5]) == pytest.approx(2 * math.pi * rep["count"],
+                                               abs=1e-3)
+
+
 def test_trace_wp_has_no_delta_option(wp_poly):
     # the wp contour is the plain rectangle: there is no notch radius
     with pytest.raises(SystemExit) as exc:
@@ -450,6 +466,22 @@ def test_config_rejects_counts_below_one(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv("MZL_" + key.upper(), value)
     with pytest.raises(InvalidSpecError, match=key):
         load_config()
+
+
+@pytest.mark.parametrize("source", ["flag", "environment", "file"])
+def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, source):
+    # numpy takes no negative seed: a bad value, not a failed check
+    argv = ["verify", "bounds"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "environment":
+        monkeypatch.setenv("MZL_SEED", "-1")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        argv = ["--config", str(cfg)] + argv
+    assert main(argv) == 2
+    assert "seed must be at least 0" in capsys.readouterr().err
 
 
 def test_trials_flag_below_one_exits_2(capsys):
