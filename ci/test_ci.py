@@ -1,7 +1,8 @@
 """Checks too slow or too wide for Tier-1: the verify suites at seeds and
 sizes that neither Tier-1 nor a bench workload runs, the line-count and
 stacked 2F1 oracles over 40 more seeds, counts from cold and then warm
-memos, and the j corpus ops that retry.
+memos, the j corpus ops that retry, and a scan for public functions
+that nothing in the library or the bench calls.
 
 Tier-1 does not collect this module (pyproject's testpaths holds only
 tests/).  From a checkout, run it with
@@ -13,6 +14,8 @@ every CLI run below passes -W error to its interpreter too.
 """
 from __future__ import annotations
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -136,3 +139,75 @@ def test_j_corpus_op_retries(seed, i, count):
     assert rep["count"] == count
     assert rep["retries"] > 0
     assert float(rep["domain"]["eta"]) == _J_ETAS[rep["retries"]]
+
+
+# Public names that nothing in src/mzl or bench/ refers to, and why each
+# stays
+_UNCALLED = {
+    # candidates for the per-count proof trace (ROADMAP item 12), which
+    # either calls or deletes them
+    "dominant_term_bound", "crossing_bound_check",
+    "PfaffianFunction.zero_bound",
+    # the e_k that wp_inverse will need (ROADMAP item 16)
+    "LatticeParams.half_period_values",
+    # README's writer of the polynomial file format
+    "polynomial_to_json",
+    # uniform probe points on a contour, for its users; the library's
+    # own passes start from contour._start_grid
+    "Contour.sample",
+}
+
+
+def _public_definitions() -> set:
+    """Every public module-level function and class of src/mzl, and
+    every public method of such a class, as name or Class.method."""
+    out = set()
+    for path in glob.glob(os.path.join(_SRC, "mzl", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                out.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    out.update(f"{node.name}.{item.name}"
+                               for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
+    return out
+
+
+def _referenced_names() -> set:
+    """The names of src/mzl outside __init__.py and of bench/*.py: every
+    ast.Name and ast.Attribute, and in bench every string constant too,
+    since the tracer names the functions it wraps by string."""
+    paths = [(p, False) for p in glob.glob(os.path.join(_SRC, "mzl", "*.py"))
+             if os.path.basename(p) != "__init__.py"]
+    paths += [(p, True) for p in glob.glob(os.path.join(_ROOT, "bench",
+                                                        "*.py"))]
+    out = set()
+    for path, strings in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif (strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                out.add(node.value)
+    return out
+
+
+def test_every_public_function_has_a_caller():
+    # an entry point that only tests call is dead API; a method counts
+    # as called when any attribute of that name is read
+    defined, referenced = _public_definitions(), _referenced_names()
+    uncalled = {name for name in defined
+                if name.rsplit(".", 1)[-1] not in referenced}
+    dead = sorted(uncalled - _UNCALLED)
+    assert not dead, f"no caller in src/mzl or bench: {dead}"
+    # an allowed name that is gone, or has gained a caller, leaves the list
+    stale = sorted(_UNCALLED - uncalled)
+    assert not stale, f"allowed but called or gone: {stale}"

@@ -9,8 +9,7 @@ from .errors import (AmbiguityError, CannotPerturbError, DomainError,
 from .poly import (BivariatePolynomial, PerturbedComposite, eval_composed,
                    perturb, polynomial_from_json, polynomial_to_json)
 from .special import (gauss_relation_residuals, hyp2f1, hyp2f1_with_bound,
-                      hyp2f1_prime, j_inverse, klein_j, klein_j_derivative,
-                      klein_j_pair, klein_j_with_bound,
+                      j_inverse, klein_j, klein_j_derivative, klein_j_pair,
                       ramanujan_inversion_residual)
 from .elliptic import (LatticeParams, lattice, wp_analytic, wp_invariants,
                        wp_pair)

@@ -23,7 +23,7 @@ from .pfaffian import (build_hypergeometric_chain, build_ratio_chain,
                        chain_residual, khovanskii_zero_bound)
 from .poly import PerturbedComposite, polynomial_from_json
 from .special import (SEXTIC_A, SEXTIC_B, hyp2f1_with_bound, j_inverse,
-                      klein_j_with_bound)
+                      klein_j_error_bound, klein_j_pair)
 from .verify import SCHEMA, run_selftest, run_suites, _SUITES
 
 _RESIDUAL_PASS = 1e-7
@@ -67,17 +67,18 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def _gather_inputs(args) -> list[str]:
+    """The positional inputs, then the lines of --points, or of stdin
+    when neither is given."""
     items = list(args.inputs)
-    if args.points is not None:
-        fh = sys.stdin if args.points == "-" else open(args.points, "r",
-                                                       encoding="utf-8")
+    points = "-" if args.points is None and not items else args.points
+    if points is not None:
+        fh = sys.stdin if points == "-" else open(points, "r",
+                                                  encoding="utf-8")
         try:
             items += [ln.strip() for ln in fh if ln.strip()]
         finally:
-            if args.points != "-":
+            if points != "-":
                 fh.close()
-    if not items:
-        items = [ln.strip() for ln in sys.stdin if ln.strip()]
     if not items:
         raise MzlError("no input points given")
     return items
@@ -89,13 +90,14 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     if args.function == "j":
         for s in args.inputs:
             z = _parse_complex(s)
-            rows.append((s, *klein_j_with_bound(z)))
+            j = klein_j_pair(z)[0]
+            rows.append((s, j, klein_j_error_bound(z, j)))
     elif args.function == "jinv":
         for s in args.inputs:
             v = complex(j_inverse(_parse_real(s)))
             rows.append((s, v, ""))
     elif args.function in ("wp", "wpprime"):
-        L = lattice(args.tau)
+        L = lattice(args.tau if args.tau is not None else cfg.tau)
         for s in args.inputs:
             z = _parse_complex(s)
             p, dp = wp_pair(z, L)
@@ -234,8 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("inputs", nargs="*")
     pe.add_argument("--points", default=None,
                     help="file of points, one per line (- for stdin); "
-                         "stdin is also read when no points are given")
-    pe.add_argument("--tau", type=float, default=1.0)
+                         "stdin is read when neither points nor --points "
+                         "are given")
+    pe.add_argument("--tau", type=float, default=None)
     pe.add_argument("--a", type=float, default=SEXTIC_A)
     pe.add_argument("--b", type=float, default=SEXTIC_B)
     pe.add_argument("--c", type=float, default=1.0)

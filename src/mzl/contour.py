@@ -29,12 +29,11 @@ alone, and _start_grid memoizes the last _START_GRIDS of those grids
 a pass over a contour met before starts from the same arrays; the grid's
 parameters depend on the segment counts alone and have their own memo.
 
-Zeros are localized by one breadth-first quadtree over any number of
-disjoint top boxes, whose windings are one phase batch; every box first
-tries Newton from its moment seeds (Delves & Lyness, Math. Comp. 21,
-1967), and the boxes of a level share every f call.  Newton stops a root
-once its step is at most 2^-10 of the target radius, well inside the
-disk of that radius that certifies it.
+Zeros are localized by one breadth-first quadtree over one top box;
+every box first tries Newton from its moment seeds (Delves & Lyness,
+Math. Comp. 21, 1967), and the boxes of a level share every f call.
+Newton stops a root once its step is at most 2^-10 of the target
+radius, well inside the disk of that radius that certifies it.
 """
 from __future__ import annotations
 
@@ -556,41 +555,30 @@ def _radius(box) -> float:
     return 0.5 * float(np.hypot(x1 - x0, y1 - y0))
 
 
-def localize_zeros(f, *boxes, target_radius: float = 1e-8,
+def localize_zeros(f, box, target_radius: float = 1e-8,
                    zero_atol: float = 0.0) -> list[LocalizedZero]:
-    """Localization of the zeros of f inside each of the disjoint
-    axis-aligned boxes (x0, x1, y0, y1), by one breadth-first quadtree
-    over all of them.
+    """Localization of the zeros of f inside the axis-aligned box (x0,
+    x1, y0, y1), by one breadth-first quadtree.
 
-    The top windings of all the boxes are one phase batch.  From there
-    every box of winding w, a top box or a quadrant, is done if Newton
+    Every box of winding w, the top box or a quadrant, is done if Newton
     from its w moment seeds gives w roots in it whose disks of radius
     target_radius are disjoint and each wind exactly once; any other box
-    is bisected.  The boxes of a level, whichever top box they came
-    from, share every f call.
+    is bisected.  The boxes of a level share every f call.
 
-    Returns disks whose multiplicities sum to the windings of f over the
-    box boundaries: a Newton root with radius target_radius, or the
-    center and half-diagonal of a box of radius <= target_radius, which
-    carries the box.  Boxes
-    that still hold winding > 1 at depth _MAX_DEPTH come back with
-    resolved=False (cluster reports).  A zero on a box boundary raises
-    ZeroOnContourError; moving the box is the caller's move.  The top
-    windings are checked in box order, so an error there is the first
-    box's that has one.  No boxes give no zeros.
+    Returns disks whose multiplicities sum to the winding of f over the
+    box boundary: a Newton root with radius target_radius, or the center
+    and half-diagonal of a box of radius <= target_radius, which carries
+    the box.  Boxes that still hold winding > 1 at depth _MAX_DEPTH come
+    back with resolved=False (cluster reports).  A zero on a box boundary
+    raises ZeroOnContourError; moving the box is the caller's move.
     """
-    if not boxes:
-        return []
-    live = []
-    for box, top in zip(boxes, _contour_phases(
-            f, [rectangle_contour(*b) for b in boxes], zero_atol)):
-        if isinstance(top, Exception):
-            raise top
-        w = _integer_winding(top[0])
-        if w < 0:
-            raise MzlError("negative winding: a pole lies inside the box")
-        if w:
-            live.append((box, w, 0, top))
+    [top] = _contour_phases(f, [rectangle_contour(*box)], zero_atol)
+    if isinstance(top, Exception):
+        raise top
+    w = _integer_winding(top[0])
+    if w < 0:
+        raise MzlError("negative winding: a pole lies inside the box")
+    live = [(box, w, 0, top)] if w else []
     out: list[LocalizedZero] = []
     while live:
         trying = []

@@ -37,7 +37,7 @@ eta, so a zero less than that eta from the classical boundary can be
 counted on the wrong side of it (ROADMAP item 21).
 
 Counts on one domain repeat two phase passes: the unperturbed winding
-over the contour and the localization's top boxes (for wp the same
+over the contour and the localization's top box (for wp the same
 rectangle, so both start from one memoized first round).  The first
 round of each, w and w' on the pass's starting grid, is memoized
 read-only under
@@ -69,7 +69,8 @@ from .poly import BivariatePolynomial, perturb_from_values
 from .qseries import UNIT_ROUNDOFF, standard_series
 # klein_j is not called here; bench/test_bench.py reads it from this
 # module to check that the tracer restored it
-from .special import klein_j, klein_j_error_bound, klein_j_pair  # noqa: F401
+from .special import (_MAX_IM_TAU, klein_j,  # noqa: F401
+                      klein_j_error_bound, klein_j_pair)
 
 
 # ----------------------------------------------------------------- bounds
@@ -140,13 +141,15 @@ class JDomainSpec:
     """The standard fundamental domain truncated at height Y, half-open
     (Serre, A Course in Arithmetic, VII.1.2): -1/2 <= Re z < 1/2,
     Im z <= Y, |z| >= 1 and |z| > 1 where Re z > 0; so its left edge and
-    arc half are in, i and rho too, and the right ones are out."""
+    arc half are in, i and rho too, and the right ones are out.  Y lies in
+    (1, 100], as j is evaluated up to Im z = 100."""
 
     Y: float = 2.5
 
     def __post_init__(self):
-        if not self.Y > 1.0:
-            raise InvalidSpecError("Y must exceed 1")
+        if not 1.0 < self.Y <= _MAX_IM_TAU:
+            raise InvalidSpecError(
+                f"Y must lie in (1, {_MAX_IM_TAU:g}], got {self.Y}")
 
 
 # the j contour's distances eta from the classical boundary, in turn

@@ -67,12 +67,6 @@ class BivariatePolynomial:
             acc = acc * z + inner
         return acc
 
-    def evaluate_pair(self, z, w, dw):
-        """P(z, w) and P_X(z, w) + P_Y(z, w) dw: with w = f(z), dw = f'(z),
-        P(z, f(z)) and its z-derivative (see evaluate_partials)."""
-        p, px, py = self.evaluate_partials(z, w)
-        return p, px + py * dw
-
     def evaluate_partials(self, z, w):
         """P(z, w), P_X(z, w) and P_Y(z, w) in one Horner pass in which
         each sum starts from its leading coefficient, not from zero."""
@@ -88,18 +82,6 @@ class BivariatePolynomial:
         if np.ndim(p) == 0:  # P is a constant
             p = np.full(np.broadcast(z, w).shape, p, dtype=complex)
         return p, px, py
-
-    def partial_x(self) -> "BivariatePolynomial":
-        if self.deg_x == 0:
-            return BivariatePolynomial([[0.0]])
-        i = np.arange(1, self.deg_x + 1)
-        return BivariatePolynomial(self.coeffs[1:] * i[:, None])
-
-    def partial_y(self) -> "BivariatePolynomial":
-        if self.deg_y == 0:
-            return BivariatePolynomial([[0.0]])
-        j = np.arange(1, self.deg_y + 1)
-        return BivariatePolynomial(self.coeffs[:, 1:] * j[None, :])
 
     def leading_y_term(self) -> tuple[int, np.ndarray]:
         """The largest l with a nonzero Y^l coefficient, and that
@@ -168,8 +150,11 @@ class PerturbedComposite:
         return self.epsilon * np.exp(1j * self.theta)
 
     def pair(self, z):
-        """(value, derivative) at z from one call of the inner pair."""
-        v, dv = self.base.evaluate_pair(z, *self.inner(z))
+        """(value, derivative) at z from one call of the inner pair: P
+        and, by the chain rule, P_X + P_Y f'."""
+        w, dw = self.inner(z)
+        v, px, py = self.base.evaluate_partials(z, w)
+        dv = px + py * dw
         if self.factor is not None:
             g, dg = self.factor(z)
             v, dv = g * v, dg * v + g * dv

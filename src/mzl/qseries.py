@@ -190,14 +190,6 @@ class QSeries:
         q = np.asarray(q, dtype=complex)
         return self._sum(q, self.order(max_abs(q)))
 
-    def eval_with_bound(self, q):
-        """Values at the order chosen from max |q|, and that order's tail
-        bound."""
-        q = np.asarray(q, dtype=complex)
-        x = max_abs(q)
-        N = self.order(x)
-        return self._sum(q, N), self.tail_bound(x, N)
-
 
 @lru_cache(maxsize=8)
 def standard_series(N: int = DEFAULT_ORDER) -> dict[str, QSeries]:

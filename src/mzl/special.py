@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PrecisionLossError
-from .qseries import (UNIT_ROUNDOFF, max_abs, power_basis_product,
+from .qseries import (UNIT_ROUNDOFF, power_basis_product,
                       standard_series)
 
 TWO_PI = 2.0 * math.pi
@@ -232,15 +232,6 @@ def hyp2f1_with_bound(a, b, c, z):
     return _gauss_series([(a, b, c, 1.0)], z)[0]
 
 
-def hyp2f1_prime(a, b, c, z):
-    """d/dz 2F1(a, b, c; z) = (a b / c) 2F1(a + 1, b + 1, c + 1; z), the
-    term-wise derivative of the series; array parameters as in hyp2f1."""
-    _check_params(a, b, c)
-    a, b, c = _params(a, b, c)
-    val, _ = hyp2f1_with_bound(a + 1.0, b + 1.0, c + 1.0, z)
-    return _as_value((a * b / c) * val)
-
-
 def gauss_relation_residuals(a, b, c, z):
     """Absolute residuals of the two contiguous relations for z dF/dz.
 
@@ -417,8 +408,8 @@ def _j_order(y: float) -> int:
 
 
 def _j_sums(tau):
-    """(q, N, Q, Delta/q, R) at q = e^{2 pi i tau}, all summed to the
-    order N they need at the lowest tau, in one power-basis product."""
+    """(q, Q, Delta/q, R) at q = e^{2 pi i tau}, all summed to the order
+    they need at the lowest tau, in one power-basis product."""
     taus = np.asarray(tau, dtype=complex)
     lo, hi = (taus.imag.min(), taus.imag.max()) if taus.size else (1.0, 1.0)
     if not _MIN_IM_TAU <= lo <= hi <= _MAX_IM_TAU:
@@ -426,7 +417,7 @@ def _j_sums(tau):
     q = np.exp(2j * math.pi * taus)
     N = _j_order(lo)
     sums = power_basis_product(q, _j_columns()[:N + 1])
-    return (q, N) + tuple(sums.reshape((3,) + q.shape))
+    return (q,) + tuple(sums.reshape((3,) + q.shape))
 
 
 def _as_output(tau, out):
@@ -443,7 +434,7 @@ def klein_j_pair(tau):
     Delta is evaluated from its own exact-integer series, so the
     cancellation in Q^3 - R^2 never happens in floating point.
     """
-    q, _, Qv, dq, Rv = _j_sums(tau)
+    q, Qv, dq, Rv = _j_sums(tau)
     delta = q * dq
     return (_as_output(tau, Qv**3 / delta),
             _as_output(tau, (-2j * math.pi) * Qv**2 * Rv / delta))
@@ -452,46 +443,6 @@ def klein_j_pair(tau):
 def klein_j(tau):
     """j(tau); see klein_j_pair."""
     return klein_j_pair(tau)[0]
-
-
-def klein_j_with_bound(tau):
-    """klein_j(tau) and a bound on |klein_j(tau) - j(tau)| at each point.
-
-    The errors of Q and Delta/q each collect the tail bound at the order
-    summed, the rounding of the power-basis sum ((K+1) u S, with K terms
-    and S = sum |a_k| |q|^k the Horner scale) and the relative error of
-    each computed power q^k (k (sqrt5 u + eta) |a_k| |q|^k, where sqrt5 u
-    bounds one complex product and eta the error of q = e^{2 pi i tau}).
-    They are carried through Q^3/Delta by
-    |Q^3/D - Q'^3/D'| <= |Q^3 - Q'^3|/|D| + |Q'|^3 |D - D'|/(|D| |D'|),
-    plus 10 u |j| for the cube and the division.  Every first-order
-    coefficient is raised by 1% to cover the second-order terms.
-    """
-    q, N, Qv, dq, _ = _j_sums(tau)
-    taus = np.asarray(tau, dtype=complex)
-    s = standard_series()
-    aq = np.abs(q)
-    x = max_abs(q)
-    K = N + 1
-    C = np.abs(_j_columns()[:K, :2])
-    k = np.arange(K, dtype=float)[:, None]
-    S_Q, S_D, S1_Q, S1_D = power_basis_product(
-        aq, np.hstack([C, k * C])).real.reshape((4,) + q.shape)
-    eta = _U * (4.0 * math.pi * np.abs(taus) + 4.0)
-    per_power = 1.01 * (math.sqrt(5.0) * _U + eta)
-    rnd = 1.01 * (K + 1) * _U
-    eQ = s["Q"].tail_bound(x, N) + rnd * S_Q + per_power * S1_Q
-    edq = s["delta_over_q"].tail_bound(x, N) + rnd * S_D + per_power * S1_D
-    delta = q * dq
-    A, D = np.abs(Qv), np.abs(delta)
-    eD = 1.01 * aq * (edq + (eta + math.sqrt(5.0) * _U) * np.abs(dq))
-    val = Qv**3 / delta
-    with np.errstate(divide="ignore"):
-        lower = np.where(D > eD, D - eD, 0.0)
-        bound = (eQ * (3.0 * A * A + 3.0 * A * eQ + eQ * eQ) / lower
-                 + A**3 * eD / (D * lower) + 10.0 * _U * np.abs(val))
-    return _as_output(tau, val), (float(bound) if np.ndim(tau) == 0
-                                  else bound)
 
 
 @lru_cache(maxsize=4096)
@@ -514,16 +465,33 @@ def _j_error_terms(y: float):
 
 def klein_j_error_bound(tau, j):
     """A bound on |j - j(tau)| at each point of the batch tau, for j =
-    klein_j_pair(tau)[0] on that same batch, from |j| and Im tau alone:
-    it covers klein_j_with_bound and costs no second sum.
+    klein_j_pair(tau)[0] on that same batch, from |j| and tau alone,
+    with no second sum.
 
-    It is klein_j_with_bound with every per-point sum replaced by its
-    value at the batch's largest |q|, x = e^{-2 pi min Im tau}, which the
-    sums of |coefficients| times powers of |q| never fall below, and with
-    |Delta| >= D = 0.99 |q| e^{-24 x/(1-x)^2}, from prod (1 - x^n)^24 and
-    log(1 - t) >= -t/(1-t).  With A = (|j| D)^{1/3} in place of |Q|, the
-    term eQ (3 A^2 + 3 A eQ + eQ^2) / D = 3 eQ A (A + eQ) / D + eQ^3 / D
-    falls as D grows, so the lower D bounds it.
+    The errors eQ of Q and edq of Delta/q each collect the tail bound at
+    the order N summed, the rounding of the power-basis sum ((K+1) u S,
+    with K = N + 1 terms and S = sum |a_k| x^k) and the relative error
+    of each computed power q^k (k (sqrt5 u + eta) |a_k| x^k, where
+    sqrt5 u bounds one complex product and eta = u (4 pi max |tau| + 4)
+    the error of q = e^{2 pi i tau}).  Every sum is taken at the batch's
+    largest |q|, x = e^{-2 pi min Im tau}, which the sums of
+    |coefficients| times powers of |q| never fall below.  Delta = q
+    Delta/q then has relative error at most rel = edq / |Delta/q| + eta
+    + sqrt5 u, with |Delta/q| >= 0.99 e^{-24 x/(1-x)^2} from prod (1 -
+    x^n)^24 and log(1 - t) >= -t/(1-t); D = that bound times |q| bounds
+    |Delta| below.  The errors are carried through Q^3/Delta by (primes
+    mark computed values)
+
+        |Q^3/Delta - Q'^3/Delta'|
+            <= |Q^3 - Q'^3| / |Delta|
+               + |Q'|^3 |Delta - Delta'| / (|Delta| |Delta'|),
+
+    where the second term is at most rel |j|, and 10 u |j| covers the
+    cube and the division.  With A = (|j| D)^{1/3} in place of |Q|, the
+    first term eQ (3 A^2 + 3 A eQ + eQ^2) / D = 3 eQ A (A + eQ) / D +
+    eQ^3 / D falls as D grows, so the lower D bounds it.  Every
+    first-order coefficient is raised by 1% to cover the second-order
+    terms.
     """
     taus = np.asarray(tau, dtype=complex)
     eQ, S1_Q, edq, S1_D, lower_dq = _j_error_terms(float(taus.imag.min()))

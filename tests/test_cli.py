@@ -15,6 +15,7 @@ from mzl.cli import main
 from mzl.config import RunConfig, load_config
 from mzl.errors import InvalidSpecError
 from mzl.poly import BivariatePolynomial, polynomial_to_json
+from mzl.special import klein_j_error_bound, klein_j_pair
 
 
 def write_poly(path, P: BivariatePolynomial) -> str:
@@ -80,7 +81,11 @@ def test_eval_j_at_i(capsys):
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert abs(float(row[1]) - 1728.0) < 1e-6
     assert abs(float(row[2])) < 1e-9
-    assert float(row[3]) > 0.0  # relative error bound column
+    # the error bound column is the zero rule's bound on that j
+    j = klein_j_pair(1j)[0]
+    assert (float(row[1]), float(row[2])) == (j.real, j.imag)
+    assert float(row[3]) == klein_j_error_bound(1j, j) > 0.0
+    assert abs(j - 1728.0) <= float(row[3])
 
 
 def test_eval_wp_half_period(capsys):
@@ -129,6 +134,25 @@ def test_eval_points_file(tmp_path, capsys):
     assert len(lines) == 3
     assert abs(float(lines[1].split(",")[1]) - 1728.0) < 1e-6
     assert abs(float(lines[2].split(",")[1]) - 287496.0) < 1e-3
+
+
+class _UnreadStdin:
+    """A stdin that fails the test if anything reads it."""
+
+    def __iter__(self):
+        raise AssertionError("stdin was read")
+
+    read = readline = __iter__
+
+
+def test_eval_empty_points_file_exits_2(tmp_path, monkeypatch, capsys):
+    # an empty --points file gives no points; it does not fall back to
+    # stdin
+    pts = tmp_path / "empty.txt"
+    pts.write_text("")
+    monkeypatch.setattr(sys, "stdin", _UnreadStdin())
+    assert main(["eval", "j", "--points", str(pts)]) == 2
+    assert "no input points given" in capsys.readouterr().err
 
 
 def test_eval_reads_stdin_when_no_inputs(monkeypatch, capsys):
@@ -253,6 +277,12 @@ def test_count_zeros_j_boundary_values(tmp_path, capsys, c, count):
     rep = json.loads(capsys.readouterr().out)["report"]
     assert (rep["count"], rep["retries"]) == (count, 0)
     assert rep["domain"] == {"Y": "2.5", "eta": "1e-06"}
+
+
+def test_count_zeros_j_infinite_top_line_exits_2(lin_poly, capsys):
+    # j is evaluated up to Im z = 100, so the spec rejects a higher Y
+    assert main(["count-zeros", "j", "--poly", lin_poly, "--Y", "inf"]) == 2
+    assert "Y must lie in (1, 100], got inf" in capsys.readouterr().err
 
 
 def test_count_zeros_wp_text_output(wp_poly, capsys):
@@ -443,6 +473,28 @@ def test_config_env_beats_file(tmp_path, monkeypatch):
     cfgfile.write_text("trials = 2\n")
     monkeypatch.setenv("MZL_TRIALS", "11")
     assert load_config(str(cfgfile)).trials == 11
+
+
+@pytest.mark.parametrize("source", ["environment", "file"])
+def test_eval_wp_takes_tau_from_the_config(tmp_path, monkeypatch, capsys,
+                                           source):
+    # a config tau reaches eval as it reaches count-zeros and trace, and
+    # the flag still wins
+    def row(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out.splitlines()[1]
+
+    at_8 = row(["eval", "wp", "0.3+0.2i", "--tau", "8"])
+    at_1 = row(["eval", "wp", "0.3+0.2i", "--tau", "1"])
+    argv = ["eval", "wp", "0.3+0.2i"]
+    if source == "environment":
+        monkeypatch.setenv("MZL_TAU", "8")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau = 8\n")
+        argv = ["--config", str(cfg)] + argv
+    assert row(argv) == at_8 != at_1
+    assert row(argv + ["--tau", "1"]) == at_1
 
 
 def test_cli_flag_beats_config(tmp_path, capsys):

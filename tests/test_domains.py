@@ -11,6 +11,7 @@ import pytest
 import mzl.contour as contour_module
 import mzl.domains as domains_module
 import mzl.elliptic as elliptic_module
+import mzl.verify as verify_module
 import oracles
 from mzl.contour import (ArcSegment, Contour, LineSegment, LocalizedZero,
                          winding_number)
@@ -93,10 +94,11 @@ def test_bound_inequalities_hold():
 
 
 def test_j_domain_spec_validation():
-    with pytest.raises(InvalidSpecError):
-        JDomainSpec(Y=1.0)
-    with pytest.raises(InvalidSpecError):
-        JDomainSpec(Y=math.nan)
+    # j is evaluated up to Im z = 100, so Y lies in (1, 100]
+    for Y in (1.0, math.nan, math.inf, 100.5, 105.0, 1000.0):
+        with pytest.raises(InvalidSpecError, match="^Y must lie in"):
+            JDomainSpec(Y=Y)
+    assert JDomainSpec(Y=100.0).Y == 100.0
     # the domain is the half-open one: no field widens it
     assert [f.name for f in dataclasses.fields(JDomainSpec)] == ["Y"]
     with pytest.raises(TypeError):
@@ -186,16 +188,15 @@ def test_off_contour_refines_only_the_boxes_across_the_contour(monkeypatch):
                           (0.5 - 1e-4, 0.5 + 1e-4, 0.5 - 1e-4, 0.5 + 1e-4))
     calls = []
 
-    def localize(g, *boxes, **kw):
-        calls.append(boxes)
-        return contour_module.localize_zeros(g, *boxes, **kw)
+    def localize(g, box, **kw):
+        calls.append(box)
+        return contour_module.localize_zeros(g, box, **kw)
     monkeypatch.setattr(domains_module, "localize_zeros", localize)
     out = domains_module._off_contour(f, [root, across, clear], contour,
                                       0.0)
     assert root in out and clear in out
     refined = [z for z in out if z not in (root, clear)]
-    assert calls[0] == (across.box,)
-    assert all(len(boxes) == 1 for boxes in calls)
+    assert calls[0] == across.box
     assert sum(z.multiplicity for z in refined) == 2
     assert sorted(np.sign(z.center.imag) for z in refined) == [-1.0, 1.0]
     for z in refined:
@@ -473,6 +474,8 @@ def test_count_zeros_j_y_invariance():
     base = count_zeros_j(poly_y_minus(2000j), JDomainSpec(Y=2.5))
     high = count_zeros_j(poly_y_minus(2000j), JDomainSpec(Y=3.5))
     assert base.count == high.count == 1
+    # the highest top line j is evaluated on
+    assert count_zeros_j(poly_y_minus(2000.0), JDomainSpec(Y=100.0)).count == 1
 
 
 def test_count_zeros_j_high_y_degree():
@@ -897,17 +900,29 @@ def test_count_zeros_wp_zero_next_to_a_lattice_point():
 @pytest.mark.parametrize("coeffs, beta", [
     ([[0.0, 0.0], [0.0, 1.0]], 0.0),              # X Y
     ([[0.0, -1.0], [0.0, 1.0]], 1.0),             # (X - 1) Y
-    ([[0.0, -1.0], [0.0, 1.0]], 1.0 + 5e-7)])
+    ([[0.0, -1.0], [0.0, 1.0]], 1.0 + 5e-7),
+    ([[0.0, 1.0], [0.0, 1.0]], -1.0)])            # (X + 1) Y
 def test_count_zeros_wp_pole_order_below_2_deg_y(coeffs, beta):
     # the leading column vanishes at the rectangle's lattice point, where
     # P(z, wp(z)) has a simple pole, not a double one: the count is that
     # of wp's two zeros.  With beta 5e-7 above 1 the rectangle, 1e-6 off
     # the cell, holds the lattice point 1, not the cell's 2
     P = BivariatePolynomial(coeffs)
-    assert domains_module._pole_order(P, 1 if beta else 0) == 1
+    omega = math.ceil(beta - _WP_ETAS[0])
+    assert domains_module._pole_order(P, omega) == 1
     rep = count_zeros_wp(P, WpDomainSpec(1.0, beta))
     assert rep.count == rep.winding == 2
     assert rep.retries == 0
+
+
+def test_count_zeros_wp_negative_beta_is_a_period_shift():
+    # the zeros of P in the cell at beta = -1 are those of P(X - 1, Y) at
+    # beta = 0 moved by -1
+    P = random_polynomial(np.random.default_rng(1), 1, 2)
+    rep = count_zeros_wp(P, WpDomainSpec(0.7, -1.0))
+    shifted = count_zeros_wp(verify_module._shifted_by_one(P),
+                             WpDomainSpec(0.7, 0.0))
+    assert rep.count == shifted.count == 5
 
 
 def test_pole_order_walks_the_laurent_coefficients():
@@ -948,9 +963,11 @@ def test_count_zeros_wp_overflow_takes_the_next_eta():
     assert rep.domain["eta"] == _WP_ETAS[rep.retries]
 
 
-@pytest.mark.parametrize("beta", [0.02, 0.999])
+@pytest.mark.parametrize("beta", [0.02, 0.999, -0.63, -1.0, -2.5])
 def test_count_zeros_wp_lattice_point_next_to_a_corner(beta):
-    # the cell's lattice point lies 0.02 or 0.001 from a corner
+    # the cell's lattice point lies 0.02 or 0.001 from a corner; at
+    # negative beta it is ceil(beta - eta) <= 0, which the pole order
+    # raises to powers
     rep = count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0, beta))
     assert rep.count == rep.winding == 2
 
@@ -1180,7 +1197,7 @@ def _clear_memos(keys) -> None:
 
 def test_repeated_counts_reuse_the_starting_grids(monkeypatch):
     # a count on a domain that a count has run on before makes no inner
-    # call on its two starting grids, the contour's and the top boxes',
+    # call on its two starting grids, the contour's and the top box's,
     # and reports what a count from a cold memo does
     keys = _first_round_keys(monkeypatch)
     j_calls = _inner_calls(monkeypatch, domains_module, "klein_j_pair")
@@ -1278,7 +1295,7 @@ def test_first_round_memo_is_bounded_least_recently_used():
 
 
 def test_a_count_adds_at_most_two_first_rounds_per_attempt(monkeypatch):
-    # the unperturbed winding and the localization's top boxes add one
+    # the unperturbed winding and the localization's top box add one
     # first round each; a box report refined across the contour
     # (_off_contour), as for the triple zero of j at rho, adds none
     attempts, localizations = [], []
@@ -1288,9 +1305,9 @@ def test_a_count_adds_at_most_two_first_rounds_per_attempt(monkeypatch):
         attempts.append(args)
         return winding(*args)
 
-    def recording_localize(f, *boxes, **kwargs):
-        localizations.append(boxes)
-        return contour_module.localize_zeros(f, *boxes, **kwargs)
+    def recording_localize(f, box, **kwargs):
+        localizations.append(box)
+        return contour_module.localize_zeros(f, box, **kwargs)
     monkeypatch.setattr(domains_module, "_unperturbed_winding",
                         recording_winding)
     monkeypatch.setattr(domains_module, "localize_zeros", recording_localize)
@@ -1309,8 +1326,8 @@ def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
     # of the last attempt
     boxes = []
 
-    def failing_localize(f, *top, **kwargs):
-        boxes.append(top)
+    def failing_localize(f, box, **kwargs):
+        boxes.append(box)
         raise NonconvergenceError(f"attempt {len(boxes)}")
 
     monkeypatch.setattr(domains_module, "localize_zeros", failing_localize)
@@ -1318,16 +1335,15 @@ def test_count_zeros_raises_the_last_attempts_error(monkeypatch):
         count_zeros_j(poly_y_minus(2000j))
     # the j box runs from the contour's left corner, its lowest point, to
     # the top line
-    assert boxes == [((-0.5 - eta, 0.5 - eta, build_j_contour(
-        JDomainSpec(), eta).segments[0].start.imag, 2.5),)
+    assert boxes == [(-0.5 - eta, 0.5 - eta, build_j_contour(
+        JDomainSpec(), eta).segments[0].start.imag, 2.5)
         for eta in _J_ETAS]
 
     boxes.clear()
     with pytest.raises(NonconvergenceError, match="^attempt 5$"):
         count_zeros_wp(poly_y_minus(2.5 + 1.5j), WpDomainSpec(1.0))
     # the one top box is the rectangle eta off the cell
-    assert boxes == [((-eta, 1.0 - eta, -eta, 1.0 - eta),)
-                     for eta in _WP_ETAS]
+    assert boxes == [(-eta, 1.0 - eta, -eta, 1.0 - eta) for eta in _WP_ETAS]
 
 
 def test_count_zeros_wp_notch_hides_large_values():

@@ -60,8 +60,12 @@ def test_evaluate_pair_matches_the_partials(rng, dx, dy):
         + 1j * rng.normal(size=(dx + 1, dy + 1))
     P = BivariatePolynomial(c)
     z, w, dw = (rng.uniform(-2, 2, (3, 33)) + 1j * rng.uniform(-2, 2, (3, 33)))
-    v, dv = P.evaluate_pair(z, w, dw)
-    ref = P.partial_x().evaluate(z, w) + P.partial_y().evaluate(z, w) * dw
+    # the composite's pair, P and P_X + P_Y dw from evaluate_partials,
+    # against the chain rule summed term by term
+    v, dv = PerturbedComposite(P, lambda _: (w, dw), 0.0, 0.0).pair(z)
+    ref = sum(cab * (a * z ** max(a - 1, 0) * w ** b
+                     + b * z ** a * w ** max(b - 1, 0) * dw)
+              for (a, b), cab in np.ndenumerate(c))
     scale = BivariatePolynomial(np.abs(c)).evaluate(np.abs(z), np.abs(w))
     assert v.shape == dv.shape == z.shape
     assert np.all(np.abs(v - P.evaluate(z, w)) <= 1e-14 * scale.real)
@@ -118,7 +122,9 @@ def test_perturb_zero_epsilon_reproduces_composite(jfun):
     pert = PerturbedComposite(P, jfun, 0.0, 0.0)
     z = 0.2 + 1.1j
     assert pert.value(z) == eval_composed(P, jfun, z)
-    assert pert.pair(z)[1] == P.evaluate_pair(z, *jfun(z))[1]
+    w, dw = jfun(z)
+    _, px, py = P.evaluate_partials(z, w)
+    assert pert.pair(z)[1] == px + py * dw
 
 
 def test_perturb_identically_zero_rejected(jfun):
@@ -202,8 +208,9 @@ def test_partials_and_leading_term():
     # P = 2 X^2 Y + 3 Y^2 - 5
     P = _poly([[-5.0, 0.0, 3.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     x, y = 1.3 - 0.2j, 0.7 + 0.4j
-    assert abs(P.partial_x().evaluate(x, y) - 4 * x * y) < 1e-12
-    assert abs(P.partial_y().evaluate(x, y) - (2 * x**2 + 6 * y)) < 1e-12
+    _, px, py = P.evaluate_partials(x, y)
+    assert abs(px - 4 * x * y) < 1e-12
+    assert abs(py - (2 * x**2 + 6 * y)) < 1e-12
     l, col = P.leading_y_term()
     assert l == 2
     assert np.array_equal(col, np.array([3.0, 0.0, 0.0], dtype=complex))

@@ -12,15 +12,19 @@ import oracles
 from mzl.errors import DomainError, PrecisionLossError
 from mzl.pfaffian import _member_stencils, build_ratio_chain
 from mzl.qseries import standard_series
-from mzl.special import (gauss_relation_residuals, hyp2f1, hyp2f1_prime,
+from mzl.special import (gauss_relation_residuals, hyp2f1,
                          hyp2f1_with_bound, j_inverse, klein_j,
                          klein_j_derivative, klein_j_error_bound,
-                         klein_j_pair, klein_j_with_bound,
-                         ramanujan_inversion_residual)
+                         klein_j_pair, ramanujan_inversion_residual)
 
 
 # ---------------------------------------------------------------------------
 # 2F1
+
+
+def _hyp2f1_derivative(a, b, c, z):
+    """d/dz 2F1(a, b, c; z) = (a b / c) 2F1(a + 1, b + 1, c + 1; z)."""
+    return (a * b / c) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
 
 
 def test_hyp2f1_at_zero_is_one():
@@ -57,7 +61,7 @@ def test_hyp2f1_outside_the_disk_fails_before_the_series(monkeypatch, z):
         raise AssertionError("series summed outside the disk")
 
     monkeypatch.setattr(special_module, "_hyp_series", no_series)
-    for fn in (hyp2f1, hyp2f1_with_bound, hyp2f1_prime):
+    for fn in (hyp2f1, hyp2f1_with_bound, _hyp2f1_derivative):
         with pytest.raises(PrecisionLossError) as exc:
             fn(0.3, 1.2, 0.8, z)
         assert exc.value.achieved == math.inf
@@ -79,7 +83,7 @@ def test_hyp2f1_prime_matches_central_difference(rng):
         c = rng.uniform(0.5, 1.8)
         z = rng.uniform(0.1, 0.7)
         fd = oracles.central_difference(lambda t: hyp2f1(a, b, c, t), z)
-        got = hyp2f1_prime(a, b, c, z)
+        got = _hyp2f1_derivative(a, b, c, z)
         assert abs(got - fd) < 5e-8 * (1.0 + abs(fd))
 
 
@@ -127,12 +131,12 @@ def test_array_parameters_agree_with_scalar_calls(rng):
     c = rng.uniform(0.4, 2.0, n)
     z = rng.uniform(0.05, 0.9, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
     vals, _ = hyp2f1_with_bound(a, b, c, z)
-    primes = hyp2f1_prime(a, b, c, z)
+    primes = _hyp2f1_derivative(a, b, c, z)
     assert vals.shape == primes.shape == (n,)
     for i in range(n):
         v, bound = hyp2f1_with_bound(a[i], b[i], c[i], z[i])
         assert abs(vals[i] - v) <= bound + 4.0 * np.spacing(abs(v))
-        p = hyp2f1_prime(a[i], b[i], c[i], z[i])
+        p = _hyp2f1_derivative(a[i], b[i], c[i], z[i])
         _, pb = hyp2f1_with_bound(a[i] + 1.0, b[i] + 1.0, c[i] + 1.0, z[i])
         assert (abs(primes[i] - p)
                 <= abs(a[i] * b[i] / c[i]) * pb + 4.0 * np.spacing(abs(p)))
@@ -149,7 +153,8 @@ def test_array_parameters_agree_with_scalar_calls(rng):
     for i in range(n):
         ai, bi, ci, zi = a[i], b[i], c[i], zr[i]
         F = abs(hyp2f1(ai, bi, ci, zi))
-        scale = (zi * abs(hyp2f1_prime(ai, bi, ci, zi)) + abs(ci - 1.0) * F
+        scale = (zi * abs(_hyp2f1_derivative(ai, bi, ci, zi))
+                 + abs(ci - 1.0) * F
                  + zi * (abs((ci - ai) * (ci - bi)
                              * hyp2f1(ai, bi, ci + 1.0, zi))
                          + abs(ci * (ai + bi - ci)) * F) / (ci * (1.0 - zi)))
@@ -171,7 +176,7 @@ def test_scalar_calls_run_the_scalar_loop():
         v, bound = hyp2f1_with_bound(a, b, c, z)
         ref, ref_bound = loop(a, b, c, 1.0, z)
         assert np.array_equal(v, ref) and bound == ref_bound
-        prime = hyp2f1_prime(a, b, c, z)
+        prime = _hyp2f1_derivative(a, b, c, z)
         dref, _ = loop(a + 1.0, b + 1.0, c + 1.0, 1.0, z)
         assert np.array_equal(prime, (a * b / c) * dref)
     a, b, c, z = 0.4, 1.1, 0.9, 0.3
@@ -222,7 +227,7 @@ def test_array_calls_check_every_element(monkeypatch):
     with pytest.raises(DomainError):
         hyp2f1(0.5, 0.5, cs, 0.3)
     with pytest.raises(DomainError):
-        hyp2f1_prime(0.5, 0.5, cs, 0.3)
+        _hyp2f1_derivative(0.5, 0.5, cs, 0.3)
     with pytest.raises(DomainError):
         gauss_relation_residuals(0.5, 0.5, cs, np.array([0.3, 0.4, 0.5]))
     for zs in ([0.3, 1.0, 0.4], [0.3, 0.0, 0.4], [0.3, -0.2, 0.4]):
@@ -231,7 +236,7 @@ def test_array_calls_check_every_element(monkeypatch):
     with pytest.raises(DomainError):
         ramanujan_inversion_residual(np.array([0.2, 0.9995]))
     edge = np.array([0.3, 0.9999])
-    for call in (hyp2f1, hyp2f1_prime, gauss_relation_residuals):
+    for call in (hyp2f1, _hyp2f1_derivative, gauss_relation_residuals):
         with pytest.raises(PrecisionLossError) as exc:
             call(np.array([0.5, 0.7]), 0.5, 1.0, edge)
         assert exc.value.achieved > 0.0
@@ -252,7 +257,7 @@ def test_non_finite_parameters_fail_before_the_series(monkeypatch, name,
     monkeypatch.setattr(special_module, "_hyp_series", no_series)
     for value in (bad, np.array([0.5, bad])):
         params = {"a": 0.3, "b": 1.2, "c": 0.8, name: value}
-        for fn in (hyp2f1, hyp2f1_with_bound, hyp2f1_prime,
+        for fn in (hyp2f1, hyp2f1_with_bound, _hyp2f1_derivative,
                    gauss_relation_residuals):
             with pytest.raises(DomainError, match=f"^{name}=.* not finite"):
                 fn(params["a"], params["b"], params["c"], 0.3)
@@ -612,34 +617,41 @@ def test_klein_j_matches_mpmath_kleinj(rng):
 
 
 def test_klein_j_bound_covers_the_error(rng):
-    taus = np.concatenate([[1j, 2j], _domain_points(rng, 20)])
-    vals, bounds = klein_j_with_bound(taus)
+    # klein_j_error_bound, from |j| and tau alone, covers the error of j
+    # on a batch and on each point alone, as mzl eval j calls it
+    taus = np.concatenate([[1j, 2j], _domain_points(rng, 20),
+                           _domain_points(rng, 20, im_max=4.0)])
+    vals, _ = klein_j_pair(taus)
+    bounds = klein_j_error_bound(taus, vals)
     assert np.all(bounds > 0.0)
     for tau, v, b in zip(taus, vals, bounds):
         ref = oracles.j_eval_eta(tau)
         assert abs(v - ref) <= b
-        v1, b1 = klein_j_with_bound(tau)  # one point, as mzl eval j does
+        v1 = klein_j_pair(tau)[0]
+        b1 = klein_j_error_bound(tau, v1)
         assert v1 == klein_j(tau)
         assert 0.0 < b1 and abs(v1 - ref) <= b1
     assert abs(vals[0] - 1728.0) <= bounds[0]
     assert abs(vals[1] - 287496.0) <= bounds[1]
 
 
-def test_klein_j_error_bound_covers_klein_j_with_bound(rng):
-    # the bound from |j| and Im tau alone covers the one from the sums, on
-    # a batch, on each point alone, and next to rho, where Q vanishes
+def test_klein_j_bound_covers_the_error_next_to_rho(rng):
+    # where Q vanishes the bound falls to 1e-18 and below, under the
+    # eta oracle's own rounding (1e-13), so mpmath at 80 digits checks it
+    mpmath = pytest.importorskip("mpmath")
     rho = complex(-0.5, math.sqrt(3.0) / 2.0)
-    taus = np.concatenate([[1j, 2j, rho, rho + 1e-9j],
-                           _domain_points(rng, 20),
-                           _domain_points(rng, 20, im_max=4.0),
+    taus = np.concatenate([[rho, rho + 1e-9j],
                            rho + 1e-4 * np.exp(1j * rng.uniform(0.0, 3.0,
                                                                 10))])
-    j, _ = klein_j_pair(taus)
-    _, bounds = klein_j_with_bound(taus)
-    assert np.all(klein_j_error_bound(taus, j) >= bounds)
-    for tau in taus:
-        v, b = klein_j_with_bound(tau)
-        assert klein_j_error_bound(tau, v) >= b
+    vals, _ = klein_j_pair(taus)
+    bounds = klein_j_error_bound(taus, vals)
+    with mpmath.workdps(80):
+        for tau, v, b in zip(taus, vals, bounds):
+            ref = 1728 * mpmath.kleinj(mpmath.mpc(tau.real, tau.imag))
+            v1 = klein_j_pair(tau)[0]
+            for value, bound in ((v, b), (v1, klein_j_error_bound(tau, v1))):
+                err = abs(mpmath.mpc(value.real, value.imag) - ref)
+                assert 0.0 < bound and err <= bound
 
 
 # ---------------------------------------------------------------------------
