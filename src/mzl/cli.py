@@ -29,11 +29,17 @@ from .verify import SCHEMA, run_selftest, run_suites, _SUITES
 _RESIDUAL_PASS = 1e-7
 
 
-def _parse_complex(s: str) -> complex:
+def _complex_syntax(s: str) -> complex:
+    """s as a complex number, with i or j as the imaginary unit;
+    ValueError if it is none."""
     # only a trailing i is the imaginary unit: "inf" keeps its own i
     t = s.replace(" ", "")
+    return complex(t[:-1] + "j" if t.endswith("i") else t)
+
+
+def _parse_complex(s: str) -> complex:
     try:
-        z = complex(t[:-1] + "j" if t.endswith("i") else t)
+        z = _complex_syntax(s)
     except ValueError:
         raise MzlError(f"cannot parse complex number from {s!r}")
     if not cmath.isfinite(z):
@@ -223,13 +229,38 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
     return 0 if rep["pass"] else 1
 
 
+def _is_number(s: str) -> bool:
+    try:
+        _complex_syntax(s)
+    except ValueError:
+        return False
+    return True
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """The parser of a subcommand.  In one with positional inputs, as
+    eval has, an unknown argument that parses as a number, such as
+    -0.5+0.8i, which argparse reads as an option, is an input; argparse
+    gives the first run of inputs to inputs and every later one to the
+    unknown arguments, so they stay in command-line order.  Any other
+    unknown argument stays unknown, and the top-level parser exits 2."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if hasattr(args, "inputs"):
+            args.inputs += [s for s in extra if _is_number(s)]
+            extra = [s for s in extra if not _is_number(s)]
+        return args, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mzl",
         description="Zero counting for polynomials in z and j(z) or wp(z), "
                     "with chain and bound verification tools.")
     p.add_argument("--config", default=None, help="key=value config file")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=_SubcommandParser)
 
     pe = sub.add_parser("eval", help="evaluate a special function")
     pe.add_argument("function", choices=["j", "jinv", "wp", "wpprime", "2f1"])

@@ -33,7 +33,12 @@ Zeros are localized by one breadth-first quadtree over one top box;
 every box first tries Newton from its moment seeds (Delves & Lyness,
 Math. Comp. 21, 1967), and the boxes of a level share every f call.
 Newton stops a root once its step is at most 2^-10 of the target
-radius, well inside the disk of that radius that certifies it.
+radius, well inside the disk of that radius that certifies it.  The
+quadtree builds no Contour: its boxes, a level's quadrants in one array
+op, and its Newton disks go to the phase pass as segment tables with the
+bits of Contour._table (_rectangle_table, _circle_table).  A phase
+result hands on the |f| and phase steps the pass computed, and the
+moment seeds take them from there.
 """
 from __future__ import annotations
 
@@ -206,16 +211,34 @@ def _sample(f, z):
     return s
 
 
-def _joined(contours: Sequence[Contour]) -> Contour:
-    """One Contour over the segments of all the contours, in order.  It
-    is not a chain: only its parameterization is used, so that a single
-    point call evaluates every contour."""
-    if len(contours) == 1:
-        return contours[0]
-    joined = Contour.__new__(Contour)
-    joined.segments = [s for c in contours for s in c.segments]
-    joined.closed = False
-    return joined
+# the box numbers (x0, x1, y0, y1) that are the real and imaginary parts
+# of a rectangle's corners (x0, y0), (x1, y0), (x1, y1), (x0, y1), and
+# the parts of its edge vectors that are not +0.0, with the box numbers
+# each is the difference of
+_CORNERS = np.array([0, 2, 1, 2, 1, 3, 0, 3])
+_EDGE_PARTS = np.array([0, 3, 4, 7])
+_EDGE_ENDS = (np.array([1, 3, 0, 2]), np.array([0, 2, 1, 3]))
+
+
+def _rectangle_table(boxes) -> np.ndarray:
+    """The segment table of rectangle_contour(*b) for each row b = (x0,
+    x1, y0, y1) of boxes, side by side, with the bits of Contour._table:
+    the corners, the edge vectors x1 - x0, i (y1 - y0), x0 - x1 and
+    i (y0 - y1), and +0.0 for their other parts, as x - x is."""
+    b = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    table = np.zeros((6, b.shape[0], 4), dtype=complex)
+    parts = table.view(float)
+    parts[0] = b[:, _CORNERS]
+    parts[1][:, _EDGE_PARTS] = b[:, _EDGE_ENDS[0]] - b[:, _EDGE_ENDS[1]]
+    return table.reshape(6, -1)
+
+
+def _circle_table(centers: np.ndarray, radius: float) -> np.ndarray:
+    """The segment table of circle_contour(c, radius) for each c of
+    centers, side by side, with the bits of Contour._table."""
+    table = np.zeros((6, centers.size), dtype=complex)
+    table[2], table[3], table[5] = centers, radius, 2.0 * np.pi
+    return table
 
 
 @lru_cache(maxsize=_START_GRIDS)
@@ -241,13 +264,12 @@ def _start_params(n_initial: int, nsegs: tuple) -> tuple:
 @lru_cache(maxsize=_START_GRIDS)
 def _start_grid(n_initial: int, nsegs: tuple, table: bytes) -> tuple:
     """(t, cid, z) for a phase pass over contours of nsegs segments each,
-    joined into one whose _table has the bits table: the global
+    whose segment tables side by side have the bits table: the global
     parameters t of n_initial uniform points per segment, the contour id
-    cid of each and z = joined.point(t), with the bits _table_point
-    gives.  Contour k runs over [o_k, o_k + n_k] of the global parameter
-    of the joined segments, n_k its segment count; its end point, but for
-    the last contour's, sits one ulp below o_k + n_k, inside its own last
-    segment.
+    cid of each and z = _table_point(table, t).  Contour k runs over
+    [o_k, o_k + n_k] of the global parameter of all the segments, n_k its
+    segment count; its end point, but for the last contour's, sits one
+    ulp below o_k + n_k, inside its own last segment.
 
     t, cid and z are read-only, memoized under all they depend on for the
     last _START_GRIDS keys; t and cid, which Newton disks and quadrant
@@ -258,10 +280,12 @@ def _start_grid(n_initial: int, nsegs: tuple, table: bytes) -> tuple:
     return t, cid, z
 
 
-def _contour_phases(f, contours: Sequence[Contour],
+def _contour_phases(f, table: np.ndarray, nsegs: tuple,
                     zero_atol: float) -> list:
     """Adaptive phase accumulation over several contours at once, each
-    segment starting from _N_INITIAL uniform points (_start_grid).
+    segment starting from _N_INITIAL uniform points (_start_grid).  The
+    contours come as one segment table, theirs side by side in the
+    layout of Contour._table, and nsegs, the segment count of each.
 
     An interval is accepted once its phase step and |dz| max |f'/f| at
     its two ends are both below pi/2.  One that fails is split into k
@@ -283,20 +307,20 @@ def _contour_phases(f, contours: Sequence[Contour],
     stopped.
 
     Returns, per contour, the tuple (sum of phase steps, sum of |steps|,
-    min |f|, points used, log|f(end)| - log|f(start)|, and the samples
-    z, f(z), f'(z)) or the error that stopped it: ZeroOnContourError if
+    min |f|, points used, log|f(end)| - log|f(start)|, the samples z,
+    f(z), f'(z), and the pass's own |f(z)| and phase steps arg f(z_(i+1))
+    / f(z_i), with the bits of np.abs(f(z)) and np.angle of the ratios)
+    or the error that stopped it: ZeroOnContourError if
     |f| drops below _ZERO_RTOL * (max |f| seen on the same segment) and,
     when zero_atol is positive, below zero_atol as well;
     NonconvergenceError if the contour needs more than _MAX_POINTS
     samples, or an interval to split is shorter than _SPLIT_ULPS ulps of
     |z|, below which the samples no longer resolve the phase.
     """
-    joined = _joined(contours)
-    nsegs = tuple(len(c.segments) for c in contours)
-    t, cid, z = _start_grid(_N_INITIAL, nsegs, joined._table.tobytes())
-    nseg = len(joined.segments)
+    t, cid, z = _start_grid(_N_INITIAL, nsegs, table.tobytes())
+    nseg = table.shape[1]
     errors: dict = {}
-    alive = np.ones(len(contours), dtype=bool)
+    alive = np.ones(len(nsegs), dtype=bool)
 
     def stop(k, error):
         errors[k] = error
@@ -323,7 +347,7 @@ def _contour_phases(f, contours: Sequence[Contour],
                 hit &= alive[cid]
             if hit.any():
                 for k in np.bincount(cid[hit],
-                                     minlength=len(contours)).nonzero()[0]:
+                                     minlength=len(nsegs)).nonzero()[0]:
                     idx = (hit & (cid == k)).nonzero()[0]
                     i = idx[np.argmin(mods[idx])]
                     stop(k, ZeroOnContourError(
@@ -375,7 +399,7 @@ def _contour_phases(f, contours: Sequence[Contour],
                     f"z={complex(z[i])!r}"))
         if t.size > _MAX_POINTS:
             for c in np.flatnonzero(np.bincount(left[split],
-                                                minlength=len(contours))):
+                                                minlength=len(nsegs))):
                 if alive[c] and np.count_nonzero(cid == c) > _MAX_POINTS:
                     stop(c, NonconvergenceError(
                         f"phase refinement exceeded {_MAX_POINTS} points"))
@@ -385,7 +409,7 @@ def _contour_phases(f, contours: Sequence[Contour],
             after, tm = after[keep], tm[keep]
             if not after.size:
                 break
-        zm = joined.point(tm)
+        zm = _table_point(table, tm)
         new = _sample(f, zm)
         # the new points of an interval lie strictly between its two
         # ends, in order, so they go right after its left one and t
@@ -399,7 +423,7 @@ def _contour_phases(f, contours: Sequence[Contour],
             m[..., old], m[..., at] = a, b
             merged.append(m)
         t, cid, zvd = merged
-    bounds = np.searchsorted(cid, np.arange(len(contours) + 1))
+    bounds = np.searchsorted(cid, np.arange(len(nsegs) + 1))
     out = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if k in errors:
@@ -409,13 +433,15 @@ def _contour_phases(f, contours: Sequence[Contour],
                     float(adphi[lo:hi - 1].sum()),
                     float(mods[lo:hi].min()), int(hi - lo),
                     float(np.log(mods[hi - 1]) - np.log(mods[lo])),
-                    z[lo:hi], v[lo:hi], dv[lo:hi]))
+                    z[lo:hi], v[lo:hi], dv[lo:hi], mods[lo:hi],
+                    dphi[lo:hi - 1]))
     return out
 
 
 def _contour_phase(f, contour: Contour, zero_atol: float):
     """_contour_phases for one contour; its error is raised."""
-    res = _contour_phases(f, [contour], zero_atol)[0]
+    res = _contour_phases(f, contour._table, (len(contour.segments),),
+                          zero_atol)[0]
     if isinstance(res, Exception):
         raise res
     return res
@@ -538,7 +564,7 @@ class LocalizedZero:
     box: tuple | None = None
 
 
-_CUT_SHIFTS = [0.0, 0.031, -0.057, 0.083, -0.113, 0.137]
+_CUT_SHIFTS = np.array([0.0, 0.031, -0.057, 0.083, -0.113, 0.137])
 _NEWTON_ULPS = 4.0
 # Newton stops at a step of at most this fraction of target_radius
 _NEWTON_STOP = 2.0 ** -10
@@ -572,7 +598,7 @@ def localize_zeros(f, box, target_radius: float = 1e-8,
     back with resolved=False (cluster reports).  A zero on a box boundary
     raises ZeroOnContourError; moving the box is the caller's move.
     """
-    [top] = _contour_phases(f, [rectangle_contour(*box)], zero_atol)
+    [top] = _contour_phases(f, _rectangle_table(box), (4,), zero_atol)
     if isinstance(top, Exception):
         raise top
     w = _integer_winding(top[0])
@@ -618,15 +644,18 @@ def _split(f, parents, zero_atol) -> list:
     out: list = [None] * len(parents)
     pending = list(range(len(parents)))
     while pending:
-        quads = []
-        for i in pending:
-            x0, x1, y0, y1 = parents[i][0]
-            xm = 0.5 * (x0 + x1) + _CUT_SHIFTS[shifts[i]] * (x1 - x0)
-            ym = 0.5 * (y0 + y1) + _CUT_SHIFTS[shifts[i]] * (y1 - y0)
-            quads.append([(x0, xm, y0, ym), (xm, x1, y0, ym),
-                          (xm, x1, ym, y1), (x0, xm, ym, y1)])
-        res = _contour_phases(f, [rectangle_contour(*q)
-                                  for qs in quads for q in qs], zero_atol)
+        # per pending parent its four quadrants, as rows (x0, x1, y0, y1)
+        x0, x1, y0, y1 = np.array([parents[i][0] for i in pending],
+                                  dtype=float).T
+        cut = _CUT_SHIFTS[[shifts[i] for i in pending]]
+        xm = 0.5 * (x0 + x1) + cut * (x1 - x0)
+        ym = 0.5 * (y0 + y1) + cut * (y1 - y0)
+        boxes = np.array([(x0, xm, y0, ym), (xm, x1, y0, ym),
+                          (xm, x1, ym, y1), (x0, xm, ym, y1)]
+                         ).transpose(2, 0, 1)
+        res = _contour_phases(f, _rectangle_table(boxes),
+                              (4,) * (4 * len(pending)), zero_atol)
+        quads = [list(map(tuple, qs)) for qs in boxes.tolist()]
         retry = []
         for i, qs, rs in zip(pending, quads, zip(*[iter(res)] * 4)):
             windings = []
@@ -658,37 +687,44 @@ def _inside(z, boxes: np.ndarray) -> np.ndarray:
     return (x0 <= z.real) & (z.real <= x1) & (y0 <= z.imag) & (z.imag <= y1)
 
 
-def _power_sums(box, w: int, z, v, dv) -> np.ndarray:
+def _power_sums(box, w: int, z, v, dv, mods, dphi) -> np.ndarray:
     """The power sums s_1..s_w of the zeros of f in the box, in u = (z -
     c) / r (box center c, half-diagonal r), from the samples z, v = f(z),
-    dv = f'(z) of its winding, once around it (Delves & Lyness, Math.
-    Comp. 21, 1967).
+    dv = f'(z) of its winding, once around it, and that pass's |v| and
+    phase steps (Delves & Lyness, Math. Comp. 21, 1967).
 
     They are s_k = w u0^k - (k / 2 pi i) closed integral u^(k-1) log f
     du, by parts against the unwrapped log f, here by the trapezoid rule
-    with its endpoint-derivative correction on each interval."""
+    with its endpoint-derivative correction on each interval.  For w = 1
+    the power u^0 = 1 is left out, which changes no bit."""
     c, r = _center(box), _radius(box)
     u = (z - c) / r
-    logf = np.log(np.abs(v)) + 1j * np.concatenate(
-        [[np.angle(v[0])], np.angle(v[1:] / v[:-1])]).cumsum()
+    logf = np.log(mods) + 1j * np.concatenate(
+        [[np.angle(v[0])], dphi]).cumsum()
+    du = np.diff(u)
+    if w == 1:
+        dg = r * dv / v
+        integral = (0.5 * du * (logf[1:] + logf[:-1])
+                    + du ** 2 / 12.0 * (dg[:-1] - dg[1:])).sum(keepdims=True)
+        return u[:1] - integral / (2j * np.pi)
     k = np.arange(1, w + 1)
     p = u[:, None] ** (k - 1)
     g = p * logf[:, None]
     dg = p * ((k - 1) * (logf / u)[:, None] + (r * dv / v)[:, None])
-    du = np.diff(u)[:, None]
+    du = du[:, None]
     integral = (0.5 * du * (g[1:] + g[:-1])
                 + du ** 2 / 12.0 * (dg[:-1] - dg[1:])).sum(axis=0)
     return w * u[0] ** k - k * integral / (2j * np.pi)
 
 
-def _moment_seeds(box, w: int, z, v, dv) -> np.ndarray:
+def _moment_seeds(box, w: int, z, v, dv, mods, dphi) -> np.ndarray:
     """The w roots of the monic polynomial sum a_n u^(w-n) whose power
     sums are _power_sums, from Newton's identities n a_n = -(s_1 a_(n-1)
     + ... + s_n a_0), mapped back to z = c + r u.  For w = 1 that root is
     s_1 itself, which np.roots would find as the one eigenvalue of the
     1x1 companion matrix of u - s_1."""
     c, r = _center(box), _radius(box)
-    s = _power_sums(box, w, z, v, dv)
+    s = _power_sums(box, w, z, v, dv, mods, dphi)
     if w == 1:
         return c + r * s
     a = [1.0 + 0j]
@@ -713,7 +749,8 @@ def _newton_roots(f, nodes, target_radius, zero_atol) -> list:
     seeds (then never evaluated) or iterates falls outside it."""
     z = np.array([c for b, w, _, phase in nodes
                   for c in _moment_seeds(b, w, *phase[5:])], dtype=complex)
-    owner = np.repeat(np.arange(len(nodes)), [node[1] for node in nodes])
+    ws = [node[1] for node in nodes]
+    owner = np.repeat(np.arange(len(nodes)), ws)
     own = np.array([nodes[n][0] for n in owner], dtype=float).reshape(-1, 4)
     failed = np.zeros(len(nodes), dtype=bool)
     failed[owner[~_inside(z, own)]] = True
@@ -736,13 +773,17 @@ def _newton_roots(f, nodes, target_radius, zero_atol) -> list:
                 | ((size >= last[idx]) & (size < target_radius)))
         last[idx] = size
         running[idx[done]] = False
-    near = ((owner[:, None] == owner) & ~np.eye(z.size, dtype=bool)
-            & (np.abs(z[:, None] - z) <= 2.0 * target_radius)).any(axis=1)
+    lost = np.isnan(z)
+    # two roots of one box closer than 2 target_radius: only a box of
+    # w >= 2 has two
+    if any(w > 1 for w in ws):
+        lost |= ((owner[:, None] == owner) & ~np.eye(z.size, dtype=bool)
+                 & (np.abs(z[:, None] - z) <= 2.0 * target_radius)).any(axis=1)
     # a box fails with any of its roots; the others get their disks
-    failed[owner[near | np.isnan(z)]] = True
+    failed[owner[lost]] = True
     good = ~failed[owner]
-    disks = _contour_phases(f, [circle_contour(c, target_radius)
-                                for c in z[good]], zero_atol) \
+    disks = _contour_phases(f, _circle_table(z[good], target_radius),
+                            (1,) * int(good.sum()), zero_atol) \
         if good.any() else []
     good[good] = [not isinstance(r, Exception)
                   and abs(r[0] / (2.0 * np.pi) - 1.0) < _WINDING_MARGIN

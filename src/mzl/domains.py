@@ -42,9 +42,13 @@ rectangle, so both start from one memoized first round).  The first
 round of each, w and w' on the pass's starting grid, is memoized
 read-only under
 (pair callable, the bytes of the grid) for the last _FIRST_ROUNDS such
-rounds (_first_round), so a repeated count's first rounds cost only P's
-Horner and the error bound of w; every later round, and every count's
-results, are as from a cold memo.
+rounds (_first_round), with the error bound of w that the winding takes
+there (_round_bound), so a repeated count's first rounds cost only P's
+Horner; every later round, and every count's results, are as from a cold
+memo.  What depends on the domain alone is built once: the j contour,
+box and region test per (Y, eta) (_j_geometry) and the wp rectangle per
+(spec, eta) (_wp_rectangle), each with its contour's segment table, for
+the last _GEOMETRIES of them; the wp lattice factor is P's own.
 """
 from __future__ import annotations
 
@@ -60,7 +64,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .contour import (ArcSegment, Contour, LineSegment, localize_zeros,
                       rectangle_contour, winding_number)
-from .elliptic import lattice, wp_analytic, wp_error_bound, wp_on_line
+from .elliptic import lattice, wp_analytic, wp_error_analytic, wp_on_line
 from .errors import (AmbiguityError, CannotPerturbError, DominanceError,
                      InvalidSpecError, NonconvergenceError,
                      PrecisionLossError, ZeroOnContourError)
@@ -387,8 +391,19 @@ def _zero_floor(P: BivariatePolynomial, z, w, py, w_error) -> np.ndarray:
 _FIRST_ROUNDS = 64
 
 
+class _Round(tuple):
+    """The read-only (w, w') of a memoized first round, and in bounds the
+    read-only error bounds of w taken on it so far, by bound callable
+    (_round_bound)."""
+
+    def __new__(cls, values):
+        out = super().__new__(cls, values)
+        out.bounds = {}
+        return out
+
+
 @lru_cache(maxsize=_FIRST_ROUNDS)
-def _first_round(pair, z: bytes) -> tuple:
+def _first_round(pair, z: bytes) -> _Round:
     """The read-only (w, w') = pair(z) at the starting grid of a phase
     pass, z given as its bytes: the values of exactly the batch the first
     round evaluates, so they have the bits of a fresh call (klein_j_pair
@@ -396,7 +411,17 @@ def _first_round(pair, z: bytes) -> tuple:
     out = tuple(np.asarray(a) for a in pair(np.frombuffer(z, dtype=complex)))
     for a in out:
         a.setflags(write=False)
-    return out
+    return _Round(out)
+
+
+def _round_bound(values: _Round, w_error, z) -> np.ndarray:
+    """w_error(z, w, w') on the first round values = (w, w') at z, taken
+    once per entry of _first_round and bound callable, read-only."""
+    bound = values.bounds.get(w_error)
+    if bound is None:
+        bound = values.bounds[w_error] = np.asarray(w_error(z, *values))
+        bound.setflags(write=False)
+    return bound
 
 
 def _first_from_memo(pair):
@@ -420,8 +445,9 @@ def _unperturbed_winding(P: BivariatePolynomial, pair, w_error,
     pair callable factor of F (None for F = 1): G's values at the pass's
     adaptive samples and the pass's WindingResult.
 
-    The pass's first round takes f from _first_round, every later one
-    calls pair once per sample, and every sample of P is checked by
+    The pass's first round takes f and its error bound from _first_round
+    (_round_bound), every later one calls pair and w_error once per
+    sample, and every sample of P is checked by
     _zero_floor as the pass takes it; the first round that meets a
     numerically zero one raises ZeroOnContourError.  F vanishes nowhere
     on the contour, so G is numerically zero exactly where P is.  The
@@ -430,14 +456,19 @@ def _unperturbed_winding(P: BivariatePolynomial, pair, w_error,
     gives it the smallest positive float as its floor: every value it
     sees lies above the rule's floor already.
     """
-    f = _first_from_memo(pair)
     seen = []
 
     def composite(z):
-        w, dw = f(z)
+        if seen:
+            w, dw = pair(z)
+            error = w_error(z, w, dw)
+        else:
+            first = _first_round(pair, z.tobytes())
+            w, dw = first
+            error = _round_bound(first, w_error, z)
         v, px, py = P.evaluate_partials(z, w)
         mods = np.abs(v)
-        excess = mods - _zero_floor(P, z, w, py, w_error(z, w, dw))
+        excess = mods - _zero_floor(P, z, w, py, error)
         if (excess <= 0.0).any():
             i = int(np.argmin(excess))
             raise ZeroOnContourError(
@@ -579,12 +610,13 @@ _DOMINANCE_HEADROOM = 1.1
 _J_STRIP = 0.5 + _J_ETAS[-1]
 
 
-def _top_line_dominates(P: BivariatePolynomial, Y: float,
+def _top_line_dominates(P: BivariatePolynomial, Y: float, lead: tuple,
                         roots: np.ndarray) -> bool:
     """True when the leading term h_l(z) q^{-l}, q = e^{2 pi i z}, of
     P(z, j(z)) = sum_k h_k(z) j(z)^k exceeds 2.2x the remainder on the
     whole half-strip H = {|Re z| <= _J_STRIP, Im z >= Y}, so that no
-    zero lies above the top line; roots are those of h_l.
+    zero lies above the top line; lead is (l, h_l) = P.leading_y_term()
+    and roots are those of h_l.
 
     On H, |q| <= s = e^{-2 pi Y} and |j - q^{-1}| <= B = 744 + the tail
     of the j majorant past q^0 at s, so j = q^{-1} (1 + d) with |d| <= Bs.
@@ -599,7 +631,7 @@ def _top_line_dominates(P: BivariatePolynomial, Y: float,
     Y >= deg_x / (2 pi); there a bound that holds at Y holds on all of H.
     Below that height the check returns False and the caller raises Y.
     """
-    l, hcol = P.leading_y_term()
+    l, hcol = lead
     if l == 0:
         return True
     if 2.0 * math.pi * l * Y > 690.0:
@@ -641,13 +673,27 @@ def _in_j_region(z: complex, Y: float, eta: float) -> bool:
             and (abs(z) >= bottom or abs(z - 1j) <= _dip_radius(eta)))
 
 
+# the most domain geometries _j_geometry and _wp_rectangle each keep
+_GEOMETRIES = 64
+
+
+@lru_cache(maxsize=_GEOMETRIES)
 def _j_geometry(Y: float, eta: float) -> tuple:
     """(contour, box, factor, keep) of a j count for _count: the contour
     of build_j_contour, the box from its left corner, its lowest point,
-    to the top line, no factor, and _in_j_region for Y and eta."""
+    to the top line, no factor, and _in_j_region for Y and eta.  They
+    depend on Y and eta alone, so the last _GEOMETRIES of them are
+    memoized, and the contour's segment table with them."""
     contour = build_j_contour(JDomainSpec(Y), eta)
     box = (-0.5 - eta, 0.5 - eta, contour.segments[0].start.imag, Y)
     return contour, box, None, partial(_in_j_region, Y=Y, eta=eta)
+
+
+def _j_error(z, w, dw):
+    """The bound on the error of w = j(z) for _unperturbed_winding:
+    klein_j_error_bound, which takes no j'.  One function for every
+    count, so that it keys the bounds of _round_bound."""
+    return klein_j_error_bound(z, w)
 
 
 def _j_plan(P: BivariatePolynomial, spec: JDomainSpec) -> _Plan:
@@ -655,15 +701,18 @@ def _j_plan(P: BivariatePolynomial, spec: JDomainSpec) -> _Plan:
     lie above it (_min_y_for_polynomial_roots, _top_line_dominates)."""
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
-    roots = np.roots(P.leading_y_term()[1][::-1])
+    lead = P.leading_y_term()
+    hcol = lead[1]
+    # a constant column has no root, and np.roots costs more than the
+    # rest of the plan; a zero constant term is a root at 0
+    roots = np.roots(hcol[::-1]) if hcol[1:].any() else np.empty(0)
     Y = _min_y_for_polynomial_roots(roots, spec.Y)
-    while not _top_line_dominates(P, Y, roots):
+    while not _top_line_dominates(P, Y, lead, roots):
         Y += 0.5
         if Y > spec.Y + 8.0:
             raise DominanceError("leading term never dominated the top line",
                                  complex(0.0, Y), math.nan)
-    return _Plan("j", klein_j_pair,
-                 lambda z, w, dw: klein_j_error_bound(z, w), _J_ETAS,
+    return _Plan("j", klein_j_pair, _j_error, _J_ETAS,
                  partial(_j_geometry, Y), _J_TARGET_RADIUS, theorem1_bound,
                  {"Y": Y})
 
@@ -687,14 +736,21 @@ def count_zeros_j(P: BivariatePolynomial,
 
 # ------------------------------------------------------------ wp pipeline
 
+@lru_cache(maxsize=_GEOMETRIES)
+def _wp_rectangle(spec: WpDomainSpec, eta: float) -> tuple:
+    """(contour, box) of build_wp_contour and _wp_box, which depend on the
+    spec and eta alone, memoized for the last _GEOMETRIES of them with the
+    contour's segment table."""
+    return build_wp_contour(spec, eta), _wp_box(spec, eta)
+
+
 def _wp_geometry(P: BivariatePolynomial, spec: WpDomainSpec,
                  eta: float) -> tuple:
     """(contour, box, factor, keep) of a wp count for _count: the
-    rectangle of build_wp_contour, which is also the box, the factor of
-    _lattice_factor, and no keep."""
-    box = _wp_box(spec, eta)
-    return (build_wp_contour(spec, eta), box, _lattice_factor(P, spec, box),
-            None)
+    rectangle of build_wp_contour, which is also the box (_wp_rectangle),
+    the factor of _lattice_factor, and no keep."""
+    contour, box = _wp_rectangle(spec, eta)
+    return contour, box, _lattice_factor(P, spec, box), None
 
 
 def _wp_plan(P: BivariatePolynomial, spec: WpDomainSpec) -> _Plan:
@@ -702,7 +758,7 @@ def _wp_plan(P: BivariatePolynomial, spec: WpDomainSpec) -> _Plan:
     if P.is_zero():
         raise InvalidSpecError("zero polynomial")
     L = lattice(spec.tau)
-    return _Plan("wp", wp_analytic(L), partial(wp_error_bound, L=L),
+    return _Plan("wp", wp_analytic(L), wp_error_analytic(L),
                  _WP_ETAS, partial(_wp_geometry, P, spec), _WP_TARGET_RADIUS,
                  theorem2_bound, asdict(spec))
 

@@ -262,3 +262,10 @@ def wp_analytic(L: LatticeParams):
     # the one pair callable of wp on L, so it can key a memo; wp_pair by
     # name, so a wrapper on the module attribute sees each call
     return lambda z: wp_pair(z, L)
+
+
+@lru_cache(maxsize=64)
+def wp_error_analytic(L: LatticeParams):
+    # the one bound callable (z, p, dp) -> wp_error_bound(z, p, dp, L) on
+    # L, so it can key a memo, as wp_analytic does
+    return lambda z, p, dp: wp_error_bound(z, p, dp, L)

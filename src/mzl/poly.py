@@ -17,6 +17,12 @@ from .errors import CannotPerturbError, InvalidSpecError
 
 # angles of the theta scan of the Rouche perturbation
 _PERTURB_ANGLES = 64
+# the scanned angles theta and the column e^{i theta}, built once,
+# read-only
+_THETAS = np.linspace(0.0, 2.0 * np.pi, _PERTURB_ANGLES, endpoint=False)
+_TURNS = np.exp(1j * _THETAS)[:, None]
+_THETAS.setflags(write=False)
+_TURNS.setflags(write=False)
 # the most (angle, sample) pairs one array op of the scan holds
 _SCAN_BLOCK = 8192
 
@@ -200,9 +206,8 @@ def perturb_from_values(P: BivariatePolynomial, f, vals,
     # every minimum exact
     near = vals[mods <= 4.0 * eps * (1.0 + 1e-9)]
     rows = max(1, _SCAN_BLOCK // near.size)
-    thetas = np.linspace(0.0, 2.0 * np.pi, _PERTURB_ANGLES, endpoint=False)
-    offsets = eps * np.exp(1j * thetas)[:, None]
+    offsets = eps * _TURNS
     scores = np.concatenate([np.abs(near + offsets[i:i + rows]).min(axis=1)
-                             for i in range(0, thetas.size, rows)])
-    return PerturbedComposite(P, f, eps, float(thetas[int(np.argmax(scores))]),
-                              factor)
+                             for i in range(0, _PERTURB_ANGLES, rows)])
+    theta = float(_THETAS[int(np.argmax(scores))])
+    return PerturbedComposite(P, f, eps, theta, factor)

@@ -10,12 +10,14 @@ from mzl.special import klein_j_pair
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    # every test starts from empty memos of starting grids and first
-    # rounds, so a test that counts f or inner calls sees the calls of a
-    # first count
+    # every test starts from empty memos of starting grids, first rounds
+    # and domain geometries, so a test that counts f or inner calls sees
+    # the calls of a first count
     contour._start_grid.cache_clear()
     domains._first_round.cache_clear()
     domains._line_grid.cache_clear()
+    domains._j_geometry.cache_clear()
+    domains._wp_rectangle.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -416,11 +416,13 @@ def contour_phases_masked(f, contours, zero_atol: float) -> list:
     from mzl import contour as C
     from mzl.errors import NonconvergenceError, ZeroOnContourError
 
-    joined = C._joined(contours)
+    # the contours' segment tables side by side, joined here rather than
+    # by the library
+    table = np.concatenate([c._table for c in contours], axis=1)
     nsegs = tuple(len(c.segments) for c in contours)
-    t, cid, _ = C._start_grid(C._N_INITIAL, nsegs, joined._table.tobytes())
-    z = table_point_clip(joined._table, t)
-    nseg = len(joined.segments)
+    t, cid, _ = C._start_grid(C._N_INITIAL, nsegs, table.tobytes())
+    z = table_point_clip(table, t)
+    nseg = table.shape[1]
     errors: dict = {}
     alive = np.ones(len(contours), dtype=bool)
 
@@ -487,7 +489,7 @@ def contour_phases_masked(f, contours, zero_atol: float) -> list:
             after, tm = after[keep], tm[keep]
             if not after.size:
                 break
-        zm = table_point_clip(joined._table, tm)
+        zm = table_point_clip(table, tm)
         vm, dvm = sample_pair(f, zm)
         at = after + np.arange(1, after.size + 1)
         old = np.ones(t.size + at.size, dtype=bool)
@@ -511,3 +513,23 @@ def contour_phases_masked(f, contours, zero_atol: float) -> list:
                     float(np.log(mods[hi - 1]) - np.log(mods[lo])),
                     z[lo:hi], v[lo:hi], dv[lo:hi]))
     return out
+
+
+def power_sums(box, w: int, z, v, dv) -> np.ndarray:
+    """contour._power_sums as it ran before it took the phase pass's |f|
+    and phase steps: log|f| and the phase steps from the samples, and the
+    power columns u^(k-1) for every w, w = 1 too."""
+    x0, x1, y0, y1 = box
+    c = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    r = 0.5 * float(np.hypot(x1 - x0, y1 - y0))
+    u = (z - c) / r
+    logf = np.log(np.abs(v)) + 1j * np.concatenate(
+        [[np.angle(v[0])], np.angle(v[1:] / v[:-1])]).cumsum()
+    k = np.arange(1, w + 1)
+    p = u[:, None] ** (k - 1)
+    g = p * logf[:, None]
+    dg = p * ((k - 1) * (logf / u)[:, None] + (r * dv / v)[:, None])
+    du = np.diff(u)[:, None]
+    integral = (0.5 * du * (g[1:] + g[:-1])
+                + du ** 2 / 12.0 * (dg[:-1] - dg[1:])).sum(axis=0)
+    return w * u[0] ** k - k * integral / (2j * np.pi)

@@ -88,6 +88,45 @@ def test_eval_j_at_i(capsys):
     assert abs(j - 1728.0) <= float(row[3])
 
 
+_RHO = "-0.5+0.8660254037844386i"
+
+
+def _eval_rows(argv, capsys) -> list:
+    assert main(["eval", *argv]) == 0
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+def test_eval_takes_a_negative_input(capsys):
+    # argparse reads -0.5+...i as an option; it is an input, as after --
+    [row] = _eval_rows(["j", _RHO], capsys)
+    assert _eval_rows(["j", "--", _RHO], capsys) == [row]
+    assert row.startswith(
+        _RHO + ",1.952325316222268e-44,1.6921075639725733e-44,")
+    # in command-line order among other inputs
+    rows = _eval_rows(["j", "2i", _RHO, "1.5i"], capsys)
+    assert [r.split(",")[0] for r in rows] == ["2i", _RHO, "1.5i"]
+    assert rows[1] == row
+    assert rows == [_eval_rows(["j", s], capsys)[0]
+                    for s in ("2i", _RHO, "1.5i")]
+
+
+def test_eval_negative_input_keeps_the_options_after_it(capsys):
+    # argparse takes -- only right before the first run of inputs
+    at_8 = _eval_rows(["--tau", "8", "wp", "--", "-0.3+0.2i"], capsys)
+    at_1 = _eval_rows(["--tau", "1", "wp", "--", "-0.3+0.2i"], capsys)
+    assert _eval_rows(["wp", "-0.3+0.2i", "--tau", "8"], capsys) == at_8
+    assert at_8 != at_1
+
+
+@pytest.mark.parametrize("argv", [["j", "--bogus"], ["j", "2i", "--bogus"],
+                                  ["j", "-0.5x"]])
+def test_eval_unknown_option_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-1] in capsys.readouterr().err
+
+
 def test_eval_wp_half_period(capsys):
     assert main(["eval", "wp", "0.5", "--tau", "1.0"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")

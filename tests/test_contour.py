@@ -324,13 +324,15 @@ def test_refined_samples_meet_the_acceptance_rule(rng):
                 for (p, u), d in zip(at, rng.uniform(-1e-3, 1e-3, n))]
         far = rng.uniform(-0.5, 1.5, 2) + 1j * rng.uniform(-0.5, 1.5, 2)
         roots = np.concatenate([near, far[:int(rng.integers(0, 3))]])
-        res = contour_module._contour_phases(roots_pair(roots),
-                                             [square, circle], 0.0)
+        res = contour_module._contour_phases(
+            roots_pair(roots),
+            np.concatenate([square._table, circle._table], axis=1), (4, 1),
+            0.0)
         inside = [np.count_nonzero((0 < roots.real) & (roots.real < 1)
                                    & (0 < roots.imag) & (roots.imag < 1)),
                   np.count_nonzero(np.abs(roots - 0.5) < 0.3)]
         for r, want in zip(res, inside):
-            total, _, _, used, _, z, v, dv = r
+            total, _, _, used, _, z, v, dv = r[:8]
             assert used == z.size
             rate = np.abs(dv / v)
             step = np.abs(np.diff(z)) * np.maximum(rate[1:], rate[:-1])
@@ -924,14 +926,85 @@ def test_moment_seed_of_one_zero_is_the_companion_root(rng):
         box = (x0, x0 + rng.uniform(0.01, 2.0), y0, y0 + rng.uniform(0.01, 2.0))
         roots = rng.uniform(-2.0, 2.0, 3) + 1j * rng.uniform(-2.0, 2.0, 3)
         top = contour_module._contour_phases(
-            roots_pair(roots), [rectangle_contour(*box)], 0.0)[0]
-        z, v, dv = top[5:]
-        s = contour_module._power_sums(box, 1, z, v, dv)
+            roots_pair(roots), rectangle_contour(*box)._table, (4,), 0.0)[0]
+        s = contour_module._power_sums(box, 1, *top[5:])
         a = [1.0 + 0j]
         a.append(-np.dot(s[:1], a[::-1]) / 1)
         c, r = contour_module._center(box), contour_module._radius(box)
-        assert np.array_equal(contour_module._moment_seeds(box, 1, z, v, dv),
+        assert np.array_equal(contour_module._moment_seeds(box, 1, *top[5:]),
                               c + r * np.roots(a))
+
+
+@pytest.mark.parametrize("w", [1, 3])
+def test_power_sums_match_the_formula_on_the_samples(rng, w):
+    # from the pass's own |f| and phase steps, and for w = 1 without the
+    # power column u^0, the sums keep the bits of the formula that takes
+    # them from the samples, on boxes whose boundaries refine next to a
+    # zero and on boxes that keep their starting grid
+    for _ in range(40):
+        x0, y0 = rng.uniform(-1.0, 1.0, 2)
+        x1, y1 = rng.uniform(0.01, 2.0, 2) + (x0, y0)
+        box = (x0, x1, y0, y1)
+        roots = rng.uniform(-2.0, 2.0, 4) + 1j * rng.uniform(-2.0, 2.0, 4)
+        roots[0] = box[0] + rng.uniform(0.0, box[1] - box[0]) + 1j * (
+            box[2] + 10.0 ** -rng.uniform(1.0, 5.0))
+        top = contour_module._contour_phases(
+            roots_pair(roots), rectangle_contour(*box)._table, (4,), 0.0)[0]
+        got = contour_module._power_sums(box, w, *top[5:])
+        assert got.tobytes() == oracles.power_sums(box, w, *top[5:8]).tobytes()
+
+
+def test_segment_tables_are_the_contours_tables(rng):
+    # boxes and circles given by their numbers build the segment tables
+    # of rectangle_contour and circle_contour, bit for bit, side by side
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        x0, y0 = rng.uniform(-3.0, 3.0, (2, n))
+        boxes = np.stack([x0, x0 + rng.uniform(1e-9, 2.0, n), y0,
+                          y0 + rng.uniform(1e-9, 2.0, n)], axis=1)
+        boxes[rng.uniform(size=n) < 0.2, 0] = -0.0
+        want = np.concatenate([rectangle_contour(*b)._table for b in boxes],
+                              axis=1)
+        assert (contour_module._rectangle_table(boxes).tobytes()
+                == want.tobytes())
+        centers = rng.uniform(-2.0, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+        radius = 10.0 ** -rng.uniform(0.0, 10.0)
+        want = np.concatenate([circle_contour(c, radius)._table
+                               for c in centers], axis=1)
+        assert (contour_module._circle_table(centers, radius).tobytes()
+                == want.tobytes())
+
+
+def test_localization_passes_the_tables_of_its_boxes_and_disks(monkeypatch):
+    # every phase batch of a localization, the top box, each level's
+    # quadrants with their shifted cuts and the Newton disks, has the
+    # bits of the contours' own tables joined
+    phases = contour_module._contour_phases
+    seen = []
+
+    def recording(f, table, nsegs, zero_atol):
+        seen.append((table, nsegs))
+        return phases(f, table, nsegs, zero_atol)
+
+    monkeypatch.setattr(contour_module, "_contour_phases", recording)
+    # a double zero on the first cut line moves the cuts, and the two
+    # double zeros split the boxes for a few levels
+    f = roots_pair([0.0, 0.0, 0.31 + 0.22j, 0.31 + 0.22j, -0.4 - 0.3j])
+    zeros = localize_zeros(f, (-1.0, 1.0, -1.0, 1.0), target_radius=1e-4)
+    assert sum(z.multiplicity for z in zeros) == 5
+    kinds = set()
+    for table, nsegs in seen:
+        kinds.add(nsegs[0])
+        if nsegs[0] == 4:
+            lo, hi = table[0, 0::4], table[0, 2::4]
+            want = [rectangle_contour(a.real, b.real, a.imag, b.imag)
+                    for a, b in zip(lo, hi)]
+        else:
+            want = [circle_contour(c, table[3, 0].real) for c in table[2]]
+        assert nsegs == tuple(len(c.segments) for c in want)
+        assert table.tobytes() == np.concatenate(
+            [c._table for c in want], axis=1).tobytes()
+    assert kinds == {1, 4} and max(len(n) for _, n in seen) > 4
 
 
 # ---------------------------------------------------------------------------
@@ -941,17 +1014,20 @@ def test_moment_seed_of_one_zero_is_the_companion_root(rng):
 def _both_passes(f, contours, zero_atol) -> list:
     """The phase pass over contours, after checking that it calls f on
     the same points and gives the same outputs, to the bit, as the
-    masked pass it replaced."""
-    runs = []
-    for phases in (contour_module._contour_phases,
-                   oracles.contour_phases_masked):
+    masked pass it replaced, and that the |f| and phase steps it hands on
+    are np.abs and np.angle of its own samples."""
+    def run(phases, *args):
         calls = []
 
         def recording(z):
             calls.append(np.asarray(z).tobytes())
             return f(z)
-        runs.append((calls, phases(recording, contours, zero_atol)))
-    (calls, new), (old_calls, old) = runs
+        return calls, phases(recording, *args, zero_atol)
+
+    table = np.concatenate([c._table for c in contours], axis=1)
+    nsegs = tuple(len(c.segments) for c in contours)
+    calls, new = run(contour_module._contour_phases, table, nsegs)
+    old_calls, old = run(oracles.contour_phases_masked, contours)
     assert calls == old_calls
     assert len(new) == len(old)
     for a, b in zip(new, old):
@@ -962,8 +1038,12 @@ def _both_passes(f, contours, zero_atol) -> list:
                 assert (a.location, a.modulus) == (b.location, b.modulus)
             continue
         assert a[:5] == b[:5]
-        for x, y in zip(a[5:], b[5:]):
+        assert len(a) == 10 and len(b) == 8
+        for x, y in zip(a[5:8], b[5:]):
             assert x.tobytes() == y.tobytes()
+        v = a[6]
+        assert a[8].tobytes() == np.abs(v).tobytes()
+        assert a[9].tobytes() == np.angle(v[1:] / v[:-1]).tobytes()
     return new
 
 

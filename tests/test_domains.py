@@ -627,7 +627,8 @@ def test_count_zeros_j_sizes_eps_without_a_boundary_scan(j_call_sizes):
 
 
 def dominates(P: BivariatePolynomial, Y: float) -> bool:
-    return _top_line_dominates(P, Y, np.roots(P.leading_y_term()[1][::-1]))
+    lead = P.leading_y_term()
+    return _top_line_dominates(P, Y, lead, np.roots(lead[1][::-1]))
 
 
 def test_top_line_dominance_without_j_dependence():
